@@ -74,17 +74,6 @@ pub struct EngineOptions {
     /// representation (the BENCH_mem comparison baseline). Equality,
     /// ordering and display semantics are identical either way.
     pub intern_strings: bool,
-    /// Upper bound on the number of client requests the server front-end
-    /// (`ariel-server`) coalesces into one transition when consecutive
-    /// pending requests are all plain appends. Batching feeds
-    /// [`Ariel::execute_transition`] long positive token runs — exactly
-    /// the shape the parallel match path carves into parallel jobs — at
-    /// the cost of merging concurrent clients' appends into a single
-    /// logical event set (see `docs/SERVER.md`). `1` disables
-    /// cross-request coalescing. The engine itself never reads this; it
-    /// is plumbed through [`EngineOptions`] so a server and its engine
-    /// are configured in one place.
-    pub serve_batch: usize,
     /// Write-ahead-log fsync policy used once durability is switched on by
     /// [`Ariel::checkpoint`] (or the CLI's `--durability` / `\checkpoint`).
     /// [`Durability::Off`] (the default) attaches no log writer at all, so
@@ -107,7 +96,6 @@ impl Default for EngineOptions {
             parallel_match: false,
             match_threads: 0,
             intern_strings: true,
-            serve_batch: 64,
             durability: Durability::Off,
         }
     }

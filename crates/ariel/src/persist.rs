@@ -481,6 +481,38 @@ impl Ariel {
         Ok(())
     }
 
+    /// Group commit: run `f` with per-record fsyncs of
+    /// [`Durability::Commit`] deferred, then issue exactly one if `f`
+    /// logged anything. An `Err` means that fsync failed: nothing `f` did
+    /// may be acked. Without an attached commit-mode writer this is just
+    /// `Ok(f(self))`. The server runs each drain of its pending list in
+    /// one such scope (`docs/SERVER.md`).
+    pub fn group_commit<R>(&mut self, f: impl FnOnce(&mut Ariel) -> R) -> ArielResult<R> {
+        /// Closes the scope on unwind too, so a panic in `f` cannot leave
+        /// the writer deferring fsyncs for the engine's remaining life.
+        struct Scope<'a>(&'a mut Ariel);
+        impl Scope<'_> {
+            fn end(&mut self) -> ArielResult<()> {
+                match self.0.wal.as_mut() {
+                    Some(w) => w.end_group().map_err(|e| io_err("syncing wal", e)),
+                    None => Ok(()),
+                }
+            }
+        }
+        impl Drop for Scope<'_> {
+            fn drop(&mut self) {
+                let _ = self.end();
+            }
+        }
+        if let Some(w) = self.wal.as_mut() {
+            w.begin_group();
+        }
+        let mut scope = Scope(self);
+        let out = f(&mut *scope.0);
+        scope.end()?;
+        Ok(out)
+    }
+
     fn wal_append(&mut self, payload: &[u8]) -> ArielResult<()> {
         if let Some(w) = self.wal.as_mut() {
             w.append(payload)

@@ -2,7 +2,7 @@
 //! in-process [`ariel_server::Server`] over loopback with a mixed
 //! append/replace/retrieve workload against an active rule, measuring
 //! per-request latency (p50/p99), commands per second, and how much
-//! cross-session write batching the executor stage achieved.
+//! cross-session write batching the server's drains achieved.
 //!
 //! `paper_tables -- serve` renders the table and writes
 //! `BENCH_serve.json`, which `bench_gate serve` checks against the
@@ -32,7 +32,7 @@ pub struct ServeRow {
     pub cmd_errors: u64,
     /// Protocol-level errors the server reported (must be 0).
     pub protocol_errors: u64,
-    /// Groups the executor stage ran (one transition each).
+    /// Groups the server's drains ran (one transition each).
     pub batches: u64,
     /// Requests that rode in a group of ≥ 2 sessions' appends.
     pub batched_requests: u64,

@@ -1,14 +1,14 @@
 //! # ariel-server
 //!
 //! A TCP front-end for the Ariel active DBMS: a hand-rolled
-//! length-prefixed binary protocol (blocking I/O, no async runtime), a
-//! session manager that multiplexes any number of client connections
-//! onto one engine through the `scoped-pool` workers, and per-transition
-//! **write batching** — consecutive append-only requests from different
-//! sessions coalesce into a single transition, handing
-//! `Network::process_batch` the long positive token runs the parallel
-//! match path carves into jobs (see `docs/SERVER.md` and
-//! `docs/CONCURRENCY.md`).
+//! length-prefixed binary protocol (blocking I/O, no async runtime), one
+//! thread per connection that runs each of its requests to completion on
+//! the one engine, and **drain-on-acquire batching** — the session that
+//! takes the engine executes everything pending behind it, coalescing
+//! consecutive append-only requests from different sessions into a
+//! single transition (the long positive token runs the parallel match
+//! path carves into jobs) and fsyncing the log once per drain (see
+//! `docs/SERVER.md` and `docs/CONCURRENCY.md`).
 //!
 //! ```
 //! use ariel::Ariel;

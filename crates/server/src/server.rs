@@ -1,46 +1,64 @@
-//! The server: accept loop, per-connection reader threads, and a
-//! `scoped-pool` executor stage that multiplexes every session's requests
-//! onto the one engine with per-transition write batching.
+//! The server: an accept loop and one thread per connection that runs
+//! each of its requests to completion — read, parse, execute, reply —
+//! with per-transition write batching and one fsync per drain.
 //!
 //! ## Threading model
 //!
 //! ```text
-//! accept thread ──spawns──> reader (1 per connection, blocking I/O)
-//!                               │ parse frame + script, enqueue Entry
-//!                               ▼
-//!                        request queue (FIFO, Mutex + Condvar)
-//!                               │ pop; pop further *consecutive*
-//!                               │ append-only entries → one group
-//!                               ▼
-//!                    executor workers (vendor/scoped-pool, N = workers)
-//!                               │ one Mutex<Ariel>: group → ONE transition
-//!                               ▼
-//!                        reply channel → reader writes the result frame
+//! accept loop (the thread in `Server::run`) ──spawns──> session thread
+//!                                                       (1 per connection)
+//! session thread, per frame:
+//!     read + parse ─> push Entry on the pending list ─> lock the engine
+//!         reply slot already filled (another session drained it)?
+//!             yes ─> unlock
+//!             no  ─> take the WHOLE pending list, execute it in arrival
+//!                    order inside one `Ariel::group_commit` scope (one
+//!                    fsync), fill every entry's reply slot, unlock
+//!     encode own reply ─> write it ─> read the next frame
 //! ```
 //!
-//! Readers own their socket for both directions, so no frame is ever
+//! Uncontended, a request never leaves its session thread. Contended,
+//! whoever holds the engine executes everything that queued up behind it
+//! — for that turn it is the single owner that drains, executes and acks
+//! — and the sessions it served wake to a filled slot. Entries deposited
+//! during a drain wait for the next holder, which is one of their own
+//! depositors, so no wake-up can be lost. There are no executor threads,
+//! no condition variable and no reply channel.
+//!
+//! A session owns its socket for both directions, so no frame is ever
 //! interleaved at the byte level and a session's replies are in request
-//! order (a reader does not read the next frame until the previous reply
+//! order (a session does not read the next frame until the previous reply
 //! is on the wire — clients may still pipeline; extra frames just wait in
-//! the kernel buffer). Executors never touch a socket, so the engine lock
-//! is never held across a blocking network write.
+//! the kernel buffer). The engine lock is released before the reply is
+//! encoded, so it is never held across a blocking network write.
 //!
 //! ## Write batching
 //!
-//! An entry whose commands are all plain `append`s is *batchable*. An
-//! executor that pops one keeps popping while the queue front stays
-//! batchable, up to [`ariel::EngineOptions::serve_batch`] commands, and runs the
-//! whole group through [`Ariel::execute_transition`] — one Δ-set, one
-//! recognize-act cycle, and one long positive token run, which is exactly
-//! the shape `Network::process_batch` carves into parallel jobs when the
-//! parallel match path is on. Each session is acked with its own change
-//! counts. Two semantic consequences, both documented in
-//! `docs/SERVER.md`: a batched group forms a single logical-event
-//! transition (concurrent clients' appends may merge net effects), and a
-//! notification raised by a batched transition is delivered to every
-//! session in the group. If a grouped transition fails, the group is
-//! re-run entry by entry so one session's bad command cannot poison
-//! another session's good one.
+//! An entry whose commands are all plain `append`s is *batchable*. Within
+//! a drain, consecutive batchable entries — up to
+//! [`ServerOptions::serve_batch`] commands — form one group and run
+//! through [`Ariel::execute_transition`] as one transition: one Δ-set,
+//! one recognize-act cycle, and one long positive token run, which is
+//! exactly the shape `Network::process_batch` carves into parallel jobs
+//! when the parallel match path is on. Every other entry is a group of
+//! its own. Each session is acked with its own change counts. Two
+//! semantic consequences, both documented in `docs/SERVER.md`: a batched
+//! group forms a single logical-event transition (concurrent clients'
+//! appends may merge net effects), and a notification raised by a batched
+//! transition is delivered to every session in the group. If a grouped
+//! transition fails, the group is re-run entry by entry so one session's
+//! bad command cannot poison another session's good one.
+//!
+//! ## Group commit and fail-stop
+//!
+//! The drain runs inside [`Ariel::group_commit`]: under
+//! `Durability::Commit` the log is fsynced once per drain, not once per
+//! record, and no reply slot is filled before that fsync has returned. If
+//! it fails, or if a thread panicked while holding the engine (a poisoned
+//! lock: a transition may be half applied), the server requests shutdown,
+//! answers every pending and later request with
+//! [`ErrorCode::ShuttingDown`] and never executes again; [`Server::run`]
+//! still hands the engine back.
 
 use crate::protocol::{
     decode_hello_client, encode_error, encode_hello_server, encode_result_frame, write_frame,
@@ -49,31 +67,34 @@ use crate::protocol::{
 use crate::telemetry::{opcode_label, LogLevel, Logger, Telemetry};
 use ariel::query::{parse_command, parse_script, CmdOutput, Command};
 use ariel::storage::Value;
-use ariel::Ariel;
-use std::collections::VecDeque;
+use ariel::{Ariel, Durability};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How long a blocked read/accept waits before re-checking the shutdown
 /// flag. Purely a shutdown-latency bound — frames are handled the moment
-/// they arrive, because every connection has a dedicated reader.
+/// they arrive, because every connection has a dedicated thread.
 const POLL_QUANTUM: Duration = Duration::from_millis(25);
 
 /// Bound on a reply write to a stalled client; past it the session is
-/// dropped so a dead peer cannot wedge its reader thread forever.
+/// dropped so a dead peer cannot wedge its session thread forever.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Live sessions (threads) past which the accept loop stops accepting, so
+/// overload waits in the listen backlog instead of spawning threads.
+const MAX_LIVE_SESSIONS: usize = 1024;
 
 /// Server configuration (the engine's own knobs live in
 /// [`ariel::EngineOptions`]).
 #[derive(Debug, Clone)]
 pub struct ServerOptions {
-    /// Executor worker threads; 0 = one per available core, capped at 8
-    /// (the engine lock serializes transitions, so more buys nothing).
-    pub workers: usize,
+    /// Upper bound, in commands, on the consecutive append-only requests
+    /// one drain coalesces into a single transition (see the module
+    /// docs; default 64). `1` disables cross-request coalescing.
+    pub serve_batch: usize,
     /// Record per-opcode/per-session latency telemetry and the slow log
     /// (default `true`; off means no clock reads on the request path).
     pub telemetry: bool,
@@ -91,7 +112,7 @@ pub struct ServerOptions {
 impl Default for ServerOptions {
     fn default() -> ServerOptions {
         ServerOptions {
-            workers: 0,
+            serve_batch: 64,
             telemetry: true,
             slow_capacity: 32,
             slow_threshold_ns: 0,
@@ -165,31 +186,40 @@ fn bucket(n: usize) -> usize {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ReqKind {
-    Command,
-    Query,
-}
+/// What a drain leaves for the session that deposited an entry: the
+/// result body, or the error frame's code and message.
+type Reply = Result<ResultBody, (ErrorCode, String)>;
 
-/// One parsed request waiting for an executor.
+/// A session's reply slot. One request is in flight per session, so one
+/// slot per session, filled only by a thread that holds the engine.
+type Slot = Arc<Mutex<Option<Reply>>>;
+
+/// One parsed request on the pending list.
 struct Entry {
     cmds: Vec<Command>,
     /// All commands are plain `append`s — eligible for group coalescing.
     batchable: bool,
-    reply: mpsc::Sender<(Opcode, Vec<u8>)>,
+    slot: Slot,
 }
 
-#[derive(Default)]
-struct Queue {
-    entries: VecDeque<Entry>,
+impl Entry {
+    fn new(cmds: Vec<Command>, slot: &Slot) -> Entry {
+        Entry {
+            batchable: !cmds.is_empty() && cmds.iter().all(|c| matches!(c, Command::Append { .. })),
+            cmds,
+            slot: Arc::clone(slot),
+        }
+    }
 }
 
 struct Shared {
     /// `None` only after [`Server::run`] has taken the engine back out,
     /// which happens strictly after every thread that could lock it joined.
+    /// Lock it through [`Shared::lock_engine`] only.
     engine: Mutex<Option<Ariel>>,
-    queue: Mutex<Queue>,
-    queue_cv: Condvar,
+    /// Requests deposited and not yet drained, in arrival order. Entries
+    /// leave it only all at once, taken by a thread holding the engine.
+    pending: Mutex<Vec<Entry>>,
     shutdown: AtomicBool,
     serve_batch: usize,
     next_session: AtomicU32,
@@ -211,8 +241,16 @@ struct BatchStats {
     hist: [u64; BATCH_BUCKETS],
 }
 
-fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
+/// Lock one of the small bookkeeping mutexes (pending list, reply slot,
+/// batch counters). Their updates are single pushes, takes and stores,
+/// valid at every step, so a poisoned one is safe to keep using. Never
+/// the engine: see [`Shared::lock_engine`].
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn refused() -> (ErrorCode, String) {
+    (ErrorCode::ShuttingDown, "server is shutting down".into())
 }
 
 impl Shared {
@@ -233,7 +271,26 @@ impl Shared {
 
     fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        self.queue_cv.notify_all();
+    }
+
+    /// The engine, or `None` once a thread has panicked while holding it:
+    /// a transition may be half applied, so the server stops (fail-stop)
+    /// instead of serving from it. The caller answers `ShuttingDown`.
+    fn lock_engine(&self) -> Option<MutexGuard<'_, Option<Ariel>>> {
+        match self.engine.lock() {
+            Ok(guard) => Some(guard),
+            Err(_) => {
+                if !self.shutting_down() {
+                    self.logger.log(
+                        LogLevel::Error,
+                        "engine_poisoned",
+                        format_args!("a thread panicked mid-transition; shutting down"),
+                    );
+                }
+                self.request_shutdown();
+                None
+            }
+        }
     }
 
     fn shutting_down(&self) -> bool {
@@ -248,7 +305,6 @@ pub struct Server {
     listener: TcpListener,
     addr: SocketAddr,
     shared: Arc<Shared>,
-    workers: usize,
 }
 
 /// A failed [`Server::bind`]. Carries the engine back out so a bind
@@ -284,8 +340,7 @@ impl std::error::Error for BindError {
 
 impl Server {
     /// Bind `addr` (use port 0 for an ephemeral port) and wrap `engine`.
-    /// The engine's [`ariel::EngineOptions::serve_batch`] sets the coalescing
-    /// bound. On failure the engine rides back in the error.
+    /// On failure the engine rides back in the error.
     pub fn bind(
         addr: impl ToSocketAddrs,
         engine: Ariel,
@@ -322,20 +377,14 @@ impl Server {
             options.slow_capacity,
             options.slow_threshold_ns,
         );
-        let serve_batch = engine.options().serve_batch.max(1);
-        let workers = match options.workers {
-            0 => std::thread::available_parallelism().map_or(2, |n| n.get().min(8)),
-            n => n,
-        };
         Ok(Server {
             listener,
             addr,
             shared: Arc::new(Shared {
                 engine: Mutex::new(Some(engine)),
-                queue: Mutex::new(Queue::default()),
-                queue_cv: Condvar::new(),
+                pending: Mutex::new(Vec::new()),
                 shutdown: AtomicBool::new(false),
-                serve_batch,
+                serve_batch: options.serve_batch.max(1),
                 next_session: AtomicU32::new(1),
                 sessions: AtomicU64::new(0),
                 commands: AtomicU64::new(0),
@@ -346,7 +395,6 @@ impl Server {
                 telemetry,
                 logger,
             }),
-            workers,
         })
     }
 
@@ -360,31 +408,21 @@ impl Server {
     /// the server — `\serve` hands the REPL database to a server and gets
     /// it back when the server stops.
     pub fn run(self) -> (ServerStats, Ariel) {
-        let shared = Arc::clone(&self.shared);
         self.listener
             .set_nonblocking(true)
             .expect("listener nonblocking");
-        let readers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
-            Arc::new(Mutex::new(Vec::new()));
-        let accept = {
-            let shared = Arc::clone(&shared);
-            let readers = Arc::clone(&readers);
-            let listener = self.listener;
-            std::thread::Builder::new()
-                .name("ariel-accept".into())
-                .spawn(move || accept_loop(&listener, &shared, &readers))
-                .expect("spawn accept thread")
-        };
-        // the executor stage: scoped-pool workers looping until shutdown
-        let pool = scoped_pool::Pool::new(self.workers);
-        pool.run(self.workers, &|_w| executor_loop(&shared));
-        drop(pool); // joins the workers
-        let _ = accept.join();
-        for r in lock(&readers).drain(..) {
-            let _ = r.join();
+        for session in accept_loop(&self.listener, &self.shared) {
+            // a session that panicked poisoned the engine; handled there
+            let _ = session.join();
         }
-        let stats = shared.stats();
-        let engine = lock(&shared.engine)
+        let stats = self.shared.stats();
+        // past the last join nothing can execute, so a poisoned lock is
+        // opened here only to hand the engine back
+        let engine = self
+            .shared
+            .engine
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .take()
             .expect("engine is taken back exactly once, at the end of run()");
         (stats, engine)
@@ -431,25 +469,29 @@ impl ServerHandle {
 
 // ----- accept --------------------------------------------------------------
 
-fn accept_loop(
-    listener: &TcpListener,
-    shared: &Arc<Shared>,
-    readers: &Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
-) {
-    loop {
-        if shared.shutting_down() {
-            return;
+/// Accept until shutdown, one thread per connection. Finished sessions
+/// are joined as the loop goes round, so the live set — returned for
+/// [`Server::run`] to join — is bounded by the connections open now, not
+/// by the connections ever made.
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) -> Vec<std::thread::JoinHandle<()>> {
+    let mut live: Vec<std::thread::JoinHandle<()>> = Vec::new();
+    while !shared.shutting_down() {
+        reap_finished(&mut live);
+        if live.len() >= MAX_LIVE_SESSIONS {
+            std::thread::sleep(Duration::from_millis(2));
+            continue;
         }
         match listener.accept() {
             Ok((stream, _peer)) => {
                 let id = shared.next_session.fetch_add(1, Ordering::Relaxed);
                 shared.sessions.fetch_add(1, Ordering::Relaxed);
                 let shared = Arc::clone(shared);
-                let handle = std::thread::Builder::new()
-                    .name(format!("ariel-session-{id}"))
-                    .spawn(move || reader_loop(stream, id, &shared))
-                    .expect("spawn session reader");
-                lock(readers).push(handle);
+                live.push(
+                    std::thread::Builder::new()
+                        .name(format!("ariel-session-{id}"))
+                        .spawn(move || session_loop(stream, id, &shared))
+                        .expect("spawn session thread"),
+                );
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(2));
@@ -457,9 +499,23 @@ fn accept_loop(
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
+    live
 }
 
-// ----- reader (one per session) -------------------------------------------
+/// Join and drop the handles of threads that have already returned.
+fn reap_finished(live: &mut Vec<std::thread::JoinHandle<()>>) {
+    let mut i = 0;
+    while i < live.len() {
+        if live[i].is_finished() {
+            // a session that panicked poisoned the engine; handled there
+            let _ = live.swap_remove(i).join();
+        } else {
+            i += 1;
+        }
+    }
+}
+
+// ----- session (one thread per connection) ---------------------------------
 
 /// Outcome of reading one frame off a session socket.
 enum ReadOutcome {
@@ -540,18 +596,18 @@ fn send(stream: &mut TcpStream, opcode: Opcode, payload: &[u8]) -> bool {
     write_frame(stream, opcode, payload).is_ok()
 }
 
-fn protocol_error(stream: &mut TcpStream, shared: &Shared, msg: &str) {
-    shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-    let _ = send(
-        stream,
-        Opcode::Error,
-        &encode_error(ErrorCode::Protocol, msg),
-    );
-    // connection closes when the reader returns
+fn send_error(stream: &mut TcpStream, (code, msg): &(ErrorCode, String)) -> bool {
+    send(stream, Opcode::Error, &encode_error(*code, msg))
 }
 
-fn reader_loop(stream: TcpStream, session: u32, shared: &Arc<Shared>) {
-    let hello_done = reader_session(stream, session, shared);
+fn protocol_error(stream: &mut TcpStream, shared: &Shared, msg: &str) {
+    shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
+    let _ = send_error(stream, &(ErrorCode::Protocol, msg.into()));
+    // connection closes when the session returns
+}
+
+fn session_loop(stream: TcpStream, session: u32, shared: &Arc<Shared>) {
+    let hello_done = serve_session(stream, session, shared);
     if hello_done {
         shared.logger.log(
             LogLevel::Info,
@@ -563,7 +619,7 @@ fn reader_loop(stream: TcpStream, session: u32, shared: &Arc<Shared>) {
 
 /// Drive one session to completion. Returns whether the handshake
 /// completed (so the wrapper logs `disconnect` only for real sessions).
-fn reader_session(mut stream: TcpStream, session: u32, shared: &Arc<Shared>) -> bool {
+fn serve_session(mut stream: TcpStream, session: u32, shared: &Arc<Shared>) -> bool {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(POLL_QUANTUM));
     let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
@@ -626,16 +682,12 @@ fn reader_session(mut stream: TcpStream, session: u32, shared: &Arc<Shared>) -> 
         );
     }
 
-    let (reply_tx, reply_rx) = mpsc::channel::<(Opcode, Vec<u8>)>();
+    let slot = Slot::default();
     loop {
         match read_session_frame(&mut stream, shared) {
             ReadOutcome::Frame(opcode, payload) => {
                 if shared.shutting_down() {
-                    let _ = send(
-                        &mut stream,
-                        Opcode::Error,
-                        &encode_error(ErrorCode::ShuttingDown, "server is shutting down"),
-                    );
+                    let _ = send_error(&mut stream, &refused());
                     return true;
                 }
                 match opcode {
@@ -647,60 +699,49 @@ fn reader_session(mut stream: TcpStream, session: u32, shared: &Arc<Shared>) -> 
                                 return true;
                             }
                         };
-                        // latency bracket: enqueue → reply on the wire
+                        // latency bracket: frame read → reply on the wire
                         let t0 = shared.telemetry.start();
-                        let kind = if opcode == Opcode::Command {
-                            shared.commands.fetch_add(1, Ordering::Relaxed);
-                            ReqKind::Command
+                        let counter = if opcode == Opcode::Command {
+                            &shared.commands
                         } else {
-                            shared.queries.fetch_add(1, Ordering::Relaxed);
-                            ReqKind::Query
+                            &shared.queries
                         };
-                        match parse_request(kind, &src) {
-                            Ok(cmds) => {
-                                let batchable = !cmds.is_empty()
-                                    && cmds.iter().all(|c| matches!(c, Command::Append { .. }));
-                                {
-                                    let mut q = lock(&shared.queue);
-                                    q.entries.push_back(Entry {
-                                        cmds,
-                                        batchable,
-                                        reply: reply_tx.clone(),
-                                    });
-                                }
-                                shared.telemetry.queue_push();
-                                shared.queue_cv.notify_one();
-                                // wait for the executor's reply, then put it
-                                // on the wire before reading the next frame
-                                match wait_reply(&reply_rx, shared) {
-                                    Some((op, body)) => {
-                                        if !send(&mut stream, op, &body) {
-                                            return true;
-                                        }
-                                        finish_request(shared, opcode, session, t0, &src);
-                                    }
-                                    None => return true,
-                                }
+                        counter.fetch_add(1, Ordering::Relaxed);
+                        let reply = parse_request(opcode, &src)
+                            .map_err(|msg| (ErrorCode::Engine, msg))
+                            .and_then(|cmds| run_request(shared, &slot, cmds));
+                        // the engine is released: encode and write
+                        let sent = match reply {
+                            Ok(body) => {
+                                // downgrades to an `error` frame when the
+                                // body exceeds the frame cap, so the session
+                                // survives an oversized retrieve
+                                let (op, body) = encode_result_frame(&body);
+                                send(&mut stream, op, &body)
                             }
-                            Err(msg) => {
-                                shared.engine_errors.fetch_add(1, Ordering::Relaxed);
-                                if !send(
-                                    &mut stream,
-                                    Opcode::Error,
-                                    &encode_error(ErrorCode::Engine, &msg),
-                                ) {
-                                    return true;
+                            Err(err) => {
+                                if err.0 == ErrorCode::Engine {
+                                    shared.engine_errors.fetch_add(1, Ordering::Relaxed);
                                 }
-                                finish_request(shared, opcode, session, t0, &src);
+                                send_error(&mut stream, &err)
                             }
+                        };
+                        if !sent {
+                            return true;
                         }
+                        finish_request(shared, opcode, session, t0, &src);
                     }
                     Opcode::Metrics => {
                         shared.telemetry.count(Opcode::Metrics, session);
-                        let engine_json = lock(&shared.engine)
-                            .as_ref()
-                            .expect("engine present while sessions run")
-                            .metrics_json();
+                        let Some(engine_json) = shared.lock_engine().map(|guard| {
+                            guard
+                                .as_ref()
+                                .expect("engine present while sessions run")
+                                .metrics_json()
+                        }) else {
+                            let _ = send_error(&mut stream, &refused());
+                            return true;
+                        };
                         let json = format!(
                             "{{\"server\":{},\"telemetry\":{},\"engine\":{}}}",
                             shared.stats().to_json(),
@@ -896,105 +937,117 @@ fn render_prometheus_all(shared: &Shared) -> String {
         );
     }
     shared.telemetry.render_prometheus(&mut out);
-    let engine_prom = lock(&shared.engine)
-        .as_ref()
-        .expect("engine present while sessions run")
-        .metrics_prometheus();
-    out.push_str(&engine_prom);
+    // a poisoned engine is not read: its families are simply absent
+    if let Some(guard) = shared.lock_engine() {
+        let engine = guard.as_ref().expect("engine present while sessions run");
+        out.push_str(&engine.metrics_prometheus());
+    }
     out
 }
 
-/// Block until the executor replies, polling the shutdown flag so a
-/// drained-on-shutdown entry cannot strand its reader.
-fn wait_reply(
-    rx: &mpsc::Receiver<(Opcode, Vec<u8>)>,
-    shared: &Shared,
-) -> Option<(Opcode, Vec<u8>)> {
-    loop {
-        match rx.recv_timeout(POLL_QUANTUM) {
-            Ok(reply) => return Some(reply),
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                // executors drain the queue on shutdown, so a reply (or
-                // shutting-down error) is still coming unless they are gone
-                if shared.shutting_down() {
-                    continue;
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => return None,
-        }
+fn parse_request(opcode: Opcode, src: &str) -> Result<Vec<Command>, String> {
+    if opcode == Opcode::Command {
+        return parse_script(src).map_err(|e| e.to_string());
+    }
+    match parse_command(src) {
+        Ok(cmd @ Command::Retrieve { .. }) => Ok(vec![cmd]),
+        Ok(other) => Err(format!(
+            "a query frame must be a `retrieve`, found `{}`",
+            other.kind_name()
+        )),
+        Err(e) => Err(e.to_string()),
     }
 }
 
-fn parse_request(kind: ReqKind, src: &str) -> Result<Vec<Command>, String> {
-    match kind {
-        ReqKind::Command => parse_script(src).map_err(|e| e.to_string()),
-        ReqKind::Query => match parse_command(src) {
-            Ok(cmd @ Command::Retrieve { .. }) => Ok(vec![cmd]),
-            Ok(other) => Err(format!(
-                "a query frame must be a `retrieve`, found `{}`",
-                other.kind_name()
-            )),
-            Err(e) => Err(e.to_string()),
-        },
+// ----- execution (on the session thread that holds the engine) -------------
+
+/// Run one parsed request to completion: deposit it, take the engine, and
+/// — unless a session that held the engine in between already executed
+/// it — drain the whole pending list. Returns this session's reply with
+/// the engine released.
+fn run_request(shared: &Shared, slot: &Slot, cmds: Vec<Command>) -> Reply {
+    lock(&shared.pending).push(Entry::new(cmds, slot));
+    let mut guard = shared.lock_engine().ok_or_else(refused)?;
+    if let Some(reply) = lock(slot).take() {
+        return reply;
     }
-}
-
-// ----- executors -----------------------------------------------------------
-
-fn executor_loop(shared: &Shared) {
-    loop {
-        let group = {
-            let mut q = lock(&shared.queue);
-            loop {
-                if let Some(first) = q.entries.pop_front() {
-                    let mut group = vec![first];
-                    if group[0].batchable {
-                        // coalesce while the queue front stays batchable,
-                        // bounded by serve_batch *commands*
-                        let mut cmds = group[0].cmds.len();
-                        while cmds < shared.serve_batch {
-                            match q.entries.front() {
-                                Some(e)
-                                    if e.batchable && cmds + e.cmds.len() <= shared.serve_batch =>
-                                {
-                                    let e = q.entries.pop_front().expect("front checked");
-                                    cmds += e.cmds.len();
-                                    group.push(e);
-                                }
-                                _ => break,
-                            }
-                        }
-                    }
-                    break Some(group);
-                }
-                if shared.shutting_down() {
-                    break None;
-                }
-                q = shared.queue_cv.wait(q).unwrap_or_else(|e| e.into_inner());
-            }
-        };
-        let Some(group) = group else { return };
-        shared.telemetry.queue_pop(group.len() as u64);
-        if shared.shutting_down() {
-            // drain: answer queued work with a shutting-down error rather
-            // than mutating the engine while it is being torn down
-            for entry in &group {
-                let _ = entry.reply.send((
-                    Opcode::Error,
-                    encode_error(ErrorCode::ShuttingDown, "server is shutting down"),
-                ));
-            }
-            continue;
-        }
-        execute_group(shared, &group);
-    }
-}
-
-/// Run one popped group: a single combined transition for a batch, or the
-/// entry's own commands otherwise, and send each entry its reply.
-fn execute_group(shared: &Shared, group: &[Entry]) {
-    let mut guard = lock(&shared.engine);
+    // slot empty under the engine lock: entries leave the pending list
+    // only in a drain, and a drain fills their slots before it unlocks,
+    // so this session's entry is still on the list
+    let entries = std::mem::take(&mut *lock(&shared.pending));
+    shared.telemetry.queue_drained(entries.len() as u64);
     let engine = guard.as_mut().expect("engine present while sessions run");
+    drain(shared, engine, &entries);
+    let fsyncs = engine.options().durability == Durability::Commit && engine.wal_dir().is_some();
+    drop(guard);
+    if fsyncs && !lock(&shared.pending).is_empty() {
+        // sessions that deposited during this drain's fsync are parked on
+        // the engine: let one start its drain, and its fsync, before this
+        // thread's socket write. On one core the scheduler otherwise picks
+        // either order from one request to the next, ~14 µs apart on a
+        // ~100 µs cycle; with a core to spare this returns at once.
+        std::thread::yield_now();
+    }
+    lock(slot)
+        .take()
+        .expect("the drain filled the slot of every entry it took")
+}
+
+/// Execute `entries` in arrival order inside one group-commit scope and
+/// fill every entry's reply slot — after the scope's fsync, never before.
+fn drain(shared: &Shared, engine: &mut Ariel, entries: &[Entry]) {
+    let refuse_all = || {
+        for entry in entries {
+            *lock(&entry.slot) = Some(Err(refused()));
+        }
+    };
+    if shared.shutting_down() {
+        // answer rather than mutate an engine that is being torn down
+        return refuse_all();
+    }
+    let synced = engine.group_commit(|engine| {
+        let mut replies = Vec::with_capacity(entries.len());
+        let mut rest = entries;
+        while let Some(first) = rest.first() {
+            // a group: consecutive batchable entries, bounded by
+            // serve_batch *commands*; anything else goes alone
+            let mut len = 1;
+            if first.batchable {
+                let mut cmds = first.cmds.len();
+                while let Some(next) = rest.get(len) {
+                    if !next.batchable || cmds + next.cmds.len() > shared.serve_batch {
+                        break;
+                    }
+                    cmds += next.cmds.len();
+                    len += 1;
+                }
+            }
+            let (group, tail) = rest.split_at(len);
+            execute_group(shared, engine, group, &mut replies);
+            rest = tail;
+        }
+        replies
+    });
+    match synced {
+        Ok(replies) => {
+            for (entry, reply) in entries.iter().zip(replies) {
+                *lock(&entry.slot) = Some(reply);
+            }
+        }
+        Err(e) => {
+            // what this drain logged may not be on disk: ack none of it
+            shared
+                .logger
+                .log(LogLevel::Error, "group_commit", format_args!("error={e}"));
+            shared.request_shutdown();
+            refuse_all();
+        }
+    }
+}
+
+/// Run one group — a single combined transition for a batch, or the
+/// entry's own commands otherwise — pushing one reply per entry.
+fn execute_group(shared: &Shared, engine: &mut Ariel, group: &[Entry], replies: &mut Vec<Reply>) {
     {
         let mut b = lock(&shared.batch);
         b.batches += 1;
@@ -1012,84 +1065,45 @@ fn execute_group(shared: &Shared, group: &[Entry]) {
             "coalesce",
             format_args!("entries={} commands={}", group.len(), all.len()),
         );
-        match engine.execute_transition(&all) {
-            Ok(outputs) => {
-                // notifications raised by the combined transition go to
-                // every session in the group (see module docs)
-                let notes = render_notes(engine.drain_notifications());
-                let mut off = 0;
-                let mut replies = Vec::with_capacity(group.len());
-                for entry in group {
-                    let outs = &outputs[off..off + entry.cmds.len()];
-                    off += entry.cmds.len();
-                    let mut body = merge_outputs(outs);
-                    body.notes.extend(notes.iter().cloned());
-                    replies.push((entry, Ok(body)));
-                }
-                drop(guard);
-                deliver(shared, replies);
+        if let Ok(outputs) = engine.execute_transition(&all) {
+            // notifications raised by the combined transition go to
+            // every session in the group (see module docs)
+            let notes = render_notes(engine.drain_notifications());
+            let mut off = 0;
+            for entry in group {
+                let mut body = merge_outputs(&outputs[off..off + entry.cmds.len()]);
+                off += entry.cmds.len();
+                body.notes.extend(notes.iter().cloned());
+                replies.push(Ok(body));
             }
-            Err(_) => {
-                // one bad append must not fail the others: re-run each
-                // entry as its own transition
-                let mut replies = Vec::with_capacity(group.len());
-                for entry in group {
-                    let r = engine
-                        .execute_transition(&entry.cmds)
-                        .map(|outs| {
-                            let mut body = merge_outputs(&outs);
-                            body.notes = render_notes(engine.drain_notifications());
-                            body
-                        })
-                        .map_err(|e| e.to_string());
-                    replies.push((entry, r));
-                }
-                drop(guard);
-                deliver(shared, replies);
-            }
+            return;
         }
-    } else {
-        let entry = &group[0];
-        let r = execute_entry(engine, entry).map(|mut body| {
-            body.notes = render_notes(engine.drain_notifications());
-            body
-        });
-        drop(guard);
-        deliver(shared, vec![(entry, r)]);
+        // one bad append must not fail the others: re-run each entry as
+        // its own transition
     }
+    replies.extend(group.iter().map(|entry| execute_entry(engine, entry)));
 }
 
 /// Execute a single entry: an append-only frame runs as one transition
 /// (the batcher's unit, `do…end` semantics); anything else runs command
 /// by command exactly like the REPL.
-fn execute_entry(engine: &mut Ariel, entry: &Entry) -> Result<ResultBody, String> {
-    if entry.batchable {
-        return engine
-            .execute_transition(&entry.cmds)
-            .map(|outs| merge_outputs(&outs))
-            .map_err(|e| e.to_string());
-    }
-    let mut outputs = Vec::with_capacity(entry.cmds.len());
-    for cmd in &entry.cmds {
-        outputs.push(engine.execute_command(cmd).map_err(|e| e.to_string())?);
-    }
-    Ok(merge_outputs(&outputs))
-}
-
-fn deliver(shared: &Shared, replies: Vec<(&Entry, Result<ResultBody, String>)>) {
-    for (entry, result) in replies {
-        let frame = match result {
-            // downgrades to an `error` frame when the body exceeds the
-            // frame cap, so the session survives an oversized retrieve
-            Ok(body) => encode_result_frame(&body),
-            Err(msg) => {
-                shared.engine_errors.fetch_add(1, Ordering::Relaxed);
-                (Opcode::Error, encode_error(ErrorCode::Engine, &msg))
-            }
-        };
-        // a dead reader (killed client) just drops the reply; the engine
-        // already committed, which is what the kill-mid-batch test checks
-        let _ = entry.reply.send(frame);
+fn execute_entry(engine: &mut Ariel, entry: &Entry) -> Reply {
+    let outputs = if entry.batchable {
+        engine.execute_transition(&entry.cmds)
+    } else {
+        entry
+            .cmds
+            .iter()
+            .map(|cmd| engine.execute_command(cmd))
+            .collect()
+    };
+    match outputs {
+        Ok(outputs) => {
+            let mut body = merge_outputs(&outputs);
+            body.notes = render_notes(engine.drain_notifications());
+            Ok(body)
+        }
+        Err(e) => Err((ErrorCode::Engine, e.to_string())),
     }
 }
 
@@ -1142,3 +1156,124 @@ const _: () = {
     assert_send::<Ariel>();
     assert_send::<Server>();
 };
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Client;
+    use ariel::EngineOptions;
+
+    fn kv_engine(options: EngineOptions) -> Ariel {
+        let mut db = Ariel::with_options(options);
+        db.execute("create kv (k = int, v = int)").unwrap();
+        db
+    }
+
+    fn entry(src: &str) -> (Entry, Slot) {
+        let slot = Slot::default();
+        (Entry::new(parse_script(src).unwrap(), &slot), slot)
+    }
+
+    /// The contended case without a race: three sessions' entries are on
+    /// the pending list when a fourth takes the engine.
+    #[test]
+    fn one_drain_serves_every_pending_entry_with_one_fsync() {
+        let dir = std::env::temp_dir().join(format!("ariel-server-drain-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut db = kv_engine(EngineOptions {
+            durability: Durability::Commit,
+            ..Default::default()
+        });
+        db.execute("append kv (k = 1, v = 1)").unwrap();
+        db.checkpoint(&dir).unwrap();
+        let before = db.wal_metrics();
+        let server = Server::bind("127.0.0.1:0", db, ServerOptions::default()).unwrap();
+        let shared = &server.shared;
+
+        let mut slots = Vec::new();
+        for src in [
+            "append kv (k = 2, v = 2)",
+            "replace kv (v = 10) where kv.k = 1",
+            "append kv (k = 3, v = 3)",
+        ] {
+            let (entry, slot) = entry(src);
+            lock(&shared.pending).push(entry);
+            slots.push(slot);
+        }
+        let own = Slot::default();
+        let cmds = parse_script("append kv (k = 4, v = 4)\nappend kv (k = 5, v = 5)").unwrap();
+        let reply = run_request(shared, &own, cmds).unwrap();
+        assert_eq!(reply.changes, 2, "acked its own two appends");
+        for slot in &slots {
+            let reply = lock(slot).take().expect("filled by the drain").unwrap();
+            assert_eq!(reply.changes, 1);
+        }
+        assert!(lock(&shared.pending).is_empty());
+
+        // groups: [append] [replace] [append, append+append]
+        let stats = shared.stats();
+        assert_eq!((stats.batches, stats.batched_requests), (3, 2));
+        assert_eq!(stats.max_batch, 2);
+        let engine = lock(&shared.engine).take().unwrap();
+        let after = engine.wal_metrics();
+        assert_eq!(after.records - before.records, 3, "one record per group");
+        assert_eq!(after.fsyncs - before.fsyncs, 1, "one fsync per drain");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn poisoned_engine_fails_stop_and_is_handed_back() {
+        let server = Server::bind(
+            "127.0.0.1:0",
+            kv_engine(EngineOptions::default()),
+            ServerOptions::default(),
+        )
+        .unwrap();
+        let addr = server.local_addr();
+        let handle = server.spawn();
+        let mut c = Client::connect(addr).unwrap();
+        c.command("append kv (k = 1, v = 1)").unwrap();
+
+        // what a panicking rule action does to a session thread mid-drain
+        let shared = Arc::clone(&handle.shared);
+        let (stranded, stranded_slot) = entry("append kv (k = 2, v = 2)");
+        let panicked = std::thread::spawn(move || {
+            let _guard = shared.engine.lock().unwrap();
+            lock(&shared.pending).push(stranded);
+            panic!("action panicked mid-transition");
+        })
+        .join();
+        assert!(panicked.is_err());
+
+        match c.command("append kv (k = 3, v = 3)").unwrap_err() {
+            crate::ClientError::Server { code, .. } => assert_eq!(code, ErrorCode::ShuttingDown),
+            other => panic!("expected shutting-down, got {other}"),
+        }
+        // the poison itself requested shutdown: no handle.shutdown() needed
+        let (stats, mut engine) = handle.join();
+        assert_eq!(stats.engine_errors, 0, "a refusal is not an engine error");
+        assert!(lock(&stranded_slot).is_none(), "never executed");
+        let rows = engine.query("retrieve (kv.k)").unwrap().rows;
+        assert_eq!(rows.len(), 1, "nothing ran after the poison: {rows:?}");
+    }
+
+    #[test]
+    fn reap_finished_joins_only_threads_that_returned() {
+        let gate = Arc::new(std::sync::Barrier::new(2));
+        let blocked = Arc::clone(&gate);
+        let mut live = vec![
+            std::thread::spawn(|| {}),
+            std::thread::spawn(move || {
+                blocked.wait();
+            }),
+            std::thread::spawn(|| {}),
+        ];
+        while live.iter().filter(|h| h.is_finished()).count() < 2 {
+            std::thread::yield_now();
+        }
+        reap_finished(&mut live);
+        assert_eq!(live.len(), 1, "the blocked thread stays");
+        gate.wait();
+        live.pop().unwrap().join().unwrap();
+    }
+}

@@ -1,5 +1,5 @@
 //! Server telemetry: per-opcode and per-session request counters and
-//! latency histograms, queue-depth gauges, a bounded slow-command log,
+//! latency histograms, pending-list depth gauges, a bounded slow-command log,
 //! and a leveled key=value logger — the production instruments the wire
 //! protocol's `metrics`/`metrics-prom` frames and the `GET /metrics`
 //! HTTP shim expose (see `docs/OBSERVABILITY.md`, "Server & WAL
@@ -180,7 +180,7 @@ pub struct SlowEntry {
     pub session: u32,
     /// Frame kind (`command` or `query`).
     pub opcode: Opcode,
-    /// Request latency (enqueue to reply ready), nanoseconds.
+    /// Request latency (frame read to reply on the wire), nanoseconds.
     pub dur_ns: u64,
     /// Wall-clock capture time, milliseconds since the UNIX epoch.
     pub wall_ms: u64,
@@ -323,7 +323,7 @@ struct SessionStat {
 }
 
 /// The server's telemetry store. All methods take `&self`; the store is
-/// shared by reference across reader and executor threads.
+/// shared by reference across the session threads.
 pub struct Telemetry {
     enabled: bool,
     per_opcode: [OpStat; OPCODES],
@@ -395,44 +395,22 @@ impl Telemetry {
         dur_ns
     }
 
-    /// A request entered the executor queue.
+    /// A drain took `n` entries off the pending list.
     #[inline]
-    pub fn queue_push(&self) {
+    pub fn queue_drained(&self, n: u64) {
         if !self.enabled {
             return;
         }
-        let depth = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.queue_high_water.fetch_max(depth, Ordering::Relaxed);
+        self.queue_depth.store(n, Ordering::Relaxed);
+        self.queue_high_water.fetch_max(n, Ordering::Relaxed);
     }
 
-    /// `n` requests left the executor queue.
-    #[inline]
-    pub fn queue_pop(&self, n: u64) {
-        if !self.enabled {
-            return;
-        }
-        // saturating: a pop can race a concurrent snapshot, never go negative
-        let mut cur = self.queue_depth.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_sub(n);
-            match self.queue_depth.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// Current executor-queue depth.
+    /// Entries the most recent drain found pending.
     pub fn queue_depth(&self) -> u64 {
         self.queue_depth.load(Ordering::Relaxed)
     }
 
-    /// High-water mark of the executor-queue depth.
+    /// The most entries any one drain found pending.
     pub fn queue_high_water(&self) -> u64 {
         self.queue_high_water.load(Ordering::Relaxed)
     }
@@ -504,14 +482,14 @@ impl Telemetry {
             out,
             "ariel_server_queue_depth",
             "gauge",
-            "Requests waiting in the executor queue.",
+            "Entries the most recent drain found pending.",
             self.queue_depth(),
         );
         write_prom_metric(
             out,
             "ariel_server_queue_high_water",
             "gauge",
-            "High-water mark of the executor queue depth.",
+            "The most entries any one drain found pending.",
             self.queue_high_water(),
         );
         write_prom_metric(
@@ -551,7 +529,7 @@ impl Telemetry {
             out,
             "ariel_server_request_duration_ns",
             "histogram",
-            "Request latency (enqueue to reply ready) by opcode, in nanoseconds.",
+            "Request latency (frame read to reply on the wire) by opcode, in nanoseconds.",
         );
         for (b, stat) in self.per_opcode.iter().enumerate() {
             if stat.latency_ns.count() == 0 {
@@ -656,7 +634,7 @@ mod tests {
         let t = Telemetry::new(false, 8, 0);
         assert!(t.start().is_none(), "no clock read when disabled");
         t.count(Opcode::Metrics, 1);
-        t.queue_push();
+        t.queue_drained(3);
         assert_eq!(t.queue_depth(), 0);
         assert_eq!(t.sessions_observed(), 0);
         assert_eq!(t.observe(Opcode::Command, 1, None, "append"), 0);
@@ -676,13 +654,10 @@ mod tests {
         t.observe(Opcode::Command, 11, t.start(), "append kv (k = 2)");
         t.count(Opcode::Metrics, 3);
         assert_eq!(t.sessions_observed(), 2);
-        t.queue_push();
-        t.queue_push();
-        t.queue_pop(1);
+        t.queue_drained(2);
+        t.queue_drained(1);
         assert_eq!(t.queue_depth(), 1);
         assert_eq!(t.queue_high_water(), 2);
-        t.queue_pop(5);
-        assert_eq!(t.queue_depth(), 0, "pop saturates at zero");
         let json = t.to_json();
         assert!(json.contains("\"command\":{\"count\":2"), "{json}");
         assert!(json.contains("\"query\":{\"count\":1"), "{json}");

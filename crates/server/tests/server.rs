@@ -1,6 +1,7 @@
 //! End-to-end tests for the TCP server: concurrent sessions driving rule
 //! firings, session isolation, wire-level misbehaviour, a client killed
-//! mid-batch, and leak-free shutdown.
+//! mid-batch, drain batching against a serial model, and group commit.
+//! (Thread accounting lives in `threads.rs`, a binary of its own.)
 
 use ariel::{Ariel, EngineOptions};
 use ariel_server::protocol::{
@@ -14,11 +15,12 @@ use std::net::{SocketAddr, TcpStream};
 /// A fresh engine with the test schema: a `kv` relation and an active
 /// rule mirroring large values into `audit` (so appends exercise the
 /// match network, not just the heap).
-fn test_engine(serve_batch: usize) -> Ariel {
-    let mut db = Ariel::with_options(EngineOptions {
-        serve_batch,
-        ..Default::default()
-    });
+fn test_engine() -> Ariel {
+    test_engine_with(EngineOptions::default())
+}
+
+fn test_engine_with(options: EngineOptions) -> Ariel {
+    let mut db = Ariel::with_options(options);
     db.execute("create kv (k = int, v = int)").unwrap();
     db.execute("create audit (k = int, v = int)").unwrap();
     db.execute("define rule big if kv.v >= 100 then append to audit (k = kv.k, v = kv.v)")
@@ -27,13 +29,48 @@ fn test_engine(serve_batch: usize) -> Ariel {
 }
 
 fn spawn_server(serve_batch: usize) -> (SocketAddr, ServerHandle) {
-    spawn_server_with(serve_batch, ServerOptions::default())
+    spawn_server_with(ServerOptions {
+        serve_batch,
+        ..Default::default()
+    })
 }
 
-fn spawn_server_with(serve_batch: usize, options: ServerOptions) -> (SocketAddr, ServerHandle) {
-    let server = Server::bind("127.0.0.1:0", test_engine(serve_batch), options).unwrap();
+fn spawn_server_with(options: ServerOptions) -> (SocketAddr, ServerHandle) {
+    spawn_server_on(test_engine(), options)
+}
+
+fn spawn_server_on(db: Ariel, options: ServerOptions) -> (SocketAddr, ServerHandle) {
+    let server = Server::bind("127.0.0.1:0", db, options).unwrap();
     let addr = server.local_addr();
     (addr, server.spawn())
+}
+
+/// Rows for [`hold_engine`]'s nested-loop retrieve.
+fn add_ballast(db: &mut Ariel) {
+    db.execute("create lhs (x = int)").unwrap();
+    db.execute("create rhs (x = int)").unwrap();
+    for i in 0..600 {
+        db.execute(&format!("append lhs (x = {i})")).unwrap();
+        db.execute(&format!("append rhs (x = {i})")).unwrap();
+    }
+}
+
+/// Make the next requests contend: send, on a raw session, a retrieve
+/// that evaluates 360 000 pairs and returns none — milliseconds with the
+/// engine held, against the microseconds other sessions need to deposit
+/// their frames behind it. Returns once the frame is sent; call the
+/// result to read the reply.
+fn hold_engine(addr: SocketAddr) -> impl FnOnce() {
+    let mut s = TcpStream::connect(addr).unwrap();
+    write_frame(&mut s, Opcode::Hello, &encode_hello_client()).unwrap();
+    read_frame(&mut s).unwrap();
+    write_frame(
+        &mut s,
+        Opcode::Query,
+        b"retrieve (lhs.x) where lhs.x + rhs.x < 0",
+    )
+    .unwrap();
+    move || assert_eq!(read_frame(&mut s).unwrap().opcode, Opcode::Result)
 }
 
 #[test]
@@ -411,7 +448,7 @@ fn slow_log_captures_slowest_under_16_client_load() {
         slow_threshold_ns: 0, // everything competes; the 8 slowest stay
         ..Default::default()
     };
-    let (addr, handle) = spawn_server_with(64, options);
+    let (addr, handle) = spawn_server_with(options);
     let mut threads = Vec::new();
     for t in 0..16i64 {
         threads.push(std::thread::spawn(move || {
@@ -457,7 +494,7 @@ fn telemetry_off_serves_but_records_nothing() {
         telemetry: false,
         ..Default::default()
     };
-    let (addr, handle) = spawn_server_with(64, options);
+    let (addr, handle) = spawn_server_with(options);
     let mut c = Client::connect(addr).unwrap();
     c.command("append kv (k = 1, v = 100)").unwrap();
     let json = c.metrics().unwrap();
@@ -494,39 +531,183 @@ fn notifications_reach_the_session() {
     handle.shutdown();
 }
 
+/// 16 sessions of mixed frames, each over its own keys so the sessions
+/// commute: every reply carries exactly its own session's change count
+/// and value, and the final contents equal a serial model of the same
+/// requests — whatever the drains coalesced.
 #[test]
-fn client_initiated_shutdown_and_no_leaked_threads() {
-    let (addr, handle) = spawn_server(64);
-    let mut c = Client::connect(addr).unwrap();
-    c.command("append kv (k = 1, v = 1)").unwrap();
+fn sixteen_mixed_sessions_match_a_serial_model() {
+    const SESSIONS: i64 = 16;
+    const ROUNDS: i64 = 25;
+    let mut db = test_engine();
+    add_ballast(&mut db);
+    let (addr, handle) = spawn_server_on(db, ServerOptions::default());
 
-    let before = thread_count();
-    c.shutdown().unwrap();
-    // join() returns only after every reader/executor/accept thread joined
-    let (stats, _engine) = handle.join();
-    assert_eq!(stats.sessions, 1);
-    let after = thread_count();
-    assert!(
-        after <= before,
-        "no threads outlive the server (before={before}, after={after})"
-    );
+    let mut clients: Vec<Client> = (0..SESSIONS)
+        .map(|_| Client::connect(addr).unwrap())
+        .collect();
+    let release = hold_engine(addr);
+    let threads: Vec<_> = clients
+        .drain(..)
+        .enumerate()
+        .map(|(t, mut c)| {
+            std::thread::spawn(move || {
+                let base = t as i64 * 1000;
+                for i in 0..ROUNDS {
+                    let (k, k2) = (base + 2 * i, base + 2 * i + 1);
+                    // append-only frame (batchable), one row above the
+                    // rule threshold every fifth round
+                    let v = if i % 5 == 0 { 100 + i } else { i };
+                    let r = c
+                        .command(&format!(
+                            "append kv (k = {k}, v = {v})\nappend kv (k = {k2}, v = 1)"
+                        ))
+                        .unwrap();
+                    assert_eq!(r.changes, 2, "session {t} round {i}: own appends");
+                    let r = c
+                        .command(&format!("replace kv (v = 7) where kv.k = {k2}"))
+                        .unwrap();
+                    assert_eq!(r.changes, 1, "session {t} round {i}: own replace");
+                    let r = c
+                        .query(&format!("retrieve (kv.v) where kv.k = {k2}"))
+                        .unwrap();
+                    assert_eq!(r.table.rows, [["7"]], "session {t} round {i}: own row");
+                    if i % 2 == 1 {
+                        let r = c.command(&format!("delete kv where kv.k = {k2}")).unwrap();
+                        assert_eq!(r.changes, 1, "session {t} round {i}: own delete");
+                    }
+                }
+            })
+        })
+        .collect();
+    release();
+    for t in threads {
+        t.join().unwrap();
+    }
 
-    // the port is released
-    assert!(
-        TcpStream::connect(addr).is_err() || {
-            // a racing TIME_WAIT accept is possible; a write must then fail
-            let mut s = TcpStream::connect(addr).unwrap();
-            write_frame(&mut s, Opcode::Hello, &encode_hello_client()).is_err()
-                || read_frame(&mut s).is_err()
+    // the serial model
+    let mut kv = Vec::new();
+    let mut audit = Vec::new();
+    for t in 0..SESSIONS {
+        for i in 0..ROUNDS {
+            let (k, k2) = (t * 1000 + 2 * i, t * 1000 + 2 * i + 1);
+            let v = if i % 5 == 0 { 100 + i } else { i };
+            kv.push(vec![k.to_string(), v.to_string()]);
+            if v >= 100 {
+                audit.push(vec![k.to_string(), v.to_string()]);
+            }
+            if i % 2 == 0 {
+                kv.push(vec![k2.to_string(), "7".to_string()]);
+            }
         }
+    }
+    kv.sort();
+    audit.sort();
+    let mut c = Client::connect(addr).unwrap();
+    let sorted = |c: &mut Client, src: &str| {
+        let mut rows = c.query(src).unwrap().table.rows;
+        rows.sort();
+        rows
+    };
+    assert_eq!(sorted(&mut c, "retrieve (kv.all)"), kv);
+    assert_eq!(sorted(&mut c, "retrieve (audit.all)"), audit);
+
+    let (stats, _engine) = handle.shutdown();
+    assert!(
+        stats.batched_requests > 0,
+        "appends deposited behind the held engine coalesce: {stats:?}"
     );
+    assert_eq!(stats.batch_hist.iter().sum::<u64>(), stats.batches);
+    assert_eq!(stats.protocol_errors, 0);
+    assert_eq!(stats.engine_errors, 0);
 }
 
-/// Count live threads in this process via /proc (linux-only, which is
-/// where CI runs; elsewhere fall back to a constant so the assertion
-/// trivially holds).
-fn thread_count() -> usize {
-    std::fs::read_dir("/proc/self/task")
-        .map(|d| d.count())
-        .unwrap_or(0)
+/// One session can never find anything but its own entry pending.
+#[test]
+fn one_session_is_one_group_per_request() {
+    let (addr, handle) = spawn_server(64);
+    let mut c = Client::connect(addr).unwrap();
+    for i in 0..30i64 {
+        c.command(&format!("append kv (k = {i}, v = {i})")).unwrap();
+        c.query("retrieve (kv.k) where kv.v >= 100").unwrap();
+    }
+    drop(c);
+    let (stats, _engine) = handle.shutdown();
+    assert_eq!(stats.batches, 60);
+    assert_eq!(stats.batched_requests, 0);
+    assert_eq!(stats.max_batch, 1);
+}
+
+/// Commit mode under 8 sessions: a drain's records share one fsync
+/// (`serve_batch: 1` keeps every append its own transition and record, so
+/// coalescing cannot account for it), acked work is what recovery finds.
+#[test]
+fn commit_mode_drains_share_an_fsync_and_recover() {
+    let dir = std::env::temp_dir().join(format!("ariel-server-commit-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let options = EngineOptions {
+        durability: ariel::Durability::Commit,
+        ..Default::default()
+    };
+    let mut db = test_engine_with(options.clone());
+    add_ballast(&mut db);
+    db.checkpoint(&dir).unwrap();
+    let (addr, handle) = spawn_server_on(
+        db,
+        ServerOptions {
+            serve_batch: 1,
+            ..Default::default()
+        },
+    );
+
+    let mut clients: Vec<Client> = (0..8).map(|_| Client::connect(addr).unwrap()).collect();
+    let release = hold_engine(addr);
+    let threads: Vec<_> = clients
+        .drain(..)
+        .enumerate()
+        .map(|(t, mut c)| {
+            std::thread::spawn(move || {
+                for i in 0..20 {
+                    let k = t * 1000 + i;
+                    let r = c
+                        .command(&format!("append kv (k = {k}, v = {})", 90 + i))
+                        .unwrap();
+                    assert_eq!(r.changes, 1);
+                }
+            })
+        })
+        .collect();
+    release();
+    for t in threads {
+        t.join().unwrap();
+    }
+
+    let (stats, mut engine) = handle.shutdown();
+    assert_eq!(stats.engine_errors, 0);
+    let wal = engine.wal_metrics();
+    assert_eq!(wal.records, 160, "one record per acked append");
+    assert!(
+        wal.fsyncs < wal.records,
+        "group commit: {} fsyncs for {} records",
+        wal.fsyncs,
+        wal.records
+    );
+    let contents = |db: &mut Ariel| {
+        ["kv", "audit"].map(|rel| {
+            let mut rows = db.query(&format!("retrieve ({rel}.all)")).unwrap().rows;
+            rows.sort_by_key(|row| format!("{row:?}"));
+            rows
+        })
+    };
+    let served = contents(&mut engine);
+    assert_eq!((served[0].len(), served[1].len()), (160, 80));
+    drop(engine);
+    let (mut recovered, report) = Ariel::recover(&dir, options).unwrap();
+    assert!(
+        report.replay_errors.is_empty(),
+        "{:?}",
+        report.replay_errors
+    );
+    assert_eq!(contents(&mut recovered), served);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -138,6 +138,9 @@ pub struct WalWriter {
     records: u64,
     bytes: u64,
     unsynced: u32,
+    /// Inside a [`WalWriter::begin_group`] scope: commit-mode appends
+    /// count as unsynced instead of fsyncing one by one.
+    in_group: bool,
     fsyncs: u64,
     fsync_ns: ariel_islist::Histogram,
 }
@@ -159,9 +162,29 @@ impl WalWriter {
             records: 0,
             bytes: 0,
             unsynced: 0,
+            in_group: false,
             fsyncs: 0,
             fsync_ns: ariel_islist::Histogram::default(),
         })
+    }
+
+    /// Open a group-commit scope: until [`WalWriter::end_group`], a
+    /// [`Durability::Commit`] append defers its fsync to the end of the
+    /// scope. The caller must not ack any record of the group before
+    /// `end_group` has returned `Ok`. Other modes are unaffected.
+    pub fn begin_group(&mut self) {
+        self.in_group = true;
+    }
+
+    /// Close a group-commit scope with exactly one fsync if commit-mode
+    /// appends were deferred inside it, none otherwise. Idempotent.
+    pub fn end_group(&mut self) -> io::Result<()> {
+        self.in_group = false;
+        if self.durability == Durability::Commit && self.unsynced > 0 {
+            self.sync()
+        } else {
+            Ok(())
+        }
     }
 
     /// `sync_data` with the fsync counter and latency histogram updated.
@@ -194,6 +217,7 @@ impl WalWriter {
         self.bytes += buf.len() as u64;
         match self.durability {
             Durability::Off => {}
+            Durability::Commit if self.in_group => self.unsynced += 1,
             Durability::Commit => self.timed_sync()?,
             Durability::Batch => {
                 self.unsynced += 1;
@@ -698,6 +722,34 @@ mod tests {
         assert_eq!(w.records(), 0);
         drop(w);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn group_scope_syncs_once_and_only_if_something_was_logged() {
+        let dir = tmp("group");
+        let path = dir.join("wal.log");
+        let mut w = WalWriter::open(&path, Durability::Commit).unwrap();
+        w.append(b"alone").unwrap();
+        assert_eq!(w.fsyncs(), 1, "outside a group: one fsync per record");
+
+        w.begin_group();
+        for p in [b"a", b"b", b"c"] {
+            w.append(p).unwrap();
+        }
+        assert_eq!(w.fsyncs(), 1, "deferred inside the group");
+        w.end_group().unwrap();
+        assert_eq!((w.records(), w.fsyncs()), (4, 2), "one fsync for three");
+        w.end_group().unwrap();
+        assert_eq!(w.fsyncs(), 2, "idempotent");
+
+        w.begin_group();
+        w.end_group().unwrap();
+        assert_eq!(w.fsyncs(), 2, "an empty group issues no fsync");
+        w.append(b"after").unwrap();
+        assert_eq!(w.fsyncs(), 3, "per-record again after the group");
+        drop(w);
+        assert_eq!(read_log(&path).unwrap().records.len(), 5);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

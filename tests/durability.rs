@@ -583,6 +583,65 @@ fn wal_metrics_accumulate_across_checkpoints() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Group commit: inside [`Ariel::group_commit`] commit-mode records share
+/// one fsync issued at scope exit (none if nothing was logged); outside
+/// it — the embedded/REPL path — every record still gets its own; a panic
+/// inside the scope does not leave the writer deferring; and what the
+/// scope logged replays like any other record.
+#[test]
+fn group_commit_scope_defers_to_one_fsync() {
+    let dir = scratch("group-commit");
+    let mut db = Ariel::with_options(EngineOptions {
+        durability: Durability::Commit,
+        ..Default::default()
+    });
+    db.execute("create emp (id = int)").unwrap();
+    db.checkpoint(&dir).unwrap();
+    let base = db.wal_metrics().fsyncs;
+    let fsyncs = |db: &Ariel| db.wal_metrics().fsyncs - base;
+
+    db.execute("append emp (id = 0)").unwrap();
+    db.execute("append emp (id = 1)").unwrap();
+    assert_eq!(fsyncs(&db), 2, "outside a scope: one fsync per record");
+
+    let inside = db
+        .group_commit(|db| {
+            for i in 2..6 {
+                db.execute(&format!("append emp (id = {i})")).unwrap();
+            }
+            db.wal_metrics().fsyncs - base
+        })
+        .unwrap();
+    assert_eq!(inside, 2, "no fsync while the scope is open");
+    assert_eq!(fsyncs(&db), 3, "exactly one at its exit, for four records");
+
+    db.group_commit(|db| db.query("retrieve (emp.id)").unwrap())
+        .unwrap();
+    assert_eq!(fsyncs(&db), 3, "a scope that logged nothing syncs nothing");
+
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let _ = db.group_commit(|db| {
+            db.execute("append emp (id = 6)").unwrap();
+            panic!("mid-scope");
+        });
+    }));
+    assert!(caught.is_err());
+    let after_panic = fsyncs(&db);
+    db.execute("append emp (id = 7)").unwrap();
+    assert_eq!(
+        fsyncs(&db),
+        after_panic + 1,
+        "per-record again after an unwind"
+    );
+
+    assert_eq!(db.wal_metrics().records, 8);
+    drop(db);
+    let (mut back, report) = Ariel::recover(&dir, EngineOptions::default()).unwrap();
+    assert_eq!(report.replayed, 8);
+    assert_eq!(back.query("retrieve (emp.id)").unwrap().rows.len(), 8);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Regression (PR 9): the second `retrieve` in a `do…end` block used to
 /// overwrite the first one's rows in the merged output.
 #[test]
