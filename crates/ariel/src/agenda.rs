@@ -2,6 +2,7 @@
 //! eligible rules.
 
 use ariel_network::RuleId;
+use std::sync::Arc;
 
 /// Conflict-resolution strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -20,11 +21,13 @@ pub enum ConflictStrategy {
 pub struct Eligible {
     /// Network identifier of the rule.
     pub id: RuleId,
-    /// Rule name (final tie-break).
-    pub name: String,
+    /// Rule name (final tie-break), shared with the engine's per-rule
+    /// record.
+    pub name: Arc<str>,
     /// Rule priority (higher fires first).
     pub priority: f64,
-    /// Tick of the most recent transition that added matches for this rule.
+    /// Recency: tick of the last transition that added an instantiation to
+    /// this rule's P-node.
     pub last_matched: u64,
 }
 
@@ -93,12 +96,16 @@ mod tests {
         assert_eq!(
             select(ConflictStrategy::PriorityRecency, &rules)
                 .unwrap()
-                .name,
+                .name
+                .as_ref(),
             "alpha"
         );
         let rules = vec![e(1, "zeta", 1.0, 3), e(2, "alpha", 1.0, 7)];
         assert_eq!(
-            select(ConflictStrategy::PriorityName, &rules).unwrap().name,
+            select(ConflictStrategy::PriorityName, &rules)
+                .unwrap()
+                .name
+                .as_ref(),
             "alpha",
             "PriorityName ignores recency"
         );

@@ -4,12 +4,14 @@ use crate::error::{ArielError, ArielResult};
 use crate::rule::Rule;
 use ariel_network::RuleId;
 use ariel_query::RuleDef;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Named collection of installed rules.
 #[derive(Debug, Default)]
 pub struct RuleCatalog {
     rules: BTreeMap<String, Rule>,
+    /// Network id → rule name, kept by `install` / `restore` / `remove`.
+    names_by_id: HashMap<u64, String>,
     next_id: u64,
 }
 
@@ -27,9 +29,13 @@ impl RuleCatalog {
         }
         let id = RuleId(self.next_id);
         self.next_id += 1;
-        let name = def.name.clone();
-        self.rules.insert(name, Rule::new(id, def));
+        self.insert(Rule::new(id, def));
         Ok(id)
+    }
+
+    fn insert(&mut self, rule: Rule) {
+        self.names_by_id.insert(rule.id.0, rule.name.clone());
+        self.rules.insert(rule.name.clone(), rule);
     }
 
     /// Re-install a rule under its snapshotted id (the crash-recovery
@@ -41,14 +47,13 @@ impl RuleCatalog {
         if self.rules.contains_key(&def.name) {
             return Err(ArielError::DuplicateRule(def.name));
         }
-        if self.by_id(id).is_some() {
+        if self.names_by_id.contains_key(&id.0) {
             return Err(ArielError::Persist(format!(
                 "duplicate rule id {} in snapshot",
                 id.0
             )));
         }
-        let name = def.name.clone();
-        self.rules.insert(name, Rule::new(id, def));
+        self.insert(Rule::new(id, def));
         self.next_id = self.next_id.max(id.0 + 1);
         Ok(())
     }
@@ -66,9 +71,12 @@ impl RuleCatalog {
 
     /// Remove a rule by name, returning it.
     pub fn remove(&mut self, name: &str) -> ArielResult<Rule> {
-        self.rules
+        let rule = self
+            .rules
             .remove(name)
-            .ok_or_else(|| ArielError::UnknownRule(name.to_string()))
+            .ok_or_else(|| ArielError::UnknownRule(name.to_string()))?;
+        self.names_by_id.remove(&rule.id.0);
+        Ok(rule)
     }
 
     /// Look up a rule by name.
@@ -89,7 +97,7 @@ impl RuleCatalog {
 
     /// Find the rule carrying a network id.
     pub fn by_id(&self, id: RuleId) -> Option<&Rule> {
-        self.rules.values().find(|r| r.id == id)
+        self.rules.get(self.names_by_id.get(&id.0)?)
     }
 
     /// All rules, ordered by name.
@@ -153,6 +161,31 @@ mod tests {
         assert!(c.remove("a").is_ok());
         assert!(matches!(c.remove("a"), Err(ArielError::UnknownRule(_))));
         assert!(c.require("a").is_err());
+    }
+
+    #[test]
+    fn id_index_survives_install_remove_restore_with_gaps() {
+        let mut c = RuleCatalog::new();
+        let a = c.install(def("a", None)).unwrap();
+        let b = c.install(def("b", None)).unwrap();
+        let gone = c.remove("a").unwrap();
+        assert_eq!(gone.id, a);
+        assert!(c.by_id(a).is_none(), "removed id no longer resolves");
+        assert_eq!(c.by_id(b).unwrap().name, "b");
+        // a snapshot restores rules under their old ids, gaps included
+        c.restore(def("far", None), RuleId(40)).unwrap();
+        c.restore(def("a", None), a).unwrap();
+        assert_eq!(c.by_id(RuleId(40)).unwrap().name, "far");
+        assert_eq!(c.by_id(a).unwrap().name, "a");
+        assert!(c.by_id(RuleId(7)).is_none(), "gap ids stay unresolved");
+        assert!(matches!(
+            c.restore(def("dup", None), RuleId(40)),
+            Err(ArielError::Persist(_))
+        ));
+        assert!(c.by_id(RuleId(40)).is_some_and(|r| r.name == "far"));
+        let next = c.install(def("next", None)).unwrap();
+        assert_eq!(next, RuleId(41), "installs continue past restored ids");
+        assert_eq!(c.by_id(next).unwrap().name, "next");
     }
 
     #[test]

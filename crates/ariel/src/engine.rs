@@ -17,7 +17,7 @@ use ariel_query::{
     Notification, Pnode, QueryResult, Resolver, RuleDef,
 };
 use ariel_storage::wal::{Durability, WalWriter};
-use ariel_storage::{AttrDef, Catalog, Schema};
+use ariel_storage::{AttrDef, Catalog, FxHashMap, Schema};
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -158,10 +158,17 @@ impl EngineNetwork {
         }
     }
 
-    fn drain_pnode(&mut self, id: RuleId) -> Vec<Vec<ariel_query::BoundVar>> {
+    fn drain_pnode(&mut self, id: RuleId) -> Option<Pnode> {
         match self {
             EngineNetwork::Treat(n) => n.drain_pnode(id),
             EngineNetwork::Rete(n) => n.drain_pnode(id),
+        }
+    }
+
+    fn drain_gained(&mut self, f: impl FnMut(RuleId)) {
+        match self {
+            EngineNetwork::Treat(n) => n.drain_gained(f),
+            EngineNetwork::Rete(n) => n.drain_gained(f),
         }
     }
 
@@ -364,6 +371,20 @@ impl MemoryStats {
     }
 }
 
+/// What the recognize-act cycle needs of an active rule, filled at
+/// activation so a firing looks nothing up in the rule catalog and clones
+/// no syntax tree.
+#[derive(Debug)]
+pub(crate) struct ActiveRule {
+    name: Arc<str>,
+    priority: f64,
+    /// The query-modified action.
+    action: Arc<[Command]>,
+    /// Recency for conflict resolution: tick of the last transition that
+    /// added an instantiation to the rule's P-node (0 = never).
+    pub(crate) last_matched: u64,
+}
+
 /// The Ariel active DBMS.
 ///
 /// ```
@@ -386,13 +407,10 @@ pub struct Ariel {
     pub(crate) network: EngineNetwork,
     planner: ActionPlanner,
     pub(crate) options: EngineOptions,
-    /// Query-modified action per active rule.
-    actions: HashMap<u64, Vec<Command>>,
+    /// One record per active rule, keyed by rule id.
+    pub(crate) active: FxHashMap<u64, ActiveRule>,
     /// Relations referenced by each active rule's condition.
     cond_rels: HashMap<u64, HashSet<String>>,
-    /// Recency bookkeeping for conflict resolution.
-    pub(crate) last_matched: HashMap<u64, u64>,
-    pub(crate) prev_sizes: HashMap<u64, usize>,
     pub(crate) tick: u64,
     pub(crate) stats: EngineStats,
     /// Action executions per rule id (the `ariel_rule_firings_total`
@@ -453,10 +471,8 @@ impl Ariel {
             network,
             planner: ActionPlanner::new(options.cache_action_plans),
             options,
-            actions: HashMap::new(),
+            active: FxHashMap::default(),
             cond_rels: HashMap::new(),
-            last_matched: HashMap::new(),
-            prev_sizes: HashMap::new(),
             tick: 0,
             stats: EngineStats::default(),
             firings_by_rule: HashMap::new(),
@@ -614,6 +630,7 @@ impl Ariel {
             return Err(ArielError::AlreadyActive(name.to_string()));
         }
         let id = rule.id;
+        let priority = rule.priority;
         let def = rule.def.clone();
         let resolved = Resolver::new(&self.catalog).resolve_condition(
             def.on.as_ref(),
@@ -629,10 +646,19 @@ impl Ariel {
             self.network.remove_rule(id);
             return Err(e.into());
         }
-        self.actions.insert(id.0, modified);
+        self.active.insert(
+            id.0,
+            ActiveRule {
+                name: name.into(),
+                priority,
+                action: modified.into(),
+                last_matched: 0,
+            },
+        );
         self.cond_rels.insert(id.0, rels);
         self.rules.get_mut(name).expect("installed").state = RuleState::Active;
-        self.note_matches();
+        // priming may have loaded the P-node
+        self.stamp_gained();
         Ok(())
     }
 
@@ -646,10 +672,8 @@ impl Ariel {
         let id = rule.id;
         self.network.remove_rule(id);
         self.planner.invalidate(id.0);
-        self.actions.remove(&id.0);
+        self.active.remove(&id.0);
         self.cond_rels.remove(&id.0);
-        self.last_matched.remove(&id.0);
-        self.prev_sizes.remove(&id.0);
         self.rules.get_mut(name).expect("installed").state = RuleState::Installed;
         Ok(())
     }
@@ -754,7 +778,6 @@ impl Ariel {
         if let Some(e) = failed {
             return Err(e);
         }
-        self.note_matches();
         self.recognize_act()?;
         Ok(outputs)
     }
@@ -791,28 +814,32 @@ impl Ariel {
 
     fn recognize_act(&mut self) -> ArielResult<()> {
         let result = self.recognize_act_inner();
+        // a cycle cut short (halt, error) still owns its last gains
+        self.stamp_gained();
         // per-transition bindings are broken at quiescence (§4.3.2),
         // including on the error path
         self.network.flush_transition_state();
-        self.resync_sizes();
         result
     }
 
     fn recognize_act_inner(&mut self) -> ArielResult<()> {
         let mut firings = 0usize;
         loop {
-            // match: the discrimination network maintained the P-nodes
+            // match: the discrimination network maintained the P-nodes and
+            // the conflict set; the transition that just ran (or the
+            // `match_tokens` calls since the last cycle) stamps recency
+            self.stamp_gained();
             let eligible: Vec<Eligible> = self
                 .network
                 .rules_with_matches()
                 .into_iter()
                 .filter_map(|id| {
-                    let rule = self.rules.by_id(id)?;
+                    let rule = self.active.get(&id.0)?;
                     Some(Eligible {
                         id,
-                        name: rule.name.clone(),
+                        name: Arc::clone(&rule.name),
                         priority: rule.priority,
-                        last_matched: self.last_matched.get(&id.0).copied().unwrap_or(0),
+                        last_matched: rule.last_matched,
                     })
                 })
                 .collect();
@@ -835,25 +862,15 @@ impl Ariel {
             firings += 1;
             self.stats.firings += 1;
             *self.firings_by_rule.entry(chosen.id.0).or_insert(0) += 1;
-            let rows = self.network.drain_pnode(chosen.id);
-            let drained = rows.len() as u64;
-            let cols = self
-                .network
-                .pnode(chosen.id)
-                .expect("active rule")
-                .cols()
-                .to_vec();
-            let mut pnode = Pnode::new(cols);
-            for r in rows {
-                pnode.push(r);
-            }
-            let action = self.actions.get(&chosen.id.0).expect("active rule").clone();
+            let pnode = self.network.drain_pnode(chosen.id).expect("active rule");
+            let drained = pnode.len() as u64;
+            let action = Arc::clone(&self.active[&chosen.id.0].action);
             let action_start = self.obs.as_ref().map(|_| std::time::Instant::now());
             let outcome = self
                 .planner
                 .execute_action(chosen.id.0, &action, &pnode, &mut self.catalog)
                 .map_err(|e| ArielError::RuleAction {
-                    rule: chosen.name.clone(),
+                    rule: chosen.name.to_string(),
                     source: Box::new(e.into()),
                 })?;
             let action_ns = action_start.map(|t0| t0.elapsed().as_nanos() as u64);
@@ -897,34 +914,21 @@ impl Ariel {
                     tokens: tokens.len() as u64,
                 });
             }
-            self.note_matches();
             if outcome.halted {
                 return Ok(());
             }
         }
     }
 
-    /// Record which rules gained matches this tick (recency for conflict
-    /// resolution).
-    fn note_matches(&mut self) {
-        for id in self.network.rules_with_matches() {
-            let len = self.network.pnode(id).map(|p| p.len()).unwrap_or(0);
-            let prev = self.prev_sizes.get(&id.0).copied().unwrap_or(0);
-            if len > prev {
-                self.last_matched.insert(id.0, self.tick);
+    /// Stamp recency: every rule that received an instantiation since the
+    /// last call was last matched at the current tick.
+    fn stamp_gained(&mut self) {
+        let (active, tick) = (&mut self.active, self.tick);
+        self.network.drain_gained(|id| {
+            if let Some(rule) = active.get_mut(&id.0) {
+                rule.last_matched = tick;
             }
-            self.prev_sizes.insert(id.0, len);
-        }
-    }
-
-    pub(crate) fn resync_sizes(&mut self) {
-        for (key, size) in self.prev_sizes.iter_mut() {
-            *size = self
-                .network
-                .pnode(RuleId(*key))
-                .map(|p| p.len())
-                .unwrap_or(0);
-        }
+        });
     }
 
     // ----- token-level access (benchmarks) -------------------------------------
@@ -1055,7 +1059,7 @@ impl Ariel {
         if !rule.is_active() {
             return Err(ArielError::NotActive(name.to_string()));
         }
-        let action = self.actions.get(&rule.id.0).expect("active rule");
+        let action = &self.active[&rule.id.0].action;
         let pnode = self.network.pnode(rule.id).expect("active rule");
         let mut out = String::new();
         for (i, cmd) in action.iter().enumerate() {

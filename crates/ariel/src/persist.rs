@@ -9,7 +9,7 @@
 //!   [`Ariel::checkpoint`]: every relation's physical state, the rule
 //!   catalog (definitions re-rendered to ARL source), the P-node rows of
 //!   every active rule, and the conflict-resolution bookkeeping
-//!   (tick, recency, previous sizes). Written to a temp file and
+//!   (tick, per-rule recency). Written to a temp file and
 //!   renamed, so a crash mid-checkpoint leaves the old snapshot intact.
 //! * `wal.log` — one record per event after the snapshot: top-level
 //!   commands, transitions (the resolved DML command texts — the `[I, M]`
@@ -51,7 +51,9 @@ pub const SNAPSHOT_FILE: &str = "snapshot.bin";
 pub const WAL_FILE: &str = "wal.log";
 
 const SNAPSHOT_MAGIC: &[u8; 4] = b"ARSN";
-const SNAPSHOT_VERSION: u32 = 1;
+/// v2 dropped the per-rule "previous P-node size" map: recency is stamped
+/// from the network's gained list, so no size survives a transition.
+const SNAPSHOT_VERSION: u32 = 2;
 
 // WAL record kinds (first payload byte).
 const REC_CMD: u8 = 1;
@@ -186,10 +188,12 @@ fn encode_snapshot(db: &Ariel) -> Vec<u8> {
             }
         }
     }
-    put_u64_map(&mut buf, &db.last_matched);
-    let sizes: std::collections::HashMap<u64, u64> =
-        db.prev_sizes.iter().map(|(k, v)| (*k, *v as u64)).collect();
-    put_u64_map(&mut buf, &sizes);
+    let recency = db
+        .active
+        .iter()
+        .map(|(id, rule)| (*id, rule.last_matched))
+        .collect();
+    put_u64_map(&mut buf, &recency);
     buf
 }
 
@@ -337,11 +341,11 @@ impl Ariel {
             }
             db.network.set_pnode_rows(id, rows);
         }
-        db.last_matched = get_u64_map(&mut dec)?;
-        db.prev_sizes = get_u64_map(&mut dec)?
-            .into_iter()
-            .map(|(k, v)| (k, v as usize))
-            .collect();
+        for (id, last_matched) in get_u64_map(&mut dec)? {
+            if let Some(rule) = db.active.get_mut(&id) {
+                rule.last_matched = last_matched;
+            }
+        }
         db.tick = tick;
         db.stats = stats;
         // replay the log tail through the ordinary execute path, with no

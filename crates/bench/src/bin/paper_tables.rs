@@ -56,14 +56,21 @@ fn run_act() {
 }
 
 fn run_scale() {
-    println!("== SCALE: token test vs rule count — selection network vs naive ==");
+    println!("== SCALE: cost vs rule count — selection network vs naive ==");
     println!(
-        "{:>7} | {:>14} {:>14} {:>9}",
-        "rules", "selnet us", "naive us", "speedup"
+        "{:>7} | {:>11} {:>11} {:>16} {:>10} {:>9}",
+        "rules", "+ token us", "- token us", "append+10 fire us", "naive us", "speedup"
     );
-    for (n, sel, naive) in measure::scale_table(&[200, 400, 800, 1600, 3200], 300) {
-        let speedup = naive.as_secs_f64() / sel.as_secs_f64().max(1e-12);
-        println!("{n:>7} | {:>14} {:>14} {speedup:>8.1}x", us(sel), us(naive));
+    for row in measure::scale_table(&[200, 400, 800, 1600, 3200], 300) {
+        let speedup = row.naive.as_secs_f64() / row.plus_token.as_secs_f64().max(1e-12);
+        println!(
+            "{:>7} | {:>11} {:>11} {:>16} {:>10} {speedup:>8.1}x",
+            row.rules,
+            us(row.plus_token),
+            us(row.minus_token),
+            us(row.append_firing),
+            us(row.naive),
+        );
     }
     println!();
 }

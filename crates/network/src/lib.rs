@@ -13,6 +13,7 @@
 
 pub mod alpha;
 pub mod arena;
+mod conflict;
 pub mod key;
 pub mod obs;
 mod plan;

@@ -37,6 +37,7 @@
 //! [`crate::treat`]).
 
 use crate::alpha::{AlphaCounters, AlphaEntry, AlphaId, AlphaKind, AlphaNode, BandShape, RuleId};
+use crate::conflict::ConflictSet;
 use crate::key::{KeyBuilder, SmallKey};
 use crate::obs::MatchObs;
 use crate::plan::{BandSpec, CompositeSpec, JoinPlan};
@@ -44,7 +45,10 @@ use crate::pred::SelectionPredicate;
 use crate::selnet::SelectionNetwork;
 use crate::token::Token;
 use crate::trace::{TraceEventKind, TraceRecorder};
-use crate::treat::{selectivity_virtualize, NetworkStats, RuleStats, RuleTopology, VirtualPolicy};
+use crate::treat::{
+    pending_done, pending_of, selectivity_virtualize, NetworkStats, Pending, RuleStats,
+    RuleTopology, VirtualPolicy,
+};
 use ariel_islist::{IntervalId, IntervalSkipList};
 use ariel_query::{
     eval, eval_pred, BoundVar, Pnode, PnodeCol, QueryError, QueryResult, RExpr, ResolvedCondition,
@@ -278,6 +282,9 @@ pub struct ReteNetwork {
     alphas: Vec<Option<AlphaNode>>,
     free: Vec<usize>,
     rules: BTreeMap<u64, ReteRule>,
+    /// Rules with a non-empty P-node, and those that gained a match since
+    /// the engine last asked (see [`crate::conflict`]).
+    conflict: ConflictSet,
     policy: VirtualPolicy,
     mode: ReteMode,
     tokens_processed: u64,
@@ -305,6 +312,7 @@ impl ReteNetwork {
             alphas: Vec::new(),
             free: Vec::new(),
             rules: BTreeMap::new(),
+            conflict: ConflictSet::default(),
             policy,
             mode: ReteMode::Indexed,
             tokens_processed: 0,
@@ -652,6 +660,9 @@ impl ReteNetwork {
                 rule.betas[lvl].insert(p, nvars);
             }
         }
+        if !rule.pnode.is_empty() {
+            self.conflict.pushed(id, &rule.pnode);
+        }
         Ok(())
     }
 
@@ -830,12 +841,19 @@ impl ReteNetwork {
         if let Some(obs) = &self.obs {
             obs.tokens.set(obs.tokens.get() + tokens.len() as u64);
         }
-        let mut pending: HashMap<String, HashSet<u64>> = HashMap::new();
-        for t in tokens {
-            if t.kind.is_positive() {
-                pending.entry(t.rel.clone()).or_default().insert(t.tid.0);
-            }
-        }
+        let mut pending = pending_of(tokens);
+        let result = self.process_tokens(tokens, catalog, &mut pending);
+        self.conflict
+            .debug_check(self.rules.iter().map(|(id, r)| (*id, &r.pnode)));
+        result
+    }
+
+    fn process_tokens(
+        &mut self,
+        tokens: &[Token],
+        catalog: &Catalog,
+        pending: &mut Pending,
+    ) -> QueryResult<()> {
         for t in tokens {
             if let Some(tr) = &self.trace {
                 tr.record(TraceEventKind::TokenEmitted {
@@ -846,10 +864,8 @@ impl ReteNetwork {
                 });
             }
             if t.kind.is_positive() {
-                if let Some(set) = pending.get_mut(&t.rel) {
-                    set.remove(&t.tid.0);
-                }
-                self.process_positive(t, catalog, &pending)?;
+                pending_done(pending, t);
+                self.process_positive(t, catalog, pending)?;
             } else {
                 self.process_negative(t);
             }
@@ -892,12 +908,9 @@ impl ReteNetwork {
         pass
     }
 
-    fn process_positive(
-        &mut self,
-        token: &Token,
-        catalog: &Catalog,
-        pending: &HashMap<String, HashSet<u64>>,
-    ) -> QueryResult<()> {
+    /// Stab the selection network with the token's value — one probe per
+    /// token, whatever its polarity.
+    fn stab(&self, token: &Token) -> Vec<AlphaId> {
         let candidates = self.selnet.candidates(&token.rel, &token.tuple);
         if let Some(tr) = &self.trace {
             tr.record(TraceEventKind::SelnetProbe {
@@ -905,6 +918,16 @@ impl ReteNetwork {
                 candidates: candidates.len() as u64,
             });
         }
+        candidates
+    }
+
+    fn process_positive(
+        &mut self,
+        token: &Token,
+        catalog: &Catalog,
+        pending: &Pending,
+    ) -> QueryResult<()> {
+        let candidates = self.stab(token);
         let mut matched: Vec<AlphaId> = candidates
             .into_iter()
             .filter(|aid| {
@@ -1139,7 +1162,7 @@ impl ReteNetwork {
         token: &Token,
         processed: &HashSet<usize>,
         catalog: &Catalog,
-        pending: &HashMap<String, HashSet<u64>>,
+        pending: &Pending,
     ) -> QueryResult<()> {
         if partials.is_empty() {
             return Ok(());
@@ -1174,11 +1197,10 @@ impl ReteNetwork {
                         self.probe_extend(rule, level, alpha, comp, band, left, &mut next)?;
                     }
                 } else {
-                    let empty = HashSet::new();
-                    let pend = pending.get(&alpha.rel).unwrap_or(&empty);
+                    let pend = pending.get(&alpha.rel);
                     let rel = alpha.rel.clone();
                     let visible = move |tid: Tid| -> bool {
-                        if pend.contains(&tid.0) {
+                        if pend.is_some_and(|p| p.contains_key(&tid.0)) {
                             return false;
                         }
                         rel != token.rel || tid != token.tid || processed.contains(&aid.0)
@@ -1218,6 +1240,7 @@ impl ReteNetwork {
                 for p in &current {
                     rule.pnode.push(p.clone());
                 }
+                self.conflict.pushed(rule_id, &rule.pnode);
                 if let Some(obs) = &self.obs {
                     obs.with_rule(rule_id, |r| r.pnode_inserts += inserted);
                 }
@@ -1226,9 +1249,15 @@ impl ReteNetwork {
         Ok(())
     }
 
+    /// Remove the TID from the α-memories, β-partials and P-node rows that
+    /// hold it, found by the same stab a `+` token takes. Sound for the
+    /// reason spelled out at `treat::Network::process_negative`: an entry,
+    /// partial or row under a TID exists only where the value this token
+    /// carries passed the node's anchor (a β-partial binds the TID at
+    /// variable `v` only via `v`'s α-node), and unanchored nodes are always
+    /// candidates.
     fn process_negative(&mut self, token: &Token) {
-        let alpha_ids: Vec<AlphaId> = self.selnet.alphas_on(&token.rel).to_vec();
-        for aid in alpha_ids {
+        for aid in self.stab(token) {
             let (rule_id, var) = {
                 let a = self.alphas[aid.0].as_mut().unwrap();
                 a.remove(token.tid);
@@ -1239,7 +1268,9 @@ impl ReteNetwork {
             for beta in rule.betas[var..].iter_mut() {
                 beta.remove_where(var, token.tid, nvars);
             }
-            rule.pnode.retract(var, token.tid);
+            if rule.pnode.retract(var, token.tid) > 0 {
+                self.conflict.sync(rule_id, &rule.pnode);
+            }
         }
     }
 
@@ -1253,6 +1284,7 @@ impl ReteNetwork {
             self.alphas[aid.0] = None;
             self.free.push(aid.0);
         }
+        self.conflict.remove(id);
     }
 
     /// The P-node of a rule.
@@ -1260,12 +1292,13 @@ impl ReteNetwork {
         self.rules.get(&id.0).map(|r| &r.pnode)
     }
 
-    /// Drain a rule's P-node (consumed instantiations at rule firing).
-    pub fn drain_pnode(&mut self, id: RuleId) -> Vec<Vec<BoundVar>> {
-        self.rules
-            .get_mut(&id.0)
-            .map(|r| r.pnode.drain())
-            .unwrap_or_default()
+    /// Drain a rule's P-node (consumed instantiations at rule firing) into
+    /// a P-node of the same columns. `None` for unknown rules.
+    pub fn drain_pnode(&mut self, id: RuleId) -> Option<Pnode> {
+        let rule = self.rules.get_mut(&id.0)?;
+        let drained = rule.pnode.take();
+        self.conflict.sync(id, &rule.pnode);
+        Some(drained)
     }
 
     /// Replace a rule's P-node rows wholesale (crash recovery: priming
@@ -1279,16 +1312,21 @@ impl ReteNetwork {
             for row in rows {
                 r.pnode.push(row);
             }
+            // restored history, not a transition's gain: no `gained` entry
+            self.conflict.sync(id, &r.pnode);
         }
     }
 
-    /// Rules whose P-node is non-empty, ascending by id.
+    /// Rules whose P-node is non-empty, ascending by id — read off the
+    /// maintained conflict set, `O(matched)`.
     pub fn rules_with_matches(&self) -> Vec<RuleId> {
-        self.rules
-            .iter()
-            .filter(|(_, r)| !r.pnode.is_empty())
-            .map(|(id, _)| RuleId(*id))
-            .collect()
+        self.conflict.rules()
+    }
+
+    /// Hand `f` every rule that gained an instantiation since the last
+    /// call (the engine stamps conflict-resolution recency from this).
+    pub fn drain_gained(&mut self, f: impl FnMut(RuleId)) {
+        self.conflict.drain_gained(f)
     }
 
     /// Flush per-transition state. The Rete baseline compiles pattern-only

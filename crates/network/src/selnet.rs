@@ -3,9 +3,11 @@
 //! Routes a token to the α-memory nodes whose *anchor* (indexable interval
 //! on one attribute) admits the token's tuple. One interval skip list per
 //! (relation, anchored attribute) holds the anchors of every subscribed
-//! node; a token is matched by stabbing each of its relation's per-attribute
-//! indexes with the corresponding attribute value, then unioning in the
-//! nodes that have no anchor. Residual predicates and event gating are the
+//! node; a token — of either polarity: a `−` token finds the memories that
+//! hold its tuple the same way the `+` token found the memories to enter —
+//! is matched by stabbing each of its relation's per-attribute indexes with
+//! the corresponding attribute value, then unioning in the nodes that have
+//! no anchor. Residual predicates and event gating are the
 //! caller's job — this layer does exactly what the paper's
 //! selection-predicate index does: narrow "all rules" down to "rules whose
 //! indexable condition this tuple satisfies" in `O(log n + answers)`.
@@ -23,8 +25,8 @@ struct AttrIndex {
 
 #[derive(Debug, Default)]
 struct RelRouting {
-    /// Every subscribed node on this relation (for deletion-polarity
-    /// processing and inspection).
+    /// Every subscribed node on this relation (inspection, and the
+    /// parallel path's run-eligibility check; no token is routed by it).
     alphas: Vec<AlphaId>,
     /// Per-attribute interval indexes for anchored subscriptions.
     attr_indexes: HashMap<usize, AttrIndex>,

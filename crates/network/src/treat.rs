@@ -20,9 +20,12 @@
 //! applies changes to relations first (set-oriented command execution), so
 //! the equivalent discipline is inverted and implemented exactly here:
 //!
-//! * a **batch pending set** hides tuples whose positive tokens have not
-//!   been processed yet (they are physically in the relation but logically
-//!   not yet in any α-memory), and
+//! * a **batch pending set** hides tuples that still have an unprocessed
+//!   positive token in the batch (they are physically in the relation, at
+//!   their end-of-batch value, but logically not yet in any α-memory at
+//!   that value — a tuple touched twice in one batch stays hidden until
+//!   its last positive token, so a virtual node never serves a value no
+//!   token has announced), and
 //! * the in-flight token's own tuple is visible inside a virtual node only
 //!   if that node is in `processed` — the set of α-nodes this token has
 //!   already been inserted into, which is precisely the paper's
@@ -35,6 +38,7 @@ use crate::alpha::{
     AlphaCounters, AlphaEntry, AlphaId, AlphaKind, AlphaNode, BandShape, EventReq, RuleId,
 };
 use crate::arena;
+use crate::conflict::ConflictSet;
 use crate::key::{KeyBuilder, SmallKey};
 use crate::obs::MatchObs;
 use crate::plan::{BandSpec, CompositeSpec, JoinPlan};
@@ -87,8 +91,6 @@ struct RuleNode {
     pnode: Pnode,
     /// Original resolved condition spec, used for activation priming.
     spec: QuerySpec,
-    /// Number of dynamic (per-transition) α-nodes.
-    n_dynamic: usize,
     /// No event or transition components: P-node can be primed from data.
     pattern_only: bool,
     /// Always-on counter: tokens that entered this rule (passed an α-test).
@@ -197,7 +199,7 @@ pub struct NetworkStats {
     pub selnet_bytes: usize,
     /// Tokens pushed through [`Network::process_batch`].
     pub tokens_processed: u64,
-    /// Selection-network probes (one per positive token, plus ON DELETE).
+    /// Selection-network probes (one per token, either polarity).
     pub selnet_probes: u64,
     /// Candidate α-nodes those probes emitted.
     pub selnet_candidates: u64,
@@ -276,6 +278,14 @@ pub struct Network {
     free: Vec<usize>,
     selnet: SelectionNetwork,
     rules: BTreeMap<u64, RuleNode>,
+    /// Rules with a non-empty P-node, and those that gained a match since
+    /// the engine last asked (see [`crate::conflict`]).
+    conflict: ConflictSet,
+    /// Dynamic (per-transition) α-nodes and the rules owning them — all
+    /// [`Self::flush_transition_state`] has to visit. Both stay empty for
+    /// pattern-only rule sets.
+    dynamic_alphas: Vec<AlphaId>,
+    dynamic_rules: Vec<RuleId>,
     /// Always-on counter: tokens pushed through [`Self::process_batch`].
     tokens_processed: u64,
     /// Whether β-joins may probe indexes — α-memory hash join indexes on
@@ -381,6 +391,37 @@ pub(crate) fn selectivity_virtualize(
     min_bucket as f64 / n as f64 > threshold
 }
 
+/// The batch pending set: per relation, tid → positive tokens of that
+/// tuple still unprocessed in the current batch. A tuple in here is hidden
+/// from virtual-node scans (see the module docs).
+pub(crate) type Pending = HashMap<String, HashMap<u64, u32>>;
+
+/// The pending set of a fresh batch.
+pub(crate) fn pending_of(tokens: &[Token]) -> Pending {
+    let mut pending = Pending::new();
+    for t in tokens.iter().filter(|t| t.kind.is_positive()) {
+        if !pending.contains_key(&t.rel) {
+            pending.insert(t.rel.clone(), HashMap::new());
+        }
+        let tids = pending.get_mut(&t.rel).expect("just ensured");
+        *tids.entry(t.tid.0).or_insert(0) += 1;
+    }
+    pending
+}
+
+/// Positive token `t` is about to be processed: one fewer pending for its
+/// tuple, which becomes visible once none remain.
+pub(crate) fn pending_done(pending: &mut Pending, t: &Token) {
+    if let Some(tids) = pending.get_mut(&t.rel) {
+        if let Some(n) = tids.get_mut(&t.tid.0) {
+            *n -= 1;
+            if *n == 0 {
+                tids.remove(&t.tid.0);
+            }
+        }
+    }
+}
+
 impl Default for Network {
     fn default() -> Self {
         Network {
@@ -388,6 +429,9 @@ impl Default for Network {
             free: Vec::new(),
             selnet: SelectionNetwork::default(),
             rules: BTreeMap::new(),
+            conflict: ConflictSet::default(),
+            dynamic_alphas: Vec::new(),
+            dynamic_rules: Vec::new(),
             tokens_processed: 0,
             join_indexing: true,
             composite_keys: true,
@@ -423,8 +467,8 @@ struct RunCtx<'a> {
     /// Per run token: α-node arena index → its position in the token's
     /// sorted matched list (the paper's ProcessedMemories, made explicit).
     matched_pos: Vec<HashMap<usize, usize>>,
-    /// Batch pending set with this run's own tids already removed.
-    pending: &'a HashMap<String, HashSet<u64>>,
+    /// Batch pending set with this run's own tokens already counted off.
+    pending: &'a Pending,
 }
 
 /// One seed's join outcome: the instantiations it produced, or the error
@@ -452,7 +496,7 @@ enum JoinVis<'a> {
     Seq {
         token: &'a Token,
         processed: &'a HashSet<usize>,
-        pending: &'a HashMap<String, HashSet<u64>>,
+        pending: &'a Pending,
     },
     Run {
         ctx: &'a RunCtx<'a>,
@@ -712,7 +756,7 @@ impl Network {
 
         let mut vars = Vec::with_capacity(nvars);
         let mut cols = Vec::with_capacity(nvars);
-        let mut n_dynamic = 0usize;
+        let mut dynamic = false;
         for (v, binding) in cond.spec.vars.iter().enumerate() {
             let is_on = cond.on_var == Some(v);
             let is_trans = cond.trans_vars.contains(&v);
@@ -738,9 +782,6 @@ impl Network {
                     }
                 }
             };
-            if kind.is_dynamic() {
-                n_dynamic += 1;
-            }
             let event = if is_on {
                 Some(resolve_event(
                     cond.event.as_ref().expect("on var has event"),
@@ -775,6 +816,12 @@ impl Network {
                 node.pred.anchor.clone()
             };
             self.selnet.subscribe(alpha_id, &binding.rel, anchor);
+            if kind.is_dynamic() {
+                dynamic = true;
+                if kind.stores_entries() {
+                    self.dynamic_alphas.push(alpha_id);
+                }
+            }
             vars.push(RuleVar { alpha: alpha_id });
             cols.push(PnodeCol {
                 var: binding.name.clone(),
@@ -784,6 +831,9 @@ impl Network {
             });
         }
         let pattern_only = cond.on_var.is_none() && cond.trans_vars.is_empty();
+        if dynamic {
+            self.dynamic_rules.push(id);
+        }
         self.rules.insert(
             id.0,
             RuleNode {
@@ -792,7 +842,6 @@ impl Network {
                 plan,
                 pnode: Pnode::new(cols),
                 spec: cond.spec.clone(),
-                n_dynamic,
                 pattern_only,
                 tokens_in: 0,
                 join_probes: 0,
@@ -848,7 +897,10 @@ impl Network {
             self.selnet.unsubscribe(var.alpha);
             self.alphas[var.alpha.0] = None;
             self.free.push(var.alpha.0);
+            self.dynamic_alphas.retain(|a| *a != var.alpha);
         }
+        self.dynamic_rules.retain(|r| *r != id);
+        self.conflict.remove(id);
     }
 
     /// Prime a freshly-added rule (the paper's *activation*, §6): fill each
@@ -914,6 +966,9 @@ impl Network {
                     .collect();
                 rule.pnode.push(bindings);
             }
+            if !rule.pnode.is_empty() {
+                self.conflict.pushed(id, &rule.pnode);
+            }
         }
         Ok(())
     }
@@ -926,15 +981,23 @@ impl Network {
         if let Some(obs) = &self.obs {
             obs.tokens.set(obs.tokens.get() + tokens.len() as u64);
         }
-        let mut pending: HashMap<String, HashSet<u64>> = HashMap::new();
-        for t in tokens {
-            if t.kind.is_positive() {
-                pending.entry(t.rel.clone()).or_default().insert(t.tid.0);
-            }
-        }
-        if self.parallel_match && self.trace.is_none() {
-            return self.process_batch_parallel(tokens, catalog, pending);
-        }
+        let pending = pending_of(tokens);
+        let result = if self.parallel_match && self.trace.is_none() {
+            self.process_batch_parallel(tokens, catalog, pending)
+        } else {
+            self.process_batch_sequential(tokens, catalog, pending)
+        };
+        self.conflict
+            .debug_check(self.rules.iter().map(|(id, r)| (*id, &r.pnode)));
+        result
+    }
+
+    fn process_batch_sequential(
+        &mut self,
+        tokens: &[Token],
+        catalog: &Catalog,
+        mut pending: Pending,
+    ) -> QueryResult<()> {
         for t in tokens {
             if let Some(tr) = &self.trace {
                 tr.record(TraceEventKind::TokenEmitted {
@@ -945,9 +1008,7 @@ impl Network {
                 });
             }
             if t.kind.is_positive() {
-                if let Some(set) = pending.get_mut(&t.rel) {
-                    set.remove(&t.tid.0);
-                }
+                pending_done(&mut pending, t);
                 self.process_positive(t, catalog, &pending)?;
             } else {
                 self.process_negative(t, catalog, &pending)?;
@@ -961,29 +1022,38 @@ impl Network {
         self.process_batch(std::slice::from_ref(token), catalog)
     }
 
-    fn process_positive(
-        &mut self,
-        token: &Token,
-        catalog: &Catalog,
-        pending: &HashMap<String, HashSet<u64>>,
-    ) -> QueryResult<()> {
+    /// Stab the selection network with the token's value: the α-nodes
+    /// whose anchor admits it, plus every unanchored node on the relation.
+    /// One probe per token, whatever its polarity. The buffer comes from
+    /// the arena; hand it back with `arena::give_candidates`.
+    fn stab(&self, token: &Token) -> Vec<AlphaId> {
         let probe_start = self.obs.as_ref().map(|_| Instant::now());
-        let mut matched = arena::take_candidates();
+        let mut candidates = arena::take_candidates();
         self.selnet
-            .candidates_into(&token.rel, &token.tuple, &mut matched);
+            .candidates_into(&token.rel, &token.tuple, &mut candidates);
         if let Some(obs) = &self.obs {
             if let Some(t0) = probe_start {
                 obs.selnet_probe.record(t0.elapsed().as_nanos() as u64);
             }
             obs.selnet_candidates
-                .set(obs.selnet_candidates.get() + matched.len() as u64);
+                .set(obs.selnet_candidates.get() + candidates.len() as u64);
         }
         if let Some(tr) = &self.trace {
             tr.record(TraceEventKind::SelnetProbe {
                 rel: token.rel.clone(),
-                candidates: matched.len() as u64,
+                candidates: candidates.len() as u64,
             });
         }
+        candidates
+    }
+
+    fn process_positive(
+        &mut self,
+        token: &Token,
+        catalog: &Catalog,
+        pending: &Pending,
+    ) -> QueryResult<()> {
+        let mut matched = self.stab(token);
         matched.retain(|aid| {
             self.alpha_test(*aid, token, |a| {
                 a.admits_positive(token.kind, token.event.as_ref())
@@ -1021,7 +1091,7 @@ impl Network {
         &mut self,
         tokens: &[Token],
         catalog: &Catalog,
-        mut pending: HashMap<String, HashSet<u64>>,
+        mut pending: Pending,
     ) -> QueryResult<()> {
         self.ensure_pool();
         let mut i = 0;
@@ -1029,9 +1099,7 @@ impl Network {
             if !self.run_eligible(&tokens[i]) {
                 let t = &tokens[i];
                 if t.kind.is_positive() {
-                    if let Some(set) = pending.get_mut(&t.rel) {
-                        set.remove(&t.tid.0);
-                    }
+                    pending_done(&mut pending, t);
                     self.process_positive(t, catalog, &pending)?;
                 } else {
                     self.process_negative(t, catalog, &pending)?;
@@ -1084,14 +1152,12 @@ impl Network {
         &mut self,
         run: &[Token],
         catalog: &Catalog,
-        pending: &mut HashMap<String, HashSet<u64>>,
+        pending: &mut Pending,
     ) -> QueryResult<()> {
         // the whole run leaves the pending set at once: later tokens in
         // the run are hidden from earlier seeds by their stamps instead
         for t in run {
-            if let Some(set) = pending.get_mut(&t.rel) {
-                set.remove(&t.tid.0);
-            }
+            pending_done(pending, t);
         }
         let mut run_tids: HashMap<String, HashMap<u64, usize>> = HashMap::new();
         for (ti, t) in run.iter().enumerate() {
@@ -1109,17 +1175,7 @@ impl Network {
         // ---- phase A: α-tests, inserts, stamps, frozen join orders
         let mut seeds: Vec<ParSeed> = Vec::new();
         for (ti, token) in run.iter().enumerate() {
-            let probe_start = self.obs.as_ref().map(|_| Instant::now());
-            let mut matched = arena::take_candidates();
-            self.selnet
-                .candidates_into(&token.rel, &token.tuple, &mut matched);
-            if let Some(obs) = &self.obs {
-                if let Some(t0) = probe_start {
-                    obs.selnet_probe.record(t0.elapsed().as_nanos() as u64);
-                }
-                obs.selnet_candidates
-                    .set(obs.selnet_candidates.get() + matched.len() as u64);
-            }
+            let mut matched = self.stab(token);
             matched.retain(|aid| {
                 self.alpha_test(*aid, token, |a| {
                     a.admits_positive(token.kind, token.event.as_ref())
@@ -1255,6 +1311,7 @@ impl Network {
                 let rule = self.rules.get_mut(&s.rule_id.0).expect("rule exists");
                 rule.pnode.push(vec![s.seed.clone()]);
                 rule.pnode_inserts += 1;
+                self.conflict.pushed(s.rule_id, &rule.pnode);
                 if let Some(obs) = &self.obs {
                     obs.with_rule(s.rule_id, |r| {
                         r.pnode_inserts += 1;
@@ -1275,6 +1332,9 @@ impl Network {
             rule.pnode_inserts += produced;
             for r in results.drain(..) {
                 rule.pnode.push(r);
+            }
+            if produced > 0 {
+                self.conflict.pushed(s.rule_id, &rule.pnode);
             }
             arena::give_results(results);
             if let Some(obs) = &self.obs {
@@ -1299,7 +1359,7 @@ impl Network {
         token: &Token,
         processed: &HashSet<usize>,
         catalog: &Catalog,
-        pending: &HashMap<String, HashSet<u64>>,
+        pending: &Pending,
     ) -> QueryResult<()> {
         let (rule_id, var, kind) = {
             let a = self.alpha(aid);
@@ -1335,6 +1395,7 @@ impl Network {
             let rule = self.rules.get_mut(&rule_id.0).expect("rule exists");
             rule.pnode.push(vec![seed]);
             rule.pnode_inserts += 1;
+            self.conflict.pushed(rule_id, &rule.pnode);
             if let Some(obs) = &self.obs {
                 obs.with_rule(rule_id, |r| {
                     r.pnode_inserts += 1;
@@ -1372,6 +1433,9 @@ impl Network {
         rule.pnode_inserts += produced;
         for r in results.drain(..) {
             rule.pnode.push(r);
+        }
+        if produced > 0 {
+            self.conflict.pushed(rule_id, &rule.pnode);
         }
         arena::give_results(results);
         if let Some(obs) = &self.obs {
@@ -1621,7 +1685,7 @@ impl Network {
                         // once this node is in ProcessedMemories
                         let own_ok = processed.contains(&alpha_idx);
                         Box::new(move |tid: &Tid| {
-                            !pend.is_some_and(|p| p.contains(&tid.0))
+                            !pend.is_some_and(|p| p.contains_key(&tid.0))
                                 && (alpha.rel != token.rel || *tid != token.tid || own_ok)
                         })
                     }
@@ -1636,7 +1700,7 @@ impl Network {
                             .is_some_and(|p| p <= pos);
                         let ti = *ti;
                         Box::new(move |tid: &Tid| {
-                            if pend.is_some_and(|p| p.contains(&tid.0)) {
+                            if pend.is_some_and(|p| p.contains_key(&tid.0)) {
                                 return false;
                             }
                             match run_tids.and_then(|m| m.get(&tid.0)) {
@@ -1960,23 +2024,41 @@ impl Network {
         }
     }
 
+    /// TREAT's cheap delete path (§4.2): drop the TID from the α-memories
+    /// that hold it and retract the P-node rows binding it — found by
+    /// stabbing the selection network with the value the token carries,
+    /// exactly as a `+` token finds the nodes it enters.
+    ///
+    /// Why the stab finds every node that matters. A `−` / `Δ−` / bare `−`
+    /// token carries the value being removed: the tuple's value as of the
+    /// previous token for that TID (`ariel::delta`). An α-entry under a TID
+    /// was put there by a positive token (or by priming) carrying that same
+    /// value, and only into a node the stab for that value returned; a
+    /// P-node row binding the TID at variable `v` took its value from the
+    /// token, from such an entry, or from a virtual node's scan — which
+    /// applies the node's full predicate, anchor included, and (pending
+    /// set) never serves a tuple that a later token of the batch is still
+    /// going to change. So wherever the TID is held, the held value equals
+    /// the token's value and passed that node's anchor. Anchors are
+    /// intervals over the *current* value only (`previous` never anchors, a
+    /// null never passes one), and nodes without an anchor — including
+    /// unsatisfiable ones — are candidates for every token.
     fn process_negative(
         &mut self,
         token: &Token,
         catalog: &Catalog,
-        pending: &HashMap<String, HashSet<u64>>,
+        pending: &Pending,
     ) -> QueryResult<()> {
-        // TREAT's cheap delete path: drop the TID from every α-memory on
-        // the relation and retract P-node rows binding it (§4.2).
-        let alpha_ids: Vec<AlphaId> = self.selnet.alphas_on(&token.rel).to_vec();
-        for aid in alpha_ids {
+        let mut candidates = self.stab(token);
+        for &aid in &candidates {
             let (rule_id, var) = {
                 let a = self.alpha_mut(aid);
                 a.remove(token.tid);
                 (a.rule, a.var)
             };
-            if let Some(rule) = self.rules.get_mut(&rule_id.0) {
-                rule.pnode.retract(var, token.tid);
+            let rule = self.rules.get_mut(&rule_id.0).expect("rule exists");
+            if rule.pnode.retract(var, token.tid) > 0 {
+                self.conflict.sync(rule_id, &rule.pnode);
             }
         }
         // ON DELETE conditions: the dying tuple *matches* them (§4.3.1,
@@ -1984,28 +2066,16 @@ impl Network {
         // conditions"). The tuple is bound with no TID — it no longer
         // exists, so primed commands can never address it.
         if token.kind == TokenKind::Minus && token.event == Some(EventSpecifier::Delete) {
-            let probe_start = self.obs.as_ref().map(|_| Instant::now());
-            let mut matched = arena::take_candidates();
-            self.selnet
-                .candidates_into(&token.rel, &token.tuple, &mut matched);
-            if let Some(obs) = &self.obs {
-                if let Some(t0) = probe_start {
-                    obs.selnet_probe.record(t0.elapsed().as_nanos() as u64);
-                }
-                obs.selnet_candidates
-                    .set(obs.selnet_candidates.get() + matched.len() as u64);
-            }
-            matched.retain(|aid| {
+            candidates.retain(|aid| {
                 self.alpha_test(*aid, token, |a| {
                     a.kind.is_on()
                         && a.event == Some(EventReq::Delete)
                         && a.pred_matches(&token.tuple, None)
                 })
             });
-            matched.sort_by_key(|a| a.0);
-            matched.dedup();
+            candidates.sort_by_key(|a| a.0);
             let mut processed = HashSet::new();
-            for &aid in &matched {
+            for &aid in &candidates {
                 processed.insert(aid.0);
                 self.insert_and_propagate(
                     aid,
@@ -2020,8 +2090,8 @@ impl Network {
                     pending,
                 )?;
             }
-            arena::give_candidates(matched);
         }
+        arena::give_candidates(candidates);
         Ok(())
     }
 
@@ -2030,15 +2100,16 @@ impl Network {
     /// matching data and the condition should be broken", §4.3.2). The
     /// engine calls this when a recognize-act cycle reaches quiescence.
     pub fn flush_transition_state(&mut self) {
-        for a in self.alphas.iter_mut().flatten() {
-            if a.kind.is_dynamic() {
+        for aid in &self.dynamic_alphas {
+            let a = self.alphas[aid.0].as_mut().expect("live alpha");
+            if !a.is_empty() {
                 a.flush();
             }
         }
-        for rule in self.rules.values_mut() {
-            if rule.n_dynamic > 0 {
-                rule.pnode.clear();
-            }
+        for id in &self.dynamic_rules {
+            let rule = self.rules.get_mut(&id.0).expect("rule exists");
+            rule.pnode.clear();
+            self.conflict.sync(*id, &rule.pnode);
         }
     }
 
@@ -2047,12 +2118,13 @@ impl Network {
         self.rules.get(&id.0).map(|r| &r.pnode)
     }
 
-    /// Drain a rule's P-node (consumed instantiations at rule firing).
-    pub fn drain_pnode(&mut self, id: RuleId) -> Vec<Vec<BoundVar>> {
-        self.rules
-            .get_mut(&id.0)
-            .map(|r| r.pnode.drain())
-            .unwrap_or_default()
+    /// Drain a rule's P-node (consumed instantiations at rule firing) into
+    /// a P-node of the same columns. `None` for unknown rules.
+    pub fn drain_pnode(&mut self, id: RuleId) -> Option<Pnode> {
+        let rule = self.rules.get_mut(&id.0)?;
+        let drained = rule.pnode.take();
+        self.conflict.sync(id, &rule.pnode);
+        Some(drained)
     }
 
     /// Replace a rule's P-node rows wholesale (crash recovery: priming
@@ -2066,16 +2138,21 @@ impl Network {
             for row in rows {
                 r.pnode.push(row);
             }
+            // restored history, not a transition's gain: no `gained` entry
+            self.conflict.sync(id, &r.pnode);
         }
     }
 
-    /// Rules whose P-node is non-empty, ascending by id.
+    /// Rules whose P-node is non-empty, ascending by id — read off the
+    /// maintained conflict set, `O(matched)`.
     pub fn rules_with_matches(&self) -> Vec<RuleId> {
-        self.rules
-            .iter()
-            .filter(|(_, r)| !r.pnode.is_empty())
-            .map(|(id, _)| RuleId(*id))
-            .collect()
+        self.conflict.rules()
+    }
+
+    /// Hand `f` every rule that gained an instantiation since the last
+    /// call (the engine stamps conflict-resolution recency from this).
+    pub fn drain_gained(&mut self, f: impl FnMut(RuleId)) {
+        self.conflict.drain_gained(f)
     }
 
     /// Memory statistics for one rule.
@@ -2886,7 +2963,7 @@ mod tests {
             net.rules_with_matches(),
             vec![RuleId(1), RuleId(2), RuleId(3)]
         );
-        let drained = net.drain_pnode(RuleId(2));
+        let drained = net.drain_pnode(RuleId(2)).unwrap();
         assert_eq!(drained.len(), 1);
         assert_eq!(net.rules_with_matches(), vec![RuleId(1), RuleId(3)]);
     }

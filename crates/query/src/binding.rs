@@ -8,6 +8,7 @@
 
 use ariel_storage::{SchemaRef, Tid, Tuple};
 use std::fmt;
+use std::sync::Arc;
 
 /// One tuple variable bound to a concrete tuple.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,9 +101,12 @@ pub struct PnodeCol {
 }
 
 /// The P-node: matched variable bindings awaiting rule execution.
+///
+/// The column descriptors are shared: a firing [`Pnode::take`]s the rows
+/// into a P-node of the same shape without rebuilding names or schemas.
 #[derive(Debug, Clone, Default)]
 pub struct Pnode {
-    cols: Vec<PnodeCol>,
+    cols: Arc<[PnodeCol]>,
     rows: Vec<Vec<BoundVar>>,
 }
 
@@ -110,7 +114,7 @@ impl Pnode {
     /// New empty P-node with the given columns.
     pub fn new(cols: Vec<PnodeCol>) -> Self {
         Pnode {
-            cols,
+            cols: cols.into(),
             rows: Vec::new(),
         }
     }
@@ -155,9 +159,14 @@ impl Pnode {
         before - self.rows.len()
     }
 
-    /// Drain all instantiations (consumed by a rule firing).
-    pub fn drain(&mut self) -> Vec<Vec<BoundVar>> {
-        std::mem::take(&mut self.rows)
+    /// Move all instantiations (consumed by a rule firing) into a new
+    /// P-node over the same shared columns, leaving this one empty — what
+    /// the firing hands to its action.
+    pub fn take(&mut self) -> Pnode {
+        Pnode {
+            cols: Arc::clone(&self.cols),
+            rows: std::mem::take(&mut self.rows),
+        }
     }
 
     /// Remove all instantiations without returning them.
@@ -239,7 +248,7 @@ mod tests {
     }
 
     #[test]
-    fn drain_consumes() {
+    fn take_consumes() {
         let mut p = Pnode::new(vec![PnodeCol {
             var: "a".into(),
             rel: "ra".into(),
@@ -247,8 +256,9 @@ mod tests {
             has_prev: false,
         }]);
         p.push(vec![bv(1, 1)]);
-        let rows = p.drain();
-        assert_eq!(rows.len(), 1);
+        let taken = p.take();
+        assert_eq!(taken.rows(), &[vec![bv(1, 1)]]);
+        assert_eq!(taken.col_of("a"), Some(0), "same columns");
         assert!(p.is_empty());
     }
 

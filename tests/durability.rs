@@ -485,6 +485,31 @@ fn rule_ids_and_gaps_survive_recovery() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Snapshot format v2 carries per-rule recency and nothing else of the
+/// conflict-resolution bookkeeping; an image in the old format (v1, which
+/// also held a "previous P-node size" map) is refused with the typed
+/// version error instead of being misread.
+#[test]
+fn old_snapshot_version_is_refused() {
+    let dir = scratch("snapshot-version");
+    let mut db = Ariel::new();
+    db.execute("create emp (id = int)").unwrap();
+    db.checkpoint(&dir).unwrap();
+    drop(db);
+    let path = dir.join("snapshot.bin");
+    let mut image = std::fs::read(&path).unwrap();
+    assert_eq!(&image[..4], b"ARSN");
+    assert_eq!(image[4..8], 2u32.to_be_bytes(), "current format is v2");
+    image[4..8].copy_from_slice(&1u32.to_be_bytes());
+    std::fs::write(&path, &image).unwrap();
+    let err = Ariel::recover(&dir, EngineOptions::default()).unwrap_err();
+    assert!(
+        err.to_string().contains("unsupported snapshot version 1"),
+        "{err}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ----- satellite regressions -------------------------------------------------
 
 /// Satellite (PR 10): string literals holding quotes, backslashes and

@@ -100,10 +100,13 @@ fn apply_stream(db: &mut Ariel, seed: u64, steps: usize) {
 
 type Rows = Vec<Vec<Value>>;
 
-fn snapshot(db: &mut Ariel, rel: &str) -> Rows {
-    let mut rows = db.query(&format!("retrieve ({rel}.all)")).unwrap().rows;
+fn sorted(mut rows: Rows) -> Rows {
     rows.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
     rows
+}
+
+fn snapshot(db: &mut Ariel, rel: &str) -> Rows {
+    sorted(db.query(&format!("retrieve ({rel}.all)")).unwrap().rows)
 }
 
 #[test]
@@ -767,6 +770,149 @@ fn long_stream_with_two_seeds() {
             snapshot(&mut a, "emp"),
             snapshot(&mut b, "emp"),
             "seed {seed}"
+        );
+    }
+}
+
+/// Engine for the `−`-routing scenarios: two disjoint salary bands, an
+/// unanchored `!=` selection inside a join, and — A-TREAT only, the Rete
+/// baseline rejects them — an ON DELETE rule and a `previous` condition on
+/// the same relation.
+fn build_minus_routing(policy: VirtualPolicy, rete: Option<ReteMode>) -> Ariel {
+    let mut db = Ariel::with_options(EngineOptions {
+        virtual_policy: policy,
+        rete_mode: rete,
+        ..Default::default()
+    });
+    db.execute(
+        "create emp (id = int, sal = int, dno = int); \
+         create dept (dno = int, floor = int); \
+         create audit (id = int, kind = int)",
+    )
+    .unwrap();
+    let mut rules = vec![
+        "define rule band_lo if emp.sal > 0 and emp.sal <= 100 \
+         then append to audit(id = emp.id, kind = 1)",
+        "define rule band_hi if emp.sal > 1000 and emp.sal <= 2000 \
+         then append to audit(id = emp.id, kind = 2)",
+        "define rule not50 if emp.sal != 50 and emp.dno = dept.dno \
+         then append to audit(id = emp.id, kind = 3)",
+    ];
+    if rete.is_none() {
+        rules.push("define rule gone on delete emp then append to audit(id = emp.id, kind = 4)");
+        rules.push(
+            "define rule doubled if emp.sal > 2 * previous emp.sal \
+             then append to audit(id = emp.id, kind = 5)",
+        );
+    }
+    for rule in rules {
+        db.execute(rule).unwrap();
+    }
+    db
+}
+
+/// `−` tokens find what they retract by stabbing the selection network
+/// with the value they carry. Each block below leaves matches standing
+/// between its commands (rules fire at the block's end), so a `−` token
+/// that missed a memory or a P-node row would fire a rule that must not
+/// fire. The expected audit rows are worked out by hand, per block.
+#[test]
+fn minus_routing_scenarios_have_exact_outcomes() {
+    // (script, audit rows it adds on every backend, rows it adds where the
+    // event and transition rules exist)
+    type Step = (&'static str, &'static [(i64, i64)], &'static [(i64, i64)]);
+    let steps: &[Step] = &[
+        ("append dept (dno = 1, floor = 1)", &[], &[]),
+        // i m: the replace moves the tuple from band_lo to the disjoint
+        // band_hi; the − carrying 50 retracts band_lo's standing match
+        (
+            "do append emp (id = 1, sal = 50, dno = 1) \
+                replace emp (sal = 1500) where emp.id = 1 end",
+            &[(1, 2), (1, 3)],
+            &[],
+        ),
+        // i m into the value `!=` excludes: the unanchored node is a
+        // candidate of every token and gives its match back
+        (
+            "do append emp (id = 2, sal = 70, dno = 1) \
+                replace emp (sal = 50) where emp.id = 2 end",
+            &[(2, 1)],
+            &[],
+        ),
+        // i m d: nets to nothing, not even a delete event
+        (
+            "do append emp (id = 3, sal = 80, dno = 1) \
+                replace emp (sal = 1200) where emp.id = 3 \
+                delete emp where emp.id = 3 end",
+            &[],
+            &[],
+        ),
+        // m m d on a pre-existing tuple: every Δ+ match (both bands, `!=`,
+        // the doubling) is taken back by the Δ− that follows; only the
+        // delete event survives
+        (
+            "do replace emp (sal = 90) where emp.id = 2 \
+                replace emp (sal = 1100) where emp.id = 2 \
+                delete emp where emp.id = 2 end",
+            &[],
+            &[(2, 4)],
+        ),
+        // m m: the first replace more than doubles the salary, the second
+        // does not — the `previous` condition (never anchored) lets go
+        (
+            "do replace emp (sal = 4000) where emp.id = 1 \
+                replace emp (sal = 1600) where emp.id = 1 end",
+            &[(1, 2), (1, 3)],
+            &[],
+        ),
+        // a null in the anchored attribute: the − token stabs no band
+        (
+            "do append emp (id = 4, dno = 1) \
+                replace emp (sal = 60) where emp.id = 4 end",
+            &[(4, 1), (4, 3)],
+            &[],
+        ),
+        // an ON DELETE rule beside the pattern rules on emp
+        ("delete emp where emp.id = 4", &[], &[(4, 4)]),
+        (
+            "do append emp (id = 5, sal = 1500, dno = 1) \
+                delete emp where emp.id = 1 end",
+            &[(5, 2), (5, 3)],
+            &[(1, 4)],
+        ),
+        // and the transition rule does fire when the doubling stands
+        (
+            "replace emp (sal = 4000) where emp.id = 5",
+            &[(5, 3)],
+            &[(5, 5)],
+        ),
+    ];
+    let backends = [
+        (VirtualPolicy::AllStored, None),
+        (VirtualPolicy::AllVirtual, None),
+        (VirtualPolicy::AllStored, Some(ReteMode::Indexed)),
+        (VirtualPolicy::AllStored, Some(ReteMode::Nested)),
+        (VirtualPolicy::AllVirtual, Some(ReteMode::Indexed)),
+    ];
+    for (policy, rete) in backends {
+        let mut db = build_minus_routing(policy.clone(), rete);
+        let mut want: Rows = Vec::new();
+        for (script, always, with_events) in steps {
+            db.execute(script).unwrap();
+            let events: &[(i64, i64)] = if rete.is_none() { with_events } else { &[] };
+            for (id, kind) in always.iter().chain(events) {
+                want.push(vec![Value::Int(*id), Value::Int(*kind)]);
+            }
+            assert_eq!(
+                snapshot(&mut db, "audit"),
+                sorted(want.clone()),
+                "after `{script}` under {policy:?}/{rete:?}"
+            );
+        }
+        assert_eq!(
+            db.network_stats().pnode_rows,
+            0,
+            "quiescent: {policy:?}/{rete:?}"
         );
     }
 }

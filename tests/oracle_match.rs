@@ -2,15 +2,24 @@
 //! after ANY sequence of inserts, deletes and updates, a pattern rule's
 //! P-node must hold exactly the rows a from-scratch evaluation of its
 //! condition produces (incremental match ≡ recompute). Checked for every
-//! virtual-memory policy and for the Rete baseline.
+//! virtual-memory policy and for both Rete join modes.
+//!
+//! `−` tokens are routed by stabbing the selection network with the value
+//! they carry, so the rule set and the streams lean on what that routing
+//! has to get right: unanchored predicates (`!=`), nulls in an anchored
+//! attribute, replaces that move a tuple between disjoint bands, and
+//! several touches of one tuple inside one batch. Every batch also runs
+//! the networks' debug check that the maintained conflict set equals a
+//! scan of the P-nodes.
 
-use ariel::network::{Network, ReteNetwork, RuleId, Token, VirtualPolicy};
+use ariel::network::{Network, ReteMode, ReteNetwork, RuleId, Token, VirtualPolicy};
 use ariel::query::Change;
 use ariel::query::{parse_expr, ExecCtx, Optimizer, Pnode, ResolvedCondition, Resolver};
 use ariel::storage::{AttrType, Catalog, Schema, Tid, Value};
 use ariel::DeltaTracker;
 use proptest::prelude::*;
 
+/// `a` is the attribute every rule anchors on; `NULL_A` stands for Null.
 #[derive(Debug, Clone)]
 enum Op {
     Insert { rel: u8, a: i64, b: i64 },
@@ -18,11 +27,23 @@ enum Op {
     Update { pick: usize, a: i64 },
 }
 
+/// Drawn about one time in ten: the first attribute is left Null.
+const NULL_A: i64 = -1;
+
+fn a_value(a: i64) -> Value {
+    if a == NULL_A {
+        Value::Null
+    } else {
+        Value::Int(a)
+    }
+}
+
 fn op_strategy() -> impl Strategy<Value = Op> {
+    let a = || prop_oneof![9 => 0i64..20, 1 => Just(NULL_A)];
     prop_oneof![
-        4 => (0u8..2, 0i64..20, 0i64..6).prop_map(|(rel, a, b)| Op::Insert { rel, a, b }),
+        4 => (0u8..2, a(), 0i64..6).prop_map(|(rel, a, b)| Op::Insert { rel, a, b }),
         2 => (0usize..64).prop_map(|pick| Op::Delete { pick }),
-        2 => (0usize..64, 0i64..20).prop_map(|(pick, a)| Op::Update { pick, a }),
+        2 => (0usize..64, a()).prop_map(|(pick, a)| Op::Update { pick, a }),
     ]
 }
 
@@ -60,6 +81,12 @@ fn conditions(cat: &Catalog) -> Vec<ResolvedCondition> {
         make("r1.a > 3 and r1.b = r2.b and r2.c < 4", &[]),
         make("x.b = y.b and x.a < y.a", &[("x", "r1"), ("y", "r1")]),
         make("r1.a > 1 and r1.a <= 15 and r1.b = r2.b", &[]),
+        // unanchored selections: candidates for every token on r1
+        make("r1.a != 5", &[]),
+        make("r1.a != 7 and r1.b = r2.b", &[]),
+        // disjoint bands: an update moves a tuple out of one, into the other
+        make("r1.a > 0 and r1.a <= 5 and r1.b = r2.b", &[]),
+        make("r1.a > 10 and r1.a <= 15", &[]),
     ]
 }
 
@@ -104,7 +131,7 @@ fn apply(cat: &Catalog, live: &mut Vec<(String, Tid)>, op: &Op) -> Option<Change
             let r = cat.get(name).unwrap();
             let tid = r
                 .borrow_mut()
-                .insert(vec![Value::Int(*a), Value::Int(*b)])
+                .insert(vec![a_value(*a), Value::Int(*b)])
                 .unwrap();
             let t = r.borrow().get(tid).cloned().unwrap();
             live.push((name.to_string(), tid));
@@ -134,7 +161,7 @@ fn apply(cat: &Catalog, live: &mut Vec<(String, Tid)>, op: &Op) -> Option<Change
             let (name, tid) = live[pick % live.len()].clone();
             let r = cat.get(&name).unwrap();
             let old = r.borrow().get(tid).cloned().unwrap();
-            let new_vals = vec![Value::Int(*a), old.get(1).clone()];
+            let new_vals = vec![a_value(*a), old.get(1).clone()];
             let old = r.borrow_mut().update(tid, new_vals).unwrap();
             let new = r.borrow().get(tid).cloned().unwrap();
             Some(Change::Updated {
@@ -152,34 +179,107 @@ fn apply(cat: &Catalog, live: &mut Vec<(String, Tid)>, op: &Op) -> Option<Change
 #[derive(Debug, Clone)]
 enum Config {
     Treat(VirtualPolicy),
-    Rete(VirtualPolicy),
+    Rete(VirtualPolicy, ReteMode),
+}
+
+/// Every backend family the engine can run on.
+fn all_configs() -> Vec<Config> {
+    vec![
+        Config::Treat(VirtualPolicy::AllStored),
+        Config::Treat(VirtualPolicy::AllVirtual),
+        Config::Rete(VirtualPolicy::AllStored, ReteMode::Indexed),
+        Config::Rete(VirtualPolicy::AllStored, ReteMode::Nested),
+        Config::Rete(VirtualPolicy::AllVirtual, ReteMode::Indexed),
+    ]
+}
+
+enum Net {
+    Treat(Box<Network>),
+    Rete(Box<ReteNetwork>),
+}
+
+impl Net {
+    /// Compile and prime `conds` as rules `0..` on the configured backend.
+    fn build(config: &Config, conds: &[ResolvedCondition], cat: &Catalog) -> Net {
+        match config {
+            Config::Treat(p) => {
+                let mut n = Network::new();
+                for (i, c) in conds.iter().enumerate() {
+                    n.add_rule(RuleId(i as u64), c, p, cat).unwrap();
+                    n.prime(RuleId(i as u64), cat).unwrap();
+                }
+                Net::Treat(Box::new(n))
+            }
+            Config::Rete(p, mode) => {
+                let mut n = ReteNetwork::with_policy(p.clone());
+                n.set_mode(*mode);
+                for (i, c) in conds.iter().enumerate() {
+                    n.add_rule(RuleId(i as u64), c, cat).unwrap();
+                    n.prime(RuleId(i as u64), cat).unwrap();
+                }
+                Net::Rete(Box::new(n))
+            }
+        }
+    }
+
+    fn process_batch(&mut self, tokens: &[Token], cat: &Catalog) {
+        match self {
+            Net::Treat(n) => n.process_batch(tokens, cat).unwrap(),
+            Net::Rete(n) => n.process_batch(tokens, cat).unwrap(),
+        }
+    }
+
+    fn pnode(&self, rule: usize) -> &Pnode {
+        match self {
+            Net::Treat(n) => n.pnode(RuleId(rule as u64)).unwrap(),
+            Net::Rete(n) => n.pnode(RuleId(rule as u64)).unwrap(),
+        }
+    }
+
+    fn rules_with_matches(&self) -> Vec<RuleId> {
+        match self {
+            Net::Treat(n) => n.rules_with_matches(),
+            Net::Rete(n) => n.rules_with_matches(),
+        }
+    }
+
+    /// Every P-node equals a from-scratch evaluation of its condition, and
+    /// the conflict set names exactly the non-empty ones.
+    fn check(
+        &self,
+        conds: &[ResolvedCondition],
+        cat: &Catalog,
+        at: &dyn std::fmt::Debug,
+    ) -> Result<(), TestCaseError> {
+        let mut nonempty = Vec::new();
+        for (i, cond) in conds.iter().enumerate() {
+            let got = pnode_tids(self.pnode(i));
+            let want = oracle(cat, cond);
+            prop_assert_eq!(
+                &got,
+                &want,
+                "rule {} diverged from recompute at {:?}",
+                i,
+                at
+            );
+            if !want.is_empty() {
+                nonempty.push(RuleId(i as u64));
+            }
+        }
+        prop_assert_eq!(
+            self.rules_with_matches(),
+            nonempty,
+            "conflict set at {:?}",
+            at
+        );
+        Ok(())
+    }
 }
 
 fn run_stream(config: Config, ops: &[Op]) -> Result<(), TestCaseError> {
     let cat = catalog();
     let conds = conditions(&cat);
-    enum Net {
-        Treat(Box<Network>),
-        Rete(Box<ReteNetwork>),
-    }
-    let mut net = match &config {
-        Config::Treat(p) => {
-            let mut n = Network::new();
-            for (i, c) in conds.iter().enumerate() {
-                n.add_rule(RuleId(i as u64), c, p, &cat).unwrap();
-                n.prime(RuleId(i as u64), &cat).unwrap();
-            }
-            Net::Treat(Box::new(n))
-        }
-        Config::Rete(p) => {
-            let mut n = ReteNetwork::with_policy(p.clone());
-            for (i, c) in conds.iter().enumerate() {
-                n.add_rule(RuleId(i as u64), c, &cat).unwrap();
-                n.prime(RuleId(i as u64), &cat).unwrap();
-            }
-            Net::Rete(Box::new(n))
-        }
-    };
+    let mut net = Net::build(&config, &conds, &cat);
     let mut live: Vec<(String, Tid)> = Vec::new();
     let mut delta = DeltaTracker::new();
     for (step, op) in ops.iter().enumerate() {
@@ -188,27 +288,31 @@ fn run_stream(config: Config, ops: &[Op]) -> Result<(), TestCaseError> {
         let Some(change) = apply(&cat, &mut live, op) else {
             continue;
         };
-        let tokens: Vec<Token> = delta.tokens_for(&change);
-        match &mut net {
-            Net::Treat(n) => n.process_batch(&tokens, &cat).unwrap(),
-            Net::Rete(n) => n.process_batch(&tokens, &cat).unwrap(),
+        net.process_batch(&delta.tokens_for(&change), &cat);
+        net.check(&conds, &cat, &(step, op, &config))?;
+    }
+    Ok(())
+}
+
+/// Several ops inside one transition, every token in one batch — the
+/// shape of a rule action's changes: the relations are already at their
+/// end-of-batch state while the tokens of earlier ops are processed.
+fn run_chunked(config: Config, ops: &[Op], chunk: usize) -> Result<(), TestCaseError> {
+    let cat = catalog();
+    let conds = conditions(&cat);
+    let mut net = Net::build(&config, &conds, &cat);
+    let mut live: Vec<(String, Tid)> = Vec::new();
+    let mut delta = DeltaTracker::new();
+    for (t, ops_chunk) in ops.chunks(chunk).enumerate() {
+        delta.reset();
+        let mut tokens = Vec::new();
+        for op in ops_chunk {
+            if let Some(change) = apply(&cat, &mut live, op) {
+                tokens.extend(delta.tokens_for(&change));
+            }
         }
-        for (i, cond) in conds.iter().enumerate() {
-            let got = match &net {
-                Net::Treat(n) => pnode_tids(n.pnode(RuleId(i as u64)).unwrap()),
-                Net::Rete(n) => pnode_tids(n.pnode(RuleId(i as u64)).unwrap()),
-            };
-            let want = oracle(&cat, cond);
-            prop_assert_eq!(
-                &got,
-                &want,
-                "rule {} diverged from recompute at step {} ({:?}, config {:?})",
-                i,
-                step,
-                op,
-                config
-            );
-        }
+        net.process_batch(&tokens, &cat);
+        net.check(&conds, &cat, &(t, ops_chunk, &config))?;
     }
     Ok(())
 }
@@ -233,16 +337,23 @@ proptest! {
 
     #[test]
     fn rete_matches_oracle(ops in proptest::collection::vec(op_strategy(), 1..40)) {
-        run_stream(Config::Rete(VirtualPolicy::AllStored), &ops)?;
+        run_stream(Config::Rete(VirtualPolicy::AllStored, ReteMode::Indexed), &ops)?;
+    }
+
+    #[test]
+    fn rete_nested_matches_oracle(ops in proptest::collection::vec(op_strategy(), 1..40)) {
+        run_stream(Config::Rete(VirtualPolicy::AllStored, ReteMode::Nested), &ops)?;
     }
 
     #[test]
     fn rete_all_virtual_matches_oracle(ops in proptest::collection::vec(op_strategy(), 1..40)) {
-        run_stream(Config::Rete(VirtualPolicy::AllVirtual), &ops)?;
+        run_stream(Config::Rete(VirtualPolicy::AllVirtual, ReteMode::Indexed), &ops)?;
     }
 }
 
-// Δ-token path as well: several updates inside one transition (no reset).
+// Δ-token path as well: several updates inside one transition (no reset),
+// on every backend — a tuple touched twice in one batch is where a virtual
+// memory could serve a value no token has announced yet.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -251,30 +362,134 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..30),
         chunk in 2usize..5,
     ) {
+        for config in all_configs() {
+            run_chunked(config, &ops, chunk)?;
+        }
+    }
+}
+
+/// The token shapes `−` routing must get right, spelled out: each line is
+/// one batch; the recompute oracle and the conflict-set check run after
+/// every batch, on every backend.
+#[test]
+fn minus_routing_corner_cases_match_oracle() {
+    let ins = |a, b| Op::Insert { rel: 0, a, b };
+    // r2 is (b, c): the op's first value lands in the join attribute
+    let dept = |b| Op::Insert { rel: 1, a: b, b: 2 };
+    let upd = |pick, a| Op::Update { pick, a };
+    let del = |pick| Op::Delete { pick };
+    let batches: Vec<Vec<Op>> = vec![
+        vec![dept(1), dept(2)],
+        // a replace that moves a tuple from band (0, 5] to band (10, 15]
+        vec![ins(3, 1)],
+        vec![upd(2, 12)],
+        // … and out of every band, into the `!=` rules only
+        vec![upd(2, 7)],
+        vec![upd(2, 5)],
+        // a null in the anchored attribute: in no anchored node, retracted
+        // from the unanchored ones by a − token that stabs nothing
+        vec![upd(2, NULL_A)],
+        vec![upd(2, 4)],
+        vec![ins(NULL_A, 2)],
+        vec![del(3)],
+        // i m d in one batch: nets to nothing
+        vec![ins(3, 2), upd(3, 13), del(3)],
+        // m m d in one batch: Δ−/Δ+ pairs, then the delete
+        vec![upd(2, 14), upd(2, 2), del(2)],
+        // i m, and m m, left standing
+        vec![ins(4, 1), upd(2, 11)],
+        vec![upd(2, 3), upd(2, 20)],
+        // m, a join partner arriving, m again: while the partner's token is
+        // processed the relation already holds the second value, which no
+        // token has announced — a virtual memory must not serve it, or the
+        // Δ− carrying the first value would not find the row to retract
+        vec![upd(2, 12), dept(1), upd(2, 3)],
+        vec![del(2)],
+    ];
+    for config in all_configs() {
         let cat = catalog();
         let conds = conditions(&cat);
-        let mut net = Network::new();
-        for (i, c) in conds.iter().enumerate() {
-            net.add_rule(RuleId(i as u64), c, &VirtualPolicy::AllStored, &cat).unwrap();
-            net.prime(RuleId(i as u64), &cat).unwrap();
-        }
+        let mut net = Net::build(&config, &conds, &cat);
         let mut live: Vec<(String, Tid)> = Vec::new();
         let mut delta = DeltaTracker::new();
-        for (t, ops_chunk) in ops.chunks(chunk).enumerate() {
-            // one transition = several commands (a do…end block)
+        for (t, batch) in batches.iter().enumerate() {
             delta.reset();
             let mut tokens = Vec::new();
-            for op in ops_chunk {
-                if let Some(change) = apply(&cat, &mut live, op) {
-                    tokens.extend(delta.tokens_for(&change));
-                }
+            for op in batch {
+                let change = apply(&cat, &mut live, op).expect("scripted op applies");
+                tokens.extend(delta.tokens_for(&change));
             }
-            net.process_batch(&tokens, &cat).unwrap();
-            for (i, cond) in conds.iter().enumerate() {
-                let got = pnode_tids(net.pnode(RuleId(i as u64)).unwrap());
-                let want = oracle(&cat, cond);
-                prop_assert_eq!(&got, &want, "rule {} diverged at transition {}", i, t);
-            }
+            net.process_batch(&tokens, &cat);
+            net.check(&conds, &cat, &(t, batch, &config)).unwrap();
         }
+    }
+}
+
+/// The scaling claim for `−` tokens, as counts: one delete costs one
+/// selection-network probe and reaches only the α-nodes whose band holds
+/// the dying value — the same number against 200 rules as against 1 600.
+#[test]
+fn delete_token_work_is_independent_of_rule_count() {
+    // per backend: (probes, candidates, α-tests) one delete token added
+    let measure = |n_rules: usize, config: &Config| -> (u64, u64, u64) {
+        let cat = catalog();
+        let conds: Vec<ResolvedCondition> = (0..n_rules as i64)
+            .map(|i| {
+                // disjoint bands (10i, 10i + 10], each joined to r2
+                let qual = format!(
+                    "r1.a > {} and r1.a <= {} and r1.b = r2.b",
+                    10 * i,
+                    10 * i + 10
+                );
+                Resolver::new(&cat)
+                    .resolve_condition(None, Some(&parse_expr(&qual).unwrap()), &[])
+                    .unwrap()
+            })
+            .collect();
+        let mut net = Net::build(config, &conds, &cat);
+        let mut live = Vec::new();
+        let mut delta = DeltaTracker::new();
+        let stats = |net: &Net| match net {
+            Net::Treat(n) => n.stats(),
+            Net::Rete(n) => n.stats(),
+        };
+        for op in [
+            Op::Insert { rel: 1, a: 1, b: 2 },
+            Op::Insert {
+                rel: 0,
+                a: 55,
+                b: 1,
+            },
+        ] {
+            let change = apply(&cat, &mut live, &op).unwrap();
+            net.process_batch(&delta.tokens_for(&change), &cat);
+            delta.reset();
+        }
+        assert_eq!(net.rules_with_matches(), vec![RuleId(5)]);
+        let before = stats(&net);
+        let change = apply(&cat, &mut live, &Op::Delete { pick: 1 }).unwrap();
+        net.process_batch(&delta.tokens_for(&change), &cat);
+        let after = stats(&net);
+        assert!(net.rules_with_matches().is_empty(), "match retracted");
+        assert_eq!(after.alpha_entries, before.alpha_entries - 1);
+        (
+            after.selnet_probes - before.selnet_probes,
+            after.selnet_candidates - before.selnet_candidates,
+            after.alpha_tests - before.alpha_tests,
+        )
+    };
+    for config in [
+        Config::Treat(VirtualPolicy::AllStored),
+        Config::Rete(VirtualPolicy::AllStored, ReteMode::Indexed),
+        Config::Rete(VirtualPolicy::AllStored, ReteMode::Nested),
+    ] {
+        let small = measure(200, &config);
+        let large = measure(1600, &config);
+        assert_eq!(small, large, "{config:?}");
+        assert_eq!(small.0, 1, "one probe per − token ({config:?})");
+        assert_eq!(
+            small.1, 1,
+            "only the band holding 55 is reached ({config:?})"
+        );
     }
 }

@@ -290,3 +290,34 @@ fn ruleset_activation_toggles_groups() {
     assert!(db.activate_ruleset("audit").unwrap().is_empty());
     assert!(db.activate_ruleset("no_such_set").unwrap().is_empty());
 }
+
+#[test]
+fn recency_is_stamped_when_a_fired_rule_is_rematched_in_the_same_cycle() {
+    // Two equal-priority rules. `a` fires on three rows; its action appends
+    // one tuple that matches `a` again and `b` for the first time, in the
+    // same cascaded transition. Both gained an instantiation at that tick,
+    // so recency ties and the name decides: `a` fires next. (Comparing the
+    // new P-node size against the drained one instead — 1 row after 3 —
+    // left `a` with its old stamp and let `b` win on "recency".)
+    let mut db = db_with_log();
+    db.execute(
+        r#"define rule a if items.x > 0 then do
+             append to log(who = "a", x = items.x)
+             append to items(x = items.x + 497) where items.x = 3
+           end"#,
+    )
+    .unwrap();
+    db.execute(r#"define rule b if items.x > 100 then append to log(who = "b", x = items.x)"#)
+        .unwrap();
+    db.execute("do append items (x = 1) append items (x = 2) append items (x = 3) end")
+        .unwrap();
+    let order: Vec<(String, i64)> = log_entries(&mut db);
+    let firing_order: Vec<&str> = order.iter().map(|(who, _)| who.as_str()).collect();
+    assert_eq!(firing_order, ["a", "a", "a", "a", "b"], "{order:?}");
+    assert_eq!(
+        order[3],
+        ("a".to_string(), 500),
+        "a saw the cascaded row first"
+    );
+    assert_eq!(db.stats().firings, 3);
+}
