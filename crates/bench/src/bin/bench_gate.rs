@@ -8,7 +8,11 @@
 //!   baseline, or
 //! * any workload's `join_candidates` count grew at all — candidate counts
 //!   are deterministic, so *any* growth means an index stopped being used
-//!   (or started serving wider buckets), and
+//!   (or started serving wider buckets),
+//! * any workload's `alpha_bytes` grew more than 5% over the baseline —
+//!   the same rule `bench_gate mem` applies; it pins the α-memory layout
+//!   (stored memories share one join index per relation and attribute
+//!   set), and
 //! * a baseline workload is missing from the fresh run.
 //!
 //! ```text
@@ -301,6 +305,7 @@ struct Row {
     indexed: bool,
     total_ms: f64,
     join_candidates: u64,
+    alpha_bytes: u64,
 }
 
 fn parse_rows(src: &str, label: &str) -> Result<Vec<Row>, String> {
@@ -327,6 +332,7 @@ fn parse_rows(src: &str, label: &str) -> Result<Vec<Row>, String> {
                 indexed: bool_field("indexed")?,
                 total_ms: num_field("total_ms")?,
                 join_candidates: num_field("join_candidates")? as u64,
+                alpha_bytes: num_field("alpha_bytes")? as u64,
             })
         })
         .collect()
@@ -359,6 +365,14 @@ fn check(fresh: &[Row], baseline: &[Row]) -> Vec<String> {
                 base.join_candidates, now.join_candidates
             ));
         }
+        if now.alpha_bytes as f64 > base.alpha_bytes as f64 * ALPHA_BYTES_TOLERANCE {
+            violations.push(format!(
+                "{key}: alpha_bytes regressed {} -> {} (>{:.0}% over baseline)",
+                base.alpha_bytes,
+                now.alpha_bytes,
+                (ALPHA_BYTES_TOLERANCE - 1.0) * 100.0
+            ));
+        }
     }
     violations
 }
@@ -374,8 +388,13 @@ fn bless_diff(fresh: &[Row], baseline: &[Row]) -> Vec<String> {
             .find(|r| r.workload == now.workload && r.indexed == now.indexed)
         {
             Some(old) => lines.push(format!(
-                "  {key}: total_ms {:.3} -> {:.3}, join_candidates {} -> {}",
-                old.total_ms, now.total_ms, old.join_candidates, now.join_candidates
+                "  {key}: total_ms {:.3} -> {:.3}, join_candidates {} -> {}, alpha_bytes {} -> {}",
+                old.total_ms,
+                now.total_ms,
+                old.join_candidates,
+                now.join_candidates,
+                old.alpha_bytes,
+                now.alpha_bytes
             )),
             None => lines.push(format!(
                 "  {key}: new row (total_ms {:.3}, join_candidates {})",
@@ -1439,13 +1458,15 @@ fn main() -> ExitCode {
             .find(|r| r.workload == base.workload && r.indexed == base.indexed)
         {
             println!(
-                "  {:>15}/indexed={:<5} total_ms {:>9.3} -> {:>9.3}  join_candidates {:>9} -> {:>9}",
+                "  {:>15}/indexed={:<5} total_ms {:>9.3} -> {:>9.3}  join_candidates {:>9} -> {:>9}  alpha_bytes {:>9} -> {:>9}",
                 base.workload,
                 base.indexed,
                 base.total_ms,
                 now.total_ms,
                 base.join_candidates,
-                now.join_candidates
+                now.join_candidates,
+                base.alpha_bytes,
+                now.alpha_bytes
             );
         }
     }
@@ -1532,6 +1553,7 @@ mod tests {
             indexed,
             total_ms,
             join_candidates,
+            alpha_bytes: 0,
         }
     }
 
@@ -1539,9 +1561,13 @@ mod tests {
     fn parses_paper_tables_output() {
         let src = r#"[{"workload":"fig12-band","indexed":true,"total_ms":100.267,
             "join_candidates":79650,"index_probes":0,"index_hits":0,
-            "range_probes":10000,"range_hits":9975}]"#;
+            "range_probes":10000,"range_hits":9975,"alpha_bytes":9533400}]"#;
         let rows = parse_rows(src, "test").unwrap();
-        assert_eq!(rows, vec![row("fig12-band", true, 100.267, 79650)]);
+        let want = Row {
+            alpha_bytes: 9533400,
+            ..row("fig12-band", true, 100.267, 79650)
+        };
+        assert_eq!(rows, vec![want]);
         assert!(parse_rows("[", "test").is_err());
         assert!(parse_rows("[{\"workload\":1}]", "test").is_err());
         assert_eq!(parse_rows("[]", "test").unwrap(), vec![]);
@@ -1550,11 +1576,12 @@ mod tests {
     #[test]
     fn string_escapes_are_decoded() {
         let src = r#"[{"workload":"say \"hi\" \\ \/ \n\té done",
-            "indexed":false,"total_ms":1.0,"join_candidates":2}]"#;
+            "indexed":false,"total_ms":1.0,"join_candidates":2,"alpha_bytes":0}]"#;
         let rows = parse_rows(src, "test").unwrap();
         assert_eq!(rows[0].workload, "say \"hi\" \\ / \n\té done");
         // escaped keys decode too
-        let keyed = r#"[{"workload":"w","indexed":true,"total_ms":1.0,"join_candidates":0}]"#;
+        let keyed = r#"[{"workload":"w","indexed":true,"total_ms":1.0,"join_candidates":0,
+            "alpha_bytes":0}]"#;
         assert_eq!(parse_rows(keyed, "test").unwrap()[0].workload, "w");
         // malformed escapes still error
         assert!(parse_rows(
@@ -1946,6 +1973,22 @@ mod tests {
         assert_eq!(violations.len(), 1);
         assert!(violations[0].contains("docs/MISSING.md"), "{violations:?}");
         std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn gate_holds_alpha_bytes_within_five_percent() {
+        let sized = |alpha_bytes: u64| Row {
+            alpha_bytes,
+            ..row("w", true, 10.0, 100)
+        };
+        let base = vec![sized(1000)];
+        // within the band, and shrinking, pass
+        assert!(check(&[sized(1050)], &base).is_empty());
+        assert!(check(&[sized(500)], &base).is_empty());
+        // growth past 5% fails
+        let v = check(&[sized(1051)], &base);
+        assert_eq!(v.len(), 1);
+        assert!(v[0].contains("alpha_bytes regressed 1000 -> 1051"), "{v:?}");
     }
 
     #[test]

@@ -267,7 +267,7 @@ fn run_joins() {
     println!("== JOINS: indexed α-memories vs nested-loop → BENCH_join.json ==");
     println!("(fig10-fig13 workloads, 25 band rules, 400 emp tokens, 200 dim rows)");
     println!(
-        "{:>15} {:>8} | {:>10} {:>16} {:>13} {:>11} {:>12} {:>11}",
+        "{:>15} {:>8} | {:>10} {:>16} {:>13} {:>11} {:>12} {:>11} {:>12}",
         "workload",
         "indexed",
         "total ms",
@@ -275,13 +275,14 @@ fn run_joins() {
         "index probes",
         "index hits",
         "range probes",
-        "range hits"
+        "range hits",
+        "alpha bytes"
     );
     let rows = measure::joins_table(25, 400, 200);
     let mut json = String::from("[");
     for (i, r) in rows.iter().enumerate() {
         println!(
-            "{:>15} {:>8} | {:>10} {:>16} {:>13} {:>11} {:>12} {:>11}",
+            "{:>15} {:>8} | {:>10} {:>16} {:>13} {:>11} {:>12} {:>11} {:>12}",
             r.workload,
             r.indexed,
             ms(r.total),
@@ -289,7 +290,8 @@ fn run_joins() {
             r.index_probes,
             r.index_hits,
             r.range_probes,
-            r.range_hits
+            r.range_hits,
+            r.alpha_bytes
         );
         if i > 0 {
             json.push(',');
@@ -297,7 +299,7 @@ fn run_joins() {
         json.push_str(&format!(
             "{{\"workload\":\"{}\",\"indexed\":{},\"total_ms\":{:.3},\
              \"join_candidates\":{},\"index_probes\":{},\"index_hits\":{},\
-             \"range_probes\":{},\"range_hits\":{}}}",
+             \"range_probes\":{},\"range_hits\":{},\"alpha_bytes\":{}}}",
             r.workload,
             r.indexed,
             r.total.as_secs_f64() * 1e3,
@@ -305,7 +307,8 @@ fn run_joins() {
             r.index_probes,
             r.index_hits,
             r.range_probes,
-            r.range_hits
+            r.range_hits,
+            r.alpha_bytes
         ));
     }
     json.push(']');

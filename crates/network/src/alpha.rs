@@ -16,10 +16,11 @@
 
 use crate::key::{KeyBuilder, SmallKey};
 use crate::pred::SelectionPredicate;
+use crate::store::StoreSlot;
 use crate::token::{EventSpecifier, TokenKind};
 use ariel_islist::{Counter, Interval, IntervalId, IntervalSkipList};
 use ariel_query::{eval_pred, SingleEnv};
-use ariel_storage::{FxBuildHasher, Tid, Tuple, Value};
+use ariel_storage::{FxHashMap, Tid, Tuple, Value};
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Bound;
@@ -206,24 +207,124 @@ impl AlphaCounters {
     }
 }
 
-/// One hash join index over an α-memory: composite equi-join key (one
-/// component per registered attribute, in registration order, packed as a
-/// [`SmallKey`]) → keys of the node's entry map (ON DELETE entries have no
-/// TID but are still keyed by the dying token's TID, so buckets hold the
-/// map key, not `AlphaEntry::tid`). A single-attribute index is just the
-/// one-element special case. Keys are flat — building one neither
-/// allocates nor clones string payloads in the common case — and buckets
-/// hash with the Fx fold (trusted internal keys; see `storage::fx`).
+/// One hash join index: composite equi-join key (one component per
+/// registered attribute, in registration order, packed as a [`SmallKey`])
+/// → entry-map keys (ON DELETE entries have no TID but are still keyed by
+/// the dying token's TID, so buckets hold the map key, not
+/// `AlphaEntry::tid`). A single-attribute index is just the one-element
+/// special case. Keys are flat — building one neither allocates nor clones
+/// string payloads in the common case — and buckets hash with the Fx fold
+/// (trusted internal keys; see `storage::fx`). Node-local on dynamic
+/// memories and Rete α-memories; shared per relation by TREAT's stored
+/// memories (see [`crate::store`]).
 #[derive(Debug)]
-struct JoinIndex {
-    attrs: Vec<usize>,
-    buckets: HashMap<SmallKey, Vec<u64>, FxBuildHasher>,
-    /// Entries currently indexed — `entries.len()` minus the entries whose
-    /// key has a Null component. Bucket-size estimates divide by this, not
-    /// by the raw entry count: a null-heavy memory would otherwise look
-    /// like it had huge buckets (the never-indexed entries are unreachable
-    /// through the index, so they cost a probe nothing).
+pub(crate) struct JoinIndex {
+    pub(crate) attrs: Vec<usize>,
+    buckets: FxHashMap<SmallKey, Vec<u64>>,
+    /// Keys currently indexed — the keys added minus those whose tuple has
+    /// a Null component. Bucket-size estimates divide by this, not by the
+    /// raw entry count: a null-heavy memory would otherwise look like it
+    /// had huge buckets (the never-indexed entries are unreachable through
+    /// the index, so they cost a probe nothing).
     indexed: usize,
+}
+
+impl JoinIndex {
+    pub(crate) fn new(attrs: Vec<usize>) -> JoinIndex {
+        JoinIndex {
+            attrs,
+            buckets: FxHashMap::default(),
+            indexed: 0,
+        }
+    }
+
+    /// Pack the composite key of `tuple` under this index's attribute
+    /// tuple, or `None` when a component is Null (`sql_eq` says Null joins
+    /// nothing, so the entry is unreachable through the index anyway).
+    pub(crate) fn key_of(&self, tuple: &Tuple) -> Option<SmallKey> {
+        let mut b = KeyBuilder::new(self.attrs.len());
+        for &attr in &self.attrs {
+            let v = tuple.get(attr);
+            if v.is_null() {
+                return None;
+            }
+            b.push(v);
+        }
+        Some(b.finish())
+    }
+
+    pub(crate) fn add(&mut self, key: u64, tuple: &Tuple) {
+        if let Some(composite) = self.key_of(tuple) {
+            self.buckets.entry(composite).or_default().push(key);
+            self.indexed += 1;
+        }
+    }
+
+    pub(crate) fn remove(&mut self, key: u64, tuple: &Tuple) {
+        let Some(composite) = self.key_of(tuple) else {
+            return;
+        };
+        if let Some(bucket) = self.buckets.get_mut(&composite) {
+            if let Some(pos) = bucket.iter().position(|k| *k == key) {
+                bucket.remove(pos);
+                self.indexed -= 1;
+            }
+            if bucket.is_empty() {
+                self.buckets.remove(&composite);
+            }
+        }
+    }
+
+    /// The entry-map keys filed under the composite `key`; empty for a
+    /// key with a Null component.
+    pub(crate) fn bucket(&self, key: &SmallKey) -> &[u64] {
+        if key.has_null() {
+            return &[];
+        }
+        self.buckets.get(key).map_or(&[], Vec::as_slice)
+    }
+
+    /// Distinct keys and keys indexed under them.
+    pub(crate) fn shape(&self) -> (usize, usize) {
+        (self.buckets.len(), self.indexed)
+    }
+
+    /// Indexed keys ÷ distinct keys, rounded up; 0 when empty.
+    fn expected_bucket_size(&self) -> usize {
+        let (distinct, indexed) = self.shape();
+        if distinct == 0 {
+            0
+        } else {
+            indexed.div_ceil(distinct)
+        }
+    }
+
+    /// Every `(composite key, bucket)` pair (invariant checks).
+    pub(crate) fn buckets(&self) -> impl Iterator<Item = (&SmallKey, &[u64])> {
+        self.buckets.iter().map(|(k, v)| (k, v.as_slice()))
+    }
+
+    fn clear(&mut self) {
+        self.buckets.clear();
+        self.indexed = 0;
+    }
+
+    /// Approximate heap footprint: each bucket is charged the *inline*
+    /// size of its [`SmallKey`] plus any boxed spill (`SmallKey::heap_bytes`
+    /// — zero on the packed path, which is where the flat-key layout saves
+    /// its bytes), and each key list is charged its *capacity*, not its
+    /// length — `Vec` growth doubles, and the slack is real memory.
+    pub(crate) fn bytes(&self) -> usize {
+        self.buckets
+            .iter()
+            .map(|(k, v)| {
+                std::mem::size_of::<SmallKey>()
+                    + k.heap_bytes()
+                    + std::mem::size_of::<Vec<u64>>()
+                    + v.capacity() * std::mem::size_of::<u64>()
+            })
+            .sum()
+    }
 }
 
 /// Shape of a band-join access path over a stored memory: each entry spans
@@ -298,12 +399,18 @@ pub struct AlphaNode {
     pub event: Option<EventReq>,
     /// Always-on activity counters.
     pub counters: AlphaCounters,
-    entries: HashMap<u64, AlphaEntry>,
-    /// Hash join indexes over `entries`, one per registered equi-join
-    /// attribute set. Maintained incrementally by [`Self::insert`],
-    /// [`Self::remove`] and [`Self::flush`]. Keys with a Null component are
-    /// never indexed — `sql_eq` says `Null` joins nothing, so such an entry
-    /// can only be reached by a probing conjunct that is false anyway.
+    /// The per-relation store holding this memory's tuples and equi-join
+    /// indexes, when the memory shares them (TREAT stored memories with
+    /// registered join keys; see [`crate::store`]). `None`: any join index
+    /// is node-local.
+    pub(crate) store_slot: Option<StoreSlot>,
+    entries: FxHashMap<u64, AlphaEntry>,
+    /// Node-local hash join indexes over `entries`, one per registered
+    /// equi-join attribute set. Maintained incrementally by
+    /// [`Self::insert`], [`Self::remove`] and [`Self::flush`]. Keys with a
+    /// Null component are never indexed — `sql_eq` says `Null` joins
+    /// nothing, so such an entry can only be reached by a probing conjunct
+    /// that is false anyway. Always empty on a memory with a `store_slot`.
     join_indexes: Vec<JoinIndex>,
     /// Interval indexes over `entries`, one per registered band shape.
     range_indexes: Vec<RangeIndex>,
@@ -327,7 +434,8 @@ impl AlphaNode {
             pred,
             event,
             counters: AlphaCounters::default(),
-            entries: HashMap::new(),
+            store_slot: None,
+            entries: FxHashMap::default(),
             join_indexes: Vec::new(),
             range_indexes: Vec::new(),
         }
@@ -349,11 +457,7 @@ impl AlphaNode {
                 seen.push(attrs.clone());
                 true
             })
-            .map(|attrs| JoinIndex {
-                attrs,
-                buckets: HashMap::default(),
-                indexed: 0,
-            })
+            .map(JoinIndex::new)
             .collect();
     }
 
@@ -380,9 +484,15 @@ impl AlphaNode {
             .collect();
     }
 
-    /// Whether a join index on exactly the attribute tuple `attrs` exists.
+    /// Whether a node-local join index on exactly the attribute tuple
+    /// `attrs` exists.
     pub fn has_join_index(&self, attrs: &[usize]) -> bool {
         self.join_indexes.iter().any(|ji| ji.attrs == attrs)
+    }
+
+    /// Whether any node-local join index is registered.
+    pub(crate) fn has_join_indexes(&self) -> bool {
+        !self.join_indexes.is_empty()
     }
 
     /// Whether an interval index of exactly this band shape exists.
@@ -411,17 +521,26 @@ impl AlphaNode {
         attrs: &[usize],
         key: &SmallKey,
     ) -> Option<impl Iterator<Item = &AlphaEntry> + '_> {
-        let ji = self.join_indexes.iter().find(|ji| ji.attrs == attrs)?;
-        let keys: &[u64] = if key.has_null() {
-            &[]
-        } else {
-            ji.buckets.get(key).map(Vec::as_slice).unwrap_or(&[])
-        };
+        let keys = self.join_bucket(attrs, key)?;
         Some(keys.iter().map(move |k| {
             self.entries
                 .get(k)
                 .expect("join index references a live entry")
         }))
+    }
+
+    /// The entry-map keys the node-local join index on `attrs` lists under
+    /// `key` (empty for a key with a Null component); `None` without such
+    /// an index. Resolve them with [`Self::entry`].
+    pub(crate) fn join_bucket(&self, attrs: &[usize], key: &SmallKey) -> Option<&[u64]> {
+        let ji = self.join_indexes.iter().find(|ji| ji.attrs == attrs)?;
+        Some(ji.bucket(key))
+    }
+
+    /// The entry stored under map key `key`, if any.
+    #[inline]
+    pub(crate) fn entry(&self, key: u64) -> Option<&AlphaEntry> {
+        self.entries.get(&key)
     }
 
     /// Probe the interval index of band shape `shape`: entries whose
@@ -454,12 +573,8 @@ impl AlphaNode {
     /// `None` without an index on `attrs`.
     pub fn expected_bucket_size(&self, attrs: &[usize]) -> Option<usize> {
         let ji = self.join_indexes.iter().find(|ji| ji.attrs == attrs)?;
-        let distinct = ji.buckets.len();
-        if distinct == 0 {
-            // empty memory (or only Null keys): a probe serves nothing
-            return Some(0);
-        }
-        Some(ji.indexed.div_ceil(distinct))
+        // empty memory (or only Null keys): a probe serves nothing
+        Some(ji.expected_bucket_size())
     }
 
     /// Smallest expected bucket size across every registered join index —
@@ -469,40 +584,21 @@ impl AlphaNode {
     pub fn min_expected_bucket_size(&self) -> Option<usize> {
         self.join_indexes
             .iter()
-            .map(|ji| {
-                if ji.buckets.is_empty() {
-                    0
-                } else {
-                    ji.indexed.div_ceil(ji.buckets.len())
-                }
-            })
+            .map(JoinIndex::expected_bucket_size)
             .min()
     }
 
-    /// Pack the composite key of `tuple` under this index's attribute
-    /// tuple, or `None` when a component is Null (`sql_eq` says Null joins
-    /// nothing, so the entry is unreachable through the index anyway).
-    fn bucket_key(ji: &JoinIndex, tuple: &Tuple) -> Option<SmallKey> {
-        let mut b = KeyBuilder::new(ji.attrs.len());
-        for &attr in &ji.attrs {
-            let v = tuple.get(attr);
-            if v.is_null() {
-                return None;
-            }
-            b.push(v);
+    fn index_entry(
+        join_indexes: &mut [JoinIndex],
+        range_indexes: &mut [RangeIndex],
+        key: u64,
+        tuple: &Tuple,
+    ) {
+        for ji in join_indexes {
+            ji.add(key, tuple);
         }
-        Some(b.finish())
-    }
-
-    fn index_entry(&mut self, key: u64, entry: &AlphaEntry) {
-        for ji in &mut self.join_indexes {
-            if let Some(composite) = Self::bucket_key(ji, &entry.tuple) {
-                ji.buckets.entry(composite).or_default().push(key);
-                ji.indexed += 1;
-            }
-        }
-        for ri in &mut self.range_indexes {
-            if let Some(iv) = ri.shape.interval_of(&entry.tuple) {
+        for ri in range_indexes {
+            if let Some(iv) = ri.shape.interval_of(tuple) {
                 let id = ri.islist.insert(iv);
                 ri.by_entry.insert(key, id);
                 ri.by_interval.insert(id, key);
@@ -510,18 +606,9 @@ impl AlphaNode {
         }
     }
 
-    fn unindex_entry(&mut self, key: u64, entry: &AlphaEntry) {
+    fn unindex_entry(&mut self, key: u64, tuple: &Tuple) {
         for ji in &mut self.join_indexes {
-            let Some(composite) = Self::bucket_key(ji, &entry.tuple) else {
-                continue;
-            };
-            if let Some(bucket) = ji.buckets.get_mut(&composite) {
-                bucket.retain(|k| *k != key);
-                if bucket.is_empty() {
-                    ji.buckets.remove(&composite);
-                }
-                ji.indexed = ji.indexed.saturating_sub(1);
-            }
+            ji.remove(key, tuple);
         }
         for ri in &mut self.range_indexes {
             if let Some(id) = ri.by_entry.remove(&key) {
@@ -567,21 +654,32 @@ impl AlphaNode {
 
     /// Insert an entry (keyed by the token's TID). Re-inserting under the
     /// same key (a Δ+ token for a tuple already in memory) replaces the
-    /// entry and rebuckets it in the join indexes.
+    /// entry and rebuckets it in the node-local indexes. A memory with a
+    /// `store_slot` is written through `Store::insert` instead, which keeps
+    /// the shared store in step.
     pub fn insert(&mut self, key: Tid, entry: AlphaEntry) {
         debug_assert!(self.kind.stores_entries());
         AlphaCounters::bump(&self.counters.inserted, 1);
-        if let Some(old) = self.entries.remove(&key.0) {
-            self.unindex_entry(key.0, &old);
+        if self.join_indexes.is_empty() && self.range_indexes.is_empty() {
+            self.entries.insert(key.0, entry);
+            return;
         }
-        self.index_entry(key.0, &entry);
+        if let Some(old) = self.entries.remove(&key.0) {
+            self.unindex_entry(key.0, &old.tuple);
+        }
+        Self::index_entry(
+            &mut self.join_indexes,
+            &mut self.range_indexes,
+            key.0,
+            &entry.tuple,
+        );
         self.entries.insert(key.0, entry);
     }
 
     /// Remove the entry keyed by `tid`; returns it if present. Idempotent.
     pub fn remove(&mut self, tid: Tid) -> Option<AlphaEntry> {
         let entry = self.entries.remove(&tid.0)?;
-        self.unindex_entry(tid.0, &entry);
+        self.unindex_entry(tid.0, &entry.tuple);
         Some(entry)
     }
 
@@ -593,6 +691,11 @@ impl AlphaNode {
     /// Iterate stored entries.
     pub fn entries(&self) -> impl Iterator<Item = &AlphaEntry> {
         self.entries.values()
+    }
+
+    /// Iterate stored entries with their map keys (invariant checks).
+    pub(crate) fn keyed_entries(&self) -> impl Iterator<Item = (u64, &AlphaEntry)> {
+        self.entries.iter().map(|(k, e)| (*k, e))
     }
 
     /// Number of stored entries.
@@ -611,10 +714,10 @@ impl AlphaNode {
     /// indexing across transitions. The skip list has no bulk-clear, so the
     /// flush recreates it.
     pub fn flush(&mut self) {
+        debug_assert!(self.store_slot.is_none(), "only dynamic memories flush");
         self.entries.clear();
         for ji in &mut self.join_indexes {
-            ji.buckets.clear();
-            ji.indexed = 0;
+            ji.clear();
         }
         for ri in &mut self.range_indexes {
             ri.islist = IntervalSkipList::new();
@@ -623,31 +726,13 @@ impl AlphaNode {
         }
     }
 
-    /// Approximate heap footprint of the join/range index structures, in
-    /// bytes: hash buckets (packed keys + entry-key lists) plus the
-    /// interval skip lists and their entry↔interval maps.
-    ///
-    /// Accounting notes: each bucket is charged the *inline* size of its
-    /// [`SmallKey`] plus any boxed spill (`SmallKey::heap_bytes` — zero on
-    /// the packed path, which is where the flat-key layout saves its
-    /// bytes), and each TID list is charged its *capacity*, not its
-    /// length — `Vec` growth doubles, and the slack is real memory. The
-    /// previous accounting under-charged keys (it skipped the inline
-    /// `Vec<Value>` headers of the key's elements) and over-trusted list
-    /// lengths, so `alpha_bytes` moved with neither allocator reality nor
-    /// the key layout.
+    /// Approximate heap footprint of the node-local join/range index
+    /// structures, in bytes: hash buckets (packed keys + entry-key lists,
+    /// see `JoinIndex::bytes`) plus the interval skip lists and their
+    /// entry↔interval maps. Indexes a memory shares through the store are
+    /// not charged here; `NetworkStats::alpha_bytes` charges them once.
     pub fn index_bytes(&self) -> usize {
-        let hash: usize = self
-            .join_indexes
-            .iter()
-            .flat_map(|ji| ji.buckets.iter())
-            .map(|(k, v)| {
-                std::mem::size_of::<SmallKey>()
-                    + k.heap_bytes()
-                    + std::mem::size_of::<Vec<u64>>()
-                    + v.capacity() * std::mem::size_of::<u64>()
-            })
-            .sum();
+        let hash: usize = self.join_indexes.iter().map(JoinIndex::bytes).sum();
         let range: usize = self
             .range_indexes
             .iter()
@@ -659,8 +744,8 @@ impl AlphaNode {
         hash + range
     }
 
-    /// Approximate heap footprint of the stored entries plus the index
-    /// structures over them, in bytes. This is the quantity virtual
+    /// Approximate heap footprint of the stored entries plus the node-local
+    /// index structures over them, in bytes. This is the quantity virtual
     /// α-memories reduce to (near) zero — a virtual node stores neither
     /// entries nor indexes.
     pub fn heap_size(&self) -> usize {

@@ -20,6 +20,7 @@ mod plan;
 pub mod pred;
 pub mod rete;
 pub mod selnet;
+mod store;
 pub mod token;
 pub mod trace;
 pub mod treat;

@@ -33,6 +33,15 @@
 //!
 //! This reproduces TREAT's self-join counting exactly: a token joins to
 //! itself once per virtual/stored node pair, never twice.
+//!
+//! ### Stored memories share their relation's tuples and join indexes
+//!
+//! A stored α-memory keeps its TID-keyed entries, but its equi-join hash
+//! indexes live in the network's per-relation [`crate::store`]: one index
+//! per attribute set, over the relation's stored tuples, each tuple filed
+//! once however many memories hold it. A probe takes the shared bucket's
+//! TIDs and keeps those the memory holds. Dynamic memories and every band
+//! (interval) index stay node-local; `crate::store` says why.
 
 use crate::alpha::{
     AlphaCounters, AlphaEntry, AlphaId, AlphaKind, AlphaNode, BandShape, EventReq, RuleId,
@@ -44,13 +53,14 @@ use crate::obs::MatchObs;
 use crate::plan::{BandSpec, CompositeSpec, JoinPlan};
 use crate::pred::SelectionPredicate;
 use crate::selnet::SelectionNetwork;
+use crate::store::Store;
 use crate::token::{EventSpecifier, Token, TokenKind};
 use crate::trace::{TraceEventKind, TraceRecorder};
 use ariel_query::{
     eval_pred, BoundVar, EventKind, Optimizer, PatchedEnv, Pnode, PnodeCol, QueryError,
     QueryResult, QuerySpec, RExpr, ResolvedCondition, Row,
 };
-use ariel_storage::{Catalog, FxHashSet, SchemaRef, Tid, Tuple, Value};
+use ariel_storage::{Catalog, FxHashMap, FxHashSet, SchemaRef, Tid, Tuple, Value};
 use scoped_pool::Pool;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Mutex;
@@ -107,7 +117,10 @@ struct RuleNode {
 pub struct RuleStats {
     /// Entries across the rule's stored/dynamic α-memories.
     pub alpha_entries: usize,
-    /// Approximate bytes held by those entries.
+    /// Approximate bytes held by those entries, plus the node-local indexes
+    /// of the rule's dynamic memories. The join indexes its stored memories
+    /// share with other rules are charged once, in
+    /// [`NetworkStats::alpha_bytes`], not per rule.
     pub alpha_bytes: usize,
     /// Matched instantiations awaiting execution.
     pub pnode_rows: usize,
@@ -189,7 +202,8 @@ pub struct NetworkStats {
     pub virtual_alpha_nodes: usize,
     /// Entries across stored/dynamic α-memories.
     pub alpha_entries: usize,
-    /// Approximate bytes held by those entries.
+    /// Approximate bytes held by those entries and every α-level join
+    /// index — each per-relation shared index counted once.
     pub alpha_bytes: usize,
     /// Matched instantiations across all P-nodes.
     pub pnode_rows: usize,
@@ -277,6 +291,8 @@ pub struct Network {
     alphas: Vec<Option<AlphaNode>>,
     free: Vec<usize>,
     selnet: SelectionNetwork,
+    /// Stored memories' shared tuples and join indexes, per relation.
+    store: Store,
     rules: BTreeMap<u64, RuleNode>,
     /// Rules with a non-empty P-node, and those that gained a match since
     /// the engine last asked (see [`crate::conflict`]).
@@ -394,14 +410,14 @@ pub(crate) fn selectivity_virtualize(
 /// The batch pending set: per relation, tid → positive tokens of that
 /// tuple still unprocessed in the current batch. A tuple in here is hidden
 /// from virtual-node scans (see the module docs).
-pub(crate) type Pending = HashMap<String, HashMap<u64, u32>>;
+pub(crate) type Pending = HashMap<String, FxHashMap<u64, u32>>;
 
 /// The pending set of a fresh batch.
 pub(crate) fn pending_of(tokens: &[Token]) -> Pending {
     let mut pending = Pending::new();
     for t in tokens.iter().filter(|t| t.kind.is_positive()) {
         if !pending.contains_key(&t.rel) {
-            pending.insert(t.rel.clone(), HashMap::new());
+            pending.insert(t.rel.clone(), FxHashMap::default());
         }
         let tids = pending.get_mut(&t.rel).expect("just ensured");
         *tids.entry(t.tid.0).or_insert(0) += 1;
@@ -428,6 +444,7 @@ impl Default for Network {
             alphas: Vec::new(),
             free: Vec::new(),
             selnet: SelectionNetwork::default(),
+            store: Store::default(),
             rules: BTreeMap::new(),
             conflict: ConflictSet::default(),
             dynamic_alphas: Vec::new(),
@@ -495,7 +512,7 @@ struct ParSeed {
 enum JoinVis<'a> {
     Seq {
         token: &'a Token,
-        processed: &'a HashSet<usize>,
+        processed: &'a FxHashSet<usize>,
         pending: &'a Pending,
     },
     Run {
@@ -669,10 +686,6 @@ impl Network {
         self.alphas[id.0].as_ref().expect("live alpha")
     }
 
-    fn alpha_mut(&mut self, id: AlphaId) -> &mut AlphaNode {
-        self.alphas[id.0].as_mut().expect("live alpha")
-    }
-
     /// Run one α-test through the observability tiers: bump the node's
     /// always-on test/pass counters, and when a timing session is active
     /// record the test duration and token flow under `(rule, var)`.
@@ -795,11 +808,22 @@ impl Network {
             if self.join_indexing && kind.stores_entries() {
                 // register one hash index per composite access path and one
                 // interval index per band shape, so β-joins can probe (or
-                // stab) instead of enumerating
-                let attr_sets: Vec<Vec<usize>> =
-                    plan.composite[v].iter().map(|s| s.attrs.clone()).collect();
-                if !attr_sets.is_empty() {
-                    node.set_join_indexes(attr_sets);
+                // stab) instead of enumerating. A stored memory shares its
+                // relation's hash indexes; a dynamic one keeps its own
+                if kind == AlphaKind::Stored {
+                    if !plan.composite[v].is_empty() {
+                        let slot = self.store.slot(&binding.rel);
+                        for spec in &plan.composite[v] {
+                            self.store.register(slot, &spec.attrs);
+                        }
+                        node.store_slot = Some(slot);
+                    }
+                } else {
+                    let attr_sets: Vec<Vec<usize>> =
+                        plan.composite[v].iter().map(|s| s.attrs.clone()).collect();
+                    if !attr_sets.is_empty() {
+                        node.set_join_indexes(attr_sets);
+                    }
                 }
                 let shapes: Vec<BandShape> =
                     plan.bands[v].iter().map(|s| s.shape.clone()).collect();
@@ -807,6 +831,10 @@ impl Network {
                     node.set_range_indexes(shapes);
                 }
             }
+            debug_assert!(
+                kind != AlphaKind::Stored || !node.has_join_indexes(),
+                "stored memories index through the shared store"
+            );
             let alpha_id = self.alloc_alpha(node);
             // anchor goes into the selection network unless unsatisfiable
             let node = self.alpha(alpha_id);
@@ -893,9 +921,18 @@ impl Network {
         let Some(rule) = self.rules.remove(&id.0) else {
             return;
         };
-        for var in rule.vars {
+        for (v, var) in rule.vars.iter().enumerate() {
             self.selnet.unsubscribe(var.alpha);
-            self.alphas[var.alpha.0] = None;
+            let mut alpha = self.alphas[var.alpha.0].take().expect("live alpha");
+            if let Some(slot) = alpha.store_slot {
+                let tids: Vec<u64> = alpha.keyed_entries().map(|(tid, _)| tid).collect();
+                for tid in tids {
+                    self.store.remove(&mut alpha, Tid(tid));
+                }
+                for spec in &rule.plan.composite[v] {
+                    self.store.unregister(slot, &spec.attrs);
+                }
+            }
             self.free.push(var.alpha.0);
             self.dynamic_alphas.retain(|a| *a != var.alpha);
         }
@@ -941,9 +978,9 @@ impl Network {
                     })
                     .collect()
             };
-            let a = self.alpha_mut(aid);
+            let a = self.alphas[aid.0].as_mut().expect("live alpha");
             for (tid, e) in entries {
-                a.insert(tid, e);
+                self.store.insert(a, tid, e);
             }
         }
         // P-node: one query equivalent to the whole condition
@@ -989,6 +1026,7 @@ impl Network {
         };
         self.conflict
             .debug_check(self.rules.iter().map(|(id, r)| (*id, &r.pnode)));
+        self.store.debug_check(self.alphas.iter().flatten());
         result
     }
 
@@ -1062,7 +1100,7 @@ impl Network {
         });
         matched.sort_by_key(|a| a.0);
         matched.dedup();
-        let mut processed: HashSet<usize> = HashSet::new();
+        let mut processed: FxHashSet<usize> = FxHashSet::default();
         for &aid in &matched {
             processed.insert(aid.0);
             self.insert_and_propagate(
@@ -1197,8 +1235,9 @@ impl Network {
                     prev: token.old.clone(),
                 };
                 if kind.stores_entries() {
-                    let a = self.alpha_mut(aid);
-                    a.insert(
+                    let a = self.alphas[aid.0].as_mut().expect("live alpha");
+                    self.store.insert(
+                        a,
                         token.tid,
                         AlphaEntry {
                             tid: seed.tid,
@@ -1357,7 +1396,7 @@ impl Network {
         aid: AlphaId,
         seed: BoundVar,
         token: &Token,
-        processed: &HashSet<usize>,
+        processed: &FxHashSet<usize>,
         catalog: &Catalog,
         pending: &Pending,
     ) -> QueryResult<()> {
@@ -1366,8 +1405,9 @@ impl Network {
             (a.rule, a.var, a.kind)
         };
         if kind.stores_entries() {
-            let a = self.alpha_mut(aid);
-            a.insert(
+            let a = self.alphas[aid.0].as_mut().expect("live alpha");
+            self.store.insert(
+                a,
                 token.tid,
                 AlphaEntry {
                     tid: seed.tid,
@@ -1589,7 +1629,7 @@ impl Network {
             return None;
         }
         rule.plan.composite[var].iter().find_map(|spec| {
-            if spec.others_mask & !bound != 0 || !alpha.has_join_index(&spec.attrs) {
+            if spec.others_mask & !bound != 0 || !self.has_join_index(alpha, &spec.attrs) {
                 return None;
             }
             let mut kb = KeyBuilder::new(spec.key_exprs.len());
@@ -1598,6 +1638,31 @@ impl Network {
             }
             Some((spec, kb.finish()))
         })
+    }
+
+    /// Whether `alpha` can be probed on `attrs` — through its relation's
+    /// shared index for a stored memory, its own for a dynamic one.
+    fn has_join_index(&self, alpha: &AlphaNode, attrs: &[usize]) -> bool {
+        match alpha.store_slot {
+            Some(slot) => self.store.has_index(slot, attrs),
+            None => alpha.has_join_index(attrs),
+        }
+    }
+
+    /// The entry-map keys a probe of `alpha` on `attrs` visits: the shared
+    /// bucket (every memory's TIDs on the relation — callers keep the ones
+    /// `alpha` holds) or the node-local one.
+    fn join_bucket<'s>(
+        &'s self,
+        alpha: &'s AlphaNode,
+        attrs: &[usize],
+        key: &SmallKey,
+    ) -> &'s [u64] {
+        match alpha.store_slot {
+            Some(slot) => self.store.bucket(slot, attrs, key),
+            None => alpha.join_bucket(attrs, key),
+        }
+        .expect("probe found a registered index")
     }
 
     /// The band access path usable at this depth, if any: the first spec
@@ -1832,10 +1897,11 @@ impl Network {
                 if let Some((spec, key)) = self.find_composite_probe(rule, var, bound, row, alpha) {
                     used_hash = true;
                     AlphaCounters::bump(&alpha.counters.index_probes, 1);
-                    for e in alpha
-                        .probe_join_index_packed(&spec.attrs, &key)
-                        .expect("probe found a registered index")
-                    {
+                    for &k in self.join_bucket(alpha, &spec.attrs, &key) {
+                        // a shared bucket lists TIDs other memories hold
+                        let Some(e) = alpha.entry(k) else {
+                            continue;
+                        };
                         if !vis.entry_visible(alpha_idx, e) {
                             continue;
                         }
@@ -2019,7 +2085,14 @@ impl Network {
             _ => {
                 // an unindexed memory (or join_indexing off) has no
                 // registered indexes and falls through to its full size
-                alpha.min_expected_bucket_size().unwrap_or(alpha.len())
+                let estimate = match alpha.store_slot {
+                    Some(slot) => rule.plan.composite[var]
+                        .iter()
+                        .filter_map(|s| self.store.expected_bucket(slot, &s.attrs, alpha.len()))
+                        .min(),
+                    None => alpha.min_expected_bucket_size(),
+                };
+                estimate.unwrap_or(alpha.len())
             }
         }
     }
@@ -2043,6 +2116,11 @@ impl Network {
     /// intervals over the *current* value only (`previous` never anchors, a
     /// null never passes one), and nodes without an anchor — including
     /// unsatisfiable ones — are candidates for every token.
+    ///
+    /// The same argument is why stored memories may share one index per
+    /// relation: every holder of a TID is emptied by its `−` before any
+    /// holder takes the next value, so all holders hold one value
+    /// (`crate::store`).
     fn process_negative(
         &mut self,
         token: &Token,
@@ -2052,8 +2130,8 @@ impl Network {
         let mut candidates = self.stab(token);
         for &aid in &candidates {
             let (rule_id, var) = {
-                let a = self.alpha_mut(aid);
-                a.remove(token.tid);
+                let a = self.alphas[aid.0].as_mut().expect("live alpha");
+                self.store.remove(a, token.tid);
                 (a.rule, a.var)
             };
             let rule = self.rules.get_mut(&rule_id.0).expect("rule exists");
@@ -2074,7 +2152,7 @@ impl Network {
                 })
             });
             candidates.sort_by_key(|a| a.0);
-            let mut processed = HashSet::new();
+            let mut processed = FxHashSet::default();
             for &aid in &candidates {
                 processed.insert(aid.0);
                 self.insert_and_propagate(
@@ -2201,6 +2279,7 @@ impl Network {
             selnet_candidates,
             islist_stabs: stab.stabs.get(),
             islist_nodes_visited: stab.nodes_visited.get(),
+            alpha_bytes: self.store.bytes(),
             ..Default::default()
         };
         for a in self.alphas.iter().flatten() {
@@ -3091,6 +3170,67 @@ mod tests {
                 col.var
             );
         }
+    }
+
+    #[test]
+    fn remove_rule_releases_and_reactivation_back_fills() {
+        let cat = paper_catalog();
+        populate_sales_clerk(&cat);
+        for (i, sal) in [10_000.0, 40_000.0, 50_000.0, 60_000.0].iter().enumerate() {
+            insert_emp(&cat, &format!("e{i}"), *sal, 1 + i as i64 % 2, 7);
+        }
+        // rule 2's emp memory joins on jno; rule 1's, added later, on dno —
+        // its index is built over tuples rule 2 already holds
+        let by_jno = cond(&cat, None, "emp.sal > 0 and emp.jno = job.jno", &[]);
+        let by_dno = cond(&cat, None, "emp.sal > 30000 and emp.dno = dept.dno", &[]);
+        let (dno, jno) = ([3usize], [4usize]);
+        let add = |net: &mut Network, id: u64, c: &ResolvedCondition| {
+            net.add_rule(RuleId(id), c, &VirtualPolicy::AllStored, &cat)
+                .unwrap();
+            net.prime(RuleId(id), &cat).unwrap();
+        };
+        let mut net = Network::new();
+        add(&mut net, 2, &by_jno);
+        let slot = net.alpha(net.rules[&2].vars[0].alpha).store_slot.unwrap();
+        let held = |net: &Network| net.store.held(slot);
+        assert_eq!(held(&net), 4);
+        assert!(!net.store.has_index(slot, &dno));
+        add(&mut net, 1, &by_dno);
+        assert!(net.store.has_index(slot, &dno));
+        net.store.debug_check(net.alphas.iter().flatten());
+
+        // deactivate: rule 1 releases its three emps (rule 2 still holds
+        // them) and takes the dno index along
+        net.remove_rule(RuleId(1));
+        assert!(!net.store.has_index(slot, &dno));
+        assert!(net.store.has_index(slot, &jno));
+        assert_eq!(held(&net), 4);
+        net.store.debug_check(net.alphas.iter().flatten());
+        net.remove_rule(RuleId(2));
+        assert_eq!(held(&net), 0, "no memory holds an emp");
+        net.store.debug_check(net.alphas.iter().flatten());
+
+        // reactivate both: the back-filled dno index serves a dept token
+        // exactly as a network that never deactivated
+        add(&mut net, 2, &by_jno);
+        add(&mut net, 1, &by_dno);
+        let mut fresh = Network::new();
+        add(&mut fresh, 1, &by_dno);
+        let dept = cat.get("dept").unwrap();
+        let tid = dept
+            .borrow_mut()
+            .insert(vec![1i64.into(), "Annex".into()])
+            .unwrap();
+        let t = dept.borrow().get(tid).cloned().unwrap();
+        let token = Token::plus("dept", tid, t, EventSpecifier::Append);
+        net.process_token(&token, &cat).unwrap();
+        fresh.process_token(&token, &cat).unwrap();
+        assert_eq!(pnode_set(&net, RuleId(1)), pnode_set(&fresh, RuleId(1)));
+        assert_eq!(
+            net.pnode(RuleId(1)).unwrap().len(),
+            3 + 1,
+            "primed + joined"
+        );
     }
 
     /// Sorted debug renderings of a rule's P-node rows — the

@@ -916,3 +916,172 @@ fn minus_routing_scenarios_have_exact_outcomes() {
         );
     }
 }
+
+/// Stored TREAT memories share their relation's join indexes (one shared
+/// index per attribute set, each tuple filed once however many memories
+/// hold it). Overlapping-band join rules put one `emp` tuple in several
+/// memories at once; the script then moves join keys, and touches one
+/// tuple several times inside a block, while the P-nodes — never drained,
+/// no rule fires here — are compared after every block: stored TREAT vs
+/// all-virtual A-TREAT vs indexed Rete vs a from-scratch evaluation.
+#[test]
+fn shared_join_indexes_scripted_blocks_match_across_backends() {
+    use ariel::network::{Network, ReteNetwork, RuleId};
+    use ariel::query::{parse_command, parse_expr, run_plan, Command, ExecCtx, Optimizer};
+    use ariel::query::{FromItem, Pnode, ResolvedCondition, Resolver};
+    use ariel::storage::{AttrType, Catalog, Schema};
+    use ariel::DeltaTracker;
+
+    let mut cat = Catalog::new();
+    let int = AttrType::Int;
+    for (rel, attrs) in [
+        (
+            "emp",
+            &[("id", int), ("sal", int), ("dno", int), ("jno", int)][..],
+        ),
+        ("dept", &[("dno", int), ("floor", int)]),
+        ("job", &[("jno", int), ("grade", int)]),
+    ] {
+        cat.create(rel, Schema::of(attrs)).unwrap();
+    }
+    let conds: Vec<ResolvedCondition> = [
+        "emp.sal > 0 and emp.sal <= 100 and emp.dno = dept.dno",
+        "emp.sal > 50 and emp.sal <= 150 and emp.dno = dept.dno and emp.jno = job.jno",
+        "emp.sal > 80 and emp.sal <= 200 and emp.jno = job.jno and job.grade = 1",
+        "emp.sal > 50 and emp.sal <= 150 and emp.dno = dept.dno and dept.floor = 1",
+    ]
+    .iter()
+    .map(|q| {
+        Resolver::new(&cat)
+            .resolve_condition(None, Some(&parse_expr(q).unwrap()), &[])
+            .unwrap()
+    })
+    .chain(std::iter::once(
+        Resolver::new(&cat)
+            .resolve_condition(
+                None,
+                Some(
+                    &parse_expr(
+                        "x.sal > 0 and x.sal <= 100 and y.sal > 50 and y.sal <= 150 \
+                         and x.dno = y.dno",
+                    )
+                    .unwrap(),
+                ),
+                &[
+                    FromItem {
+                        var: "x".into(),
+                        rel: "emp".into(),
+                    },
+                    FromItem {
+                        var: "y".into(),
+                        rel: "emp".into(),
+                    },
+                ],
+            )
+            .unwrap(),
+    ))
+    .collect();
+    let mut stored = Network::new();
+    let mut virt = Network::new();
+    let mut rete = ReteNetwork::new();
+    for (i, c) in conds.iter().enumerate() {
+        let id = RuleId(i as u64);
+        stored
+            .add_rule(id, c, &VirtualPolicy::AllStored, &cat)
+            .unwrap();
+        virt.add_rule(id, c, &VirtualPolicy::AllVirtual, &cat)
+            .unwrap();
+        rete.add_rule(id, c, &cat).unwrap();
+    }
+    let tids = |p: &Pnode| {
+        let mut rows: Vec<Vec<Option<u64>>> = p
+            .rows()
+            .iter()
+            .map(|r| r.iter().map(|b| b.tid.map(|t| t.0)).collect())
+            .collect();
+        rows.sort();
+        rows
+    };
+    let recompute = |cat: &Catalog, c: &ResolvedCondition| {
+        let plan = Optimizer::new(cat).plan(&c.spec).unwrap();
+        let ctx = ExecCtx {
+            catalog: cat,
+            pnode: None,
+            nvars: c.spec.vars.len(),
+        };
+        let mut rows: Vec<Vec<Option<u64>>> = run_plan(&plan, &ctx)
+            .unwrap()
+            .iter()
+            .map(|r| {
+                r.slots
+                    .iter()
+                    .map(|s| s.as_ref().and_then(|b| b.tid).map(|t| t.0))
+                    .collect()
+            })
+            .collect();
+        rows.sort();
+        rows
+    };
+    let blocks = [
+        "do append dept (dno = 1, floor = 1) append dept (dno = 2, floor = 2) \
+            append dept (dno = 3, floor = 1) append job (jno = 1, grade = 1) \
+            append job (jno = 2, grade = 2) end",
+        // one emp lands in up to four band memories at once
+        "do append emp (id = 1, sal = 60, dno = 1, jno = 1) \
+            append emp (id = 2, sal = 90, dno = 1, jno = 2) \
+            append emp (id = 3, sal = 120, dno = 2, jno = 1) end",
+        // a replace that moves a tuple's join key, held by several memories
+        "replace emp (dno = 2) where emp.id = 2",
+        // both sides move: an emp's jno and a dept's dno
+        "do replace emp (jno = 2, sal = 140) where emp.id = 3 \
+            replace dept (dno = 4) where dept.dno = 2 end",
+        // i m d inside one block: nets to nothing
+        "do append emp (id = 4, sal = 70, dno = 1, jno = 1) \
+            replace emp (dno = 3) where emp.id = 4 \
+            delete emp where emp.id = 4 end",
+        // m m d on a pre-existing tuple
+        "do replace emp (sal = 95) where emp.id = 2 \
+            replace emp (dno = 3) where emp.id = 2 \
+            delete emp where emp.id = 2 end",
+        // m m left standing: out of one band set, into another
+        "do replace emp (sal = 130) where emp.id = 1 \
+            replace emp (jno = 2, dno = 3) where emp.id = 1 end",
+        // a Null join key: in the band memories, in no bucket
+        "append emp (id = 5, sal = 75, jno = 2)",
+        "do replace emp (dno = 1) where emp.id = 5 delete emp where emp.id = 3 end",
+    ];
+    let mut matched = 0;
+    for block in blocks {
+        let cmds = match parse_command(block).unwrap() {
+            Command::Block(cmds) => cmds,
+            single => vec![single],
+        };
+        let mut delta = DeltaTracker::new();
+        for cmd in &cmds {
+            let rcmd = Resolver::new(&cat).resolve_command(cmd).unwrap();
+            let out = ariel::query::execute(&rcmd, &mut cat, None).unwrap();
+            let tokens = delta.tokens_for_all(&out.changes);
+            stored.process_batch(&tokens, &cat).unwrap();
+            virt.process_batch(&tokens, &cat).unwrap();
+            rete.process_batch(&tokens, &cat).unwrap();
+        }
+        for (i, c) in conds.iter().enumerate() {
+            let id = RuleId(i as u64);
+            let want = recompute(&cat, c);
+            let got = tids(stored.pnode(id).unwrap());
+            assert_eq!(got, want, "stored TREAT, rule {i}, after `{block}`");
+            assert_eq!(tids(virt.pnode(id).unwrap()), want, "A-TREAT, rule {i}");
+            assert_eq!(tids(rete.pnode(id).unwrap()), want, "Rete, rule {i}");
+            matched += want.len();
+        }
+    }
+    assert!(
+        matched > 20,
+        "the script must leave matches standing ({matched})"
+    );
+    let s = stored.stats();
+    assert!(
+        s.index_probes > 0,
+        "stored memories probed the shared indexes"
+    );
+}
