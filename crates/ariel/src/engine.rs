@@ -9,12 +9,12 @@ use crate::error::{ArielError, ArielResult};
 use crate::obs::{self, EngineObs};
 use crate::rule::RuleState;
 use ariel_network::{
-    MatchObs, Network, NetworkStats, ReteMode, ReteNetwork, RuleId, RuleStats, RuleTopology, Token,
-    TraceEventKind, TraceRecord, TraceRecorder, TraceSource, VirtualPolicy, DEFAULT_TRACE_CAPACITY,
+    MatchObs, Network, NetworkStats, RuleId, RuleStats, Token, TraceEventKind, TraceRecord,
+    TraceRecorder, TraceSource, VirtualPolicy, DEFAULT_TRACE_CAPACITY,
 };
 use ariel_query::{
     execute as execute_query, modify_action, parse_command, parse_script, CmdOutput, Command,
-    Notification, Pnode, QueryResult, Resolver, RuleDef,
+    Notification, Resolver, RuleDef,
 };
 use ariel_storage::wal::{Durability, WalWriter};
 use ariel_storage::{AttrDef, Catalog, FxHashMap, Schema};
@@ -54,20 +54,6 @@ pub struct EngineOptions {
     /// to PR 2's single-attribute indexes, kept as the fig13 comparison
     /// baseline.
     pub composite_join_keys: bool,
-    /// `Some(mode)` runs the engine on the Rete comparison network
-    /// (β-memories materialized) in the given join mode instead of
-    /// A-TREAT. The Rete backend compiles pattern-based conditions only —
-    /// activating an event or transition rule fails. `None` (the default)
-    /// is the paper's A-TREAT network.
-    pub rete_mode: Option<ReteMode>,
-    /// Fan β-join probe work across a worker-thread pool (A-TREAT backend
-    /// only; the Rete backends stay sequential). Off by default. Results
-    /// are identical to the sequential path — see `docs/CONCURRENCY.md`
-    /// for the visibility discipline that makes this hold.
-    pub parallel_match: bool,
-    /// Worker threads for the parallel match path; 0 (the default) means
-    /// one per available core. Only meaningful with `parallel_match` on.
-    pub match_threads: usize,
     /// Intern string values on relation writes, replacing owned strings
     /// with `Copy` symbol handles so the match path compares and hashes
     /// strings as integers. On by default; `false` keeps the legacy owned
@@ -92,227 +78,8 @@ impl Default for EngineOptions {
             tracing: false,
             join_indexing: true,
             composite_join_keys: true,
-            rete_mode: None,
-            parallel_match: false,
-            match_threads: 0,
             intern_strings: true,
             durability: Durability::Off,
-        }
-    }
-}
-
-/// The discrimination network behind the engine: the paper's A-TREAT
-/// network, or the Rete comparison baseline when
-/// [`EngineOptions::rete_mode`] is set. Every method forwards to the
-/// active backend; the engine (and the observability surface) drives both
-/// uniformly.
-#[derive(Debug)]
-pub enum EngineNetwork {
-    /// The A-TREAT network (`ariel_network::Network`).
-    Treat(Network),
-    /// The Rete baseline (`ariel_network::ReteNetwork`).
-    Rete(ReteNetwork),
-}
-
-impl EngineNetwork {
-    fn add_rule(
-        &mut self,
-        id: RuleId,
-        cond: &ariel_query::ResolvedCondition,
-        policy: &VirtualPolicy,
-        catalog: &Catalog,
-    ) -> QueryResult<()> {
-        match self {
-            EngineNetwork::Treat(n) => n.add_rule(id, cond, policy, catalog),
-            // the Rete backend takes its policy at construction but uses
-            // the catalog for the same selectivity estimate as TREAT
-            EngineNetwork::Rete(n) => n.add_rule(id, cond, catalog),
-        }
-    }
-
-    fn prime(&mut self, id: RuleId, catalog: &Catalog) -> QueryResult<()> {
-        match self {
-            EngineNetwork::Treat(n) => n.prime(id, catalog),
-            EngineNetwork::Rete(n) => n.prime(id, catalog),
-        }
-    }
-
-    fn remove_rule(&mut self, id: RuleId) {
-        match self {
-            EngineNetwork::Treat(n) => n.remove_rule(id),
-            EngineNetwork::Rete(n) => n.remove_rule(id),
-        }
-    }
-
-    fn process_batch(&mut self, tokens: &[Token], catalog: &Catalog) -> QueryResult<()> {
-        match self {
-            EngineNetwork::Treat(n) => n.process_batch(tokens, catalog),
-            EngineNetwork::Rete(n) => n.process_batch(tokens, catalog),
-        }
-    }
-
-    fn flush_transition_state(&mut self) {
-        match self {
-            EngineNetwork::Treat(n) => n.flush_transition_state(),
-            EngineNetwork::Rete(n) => n.flush_transition_state(),
-        }
-    }
-
-    fn drain_pnode(&mut self, id: RuleId) -> Option<Pnode> {
-        match self {
-            EngineNetwork::Treat(n) => n.drain_pnode(id),
-            EngineNetwork::Rete(n) => n.drain_pnode(id),
-        }
-    }
-
-    fn drain_gained(&mut self, f: impl FnMut(RuleId)) {
-        match self {
-            EngineNetwork::Treat(n) => n.drain_gained(f),
-            EngineNetwork::Rete(n) => n.drain_gained(f),
-        }
-    }
-
-    /// Replace a rule's P-node rows wholesale (the crash-recovery path:
-    /// priming rebuilds α/β state from relations, but consumed matches
-    /// are history the snapshot alone knows).
-    pub fn set_pnode_rows(&mut self, id: RuleId, rows: Vec<Vec<ariel_query::BoundVar>>) {
-        match self {
-            EngineNetwork::Treat(n) => n.set_pnode_rows(id, rows),
-            EngineNetwork::Rete(n) => n.set_pnode_rows(id, rows),
-        }
-    }
-
-    fn rules_with_matches(&self) -> Vec<RuleId> {
-        match self {
-            EngineNetwork::Treat(n) => n.rules_with_matches(),
-            EngineNetwork::Rete(n) => n.rules_with_matches(),
-        }
-    }
-
-    /// The P-node of an active rule.
-    pub fn pnode(&self, id: RuleId) -> Option<&Pnode> {
-        match self {
-            EngineNetwork::Treat(n) => n.pnode(id),
-            EngineNetwork::Rete(n) => n.pnode(id),
-        }
-    }
-
-    /// Aggregate network statistics.
-    pub fn stats(&self) -> NetworkStats {
-        match self {
-            EngineNetwork::Treat(n) => n.stats(),
-            EngineNetwork::Rete(n) => n.stats(),
-        }
-    }
-
-    /// Memory statistics of one active rule.
-    pub fn rule_stats(&self, id: RuleId) -> Option<RuleStats> {
-        match self {
-            EngineNetwork::Treat(n) => n.rule_stats(id),
-            EngineNetwork::Rete(n) => n.rule_stats(id),
-        }
-    }
-
-    fn set_observing(&mut self, on: bool) {
-        match self {
-            EngineNetwork::Treat(n) => n.set_observing(on),
-            EngineNetwork::Rete(n) => n.set_observing(on),
-        }
-    }
-
-    /// The active timing session, if any.
-    pub fn obs(&self) -> Option<&MatchObs> {
-        match self {
-            EngineNetwork::Treat(n) => n.obs(),
-            EngineNetwork::Rete(n) => n.obs(),
-        }
-    }
-
-    fn swap_obs(&mut self, obs: Option<MatchObs>) -> Option<MatchObs> {
-        match self {
-            EngineNetwork::Treat(n) => n.swap_obs(obs),
-            EngineNetwork::Rete(n) => n.swap_obs(obs),
-        }
-    }
-
-    fn set_trace(&mut self, trace: Option<TraceRecorder>) -> Option<TraceRecorder> {
-        match self {
-            EngineNetwork::Treat(n) => n.set_trace(trace),
-            EngineNetwork::Rete(n) => n.set_trace(trace),
-        }
-    }
-
-    /// The active flight recorder, if tracing is on.
-    pub fn trace(&self) -> Option<&TraceRecorder> {
-        match self {
-            EngineNetwork::Treat(n) => n.trace(),
-            EngineNetwork::Rete(n) => n.trace(),
-        }
-    }
-
-    fn rule_topology(&self, id: RuleId) -> Option<RuleTopology> {
-        match self {
-            EngineNetwork::Treat(n) => n.rule_topology(id),
-            EngineNetwork::Rete(n) => n.rule_topology(id),
-        }
-    }
-
-    /// Whether α-memory join indexing is on: the TREAT switch, or (Rete)
-    /// whether the backend runs in [`ReteMode::Indexed`].
-    pub fn join_indexing(&self) -> bool {
-        match self {
-            EngineNetwork::Treat(n) => n.join_indexing(),
-            EngineNetwork::Rete(n) => n.mode() == ReteMode::Indexed,
-        }
-    }
-
-    /// Whether composite join keys are compiled (same Rete mapping as
-    /// [`EngineNetwork::join_indexing`]).
-    pub fn composite_keys(&self) -> bool {
-        match self {
-            EngineNetwork::Treat(n) => n.composite_keys(),
-            EngineNetwork::Rete(n) => n.mode() == ReteMode::Indexed,
-        }
-    }
-
-    /// The Rete join mode, when the Rete backend is active.
-    pub fn rete_mode(&self) -> Option<ReteMode> {
-        match self {
-            EngineNetwork::Treat(_) => None,
-            EngineNetwork::Rete(n) => Some(n.mode()),
-        }
-    }
-
-    /// Whether the parallel match path is enabled (always `false` on the
-    /// sequential Rete backends).
-    pub fn parallel_match(&self) -> bool {
-        match self {
-            EngineNetwork::Treat(n) => n.parallel_match(),
-            EngineNetwork::Rete(_) => false,
-        }
-    }
-
-    fn set_parallel_match(&mut self, on: bool) -> bool {
-        match self {
-            EngineNetwork::Treat(n) => {
-                n.set_parallel_match(on);
-                true
-            }
-            EngineNetwork::Rete(_) => !on, // can't turn it on, off is a no-op
-        }
-    }
-
-    /// Configured worker thread count for the parallel path (0 = auto).
-    pub fn match_threads(&self) -> usize {
-        match self {
-            EngineNetwork::Treat(n) => n.match_threads(),
-            EngineNetwork::Rete(_) => 0,
-        }
-    }
-
-    fn set_match_threads(&mut self, threads: usize) {
-        if let EngineNetwork::Treat(n) = self {
-            n.set_match_threads(threads);
         }
     }
 }
@@ -339,7 +106,9 @@ pub struct MemoryStats {
     pub alpha_entries: usize,
     /// Bytes held by α-memory entries and their join/range indexes.
     pub alpha_bytes: usize,
-    /// Bytes held in β-memories (Rete backends only; 0 under A-TREAT).
+    /// Bytes held in β-memories: always 0 in the engine, whose A-TREAT
+    /// network keeps none. The Rete comparison's β bytes are in the NET
+    /// table (`paper_tables -- net`).
     pub beta_bytes: usize,
     /// Matched instantiations across all P-nodes.
     pub pnode_rows: usize,
@@ -404,7 +173,7 @@ pub(crate) struct ActiveRule {
 pub struct Ariel {
     pub(crate) catalog: Catalog,
     pub(crate) rules: RuleCatalog,
-    pub(crate) network: EngineNetwork,
+    pub(crate) network: Network,
     planner: ActionPlanner,
     pub(crate) options: EngineOptions,
     /// One record per active rule, keyed by rule id.
@@ -448,21 +217,9 @@ impl Ariel {
 
     /// New engine with explicit options.
     pub fn with_options(options: EngineOptions) -> Self {
-        let network = match options.rete_mode {
-            None => {
-                let mut n = Network::new();
-                n.set_join_indexing(options.join_indexing);
-                n.set_composite_keys(options.composite_join_keys);
-                n.set_parallel_match(options.parallel_match);
-                n.set_match_threads(options.match_threads);
-                EngineNetwork::Treat(n)
-            }
-            Some(mode) => {
-                let mut n = ReteNetwork::with_policy(options.virtual_policy.clone());
-                n.set_mode(mode);
-                EngineNetwork::Rete(n)
-            }
-        };
+        let mut network = Network::new();
+        network.set_join_indexing(options.join_indexing);
+        network.set_composite_keys(options.composite_join_keys);
         let mut catalog = Catalog::new();
         catalog.set_intern_strings(options.intern_strings);
         let mut engine = Ariel {
@@ -957,9 +714,8 @@ impl Ariel {
         &self.rules
     }
 
-    /// The discrimination network (A-TREAT, or Rete under
-    /// [`EngineOptions::rete_mode`]).
-    pub fn network(&self) -> &EngineNetwork {
+    /// The A-TREAT discrimination network.
+    pub fn network(&self) -> &Network {
         &self.network
     }
 
@@ -1094,50 +850,6 @@ impl Ariel {
         self.obs.is_some()
     }
 
-    // ----- parallel match -------------------------------------------------------
-
-    /// Enable or disable the parallel match path (`\parallel on|off`).
-    /// Returns an error on the Rete backends, which stay sequential.
-    /// While a flight recorder is installed the network takes the
-    /// sequential path even with this on (see `docs/CONCURRENCY.md`).
-    pub fn set_parallel_match(&mut self, on: bool) -> ArielResult<()> {
-        if !self.network.set_parallel_match(on) {
-            return Err(ArielError::Query(ariel_query::QueryError::Semantic(
-                "parallel match requires the A-TREAT backend (Rete is sequential)".into(),
-            )));
-        }
-        self.options.parallel_match = on;
-        Ok(())
-    }
-
-    /// Whether the parallel match path is enabled.
-    pub fn parallel_match(&self) -> bool {
-        self.network.parallel_match()
-    }
-
-    /// Set the worker thread count for the parallel match path
-    /// (`\parallel threads <n>`; 0 = one per available core). Takes
-    /// effect on the next transition.
-    pub fn set_match_threads(&mut self, threads: usize) {
-        self.options.match_threads = threads;
-        self.network.set_match_threads(threads);
-    }
-
-    /// Configured worker thread count (0 = auto).
-    pub fn match_threads(&self) -> usize {
-        self.network.match_threads()
-    }
-
-    /// Permute how the parallel path deals join seeds to worker deques
-    /// with a seeded shuffle (no-op on the Rete backends). Results are
-    /// scheduling-independent; this hook exists for the stress tests that
-    /// prove it.
-    pub fn set_match_shard_seed(&mut self, seed: Option<u64>) {
-        if let EngineNetwork::Treat(n) = &mut self.network {
-            n.set_shard_seed(seed);
-        }
-    }
-
     // ----- tracing (flight recorder) --------------------------------------------
 
     /// Enable or disable the flight-recorder trace tier: a bounded ring
@@ -1195,8 +907,8 @@ impl Ariel {
 
     /// Render the causal chain of a rule's recorded firings: originating
     /// command → tokens → matched TIDs → firing → cascaded updates, with
-    /// cascade depths (`\why <rule>`). The rendering is identical across
-    /// the A-TREAT and Rete backends. Errors if the rule is unknown;
+    /// cascade depths (`\why <rule>`). The rendering is identical under
+    /// every [`VirtualPolicy`]. Errors if the rule is unknown;
     /// reports when tracing is off or no firing is in the ring.
     pub fn why(&self, name: &str) -> ArielResult<String> {
         let rule = self.rules.require(name)?;
@@ -1359,15 +1071,12 @@ mod tests {
         assert!(opts.join_indexing, "join indexing is on by default");
         assert!(opts.composite_join_keys, "composite keys are on by default");
         assert!(!opts.tracing, "tracing is off by default");
-        assert!(!opts.parallel_match, "parallel match is off by default");
-        assert_eq!(opts.match_threads, 0, "thread count defaults to auto");
         assert!(opts.intern_strings, "string interning is on by default");
         assert_eq!(opts.durability, Durability::Off, "no logging by default");
         let db = Ariel::new();
         assert!(db.wal_dir().is_none(), "no durability dir until checkpoint");
         assert_eq!(db.wal_records(), 0);
         assert!(db.catalog().intern_strings());
-        assert!(!db.parallel_match());
         assert!(!db.options().cache_action_plans);
         assert!(!db.tracing(), "no recorder allocated by default");
         assert_eq!(db.trace_limit(), DEFAULT_TRACE_CAPACITY);
@@ -1410,56 +1119,6 @@ mod tests {
         });
         assert!(!db.network().composite_keys());
         assert!(Ariel::new().network().composite_keys());
-    }
-
-    #[test]
-    fn rete_mode_selects_backend() {
-        let db = Ariel::new();
-        assert!(db.network().rete_mode().is_none(), "A-TREAT by default");
-        for mode in [ReteMode::Indexed, ReteMode::Nested] {
-            let mut db = Ariel::with_options(EngineOptions {
-                rete_mode: Some(mode),
-                ..Default::default()
-            });
-            assert_eq!(db.network().rete_mode(), Some(mode));
-            assert_eq!(
-                db.network().join_indexing(),
-                mode == ReteMode::Indexed,
-                "indexing follows the Rete mode"
-            );
-            db.execute("create emp (sal = int, dno = int); create dept (dno = int, floor = int)")
-                .unwrap();
-            db.execute("create hit (sal = int)").unwrap();
-            db.execute(
-                "define rule r if emp.sal > 10 and emp.dno = dept.dno \
-                 then append to hit(sal = emp.sal)",
-            )
-            .unwrap();
-            db.execute("append dept (dno = 1, floor = 3)").unwrap();
-            db.execute("append emp (sal = 50, dno = 1)").unwrap();
-            assert_eq!(
-                db.query("retrieve (hit.sal)").unwrap().rows.len(),
-                1,
-                "rule fired through the Rete backend ({mode:?})"
-            );
-            let stats = db.network_stats();
-            assert!(stats.beta_bytes > 0, "Rete carries β state ({mode:?})");
-        }
-    }
-
-    #[test]
-    fn rete_backend_rejects_event_rules() {
-        let mut db = Ariel::with_options(EngineOptions {
-            rete_mode: Some(ReteMode::Indexed),
-            ..Default::default()
-        });
-        db.execute("create t (x = int)").unwrap();
-        assert!(
-            db.execute("define rule r on append t then delete t")
-                .is_err(),
-            "event rules need A-TREAT"
-        );
-        assert_eq!(db.network_stats().rules, 0, "activation rolled back");
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub use action::{ActionOutcome, ActionPlanner};
 pub use agenda::ConflictStrategy;
 pub use catalog::RuleCatalog;
 pub use delta::DeltaTracker;
-pub use engine::{Ariel, EngineNetwork, EngineOptions, EngineStats, MemoryStats};
+pub use engine::{Ariel, EngineOptions, EngineStats, MemoryStats};
 pub use error::{ArielError, ArielResult};
 pub use network::{
     TraceEventKind, TraceRecord, TraceRecorder, TraceSource, DEFAULT_TRACE_CAPACITY,

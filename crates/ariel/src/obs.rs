@@ -415,7 +415,7 @@ pub(crate) fn render_metrics_prometheus(input: &MetricsInput<'_>) -> String {
         (
             "ariel_network_beta_bytes",
             "gauge",
-            "Approximate bytes held by beta memories (Rete modes).",
+            "Approximate bytes held by beta memories (always 0: A-TREAT keeps none).",
             n.beta_bytes as u64,
         ),
         (

@@ -252,10 +252,9 @@ impl Ariel {
     /// network from the restored relations), restore P-node match history,
     /// replay the `wal.log` tail through the normal execute path, truncate
     /// any torn final record, and re-attach the log writer per
-    /// `options.durability`. The network backend and all other knobs come
-    /// from `options`, so a snapshot taken under A-TREAT can be recovered
-    /// onto Rete (the equivalence oracle in `tests/durability.rs` leans on
-    /// this).
+    /// `options.durability`. The virtual policy and all other knobs come
+    /// from `options`, so a snapshot taken with stored memories can be
+    /// recovered onto virtual ones (`tests/durability.rs` checks this).
     pub fn recover(
         dir: impl AsRef<Path>,
         options: EngineOptions,

@@ -2,12 +2,12 @@
 //! `\trace show` listing, and the Chrome `trace_event` export.
 //!
 //! All renderings map raw rule ids back to names. The `\why` view never
-//! prints raw sequence numbers: the A-TREAT and Rete backends record
-//! different numbers of probe events (so sequence numbers diverge), but
-//! transitions, cascade depths, TIDs, token descriptions, and command
-//! text are backend-invariant — which makes the rendered causal chain
-//! byte-identical across backends, a property the equivalence oracle in
-//! `tests/observability.rs` pins.
+//! prints raw sequence numbers: stored and virtual α-memories record
+//! different probe events (so sequence numbers diverge across virtual
+//! policies), but transitions, cascade depths, TIDs, token descriptions,
+//! and command text are policy-invariant — which makes the rendered causal
+//! chain byte-identical under every policy, a property the equivalence
+//! oracle in `tests/observability.rs` pins.
 
 use ariel_network::{TraceEventKind, TraceRecord, TraceSource};
 use std::collections::HashMap;

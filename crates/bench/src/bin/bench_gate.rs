@@ -28,14 +28,6 @@
 //!
 //! Two subcommands ride along:
 //!
-//! * `bench_gate par [fresh [baseline]]` gates `BENCH_par.json` (written
-//!   by `paper_tables -- par`): the parallel path at **one worker** must
-//!   not cost more than 50% over the sequential path, every thread count
-//!   of a config must produce the **same** `pnode_inserts` as sequential
-//!   (match work is deterministic), and counts must not move against
-//!   `BENCH_par_baseline.json`. Wall clock is *not* compared against the
-//!   baseline — CI hosts differ in core count, so absolute speedups are
-//!   reported, never gated. `--bless` updates the par baseline.
 //! * `bench_gate mem [fresh [baseline]]` gates `BENCH_mem.json` (written
 //!   by `paper_tables -- mem`): the **interned** layout must hold fewer
 //!   α-memory bytes than the **legacy** heap-string layout within the
@@ -74,9 +66,8 @@
 //!   `README.md` or `docs/*.md` points at a path that does not exist —
 //!   the CI docs gate.
 //!
-//! The schema of the join, par, mem, serve, wal and obs files is
-//! documented in `docs/OBSERVABILITY.md` (join, mem, obs),
-//! `docs/CONCURRENCY.md` (par), `docs/SERVER.md` (serve) and
+//! The schema of the join, mem, serve, wal and obs files is documented in
+//! `docs/OBSERVABILITY.md` (join, mem, obs), `docs/SERVER.md` (serve) and
 //! `docs/DURABILITY.md` (wal).
 
 use std::collections::BTreeMap;
@@ -414,170 +405,6 @@ fn bless_diff(fresh: &[Row], baseline: &[Row]) -> Vec<String> {
         }
     }
     lines
-}
-
-/// One row of `BENCH_par.json`, keyed by `(config, threads)`.
-#[derive(Debug, Clone, PartialEq)]
-struct ParRow {
-    config: String,
-    threads: u64,
-    total_ms: f64,
-    pnode_inserts: u64,
-}
-
-fn parse_par_rows(src: &str, label: &str) -> Result<Vec<ParRow>, String> {
-    let objs = Parser::new(src)
-        .array_of_objects()
-        .map_err(|e| format!("{label}: {e}"))?;
-    objs.into_iter()
-        .enumerate()
-        .map(|(i, obj)| {
-            let str_field = |k: &str| match obj.get(k) {
-                Some(Field::Str(s)) => Ok(s.clone()),
-                _ => Err(format!("{label}: row {i} missing string \"{k}\"")),
-            };
-            let num_field = |k: &str| match obj.get(k) {
-                Some(Field::Num(n)) => Ok(*n),
-                _ => Err(format!("{label}: row {i} missing number \"{k}\"")),
-            };
-            Ok(ParRow {
-                config: str_field("config")?,
-                threads: num_field("threads")? as u64,
-                total_ms: num_field("total_ms")?,
-                pnode_inserts: num_field("pnode_inserts")? as u64,
-            })
-        })
-        .collect()
-}
-
-/// Gate the parallel-match benchmark; returns every violation found.
-///
-/// Self-consistency within the fresh file: equal `pnode_inserts` at every
-/// thread count of a config, and the one-worker parallel run within
-/// [`TOTAL_MS_TOLERANCE`] of the sequential run (pool overhead must be
-/// amortized by batching, whatever the host's core count). Against the
-/// baseline only the deterministic counts are compared.
-fn check_par(fresh: &[ParRow], baseline: &[ParRow]) -> Vec<String> {
-    let mut violations = Vec::new();
-    let mut configs: Vec<&str> = Vec::new();
-    for r in fresh {
-        if !configs.contains(&r.config.as_str()) {
-            configs.push(&r.config);
-        }
-    }
-    for config in configs {
-        let rows: Vec<_> = fresh.iter().filter(|r| r.config == config).collect();
-        let Some(seq) = rows.iter().find(|r| r.threads == 0) else {
-            violations.push(format!("{config}: missing sequential row (threads=0)"));
-            continue;
-        };
-        for r in &rows {
-            if r.pnode_inserts != seq.pnode_inserts {
-                violations.push(format!(
-                    "{config}/threads={}: pnode_inserts diverged from sequential \
-                     ({} vs {}) — parallel match changed the match results",
-                    r.threads, r.pnode_inserts, seq.pnode_inserts
-                ));
-            }
-        }
-        if let Some(one) = rows.iter().find(|r| r.threads == 1) {
-            if one.total_ms > seq.total_ms * TOTAL_MS_TOLERANCE {
-                violations.push(format!(
-                    "{config}/threads=1: one-worker parallel run costs {:.3} ms vs \
-                     {:.3} ms sequential (>{:.0}% overhead)",
-                    one.total_ms,
-                    seq.total_ms,
-                    (TOTAL_MS_TOLERANCE - 1.0) * 100.0
-                ));
-            }
-        }
-    }
-    for base in baseline {
-        let key = format!("{}/threads={}", base.config, base.threads);
-        match fresh
-            .iter()
-            .find(|r| r.config == base.config && r.threads == base.threads)
-        {
-            None => violations.push(format!("{key}: missing from fresh results")),
-            Some(now) if now.pnode_inserts != base.pnode_inserts => {
-                violations.push(format!(
-                    "{key}: pnode_inserts changed {} -> {} (match work is deterministic)",
-                    base.pnode_inserts, now.pnode_inserts
-                ));
-            }
-            _ => {}
-        }
-    }
-    violations
-}
-
-fn run_par_gate(fresh_path: &str, base_path: &str, bless: bool) -> ExitCode {
-    let load = |path: &str| {
-        std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {path}: {e}"))
-            .and_then(|src| parse_par_rows(&src, path))
-    };
-    let fresh = match load(fresh_path) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("bench_gate: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if bless {
-        let baseline = load(base_path).unwrap_or_default();
-        println!("bench_gate: blessing {fresh_path} -> {base_path}");
-        for now in &fresh {
-            let key = format!("{}/threads={}", now.config, now.threads);
-            match baseline
-                .iter()
-                .find(|r| r.config == now.config && r.threads == now.threads)
-            {
-                Some(old) => println!(
-                    "  {key}: pnode_inserts {} -> {}",
-                    old.pnode_inserts, now.pnode_inserts
-                ),
-                None => println!("  {key}: new row (pnode_inserts {})", now.pnode_inserts),
-            }
-        }
-        return match std::fs::copy(fresh_path, base_path) {
-            Ok(_) => {
-                println!("bench_gate: par baseline updated ({} rows)", fresh.len());
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("bench_gate: cannot write {base_path}: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let baseline = match load(base_path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("bench_gate: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!(
-        "bench_gate: par {fresh_path} vs {base_path} ({} baseline rows)",
-        baseline.len()
-    );
-    for r in &fresh {
-        println!(
-            "  {:>22}/threads={:<2} total_ms {:>9.3}  pnode_inserts {:>9}",
-            r.config, r.threads, r.total_ms, r.pnode_inserts
-        );
-    }
-    let violations = check_par(&fresh, &baseline);
-    if violations.is_empty() {
-        println!("bench_gate: PASS");
-        ExitCode::SUCCESS
-    } else {
-        for v in &violations {
-            eprintln!("bench_gate: FAIL {v}");
-        }
-        ExitCode::FAILURE
-    }
 }
 
 /// Throughput tolerance for the serve gate: one-client commands/sec may
@@ -1370,13 +1197,6 @@ fn main() -> ExitCode {
         Some("links") => {
             return run_links(args.get(1).map_or(".", String::as_str));
         }
-        Some("par") => {
-            let fresh = args.get(1).map_or("BENCH_par.json", String::as_str);
-            let base = args
-                .get(2)
-                .map_or("BENCH_par_baseline.json", String::as_str);
-            return run_par_gate(fresh, base, bless);
-        }
         Some("mem") => {
             let fresh = args.get(1).map_or("BENCH_mem.json", String::as_str);
             let base = args
@@ -1632,68 +1452,6 @@ mod tests {
         let v = check(&fresh, &base);
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("missing from fresh"), "{v:?}");
-    }
-
-    fn par(config: &str, threads: u64, total_ms: f64, pnode_inserts: u64) -> ParRow {
-        ParRow {
-            config: config.into(),
-            threads,
-            total_ms,
-            pnode_inserts,
-        }
-    }
-
-    #[test]
-    fn parses_par_snapshot_output() {
-        let src = r#"[{"config":"TREAT (indexed)","threads":0,"total_ms":12.5,
-            "speedup":1.000,"pnode_inserts":4200}]"#;
-        let rows = parse_par_rows(src, "test").unwrap();
-        assert_eq!(rows, vec![par("TREAT (indexed)", 0, 12.5, 4200)]);
-        assert!(parse_par_rows("[{\"config\":1}]", "test").is_err());
-    }
-
-    #[test]
-    fn par_gate_passes_on_consistent_rows() {
-        let fresh = vec![
-            par("t", 0, 10.0, 100),
-            par("t", 1, 13.0, 100),
-            par("t", 2, 6.0, 100),
-            par("rete", 0, 20.0, 100),
-        ];
-        assert!(check_par(&fresh, &fresh).is_empty());
-        // empty baseline (blessing from scratch) also passes
-        assert!(check_par(&fresh, &[]).is_empty());
-    }
-
-    #[test]
-    fn par_gate_fails_on_one_worker_overhead() {
-        let fresh = vec![par("t", 0, 10.0, 100), par("t", 1, 15.1, 100)];
-        let v = check_par(&fresh, &[]);
-        assert_eq!(v.len(), 1);
-        assert!(v[0].contains("one-worker"), "{v:?}");
-    }
-
-    #[test]
-    fn par_gate_fails_on_diverged_match_results() {
-        let fresh = vec![par("t", 0, 10.0, 100), par("t", 2, 6.0, 99)];
-        let v = check_par(&fresh, &[]);
-        assert_eq!(v.len(), 1);
-        assert!(v[0].contains("diverged from sequential"), "{v:?}");
-        // and against the baseline, deterministic counts must not move
-        let base = vec![par("t", 0, 10.0, 90), par("t", 4, 1.0, 90)];
-        let v = check_par(&[par("t", 0, 10.0, 100)], &base);
-        assert!(
-            v.iter().any(|m| m.contains("pnode_inserts changed")),
-            "{v:?}"
-        );
-        assert!(v.iter().any(|m| m.contains("missing from fresh")), "{v:?}");
-    }
-
-    #[test]
-    fn par_gate_fails_on_missing_sequential_row() {
-        let v = check_par(&[par("t", 2, 6.0, 100)], &[]);
-        assert_eq!(v.len(), 1);
-        assert!(v[0].contains("missing sequential row"), "{v:?}");
     }
 
     fn mem(config: &str, total_ms: f64, alpha_entries: u64, alpha_bytes: u64) -> MemRow {

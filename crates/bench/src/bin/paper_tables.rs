@@ -6,7 +6,7 @@
 //! cargo run --release -p ariel-bench --bin paper_tables -- fig9    # one experiment
 //! ```
 //!
-//! Experiments: fig9 fig10 fig11 act scale virt isl net plan obs joins mem trace par serve wal
+//! Experiments: fig9 fig10 fig11 act scale virt isl net plan obs joins mem trace serve wal
 
 use ariel_bench::measure;
 use std::time::Duration;
@@ -176,40 +176,6 @@ fn run_trace() {
     println!("(fig11-style 3-variable workload, full engine path, recorder off vs on)");
     let json = measure::trace_snapshot(25, 200);
     let path = "BENCH_trace.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path} ({} bytes)", json.len()),
-        Err(e) => println!("cannot write {path}: {e}"),
-    }
-    println!();
-}
-
-fn run_par() {
-    println!("== PAR: parallel match speedup vs threads → BENCH_par.json ==");
-    println!("(fig11 churn batched into runs; threads 0 = sequential path; Rete stays sequential)");
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("(host parallelism: {host} — speedup saturates at the core count)");
-    println!(
-        "{:>22} {:>8} | {:>10} {:>8} {:>14}",
-        "config", "threads", "total ms", "speedup", "pnode inserts"
-    );
-    let rows = measure::par_table(50, 30, 32);
-    for r in &rows {
-        let seq = rows
-            .iter()
-            .find(|s| s.config == r.config && s.threads == 0)
-            .unwrap();
-        let speedup = seq.total.as_secs_f64() / r.total.as_secs_f64().max(1e-12);
-        println!(
-            "{:>22} {:>8} | {:>10} {:>7.2}x {:>14}",
-            r.config,
-            r.threads,
-            ms(r.total),
-            speedup,
-            r.pnode_inserts
-        );
-    }
-    let json = measure::par_json(&rows);
-    let path = "BENCH_par.json";
     match std::fs::write(path, &json) {
         Ok(()) => println!("wrote {path} ({} bytes)", json.len()),
         Err(e) => println!("cannot write {path}: {e}"),
@@ -425,9 +391,6 @@ fn main() {
     }
     if want("trace") {
         run_trace();
-    }
-    if want("par") {
-        run_par();
     }
     if want("serve") {
         run_serve();

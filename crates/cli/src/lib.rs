@@ -236,7 +236,6 @@ fn meta_command(db: &mut Ariel, meta: &str) -> ShellAction {
                 return ShellAction::Text(format!(
                     "match state:\n\
                      \x20 alpha    {} bytes over {} entries ({:.1} bytes/entry)\n\
-                     \x20 beta     {} bytes\n\
                      \x20 pnodes   {} bytes over {} rows\n\
                      \x20 selnet   {} bytes\n\
                      symbol table: {} symbols, {} bytes\n\
@@ -244,7 +243,6 @@ fn meta_command(db: &mut Ariel, meta: &str) -> ShellAction {
                     m.alpha_bytes,
                     m.alpha_entries,
                     m.alpha_bytes_per_entry(),
-                    m.beta_bytes,
                     m.pnode_bytes,
                     m.pnode_rows,
                     m.selnet_bytes,
@@ -355,45 +353,6 @@ fn meta_command(db: &mut Ariel, meta: &str) -> ShellAction {
             _ => ShellAction::Text(format!(
                 "tracing is {}; usage: \\trace on|off|limit <n>|show [n]|export <file>\n",
                 if db.tracing() { "on" } else { "off" }
-            )),
-        },
-        Some("parallel") => match parts.next() {
-            Some("on") => match db.set_parallel_match(true) {
-                Ok(()) => ShellAction::Text(format!(
-                    "parallel match on ({} threads)\n",
-                    match db.match_threads() {
-                        0 => "auto".to_string(),
-                        n => n.to_string(),
-                    }
-                )),
-                Err(e) => ShellAction::Text(format!("error: {e}\n")),
-            },
-            Some("off") => match db.set_parallel_match(false) {
-                Ok(()) => ShellAction::Text("parallel match off\n".into()),
-                Err(e) => ShellAction::Text(format!("error: {e}\n")),
-            },
-            Some("threads") => match parts.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) => {
-                    db.set_match_threads(n);
-                    ShellAction::Text(format!(
-                        "match threads set to {}\n",
-                        match n {
-                            0 => "auto".to_string(),
-                            n => n.to_string(),
-                        }
-                    ))
-                }
-                None => ShellAction::Text(format!(
-                    "match threads: {}; usage: \\parallel threads <n> (0 = auto)\n",
-                    match db.match_threads() {
-                        0 => "auto".to_string(),
-                        n => n.to_string(),
-                    }
-                )),
-            },
-            _ => ShellAction::Text(format!(
-                "parallel match is {}; usage: \\parallel on|off|threads <n>\n",
-                if db.parallel_match() { "on" } else { "off" }
             )),
         },
         Some("why") => {
@@ -509,9 +468,6 @@ Meta commands:
   \trace show [n]   list the recorded events (newest n)
   \trace export <f> write the recording as Chrome trace_event JSON
   \why <rule>       causal chain of the rule's recorded firings
-  \parallel on|off  toggle the parallel match path (A-TREAT only)
-  \parallel threads <n>
-                    worker threads for parallel match (0 = auto)
   \serve <addr>     serve this database over TCP until a client sends
                     shutdown (blocks; REPL state survives — docs/SERVER.md)
   \checkpoint <dir> [off|commit|batch]
@@ -521,7 +477,7 @@ Meta commands:
   \metrics prom     the same snapshot in Prometheus text exposition
   \slowlog [clear]  the slowest statements this shell has executed
   \stats            engine and network statistics
-  \stats bytes      per-memory byte breakdown (alpha/beta/pnode/selnet,
+  \stats bytes      per-memory byte breakdown (alpha/pnode/selnet,
                     symbol table, arena reuse counters)
   \help             this text
   \q                quit
@@ -601,38 +557,6 @@ mod tests {
             panic!()
         };
         assert!(t.contains("unknown meta command"));
-    }
-
-    #[test]
-    fn parallel_meta_commands() {
-        let mut db = shell_db();
-        let ShellAction::Text(t) = dispatch(&mut db, "\\parallel") else {
-            panic!()
-        };
-        assert!(t.contains("parallel match is off"));
-        let ShellAction::Text(t) = dispatch(&mut db, "\\parallel threads 2") else {
-            panic!()
-        };
-        assert!(t.contains("match threads set to 2"));
-        let ShellAction::Text(t) = dispatch(&mut db, "\\parallel on") else {
-            panic!()
-        };
-        assert!(t.contains("parallel match on (2 threads)"));
-        assert!(db.parallel_match());
-        // the engine still works with the pool active
-        dispatch(&mut db, r#"append t (x = 5, name = "par")"#);
-        let ShellAction::Text(t) = dispatch(&mut db, "retrieve (t.x) where t.x = 5") else {
-            panic!()
-        };
-        assert!(t.contains("(1 row)"));
-        let ShellAction::Text(t) = dispatch(&mut db, "\\parallel off") else {
-            panic!()
-        };
-        assert!(t.contains("parallel match off"));
-        let ShellAction::Text(t) = dispatch(&mut db, "\\parallel threads") else {
-            panic!()
-        };
-        assert!(t.contains("match threads: 2"));
     }
 
     #[test]

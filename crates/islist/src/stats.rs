@@ -15,12 +15,11 @@
 //!
 //! All three use *atomic* interior mutability so shared-reference code
 //! paths — `IntervalSkipList::stab` takes `&self` — can record without
-//! threading `&mut` through the search routines, **and** so the structures
-//! that embed them are `Sync`: the parallel match path (see
-//! `docs/CONCURRENCY.md`) shares the discrimination network across scoped
-//! worker threads by `&`-reference. All accesses are `Relaxed`; the
-//! counters are statistics whose totals are sums, which are independent of
-//! the order increments land in.
+//! threading `&mut` through the search routines, and the structures that
+//! embed them stay `Send + Sync` (the engine moves between the server's
+//! session threads). All accesses are `Relaxed`; the counters are
+//! statistics whose totals are sums, which are independent of the order
+//! increments land in.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -151,9 +151,8 @@ impl AlphaEntry {
 }
 
 /// Always-on per-node counters (see `crate::obs` for the two-tier
-/// observability design). Atomic [`Counter`]s because the join routines
-/// hold `&self`, and because the parallel match path (`docs/CONCURRENCY.md`)
-/// probes α-memories from several worker threads at once.
+/// observability design). [`Counter`]s because the join routines hold
+/// `&self`.
 #[derive(Debug, Clone, Default)]
 pub struct AlphaCounters {
     /// α-tests run against this node (selection-network candidates).

@@ -7,15 +7,14 @@
 //! recycle the buffers instead — `take` hands back a previously-used
 //! buffer (cleared, capacity intact), `give` returns it.
 //!
-//! Pools live in `thread_local!` storage at their use sites, which gives
-//! the parallel match path one arena per worker for free: scoped-pool
-//! workers are persistent threads, so each worker's buffers are reused
-//! across batches without any cross-thread synchronization, and the
-//! sequential path is just the main thread's arena. Dropping a thread
+//! Pools live in `thread_local!` storage at their use sites: the match path
+//! runs on whichever thread holds the engine (a server session thread, the
+//! REPL's main thread), and each such thread reuses its own buffers across
+//! transitions without any cross-thread synchronization. Dropping a thread
 //! drops its arena.
 //!
 //! Stats (takes / reuses / high-water bytes) are global atomics so the
-//! "peak scratch" figure in `BENCH_mem.json` aggregates across workers.
+//! "peak scratch" figure in `BENCH_mem.json` aggregates across threads.
 
 use crate::alpha::AlphaId;
 use ariel_islist::Counter;
@@ -147,10 +146,7 @@ pub fn with_pool<T, R>(
 
 // ---- the match path's concrete arenas -----------------------------------
 //
-// One `thread_local!` per scratch shape. The sequential path uses the main
-// thread's cells; each parallel worker gets its own. A buffer may be taken
-// on one thread and given back on another (join results cross from worker
-// to merge thread) — that just migrates capacity between arenas.
+// One `thread_local!` per scratch shape, on the thread running the match.
 
 thread_local! {
     static CANDIDATES: RefCell<Pool<AlphaId>> = RefCell::new(Pool::default());

@@ -1,6 +1,6 @@
 //! The conflict set: which rules currently have a non-empty P-node.
 //!
-//! Each network backend owns one [`ConflictSet`] and calls
+//! The A-TREAT network owns one [`ConflictSet`] and calls
 //! [`ConflictSet::sync`] at every site that changes a P-node's rows (push,
 //! retract, drain, clear, wholesale replace, rule removal), so the engine's
 //! recognize-act cycle reads the eligible rules in `O(matched)` instead of

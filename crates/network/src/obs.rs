@@ -14,12 +14,11 @@
 //!    insert. With the flag off none of this exists and the match path
 //!    pays nothing beyond the tier-1 counters.
 //!
-//! Everything uses *thread-safe* interior mutability (atomic [`Counter`]s,
-//! `Mutex`-guarded maps) because the join routines traverse the network
-//! through `&self` — and, under the parallel match path
-//! (`docs/CONCURRENCY.md`), from several worker threads at once. The maps
-//! are only locked briefly per phase record; with observability off none of
-//! this is reached.
+//! Everything uses interior mutability (atomic [`Counter`]s, `Mutex`-guarded
+//! maps) because the join routines traverse the network through `&self`,
+//! and the engine — recorder included — must stay `Send` to move into the
+//! server's session threads. The maps are only locked briefly per phase
+//! record; with observability off none of this is reached.
 
 use crate::alpha::RuleId;
 use ariel_islist::{Counter, Histogram};
@@ -63,11 +62,6 @@ pub struct NodeObs {
     pub range_probes: u64,
     /// Stabs that found at least one spanning entry.
     pub range_hits: u64,
-    /// β-memory index probes this node's right activations issued (indexed
-    /// Rete only — the TREAT network keeps no β-memories).
-    pub beta_probes: u64,
-    /// β-probes that found at least one partial match.
-    pub beta_hits: u64,
     /// Wall-clock ns per α-test.
     pub alpha_test: Histogram,
     /// Wall-clock ns per virtual materialization.
@@ -97,8 +91,6 @@ impl NodeObs {
         self.scanned_candidates += other.scanned_candidates;
         self.range_probes += other.range_probes;
         self.range_hits += other.range_hits;
-        self.beta_probes += other.beta_probes;
-        self.beta_hits += other.beta_hits;
         self.alpha_test.merge(&other.alpha_test);
         self.virtual_scan.merge(&other.virtual_scan);
     }
@@ -252,7 +244,7 @@ impl MatchObs {
                 s.push(',');
             }
             s.push_str(&format!(
-                "{{\"rule\":{rule},\"var\":{var},\"tokens_in\":{},\"tokens_out\":{},\"entries_inserted\":{},\"virtual_scans\":{},\"scanned_tuples\":{},\"join_candidates\":{},\"index_probes\":{},\"index_hits\":{},\"indexed_candidates\":{},\"scanned_candidates\":{},\"range_probes\":{},\"range_hits\":{},\"beta_probes\":{},\"beta_hits\":{},\"alpha_test\":{},\"virtual_scan\":{}}}",
+                "{{\"rule\":{rule},\"var\":{var},\"tokens_in\":{},\"tokens_out\":{},\"entries_inserted\":{},\"virtual_scans\":{},\"scanned_tuples\":{},\"join_candidates\":{},\"index_probes\":{},\"index_hits\":{},\"indexed_candidates\":{},\"scanned_candidates\":{},\"range_probes\":{},\"range_hits\":{},\"alpha_test\":{},\"virtual_scan\":{}}}",
                 n.tokens_in,
                 n.tokens_out,
                 n.entries_inserted,
@@ -265,8 +257,6 @@ impl MatchObs {
                 n.scanned_candidates,
                 n.range_probes,
                 n.range_hits,
-                n.beta_probes,
-                n.beta_hits,
                 n.alpha_test.to_json(),
                 n.virtual_scan.to_json(),
             ));

@@ -25,6 +25,13 @@
 //! Both modes produce identical P-nodes; only the work per token differs.
 //! The `paper_tables -- net` bench compares them against TREAT head-on.
 //!
+//! The engine never runs this network. It is the comparison behind the
+//! NET table and an oracle leg of `tests/network_equivalence.rs` and
+//! `tests/oracle_match.rs`, so it keeps only the always-on counters
+//! ([`NetworkStats`], [`RuleStats`]): no timing tier, no flight recorder,
+//! and no maintained conflict set — [`ReteNetwork::rules_with_matches`]
+//! scans the P-nodes.
+//!
 //! This implementation covers pattern-based conditions (what the paper's
 //! Figs. 9–11 exercise); event and transition conditions are A-TREAT
 //! features ([`crate::treat`]).
@@ -37,14 +44,11 @@
 //! [`crate::treat`]).
 
 use crate::alpha::{AlphaCounters, AlphaEntry, AlphaId, AlphaKind, AlphaNode, BandShape, RuleId};
-use crate::conflict::ConflictSet;
 use crate::key::{KeyBuilder, SmallKey};
-use crate::obs::MatchObs;
 use crate::plan::{BandSpec, CompositeSpec, JoinPlan};
 use crate::pred::SelectionPredicate;
 use crate::selnet::SelectionNetwork;
 use crate::token::Token;
-use crate::trace::{TraceEventKind, TraceRecorder};
 use crate::treat::{
     pending_done, pending_of, selectivity_virtualize, NetworkStats, Pending, RuleStats,
     RuleTopology, VirtualPolicy,
@@ -57,7 +61,6 @@ use ariel_query::{
 use ariel_storage::{Catalog, FxBuildHasher, Tid, Value};
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::time::Instant;
 
 /// How the Rete network runs its β-joins. Selected per network via
 /// [`ReteNetwork::set_mode`] and snapshotted into each rule at compile
@@ -282,14 +285,9 @@ pub struct ReteNetwork {
     alphas: Vec<Option<AlphaNode>>,
     free: Vec<usize>,
     rules: BTreeMap<u64, ReteRule>,
-    /// Rules with a non-empty P-node, and those that gained a match since
-    /// the engine last asked (see [`crate::conflict`]).
-    conflict: ConflictSet,
     policy: VirtualPolicy,
     mode: ReteMode,
     tokens_processed: u64,
-    obs: Option<MatchObs>,
-    trace: Option<TraceRecorder>,
 }
 
 impl Default for ReteNetwork {
@@ -312,12 +310,9 @@ impl ReteNetwork {
             alphas: Vec::new(),
             free: Vec::new(),
             rules: BTreeMap::new(),
-            conflict: ConflictSet::default(),
             policy,
             mode: ReteMode::Indexed,
             tokens_processed: 0,
-            obs: None,
-            trace: None,
         }
     }
 
@@ -331,38 +326,6 @@ impl ReteNetwork {
     /// The current join mode.
     pub fn mode(&self) -> ReteMode {
         self.mode
-    }
-
-    /// Enable or disable the gated timing tier (same contract as
-    /// [`crate::Network::set_observing`]).
-    pub fn set_observing(&mut self, on: bool) {
-        self.obs = if on { Some(MatchObs::new()) } else { None };
-    }
-
-    /// Whether a timing session is active.
-    pub fn observing(&self) -> bool {
-        self.obs.is_some()
-    }
-
-    /// The active timing session, if any.
-    pub fn obs(&self) -> Option<&MatchObs> {
-        self.obs.as_ref()
-    }
-
-    /// Replace the timing session, returning the previous one.
-    pub fn swap_obs(&mut self, obs: Option<MatchObs>) -> Option<MatchObs> {
-        std::mem::replace(&mut self.obs, obs)
-    }
-
-    /// Install or remove the flight recorder (same contract as
-    /// [`crate::Network::set_trace`]).
-    pub fn set_trace(&mut self, trace: Option<TraceRecorder>) -> Option<TraceRecorder> {
-        std::mem::replace(&mut self.trace, trace)
-    }
-
-    /// The active flight recorder, if tracing is on.
-    pub fn trace(&self) -> Option<&TraceRecorder> {
-        self.trace.as_ref()
     }
 
     fn alpha(&self, id: AlphaId) -> &AlphaNode {
@@ -561,22 +524,12 @@ impl ReteNetwork {
             AlphaKind::Virtual => {
                 let rel_ref = catalog.require(&alpha.rel)?;
                 let rel_b = rel_ref.borrow();
-                let scanned = rel_b.len() as u64;
-                let out: Vec<BoundVar> = rel_b
+                Ok(rel_b
                     .scan()
                     .filter(|(tid, _)| visible(*tid))
                     .filter(|(_, t)| alpha.pred_matches(t, None))
                     .map(|(tid, t)| BoundVar::plain(tid, t.clone()))
-                    .collect();
-                if let Some(tr) = &self.trace {
-                    tr.record(TraceEventKind::VirtualScan {
-                        rule: alpha.rule.0,
-                        var: alpha.var,
-                        scanned,
-                        served: out.len() as u64,
-                    });
-                }
-                Ok(out)
+                    .collect())
             }
             _ => Ok(alpha
                 .entries()
@@ -660,9 +613,6 @@ impl ReteNetwork {
                 rule.betas[lvl].insert(p, nvars);
             }
         }
-        if !rule.pnode.is_empty() {
-            self.conflict.pushed(id, &rule.pnode);
-        }
         Ok(())
     }
 
@@ -696,7 +646,6 @@ impl ReteNetwork {
     fn right_activate(
         &self,
         rule: &ReteRule,
-        rule_id: RuleId,
         var: usize,
         seed: &BoundVar,
     ) -> QueryResult<Vec<Partial>> {
@@ -743,22 +692,6 @@ impl ReteNetwork {
                 if served > 0 {
                     beta.hits.set(beta.hits.get() + 1);
                 }
-                if let Some(obs) = &self.obs {
-                    obs.with_node(rule_id, var, |n| {
-                        n.beta_probes += 1;
-                        if served > 0 {
-                            n.beta_hits += 1;
-                        }
-                    });
-                }
-                if let Some(tr) = &self.trace {
-                    tr.record(TraceEventKind::BetaProbe {
-                        rule: rule_id.0,
-                        var,
-                        candidates: served + beta.unindexed.len() as u64,
-                        indexed: true,
-                    });
-                }
                 return Ok(out);
             }
             if let Some(bx) = &beta.band {
@@ -790,22 +723,6 @@ impl ReteNetwork {
                     if served > 0 {
                         beta.hits.set(beta.hits.get() + 1);
                     }
-                    if let Some(obs) = &self.obs {
-                        obs.with_node(rule_id, var, |n| {
-                            n.beta_probes += 1;
-                            if served > 0 {
-                                n.beta_hits += 1;
-                            }
-                        });
-                    }
-                    if let Some(tr) = &self.trace {
-                        tr.record(TraceEventKind::BetaProbe {
-                            rule: rule_id.0,
-                            var,
-                            candidates: served,
-                            indexed: true,
-                        });
-                    }
                     return Ok(out);
                 }
             }
@@ -816,14 +733,6 @@ impl ReteNetwork {
                 p.push(seed.clone());
                 out.push(p);
             }
-        }
-        if let Some(tr) = &self.trace {
-            tr.record(TraceEventKind::BetaProbe {
-                rule: rule_id.0,
-                var,
-                candidates: beta.partials.len() as u64,
-                indexed: false,
-            });
         }
         Ok(out)
     }
@@ -838,34 +747,11 @@ impl ReteNetwork {
     /// tuples whose positive tokens are still pending.
     pub fn process_batch(&mut self, tokens: &[Token], catalog: &Catalog) -> QueryResult<()> {
         self.tokens_processed += tokens.len() as u64;
-        if let Some(obs) = &self.obs {
-            obs.tokens.set(obs.tokens.get() + tokens.len() as u64);
-        }
         let mut pending = pending_of(tokens);
-        let result = self.process_tokens(tokens, catalog, &mut pending);
-        self.conflict
-            .debug_check(self.rules.iter().map(|(id, r)| (*id, &r.pnode)));
-        result
-    }
-
-    fn process_tokens(
-        &mut self,
-        tokens: &[Token],
-        catalog: &Catalog,
-        pending: &mut Pending,
-    ) -> QueryResult<()> {
         for t in tokens {
-            if let Some(tr) = &self.trace {
-                tr.record(TraceEventKind::TokenEmitted {
-                    kind: t.kind.to_string(),
-                    rel: t.rel.clone(),
-                    tid: t.tid.0,
-                    desc: t.to_string(),
-                });
-            }
             if t.kind.is_positive() {
-                pending_done(pending, t);
-                self.process_positive(t, catalog, pending)?;
+                pending_done(&mut pending, t);
+                self.process_positive(t, catalog, &pending)?;
             } else {
                 self.process_negative(t);
             }
@@ -873,52 +759,15 @@ impl ReteNetwork {
         Ok(())
     }
 
-    /// Run one α-test through the observability tiers (same contract as
-    /// the TREAT network's helper).
-    fn alpha_test(
-        &self,
-        aid: AlphaId,
-        _token: &Token,
-        test: impl FnOnce(&AlphaNode) -> bool,
-    ) -> bool {
+    /// Run one α-test, bumping the node's always-on test/pass counters.
+    fn alpha_test(&self, aid: AlphaId, test: impl FnOnce(&AlphaNode) -> bool) -> bool {
         let a = self.alpha(aid);
         AlphaCounters::bump(&a.counters.tests, 1);
-        let start = self.obs.as_ref().map(|_| Instant::now());
         let pass = test(a);
         if pass {
             AlphaCounters::bump(&a.counters.passes, 1);
-            if let Some(tr) = &self.trace {
-                tr.record(TraceEventKind::AlphaPass {
-                    rule: a.rule.0,
-                    var: a.var,
-                });
-            }
-        }
-        if let Some(obs) = &self.obs {
-            obs.with_node(a.rule, a.var, |n| {
-                n.tokens_in += 1;
-                if pass {
-                    n.tokens_out += 1;
-                }
-                if let Some(t0) = start {
-                    n.alpha_test.record(t0.elapsed().as_nanos() as u64);
-                }
-            });
         }
         pass
-    }
-
-    /// Stab the selection network with the token's value — one probe per
-    /// token, whatever its polarity.
-    fn stab(&self, token: &Token) -> Vec<AlphaId> {
-        let candidates = self.selnet.candidates(&token.rel, &token.tuple);
-        if let Some(tr) = &self.trace {
-            tr.record(TraceEventKind::SelnetProbe {
-                rel: token.rel.clone(),
-                candidates: candidates.len() as u64,
-            });
-        }
-        candidates
     }
 
     fn process_positive(
@@ -927,13 +776,12 @@ impl ReteNetwork {
         catalog: &Catalog,
         pending: &Pending,
     ) -> QueryResult<()> {
-        let candidates = self.stab(token);
+        // one selection-network stab per token, whatever its polarity
+        let candidates = self.selnet.candidates(&token.rel, &token.tuple);
         let mut matched: Vec<AlphaId> = candidates
             .into_iter()
             .filter(|aid| {
-                self.alpha_test(*aid, token, |a| {
-                    a.pred_matches(&token.tuple, token.old.as_ref())
-                })
+                self.alpha_test(*aid, |a| a.pred_matches(&token.tuple, token.old.as_ref()))
             })
             .collect();
         matched.sort_by_key(|a| a.0);
@@ -956,25 +804,18 @@ impl ReteNetwork {
                 }
                 (a.rule, a.var)
             };
-            if let Some(obs) = &self.obs {
-                let a = self.alpha(aid);
-                if a.kind.stores_entries() {
-                    obs.with_node(rule_id, var, |n| n.entries_inserted += 1);
-                }
-            }
             let seed = BoundVar {
                 tid: Some(token.tid),
                 tuple: token.tuple.clone(),
                 prev: token.old.clone(),
             };
-            let join_start = self.obs.as_ref().map(|_| Instant::now());
             // right activation at level `var`
             let new_partials: Vec<Partial> = {
                 let rule = &self.rules[&rule_id.0];
                 if var == 0 {
                     vec![vec![seed]]
                 } else {
-                    self.right_activate(rule, rule_id, var, &seed)?
+                    self.right_activate(rule, var, &seed)?
                 }
             };
             {
@@ -983,14 +824,6 @@ impl ReteNetwork {
                 if var > 0 {
                     rule.join_probes += 1;
                 }
-            }
-            if let Some(obs) = &self.obs {
-                obs.with_rule(rule_id, |r| {
-                    r.tokens_in += 1;
-                    if var > 0 {
-                        r.join_probes += 1;
-                    }
-                });
             }
             self.insert_partials(
                 rule_id,
@@ -1001,15 +834,6 @@ impl ReteNetwork {
                 catalog,
                 pending,
             )?;
-            if let Some(obs) = &self.obs {
-                if let Some(t0) = join_start {
-                    if var > 0 {
-                        obs.with_rule(rule_id, |r| {
-                            r.beta_join.record(t0.elapsed().as_nanos() as u64)
-                        });
-                    }
-                }
-            }
         }
         Ok(())
     }
@@ -1034,7 +858,6 @@ impl ReteNetwork {
         let row = row_of(left, nvars);
         let mut served = 0u64;
         let mut used = false;
-        let mut hit = false;
         if let Some(spec) = comp {
             let key: QueryResult<SmallKey> = spec
                 .key_exprs
@@ -1064,7 +887,6 @@ impl ReteNetwork {
                     }
                 }
                 if served > 0 {
-                    hit = true;
                     AlphaCounters::bump(&alpha.counters.index_hits, 1);
                 }
             }
@@ -1076,7 +898,6 @@ impl ReteNetwork {
                     .probe_range_index(&spec.shape, &key)
                     .expect("probe found a registered index");
                 if !hits.is_empty() {
-                    hit = true;
                     AlphaCounters::bump(&alpha.counters.range_hits, 1);
                 }
                 for e in hits {
@@ -1114,34 +935,6 @@ impl ReteNetwork {
             AlphaCounters::bump(&alpha.counters.indexed_candidates, served);
         } else {
             AlphaCounters::bump(&alpha.counters.scanned_candidates, served);
-        }
-        if let Some(tr) = &self.trace {
-            tr.record(TraceEventKind::BetaProbe {
-                rule: alpha.rule.0,
-                var: alpha.var,
-                candidates: served,
-                indexed: used,
-            });
-        }
-        if let Some(obs) = &self.obs {
-            obs.with_node(alpha.rule, alpha.var, |n| {
-                n.join_candidates += served;
-                if used && comp.is_some() {
-                    n.index_probes += 1;
-                    if hit {
-                        n.index_hits += 1;
-                    }
-                    n.indexed_candidates += served;
-                } else if used {
-                    n.range_probes += 1;
-                    if hit {
-                        n.range_hits += 1;
-                    }
-                    n.indexed_candidates += served;
-                } else {
-                    n.scanned_candidates += served;
-                }
-            });
         }
         Ok(())
     }
@@ -1228,21 +1021,9 @@ impl ReteNetwork {
                 rule.betas[level].insert(p.clone(), nvars);
             }
             if level == nvars - 1 {
-                if let Some(tr) = &self.trace {
-                    for p in &current {
-                        tr.record_instantiation(
-                            rule_id.0,
-                            p.iter().map(|b| b.tid.map(|t| t.0)).collect(),
-                        );
-                    }
-                }
                 rule.pnode_inserts += inserted;
                 for p in &current {
                     rule.pnode.push(p.clone());
-                }
-                self.conflict.pushed(rule_id, &rule.pnode);
-                if let Some(obs) = &self.obs {
-                    obs.with_rule(rule_id, |r| r.pnode_inserts += inserted);
                 }
             }
         }
@@ -1257,7 +1038,7 @@ impl ReteNetwork {
     /// variable `v` only via `v`'s α-node), and unanchored nodes are always
     /// candidates.
     fn process_negative(&mut self, token: &Token) {
-        for aid in self.stab(token) {
+        for aid in self.selnet.candidates(&token.rel, &token.tuple) {
             let (rule_id, var) = {
                 let a = self.alphas[aid.0].as_mut().unwrap();
                 a.remove(token.tid);
@@ -1268,9 +1049,7 @@ impl ReteNetwork {
             for beta in rule.betas[var..].iter_mut() {
                 beta.remove_where(var, token.tid, nvars);
             }
-            if rule.pnode.retract(var, token.tid) > 0 {
-                self.conflict.sync(rule_id, &rule.pnode);
-            }
+            rule.pnode.retract(var, token.tid);
         }
     }
 
@@ -1284,7 +1063,6 @@ impl ReteNetwork {
             self.alphas[aid.0] = None;
             self.free.push(aid.0);
         }
-        self.conflict.remove(id);
     }
 
     /// The P-node of a rule.
@@ -1292,47 +1070,14 @@ impl ReteNetwork {
         self.rules.get(&id.0).map(|r| &r.pnode)
     }
 
-    /// Drain a rule's P-node (consumed instantiations at rule firing) into
-    /// a P-node of the same columns. `None` for unknown rules.
-    pub fn drain_pnode(&mut self, id: RuleId) -> Option<Pnode> {
-        let rule = self.rules.get_mut(&id.0)?;
-        let drained = rule.pnode.take();
-        self.conflict.sync(id, &rule.pnode);
-        Some(drained)
-    }
-
-    /// Replace a rule's P-node rows wholesale (crash recovery: priming
-    /// rebuilds α/β state from relations, but a P-node also carries
-    /// *history* — matches consumed by earlier firings are gone — so the
-    /// recovered engine overwrites the primed rows with the snapshotted
-    /// ones). No-op for unknown rules.
-    pub fn set_pnode_rows(&mut self, id: RuleId, rows: Vec<Vec<BoundVar>>) {
-        if let Some(r) = self.rules.get_mut(&id.0) {
-            r.pnode.clear();
-            for row in rows {
-                r.pnode.push(row);
-            }
-            // restored history, not a transition's gain: no `gained` entry
-            self.conflict.sync(id, &r.pnode);
-        }
-    }
-
-    /// Rules whose P-node is non-empty, ascending by id — read off the
-    /// maintained conflict set, `O(matched)`.
+    /// Rules whose P-node is non-empty, ascending by id.
     pub fn rules_with_matches(&self) -> Vec<RuleId> {
-        self.conflict.rules()
+        self.rules
+            .iter()
+            .filter(|(_, r)| !r.pnode.is_empty())
+            .map(|(id, _)| RuleId(*id))
+            .collect()
     }
-
-    /// Hand `f` every rule that gained an instantiation since the last
-    /// call (the engine stamps conflict-resolution recency from this).
-    pub fn drain_gained(&mut self, f: impl FnMut(RuleId)) {
-        self.conflict.drain_gained(f)
-    }
-
-    /// Flush per-transition state. The Rete baseline compiles pattern-only
-    /// rules (no dynamic α-memories, no event-gated P-nodes), so this is a
-    /// no-op — it exists so the engine can drive either network uniformly.
-    pub fn flush_transition_state(&mut self) {}
 
     /// Memory statistics for one rule (same surface as
     /// [`crate::Network::rule_stats`], plus the β fields only Rete fills).

@@ -25,9 +25,6 @@ struct AttrIndex {
 
 #[derive(Debug, Default)]
 struct RelRouting {
-    /// Every subscribed node on this relation (inspection, and the
-    /// parallel path's run-eligibility check; no token is routed by it).
-    alphas: Vec<AlphaId>,
     /// Per-attribute interval indexes for anchored subscriptions.
     attr_indexes: HashMap<usize, AttrIndex>,
     /// Subscriptions with no anchor: candidates for every token.
@@ -61,7 +58,6 @@ impl SelectionNetwork {
     /// Subscribe a node on `rel` with an optional anchor.
     pub fn subscribe(&mut self, id: AlphaId, rel: &str, anchor: Option<(usize, Interval<Value>)>) {
         let routing = self.rels.entry(rel.to_string()).or_default();
-        routing.alphas.push(id);
         let anchored = match anchor {
             Some((attr, interval)) => {
                 let ix = routing.attr_indexes.entry(attr).or_default();
@@ -91,7 +87,6 @@ impl SelectionNetwork {
         let Some(routing) = self.rels.get_mut(&rec.rel) else {
             return;
         };
-        routing.alphas.retain(|a| *a != id);
         match rec.anchored {
             Some((attr, iid)) => {
                 if let Some(ix) = routing.attr_indexes.get_mut(&attr) {
@@ -152,14 +147,6 @@ impl SelectionNetwork {
             }
         }
         agg
-    }
-
-    /// Every subscribed node on `rel`.
-    pub fn alphas_on(&self, rel: &str) -> &[AlphaId] {
-        self.rels
-            .get(rel)
-            .map(|r| r.alphas.as_slice())
-            .unwrap_or(&[])
     }
 
     /// Total number of subscriptions.
@@ -251,7 +238,6 @@ mod tests {
         net.unsubscribe(AlphaId(1));
         assert!(net.candidates("emp", &tup(&[5])).is_empty());
         assert!(net.is_empty());
-        assert!(net.alphas_on("emp").is_empty());
         // double-unsubscribe is a no-op
         net.unsubscribe(AlphaId(0));
     }

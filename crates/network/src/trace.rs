@@ -16,10 +16,8 @@
 //! paths only hold `&self`, and appends in `O(1)` to a fixed-capacity
 //! [`VecDeque`] ring — when full, the oldest record is evicted and counted
 //! in [`TraceRecorder::dropped`], so memory stays bounded no matter how
-//! long tracing runs. A single coarse lock is deliberate: causal event
-//! order cannot survive parallel interleaving, so the engine falls back to
-//! the sequential match path whenever tracing is active (see
-//! `docs/CONCURRENCY.md`) and the lock is never contended.
+//! long tracing runs. A single coarse lock is deliberate: the match path
+//! is sequential, so the lock is never contended.
 //!
 //! The engine stamps transition context (id, cascade depth, causing
 //! firing) onto the recorder via [`TraceRecorder::begin_transition`];
@@ -106,11 +104,11 @@ pub enum TraceEventKind {
         /// Tuples that passed the selection predicate.
         served: u64,
     },
-    /// A stored memory (α in TREAT, β in Rete) was probed during a join.
+    /// A stored α-memory was probed during a join.
     BetaProbe {
         /// Rule owning the probed memory.
         rule: u64,
-        /// Variable (TREAT α) or join level (Rete β) probed.
+        /// Variable probed.
         var: usize,
         /// Join candidates the probe produced.
         candidates: u64,

@@ -37,7 +37,7 @@
 //! ### Stored memories share their relation's tuples and join indexes
 //!
 //! A stored α-memory keeps its TID-keyed entries, but its equi-join hash
-//! indexes live in the network's per-relation [`crate::store`]: one index
+//! indexes live in the network's per-relation `crate::store`: one index
 //! per attribute set, over the relation's stored tuples, each tuple filed
 //! once however many memories hold it. A probe takes the shared bucket's
 //! TIDs and keeps those the memory holds. Dynamic memories and every band
@@ -61,9 +61,7 @@ use ariel_query::{
     QueryResult, QuerySpec, RExpr, ResolvedCondition, Row,
 };
 use ariel_storage::{Catalog, FxHashMap, FxHashSet, SchemaRef, Tid, Tuple, Value};
-use scoped_pool::Pool;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Policy deciding which eligible α-memories become virtual (§4.2 closes
@@ -159,7 +157,7 @@ pub struct RuleStats {
     pub range_probes: u64,
     /// Range probes that found at least one candidate.
     pub range_hits: u64,
-    /// Approximate bytes held in β-memories (indexed/nested Rete backend
+    /// Approximate bytes held in β-memories (the Rete comparison network
     /// only — TREAT keeps no β-memories, so this stays 0).
     pub beta_bytes: usize,
     /// β-memory index probes (indexed Rete only; 0 under TREAT).
@@ -249,7 +247,7 @@ pub struct NetworkStats {
     pub range_probes: u64,
     /// Range probes that found at least one candidate.
     pub range_hits: u64,
-    /// Approximate bytes held in β-memories (indexed/nested Rete backend
+    /// Approximate bytes held in β-memories (the Rete comparison network
     /// only — TREAT keeps no β-memories, so this stays 0).
     pub beta_bytes: usize,
     /// β-memory index probes (indexed Rete only; 0 under TREAT).
@@ -318,22 +316,10 @@ pub struct Network {
     obs: Option<MatchObs>,
     /// Gated flight recorder (None = tracing off, the default).
     trace: Option<TraceRecorder>,
-    /// Whether β-join probe work fans out across the worker pool (off by
-    /// default). Tracing forces the sequential path regardless — causal
-    /// event order cannot survive a parallel interleaving.
-    parallel_match: bool,
-    /// Worker threads for the parallel path; 0 = one per available core.
-    match_threads: usize,
-    /// Optional seed permuting how join seeds are dealt to worker deques.
-    /// Results are scheduling-independent, so this knob exists purely for
-    /// the stress tests that prove it.
-    shard_seed: Option<u64>,
-    /// Lazily-built worker pool (rebuilt when the thread count changes).
-    pool: Option<Pool>,
 }
 
 /// The [`VirtualPolicy::SelectivityThreshold`] estimate, shared by both
-/// network backends (TREAT calls it from `should_virtualize`; the Rete
+/// networks (TREAT calls it from `should_virtualize`; the Rete
 /// network threads the catalog through `add_rule` to reach it, so the
 /// threshold policy picks the same memories on both sides). Virtual iff
 /// the predicate currently matches more than `threshold` of its relation
@@ -438,6 +424,21 @@ pub(crate) fn pending_done(pending: &mut Pending, t: &Token) {
     }
 }
 
+/// What one β-join reads besides its partial row: the rule and its join
+/// order, and the visibility state of the token being processed — the
+/// token itself, the α-nodes it has entered so far (`processed`, the
+/// paper's ProcessedMemories) and the batch pending set. Only virtual
+/// nodes consult the visibility state: a stored or dynamic memory holds
+/// exactly what the tokens processed so far have put there.
+struct Join<'a> {
+    rule: &'a RuleNode,
+    order: &'a [usize],
+    catalog: &'a Catalog,
+    token: &'a Token,
+    processed: &'a FxHashSet<usize>,
+    pending: &'a Pending,
+}
+
 impl Default for Network {
     fn default() -> Self {
         Network {
@@ -454,110 +455,8 @@ impl Default for Network {
             composite_keys: true,
             obs: None,
             trace: None,
-            parallel_match: false,
-            match_threads: 0,
-            shard_seed: None,
-            pool: None,
         }
     }
-}
-
-// The parallel phase shares `&Network` across pool workers; this assertion
-// is the compile-time half of the Send + Sync audit in docs/CONCURRENCY.md.
-const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<Network>();
-};
-
-/// Precomputed visibility state for one parallel *run* — a maximal stretch
-/// of consecutive plain-append positive tokens with distinct, previously
-/// unseen tids. Phase A inserts the whole run's α-entries up front and
-/// stamps each with `(token index, matched position)`; these stamps let a
-/// worker joining seed `(ti, pos)` reconstruct exactly the memory contents
-/// the sequential interleaving would have shown it.
-struct RunCtx<'a> {
-    /// `(α-node arena index, tid)` → `(run token index, matched position)`
-    /// for every entry phase A inserted.
-    stamps: HashMap<(usize, u64), (usize, usize)>,
-    /// Per relation: tid → run token index, for virtual-node scans.
-    run_tids: HashMap<String, HashMap<u64, usize>>,
-    /// Per run token: α-node arena index → its position in the token's
-    /// sorted matched list (the paper's ProcessedMemories, made explicit).
-    matched_pos: Vec<HashMap<usize, usize>>,
-    /// Batch pending set with this run's own tokens already counted off.
-    pending: &'a Pending,
-}
-
-/// One seed's join outcome: the instantiations it produced, or the error
-/// that would have aborted the sequential batch at this seed.
-type SeedResult = QueryResult<Vec<Vec<BoundVar>>>;
-
-/// One β-join seed of a parallel run: token `ti`'s binding at its `pos`-th
-/// matched α-node, plus the join order phase A froze for it.
-struct ParSeed {
-    rule_id: RuleId,
-    var: usize,
-    kind: AlphaKind,
-    seed: BoundVar,
-    ti: usize,
-    pos: usize,
-    /// Sequential-equivalent join order (empty for simple rules).
-    order: Vec<usize>,
-}
-
-/// Which α-entries and base tuples a β-join may see. The sequential path
-/// carries the in-flight token plus the pending/ProcessedMemories
-/// discipline verbatim; the parallel path compares [`RunCtx`] stamps
-/// against the seed's `(token, position)` coordinates instead.
-enum JoinVis<'a> {
-    Seq {
-        token: &'a Token,
-        processed: &'a FxHashSet<usize>,
-        pending: &'a Pending,
-    },
-    Run {
-        ctx: &'a RunCtx<'a>,
-        /// Run index of the seed's token.
-        ti: usize,
-        /// Matched position of the seed's α-node within its token.
-        pos: usize,
-    },
-}
-
-impl JoinVis<'_> {
-    /// May the join at α-node `alpha_idx` use this stored/dynamic entry?
-    /// Sequentially the physical memory contents are exact by
-    /// construction; in a run, an entry stamped `(tj, pj)` existed at the
-    /// sequential moment of seed `(ti, pos)` iff it was inserted earlier:
-    /// by an earlier token, or by the same token at an earlier (or this)
-    /// matched position.
-    #[inline]
-    fn entry_visible(&self, alpha_idx: usize, e: &AlphaEntry) -> bool {
-        match self {
-            JoinVis::Seq { .. } => true,
-            JoinVis::Run { ctx, ti, pos } => {
-                let Some(tid) = e.tid else { return true };
-                match ctx.stamps.get(&(alpha_idx, tid.0)) {
-                    None => true, // predates the run
-                    Some(&(tj, pj)) => tj < *ti || (tj == *ti && pj <= *pos),
-                }
-            }
-        }
-    }
-}
-
-/// Fisher–Yates under a xorshift stream: the deal-order permutation behind
-/// [`Network::set_shard_seed`].
-fn shuffled(n: usize, seed: u64) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..n).collect();
-    let mut s = seed | 1;
-    for i in (1..n).rev() {
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        order.swap(i, (s % (i as u64 + 1)) as usize);
-    }
-    order
 }
 
 impl Network {
@@ -626,60 +525,6 @@ impl Network {
     /// The active flight recorder, if tracing is on.
     pub fn trace(&self) -> Option<&TraceRecorder> {
         self.trace.as_ref()
-    }
-
-    /// Enable or disable the parallel match path (off by default).
-    /// Tracing overrides this: with a flight recorder installed the
-    /// network always takes the sequential path, because the recorder's
-    /// causal event order cannot survive a parallel interleaving.
-    pub fn set_parallel_match(&mut self, on: bool) {
-        self.parallel_match = on;
-        if !on {
-            self.pool = None;
-        }
-    }
-
-    /// Whether the parallel match path is enabled.
-    pub fn parallel_match(&self) -> bool {
-        self.parallel_match
-    }
-
-    /// Set the worker thread count for the parallel path (0 — the
-    /// default — means one per available core). Takes effect on the next
-    /// batch; the pool is rebuilt lazily when the count changes.
-    pub fn set_match_threads(&mut self, n: usize) {
-        self.match_threads = n;
-    }
-
-    /// Configured worker thread count (0 = auto).
-    pub fn match_threads(&self) -> usize {
-        self.match_threads
-    }
-
-    /// Permute the order join seeds are dealt to worker deques with a
-    /// seeded shuffle (`None` — the default — deals in merge order).
-    /// Results are scheduling-independent, so this knob exists purely for
-    /// the stress tests that prove it.
-    pub fn set_shard_seed(&mut self, seed: Option<u64>) {
-        self.shard_seed = seed;
-    }
-
-    /// Build (or rebuild) the worker pool to match `match_threads`.
-    fn ensure_pool(&mut self) {
-        let want = if self.match_threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.match_threads
-        };
-        let rebuild = match &self.pool {
-            Some(p) => p.threads() != want,
-            None => true,
-        };
-        if rebuild {
-            self.pool = Some(Pool::new(want));
-        }
     }
 
     fn alpha(&self, id: AlphaId) -> &AlphaNode {
@@ -1018,23 +863,19 @@ impl Network {
         if let Some(obs) = &self.obs {
             obs.tokens.set(obs.tokens.get() + tokens.len() as u64);
         }
-        let pending = pending_of(tokens);
-        let result = if self.parallel_match && self.trace.is_none() {
-            self.process_batch_parallel(tokens, catalog, pending)
-        } else {
-            self.process_batch_sequential(tokens, catalog, pending)
-        };
+        let mut pending = pending_of(tokens);
+        let result = self.process_tokens(tokens, catalog, &mut pending);
         self.conflict
             .debug_check(self.rules.iter().map(|(id, r)| (*id, &r.pnode)));
         self.store.debug_check(self.alphas.iter().flatten());
         result
     }
 
-    fn process_batch_sequential(
+    fn process_tokens(
         &mut self,
         tokens: &[Token],
         catalog: &Catalog,
-        mut pending: Pending,
+        pending: &mut Pending,
     ) -> QueryResult<()> {
         for t in tokens {
             if let Some(tr) = &self.trace {
@@ -1046,10 +887,10 @@ impl Network {
                 });
             }
             if t.kind.is_positive() {
-                pending_done(&mut pending, t);
-                self.process_positive(t, catalog, &pending)?;
+                pending_done(pending, t);
+                self.process_positive(t, catalog, pending)?;
             } else {
-                self.process_negative(t, catalog, &pending)?;
+                self.process_negative(t, catalog, pending)?;
             }
         }
         Ok(())
@@ -1120,275 +961,6 @@ impl Network {
         Ok(())
     }
 
-    /// Parallel token processing: carve the batch into *runs* of
-    /// consecutive plain-append positives with distinct, previously unseen
-    /// tids, and fan each run's β-join probes across the worker pool.
-    /// Anything else — negatives, replaces, re-inserted tids — is
-    /// processed sequentially in place and acts as a barrier between runs.
-    fn process_batch_parallel(
-        &mut self,
-        tokens: &[Token],
-        catalog: &Catalog,
-        mut pending: Pending,
-    ) -> QueryResult<()> {
-        self.ensure_pool();
-        let mut i = 0;
-        while i < tokens.len() {
-            if !self.run_eligible(&tokens[i]) {
-                let t = &tokens[i];
-                if t.kind.is_positive() {
-                    pending_done(&mut pending, t);
-                    self.process_positive(t, catalog, &pending)?;
-                } else {
-                    self.process_negative(t, catalog, &pending)?;
-                }
-                i += 1;
-                continue;
-            }
-            let start = i;
-            let mut seen: HashSet<(&str, u64)> = HashSet::new();
-            while i < tokens.len()
-                && self.run_eligible(&tokens[i])
-                && seen.insert((tokens[i].rel.as_str(), tokens[i].tid.0))
-            {
-                i += 1;
-            }
-            self.process_positive_run(&tokens[start..i], catalog, &mut pending)?;
-        }
-        Ok(())
-    }
-
-    /// A token the parallel path may batch into a run: a plain `+append`
-    /// (no old value) whose tid is not already resident in a storing
-    /// α-memory on its relation. Re-inserting a resident tid *replaces*
-    /// the entry, whose old value earlier seeds in the run would need to
-    /// see — such tokens take the sequential path instead.
-    fn run_eligible(&self, t: &Token) -> bool {
-        t.kind == TokenKind::Plus
-            && t.event == Some(EventSpecifier::Append)
-            && t.old.is_none()
-            && !self.selnet.alphas_on(&t.rel).iter().any(|aid| {
-                let a = self.alpha(*aid);
-                a.kind.stores_entries() && a.contains(t.tid)
-            })
-    }
-
-    /// Process one run of plain-append tokens in three phases (see
-    /// docs/CONCURRENCY.md):
-    ///
-    /// * **phase A** (sequential): selection-network probes, α-tests, and
-    ///   α-inserts for every token, stamping each insert with `(token
-    ///   index, matched position)` and freezing each seed's join order at
-    ///   the moment the sequential path would have chosen it;
-    /// * **parallel phase**: each seed's join extension runs on the worker
-    ///   pool through `&self`, with the stamps reconstructing exactly the
-    ///   memory contents the sequential interleaving would have shown it;
-    /// * **merge phase** (sequential): P-node pushes and rule counters in
-    ///   `(token, position)` order — the same order, counts and rows the
-    ///   sequential path produces, independent of scheduling.
-    fn process_positive_run(
-        &mut self,
-        run: &[Token],
-        catalog: &Catalog,
-        pending: &mut Pending,
-    ) -> QueryResult<()> {
-        // the whole run leaves the pending set at once: later tokens in
-        // the run are hidden from earlier seeds by their stamps instead
-        for t in run {
-            pending_done(pending, t);
-        }
-        let mut run_tids: HashMap<String, HashMap<u64, usize>> = HashMap::new();
-        for (ti, t) in run.iter().enumerate() {
-            run_tids
-                .entry(t.rel.clone())
-                .or_default()
-                .insert(t.tid.0, ti);
-        }
-        let mut ctx = RunCtx {
-            stamps: HashMap::new(),
-            run_tids,
-            matched_pos: Vec::with_capacity(run.len()),
-            pending,
-        };
-        // ---- phase A: α-tests, inserts, stamps, frozen join orders
-        let mut seeds: Vec<ParSeed> = Vec::new();
-        for (ti, token) in run.iter().enumerate() {
-            let mut matched = self.stab(token);
-            matched.retain(|aid| {
-                self.alpha_test(*aid, token, |a| {
-                    a.admits_positive(token.kind, token.event.as_ref())
-                        && a.pred_matches(&token.tuple, token.old.as_ref())
-                })
-            });
-            matched.sort_by_key(|a| a.0);
-            matched.dedup();
-            ctx.matched_pos
-                .push(matched.iter().enumerate().map(|(p, a)| (a.0, p)).collect());
-            for (pos, &aid) in matched.iter().enumerate() {
-                let (rule_id, var, kind) = {
-                    let a = self.alpha(aid);
-                    (a.rule, a.var, a.kind)
-                };
-                let seed = BoundVar {
-                    tid: Some(token.tid),
-                    tuple: token.tuple.clone(),
-                    prev: token.old.clone(),
-                };
-                if kind.stores_entries() {
-                    let a = self.alphas[aid.0].as_mut().expect("live alpha");
-                    self.store.insert(
-                        a,
-                        token.tid,
-                        AlphaEntry {
-                            tid: seed.tid,
-                            tuple: seed.tuple.clone(),
-                            prev: seed.prev.clone(),
-                        },
-                    );
-                    ctx.stamps.insert((aid.0, token.tid.0), (ti, pos));
-                }
-                self.rules
-                    .get_mut(&rule_id.0)
-                    .expect("rule exists")
-                    .tokens_in += 1;
-                if let Some(obs) = &self.obs {
-                    obs.with_rule(rule_id, |r| r.tokens_in += 1);
-                    if kind.stores_entries() {
-                        obs.with_node(rule_id, var, |n| n.entries_inserted += 1);
-                    }
-                }
-                // freeze the join order here: `candidate_estimate` depends
-                // on evolving memory sizes, and this is the moment the
-                // sequential path would have chosen it
-                let order = if kind.is_simple() {
-                    Vec::new()
-                } else {
-                    let rule = &self.rules[&rule_id.0];
-                    let mut order: Vec<usize> =
-                        (0..rule.vars.len()).filter(|v| *v != var).collect();
-                    order.sort_by_key(|v| self.candidate_estimate(rule, *v, catalog));
-                    order
-                };
-                seeds.push(ParSeed {
-                    rule_id,
-                    var,
-                    kind,
-                    seed,
-                    ti,
-                    pos,
-                    order,
-                });
-            }
-            arena::give_candidates(matched);
-        }
-        // ---- parallel phase: non-simple seeds' joins on the pool
-        let join_jobs: Vec<usize> = seeds
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !s.kind.is_simple())
-            .map(|(i, _)| i)
-            .collect();
-        let mut slots: Vec<Option<SeedResult>> = Vec::new();
-        if !join_jobs.is_empty() {
-            let shared: Vec<Mutex<Option<SeedResult>>> =
-                join_jobs.iter().map(|_| Mutex::new(None)).collect();
-            let this: &Network = &*self;
-            let ctx_ref = &ctx;
-            let seeds_ref = &seeds;
-            let jobs_ref = &join_jobs;
-            let work = |j: usize| {
-                let s = &seeds_ref[jobs_ref[j]];
-                let vis = JoinVis::Run {
-                    ctx: ctx_ref,
-                    ti: s.ti,
-                    pos: s.pos,
-                };
-                let join_start = this.obs.as_ref().map(|_| Instant::now());
-                let r = this.join_extend_ordered(
-                    s.rule_id,
-                    s.var,
-                    s.seed.clone(),
-                    &s.order,
-                    catalog,
-                    &vis,
-                );
-                if let Some(obs) = &this.obs {
-                    obs.with_rule(s.rule_id, |ru| {
-                        if let Some(t0) = join_start {
-                            ru.beta_join.record(t0.elapsed().as_nanos() as u64);
-                        }
-                    });
-                }
-                *shared[j].lock().unwrap_or_else(|e| e.into_inner()) = Some(r);
-            };
-            let pool = self.pool.as_ref().expect("ensure_pool ran");
-            if pool.threads() == 1 {
-                // a single worker cannot overlap anything with the caller;
-                // run the jobs inline and skip the dispatch overhead (the
-                // run-carving, stamping and ordered merge still execute)
-                for j in 0..join_jobs.len() {
-                    work(j);
-                }
-            } else {
-                match self.shard_seed {
-                    None => pool.run(join_jobs.len(), &work),
-                    Some(seed) => pool.run_order(&shuffled(join_jobs.len(), seed), &work),
-                }
-            }
-            slots = shared
-                .into_iter()
-                .map(|m| m.into_inner().unwrap_or_else(|e| e.into_inner()))
-                .collect();
-        }
-        // ---- merge phase: deterministic (token, position) order
-        let mut next_join = 0usize;
-        for (si, s) in seeds.iter().enumerate() {
-            if s.kind.is_simple() {
-                // single-variable rule: straight to the P-node, as in
-                // `insert_and_propagate`
-                let start = self.obs.as_ref().map(|_| Instant::now());
-                let rule = self.rules.get_mut(&s.rule_id.0).expect("rule exists");
-                rule.pnode.push(vec![s.seed.clone()]);
-                rule.pnode_inserts += 1;
-                self.conflict.pushed(s.rule_id, &rule.pnode);
-                if let Some(obs) = &self.obs {
-                    obs.with_rule(s.rule_id, |r| {
-                        r.pnode_inserts += 1;
-                        if let Some(t0) = start {
-                            r.pnode_insert.record(t0.elapsed().as_nanos() as u64);
-                        }
-                    });
-                }
-                continue;
-            }
-            debug_assert_eq!(join_jobs[next_join], si);
-            let mut results = slots[next_join].take().expect("every join job ran")?;
-            next_join += 1;
-            let produced = results.len() as u64;
-            let insert_start = self.obs.as_ref().map(|_| Instant::now());
-            let rule = self.rules.get_mut(&s.rule_id.0).expect("rule exists");
-            rule.join_probes += 1;
-            rule.pnode_inserts += produced;
-            for r in results.drain(..) {
-                rule.pnode.push(r);
-            }
-            if produced > 0 {
-                self.conflict.pushed(s.rule_id, &rule.pnode);
-            }
-            arena::give_results(results);
-            if let Some(obs) = &self.obs {
-                obs.with_rule(s.rule_id, |r| {
-                    r.join_probes += 1;
-                    r.pnode_inserts += produced;
-                    if let Some(t0) = insert_start {
-                        r.pnode_insert.record(t0.elapsed().as_nanos() as u64);
-                    }
-                });
-            }
-        }
-        Ok(())
-    }
-
     /// Insert a binding into an α-node (if it stores entries) and extend
     /// the rule's P-node with every new full instantiation.
     fn insert_and_propagate(
@@ -1448,12 +1020,21 @@ impl Network {
         }
         // multi-variable: TREAT join against the other variables' memories
         let join_start = self.obs.as_ref().map(|_| Instant::now());
-        let vis = JoinVis::Seq {
-            token,
-            processed,
-            pending,
+        let mut results = {
+            let rule = &self.rules[&rule_id.0];
+            // join the (estimated) smallest memories first
+            let mut order: Vec<usize> = (0..rule.vars.len()).filter(|v| *v != var).collect();
+            order.sort_by_key(|v| self.candidate_estimate(rule, *v, catalog));
+            let join = Join {
+                rule,
+                order: &order,
+                catalog,
+                token,
+                processed,
+                pending,
+            };
+            self.join_extend(&join, var, seed)?
         };
-        let mut results = self.join_extend(rule_id, var, seed, catalog, &vis)?;
         if let Some(obs) = &self.obs {
             obs.with_rule(rule_id, |r| {
                 if let Some(t0) = join_start {
@@ -1493,51 +1074,19 @@ impl Network {
     /// Compute all full instantiations extending `seed` at `seed_var`.
     fn join_extend(
         &self,
-        rule_id: RuleId,
+        join: &Join<'_>,
         seed_var: usize,
         seed: BoundVar,
-        catalog: &Catalog,
-        vis: &JoinVis<'_>,
     ) -> QueryResult<Vec<Vec<BoundVar>>> {
-        let rule = &self.rules[&rule_id.0];
-        // join the (estimated) smallest memories first
-        let mut order: Vec<usize> = (0..rule.vars.len()).filter(|v| *v != seed_var).collect();
-        order.sort_by_key(|v| self.candidate_estimate(rule, *v, catalog));
-        self.join_extend_ordered(rule_id, seed_var, seed, &order, catalog, vis)
-    }
-
-    /// [`Self::join_extend`] with a caller-chosen join order — the
-    /// parallel path freezes each seed's order during phase A, where the
-    /// memory sizes `candidate_estimate` sees match the sequential
-    /// interleaving.
-    fn join_extend_ordered(
-        &self,
-        rule_id: RuleId,
-        seed_var: usize,
-        seed: BoundVar,
-        order: &[usize],
-        catalog: &Catalog,
-        vis: &JoinVis<'_>,
-    ) -> QueryResult<Vec<Vec<BoundVar>>> {
-        let rule = &self.rules[&rule_id.0];
-        // per-transition scratch off this thread's arena: the slot buffer
-        // is returned below; the results buffer travels to the consumer
-        // (P-node push site), which gives it back after draining
+        // per-transition scratch off the arena: the slot buffer is returned
+        // below; the results buffer travels to the consumer (P-node push
+        // site), which gives it back after draining
         let mut slots = arena::take_row_slots();
-        slots.resize(rule.vars.len(), None);
+        slots.resize(join.rule.vars.len(), None);
         let mut row = Row { slots };
         row.slots[seed_var] = Some(seed);
         let mut results = arena::take_results();
-        let r = self.extend_depth(
-            rule,
-            order,
-            0,
-            1u64 << seed_var,
-            &mut row,
-            catalog,
-            vis,
-            &mut results,
-        );
+        let r = self.extend_depth(join, 0, 1u64 << seed_var, &mut row, &mut results);
         row.slots.clear();
         arena::give_row_slots(row.slots);
         r?;
@@ -1699,19 +1248,16 @@ impl Network {
     /// beyond the row they already share. This is safe because
     /// `PatchedEnv` fully shadows `var`, every structure the loops borrow
     /// is reached through `&self`, and each depth clears its slot on exit.
-    #[allow(clippy::too_many_arguments)]
     fn extend_depth(
         &self,
-        rule: &RuleNode,
-        order: &[usize],
+        join: &Join<'_>,
         depth: usize,
         bound: u64,
         row: &mut Row,
-        catalog: &Catalog,
-        vis: &JoinVis<'_>,
         results: &mut Vec<Vec<BoundVar>>,
     ) -> QueryResult<()> {
-        if depth == order.len() {
+        let rule = join.rule;
+        if depth == join.order.len() {
             results.push(
                 row.slots
                     .iter()
@@ -1720,7 +1266,7 @@ impl Network {
             );
             return Ok(());
         }
-        let var = order[depth];
+        let var = join.order[depth];
         let vbit = 1u64 << var;
         let now_bound = bound | vbit;
         let alpha_idx = rule.vars[var].alpha.0;
@@ -1737,45 +1283,15 @@ impl Network {
                 // index instead of scanning. (Base relations only keep
                 // single-attribute indexes, so virtual nodes stay on the
                 // single-key probe path.)
-                let rel_ref = catalog.require(&alpha.rel)?;
+                let rel_ref = join.catalog.require(&alpha.rel)?;
                 let rel_b = rel_ref.borrow();
-                let visible: Box<dyn Fn(&Tid) -> bool> = match vis {
-                    JoinVis::Seq {
-                        token,
-                        processed,
-                        pending,
-                    } => {
-                        let pend = pending.get(&alpha.rel);
-                        // the in-flight token's own tuple is visible only
-                        // once this node is in ProcessedMemories
-                        let own_ok = processed.contains(&alpha_idx);
-                        Box::new(move |tid: &Tid| {
-                            !pend.is_some_and(|p| p.contains_key(&tid.0))
-                                && (alpha.rel != token.rel || *tid != token.tid || own_ok)
-                        })
-                    }
-                    JoinVis::Run { ctx, ti, pos } => {
-                        let pend = ctx.pending.get(&alpha.rel);
-                        let run_tids = ctx.run_tids.get(&alpha.rel);
-                        // the seed token's own tuple: visible iff this node
-                        // is processed from the seed's viewpoint, i.e. the
-                        // node matched at a position ≤ the seed's
-                        let own_ok = ctx.matched_pos[*ti]
-                            .get(&alpha_idx)
-                            .is_some_and(|p| p <= pos);
-                        let ti = *ti;
-                        Box::new(move |tid: &Tid| {
-                            if pend.is_some_and(|p| p.contains_key(&tid.0)) {
-                                return false;
-                            }
-                            match run_tids.and_then(|m| m.get(&tid.0)) {
-                                None => true, // not part of this run
-                                Some(&tj) if tj < ti => true,
-                                Some(&tj) if tj == ti => own_ok,
-                                _ => false, // later run token: not yet seen
-                            }
-                        })
-                    }
+                let pend = join.pending.get(&alpha.rel);
+                // the in-flight token's own tuple is visible only once this
+                // node is in ProcessedMemories
+                let own_ok = join.processed.contains(&alpha_idx);
+                let visible = |tid: Tid| {
+                    !pend.is_some_and(|p| p.contains_key(&tid.0))
+                        && (alpha.rel != join.token.rel || tid != join.token.tid || own_ok)
                 };
                 let probe = self.find_equi_probe(rule, var, vbit, now_bound, row, &|attr| {
                     rel_b.index_on(attr).is_some()
@@ -1795,7 +1311,7 @@ impl Network {
                         }
                         let scanned = hits.len() as u64;
                         for (tid, t) in hits {
-                            if !visible(&tid) || !alpha.pred_matches(t, None) {
+                            if !visible(tid) || !alpha.pred_matches(t, None) {
                                 continue;
                             }
                             served += 1;
@@ -1810,39 +1326,21 @@ impl Network {
                                 &[skip],
                             )? {
                                 row.slots[var] = Some(BoundVar::plain(tid, t.clone()));
-                                self.extend_depth(
-                                    rule,
-                                    order,
-                                    depth + 1,
-                                    now_bound,
-                                    row,
-                                    catalog,
-                                    vis,
-                                    results,
-                                )?;
+                                self.extend_depth(join, depth + 1, now_bound, row, results)?;
                             }
                         }
                         scanned
                     }
                     None => {
                         for (tid, t) in rel_b.scan() {
-                            if !visible(&tid) || !alpha.pred_matches(t, None) {
+                            if !visible(tid) || !alpha.pred_matches(t, None) {
                                 continue;
                             }
                             served += 1;
                             if Self::conjuncts_pass(rule, vbit, now_bound, row, var, t, None, &[])?
                             {
                                 row.slots[var] = Some(BoundVar::plain(tid, t.clone()));
-                                self.extend_depth(
-                                    rule,
-                                    order,
-                                    depth + 1,
-                                    now_bound,
-                                    row,
-                                    catalog,
-                                    vis,
-                                    results,
-                                )?;
+                                self.extend_depth(join, depth + 1, now_bound, row, results)?;
                             }
                         }
                         rel_b.len() as u64
@@ -1902,9 +1400,6 @@ impl Network {
                         let Some(e) = alpha.entry(k) else {
                             continue;
                         };
-                        if !vis.entry_visible(alpha_idx, e) {
-                            continue;
-                        }
                         served += 1;
                         if Self::conjuncts_pass(
                             rule,
@@ -1921,16 +1416,7 @@ impl Network {
                                 tuple: e.tuple.clone(),
                                 prev: e.prev.clone(),
                             });
-                            self.extend_depth(
-                                rule,
-                                order,
-                                depth + 1,
-                                now_bound,
-                                row,
-                                catalog,
-                                vis,
-                                results,
-                            )?;
+                            self.extend_depth(join, depth + 1, now_bound, row, results)?;
                         }
                     }
                     if served > 0 {
@@ -1942,12 +1428,9 @@ impl Network {
                     used_hash = false;
                     used_range = true;
                     AlphaCounters::bump(&alpha.counters.range_probes, 1);
-                    let hits: Vec<_> = alpha
+                    let hits = alpha
                         .probe_range_index(&spec.shape, &key)
-                        .expect("probe found a registered index")
-                        .into_iter()
-                        .filter(|e| vis.entry_visible(alpha_idx, e))
-                        .collect();
+                        .expect("probe found a registered index");
                     if !hits.is_empty() {
                         hit = true;
                         AlphaCounters::bump(&alpha.counters.range_hits, 1);
@@ -1969,24 +1452,12 @@ impl Network {
                                 tuple: e.tuple.clone(),
                                 prev: e.prev.clone(),
                             });
-                            self.extend_depth(
-                                rule,
-                                order,
-                                depth + 1,
-                                now_bound,
-                                row,
-                                catalog,
-                                vis,
-                                results,
-                            )?;
+                            self.extend_depth(join, depth + 1, now_bound, row, results)?;
                         }
                     }
                 } else {
                     used_hash = false;
                     for e in alpha.entries() {
-                        if !vis.entry_visible(alpha_idx, e) {
-                            continue;
-                        }
                         served += 1;
                         if Self::conjuncts_pass(
                             rule,
@@ -2003,16 +1474,7 @@ impl Network {
                                 tuple: e.tuple.clone(),
                                 prev: e.prev.clone(),
                             });
-                            self.extend_depth(
-                                rule,
-                                order,
-                                depth + 1,
-                                now_bound,
-                                row,
-                                catalog,
-                                vis,
-                                results,
-                            )?;
+                            self.extend_depth(join, depth + 1, now_bound, row, results)?;
                         }
                     }
                 }
@@ -3250,116 +2712,5 @@ mod tests {
             .collect();
         rows.sort();
         rows
-    }
-
-    #[test]
-    fn parallel_batch_matches_sequential_self_join() {
-        for policy in [
-            VirtualPolicy::AllStored,
-            VirtualPolicy::AllVirtual,
-            VirtualPolicy::ExplicitVars(HashSet::from([0])),
-        ] {
-            for threads in [1, 2, 4] {
-                let cat = paper_catalog();
-                let mut seq = Network::new();
-                let mut par = Network::new();
-                par.set_parallel_match(true);
-                par.set_match_threads(threads);
-                for net in [&mut seq, &mut par] {
-                    net.add_rule(RuleId(1), &self_join_cond(&cat), &policy, &cat)
-                        .unwrap();
-                    net.prime(RuleId(1), &cat).unwrap();
-                }
-                // one batch of appends sharing a dno: heavy self-joining,
-                // so every seed's visibility stamp matters
-                let tokens: Vec<Token> = (0..16)
-                    .map(|i| {
-                        let (tid, t) = insert_emp(&cat, &format!("e{i}"), i as f64, 5, 1);
-                        append_token(tid, t)
-                    })
-                    .collect();
-                seq.process_batch(&tokens, &cat).unwrap();
-                par.process_batch(&tokens, &cat).unwrap();
-                assert_eq!(
-                    pnode_set(&seq, RuleId(1)),
-                    pnode_set(&par, RuleId(1)),
-                    "policy {policy:?}, {threads} threads"
-                );
-                // identical work accounting, not just identical results
-                assert_eq!(seq.stats().join_probes, par.stats().join_probes);
-                assert_eq!(seq.stats().pnode_inserts, par.stats().pnode_inserts);
-                assert_eq!(seq.stats().alpha_tests, par.stats().alpha_tests);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_shard_order_does_not_change_results() {
-        let mut reference: Option<Vec<String>> = None;
-        for seed in [None, Some(1u64), Some(0xDEAD_BEEF), Some(42)] {
-            let cat2 = paper_catalog();
-            let mut net = Network::new();
-            net.set_parallel_match(true);
-            net.set_match_threads(3);
-            net.set_shard_seed(seed);
-            net.add_rule(
-                RuleId(1),
-                &self_join_cond(&cat2),
-                &VirtualPolicy::AllStored,
-                &cat2,
-            )
-            .unwrap();
-            net.prime(RuleId(1), &cat2).unwrap();
-            let tokens: Vec<Token> = (0..24)
-                .map(|i| {
-                    let (tid, t) = insert_emp(&cat2, &format!("e{i}"), i as f64, 5, 1);
-                    append_token(tid, t)
-                })
-                .collect();
-            net.process_batch(&tokens, &cat2).unwrap();
-            let rows = pnode_set(&net, RuleId(1));
-            match &reference {
-                None => reference = Some(rows),
-                Some(r) => assert_eq!(r, &rows, "shard seed {seed:?} changed results"),
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_mixed_batch_with_deletes_matches_sequential() {
-        let cat = paper_catalog();
-        populate_sales_clerk(&cat);
-        let mut seq = Network::new();
-        let mut par = Network::new();
-        par.set_parallel_match(true);
-        par.set_match_threads(4);
-        for net in [&mut seq, &mut par] {
-            net.add_rule(
-                RuleId(1),
-                &sales_clerk_cond(&cat),
-                &VirtualPolicy::AllStored,
-                &cat,
-            )
-            .unwrap();
-            net.prime(RuleId(1), &cat).unwrap();
-        }
-        // appends interleaved with deletes: deletes act as barriers
-        // between parallel runs
-        let mut tokens = Vec::new();
-        let mut victims = Vec::new();
-        for i in 0..12 {
-            let (tid, t) = insert_emp(&cat, &format!("w{i}"), 40_000.0 + i as f64, 1, 7);
-            tokens.push(append_token(tid, t.clone()));
-            if i % 3 == 0 {
-                victims.push((tid, t));
-            }
-        }
-        for (tid, t) in victims {
-            cat.get("emp").unwrap().borrow_mut().delete(tid).unwrap();
-            tokens.push(Token::minus("emp", tid, t, EventSpecifier::Delete));
-        }
-        seq.process_batch(&tokens, &cat).unwrap();
-        par.process_batch(&tokens, &cat).unwrap();
-        assert_eq!(pnode_set(&seq, RuleId(1)), pnode_set(&par, RuleId(1)));
     }
 }

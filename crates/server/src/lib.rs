@@ -6,9 +6,8 @@
 //! the one engine, and **drain-on-acquire batching** — the session that
 //! takes the engine executes everything pending behind it, coalescing
 //! consecutive append-only requests from different sessions into a
-//! single transition (the long positive token runs the parallel match
-//! path carves into jobs) and fsyncing the log once per drain (see
-//! `docs/SERVER.md` and `docs/CONCURRENCY.md`).
+//! single transition and fsyncing the log once per drain (see
+//! `docs/SERVER.md`).
 //!
 //! ```
 //! use ariel::Ariel;

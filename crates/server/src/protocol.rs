@@ -177,20 +177,6 @@ impl From<std::io::Error> for FrameError {
     }
 }
 
-impl FrameError {
-    /// `true` when the error is a read timeout rather than a real fault —
-    /// the session manager's poll quantum, not a protocol violation.
-    pub fn is_timeout(&self) -> bool {
-        matches!(
-            self,
-            FrameError::Io(e) if matches!(
-                e.kind(),
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-            )
-        )
-    }
-}
-
 /// Write one frame: `u32` length, opcode byte, payload. A payload that
 /// would exceed [`MAX_FRAME_LEN`] is rejected with `InvalidData` and
 /// *nothing* is written: the peer rejects oversized lengths before

@@ -32,16 +32,21 @@
 //! the kernel buffer). The engine lock is released before the reply is
 //! encoded, so it is never held across a blocking network write.
 //!
+//! Nothing polls. The accept loop blocks in `accept()` and session threads
+//! block in `read()`. The first shutdown request wakes the accept loop
+//! with one connection to the server's own address; on its way out the
+//! loop shuts down the read half of every live session's socket, through a
+//! clone it keeps beside the session's thread handle, which ends each
+//! blocked read. A session that is mid-request still writes its reply.
+//!
 //! ## Write batching
 //!
 //! An entry whose commands are all plain `append`s is *batchable*. Within
 //! a drain, consecutive batchable entries — up to
 //! [`ServerOptions::serve_batch`] commands — form one group and run
 //! through [`Ariel::execute_transition`] as one transition: one Δ-set,
-//! one recognize-act cycle, and one long positive token run, which is
-//! exactly the shape `Network::process_batch` carves into parallel jobs
-//! when the parallel match path is on. Every other entry is a group of
-//! its own. Each session is acked with its own change counts. Two
+//! one recognize-act cycle, and one token batch per command. Every other
+//! entry is a group of its own. Each session is acked with its own change counts. Two
 //! semantic consequences, both documented in `docs/SERVER.md`: a batched
 //! group forms a single logical-event transition (concurrent clients'
 //! appends may merge net effects), and a notification raised by a batched
@@ -69,15 +74,19 @@ use ariel::query::{parse_command, parse_script, CmdOutput, Command};
 use ariel::storage::Value;
 use ariel::{Ariel, Durability};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{
+    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
+};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// How long a blocked read/accept waits before re-checking the shutdown
-/// flag. Purely a shutdown-latency bound — frames are handled the moment
-/// they arrive, because every connection has a dedicated thread.
-const POLL_QUANTUM: Duration = Duration::from_millis(25);
+/// Bound on the self-connect that wakes the accept loop at shutdown.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Bound on reading an HTTP scrape's request head; a stalled scraper is
+/// closed past it.
+const HTTP_HEAD_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Bound on a reply write to a stalled client; past it the session is
 /// dropped so a dead peer cannot wedge its session thread forever.
@@ -221,6 +230,9 @@ struct Shared {
     /// leave it only all at once, taken by a thread holding the engine.
     pending: Mutex<Vec<Entry>>,
     shutdown: AtomicBool,
+    /// Where the shutdown request connects to wake the accept loop: the
+    /// bound address, on loopback when bound to a wildcard address.
+    wake_addr: SocketAddr,
     serve_batch: usize,
     next_session: AtomicU32,
     sessions: AtomicU64,
@@ -269,8 +281,12 @@ impl Shared {
         }
     }
 
+    /// Set the shutdown flag; the first request also wakes the accept
+    /// loop, which is blocked in `accept()`, by connecting to it.
     fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        if !self.shutdown.swap(true, Ordering::SeqCst) {
+            let _ = TcpStream::connect_timeout(&self.wake_addr, WAKE_TIMEOUT);
+        }
     }
 
     /// The engine, or `None` once a thread has panicked while holding it:
@@ -359,6 +375,11 @@ impl Server {
             }
         };
         let (listener, addr) = listener;
+        let wake_ip = match addr.ip() {
+            IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            ip => ip,
+        };
         let logger = match (&options.log_file, options.log_level) {
             (_, LogLevel::Off) => Logger::off(),
             (Some(path), level) => match Logger::file(level, path) {
@@ -384,6 +405,7 @@ impl Server {
                 engine: Mutex::new(Some(engine)),
                 pending: Mutex::new(Vec::new()),
                 shutdown: AtomicBool::new(false),
+                wake_addr: SocketAddr::new(wake_ip, addr.port()),
                 serve_batch: options.serve_batch.max(1),
                 next_session: AtomicU32::new(1),
                 sessions: AtomicU64::new(0),
@@ -408,9 +430,6 @@ impl Server {
     /// the server — `\serve` hands the REPL database to a server and gets
     /// it back when the server stops.
     pub fn run(self) -> (ServerStats, Ariel) {
-        self.listener
-            .set_nonblocking(true)
-            .expect("listener nonblocking");
         for session in accept_loop(&self.listener, &self.shared) {
             // a session that panicked poisoned the engine; handled there
             let _ = session.join();
@@ -472,43 +491,58 @@ impl ServerHandle {
 /// Accept until shutdown, one thread per connection. Finished sessions
 /// are joined as the loop goes round, so the live set — returned for
 /// [`Server::run`] to join — is bounded by the connections open now, not
-/// by the connections ever made.
+/// by the connections ever made. Each live session's thread is kept with a
+/// clone of its socket, whose read half is shut down at shutdown to end
+/// the session's blocking read.
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) -> Vec<std::thread::JoinHandle<()>> {
-    let mut live: Vec<std::thread::JoinHandle<()>> = Vec::new();
+    let mut live: Vec<(std::thread::JoinHandle<()>, TcpStream)> = Vec::new();
     while !shared.shutting_down() {
         reap_finished(&mut live);
         if live.len() >= MAX_LIVE_SESSIONS {
+            // overload: leave new connections in the listen backlog until
+            // a session ends
             std::thread::sleep(Duration::from_millis(2));
             continue;
         }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let id = shared.next_session.fetch_add(1, Ordering::Relaxed);
-                shared.sessions.fetch_add(1, Ordering::Relaxed);
-                let shared = Arc::clone(shared);
-                live.push(
-                    std::thread::Builder::new()
-                        .name(format!("ariel-session-{id}"))
-                        .spawn(move || session_loop(stream, id, &shared))
-                        .expect("spawn session thread"),
-                );
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
+        let accepted = listener.accept();
+        if shared.shutting_down() {
+            // the wake-up connection, or a client that raced it
+            break;
         }
+        let (stream, socket) = match accepted.and_then(|(stream, _peer)| {
+            let socket = stream.try_clone()?;
+            Ok((stream, socket))
+        }) {
+            Ok(pair) => pair,
+            Err(_) => {
+                // out of descriptors or the like: back off, then retry
+                std::thread::sleep(Duration::from_millis(10));
+                continue;
+            }
+        };
+        let id = shared.next_session.fetch_add(1, Ordering::Relaxed);
+        shared.sessions.fetch_add(1, Ordering::Relaxed);
+        let shared = Arc::clone(shared);
+        let thread = std::thread::Builder::new()
+            .name(format!("ariel-session-{id}"))
+            .spawn(move || session_loop(stream, id, &shared))
+            .expect("spawn session thread");
+        live.push((thread, socket));
     }
-    live
+    for (_, socket) in &live {
+        let _ = socket.shutdown(Shutdown::Read);
+    }
+    live.into_iter().map(|(thread, _)| thread).collect()
 }
 
-/// Join and drop the handles of threads that have already returned.
-fn reap_finished(live: &mut Vec<std::thread::JoinHandle<()>>) {
+/// Join and drop the threads (with whatever is kept beside each) that have
+/// already returned.
+fn reap_finished<T>(live: &mut Vec<(std::thread::JoinHandle<()>, T)>) {
     let mut i = 0;
     while i < live.len() {
-        if live[i].is_finished() {
+        if live[i].0.is_finished() {
             // a session that panicked poisoned the engine; handled there
-            let _ = live.swap_remove(i).join();
+            let _ = live.swap_remove(i).0.join();
         } else {
             i += 1;
         }
@@ -522,7 +556,7 @@ enum ReadOutcome {
     Frame(Opcode, Vec<u8>),
     /// Peer closed at a frame boundary.
     Closed,
-    /// Server is shutting down (noticed at an idle poll tick).
+    /// Server is shutting down (the accept loop shut the read half).
     Shutdown,
     /// Protocol violation; the message is sent back before closing.
     Violation(String),
@@ -530,36 +564,21 @@ enum ReadOutcome {
     Io,
 }
 
-/// Read exactly `buf.len()` bytes, tolerating poll-quantum timeouts
-/// (re-checking the shutdown flag at each) without ever losing bytes —
-/// unlike `read_exact`, a timeout here resumes where it left off.
-fn read_full(stream: &mut TcpStream, buf: &mut [u8], shared: &Shared) -> Result<bool, ReadOutcome> {
+/// Read exactly `buf.len()` bytes. Unlike `read_exact`, an end of stream
+/// says whether it fell on a frame boundary, and whether shutdown caused it.
+fn read_full(stream: &mut TcpStream, buf: &mut [u8], shared: &Shared) -> Result<(), ReadOutcome> {
     let mut off = 0;
     while off < buf.len() {
         match stream.read(&mut buf[off..]) {
-            Ok(0) => {
-                return Err(if off == 0 {
-                    ReadOutcome::Closed
-                } else {
-                    ReadOutcome::Violation("truncated frame".into())
-                });
-            }
+            Ok(0) if shared.shutting_down() => return Err(ReadOutcome::Shutdown),
+            Ok(0) if off == 0 => return Err(ReadOutcome::Closed),
+            Ok(0) => return Err(ReadOutcome::Violation("truncated frame".into())),
             Ok(n) => off += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if shared.shutting_down() {
-                    return Err(ReadOutcome::Shutdown);
-                }
-            }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(_) => return Err(ReadOutcome::Io),
         }
     }
-    Ok(true)
+    Ok(())
 }
 
 fn read_session_frame(stream: &mut TcpStream, shared: &Shared) -> ReadOutcome {
@@ -606,8 +625,11 @@ fn protocol_error(stream: &mut TcpStream, shared: &Shared, msg: &str) {
     // connection closes when the session returns
 }
 
-fn session_loop(stream: TcpStream, session: u32, shared: &Arc<Shared>) {
-    let hello_done = serve_session(stream, session, shared);
+fn session_loop(mut stream: TcpStream, session: u32, shared: &Arc<Shared>) {
+    let hello_done = serve_session(&mut stream, session, shared);
+    // the accept loop holds a clone of this socket until it reaps the
+    // thread, so dropping `stream` alone would not close the connection
+    let _ = stream.shutdown(Shutdown::Both);
     if hello_done {
         shared.logger.log(
             LogLevel::Info,
@@ -619,35 +641,34 @@ fn session_loop(stream: TcpStream, session: u32, shared: &Arc<Shared>) {
 
 /// Drive one session to completion. Returns whether the handshake
 /// completed (so the wrapper logs `disconnect` only for real sessions).
-fn serve_session(mut stream: TcpStream, session: u32, shared: &Arc<Shared>) -> bool {
+fn serve_session(stream: &mut TcpStream, session: u32, shared: &Arc<Shared>) -> bool {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(POLL_QUANTUM));
     let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
 
     // handshake: the first frame must be a hello with our version — but
     // sniff the first 4 bytes first: an HTTP `GET ` (0x47455420, far past
     // MAX_FRAME_LEN as a length prefix) is the Prometheus scrape shim
     let mut len_buf = [0u8; 4];
-    if let Err(out) = read_full(&mut stream, &mut len_buf, shared) {
+    if let Err(out) = read_full(stream, &mut len_buf, shared) {
         if let ReadOutcome::Violation(msg) = out {
-            protocol_error(&mut stream, shared, &msg);
+            protocol_error(stream, shared, &msg);
         }
         return false;
     }
     if &len_buf == b"GET " {
-        serve_http_metrics(&mut stream, session, shared);
+        serve_http_metrics(stream, session, shared);
         return false;
     }
-    match read_frame_body(&mut stream, u32::from_be_bytes(len_buf), shared) {
+    match read_frame_body(stream, u32::from_be_bytes(len_buf), shared) {
         ReadOutcome::Frame(Opcode::Hello, payload) => match decode_hello_client(&payload) {
             Ok(v) if v == PROTOCOL_VERSION => {
-                if !send(&mut stream, Opcode::Hello, &encode_hello_server(session)) {
+                if !send(stream, Opcode::Hello, &encode_hello_server(session)) {
                     return false;
                 }
             }
             Ok(v) => {
                 protocol_error(
-                    &mut stream,
+                    stream,
                     shared,
                     &format!(
                         "protocol version {v} not supported (server speaks {PROTOCOL_VERSION})"
@@ -656,16 +677,16 @@ fn serve_session(mut stream: TcpStream, session: u32, shared: &Arc<Shared>) -> b
                 return false;
             }
             Err(e) => {
-                protocol_error(&mut stream, shared, &e.to_string());
+                protocol_error(stream, shared, &e.to_string());
                 return false;
             }
         },
         ReadOutcome::Frame(_, _) => {
-            protocol_error(&mut stream, shared, "expected hello as first frame");
+            protocol_error(stream, shared, "expected hello as first frame");
             return false;
         }
         ReadOutcome::Violation(msg) => {
-            protocol_error(&mut stream, shared, &msg);
+            protocol_error(stream, shared, &msg);
             return false;
         }
         ReadOutcome::Closed | ReadOutcome::Shutdown | ReadOutcome::Io => return false,
@@ -684,10 +705,10 @@ fn serve_session(mut stream: TcpStream, session: u32, shared: &Arc<Shared>) -> b
 
     let slot = Slot::default();
     loop {
-        match read_session_frame(&mut stream, shared) {
+        match read_session_frame(stream, shared) {
             ReadOutcome::Frame(opcode, payload) => {
                 if shared.shutting_down() {
-                    let _ = send_error(&mut stream, &refused());
+                    let _ = send_error(stream, &refused());
                     return true;
                 }
                 match opcode {
@@ -695,7 +716,7 @@ fn serve_session(mut stream: TcpStream, session: u32, shared: &Arc<Shared>) -> b
                         let src = match String::from_utf8(payload) {
                             Ok(s) => s,
                             Err(_) => {
-                                protocol_error(&mut stream, shared, "non-UTF-8 source");
+                                protocol_error(stream, shared, "non-UTF-8 source");
                                 return true;
                             }
                         };
@@ -717,13 +738,13 @@ fn serve_session(mut stream: TcpStream, session: u32, shared: &Arc<Shared>) -> b
                                 // body exceeds the frame cap, so the session
                                 // survives an oversized retrieve
                                 let (op, body) = encode_result_frame(&body);
-                                send(&mut stream, op, &body)
+                                send(stream, op, &body)
                             }
                             Err(err) => {
                                 if err.0 == ErrorCode::Engine {
                                     shared.engine_errors.fetch_add(1, Ordering::Relaxed);
                                 }
-                                send_error(&mut stream, &err)
+                                send_error(stream, &err)
                             }
                         };
                         if !sent {
@@ -739,7 +760,7 @@ fn serve_session(mut stream: TcpStream, session: u32, shared: &Arc<Shared>) -> b
                                 .expect("engine present while sessions run")
                                 .metrics_json()
                         }) else {
-                            let _ = send_error(&mut stream, &refused());
+                            let _ = send_error(stream, &refused());
                             return true;
                         };
                         let json = format!(
@@ -748,14 +769,14 @@ fn serve_session(mut stream: TcpStream, session: u32, shared: &Arc<Shared>) -> b
                             shared.telemetry.to_json(),
                             engine_json
                         );
-                        if !send(&mut stream, Opcode::Metrics, json.as_bytes()) {
+                        if !send(stream, Opcode::Metrics, json.as_bytes()) {
                             return true;
                         }
                     }
                     Opcode::MetricsProm => {
                         shared.telemetry.count(Opcode::MetricsProm, session);
                         let text = render_prometheus_all(shared);
-                        if !send(&mut stream, Opcode::MetricsProm, text.as_bytes()) {
+                        if !send(stream, Opcode::MetricsProm, text.as_bytes()) {
                             return true;
                         }
                     }
@@ -766,17 +787,17 @@ fn serve_session(mut stream: TcpStream, session: u32, shared: &Arc<Shared>) -> b
                             "shutdown",
                             format_args!("session={session}"),
                         );
-                        let _ = send(&mut stream, Opcode::Result, &ResultBody::default().encode());
+                        let _ = send(stream, Opcode::Result, &ResultBody::default().encode());
                         shared.request_shutdown();
                         return true;
                     }
                     Opcode::Hello => {
-                        protocol_error(&mut stream, shared, "duplicate hello");
+                        protocol_error(stream, shared, "duplicate hello");
                         return true;
                     }
                     Opcode::Result | Opcode::Error => {
                         protocol_error(
-                            &mut stream,
+                            stream,
                             shared,
                             "result/error frames are server-to-client only",
                         );
@@ -785,7 +806,7 @@ fn serve_session(mut stream: TcpStream, session: u32, shared: &Arc<Shared>) -> b
                 }
             }
             ReadOutcome::Violation(msg) => {
-                protocol_error(&mut stream, shared, &msg);
+                protocol_error(stream, shared, &msg);
                 return true;
             }
             ReadOutcome::Closed | ReadOutcome::Shutdown | ReadOutcome::Io => return true,
@@ -817,30 +838,22 @@ fn finish_request(shared: &Shared, opcode: Opcode, session: u32, t0: Option<Inst
 /// HTTP stack. The request head is drained (bounded) and ignored: every
 /// path serves the metrics document.
 fn serve_http_metrics(stream: &mut TcpStream, session: u32, shared: &Shared) {
+    let _ = stream.set_read_timeout(Some(HTTP_HEAD_TIMEOUT));
     let mut head = Vec::new();
     let mut buf = [0u8; 512];
-    let mut idle_polls = 0u32;
     while !head.windows(4).any(|w| w == b"\r\n\r\n") {
-        if head.len() > 8192 || idle_polls > 80 {
-            return; // oversized or stalled request head: just close
+        if head.len() > 8192 {
+            return; // oversized request head: just close
         }
         match stream.read(&mut buf) {
             Ok(0) => break,
             Ok(n) => head.extend_from_slice(&buf[..n]),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if shared.shutting_down() {
-                    return;
-                }
-                idle_polls += 1;
-            }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return,
+            Err(_) => return, // stalled past the timeout, or gone
         }
+    }
+    if shared.shutting_down() {
+        return;
     }
     shared.logger.log(
         LogLevel::Info,
@@ -1150,7 +1163,7 @@ fn merge_outputs(outputs: &[CmdOutput]) -> ResultBody {
 }
 
 // `Ariel` must cross into the server's threads; this fails to compile if
-// a non-`Send` type sneaks back into the engine (see docs/CONCURRENCY.md).
+// a non-`Send` type sneaks back into the engine (see docs/SERVER.md).
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<Ariel>();
@@ -1262,18 +1275,56 @@ mod tests {
         let gate = Arc::new(std::sync::Barrier::new(2));
         let blocked = Arc::clone(&gate);
         let mut live = vec![
-            std::thread::spawn(|| {}),
-            std::thread::spawn(move || {
-                blocked.wait();
-            }),
-            std::thread::spawn(|| {}),
+            (std::thread::spawn(|| {}), 1),
+            (
+                std::thread::spawn(move || {
+                    blocked.wait();
+                }),
+                2,
+            ),
+            (std::thread::spawn(|| {}), 3),
         ];
-        while live.iter().filter(|h| h.is_finished()).count() < 2 {
+        while live.iter().filter(|(h, _)| h.is_finished()).count() < 2 {
             std::thread::yield_now();
         }
         reap_finished(&mut live);
         assert_eq!(live.len(), 1, "the blocked thread stays");
+        assert_eq!(live[0].1, 2, "with what was kept beside it");
         gate.wait();
-        live.pop().unwrap().join().unwrap();
+        live.pop().unwrap().0.join().unwrap();
+    }
+
+    /// Nothing polls: an idle session is blocked in `read()` and the accept
+    /// loop in `accept()`, and shutdown must wake both at once.
+    #[test]
+    fn shutdown_returns_promptly_with_an_idle_session_connected() {
+        let server = Server::bind(
+            "127.0.0.1:0",
+            kv_engine(EngineOptions::default()),
+            ServerOptions::default(),
+        )
+        .unwrap();
+        let addr = server.local_addr();
+        let handle = server.spawn();
+        let mut idle = Client::connect(addr).unwrap();
+        idle.command("append kv (k = 1, v = 1)").unwrap();
+
+        let (done, stopped) = std::sync::mpsc::channel();
+        let t0 = Instant::now();
+        std::thread::spawn(move || done.send(handle.shutdown()).unwrap());
+        let (stats, mut engine) = stopped
+            .recv_timeout(Duration::from_secs(10))
+            .expect("shutdown blocked on an idle session");
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "shutdown took {:?}",
+            t0.elapsed()
+        );
+        assert_eq!(stats.sessions, 1, "the wake-up connection is no session");
+        assert_eq!(engine.query("retrieve (kv.k)").unwrap().rows.len(), 1);
+        assert!(
+            idle.command("append kv (k = 2, v = 2)").is_err(),
+            "the idle session was closed"
+        );
     }
 }

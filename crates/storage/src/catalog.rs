@@ -3,12 +3,11 @@
 //! Shared handles are [`RelRef`], a thin wrapper over
 //! `Arc<RwLock<Relation>>`: the executor reads several relations while the
 //! DML layer mutates one, the discrimination network's virtual α-memories
-//! scan base relations mid-token-propagation, and the parallel match path
-//! (see `docs/CONCURRENCY.md`) lets several worker threads scan relations
-//! concurrently. The paper's prototype was single-threaded; the reader —
-//! writer lock preserves its semantics (match only ever *reads* relations;
-//! all writes happen in the sequential action phase) while making the
-//! catalog `Send + Sync`. `RelRef::borrow`/`borrow_mut` keep the names the
+//! scan base relations mid-token-propagation, and the engine — catalog
+//! included — moves between the server's session threads. The paper's
+//! prototype was single-threaded; the reader — writer lock preserves its
+//! semantics (match only ever *reads* relations; all writes happen in the
+//! action phase) while making the catalog `Send + Sync`. `RelRef::borrow`/`borrow_mut` keep the names the
 //! engine used when the handle was an `Rc<RefCell<_>>`, so call sites read
 //! identically.
 
@@ -148,8 +147,9 @@ impl Catalog {
     }
 }
 
-// The whole storage layer is shared by reference across the parallel match
-// workers; keep that property machine-checked.
+// The engine, storage layer included, moves between the server's session
+// threads, and `Arc`-shared handles are `Send` only over `Send + Sync`
+// contents; keep that property machine-checked.
 const _: () = {
     const fn assert_sync_send<T: Sync + Send>() {}
     assert_sync_send::<Catalog>();

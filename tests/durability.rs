@@ -7,10 +7,10 @@
 //! from an engine that never crashed: same relation contents, same pending
 //! matches (consumed instantiations stay consumed), same α-memory
 //! footprint, and the same response to any further command stream. The
-//! three-backend equivalence machinery from `network_equivalence.rs`
-//! supplies the distinguishing power.
+//! rule mix and churn stream from `network_equivalence.rs` supply the
+//! distinguishing power.
 
-use ariel::network::ReteMode;
+use ariel::network::VirtualPolicy;
 use ariel::storage::Value;
 use ariel::{Ariel, Durability, EngineOptions, TraceEventKind};
 use std::path::PathBuf;
@@ -136,43 +136,20 @@ fn fingerprint(db: &mut Ariel) -> Fingerprint {
     (rels, pending, mem.alpha_entries, mem.pnode_rows)
 }
 
-/// The crash oracle, parameterized by backend and fsync mode: a crashed-
-/// and-recovered engine must be indistinguishable from one that never
-/// crashed — including under a continued command stream after recovery.
-fn crash_recover_equivalence(name: &str, rete: Option<ReteMode>, durability: Durability) {
+/// The crash oracle, parameterized by virtual policy and fsync mode: a
+/// crashed-and-recovered engine must be indistinguishable from one that
+/// never crashed — including under a continued command stream after
+/// recovery.
+fn crash_recover_equivalence(name: &str, policy: VirtualPolicy, durability: Durability) {
     let dir = scratch(name);
     let options = EngineOptions {
-        rete_mode: rete,
+        virtual_policy: policy,
         durability,
         ..Default::default()
     };
-    // Rete compiles pattern conditions only: restrict the rule set
-    let build_for = |options: EngineOptions| -> Ariel {
-        if rete.is_some() {
-            let mut db = Ariel::with_options(options);
-            db.execute(
-                "create emp (id = int, sal = float, dno = int); \
-                 create dept (dno = int, floor = int); \
-                 create audit (id = int, kind = int)",
-            )
-            .unwrap();
-            db.execute(
-                "define rule r_sel if emp.sal > 5000 then append to audit(id = emp.id, kind = 1)",
-            )
-            .unwrap();
-            db.execute(
-                "define rule r_join if emp.sal > 1000 and emp.dno = dept.dno and dept.floor < 3 \
-                 then append to audit(id = emp.id, kind = 2)",
-            )
-            .unwrap();
-            db
-        } else {
-            build(options)
-        }
-    };
 
     // the uncrashed reference runs the identical stream, no durability
-    let mut reference = build_for(EngineOptions {
+    let mut reference = build(EngineOptions {
         durability: Durability::Off,
         ..options.clone()
     });
@@ -181,7 +158,7 @@ fn crash_recover_equivalence(name: &str, rete: Option<ReteMode>, durability: Dur
     apply_stream(&mut reference, 0xAF7E4, 60, &mut ref_id);
 
     // the crashing engine: checkpoint mid-stream, keep going, then "crash"
-    let mut db = build_for(options.clone());
+    let mut db = build(options.clone());
     let mut next_id = 0i64;
     apply_stream(&mut db, 0xC4A54, 80, &mut next_id);
     db.checkpoint(&dir).unwrap();
@@ -218,42 +195,42 @@ fn crash_recover_equivalence(name: &str, rete: Option<ReteMode>, durability: Dur
 
 #[test]
 fn crash_recovery_equivalence_treat_commit() {
-    crash_recover_equivalence("treat-commit", None, Durability::Commit);
+    crash_recover_equivalence("treat-commit", VirtualPolicy::AllStored, Durability::Commit);
 }
 
 #[test]
 fn crash_recovery_equivalence_treat_batch() {
-    crash_recover_equivalence("treat-batch", None, Durability::Batch);
+    crash_recover_equivalence("treat-batch", VirtualPolicy::AllStored, Durability::Batch);
 }
 
 #[test]
-fn crash_recovery_equivalence_rete_indexed() {
-    crash_recover_equivalence("rete-indexed", Some(ReteMode::Indexed), Durability::Commit);
+fn crash_recovery_equivalence_all_virtual() {
+    crash_recover_equivalence("all-virtual", VirtualPolicy::AllVirtual, Durability::Commit);
 }
 
-#[test]
-fn crash_recovery_equivalence_rete_nested() {
-    crash_recover_equivalence("rete-nested", Some(ReteMode::Nested), Durability::Commit);
-}
-
-/// A snapshot taken on one backend must recover onto another: the
-/// snapshot stores relations and rule *sources*, and recovery rebuilds
+/// A snapshot taken under one virtual policy must recover onto another:
+/// the snapshot stores relations and rule *sources*, and recovery rebuilds
 /// the network through normal activation.
 #[test]
 fn snapshot_recovers_across_backends() {
     let dir = scratch("cross-backend");
-    let treat = EngineOptions {
+    let mut db = Ariel::with_options(EngineOptions {
         durability: Durability::Commit,
         ..Default::default()
-    };
-    let mut db = Ariel::with_options(treat.clone());
+    });
     db.execute(
         "create emp (id = int, sal = float, dno = int); \
+         create dept (dno = int); \
          create audit (id = int, kind = int)",
     )
     .unwrap();
-    db.execute("define rule r if emp.sal > 50 then append to audit(id = emp.id, kind = 1)")
-        .unwrap();
+    db.execute("append dept (dno = 0)").unwrap();
+    db.execute("append dept (dno = 1)").unwrap();
+    db.execute(
+        "define rule r if emp.sal > 50 and emp.dno = dept.dno \
+         then append to audit(id = emp.id, kind = 1)",
+    )
+    .unwrap();
     for i in 0..20 {
         db.execute(&format!("append emp (id = {i}, sal = {}, dno = 0)", i * 10))
             .unwrap();
@@ -264,20 +241,24 @@ fn snapshot_recovers_across_backends() {
     let want_emp = snapshot(&mut db, "emp");
     let want_audit = snapshot(&mut db, "audit");
     drop(db);
-    for rete in [Some(ReteMode::Indexed), Some(ReteMode::Nested), None] {
+    for policy in [
+        VirtualPolicy::AllVirtual,
+        VirtualPolicy::SelectivityThreshold(0.5),
+        VirtualPolicy::AllStored,
+    ] {
         let (mut back, report) = Ariel::recover(
             &dir,
             EngineOptions {
-                rete_mode: rete,
+                virtual_policy: policy.clone(),
                 durability: Durability::Off,
                 ..Default::default()
             },
         )
         .unwrap();
-        assert_eq!(report.relations, 2, "{rete:?}");
-        assert_eq!(report.rules, 1, "{rete:?}");
-        assert_eq!(snapshot(&mut back, "emp"), want_emp, "{rete:?}");
-        assert_eq!(snapshot(&mut back, "audit"), want_audit, "{rete:?}");
+        assert_eq!(report.relations, 3, "{policy:?}");
+        assert_eq!(report.rules, 1, "{policy:?}");
+        assert_eq!(snapshot(&mut back, "emp"), want_emp, "{policy:?}");
+        assert_eq!(snapshot(&mut back, "audit"), want_audit, "{policy:?}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -2,7 +2,8 @@
 //! the metrics snapshot, `explain analyze`, and the flight-recorder trace
 //! tier (causal events, `why` provenance, Chrome export).
 
-use ariel::{Ariel, EngineOptions};
+use ariel::network::VirtualPolicy;
+use ariel::{Ariel, EngineOptions, TraceEventKind};
 
 /// Engine with the timing tier on, a 2-variable paper-style rule
 /// (`emp.sal` band joined to `dept` on `dno`), and some dept rows.
@@ -149,13 +150,13 @@ fn metrics_json_reflects_observability_flag() {
 
 // ----- flight recorder -------------------------------------------------------
 
-/// A two-level cascade on pattern rules (so every backend can run it):
-/// `append src` joins `dim` and fires r1 (depth 0), whose action appends
-/// `mid` and fires r2 (depth 1), whose action appends `sink` (depth 2,
-/// quiescent). Tracing is enabled before any data arrives.
-fn cascade_db(rete: Option<ariel::network::ReteMode>) -> Ariel {
+/// A two-level cascade on pattern rules: `append src` joins `dim` and
+/// fires r1 (depth 0), whose action appends `mid` and fires r2 (depth 1),
+/// whose action appends `sink` (depth 2, quiescent). Tracing is enabled
+/// before any data arrives.
+fn cascade_db(policy: VirtualPolicy) -> Ariel {
     let mut db = Ariel::with_options(EngineOptions {
-        rete_mode: rete,
+        virtual_policy: policy,
         ..Default::default()
     });
     db.execute(
@@ -174,13 +175,25 @@ fn cascade_db(rete: Option<ariel::network::ReteMode>) -> Ariel {
     db
 }
 
+/// The virtual policies the trace-tier oracle runs the cascade under:
+/// r1's join memories stored, virtual, or split by selectivity.
+fn policies() -> [VirtualPolicy; 3] {
+    [
+        VirtualPolicy::AllStored,
+        VirtualPolicy::AllVirtual,
+        VirtualPolicy::SelectivityThreshold(0.4),
+    ]
+}
+
+/// The `\why` rendering is a differential oracle on the trace tier:
+/// stored and virtual memories record different probe events, yet the
+/// causal chain must render byte-identically under every virtual policy.
 #[test]
 fn why_chain_is_identical_across_backends() {
-    use ariel::network::ReteMode;
-    let mut treat = cascade_db(None);
-    assert_eq!(treat.query("retrieve (sink.x)").unwrap().rows.len(), 1);
-    let why1 = treat.why("r1").unwrap();
-    let why2 = treat.why("r2").unwrap();
+    let mut stored = cascade_db(VirtualPolicy::AllStored);
+    assert_eq!(stored.query("retrieve (sink.x)").unwrap().rows.len(), 1);
+    let why1 = stored.why("r1").unwrap();
+    let why2 = stored.why("r2").unwrap();
     // the full causal chain, with correct cascade depths
     assert!(why1.contains("firing #1 of r1 — transition"), "{why1}");
     assert!(why1.contains("depth 0"), "{why1}");
@@ -198,18 +211,29 @@ fn why_chain_is_identical_across_backends() {
     );
     assert!(why2.contains("← token"), "{why2}");
     assert!(why2.contains("(depth 2): 1 token"), "{why2}");
-    // the rendered chains are byte-identical on every backend
-    for mode in [ReteMode::Indexed, ReteMode::Nested] {
-        let mut db = cascade_db(Some(mode));
+    // the rendered chains are byte-identical under every policy, though
+    // the recorded events are not: only virtual memories scan relations
+    let scans = |db: &Ariel| {
+        db.trace_events()
+            .iter()
+            .filter(|e| matches!(e.kind, TraceEventKind::VirtualScan { .. }))
+            .count()
+    };
+    assert_eq!(scans(&stored), 0);
+    let mut scanned = false;
+    for policy in policies() {
+        let mut db = cascade_db(policy.clone());
         assert_eq!(db.query("retrieve (sink.x)").unwrap().rows.len(), 1);
-        assert_eq!(db.why("r1").unwrap(), why1, "r1 chain differs on {mode:?}");
-        assert_eq!(db.why("r2").unwrap(), why2, "r2 chain differs on {mode:?}");
+        assert_eq!(db.why("r1").unwrap(), why1, "r1 chain differs: {policy:?}");
+        assert_eq!(db.why("r2").unwrap(), why2, "r2 chain differs: {policy:?}");
+        scanned |= scans(&db) > 0;
     }
+    assert!(scanned, "some policy must join through a virtual memory");
 }
 
 #[test]
 fn why_reports_missing_rule_and_empty_ring() {
-    let mut db = cascade_db(None);
+    let mut db = cascade_db(VirtualPolicy::AllStored);
     assert!(db.why("nope").is_err(), "unknown rule is an error");
     db.clear_trace();
     let why = db.why("r1").unwrap();
@@ -331,18 +355,17 @@ fn chrome_trace_json_is_valid_and_monotone_per_track() {
 }
 
 #[test]
-fn trace_survives_both_rete_modes_with_bounded_ring() {
-    use ariel::network::ReteMode;
-    for mode in [ReteMode::Indexed, ReteMode::Nested] {
-        let mut db = cascade_db(Some(mode));
+fn trace_ring_stays_bounded_under_every_virtual_policy() {
+    for policy in policies() {
+        let mut db = cascade_db(policy.clone());
         db.set_trace_limit(8);
         for i in 3..10 {
             db.execute(&format!("append src (x = {i})")).unwrap();
         }
-        assert!(db.trace_events().len() <= 8, "{mode:?}");
-        assert!(db.trace_dropped() > 0, "{mode:?}");
+        assert!(db.trace_events().len() <= 8, "{policy:?}");
+        assert!(db.trace_dropped() > 0, "{policy:?}");
         let json = db.chrome_trace_json();
-        assert!(json.starts_with("{\"traceEvents\":["), "{mode:?}");
+        assert!(json.starts_with("{\"traceEvents\":["), "{policy:?}");
     }
 }
 

@@ -9,14 +9,18 @@
 //! has to get right: unanchored predicates (`!=`), nulls in an anchored
 //! attribute, replaces that move a tuple between disjoint bands, and
 //! several touches of one tuple inside one batch. Every batch also runs
-//! the networks' debug check that the maintained conflict set equals a
-//! scan of the P-nodes.
+//! the A-TREAT network's debug check that its maintained conflict set
+//! equals a scan of the P-nodes.
 
-use ariel::network::{Network, ReteMode, ReteNetwork, RuleId, Token, VirtualPolicy};
+#[path = "common/matchers.rs"]
+mod matchers;
+
+use ariel::network::{ReteMode, RuleId, VirtualPolicy};
 use ariel::query::Change;
-use ariel::query::{parse_expr, ExecCtx, Optimizer, Pnode, ResolvedCondition, Resolver};
+use ariel::query::{parse_expr, ResolvedCondition, Resolver};
 use ariel::storage::{AttrType, Catalog, Schema, Tid, Value};
 use ariel::DeltaTracker;
+use matchers::{pnode_tids, recompute, Config, Net};
 use proptest::prelude::*;
 
 /// `a` is the attribute every rule anchors on; `NULL_A` stands for Null.
@@ -90,39 +94,6 @@ fn conditions(cat: &Catalog) -> Vec<ResolvedCondition> {
     ]
 }
 
-/// Canonical form of a P-node: sorted TID combinations.
-fn pnode_tids(p: &Pnode) -> Vec<Vec<Option<u64>>> {
-    let mut out: Vec<Vec<Option<u64>>> = p
-        .rows()
-        .iter()
-        .map(|r| r.iter().map(|b| b.tid.map(|t| t.0)).collect())
-        .collect();
-    out.sort();
-    out
-}
-
-/// From-scratch evaluation of a condition through the query optimizer.
-fn oracle(cat: &Catalog, cond: &ResolvedCondition) -> Vec<Vec<Option<u64>>> {
-    let plan = Optimizer::new(cat).plan(&cond.spec).unwrap();
-    let ctx = ExecCtx {
-        catalog: cat,
-        pnode: None,
-        nvars: cond.spec.vars.len(),
-    };
-    let rows = ariel::query::run_plan(&plan, &ctx).unwrap();
-    let mut out: Vec<Vec<Option<u64>>> = rows
-        .iter()
-        .map(|r| {
-            r.slots
-                .iter()
-                .map(|s| s.as_ref().and_then(|b| b.tid).map(|t| t.0))
-                .collect()
-        })
-        .collect();
-    out.sort();
-    out
-}
-
 /// Apply one op to the catalog and return the physical change.
 fn apply(cat: &Catalog, live: &mut Vec<(String, Tid)>, op: &Op) -> Option<Change> {
     match op {
@@ -175,14 +146,8 @@ fn apply(cat: &Catalog, live: &mut Vec<(String, Tid)>, op: &Op) -> Option<Change
     }
 }
 
-/// Which matcher configuration a stream runs against.
-#[derive(Debug, Clone)]
-enum Config {
-    Treat(VirtualPolicy),
-    Rete(VirtualPolicy, ReteMode),
-}
-
-/// Every backend family the engine can run on.
+/// The A-TREAT network under both memory extremes, and the Rete
+/// comparison network in both join modes.
 fn all_configs() -> Vec<Config> {
     vec![
         Config::Treat(VirtualPolicy::AllStored),
@@ -193,58 +158,9 @@ fn all_configs() -> Vec<Config> {
     ]
 }
 
-enum Net {
-    Treat(Box<Network>),
-    Rete(Box<ReteNetwork>),
-}
-
 impl Net {
-    /// Compile and prime `conds` as rules `0..` on the configured backend.
-    fn build(config: &Config, conds: &[ResolvedCondition], cat: &Catalog) -> Net {
-        match config {
-            Config::Treat(p) => {
-                let mut n = Network::new();
-                for (i, c) in conds.iter().enumerate() {
-                    n.add_rule(RuleId(i as u64), c, p, cat).unwrap();
-                    n.prime(RuleId(i as u64), cat).unwrap();
-                }
-                Net::Treat(Box::new(n))
-            }
-            Config::Rete(p, mode) => {
-                let mut n = ReteNetwork::with_policy(p.clone());
-                n.set_mode(*mode);
-                for (i, c) in conds.iter().enumerate() {
-                    n.add_rule(RuleId(i as u64), c, cat).unwrap();
-                    n.prime(RuleId(i as u64), cat).unwrap();
-                }
-                Net::Rete(Box::new(n))
-            }
-        }
-    }
-
-    fn process_batch(&mut self, tokens: &[Token], cat: &Catalog) {
-        match self {
-            Net::Treat(n) => n.process_batch(tokens, cat).unwrap(),
-            Net::Rete(n) => n.process_batch(tokens, cat).unwrap(),
-        }
-    }
-
-    fn pnode(&self, rule: usize) -> &Pnode {
-        match self {
-            Net::Treat(n) => n.pnode(RuleId(rule as u64)).unwrap(),
-            Net::Rete(n) => n.pnode(RuleId(rule as u64)).unwrap(),
-        }
-    }
-
-    fn rules_with_matches(&self) -> Vec<RuleId> {
-        match self {
-            Net::Treat(n) => n.rules_with_matches(),
-            Net::Rete(n) => n.rules_with_matches(),
-        }
-    }
-
     /// Every P-node equals a from-scratch evaluation of its condition, and
-    /// the conflict set names exactly the non-empty ones.
+    /// the eligible rules are exactly the non-empty ones.
     fn check(
         &self,
         conds: &[ResolvedCondition],
@@ -254,7 +170,7 @@ impl Net {
         let mut nonempty = Vec::new();
         for (i, cond) in conds.iter().enumerate() {
             let got = pnode_tids(self.pnode(i));
-            let want = oracle(cat, cond);
+            let want = recompute(cat, cond);
             prop_assert_eq!(
                 &got,
                 &want,
@@ -269,7 +185,7 @@ impl Net {
         prop_assert_eq!(
             self.rules_with_matches(),
             nonempty,
-            "conflict set at {:?}",
+            "eligible rules at {:?}",
             at
         );
         Ok(())
@@ -449,10 +365,6 @@ fn delete_token_work_is_independent_of_rule_count() {
         let mut net = Net::build(config, &conds, &cat);
         let mut live = Vec::new();
         let mut delta = DeltaTracker::new();
-        let stats = |net: &Net| match net {
-            Net::Treat(n) => n.stats(),
-            Net::Rete(n) => n.stats(),
-        };
         for op in [
             Op::Insert { rel: 1, a: 1, b: 2 },
             Op::Insert {
@@ -466,10 +378,10 @@ fn delete_token_work_is_independent_of_rule_count() {
             delta.reset();
         }
         assert_eq!(net.rules_with_matches(), vec![RuleId(5)]);
-        let before = stats(&net);
+        let before = net.stats();
         let change = apply(&cat, &mut live, &Op::Delete { pick: 1 }).unwrap();
         net.process_batch(&delta.tokens_for(&change), &cat);
-        let after = stats(&net);
+        let after = net.stats();
         assert!(net.rules_with_matches().is_empty(), "match retracted");
         assert_eq!(after.alpha_entries, before.alpha_entries - 1);
         (
