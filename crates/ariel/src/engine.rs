@@ -38,28 +38,11 @@ pub struct EngineOptions {
     /// The always-on counters are collected regardless; this flag only
     /// controls wall-clock timing capture. See `docs/OBSERVABILITY.md`.
     pub observability: bool,
-    /// Build hash join indexes over stored/dynamic α-memories on equi-join
-    /// attributes and probe them (plus base-relation indexes under virtual
-    /// nodes) during β-joins. `false` = pure nested-loop joins, kept as the
-    /// comparison baseline for the fig10/fig11 benchmarks.
-    pub join_indexing: bool,
     /// Enable the flight-recorder trace tier (bounded ring of causal
     /// trace events; the third observability tier) from the start. Off by
     /// default — when off, the recorder is never allocated and every
     /// trace hook is a single `Option` check. See `docs/OBSERVABILITY.md`.
     pub tracing: bool,
-    /// When join indexing is on, compile composite (multi-attribute) join
-    /// keys so multi-conjunct equi-joins probe one index instead of
-    /// probing one attribute and re-testing the rest. `false` falls back
-    /// to PR 2's single-attribute indexes, kept as the fig13 comparison
-    /// baseline.
-    pub composite_join_keys: bool,
-    /// Intern string values on relation writes, replacing owned strings
-    /// with `Copy` symbol handles so the match path compares and hashes
-    /// strings as integers. On by default; `false` keeps the legacy owned
-    /// representation (the BENCH_mem comparison baseline). Equality,
-    /// ordering and display semantics are identical either way.
-    pub intern_strings: bool,
     /// Write-ahead-log fsync policy used once durability is switched on by
     /// [`Ariel::checkpoint`] (or the CLI's `--durability` / `\checkpoint`).
     /// [`Durability::Off`] (the default) attaches no log writer at all, so
@@ -76,9 +59,6 @@ impl Default for EngineOptions {
             cache_action_plans: false,
             observability: false,
             tracing: false,
-            join_indexing: true,
-            composite_join_keys: true,
-            intern_strings: true,
             durability: Durability::Off,
         }
     }
@@ -217,15 +197,10 @@ impl Ariel {
 
     /// New engine with explicit options.
     pub fn with_options(options: EngineOptions) -> Self {
-        let mut network = Network::new();
-        network.set_join_indexing(options.join_indexing);
-        network.set_composite_keys(options.composite_join_keys);
-        let mut catalog = Catalog::new();
-        catalog.set_intern_strings(options.intern_strings);
         let mut engine = Ariel {
-            catalog,
+            catalog: Catalog::new(),
             rules: RuleCatalog::new(),
-            network,
+            network: Network::new(),
             planner: ActionPlanner::new(options.cache_action_plans),
             options,
             active: FxHashMap::default(),
@@ -977,8 +952,7 @@ impl Ariel {
     /// Full metrics snapshot as a JSON document: engine counters, network
     /// counters, per-rule statistics, and — when observability is on —
     /// every timing histogram (`"timing": null` otherwise). The schema is
-    /// documented in `docs/OBSERVABILITY.md`; the benchmark driver writes
-    /// this into `BENCH_obs.json`.
+    /// documented in `docs/OBSERVABILITY.md`.
     pub fn metrics_json(&self) -> String {
         obs::render_metrics_json(&self.metrics_input())
     }
@@ -1068,10 +1042,7 @@ mod tests {
         assert!(matches!(opts.virtual_policy, VirtualPolicy::AllStored));
         assert_eq!(opts.max_firings, 10_000);
         assert!(!opts.cache_action_plans);
-        assert!(opts.join_indexing, "join indexing is on by default");
-        assert!(opts.composite_join_keys, "composite keys are on by default");
         assert!(!opts.tracing, "tracing is off by default");
-        assert!(opts.intern_strings, "string interning is on by default");
         assert_eq!(opts.durability, Durability::Off, "no logging by default");
         let db = Ariel::new();
         assert!(db.wal_dir().is_none(), "no durability dir until checkpoint");
@@ -1099,26 +1070,6 @@ mod tests {
         assert!(m.arena_takes >= 1, "match path drew scratch buffers");
         assert!(m.alpha_bytes_per_entry() > 0.0);
         assert_eq!(MemoryStats::default().alpha_bytes_per_entry(), 0.0);
-    }
-
-    #[test]
-    fn join_indexing_opt_out_reaches_network() {
-        let db = Ariel::with_options(EngineOptions {
-            join_indexing: false,
-            ..Default::default()
-        });
-        assert!(!db.network().join_indexing());
-        assert!(Ariel::new().network().join_indexing());
-    }
-
-    #[test]
-    fn composite_keys_opt_out_reaches_network() {
-        let db = Ariel::with_options(EngineOptions {
-            composite_join_keys: false,
-            ..Default::default()
-        });
-        assert!(!db.network().composite_keys());
-        assert!(Ariel::new().network().composite_keys());
     }
 
     #[test]

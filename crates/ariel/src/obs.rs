@@ -9,8 +9,7 @@
 //!
 //! * [`crate::Ariel::metrics_json`] — a hand-rolled JSON snapshot of the
 //!   engine counters, network counters, per-rule statistics, and (when the
-//!   observability flag is on) every timing histogram. The benchmark
-//!   driver serializes this into `BENCH_obs.json`.
+//!   observability flag is on) every timing histogram.
 //! * [`crate::Ariel::explain_analyze`] — run a command with a scoped
 //!   timing capture and render an annotated per-node tree: tokens in/out,
 //!   selectivity, join fan-out, and time spent at every node the command's

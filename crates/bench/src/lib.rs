@@ -297,58 +297,63 @@ pub fn scaled_sales_db(policy: VirtualPolicy, emp_rows: usize, index_dno: bool) 
     db
 }
 
-/// Value helper: extract f64 (tests).
-pub fn as_f64(v: &Value) -> f64 {
-    v.as_f64().expect("numeric")
-}
-
 #[cfg(test)]
 mod harness_tests {
     use super::measure;
+    use super::table::{aggregate, Row};
+
+    fn find<'a>(rows: &'a [Row], keys: &[&str], label: &str) -> &'a Row {
+        rows.iter()
+            .find(|r| r.label(keys) == label)
+            .unwrap_or_else(|| panic!("no row {label}"))
+    }
+
+    fn num(row: &Row, col: &str) -> f64 {
+        row.num(col).unwrap_or_else(|| panic!("no number {col}"))
+    }
 
     /// The measurement harness itself must keep working (tiny parameters).
     #[test]
     fn measure_functions_smoke() {
         let rows = measure::fig_table(1, &[5], 2);
         assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].rules, 5);
+        assert_eq!(rows[0].num("rules"), Some(5.0));
 
-        let act = measure::action_times(2);
-        assert_eq!(act.len(), 3);
-
-        let scale = measure::scale_table(&[25], 3);
-        assert_eq!(scale.len(), 1);
+        assert_eq!(measure::action_times(2).len(), 3);
+        assert_eq!(measure::scale_table(&[25], 3).len(), 1);
 
         let virt = measure::virt_table(&[50], 2);
         assert_eq!(virt.len(), 4, "four configs per size");
-        let stored = virt.iter().find(|r| r.config == "stored").unwrap();
-        let virtual_ = virt.iter().find(|r| r.config == "virtual").unwrap();
-        assert!(virtual_.alpha_bytes < stored.alpha_bytes);
+        let config = |name: &str| find(&virt, &["config"], name);
+        assert!(num(config("virtual"), "alpha_bytes") < num(config("stored"), "alpha_bytes"));
 
-        let isl = measure::islist_table(&[40], 2);
-        assert_eq!(isl.len(), 1);
+        assert_eq!(measure::islist_table(&[40], 2).len(), 1);
 
         let net = measure::net_table(3, 30);
         assert_eq!(net.len(), 4);
-        let treat = net.iter().find(|r| r.network == "TREAT (indexed)").unwrap();
-        let atreat = net
-            .iter()
-            .find(|r| r.network == "A-TREAT (all virtual)")
-            .unwrap();
-        let rete_ix = net.iter().find(|r| r.network == "Rete (indexed)").unwrap();
-        let rete_nl = net.iter().find(|r| r.network == "Rete (nested)").unwrap();
-        assert_eq!(treat.beta_bytes, 0, "TREAT materializes no β state");
-        assert_eq!(atreat.alpha_bytes, 0, "virtual α-memories store nothing");
-        assert!(rete_ix.beta_bytes > 0 && rete_nl.beta_bytes > 0);
-        assert!(treat.alpha_bytes > 0);
+        let network = |name: &str| find(&net, &["network"], name);
+        let treat = network("TREAT (indexed)");
+        let rete_ix = network("Rete (indexed)");
+        assert_eq!(
+            num(treat, "beta_bytes"),
+            0.0,
+            "TREAT materializes no β state"
+        );
+        assert_eq!(
+            num(network("A-TREAT (all virtual)"), "alpha_bytes"),
+            0.0,
+            "virtual α-memories store nothing"
+        );
+        assert!(num(rete_ix, "beta_bytes") > 0.0);
+        assert!(num(network("Rete (nested)"), "beta_bytes") > 0.0);
+        assert!(num(treat, "alpha_bytes") > 0.0);
         // indexed Rete carries the same α planning as TREAT *plus* β state
         assert!(
-            rete_ix.alpha_bytes + rete_ix.beta_bytes > treat.alpha_bytes,
+            num(rete_ix, "alpha_bytes") + num(rete_ix, "beta_bytes") > num(treat, "alpha_bytes"),
             "Rete's β state is the memory cost TREAT avoids"
         );
 
-        let plan = measure::plan_table(5);
-        assert_eq!(plan.len(), 2);
+        assert_eq!(measure::plan_table(5).len(), 2);
 
         let joins = measure::joins_table(3, 20, 30);
         assert_eq!(
@@ -356,78 +361,70 @@ mod harness_tests {
             9,
             "4 workloads × indexing on/off + fig13-single"
         );
+        let join = |label: &str| find(&joins, &["workload", "indexed"], label);
         for w in ["fig10-2var", "fig11-3var", "fig12-band", "fig13-composite"] {
-            let on = joins.iter().find(|r| r.workload == w && r.indexed).unwrap();
-            let off = joins
-                .iter()
-                .find(|r| r.workload == w && !r.indexed)
-                .unwrap();
-            if w == "fig12-band" {
-                assert!(on.range_probes > 0 && on.range_hits > 0, "{w}");
-                assert_eq!(off.range_probes, 0, "{w}: indexing off never stabs");
+            let on = join(&format!("{w}/indexed=true"));
+            let off = join(&format!("{w}/indexed=false"));
+            let (probes, hits) = if w == "fig12-band" {
+                ("range_probes", "range_hits")
             } else {
-                assert!(on.index_probes > 0 && on.index_hits > 0, "{w}");
-                assert_eq!(off.index_probes, 0, "{w}: indexing off never probes");
-            }
+                ("index_probes", "index_hits")
+            };
+            assert!(num(on, probes) > 0.0 && num(on, hits) > 0.0, "{w}");
+            assert_eq!(num(off, probes), 0.0, "{w}: indexing off never probes");
             assert!(
-                on.join_candidates < off.join_candidates,
-                "{w}: index probes must shrink the candidate stream \
-                 ({} vs {})",
-                on.join_candidates,
-                off.join_candidates
+                num(on, "join_candidates") < num(off, "join_candidates"),
+                "{w}: index probes must shrink the candidate stream"
             );
         }
-        let composite = joins
-            .iter()
-            .find(|r| r.workload == "fig13-composite" && r.indexed)
-            .unwrap();
-        let single = joins.iter().find(|r| r.workload == "fig13-single").unwrap();
         assert!(
-            composite.join_candidates < single.join_candidates,
-            "composite keys beat probe-then-retest ({} vs {})",
-            composite.join_candidates,
-            single.join_candidates
+            num(join("fig13-composite/indexed=true"), "join_candidates")
+                < num(join("fig13-single/indexed=true"), "join_candidates"),
+            "composite keys beat probe-then-retest"
         );
 
         let mem = measure::mem_table(3, 40, 20);
         assert_eq!(mem.len(), 2, "interned and legacy configs");
-        let interned = mem.iter().find(|r| r.config == "interned").unwrap();
-        let legacy = mem.iter().find(|r| r.config == "legacy").unwrap();
+        let interned = find(&mem, &["config"], "interned");
+        let legacy = find(&mem, &["config"], "legacy");
         assert_eq!(
-            interned.alpha_entries, legacy.alpha_entries,
+            num(interned, "alpha_entries"),
+            num(legacy, "alpha_entries"),
             "layout must not change what is matched"
         );
         assert!(
-            interned.alpha_bytes < legacy.alpha_bytes,
-            "interned tuples must shrink the α-memories \
-             ({} vs {})",
-            interned.alpha_bytes,
-            legacy.alpha_bytes
+            num(interned, "alpha_bytes") < num(legacy, "alpha_bytes"),
+            "interned tuples must shrink the α-memories"
         );
-        assert!(interned.symbols > 0, "the run interns its name pool");
-        assert!(interned.arena_takes > 0 && interned.arena_reuses > 0);
-        let mem_json = measure::mem_json(&mem);
-        assert!(mem_json.starts_with('[') && mem_json.ends_with(']'));
-        assert!(mem_json.contains("\"config\":\"interned\""), "{mem_json}");
-        assert!(mem_json.contains("\"bytes_per_entry\":"), "{mem_json}");
+        // a second run (its names already interned) repeats every count
+        aggregate("mem", &[mem.clone(), measure::mem_table(3, 40, 20)]).unwrap();
 
         let wal = measure::wal_table(2, 3);
         assert_eq!(wal.len(), 3, "off, commit, batch");
-        let off = wal.iter().find(|r| r.mode == "off").unwrap();
-        assert_eq!(off.wal_records, 0, "durability off logs nothing");
-        assert_eq!(off.wal_bytes, 0);
-        let commit = wal.iter().find(|r| r.mode == "commit").unwrap();
-        let batch = wal.iter().find(|r| r.mode == "batch").unwrap();
-        assert_eq!(commit.wal_records, 6, "one record per committed command");
+        let mode = |name: &str| find(&wal, &["mode"], name);
         assert_eq!(
-            commit.wal_records, batch.wal_records,
-            "sync policy must not change what is logged"
+            num(mode("off"), "wal_records"),
+            0.0,
+            "durability off logs nothing"
         );
-        assert_eq!(commit.wal_bytes, batch.wal_bytes);
-        let wal_json = measure::wal_json(&wal);
-        assert!(wal_json.starts_with('[') && wal_json.ends_with(']'));
-        assert!(wal_json.contains("\"mode\":\"commit\""), "{wal_json}");
-        assert!(wal_json.contains("\"wal_records\":6"), "{wal_json}");
+        assert_eq!(num(mode("off"), "wal_bytes"), 0.0);
+        assert_eq!(
+            num(mode("commit"), "wal_records"),
+            6.0,
+            "one record per committed command"
+        );
+        for col in ["wal_records", "wal_bytes"] {
+            assert_eq!(
+                mode("commit").get(col),
+                mode("batch").get(col),
+                "sync policy must not change what is logged"
+            );
+        }
+
+        let trace = measure::trace_table(3, 10);
+        assert_eq!(trace.len(), 1);
+        assert!(num(&trace[0], "recorded") > 0.0);
+        assert!(num(&trace[0], "firing") > 0.0, "the run fires rules");
     }
 }
 
@@ -511,30 +508,26 @@ mod tests {
     }
 }
 
-/// Wall-clock measurement harness behind `paper_tables` — regenerates every
-/// table/figure of §6 plus the ablations listed in DESIGN.md.
 pub mod serve;
+pub mod table;
 
+/// The experiments behind `paper_tables`: every table and figure of §6
+/// plus the ablations listed in DESIGN.md. Each function runs its
+/// experiment once and returns one [`Row`](crate::table::Row) per
+/// configuration.
 pub mod measure {
     use super::*;
+    use crate::table::Row;
     use ariel::islist::{Interval, IntervalSkipList, IntervalTree, NaiveIntervalSet};
-    use ariel::network::{Network, ReteNetwork, RuleId};
-    use ariel::query::{parse_expr, Resolver};
+    use ariel::network::{Network, NetworkStats, ReteNetwork, RuleId};
+    use ariel::query::{parse_expr, ResolvedCondition, Resolver};
+    use ariel::storage::{AttrType, Catalog, Schema};
     use std::time::{Duration, Instant};
-
-    /// One row of a Fig. 9/10/11-style table.
-    #[derive(Debug, Clone, Copy)]
-    pub struct FigRow {
-        pub rules: usize,
-        pub install: Duration,
-        pub activate: Duration,
-        pub token_test: Duration,
-    }
 
     /// Reproduce Figure 9 (vars = 1), 10 (vars = 2) or 11 (vars = 3):
     /// total installation time, total activation time, and per-token test
-    /// time for `ns` rules.
-    pub fn fig_table(vars: usize, ns: &[usize], token_reps: usize) -> Vec<FigRow> {
+    /// time (mean over `token_reps` tokens) for `ns` rules.
+    pub fn fig_table(vars: usize, ns: &[usize], token_reps: usize) -> Vec<Row> {
         ns.iter()
             .map(|&n| {
                 let mut db = paper_db(VirtualPolicy::AllStored);
@@ -544,7 +537,6 @@ pub mod measure {
                 let t0 = Instant::now();
                 activate_rules(&mut db, vars, n);
                 let activate = t0.elapsed();
-                // token test: mean over reps of matching one insert token
                 let mut total = Duration::ZERO;
                 for _ in 0..token_reps {
                     let token = emp_plus_token(&mut db, PROBE_SAL);
@@ -554,19 +546,17 @@ pub mod measure {
                     total += t0.elapsed();
                     undo_emp_token(&mut db, &token);
                 }
-                FigRow {
-                    rules: n,
-                    install,
-                    activate,
-                    token_test: total / token_reps as u32,
-                }
+                Row::new()
+                    .count("rules", n)
+                    .ms("install_ms", install)
+                    .ms("activate_ms", activate)
+                    .us("token_test_us", total / token_reps as u32)
             })
             .collect()
     }
 
-    /// §6 in-text: time to run the action of a type 1/2/3 rule. Returns
-    /// (vars, mean action time).
-    pub fn action_times(reps: usize) -> Vec<(usize, Duration)> {
+    /// §6 in-text: mean time to run the action of a type 1/2/3 rule.
+    pub fn action_times(reps: usize) -> Vec<Row> {
         (1..=3)
             .map(|vars| {
                 let mut db = paper_db(VirtualPolicy::AllStored);
@@ -584,32 +574,19 @@ pub mod measure {
                     total += t0.elapsed();
                     undo_emp_token(&mut db, &token);
                 }
-                (vars, total / reps as u32)
+                Row::new()
+                    .count("vars", vars)
+                    .us("action_us", total / reps as u32)
             })
             .collect()
     }
 
-    /// One row of the SCALE table: mean per-operation times at `rules`
-    /// installed one-variable band rules, of which any one salary matches
-    /// at most 10.
-    #[derive(Debug, Clone, Copy)]
-    pub struct ScaleRow {
-        pub rules: usize,
-        /// Matching the `+` token of one `emp` insert.
-        pub plus_token: Duration,
-        /// Matching the `−` token that deletes it again.
-        pub minus_token: Duration,
-        /// `execute` of one `append emp`: match, then the recognize-act
-        /// cycle firing the (up to) 10 rules the salary satisfies.
-        pub append_firing: Duration,
-        /// The naive matcher evaluating every rule's predicate.
-        pub naive: Duration,
-    }
-
-    /// SCALE: per-token and per-firing cost vs number of rules — the
-    /// selection network (both token polarities) and a whole firing
-    /// `execute`, against the naive evaluate-every-predicate matcher.
-    pub fn scale_table(ns: &[usize], reps: usize) -> Vec<ScaleRow> {
+    /// SCALE: mean per-operation cost at `ns` installed one-variable band
+    /// rules, of which any one salary matches at most 10 — the selection
+    /// network for both token polarities, one `append emp` `execute` that
+    /// matches and fires the (up to) 10 rules its salary satisfies, and
+    /// the naive evaluate-every-predicate matcher.
+    pub fn scale_table(ns: &[usize], reps: usize) -> Vec<Row> {
         ns.iter()
             .map(|&n| {
                 let mut db = paper_db(VirtualPolicy::AllStored);
@@ -656,30 +633,24 @@ pub mod measure {
                 let naive_total = t0.elapsed();
                 assert_eq!(hits, reps * 10.min(n));
                 let reps = reps as u32;
-                ScaleRow {
-                    rules: n,
-                    plus_token: plus_total / reps,
-                    minus_token: minus_total / reps,
-                    append_firing: firing_total / reps,
-                    naive: naive_total / reps,
-                }
+                Row::new()
+                    .count("rules", n)
+                    .us("plus_token_us", plus_total / reps)
+                    .us("minus_token_us", minus_total / reps)
+                    .us("append_firing_us", firing_total / reps)
+                    .us("naive_us", naive_total / reps)
+                    .time(
+                        "speedup",
+                        naive_total.as_secs_f64() / plus_total.as_secs_f64(),
+                    )
             })
             .collect()
     }
 
     /// VIRT: α-memory bytes and dept-token join time for the scaled
     /// SalesClerkRule database under different virtualization choices.
-    #[derive(Debug, Clone)]
-    pub struct VirtRow {
-        pub emp_rows: usize,
-        pub config: &'static str,
-        pub alpha_bytes: usize,
-        pub token_time: Duration,
-    }
-
-    /// Run the virtual-α-memory ablation.
-    pub fn virt_table(sizes: &[usize], reps: usize) -> Vec<VirtRow> {
-        let configs: Vec<(&'static str, VirtualPolicy, bool)> = vec![
+    pub fn virt_table(sizes: &[usize], reps: usize) -> Vec<Row> {
+        let configs = [
             ("stored", VirtualPolicy::AllStored, false),
             ("virtual", VirtualPolicy::AllVirtual, false),
             ("virtual+index", VirtualPolicy::AllVirtual, true),
@@ -703,24 +674,21 @@ pub mod measure {
                     total += t0.elapsed();
                     undo_dept_token(&mut db, &token);
                 }
-                out.push(VirtRow {
-                    emp_rows: rows,
-                    config: name,
-                    alpha_bytes,
-                    token_time: total / reps as u32,
-                });
+                out.push(
+                    Row::new()
+                        .count("emp_rows", rows)
+                        .key("config", name)
+                        .count("alpha_bytes", alpha_bytes)
+                        .us("token_join_us", total / reps as u32),
+                );
             }
         }
         out
     }
 
-    /// ISL: stabbing time — interval skip list vs augmented interval tree
-    /// (the IBS-tree stand-in) vs naive interval set.
-    /// Returns (intervals, islist stab, tree stab, naive stab).
-    pub fn islist_table(
-        sizes: &[usize],
-        reps: usize,
-    ) -> Vec<(usize, Duration, Duration, Duration)> {
+    /// ISL: mean stabbing time — interval skip list vs augmented interval
+    /// tree (the IBS-tree stand-in) vs naive interval set.
+    pub fn islist_table(sizes: &[usize], reps: usize) -> Vec<Row> {
         sizes
             .iter()
             .map(|&n| {
@@ -737,553 +705,337 @@ pub mod measure {
                     naive.insert(iv);
                 }
                 let probe = (n as i64 * 10) / 2;
-                let t0 = Instant::now();
-                let mut h1 = 0usize;
-                for _ in 0..reps {
-                    h1 += isl.stab(&probe).len();
-                }
-                let isl_time = t0.elapsed();
-                let t0 = Instant::now();
-                let mut h3 = 0usize;
-                for _ in 0..reps {
-                    h3 += tree.stab(&probe).len();
-                }
-                let tree_time = t0.elapsed();
-                let t0 = Instant::now();
-                let mut h2 = 0usize;
-                for _ in 0..reps {
-                    h2 += naive.stab(&probe).len();
-                }
-                let naive_time = t0.elapsed();
-                assert_eq!(h1, h2);
-                assert_eq!(h1, h3);
-                (
-                    n,
-                    isl_time / reps as u32,
-                    tree_time / reps as u32,
-                    naive_time / reps as u32,
-                )
+                let time = |stab: &dyn Fn() -> usize| {
+                    let t0 = Instant::now();
+                    let hits: usize = (0..reps).map(|_| stab()).sum();
+                    (t0.elapsed() / reps as u32, hits)
+                };
+                let (isl_time, h1) = time(&|| isl.stab(&probe).len());
+                let (tree_time, h2) = time(&|| tree.stab(&probe).len());
+                let (naive_time, h3) = time(&|| naive.stab(&probe).len());
+                assert!(h1 == h2 && h2 == h3);
+                Row::new()
+                    .count("intervals", n)
+                    .us("islist_us", isl_time)
+                    .us("tree_us", tree_time)
+                    .us("naive_us", naive_time)
+                    .time(
+                        "speedup",
+                        naive_time.as_secs_f64() / isl_time.as_secs_f64().max(1e-12),
+                    )
             })
             .collect()
     }
 
     /// NET: token throughput and join-state memory on a fig11-style
     /// three-variable workload — TREAT (indexed) vs A-TREAT (all virtual)
-    /// vs the two Rete modes.
-    #[derive(Debug, Clone)]
-    pub struct NetRow {
-        pub network: &'static str,
-        pub total: Duration,
-        /// α-memory bytes, entries and join indexes both.
-        pub alpha_bytes: usize,
-        /// β-memory bytes (partials + β indexes); zero for TREAT, which
-        /// materializes no β state.
-        pub beta_bytes: usize,
-    }
-
-    /// Run the network-comparison ablation: `n_rules` three-variable rules
-    /// (`emp` band + `emp ⋈ dept ⋈ job` equi-chain, the fig11 shape) over a
-    /// stream that churns all three relations — `dept`/`job` tokens arrive
-    /// as right activations, the case where Rete's β-memories (and their
-    /// indexes) do the work.
-    pub fn net_table(n_rules: usize, stream: usize) -> Vec<NetRow> {
-        use ariel::network::{EventSpecifier, ReteMode, Token};
-        use ariel::storage::{AttrType, Catalog, Schema};
+    /// vs the two Rete modes. `n_rules` rules (`emp` band + `emp ⋈ dept ⋈
+    /// job` equi-chain) over a stream that churns all three relations, so
+    /// `dept`/`job` tokens arrive as right activations — the case where
+    /// Rete's β-memories (and their indexes) do the work. `alpha_bytes`
+    /// counts entries and join indexes; `beta_bytes` counts partials and β
+    /// indexes and is zero for TREAT, which materializes no β state.
+    pub fn net_table(n_rules: usize, stream: usize) -> Vec<Row> {
+        use ariel::network::ReteMode;
 
         let build_catalog = || {
             let mut cat = Catalog::new();
-            cat.create(
-                "emp",
-                Schema::of(&[("sal", AttrType::Int), ("dno", AttrType::Int)]),
-            )
-            .unwrap();
-            cat.create(
-                "dept",
-                Schema::of(&[("dno", AttrType::Int), ("floor", AttrType::Int)]),
-            )
-            .unwrap();
-            cat.create(
-                "job",
-                Schema::of(&[("jno", AttrType::Int), ("pay", AttrType::Int)]),
-            )
-            .unwrap();
-            for i in 0..20i64 {
-                cat.get("dept")
-                    .unwrap()
-                    .borrow_mut()
-                    .insert(vec![i.into(), (i % 10).into()])
-                    .unwrap();
-            }
-            for i in 0..10i64 {
-                cat.get("job")
-                    .unwrap()
-                    .borrow_mut()
-                    .insert(vec![i.into(), (i * 100).into()])
-                    .unwrap();
-            }
+            let int = AttrType::Int;
+            relation(&mut cat, "emp", &[("sal", int), ("dno", int)], []);
+            let depts = (0..20i64).map(|i| vec![i.into(), (i % 10).into()]);
+            relation(&mut cat, "dept", &[("dno", int), ("floor", int)], depts);
+            let jobs = (0..10i64).map(|i| vec![i.into(), (i * 100).into()]);
+            relation(&mut cat, "job", &[("jno", int), ("pay", int)], jobs);
             cat
         };
-        let conds = |cat: &Catalog| {
-            (0..n_rules)
-                .map(|i| {
-                    let c1 = i as i64 * BAND_STEP;
-                    let c2 = c1 + BAND_WIDTH;
-                    let e = parse_expr(&format!(
-                        "{c1} < emp.sal and emp.sal <= {c2} \
-                         and emp.dno = dept.dno and dept.floor = job.jno"
-                    ))
-                    .unwrap();
-                    Resolver::new(cat)
-                        .resolve_condition(None, Some(&e), &[])
-                        .unwrap()
-                })
-                .collect::<Vec<_>>()
+        let srcs: Vec<String> = (0..n_rules)
+            .map(|i| {
+                format!(
+                    "{} and emp.dno = dept.dno and dept.floor = job.jno",
+                    band(i)
+                )
+            })
+            .collect();
+        // insert a row, hand its `+` token on, and (unless `keep`) delete
+        // it again and hand on the `−` token
+        let churn_one = |cat: &Catalog,
+                         rel: &str,
+                         row: Vec<Value>,
+                         keep: bool,
+                         process: &mut dyn FnMut(&Token)| {
+            let r = cat.get(rel).unwrap();
+            let tid = r.borrow_mut().insert(row).unwrap();
+            let t = r.borrow().get(tid).cloned().unwrap();
+            process(&Token::plus(rel, tid, t.clone(), EventSpecifier::Append));
+            if !keep {
+                r.borrow_mut().delete(tid).unwrap();
+                process(&Token::minus(rel, tid, t, EventSpecifier::Delete));
+            }
         };
-        let run_stream = |cat: &Catalog, mut process: Box<dyn FnMut(&Token) + '_>| {
-            let emp = cat.get("emp").unwrap();
-            let dept = cat.get("dept").unwrap();
-            let job = cat.get("job").unwrap();
+        let run_stream = |cat: &Catalog, process: &mut dyn FnMut(&Token)| {
+            let t0 = Instant::now();
             for i in 0..stream as i64 {
-                let tid = emp
-                    .borrow_mut()
-                    .insert(vec![(i * 37 % 25_000).into(), (i % 20).into()])
-                    .unwrap();
-                let t = emp.borrow().get(tid).cloned().unwrap();
-                process(&Token::plus("emp", tid, t.clone(), EventSpecifier::Append));
-                if i % 2 == 1 {
-                    emp.borrow_mut().delete(tid).unwrap();
-                    process(&Token::minus("emp", tid, t, EventSpecifier::Delete));
-                }
+                let emp = vec![(i * 37 % 25_000).into(), (i % 20).into()];
+                churn_one(cat, "emp", emp, i % 2 == 0, process);
                 if i % 3 == 0 {
                     // dept churn: right activations against β level 0
-                    let tid = dept
-                        .borrow_mut()
-                        .insert(vec![(i % 20).into(), (i % 10).into()])
-                        .unwrap();
-                    let t = dept.borrow().get(tid).cloned().unwrap();
-                    process(&Token::plus("dept", tid, t.clone(), EventSpecifier::Append));
-                    dept.borrow_mut().delete(tid).unwrap();
-                    process(&Token::minus("dept", tid, t, EventSpecifier::Delete));
+                    churn_one(
+                        cat,
+                        "dept",
+                        vec![(i % 20).into(), (i % 10).into()],
+                        false,
+                        process,
+                    );
                 }
                 if i % 5 == 0 {
                     // job churn: right activations against β level 1
-                    let tid = job
-                        .borrow_mut()
-                        .insert(vec![(i % 10).into(), i.into()])
-                        .unwrap();
-                    let t = job.borrow().get(tid).cloned().unwrap();
-                    process(&Token::plus("job", tid, t.clone(), EventSpecifier::Append));
-                    job.borrow_mut().delete(tid).unwrap();
-                    process(&Token::minus("job", tid, t, EventSpecifier::Delete));
+                    churn_one(cat, "job", vec![(i % 10).into(), i.into()], false, process);
                 }
             }
+            t0.elapsed()
         };
 
-        enum Config {
-            Treat(VirtualPolicy),
-            Rete(ReteMode),
-        }
         let mut out = Vec::new();
-        for (name, config) in [
-            ("TREAT (indexed)", Config::Treat(VirtualPolicy::AllStored)),
-            (
-                "A-TREAT (all virtual)",
-                Config::Treat(VirtualPolicy::AllVirtual),
-            ),
-            ("Rete (indexed)", Config::Rete(ReteMode::Indexed)),
-            ("Rete (nested)", Config::Rete(ReteMode::Nested)),
+        for (name, policy) in [
+            ("TREAT (indexed)", VirtualPolicy::AllStored),
+            ("A-TREAT (all virtual)", VirtualPolicy::AllVirtual),
         ] {
             let cat = build_catalog();
-            let conditions = conds(&cat);
-            match config {
-                Config::Treat(policy) => {
-                    let mut net = Network::new();
-                    for (i, c) in conditions.iter().enumerate() {
-                        net.add_rule(RuleId(i as u64), c, &policy, &cat).unwrap();
-                        net.prime(RuleId(i as u64), &cat).unwrap();
-                    }
-                    let t0 = Instant::now();
-                    run_stream(
-                        &cat,
-                        Box::new(|t| {
-                            net.process_token(t, &cat).unwrap();
-                        }),
-                    );
-                    let total = t0.elapsed();
-                    out.push(NetRow {
-                        network: name,
-                        total,
-                        alpha_bytes: net.stats().alpha_bytes,
-                        beta_bytes: 0,
-                    });
-                }
-                Config::Rete(mode) => {
-                    let mut net = ReteNetwork::new();
-                    net.set_mode(mode);
-                    for (i, c) in conditions.iter().enumerate() {
-                        net.add_rule(RuleId(i as u64), c, &cat).unwrap();
-                        net.prime(RuleId(i as u64), &cat).unwrap();
-                    }
-                    let t0 = Instant::now();
-                    run_stream(
-                        &cat,
-                        Box::new(|t| {
-                            net.process_token(t, &cat).unwrap();
-                        }),
-                    );
-                    let total = t0.elapsed();
-                    out.push(NetRow {
-                        network: name,
-                        total,
-                        alpha_bytes: net.alpha_bytes(),
-                        beta_bytes: net.beta_bytes(),
-                    });
-                }
-            }
-        }
-        out
-    }
-
-    /// JOINS: one configuration of the indexed-vs-nested-loop comparison.
-    #[derive(Debug, Clone)]
-    pub struct JoinRow {
-        /// Workload name: `fig10-2var` (emp ⋈ dept), `fig11-3var`
-        /// (emp ⋈ dept ⋈ job), `fig12-band` (emp band-joins an interval
-        /// relation), or `fig13-composite`/`fig13-single` (two-conjunct
-        /// equi-join probed with a composite vs a single-attribute key).
-        pub workload: &'static str,
-        /// Whether α-memory join indexing was enabled.
-        pub indexed: bool,
-        /// Wall-clock time to process the whole token stream.
-        pub total: Duration,
-        /// Candidates served into β-joins (`stored + virtual`).
-        pub join_candidates: u64,
-        /// Hash-bucket probes issued.
-        pub index_probes: u64,
-        /// Probes that found a non-empty bucket.
-        pub index_hits: u64,
-        /// Interval-index stabbing probes issued (band joins).
-        pub range_probes: u64,
-        /// Stabs that found at least one spanning interval.
-        pub range_hits: u64,
-        /// α-memory bytes after the stream (entries plus join indexes).
-        pub alpha_bytes: usize,
-    }
-
-    /// JOINS: indexed α-memories vs the seed nested-loop join on the
-    /// fig10/fig11 workloads, scaled so the join inputs dominate: `n_rules`
-    /// band rules joining emp against `dim_rows` dept rows (and, for the
-    /// three-variable workload, `3·dim_rows/4` job rows), driven by
-    /// `stream` emp insert/delete tokens. All memories stored (classic
-    /// TREAT — the configuration the tentpole targets).
-    pub fn joins_table(n_rules: usize, stream: usize, dim_rows: usize) -> Vec<JoinRow> {
-        use ariel::network::{EventSpecifier, Token};
-        use ariel::storage::{AttrType, Catalog, Schema};
-
-        let job_rows = (dim_rows * 3).div_ceil(4);
-        let build_catalog = || {
-            let mut cat = Catalog::new();
-            cat.create(
-                "emp",
-                Schema::of(&[
-                    ("sal", AttrType::Int),
-                    ("dno", AttrType::Int),
-                    ("jno", AttrType::Int),
-                ]),
-            )
-            .unwrap();
-            cat.create(
-                "dept",
-                Schema::of(&[("dno", AttrType::Int), ("floor", AttrType::Int)]),
-            )
-            .unwrap();
-            cat.create(
-                "job",
-                Schema::of(&[("jno", AttrType::Int), ("paygrade", AttrType::Int)]),
-            )
-            .unwrap();
-            for i in 0..dim_rows as i64 {
-                cat.get("dept")
-                    .unwrap()
-                    .borrow_mut()
-                    .insert(vec![i.into(), (i % 5).into()])
-                    .unwrap();
-            }
-            for i in 0..job_rows as i64 {
-                cat.get("job")
-                    .unwrap()
-                    .borrow_mut()
-                    .insert(vec![i.into(), (i % 9).into()])
-                    .unwrap();
-            }
-            cat
-        };
-        let conds = |cat: &Catalog, vars: usize| {
-            (0..n_rules)
-                .map(|i| {
-                    let c1 = i as i64 * BAND_STEP;
-                    let c2 = c1 + BAND_WIDTH;
-                    let mut src =
-                        format!("{c1} < emp.sal and emp.sal <= {c2} and emp.dno = dept.dno");
-                    if vars >= 3 {
-                        src.push_str(" and emp.jno = job.jno");
-                    }
-                    let e = parse_expr(&src).unwrap();
-                    Resolver::new(cat)
-                        .resolve_condition(None, Some(&e), &[])
-                        .unwrap()
-                })
-                .collect::<Vec<_>>()
-        };
-
-        let mut out = Vec::new();
-        for (workload, vars) in [("fig10-2var", 2usize), ("fig11-3var", 3)] {
-            for indexed in [true, false] {
-                let cat = build_catalog();
-                let mut net = Network::new();
-                net.set_join_indexing(indexed);
-                for (i, c) in conds(&cat, vars).iter().enumerate() {
-                    net.add_rule(RuleId(i as u64), c, &VirtualPolicy::AllStored, &cat)
-                        .unwrap();
-                    net.prime(RuleId(i as u64), &cat).unwrap();
-                }
-                let emp = cat.get("emp").unwrap();
-                let t0 = Instant::now();
-                for i in 0..stream as i64 {
-                    let tid = emp
-                        .borrow_mut()
-                        .insert(vec![
-                            (i * 37 % 25_000).into(),
-                            (i % dim_rows as i64).into(),
-                            (i % job_rows as i64).into(),
-                        ])
-                        .unwrap();
-                    let t = emp.borrow().get(tid).cloned().unwrap();
-                    net.process_token(
-                        &Token::plus("emp", tid, t.clone(), EventSpecifier::Append),
-                        &cat,
-                    )
-                    .unwrap();
-                    if i % 2 == 1 {
-                        emp.borrow_mut().delete(tid).unwrap();
-                        net.process_token(
-                            &Token::minus("emp", tid, t, EventSpecifier::Delete),
-                            &cat,
-                        )
-                        .unwrap();
-                    }
-                }
-                let total = t0.elapsed();
-                let s = net.stats();
-                out.push(JoinRow {
-                    workload,
-                    indexed,
-                    total,
-                    join_candidates: s.stored_join_candidates + s.virtual_join_candidates,
-                    index_probes: s.index_probes,
-                    index_hits: s.index_hits,
-                    range_probes: s.range_probes,
-                    range_hits: s.range_hits,
-                    alpha_bytes: s.alpha_bytes,
-                });
-            }
-        }
-        out.extend(band_joins_table(n_rules, stream, dim_rows));
-        out.extend(composite_joins_table(n_rules, stream, dim_rows));
-        out
-    }
-
-    /// JOINS, band workload (`fig12-band`): `n_rules` copies of a band-join
-    /// rule `band.lo < emp.sal and emp.sal <= band.hi` against a `band`
-    /// relation of `4·dim_rows` overlapping intervals (step 5, width 40, so
-    /// any salary stabs ~8 of them). Indexed: each emp token issues one
-    /// interval-stabbing query per rule; nested-loop: it scans every band
-    /// tuple. This is the range-index showcase the CI gate covers.
-    fn band_joins_table(n_rules: usize, stream: usize, dim_rows: usize) -> Vec<JoinRow> {
-        use ariel::network::{EventSpecifier, Token};
-        use ariel::storage::{AttrType, Catalog, Schema};
-
-        let band_rows = dim_rows * 4;
-        let build_catalog = || {
-            let mut cat = Catalog::new();
-            cat.create("emp", Schema::of(&[("sal", AttrType::Int)]))
-                .unwrap();
-            cat.create(
-                "band",
-                Schema::of(&[("lo", AttrType::Int), ("hi", AttrType::Int)]),
-            )
-            .unwrap();
-            for i in 0..band_rows as i64 {
-                cat.get("band")
-                    .unwrap()
-                    .borrow_mut()
-                    .insert(vec![(i * 5).into(), (i * 5 + 40).into()])
-                    .unwrap();
-            }
-            cat
-        };
-
-        let mut out = Vec::new();
-        for indexed in [true, false] {
-            let cat = build_catalog();
             let mut net = Network::new();
-            net.set_join_indexing(indexed);
-            let e = parse_expr("band.lo < emp.sal and emp.sal <= band.hi").unwrap();
-            for i in 0..n_rules {
-                let c = Resolver::new(&cat)
-                    .resolve_condition(None, Some(&e), &[])
-                    .unwrap();
-                net.add_rule(RuleId(i as u64), &c, &VirtualPolicy::AllStored, &cat)
-                    .unwrap();
+            for (i, c) in conditions(&cat, &srcs).iter().enumerate() {
+                net.add_rule(RuleId(i as u64), c, &policy, &cat).unwrap();
                 net.prime(RuleId(i as u64), &cat).unwrap();
             }
-            let emp = cat.get("emp").unwrap();
-            let t0 = Instant::now();
-            for i in 0..stream as i64 {
-                let sal = i * 37 % (band_rows as i64 * 5);
-                let tid = emp.borrow_mut().insert(vec![sal.into()]).unwrap();
-                let t = emp.borrow().get(tid).cloned().unwrap();
-                net.process_token(
-                    &Token::plus("emp", tid, t.clone(), EventSpecifier::Append),
-                    &cat,
-                )
-                .unwrap();
-                if i % 2 == 1 {
-                    emp.borrow_mut().delete(tid).unwrap();
-                    net.process_token(&Token::minus("emp", tid, t, EventSpecifier::Delete), &cat)
-                        .unwrap();
-                }
-            }
-            let total = t0.elapsed();
-            let s = net.stats();
-            out.push(JoinRow {
-                workload: "fig12-band",
-                indexed,
-                total,
-                join_candidates: s.stored_join_candidates + s.virtual_join_candidates,
-                index_probes: s.index_probes,
-                index_hits: s.index_hits,
-                range_probes: s.range_probes,
-                range_hits: s.range_hits,
-                alpha_bytes: s.alpha_bytes,
+            let total = run_stream(&cat, &mut |t| {
+                net.process_token(t, &cat).unwrap();
             });
+            out.push(
+                Row::new()
+                    .key("network", name)
+                    .ms("total_ms", total)
+                    .count("alpha_bytes", net.stats().alpha_bytes)
+                    .count("beta_bytes", 0u64),
+            );
+        }
+        for (name, mode) in [
+            ("Rete (indexed)", ReteMode::Indexed),
+            ("Rete (nested)", ReteMode::Nested),
+        ] {
+            let cat = build_catalog();
+            let mut net = ReteNetwork::new();
+            net.set_mode(mode);
+            for (i, c) in conditions(&cat, &srcs).iter().enumerate() {
+                net.add_rule(RuleId(i as u64), c, &cat).unwrap();
+                net.prime(RuleId(i as u64), &cat).unwrap();
+            }
+            let total = run_stream(&cat, &mut |t| {
+                net.process_token(t, &cat).unwrap();
+            });
+            out.push(
+                Row::new()
+                    .key("network", name)
+                    .ms("total_ms", total)
+                    .count("alpha_bytes", net.alpha_bytes())
+                    .count("beta_bytes", net.beta_bytes()),
+            );
         }
         out
     }
 
-    /// JOINS, composite-key workload (`fig13-composite` / `fig13-single`):
-    /// `n_rules` band rules with the two-conjunct equi-join
-    /// `emp.dno = dept.dno and emp.jno = dept.floor` against a dept
-    /// relation where every `dno` repeats 4× but every `(dno, floor)` pair
-    /// is unique. A composite `(dno, floor)` probe lands on a 1-entry
-    /// bucket; PR 2's single-attribute probe (`fig13-single`, composite
-    /// keys disabled) lands on the 4-entry `dno` bucket and re-tests, so
-    /// its `join_candidates` run 4× higher.
-    fn composite_joins_table(n_rules: usize, stream: usize, dim_rows: usize) -> Vec<JoinRow> {
-        use ariel::network::{EventSpecifier, Token};
-        use ariel::storage::{AttrType, Catalog, Schema};
+    /// Create relation `name` in `cat` and fill it with `rows`.
+    fn relation(
+        cat: &mut Catalog,
+        name: &str,
+        attrs: &[(&str, AttrType)],
+        rows: impl IntoIterator<Item = Vec<Value>>,
+    ) {
+        cat.create(name, Schema::of(attrs)).unwrap();
+        let rel = cat.get(name).unwrap();
+        for row in rows {
+            rel.borrow_mut().insert(row).unwrap();
+        }
+    }
+
+    /// Rule condition sources resolved against `cat`.
+    fn conditions(cat: &Catalog, srcs: &[String]) -> Vec<ResolvedCondition> {
+        srcs.iter()
+            .map(|src| {
+                let e = parse_expr(src).unwrap();
+                Resolver::new(cat)
+                    .resolve_condition(None, Some(&e), &[])
+                    .unwrap()
+            })
+            .collect()
+    }
+
+    /// Rule `i`'s salary band, as in [`rule_src`].
+    fn band(i: usize) -> String {
+        let c1 = i as i64 * BAND_STEP;
+        format!("{c1} < emp.sal and emp.sal <= {}", c1 + BAND_WIDTH)
+    }
+
+    /// The churn loop behind JOINS and MEM: compile `srcs` as stored
+    /// rules on a network with the given join paths, then push `stream`
+    /// emp inserts (`emp(i)` gives row `i`) through it as `+` tokens,
+    /// deleting every other one again as a `−` token. Returns the stream's
+    /// wall clock and the network's counters afterwards.
+    fn churn(
+        cat: &Catalog,
+        srcs: &[String],
+        (indexed, composite): (bool, bool),
+        stream: usize,
+        emp: impl Fn(i64) -> Vec<Value>,
+    ) -> (Duration, NetworkStats) {
+        let mut net = Network::new();
+        net.set_join_indexing(indexed);
+        net.set_composite_keys(composite);
+        for (i, c) in conditions(cat, srcs).iter().enumerate() {
+            net.add_rule(RuleId(i as u64), c, &VirtualPolicy::AllStored, cat)
+                .unwrap();
+            net.prime(RuleId(i as u64), cat).unwrap();
+        }
+        let rel = cat.get("emp").unwrap();
+        let t0 = Instant::now();
+        for i in 0..stream as i64 {
+            let tid = rel.borrow_mut().insert(emp(i)).unwrap();
+            let t = rel.borrow().get(tid).cloned().unwrap();
+            net.process_token(
+                &Token::plus("emp", tid, t.clone(), EventSpecifier::Append),
+                cat,
+            )
+            .unwrap();
+            if i % 2 == 1 {
+                rel.borrow_mut().delete(tid).unwrap();
+                net.process_token(&Token::minus("emp", tid, t, EventSpecifier::Delete), cat)
+                    .unwrap();
+            }
+        }
+        (t0.elapsed(), net.stats())
+    }
+
+    /// JOINS: indexed α-memories vs the nested-loop join, all memories
+    /// stored (classic TREAT), `n_rules` rules churned by `stream` emp
+    /// tokens against relations of about `dim_rows` rows. Workloads:
+    ///
+    /// * `fig10-2var` / `fig11-3var`: band rules joining emp against dept
+    ///   (and, for three variables, job) on single attributes;
+    /// * `fig12-band`: the band join `band.lo < emp.sal and emp.sal <=
+    ///   band.hi` against `4·dim_rows` overlapping intervals (step 5,
+    ///   width 40, so any salary stabs ~8) — indexed, each emp token
+    ///   stabs an interval index once per rule; nested-loop, it scans
+    ///   every band tuple;
+    /// * `fig13-composite` / `fig13-single`: the two-conjunct equi-join
+    ///   `emp.dno = dept.dno and emp.jno = dept.floor` against a dept
+    ///   relation where every `dno` repeats 4× but every `(dno, floor)`
+    ///   pair is unique — a composite probe lands on a 1-entry bucket, the
+    ///   single-attribute probe (composite keys off) on the 4-entry `dno`
+    ///   bucket, and re-tests.
+    pub fn joins_table(n_rules: usize, stream: usize, dim_rows: usize) -> Vec<Row> {
+        let int = AttrType::Int;
+        let emp3 = [("sal", int), ("dno", int), ("jno", int)];
+        let dim = dim_rows as i64;
+        let job_rows = (dim * 3 + 3) / 4;
+        let mut out = Vec::new();
+        let mut push =
+            |workload: &str, paths: (bool, bool), (total, s): (Duration, NetworkStats)| {
+                out.push(
+                    Row::new()
+                        .key("workload", workload)
+                        .flag("indexed", paths.0)
+                        .ms("total_ms", total)
+                        .count(
+                            "join_candidates",
+                            s.stored_join_candidates + s.virtual_join_candidates,
+                        )
+                        .count("index_probes", s.index_probes)
+                        .count("index_hits", s.index_hits)
+                        .count("range_probes", s.range_probes)
+                        .count("range_hits", s.range_hits)
+                        .count("alpha_bytes", s.alpha_bytes),
+                )
+            };
+
+        for (workload, vars) in [("fig10-2var", 2), ("fig11-3var", 3)] {
+            let srcs: Vec<String> = (0..n_rules)
+                .map(|i| {
+                    let job = if vars >= 3 {
+                        " and emp.jno = job.jno"
+                    } else {
+                        ""
+                    };
+                    format!("{} and emp.dno = dept.dno{job}", band(i))
+                })
+                .collect();
+            for indexed in [true, false] {
+                let mut cat = Catalog::new();
+                relation(&mut cat, "emp", &emp3, []);
+                let depts = (0..dim).map(|i| vec![i.into(), (i % 5).into()]);
+                relation(&mut cat, "dept", &[("dno", int), ("floor", int)], depts);
+                let jobs = (0..job_rows).map(|i| vec![i.into(), (i % 9).into()]);
+                relation(&mut cat, "job", &[("jno", int), ("paygrade", int)], jobs);
+                let emp = |i: i64| {
+                    vec![
+                        (i * 37 % 25_000).into(),
+                        (i % dim).into(),
+                        (i % job_rows).into(),
+                    ]
+                };
+                push(
+                    workload,
+                    (indexed, true),
+                    churn(&cat, &srcs, (indexed, true), stream, emp),
+                );
+            }
+        }
+
+        let band_rows = dim * 4;
+        let srcs = vec!["band.lo < emp.sal and emp.sal <= band.hi".to_string(); n_rules];
+        for indexed in [true, false] {
+            let mut cat = Catalog::new();
+            relation(&mut cat, "emp", &[("sal", int)], []);
+            let bands = (0..band_rows).map(|i| vec![(i * 5).into(), (i * 5 + 40).into()]);
+            relation(&mut cat, "band", &[("lo", int), ("hi", int)], bands);
+            let emp = |i: i64| vec![(i * 37 % (band_rows * 5)).into()];
+            push(
+                "fig12-band",
+                (indexed, true),
+                churn(&cat, &srcs, (indexed, true), stream, emp),
+            );
+        }
 
         // 4 dept rows per dno; (dno, floor) pairs all distinct as long as
         // lcm(dnos, 7) exceeds dim_rows — keep dnos off multiples of 7 so
         // the dno and floor cycles never lock together.
-        let mut dnos = (dim_rows / 4).max(1) as i64;
+        let mut dnos = (dim / 4).max(1);
         if dnos % 7 == 0 {
             dnos += 1;
         }
-        let build_catalog = || {
-            let mut cat = Catalog::new();
-            cat.create(
-                "emp",
-                Schema::of(&[
-                    ("sal", AttrType::Int),
-                    ("dno", AttrType::Int),
-                    ("jno", AttrType::Int),
-                ]),
-            )
-            .unwrap();
-            cat.create(
-                "dept",
-                Schema::of(&[("dno", AttrType::Int), ("floor", AttrType::Int)]),
-            )
-            .unwrap();
-            for i in 0..dim_rows as i64 {
-                cat.get("dept")
-                    .unwrap()
-                    .borrow_mut()
-                    .insert(vec![(i % dnos).into(), (i % 7).into()])
-                    .unwrap();
-            }
-            cat
-        };
-
-        let mut out = Vec::new();
-        for (workload, indexed, composite) in [
-            ("fig13-composite", true, true),
-            ("fig13-single", true, false),
-            ("fig13-composite", false, true),
-        ] {
-            let cat = build_catalog();
-            let mut net = Network::new();
-            net.set_join_indexing(indexed);
-            net.set_composite_keys(composite);
-            for i in 0..n_rules {
-                let c1 = i as i64 * BAND_STEP;
-                let c2 = c1 + BAND_WIDTH;
-                let e = parse_expr(&format!(
-                    "{c1} < emp.sal and emp.sal <= {c2} \
-                     and emp.dno = dept.dno and emp.jno = dept.floor"
-                ))
-                .unwrap();
-                let c = Resolver::new(&cat)
-                    .resolve_condition(None, Some(&e), &[])
-                    .unwrap();
-                net.add_rule(RuleId(i as u64), &c, &VirtualPolicy::AllStored, &cat)
-                    .unwrap();
-                net.prime(RuleId(i as u64), &cat).unwrap();
-            }
-            let emp = cat.get("emp").unwrap();
-            let t0 = Instant::now();
-            for i in 0..stream as i64 {
-                let tid = emp
-                    .borrow_mut()
-                    .insert(vec![
-                        (i * 37 % 25_000).into(),
-                        (i % dnos).into(),
-                        (i % 7).into(),
-                    ])
-                    .unwrap();
-                let t = emp.borrow().get(tid).cloned().unwrap();
-                net.process_token(
-                    &Token::plus("emp", tid, t.clone(), EventSpecifier::Append),
-                    &cat,
+        let srcs: Vec<String> = (0..n_rules)
+            .map(|i| {
+                format!(
+                    "{} and emp.dno = dept.dno and emp.jno = dept.floor",
+                    band(i)
                 )
-                .unwrap();
-                if i % 2 == 1 {
-                    emp.borrow_mut().delete(tid).unwrap();
-                    net.process_token(&Token::minus("emp", tid, t, EventSpecifier::Delete), &cat)
-                        .unwrap();
-                }
-            }
-            let total = t0.elapsed();
-            let s = net.stats();
-            out.push(JoinRow {
-                workload,
-                indexed,
-                total,
-                join_candidates: s.stored_join_candidates + s.virtual_join_candidates,
-                index_probes: s.index_probes,
-                index_hits: s.index_hits,
-                range_probes: s.range_probes,
-                range_hits: s.range_hits,
-                alpha_bytes: s.alpha_bytes,
-            });
+            })
+            .collect();
+        for (workload, paths) in [
+            ("fig13-composite", (true, true)),
+            ("fig13-single", (true, false)),
+            ("fig13-composite", (false, true)),
+        ] {
+            let mut cat = Catalog::new();
+            relation(&mut cat, "emp", &emp3, []);
+            let depts = (0..dim).map(|i| vec![(i % dnos).into(), (i % 7).into()]);
+            relation(&mut cat, "dept", &[("dno", int), ("floor", int)], depts);
+            let emp = |i: i64| vec![(i * 37 % 25_000).into(), (i % dnos).into(), (i % 7).into()];
+            push(workload, paths, churn(&cat, &srcs, paths, stream, emp));
         }
         out
     }
 
     /// PLAN: total time to fire a join-action rule `firings` times,
-    /// always-reoptimize vs cached plans. Returns (strategy, total).
-    pub fn plan_table(firings: usize) -> Vec<(&'static str, Duration)> {
+    /// always-reoptimize vs cached plans.
+    pub fn plan_table(firings: usize) -> Vec<Row> {
         [("always-reoptimize", false), ("cached plans", true)]
             .into_iter()
             .map(|(name, cache)| {
@@ -1309,57 +1061,34 @@ pub mod measure {
                           where dept.dno = emp.dno",
                 )
                 .unwrap();
-                // warm-up round (allocator, first-firing plan build)
-                for i in 0..50 {
+                let append = |db: &mut Ariel, i: usize| {
                     db.execute(&format!(
                         "append emp (id = {i}, sal = 100, dno = {})",
                         i % 50
                     ))
                     .unwrap();
+                };
+                // warm-up round (allocator, first-firing plan build)
+                for i in 0..50 {
+                    append(&mut db, i);
                 }
                 let t0 = Instant::now();
                 for i in 0..firings {
-                    db.execute(&format!(
-                        "append emp (id = {i}, sal = 100, dno = {})",
-                        i % 50
-                    ))
-                    .unwrap();
+                    append(&mut db, i);
                 }
-                (name, t0.elapsed())
+                Row::new()
+                    .key("strategy", name)
+                    .ms("total_ms", t0.elapsed())
             })
             .collect()
     }
 
-    /// OBS: run an observed workload — 2-variable band rules over the
-    /// paper's schema, full engine path (DML → tokens → match →
-    /// recognize-act), with the timing tier on — and return the engine's
-    /// metrics snapshot ([`Ariel::metrics_json`]). `paper_tables` writes
-    /// this into `BENCH_obs.json`; the schema is documented in
-    /// `docs/OBSERVABILITY.md`.
-    pub fn obs_snapshot(n_rules: usize, appends: usize) -> String {
-        let mut db = paper_db(VirtualPolicy::AllStored);
-        db.set_observability(true);
-        install_rules(&mut db, 2, n_rules);
-        activate_rules(&mut db, 2, n_rules);
-        for i in 0..appends {
-            let sal = (i % 30) as f64 * 1000.0 + 500.0;
-            db.execute(&format!(
-                "append emp (name = \"obs{i}\", age = 30, sal = {sal}, dno = {}, jno = {})",
-                i % 7,
-                i % 5,
-            ))
-            .expect("observed append");
-        }
-        db.metrics_json()
-    }
-
-    /// TRACE: run the fig11-style three-variable workload through the
-    /// full engine path twice — flight recorder off, then on — and return
-    /// a JSON report: both timings (the recorder's measured overhead),
-    /// retained-event counts by kind, and the ring's bound/eviction
-    /// stats. `paper_tables` writes this into `BENCH_trace.json`; the
-    /// schema is documented in `docs/OBSERVABILITY.md`.
-    pub fn trace_snapshot(n_rules: usize, appends: usize) -> String {
+    /// TRACE: the fig11-style three-variable workload through the full
+    /// engine path twice — flight recorder off, then on — as one row: both
+    /// timings (the recorder's measured overhead), the ring's bound and
+    /// eviction counts, and one count per retained event kind, named by
+    /// the kind. The schema is documented in `docs/OBSERVABILITY.md`.
+    pub fn trace_table(n_rules: usize, appends: usize) -> Vec<Row> {
         use std::collections::BTreeMap;
 
         let run = |tracing: bool| {
@@ -1386,52 +1115,23 @@ pub mod measure {
         for e in &events {
             *counts.entry(e.kind.kind_name()).or_insert(0) += 1;
         }
-        let off_ms = off.as_secs_f64() * 1e3;
-        let on_ms = on.as_secs_f64() * 1e3;
-        let overhead_pct = if off_ms > 0.0 {
-            (on_ms - off_ms) / off_ms * 100.0
-        } else {
-            0.0
-        };
-        let event_counts = counts
-            .iter()
-            .map(|(k, v)| format!("\"{k}\":{v}"))
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"workload\":\"fig11-3var-engine\",\"rules\":{n_rules},\
-             \"appends\":{appends},\"off_ms\":{off_ms:.3},\"on_ms\":{on_ms:.3},\
-             \"overhead_pct\":{overhead_pct:.1},\"capacity\":{},\
-             \"recorded\":{},\"dropped\":{},\"events\":{{{event_counts}}}}}",
-            db.trace_limit(),
-            events.len(),
-            db.trace_dropped(),
-        )
-    }
-
-    /// MEM: one configuration row of the memory-layout comparison
-    /// (string interning + flat join keys + arenas vs the legacy
-    /// heap-string representation).
-    #[derive(Debug, Clone)]
-    pub struct MemRow {
-        /// `interned` (default engine layout) or `legacy` (interning off).
-        pub config: &'static str,
-        /// Wall-clock time to process the whole churn stream.
-        pub total: Duration,
-        /// Entries across stored α-memories after the stream.
-        pub alpha_entries: usize,
-        /// Bytes held by α-memory entries and their join indexes.
-        pub alpha_bytes: usize,
-        /// Symbols this run added to the global table (delta).
-        pub symbols: usize,
-        /// Symbol-table bytes this run added (delta).
-        pub symbol_bytes: usize,
-        /// Arena buffers handed out during the stream (delta).
-        pub arena_takes: u64,
-        /// Hand-outs served by recycling (delta).
-        pub arena_reuses: u64,
-        /// Peak bytes retained across arena pools (process monotone).
-        pub arena_high_water_bytes: u64,
+        let mut row = Row::new()
+            .key("workload", "fig11-3var-engine")
+            .count("rules", n_rules)
+            .count("appends", appends)
+            .ms("off_ms", off)
+            .ms("on_ms", on)
+            .time(
+                "overhead_pct",
+                (on.as_secs_f64() / off.as_secs_f64() - 1.0) * 100.0,
+            )
+            .count("capacity", db.trace_limit())
+            .count("recorded", events.len())
+            .count("dropped", db.trace_dropped());
+        for (kind, n) in counts {
+            row = row.count(kind, n);
+        }
+        vec![row]
     }
 
     /// MEM: the memory-layout ablation behind `paper_tables -- mem` /
@@ -1439,140 +1139,31 @@ pub mod measure {
     /// joining on a **string** attribute (`emp.dept_name = dept.dname`) —
     /// churns `stream` emp tokens against `dim_rows` dept rows, once with
     /// string interning on (tuples carry `Value::Sym`) and once with the
-    /// legacy heap-string layout. Name pools are prefixed per config so
-    /// the symbol-table deltas are self-contained and deterministic.
-    pub fn mem_table(n_rules: usize, stream: usize, dim_rows: usize) -> Vec<MemRow> {
-        use ariel::network::{arena, EventSpecifier, Token};
-        use ariel::storage::{intern, AttrType, Catalog, Schema};
-
+    /// legacy heap-string layout.
+    pub fn mem_table(n_rules: usize, stream: usize, dim_rows: usize) -> Vec<Row> {
+        let srcs: Vec<String> = (0..n_rules)
+            .map(|i| format!("{} and emp.dept_name = dept.dname", band(i)))
+            .collect();
         let mut out = Vec::new();
         for (config, interned) in [("interned", true), ("legacy", false)] {
-            let interner0 = intern::stats();
-            let arena0 = arena::stats();
+            let dname = |i: i64| format!("mem-{config}-dept-{i}");
             let mut cat = Catalog::new();
             cat.set_intern_strings(interned);
-            cat.create(
-                "emp",
-                Schema::of(&[("sal", AttrType::Int), ("dept_name", AttrType::Str)]),
-            )
-            .unwrap();
-            cat.create(
-                "dept",
-                Schema::of(&[("dname", AttrType::Str), ("floor", AttrType::Int)]),
-            )
-            .unwrap();
-            let dname = |i: i64| format!("mem-{config}-dept-{i}");
-            for i in 0..dim_rows as i64 {
-                cat.get("dept")
-                    .unwrap()
-                    .borrow_mut()
-                    .insert(vec![dname(i).into(), (i % 5).into()])
-                    .unwrap();
-            }
-            let mut net = Network::new();
-            for i in 0..n_rules {
-                let c1 = i as i64 * BAND_STEP;
-                let c2 = c1 + BAND_WIDTH;
-                let e = parse_expr(&format!(
-                    "{c1} < emp.sal and emp.sal <= {c2} \
-                     and emp.dept_name = dept.dname"
-                ))
-                .unwrap();
-                let c = Resolver::new(&cat)
-                    .resolve_condition(None, Some(&e), &[])
-                    .unwrap();
-                net.add_rule(RuleId(i as u64), &c, &VirtualPolicy::AllStored, &cat)
-                    .unwrap();
-                net.prime(RuleId(i as u64), &cat).unwrap();
-            }
-            let emp = cat.get("emp").unwrap();
-            let t0 = Instant::now();
-            for i in 0..stream as i64 {
-                let tid = emp
-                    .borrow_mut()
-                    .insert(vec![
-                        (i * 37 % 25_000).into(),
-                        dname(i % dim_rows as i64).into(),
-                    ])
-                    .unwrap();
-                let t = emp.borrow().get(tid).cloned().unwrap();
-                net.process_token(
-                    &Token::plus("emp", tid, t.clone(), EventSpecifier::Append),
-                    &cat,
-                )
-                .unwrap();
-                if i % 2 == 1 {
-                    emp.borrow_mut().delete(tid).unwrap();
-                    net.process_token(&Token::minus("emp", tid, t, EventSpecifier::Delete), &cat)
-                        .unwrap();
-                }
-            }
-            let total = t0.elapsed();
-            let s = net.stats();
-            let interner1 = intern::stats();
-            let arena1 = arena::stats();
-            out.push(MemRow {
-                config,
-                total,
-                alpha_entries: s.alpha_entries,
-                alpha_bytes: s.alpha_bytes,
-                symbols: interner1.symbols - interner0.symbols,
-                symbol_bytes: interner1.bytes - interner0.bytes,
-                arena_takes: arena1.takes - arena0.takes,
-                arena_reuses: arena1.reuses - arena0.reuses,
-                arena_high_water_bytes: arena1.high_water_bytes,
-            });
+            let (int, str_) = (AttrType::Int, AttrType::Str);
+            relation(&mut cat, "emp", &[("sal", int), ("dept_name", str_)], []);
+            let depts = (0..dim_rows as i64).map(|i| vec![dname(i).into(), (i % 5).into()]);
+            relation(&mut cat, "dept", &[("dname", str_), ("floor", int)], depts);
+            let emp = |i: i64| vec![(i * 37 % 25_000).into(), dname(i % dim_rows as i64).into()];
+            let (total, s) = churn(&cat, &srcs, (true, true), stream, emp);
+            out.push(
+                Row::new()
+                    .key("config", config)
+                    .ms("total_ms", total)
+                    .count("alpha_entries", s.alpha_entries)
+                    .count("alpha_bytes", s.alpha_bytes),
+            );
         }
         out
-    }
-
-    /// MEM: render [`mem_table`] rows as the flat array-of-objects JSON
-    /// `paper_tables` writes into `BENCH_mem.json` and `bench_gate mem`
-    /// gates on; the schema is documented in `docs/OBSERVABILITY.md`.
-    pub fn mem_json(rows: &[MemRow]) -> String {
-        let mut json = String::from("[");
-        for (i, r) in rows.iter().enumerate() {
-            if i > 0 {
-                json.push(',');
-            }
-            let per_entry = if r.alpha_entries == 0 {
-                0.0
-            } else {
-                r.alpha_bytes as f64 / r.alpha_entries as f64
-            };
-            json.push_str(&format!(
-                "{{\"config\":\"{}\",\"total_ms\":{:.3},\"alpha_entries\":{},\
-                 \"alpha_bytes\":{},\"bytes_per_entry\":{:.1},\"symbols\":{},\
-                 \"symbol_bytes\":{},\"arena_takes\":{},\"arena_reuses\":{},\
-                 \"arena_high_water_bytes\":{}}}",
-                r.config,
-                r.total.as_secs_f64() * 1e3,
-                r.alpha_entries,
-                r.alpha_bytes,
-                per_entry,
-                r.symbols,
-                r.symbol_bytes,
-                r.arena_takes,
-                r.arena_reuses,
-                r.arena_high_water_bytes
-            ));
-        }
-        json.push(']');
-        json
-    }
-
-    /// WAL: one durability-mode row of the write-ahead-log overhead
-    /// comparison behind `paper_tables -- wal` / `bench_gate wal`.
-    #[derive(Debug, Clone)]
-    pub struct WalRow {
-        /// Durability mode: `off`, `commit` or `batch`.
-        pub mode: &'static str,
-        /// Wall-clock time to run the churn workload.
-        pub total: Duration,
-        /// WAL records appended during the workload.
-        pub wal_records: u64,
-        /// WAL bytes appended during the workload.
-        pub wal_bytes: u64,
     }
 
     /// WAL: logging overhead of the durability subsystem on a fig10-style
@@ -1583,10 +1174,8 @@ pub mod measure {
     /// writer at all, so its record/byte counts must be zero, while
     /// `commit` (fsync per record) and `batch` (fsync every
     /// [`ariel::storage::wal::BATCH_SYNC_EVERY`] records) log identical
-    /// record streams and differ only in sync cost. Record and byte
-    /// counts are deterministic; wall-clock is reported but not gated
-    /// (fsync latency varies across hosts).
-    pub fn wal_table(n_rules: usize, rounds: usize) -> Vec<WalRow> {
+    /// record streams and differ only in sync cost.
+    pub fn wal_table(n_rules: usize, rounds: usize) -> Vec<Row> {
         use ariel::Durability;
 
         let mut out = Vec::new();
@@ -1616,38 +1205,16 @@ pub mod measure {
                 db.execute(&format!("delete emp where emp.name = \"wal{i}\""))
                     .expect("delete");
             }
-            let total = t0.elapsed();
-            out.push(WalRow {
-                mode: mode.as_str(),
-                total,
-                wal_records: db.wal_records(),
-                wal_bytes: db.wal_bytes(),
-            });
+            out.push(
+                Row::new()
+                    .key("mode", mode.as_str())
+                    .ms("total_ms", t0.elapsed())
+                    .count("wal_records", db.wal_records())
+                    .count("wal_bytes", db.wal_bytes()),
+            );
             drop(db); // the writer's Drop syncs before the dir goes away
             let _ = std::fs::remove_dir_all(&dir);
         }
         out
-    }
-
-    /// WAL: render [`wal_table`] rows as the flat array-of-objects JSON
-    /// `paper_tables` writes into `BENCH_wal.json` and `bench_gate wal`
-    /// gates on; the schema is documented in `docs/DURABILITY.md`.
-    pub fn wal_json(rows: &[WalRow]) -> String {
-        let mut json = String::from("[");
-        for (i, r) in rows.iter().enumerate() {
-            if i > 0 {
-                json.push(',');
-            }
-            json.push_str(&format!(
-                "{{\"mode\":\"{}\",\"total_ms\":{:.3},\"wal_records\":{},\
-                 \"wal_bytes\":{}}}",
-                r.mode,
-                r.total.as_secs_f64() * 1e3,
-                r.wal_records,
-                r.wal_bytes
-            ));
-        }
-        json.push(']');
-        json
     }
 }

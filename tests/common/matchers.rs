@@ -11,6 +11,16 @@ use ariel::storage::Catalog;
 #[derive(Debug, Clone)]
 pub enum Config {
     Treat(VirtualPolicy),
+    /// TREAT with its join access paths ablated: `indexing` off joins by
+    /// nested loops, `composite` off probes one attribute of a
+    /// multi-conjunct equi-join and re-tests the rest. Only
+    /// `network_equivalence.rs` ablates them.
+    #[allow(dead_code)]
+    TreatJoins {
+        policy: VirtualPolicy,
+        indexing: bool,
+        composite: bool,
+    },
     Rete(VirtualPolicy, ReteMode),
 }
 
@@ -23,15 +33,23 @@ impl Net {
     /// Compile and prime `conds` as rules `0..` on the configured matcher.
     pub fn build(config: &Config, conds: &[ResolvedCondition], cat: &Catalog) -> Net {
         let id = |i: usize| RuleId(i as u64);
-        match config {
-            Config::Treat(policy) => {
-                let mut n = Network::new();
-                for (i, c) in conds.iter().enumerate() {
-                    n.add_rule(id(i), c, policy, cat).unwrap();
-                    n.prime(id(i), cat).unwrap();
-                }
-                Net::Treat(Box::new(n))
+        let treat = |policy: &VirtualPolicy, indexing: bool, composite: bool| {
+            let mut n = Network::new();
+            n.set_join_indexing(indexing);
+            n.set_composite_keys(composite);
+            for (i, c) in conds.iter().enumerate() {
+                n.add_rule(id(i), c, policy, cat).unwrap();
+                n.prime(id(i), cat).unwrap();
             }
+            Net::Treat(Box::new(n))
+        };
+        match config {
+            Config::Treat(policy) => treat(policy, true, true),
+            Config::TreatJoins {
+                policy,
+                indexing,
+                composite,
+            } => treat(policy, *indexing, *composite),
             Config::Rete(policy, mode) => {
                 let mut n = ReteNetwork::with_policy(policy.clone());
                 n.set_mode(*mode);

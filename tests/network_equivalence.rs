@@ -5,11 +5,13 @@
 //! Two levels. Engine-level tests run a randomized command stream against
 //! engines configured differently and compare final database states. The
 //! network-level tests feed the same streams, transition by transition,
-//! to the A-TREAT `Network` under several virtual policies and to the
-//! `ReteNetwork` comparison baseline in both join modes, and check every
-//! P-node against a from-scratch evaluation of its condition after every
-//! transition. Rete is a comparison network, not an engine backend, so its
-//! legs live at that level.
+//! to the A-TREAT `Network` under several virtual policies and join access
+//! paths and to the `ReteNetwork` comparison baseline in both join modes,
+//! and check every P-node against a from-scratch evaluation of its
+//! condition after every transition. Rete, nested-loop joins,
+//! single-attribute join keys and the legacy string layout are ablations
+//! of the network and the catalog, not engine options, so their legs live
+//! at that level.
 
 #[path = "common/matchers.rs"]
 mod matchers;
@@ -50,25 +52,23 @@ const CHURN_SCHEMA: &str = "create emp (id = int, sal = float, dno = int); \
      create dept (dno = int, floor = int); \
      create audit (id = int, kind = int)";
 
-fn build(policy: VirtualPolicy) -> Ariel {
-    build_with_indexing(policy, true)
-}
+/// The pattern rules of the churn workload: a selection and a join.
+const CHURN_PATTERN_RULES: [&str; 2] = [
+    "define rule r_sel if emp.sal > 5000 then append to audit(id = emp.id, kind = 1)",
+    "define rule r_join if emp.sal > 1000 and emp.dno = dept.dno and dept.floor < 3 \
+     then append to audit(id = emp.id, kind = 2)",
+];
 
-fn build_with_indexing(policy: VirtualPolicy, join_indexing: bool) -> Ariel {
+fn build(policy: VirtualPolicy) -> Ariel {
     let mut db = Ariel::with_options(EngineOptions {
         virtual_policy: policy,
-        join_indexing,
         ..Default::default()
     });
     db.execute(CHURN_SCHEMA).unwrap();
     // a mix of rule shapes: selection, join, transition, event
-    db.execute("define rule r_sel if emp.sal > 5000 then append to audit(id = emp.id, kind = 1)")
-        .unwrap();
-    db.execute(
-        "define rule r_join if emp.sal > 1000 and emp.dno = dept.dno and dept.floor < 3 \
-         then append to audit(id = emp.id, kind = 2)",
-    )
-    .unwrap();
+    for rule in CHURN_PATTERN_RULES {
+        db.execute(rule).unwrap();
+    }
     db.execute(
         "define rule r_trans if emp.sal > 2 * previous emp.sal \
          then append to audit(id = emp.id, kind = 3)",
@@ -173,45 +173,6 @@ fn plan_caching_matches_always_reoptimize() {
     }
 }
 
-/// Indexed-vs-nested-loop oracle: the hash join indexes are a pure
-/// optimization, so with indexing on or off — and under every virtual
-/// policy — the same rule set and token stream must produce the same
-/// final database state.
-#[test]
-fn join_indexing_produces_identical_states() {
-    let policies = [
-        VirtualPolicy::AllStored,
-        VirtualPolicy::AllVirtual,
-        VirtualPolicy::SelectivityThreshold(0.3),
-    ];
-    let stream = churn_stream(0xDECAF, 150);
-    let mut reference: Option<(Rows, Rows)> = None;
-    for policy in policies {
-        for indexing in [true, false] {
-            let mut db = build_with_indexing(policy.clone(), indexing);
-            run(&mut db, &stream);
-            let emp = snapshot(&mut db, "emp");
-            let audit = snapshot(&mut db, "audit");
-            assert!(!audit.is_empty(), "the stream must exercise the rules");
-            if indexing {
-                let s = db.network_stats();
-                assert_eq!(
-                    s.indexed_candidates + s.scanned_candidates,
-                    s.stored_join_candidates + s.virtual_join_candidates,
-                    "every join candidate comes from a probe or a scan"
-                );
-            }
-            match &reference {
-                None => reference = Some((emp, audit)),
-                Some((ref_emp, ref_audit)) => {
-                    assert_eq!(&emp, ref_emp, "emp diverged: {policy:?}/{indexing}");
-                    assert_eq!(&audit, ref_audit, "audit diverged: {policy:?}/{indexing}");
-                }
-            }
-        }
-    }
-}
-
 const COMPOSITE_BAND_SCHEMA: &str = "create emp (id = int, sal = float, dno = int, jno = int); \
      create dept (dno = int, floor = int); \
      create band (lo = int, hi = float); \
@@ -228,20 +189,6 @@ const COMPOSITE_BAND_RULES: [&str; 3] = [
     "define rule r_mixed if emp.sal = dept.floor and emp.dno = dept.dno \
      then append to audit(id = emp.id, kind = 3)",
 ];
-
-fn build_composite_band(policy: VirtualPolicy, join_indexing: bool, composite: bool) -> Ariel {
-    let mut db = Ariel::with_options(EngineOptions {
-        virtual_policy: policy,
-        join_indexing,
-        composite_join_keys: composite,
-        ..Default::default()
-    });
-    db.execute(COMPOSITE_BAND_SCHEMA).unwrap();
-    for rule in COMPOSITE_BAND_RULES {
-        db.execute(rule).unwrap();
-    }
-    db
-}
 
 /// Randomized stream over emp/dept/band that regularly leaves join-key
 /// attributes null (omitted from the append) — null keys must join nothing
@@ -292,64 +239,6 @@ fn composite_band_stream(seed: u64, steps: usize) -> Vec<String> {
             }
         })
         .collect()
-}
-
-/// Composite-key and band-join oracle: hash-composite and interval-index
-/// access paths are pure optimizations, so every (policy, indexing,
-/// composite-keys) configuration must converge to the same database state
-/// — including null join keys and mixed Int/Float key components.
-#[test]
-fn composite_and_band_joins_produce_identical_states() {
-    let policies = [
-        VirtualPolicy::AllStored,
-        VirtualPolicy::AllVirtual,
-        VirtualPolicy::SelectivityThreshold(0.3),
-        VirtualPolicy::SelectivityThreshold(0.8),
-    ];
-    let stream = composite_band_stream(0xBA5EBA11, 140);
-    let mut reference: Option<(Rows, Rows)> = None;
-    for policy in policies {
-        for (indexing, composite) in [(false, true), (true, true), (true, false)] {
-            let mut db = build_composite_band(policy.clone(), indexing, composite);
-            run(&mut db, &stream);
-            let emp = snapshot(&mut db, "emp");
-            let audit = snapshot(&mut db, "audit");
-            for kind in 1..=3 {
-                assert!(
-                    audit.iter().any(|r| r[1] == Value::Int(kind)),
-                    "rule kind {kind} must fire under {policy:?}"
-                );
-            }
-            if indexing {
-                let s = db.network_stats();
-                assert_eq!(
-                    s.indexed_candidates + s.scanned_candidates,
-                    s.stored_join_candidates + s.virtual_join_candidates,
-                    "every join candidate comes from a probe or a scan"
-                );
-                if matches!(policy, VirtualPolicy::AllStored) {
-                    assert!(
-                        s.range_probes > 0 && s.range_hits > 0,
-                        "stored band memories must serve stabbing queries"
-                    );
-                    assert!(s.index_probes > 0, "equi joins must probe hash buckets");
-                }
-            }
-            match &reference {
-                None => reference = Some((emp, audit)),
-                Some((ref_emp, ref_audit)) => {
-                    assert_eq!(
-                        &emp, ref_emp,
-                        "emp diverged: {policy:?}/indexing={indexing}/composite={composite}"
-                    );
-                    assert_eq!(
-                        &audit, ref_audit,
-                        "audit diverged: {policy:?}/indexing={indexing}/composite={composite}"
-                    );
-                }
-            }
-        }
-    }
 }
 
 // ----- network level: A-TREAT vs Rete vs recompute ---------------------------
@@ -464,13 +353,37 @@ impl Networks {
         }
     }
 
+    /// With join indexing on, every join candidate comes from a probe or a
+    /// scan; with it off, nothing is probed.
+    fn assert_join_paths(&self) {
+        for (config, net) in &self.nets {
+            let s = net.stats();
+            if let Config::TreatJoins {
+                indexing: false, ..
+            } = config
+            {
+                assert_eq!(
+                    s.index_probes + s.range_probes,
+                    0,
+                    "{config:?} never probes"
+                );
+            } else {
+                assert_eq!(
+                    s.indexed_candidates + s.scanned_candidates,
+                    s.stored_join_candidates + s.virtual_join_candidates,
+                    "every join candidate comes from a probe or a scan ({config:?})"
+                );
+            }
+        }
+    }
+
     /// TREAT holds no β state; both Rete modes do, and only the indexed
     /// one probes it.
     fn assert_beta_work(&self) {
         for (config, net) in &self.nets {
             let s = net.stats();
             match config {
-                Config::Treat(_) => {
+                Config::Treat(_) | Config::TreatJoins { .. } => {
                     assert_eq!(s.beta_bytes, 0, "TREAT materializes no β state");
                     assert_eq!(s.beta_probes, 0);
                 }
@@ -520,6 +433,78 @@ fn treat_and_rete_in_both_join_modes_match_recompute() {
     nets.run_all(&composite_band_stream(0xC0FFEE, 140));
     nets.assert_every_rule_matched();
     nets.assert_beta_work();
+}
+
+/// Indexed-vs-nested-loop oracle: the hash join indexes are a pure
+/// optimization, so with indexing on or off — under every virtual policy
+/// — the TREAT network holds exactly the recomputed matches after every
+/// transition of the churn stream.
+#[test]
+fn join_indexing_produces_identical_states() {
+    let mut configs = Vec::new();
+    for policy in [
+        VirtualPolicy::AllStored,
+        VirtualPolicy::AllVirtual,
+        VirtualPolicy::SelectivityThreshold(0.3),
+    ] {
+        for indexing in [true, false] {
+            configs.push(Config::TreatJoins {
+                policy: policy.clone(),
+                indexing,
+                composite: true,
+            });
+        }
+    }
+    let mut nets = Networks::new(CHURN_SCHEMA, &CHURN_PATTERN_RULES, &configs, true);
+    nets.run_all(&churn_stream(0xDECAF, 150));
+    nets.assert_every_rule_matched();
+    nets.assert_join_paths();
+}
+
+/// Composite-key and band-join oracle: hash-composite and interval-index
+/// access paths are pure optimizations, so under every (policy, indexing,
+/// composite-keys) configuration the TREAT network holds exactly the
+/// recomputed matches — including null join keys and mixed Int/Float key
+/// components.
+#[test]
+fn composite_and_band_joins_produce_identical_states() {
+    let mut configs = Vec::new();
+    for policy in [
+        VirtualPolicy::AllStored,
+        VirtualPolicy::AllVirtual,
+        VirtualPolicy::SelectivityThreshold(0.3),
+        VirtualPolicy::SelectivityThreshold(0.8),
+    ] {
+        for (indexing, composite) in [(false, true), (true, true), (true, false)] {
+            configs.push(Config::TreatJoins {
+                policy: policy.clone(),
+                indexing,
+                composite,
+            });
+        }
+    }
+    let mut nets = Networks::new(COMPOSITE_BAND_SCHEMA, &COMPOSITE_BAND_RULES, &configs, true);
+    nets.run_all(&composite_band_stream(0xBA5EBA11, 140));
+    nets.assert_every_rule_matched();
+    nets.assert_join_paths();
+    for (config, net) in &nets.nets {
+        if let Config::TreatJoins {
+            policy: VirtualPolicy::AllStored,
+            indexing: true,
+            ..
+        } = config
+        {
+            let s = net.stats();
+            assert!(
+                s.range_probes > 0 && s.range_hits > 0,
+                "stored band memories must serve stabbing queries ({config:?})"
+            );
+            assert!(
+                s.index_probes > 0,
+                "equi joins must probe hash buckets ({config:?})"
+            );
+        }
+    }
 }
 
 const STRING_SCHEMA: &str = "create emp (id = int, name = string, dept = string, sal = float); \
@@ -582,65 +567,13 @@ fn string_stream(seed: u64, steps: usize) -> Vec<String> {
         .collect()
 }
 
-/// Like [`snapshot`], but normalizes interned symbols back to plain
-/// strings first: `Sym` and `Str` compare equal by content, yet their
-/// `Debug` sort keys differ, so the interned and legacy layouts would
-/// order rows differently without this.
-fn snapshot_normalized(db: &mut Ariel, rel: &str) -> Rows {
-    let rows: Rows = db
-        .query(&format!("retrieve ({rel}.all)"))
-        .unwrap()
-        .rows
-        .into_iter()
-        .map(|row| {
-            row.into_iter()
-                .map(|v| match v {
-                    Value::Sym(s) => Value::Str(s.as_str().to_string()),
-                    other => other,
-                })
-                .collect()
-        })
-        .collect();
-    sorted(rows)
-}
-
-/// Interning oracle: symbol interning is a pure representation change. The
-/// engine converges to the same database state with interning on and off;
-/// and at network level, A-TREAT and both Rete modes hold exactly the
-/// recomputed matches under either layout — the same TIDs, since both
-/// catalogs see the same commands.
+/// Interning oracle: symbol interning is a pure representation change.
+/// A-TREAT and both Rete modes hold exactly the recomputed matches under
+/// either catalog layout — and the same TIDs, since both catalogs see the
+/// same commands.
 #[test]
 fn interning_on_and_off_produce_identical_states() {
     let stream = string_stream(0x1D10_7BEE, 150);
-    let mut reference: Option<(Rows, Rows)> = None;
-    for intern in [true, false] {
-        let mut db = Ariel::with_options(EngineOptions {
-            intern_strings: intern,
-            ..Default::default()
-        });
-        db.execute(STRING_SCHEMA).unwrap();
-        for rule in STRING_RULES {
-            db.execute(rule).unwrap();
-        }
-        assert_eq!(db.catalog().intern_strings(), intern);
-        run(&mut db, &stream);
-        let emp = snapshot_normalized(&mut db, "emp");
-        let audit = snapshot_normalized(&mut db, "audit");
-        for kind in 1..=3 {
-            assert!(
-                audit.iter().any(|r| r[1] == Value::Int(kind)),
-                "rule kind {kind} must fire with intern={intern}"
-            );
-        }
-        match &reference {
-            None => reference = Some((emp, audit)),
-            Some((ref_emp, ref_audit)) => {
-                assert_eq!(&emp, ref_emp, "emp diverged: intern={intern}");
-                assert_eq!(&audit, ref_audit, "audit diverged: intern={intern}");
-            }
-        }
-    }
-
     let configs = [
         Config::Treat(VirtualPolicy::AllStored),
         Config::Treat(VirtualPolicy::AllVirtual),
