@@ -12,6 +12,9 @@ use ariel_server::{Client, ClientError, Server, ServerHandle, ServerOptions};
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 
+#[path = "../../../tests/common/golden.rs"]
+mod golden;
+
 /// A fresh engine with the test schema: a `kv` relation and an active
 /// rule mirroring large values into `audit` (so appends exercise the
 /// match network, not just the heap).
@@ -509,6 +512,24 @@ fn telemetry_off_serves_but_records_nothing() {
     let prom = c.metrics_prom().unwrap();
     assert!(prom.contains("ariel_server_commands_total 1"), "{prom}");
     handle.shutdown();
+}
+
+/// Both server frames, for one scripted client with telemetry off, hold
+/// the key paths and families of `tests/golden/`.
+#[test]
+fn metrics_frames_match_their_golden_schemas() {
+    let (addr, handle) = spawn_server_with(ServerOptions {
+        telemetry: false,
+        ..Default::default()
+    });
+    let mut c = Client::connect(addr).unwrap();
+    c.command("append kv (k = 1, v = 100)").unwrap();
+    c.query("retrieve (kv.all)").unwrap();
+    let json = c.metrics().unwrap();
+    let prom = c.metrics_prom().unwrap();
+    handle.shutdown();
+    golden::assert_golden("server_metrics_json.txt", &golden::json_schema(&json));
+    golden::assert_golden("server_metrics_prom.txt", &golden::prom_schema(&prom));
 }
 
 #[test]
