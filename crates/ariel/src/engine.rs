@@ -6,17 +6,18 @@ use crate::agenda::{self, ConflictStrategy, Eligible};
 use crate::catalog::RuleCatalog;
 use crate::delta::DeltaTracker;
 use crate::error::{ArielError, ArielResult};
-use crate::obs::{self, EngineObs};
+use crate::obs;
 use crate::rule::RuleState;
+use ariel_islist::{Histogram, Metrics};
 use ariel_network::{
-    MatchObs, Network, NetworkStats, RuleId, RuleStats, Token, TraceEventKind, TraceRecord,
-    TraceRecorder, TraceSource, VirtualPolicy, DEFAULT_TRACE_CAPACITY,
+    Network, NetworkStats, RuleId, RuleStats, Token, TraceEventKind, TraceRecord, TraceRecorder,
+    TraceSource, VirtualPolicy, DEFAULT_TRACE_CAPACITY,
 };
 use ariel_query::{
     execute as execute_query, modify_action, parse_command, parse_script, CmdOutput, Command,
     Notification, Resolver, RuleDef,
 };
-use ariel_storage::wal::{Durability, WalWriter};
+use ariel_storage::wal::{Durability, WalStats, WalWriter};
 use ariel_storage::{AttrDef, Catalog, FxHashMap, Schema};
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
@@ -125,13 +126,15 @@ impl MemoryStats {
 /// no syntax tree.
 #[derive(Debug)]
 pub(crate) struct ActiveRule {
-    name: Arc<str>,
+    pub(crate) name: Arc<str>,
     priority: f64,
     /// The query-modified action.
     action: Arc<[Command]>,
     /// Recency for conflict resolution: tick of the last transition that
     /// added an instantiation to the rule's P-node (0 = never).
     pub(crate) last_matched: u64,
+    /// Wall-clock ns per action execution, while the timing tier is on.
+    pub(crate) action_exec: Option<Box<Histogram>>,
 }
 
 /// The Ariel active DBMS.
@@ -169,8 +172,9 @@ pub struct Ariel {
     /// Pending asynchronous notifications (§8 future work: alert monitors,
     /// stock tickers). Consumers drain with [`Ariel::drain_notifications`].
     notifications: std::collections::VecDeque<Notification>,
-    /// Engine-side timing store (None = observability off, the default).
-    obs: Option<EngineObs>,
+    /// Wall-clock ns per token batch pushed through the network; `Some`
+    /// exactly while the timing tier is on.
+    pub(crate) match_batch: Option<Histogram>,
     /// Ring capacity used when tracing is (re-)enabled; `\trace limit`.
     trace_limit: usize,
     /// Attached write-ahead-log writer (None until [`Ariel::checkpoint`]
@@ -178,9 +182,11 @@ pub struct Ariel {
     pub(crate) wal: Option<WalWriter>,
     /// Durability directory of the last checkpoint/recovery, if any.
     pub(crate) wal_dir: Option<PathBuf>,
-    /// WAL telemetry folded out of writers detached at checkpoints,
-    /// durability-mode changes and recovery (see [`Ariel::wal_metrics`]).
-    pub(crate) wal_totals: crate::obs::WalTotals,
+    /// What the writers detached at checkpoints, durability-mode changes
+    /// and recovery did (see [`Ariel::wal_metrics`]).
+    pub(crate) wal_detached: WalStats,
+    /// Records that failed to replay during the last [`Ariel::recover`].
+    pub(crate) replay_errors: u64,
 }
 
 impl Default for Ariel {
@@ -209,11 +215,12 @@ impl Ariel {
             stats: EngineStats::default(),
             firings_by_rule: HashMap::new(),
             notifications: std::collections::VecDeque::new(),
-            obs: None,
+            match_batch: None,
             trace_limit: DEFAULT_TRACE_CAPACITY,
             wal: None,
             wal_dir: None,
-            wal_totals: crate::obs::WalTotals::default(),
+            wal_detached: WalStats::default(),
+            replay_errors: 0,
         };
         if engine.options.observability {
             engine.set_observability(true);
@@ -385,6 +392,7 @@ impl Ariel {
                 priority,
                 action: modified.into(),
                 last_matched: 0,
+                action_exec: self.observing().then(Box::default),
             },
         );
         self.cond_rels.insert(id.0, rels);
@@ -483,10 +491,10 @@ impl Ariel {
             let tokens = delta.tokens_for_all(&out.changes);
             self.stats.tokens += tokens.len() as u64;
             transition_tokens += tokens.len() as u64;
-            let batch_start = self.obs.as_ref().map(|_| std::time::Instant::now());
+            let batch_start = self.observing().then(std::time::Instant::now);
             let batch = self.network.process_batch(&tokens, &self.catalog);
-            if let (Some(obs), Some(t0)) = (self.obs.as_mut(), batch_start) {
-                obs.match_batch.record(t0.elapsed().as_nanos() as u64);
+            if let (Some(h), Some(t0)) = (&self.match_batch, batch_start) {
+                h.record(t0.elapsed().as_nanos() as u64);
             }
             self.notifications.extend(out.notifications.iter().cloned());
             outputs.push(out);
@@ -597,7 +605,7 @@ impl Ariel {
             let pnode = self.network.drain_pnode(chosen.id).expect("active rule");
             let drained = pnode.len() as u64;
             let action = Arc::clone(&self.active[&chosen.id.0].action);
-            let action_start = self.obs.as_ref().map(|_| std::time::Instant::now());
+            let action_start = self.observing().then(std::time::Instant::now);
             let outcome = self
                 .planner
                 .execute_action(chosen.id.0, &action, &pnode, &mut self.catalog)
@@ -606,8 +614,11 @@ impl Ariel {
                     source: Box::new(e.into()),
                 })?;
             let action_ns = action_start.map(|t0| t0.elapsed().as_nanos() as u64);
-            if let (Some(obs), Some(ns)) = (self.obs.as_mut(), action_ns) {
-                obs.record_action(chosen.id.0, ns);
+            if let Some(ns) = action_ns {
+                let rule = self.active.get(&chosen.id.0);
+                if let Some(h) = rule.and_then(|r| r.action_exec.as_deref()) {
+                    h.record(ns);
+                }
             }
             // the firing's provenance (depth, cascade parent) comes from
             // the rule's most recent instantiation, recorded in the network
@@ -632,10 +643,10 @@ impl Ariel {
             let mut delta = DeltaTracker::new();
             let tokens = delta.tokens_for_all(&outcome.changes);
             self.stats.tokens += tokens.len() as u64;
-            let batch_start = self.obs.as_ref().map(|_| std::time::Instant::now());
+            let batch_start = self.observing().then(std::time::Instant::now);
             self.network.process_batch(&tokens, &self.catalog)?;
-            if let (Some(obs), Some(t0)) = (self.obs.as_mut(), batch_start) {
-                obs.match_batch.record(t0.elapsed().as_nanos() as u64);
+            if let (Some(h), Some(t0)) = (&self.match_batch, batch_start) {
+                h.record(t0.elapsed().as_nanos() as u64);
             }
             if let (Some(tr), Some((fseq, _))) = (self.network.trace(), firing_ctx) {
                 tr.record(TraceEventKind::CascadeDelta {
@@ -812,17 +823,20 @@ impl Ariel {
     // ----- observability --------------------------------------------------------
 
     /// Enable or disable the gated timing tier: per-phase wall-clock
-    /// histograms in the network plus action-execution timing in the
-    /// engine. Enabling starts fresh sessions; disabling discards them.
-    /// The always-on counters (see [`NetworkStats`]) are unaffected.
+    /// histograms in the network plus batch and action-execution timing
+    /// in the engine. Enabling starts fresh histograms; disabling drops
+    /// them. The always-on counters (see [`NetworkStats`]) are unaffected.
     pub fn set_observability(&mut self, on: bool) {
         self.network.set_observing(on);
-        self.obs = if on { Some(EngineObs::new()) } else { None };
+        self.match_batch = on.then(Histogram::new);
+        for rule in self.active.values_mut() {
+            rule.action_exec = on.then(Box::default);
+        }
     }
 
     /// Whether the gated timing tier is active.
     pub fn observing(&self) -> bool {
-        self.obs.is_some()
+        self.match_batch.is_some()
     }
 
     // ----- tracing (flight recorder) --------------------------------------------
@@ -902,8 +916,8 @@ impl Ariel {
     /// (loadable in Perfetto / `chrome://tracing`). Transitions become
     /// complete (`ph:"X"`) spans on one track per cascade depth; firings
     /// with measured durations (timing tier on) become spans too; all
-    /// other events are instants. Hand-rolled like
-    /// [`Ariel::metrics_json`]; see `docs/OBSERVABILITY.md` for the
+    /// other events are instants. Hand-rolled, with the metrics
+    /// registry's string escaper; see `docs/OBSERVABILITY.md` for the
     /// schema.
     pub fn chrome_trace_json(&self) -> String {
         crate::trace::chrome_trace_json(&self.trace_events(), &self.rule_names())
@@ -949,86 +963,53 @@ impl Ariel {
         }
     }
 
-    /// Full metrics snapshot as a JSON document: engine counters, network
-    /// counters, per-rule statistics, and — when observability is on —
-    /// every timing histogram (`"timing": null` otherwise). The schema is
-    /// documented in `docs/OBSERVABILITY.md`.
+    /// Full metrics snapshot as a JSON document (see [`Ariel::export`]):
+    /// engine counters, network counters, per-rule statistics, the WAL,
+    /// and — when observability is on — every timing histogram
+    /// (`"timing": null` otherwise). The schema is documented in
+    /// `docs/OBSERVABILITY.md`.
     pub fn metrics_json(&self) -> String {
-        obs::render_metrics_json(&self.metrics_input())
+        self.metrics().to_json()
     }
 
-    /// The engine half of the Prometheus text exposition: `ariel_engine_*`,
-    /// `ariel_network_*`, `ariel_rule_*` and `ariel_wal_*` metric families
-    /// (plus the timing histograms when observability is on), hand-rolled
-    /// `# HELP`/`# TYPE` headers included. Served by `\metrics prom` in the
-    /// REPL; the TCP server prepends its own `ariel_server_*` families for
-    /// the `MetricsProm` opcode and the `GET /metrics` shim. The families
-    /// are documented in `docs/OBSERVABILITY.md`.
+    /// The engine half of the Prometheus text exposition: the
+    /// `ariel_engine_*`, `ariel_network_*`, `ariel_rule_*` and
+    /// `ariel_wal_*` families, plus the timing histograms when
+    /// observability is on. Served by `\metrics prom` in the REPL; the TCP
+    /// server adds its own `ariel_server_*` families. The families are
+    /// documented in `docs/OBSERVABILITY.md`.
     pub fn metrics_prometheus(&self) -> String {
-        obs::render_metrics_prometheus(&self.metrics_input())
+        self.metrics().to_prometheus()
     }
 
-    fn metrics_input(&self) -> obs::MetricsInput<'_> {
-        let mut rules = Vec::new();
-        let mut names = std::collections::BTreeMap::new();
-        for rule in self.rules.iter() {
-            names.insert(rule.id.0, rule.name.clone());
-            if let Some(s) = self.network.rule_stats(rule.id) {
-                let firings = self.firings_by_rule.get(&rule.id.0).copied().unwrap_or(0);
-                rules.push((rule.name.clone(), firings, s));
-            }
-        }
-        obs::MetricsInput {
-            engine: self.stats,
-            network: self.network.stats(),
-            rules,
-            wal: self.wal_metrics(),
-            match_obs: self.network.obs(),
-            engine_obs: self.obs.as_ref(),
-            names,
-        }
+    fn metrics(&self) -> Metrics {
+        let mut m = Metrics::new();
+        self.export(&mut m);
+        m
     }
 
-    /// Execute a command (or script) under a scoped timing capture and
-    /// render an annotated tree of the match work it caused: per α-node
-    /// token counts, selectivities and test times, virtual-node scan
-    /// costs, β-join fan-out and time, P-node inserts, and rule-action
-    /// executions. Works whether or not the observability flag is on; the
-    /// capture is folded into the cumulative session when it is.
+    /// Execute a command (or script) and render an annotated tree of the
+    /// match work it caused, from the counters and histograms before and
+    /// after it: per α-node token counts, selectivities and test times,
+    /// virtual-node scan costs, β-join fan-out and time, P-node inserts,
+    /// and rule-action executions. With the observability flag off the
+    /// timing tier is on for the run only; with it on, the run stays in
+    /// the cumulative histograms.
     pub fn explain_analyze(&mut self, src: &str) -> ArielResult<String> {
-        let prev_net = self.network.swap_obs(Some(MatchObs::new()));
-        let prev_eng = self.obs.replace(EngineObs::new());
+        let was_on = self.observing();
+        if !was_on {
+            self.set_observability(true);
+        }
+        let before = self.reading();
         let start = std::time::Instant::now();
         let result = self.execute(src);
         let total_ns = start.elapsed().as_nanos() as u64;
-        let capture = self.network.swap_obs(prev_net).expect("capture installed");
-        let engine_capture = std::mem::replace(&mut self.obs, prev_eng).expect("capture installed");
-        if let Some(cumulative) = self.network.obs() {
-            cumulative.merge(&capture);
-        }
-        if let Some(cumulative) = self.obs.as_mut() {
-            cumulative.merge(&engine_capture);
+        let after = self.reading();
+        if !was_on {
+            self.set_observability(false);
         }
         result?;
-        let mut rules = Vec::new();
-        for rule in self.rules.iter().filter(|r| r.is_active()) {
-            if let Some((vars, join_conjuncts)) = self.network.rule_topology(rule.id) {
-                rules.push(obs::AnalyzedRule {
-                    id: rule.id.0,
-                    name: rule.name.clone(),
-                    vars,
-                    join_conjuncts,
-                });
-            }
-        }
-        rules.sort_by_key(|r| r.id);
-        Ok(obs::render_explain_analyze(&obs::AnalyzeInput {
-            src,
-            total_ns,
-            capture,
-            engine_capture,
-            rules,
-        }))
+        Ok(obs::render_explain_analyze(src, total_ns, &before, &after))
     }
 }
 

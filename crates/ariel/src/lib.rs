@@ -56,7 +56,7 @@ pub use error::{ArielError, ArielResult};
 pub use network::{
     TraceEventKind, TraceRecord, TraceRecorder, TraceSource, DEFAULT_TRACE_CAPACITY,
 };
-pub use obs::{EngineObs, WalMetrics, WalTotals};
+pub use obs::WalMetrics;
 pub use persist::RecoveryReport;
 pub use query::{CmdOutput, Notification};
 pub use rule::{Rule, RuleState, DEFAULT_RULESET};

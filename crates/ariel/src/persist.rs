@@ -362,7 +362,7 @@ impl Ariel {
         if scan.torn {
             truncate_log(&wal_path, scan.valid_len).map_err(|e| io_err("truncating wal", e))?;
         }
-        db.wal_totals.replay_errors = report.replay_errors.len() as u64;
+        db.replay_errors = report.replay_errors.len() as u64;
         if db.options.durability != Durability::Off {
             db.wal = Some(
                 WalWriter::open(&wal_path, db.options.durability)
@@ -429,26 +429,22 @@ impl Ariel {
     /// WAL records appended since the writer was (re-)attached. 0 when no
     /// writer is attached (durability off).
     pub fn wal_records(&self) -> u64 {
-        self.wal.as_ref().map(|w| w.records()).unwrap_or(0)
+        self.wal.as_ref().map_or(0, |w| w.stats().records)
     }
 
     /// WAL bytes appended since the writer was (re-)attached (framing
     /// included). 0 when no writer is attached.
     pub fn wal_bytes(&self) -> u64 {
-        self.wal.as_ref().map(|w| w.bytes()).unwrap_or(0)
+        self.wal.as_ref().map_or(0, |w| w.stats().bytes)
     }
 
-    /// Detach the live WAL writer, folding its telemetry (records, bytes,
-    /// fsync count and latency histogram) into the cumulative
-    /// [`crate::obs::WalTotals`] first, so [`Ariel::wal_metrics`] keeps
+    /// Detach the live WAL writer, folding its [`wal::WalStats`] into those of
+    /// the writers detached before it, so [`Ariel::wal_metrics`] keeps
     /// engine-lifetime figures across checkpoints and durability-mode
     /// changes. The writer's Drop syncs any unsynced batch.
     pub(crate) fn wal_detach(&mut self) {
         if let Some(w) = self.wal.take() {
-            self.wal_totals.records += w.records();
-            self.wal_totals.bytes += w.bytes();
-            self.wal_totals.fsyncs += w.fsyncs();
-            self.wal_totals.fsync_ns.merge(w.fsync_ns());
+            self.wal_detached.merge(w.stats());
         }
     }
 
@@ -459,21 +455,18 @@ impl Ariel {
     /// spans the engine's lifetime; it feeds the `"wal"` section of
     /// [`Ariel::metrics_json`] and the `ariel_wal_*` Prometheus families.
     pub fn wal_metrics(&self) -> crate::obs::WalMetrics {
-        let mut m = crate::obs::WalMetrics {
-            attached: self.wal.is_some(),
-            records: self.wal_totals.records,
-            bytes: self.wal_totals.bytes,
-            fsyncs: self.wal_totals.fsyncs,
-            fsync_ns: self.wal_totals.fsync_ns.clone(),
-            replay_errors: self.wal_totals.replay_errors,
-        };
+        let mut s = self.wal_detached.clone();
         if let Some(w) = &self.wal {
-            m.records += w.records();
-            m.bytes += w.bytes();
-            m.fsyncs += w.fsyncs();
-            m.fsync_ns.merge(w.fsync_ns());
+            s.merge(w.stats());
         }
-        m
+        crate::obs::WalMetrics {
+            attached: self.wal.is_some(),
+            records: s.records,
+            bytes: s.bytes,
+            fsyncs: s.fsyncs,
+            fsync_ns: s.fsync_ns,
+            replay_errors: self.replay_errors,
+        }
     }
 
     /// Force an fsync of the attached log writer, if any.

@@ -9,6 +9,7 @@
 //! chain byte-identical under every policy, a property the equivalence
 //! oracle in `tests/observability.rs` pins.
 
+use ariel_islist::json_escape;
 use ariel_network::{TraceEventKind, TraceRecord, TraceSource};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -463,24 +464,6 @@ fn instant_args(r: &TraceRecord, kind: &TraceEventKind, names: &HashMap<u64, Str
     } else {
         format!("{{\"seq\":{},{body}}}", r.seq)
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

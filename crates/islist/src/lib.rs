@@ -25,7 +25,10 @@ pub mod tree;
 pub use interval::Interval;
 pub use naive::NaiveIntervalSet;
 pub use skiplist::{IntervalId, IntervalSkipList};
-pub use stats::{Counter, Histogram, StabStats, HISTOGRAM_BUCKETS};
+pub use stats::{
+    json_escape, Counter, Family, Histogram, Kind, Metrics, Place, StabStats, Value,
+    HISTOGRAM_BUCKETS,
+};
 pub use tree::IntervalTree;
 
 #[cfg(test)]

@@ -18,7 +18,7 @@ use crate::key::{KeyBuilder, SmallKey};
 use crate::pred::SelectionPredicate;
 use crate::store::StoreSlot;
 use crate::token::{EventSpecifier, TokenKind};
-use ariel_islist::{Counter, Interval, IntervalId, IntervalSkipList};
+use ariel_islist::{Counter, Histogram, Interval, IntervalId, IntervalSkipList};
 use ariel_query::{eval_pred, SingleEnv};
 use ariel_storage::{FxHashMap, Tid, Tuple, Value};
 use std::collections::HashMap;
@@ -150,9 +150,8 @@ impl AlphaEntry {
     }
 }
 
-/// Always-on per-node counters (see `crate::obs` for the two-tier
-/// observability design). [`Counter`]s because the join routines hold
-/// `&self`.
+/// Always-on per-node counters. [`Counter`]s because the join routines
+/// hold `&self`.
 #[derive(Debug, Clone, Default)]
 pub struct AlphaCounters {
     /// α-tests run against this node (selection-network candidates).
@@ -188,22 +187,18 @@ impl AlphaCounters {
     pub(crate) fn bump(c: &Counter, by: u64) {
         c.add(by);
     }
+}
 
-    /// Zero every counter.
-    pub fn reset(&self) {
-        self.tests.set(0);
-        self.passes.set(0);
-        self.inserted.set(0);
-        self.virtual_scans.set(0);
-        self.scanned_tuples.set(0);
-        self.join_candidates.set(0);
-        self.index_probes.set(0);
-        self.index_hits.set(0);
-        self.indexed_candidates.set(0);
-        self.scanned_candidates.set(0);
-        self.range_probes.set(0);
-        self.range_hits.set(0);
-    }
+/// A node's timing histograms (nanoseconds), kept only while the timing
+/// tier is on. Their sample counts equal `tests` and `virtual_scans` of
+/// the node's [`AlphaCounters`] over the same span.
+#[derive(Debug, Clone, Default)]
+pub struct AlphaTiming {
+    /// One α-test: event gating plus the residual predicate.
+    pub alpha_test: Histogram,
+    /// One virtual materialization during a β-join, including the join
+    /// depths below it (the join streams each candidate downward).
+    pub virtual_scan: Histogram,
 }
 
 /// One hash join index: composite equi-join key (one component per
@@ -398,6 +393,8 @@ pub struct AlphaNode {
     pub event: Option<EventReq>,
     /// Always-on activity counters.
     pub counters: AlphaCounters,
+    /// Timing histograms, while the timing tier is on.
+    pub timing: Option<Box<AlphaTiming>>,
     /// The per-relation store holding this memory's tuples and equi-join
     /// indexes, when the memory shares them (TREAT stored memories with
     /// registered join keys; see [`crate::store`]). `None`: any join index
@@ -433,6 +430,7 @@ impl AlphaNode {
             pred,
             event,
             counters: AlphaCounters::default(),
+            timing: None,
             store_slot: None,
             entries: FxHashMap::default(),
             join_indexes: Vec::new(),

@@ -15,7 +15,6 @@ pub mod alpha;
 pub mod arena;
 mod conflict;
 pub mod key;
-pub mod obs;
 mod plan;
 pub mod pred;
 pub mod rete;
@@ -25,12 +24,13 @@ pub mod token;
 pub mod trace;
 pub mod treat;
 
-pub use alpha::{AlphaCounters, AlphaEntry, AlphaId, AlphaKind, AlphaNode, EventReq, RuleId};
+pub use alpha::{
+    AlphaCounters, AlphaEntry, AlphaId, AlphaKind, AlphaNode, AlphaTiming, EventReq, RuleId,
+};
 pub use key::{KeyBuilder, SmallKey};
-pub use obs::{MatchObs, NodeObs, RuleObs};
 pub use pred::SelectionPredicate;
 pub use rete::{ReteMode, ReteNetwork};
 pub use selnet::SelectionNetwork;
 pub use token::{EventSpecifier, Token, TokenKind};
 pub use trace::{TraceEventKind, TraceRecord, TraceRecorder, TraceSource, DEFAULT_TRACE_CAPACITY};
-pub use treat::{Network, NetworkStats, RuleStats, RuleTopology, VirtualPolicy};
+pub use treat::{Network, NetworkStats, RuleStats, RuleTiming, RuleTopology, VirtualPolicy};

@@ -1,6 +1,7 @@
 //! Flight-recorder tracing: a bounded ring buffer of structured causal
 //! trace events (the third observability tier, next to the always-on
-//! counters and the opt-in timing histograms of [`crate::obs`]).
+//! counters and the opt-in timing histograms of [`crate::AlphaTiming`]
+//! and [`crate::RuleTiming`]).
 //!
 //! The recorder answers *why* questions the aggregate tiers cannot: which
 //! command emitted which token, which tokens matched which α-memories,

@@ -44,18 +44,19 @@
 //! (interval) index stay node-local; `crate::store` says why.
 
 use crate::alpha::{
-    AlphaCounters, AlphaEntry, AlphaId, AlphaKind, AlphaNode, BandShape, EventReq, RuleId,
+    AlphaCounters, AlphaEntry, AlphaId, AlphaKind, AlphaNode, AlphaTiming, BandShape, EventReq,
+    RuleId,
 };
 use crate::arena;
 use crate::conflict::ConflictSet;
 use crate::key::{KeyBuilder, SmallKey};
-use crate::obs::MatchObs;
 use crate::plan::{BandSpec, CompositeSpec, JoinPlan};
 use crate::pred::SelectionPredicate;
 use crate::selnet::SelectionNetwork;
 use crate::store::Store;
 use crate::token::{EventSpecifier, Token, TokenKind};
 use crate::trace::{TraceEventKind, TraceRecorder};
+use ariel_islist::{Histogram, Kind, Metrics, Place};
 use ariel_query::{
     eval_pred, BoundVar, EventKind, Optimizer, PatchedEnv, Pnode, PnodeCol, QueryError,
     QueryResult, QuerySpec, RExpr, ResolvedCondition, Row,
@@ -107,6 +108,18 @@ struct RuleNode {
     join_probes: u64,
     /// Always-on counter: instantiations pushed into the P-node.
     pnode_inserts: u64,
+    /// Join and P-node timing, while the timing tier is on.
+    timing: Option<Box<RuleTiming>>,
+}
+
+/// A rule's timing histograms (nanoseconds), kept only while the timing
+/// tier is on. `beta_join` has one sample per `join_probes`.
+#[derive(Debug, Clone, Default)]
+pub struct RuleTiming {
+    /// One β-join: candidate enumeration and conjunct tests.
+    pub beta_join: Histogram,
+    /// One P-node insert batch.
+    pub pnode_insert: Histogram,
 }
 
 /// Per-rule memory statistics (the measurable claim of §4.2), plus the
@@ -312,8 +325,9 @@ pub struct Network {
     /// path per conjunct, probe-then-retest. Only meaningful while
     /// `join_indexing` is on; the joins bench ablates it.
     composite_keys: bool,
-    /// Gated timing session (None = observability off, the default).
-    obs: Option<MatchObs>,
+    /// Selection-network probe timing; `Some` exactly while the timing
+    /// tier is on, when every node and rule carries its own histograms.
+    selnet_probe: Option<Histogram>,
     /// Gated flight recorder (None = tracing off, the default).
     trace: Option<TraceRecorder>,
 }
@@ -453,7 +467,7 @@ impl Default for Network {
             tokens_processed: 0,
             join_indexing: true,
             composite_keys: true,
-            obs: None,
+            selnet_probe: None,
             trace: None,
         }
     }
@@ -491,28 +505,22 @@ impl Network {
         self.composite_keys
     }
 
-    /// Enable or disable the gated timing tier. Enabling starts a fresh
-    /// [`MatchObs`] session; disabling discards the current one. The
-    /// always-on counters are unaffected.
+    /// Enable or disable the gated timing tier. Enabling gives the
+    /// network, every α-node and every rule fresh histograms; disabling
+    /// drops them. The always-on counters are unaffected.
     pub fn set_observing(&mut self, on: bool) {
-        self.obs = if on { Some(MatchObs::new()) } else { None };
+        self.selnet_probe = on.then(Histogram::new);
+        for a in self.alphas.iter_mut().flatten() {
+            a.timing = on.then(Box::default);
+        }
+        for r in self.rules.values_mut() {
+            r.timing = on.then(Box::default);
+        }
     }
 
-    /// Whether a timing session is active.
+    /// Whether the timing tier is on.
     pub fn observing(&self) -> bool {
-        self.obs.is_some()
-    }
-
-    /// The active timing session, if any.
-    pub fn obs(&self) -> Option<&MatchObs> {
-        self.obs.as_ref()
-    }
-
-    /// Replace the timing session, returning the previous one. The engine
-    /// uses this to scope a capture (e.g. one `explain analyze` run) and
-    /// then merge it back into the cumulative session.
-    pub fn swap_obs(&mut self, obs: Option<MatchObs>) -> Option<MatchObs> {
-        std::mem::replace(&mut self.obs, obs)
+        self.selnet_probe.is_some()
     }
 
     /// Install or remove the flight recorder (same gating discipline as
@@ -531,9 +539,8 @@ impl Network {
         self.alphas[id.0].as_ref().expect("live alpha")
     }
 
-    /// Run one α-test through the observability tiers: bump the node's
-    /// always-on test/pass counters, and when a timing session is active
-    /// record the test duration and token flow under `(rule, var)`.
+    /// Run one α-test: bump the node's always-on test/pass counters and,
+    /// while the timing tier is on, time it.
     fn alpha_test(
         &self,
         aid: AlphaId,
@@ -542,7 +549,7 @@ impl Network {
     ) -> bool {
         let a = self.alpha(aid);
         AlphaCounters::bump(&a.counters.tests, 1);
-        let start = self.obs.as_ref().map(|_| Instant::now());
+        let start = a.timing.as_ref().map(|_| Instant::now());
         let pass = test(a);
         if pass {
             AlphaCounters::bump(&a.counters.passes, 1);
@@ -553,16 +560,8 @@ impl Network {
                 });
             }
         }
-        if let Some(obs) = &self.obs {
-            obs.with_node(a.rule, a.var, |n| {
-                n.tokens_in += 1;
-                if pass {
-                    n.tokens_out += 1;
-                }
-                if let Some(t0) = start {
-                    n.alpha_test.record(t0.elapsed().as_nanos() as u64);
-                }
-            });
+        if let (Some(timing), Some(t0)) = (&a.timing, start) {
+            timing.alpha_test.record(t0.elapsed().as_nanos() as u64);
         }
         pass
     }
@@ -650,6 +649,7 @@ impl Network {
             };
             let has_prev = is_trans || matches!(event, Some(EventReq::Replace(_)));
             let mut node = AlphaNode::new(id, v, binding.rel.clone(), kind, pred, event);
+            node.timing = self.observing().then(Box::default);
             if self.join_indexing && kind.stores_entries() {
                 // register one hash index per composite access path and one
                 // interval index per band shape, so β-joins can probe (or
@@ -719,6 +719,7 @@ impl Network {
                 tokens_in: 0,
                 join_probes: 0,
                 pnode_inserts: 0,
+                timing: self.observing().then(Box::default),
             },
         );
         Ok(())
@@ -860,9 +861,6 @@ impl Network {
     /// pending set then reproduces the paper's processing order).
     pub fn process_batch(&mut self, tokens: &[Token], catalog: &Catalog) -> QueryResult<()> {
         self.tokens_processed += tokens.len() as u64;
-        if let Some(obs) = &self.obs {
-            obs.tokens.set(obs.tokens.get() + tokens.len() as u64);
-        }
         let mut pending = pending_of(tokens);
         let result = self.process_tokens(tokens, catalog, &mut pending);
         self.conflict
@@ -906,16 +904,12 @@ impl Network {
     /// One probe per token, whatever its polarity. The buffer comes from
     /// the arena; hand it back with `arena::give_candidates`.
     fn stab(&self, token: &Token) -> Vec<AlphaId> {
-        let probe_start = self.obs.as_ref().map(|_| Instant::now());
+        let probe_start = self.selnet_probe.as_ref().map(|_| Instant::now());
         let mut candidates = arena::take_candidates();
         self.selnet
             .candidates_into(&token.rel, &token.tuple, &mut candidates);
-        if let Some(obs) = &self.obs {
-            if let Some(t0) = probe_start {
-                obs.selnet_probe.record(t0.elapsed().as_nanos() as u64);
-            }
-            obs.selnet_candidates
-                .set(obs.selnet_candidates.get() + candidates.len() as u64);
+        if let (Some(h), Some(t0)) = (&self.selnet_probe, probe_start) {
+            h.record(t0.elapsed().as_nanos() as u64);
         }
         if let Some(tr) = &self.trace {
             tr.record(TraceEventKind::SelnetProbe {
@@ -976,6 +970,7 @@ impl Network {
             let a = self.alpha(aid);
             (a.rule, a.var, a.kind)
         };
+        let observing = self.observing();
         if kind.stores_entries() {
             let a = self.alphas[aid.0].as_mut().expect("live alpha");
             self.store.insert(
@@ -992,15 +987,9 @@ impl Network {
             .get_mut(&rule_id.0)
             .expect("rule exists")
             .tokens_in += 1;
-        if let Some(obs) = &self.obs {
-            obs.with_rule(rule_id, |r| r.tokens_in += 1);
-            if kind.stores_entries() {
-                obs.with_node(rule_id, var, |n| n.entries_inserted += 1);
-            }
-        }
         if kind.is_simple() {
             // single-variable rule: matching data goes straight to the P-node
-            let start = self.obs.as_ref().map(|_| Instant::now());
+            let start = observing.then(Instant::now);
             if let Some(tr) = &self.trace {
                 tr.record_instantiation(rule_id.0, vec![seed.tid.map(|t| t.0)]);
             }
@@ -1008,18 +997,13 @@ impl Network {
             rule.pnode.push(vec![seed]);
             rule.pnode_inserts += 1;
             self.conflict.pushed(rule_id, &rule.pnode);
-            if let Some(obs) = &self.obs {
-                obs.with_rule(rule_id, |r| {
-                    r.pnode_inserts += 1;
-                    if let Some(t0) = start {
-                        r.pnode_insert.record(t0.elapsed().as_nanos() as u64);
-                    }
-                });
+            if let (Some(timing), Some(t0)) = (&rule.timing, start) {
+                timing.pnode_insert.record(t0.elapsed().as_nanos() as u64);
             }
             return Ok(());
         }
         // multi-variable: TREAT join against the other variables' memories
-        let join_start = self.obs.as_ref().map(|_| Instant::now());
+        let join_start = observing.then(Instant::now);
         let mut results = {
             let rule = &self.rules[&rule_id.0];
             // join the (estimated) smallest memories first
@@ -1033,17 +1017,14 @@ impl Network {
                 processed,
                 pending,
             };
-            self.join_extend(&join, var, seed)?
+            let results = self.join_extend(&join, var, seed)?;
+            if let (Some(timing), Some(t0)) = (&rule.timing, join_start) {
+                timing.beta_join.record(t0.elapsed().as_nanos() as u64);
+            }
+            results
         };
-        if let Some(obs) = &self.obs {
-            obs.with_rule(rule_id, |r| {
-                if let Some(t0) = join_start {
-                    r.beta_join.record(t0.elapsed().as_nanos() as u64);
-                }
-            });
-        }
         let produced = results.len() as u64;
-        let insert_start = self.obs.as_ref().map(|_| Instant::now());
+        let insert_start = observing.then(Instant::now);
         if let Some(tr) = &self.trace {
             for r in &results {
                 tr.record_instantiation(rule_id.0, r.iter().map(|b| b.tid.map(|t| t.0)).collect());
@@ -1059,14 +1040,8 @@ impl Network {
             self.conflict.pushed(rule_id, &rule.pnode);
         }
         arena::give_results(results);
-        if let Some(obs) = &self.obs {
-            obs.with_rule(rule_id, |r| {
-                r.join_probes += 1;
-                r.pnode_inserts += produced;
-                if let Some(t0) = insert_start {
-                    r.pnode_insert.record(t0.elapsed().as_nanos() as u64);
-                }
-            });
+        if let (Some(timing), Some(t0)) = (&rule.timing, insert_start) {
+            timing.pnode_insert.record(t0.elapsed().as_nanos() as u64);
         }
         Ok(())
     }
@@ -1273,7 +1248,7 @@ impl Network {
         let alpha = self.alpha(rule.vars[var].alpha);
         match alpha.kind {
             AlphaKind::Virtual => {
-                let scan_start = self.obs.as_ref().map(|_| Instant::now());
+                let scan_start = alpha.timing.as_ref().map(|_| Instant::now());
                 // §4.2: join through the base relation under the node's
                 // predicate, honoring pending/ProcessedMemories visibility.
                 // "The base relation scan … can be done with any scan
@@ -1362,26 +1337,10 @@ impl Network {
                 } else {
                     AlphaCounters::bump(&alpha.counters.scanned_candidates, served);
                 }
-                if let Some(obs) = &self.obs {
-                    obs.with_node(alpha.rule, alpha.var, |n| {
-                        n.virtual_scans += 1;
-                        n.scanned_tuples += scanned;
-                        n.join_candidates += served;
-                        if via_index {
-                            n.index_probes += 1;
-                            if scanned > 0 {
-                                n.index_hits += 1;
-                            }
-                            n.indexed_candidates += served;
-                        } else {
-                            n.scanned_candidates += served;
-                        }
-                        if let Some(t0) = scan_start {
-                            // streaming join: this span now covers the
-                            // depths below too, not just the scan itself
-                            n.virtual_scan.record(t0.elapsed().as_nanos() as u64);
-                        }
-                    });
+                if let (Some(timing), Some(t0)) = (&alpha.timing, scan_start) {
+                    // streaming join: this span covers the depths below
+                    // too, not just the scan itself
+                    timing.virtual_scan.record(t0.elapsed().as_nanos() as u64);
                 }
             }
             _ => {
@@ -1389,11 +1348,8 @@ impl Network {
                 // most equi-conjuncts in one lookup; failing that a band
                 // stab answers an inequality pair; failing both, enumerate
                 let mut served = 0u64;
-                let used_hash;
-                let mut used_range = false;
-                let mut hit = false;
+                let mut indexed = true;
                 if let Some((spec, key)) = self.find_composite_probe(rule, var, bound, row, alpha) {
-                    used_hash = true;
                     AlphaCounters::bump(&alpha.counters.index_probes, 1);
                     for &k in self.join_bucket(alpha, &spec.attrs, &key) {
                         // a shared bucket lists TIDs other memories hold
@@ -1420,19 +1376,15 @@ impl Network {
                         }
                     }
                     if served > 0 {
-                        hit = true;
                         AlphaCounters::bump(&alpha.counters.index_hits, 1);
                     }
                 } else if let Some((spec, key)) = self.find_band_probe(rule, var, bound, row, alpha)
                 {
-                    used_hash = false;
-                    used_range = true;
                     AlphaCounters::bump(&alpha.counters.range_probes, 1);
                     let hits = alpha
                         .probe_range_index(&spec.shape, &key)
                         .expect("probe found a registered index");
                     if !hits.is_empty() {
-                        hit = true;
                         AlphaCounters::bump(&alpha.counters.range_hits, 1);
                     }
                     for e in hits {
@@ -1456,7 +1408,7 @@ impl Network {
                         }
                     }
                 } else {
-                    used_hash = false;
+                    indexed = false;
                     for e in alpha.entries() {
                         served += 1;
                         if Self::conjuncts_pass(
@@ -1484,33 +1436,13 @@ impl Network {
                         rule: alpha.rule.0,
                         var: alpha.var,
                         candidates: served,
-                        indexed: used_hash || used_range,
+                        indexed,
                     });
                 }
-                if used_hash || used_range {
+                if indexed {
                     AlphaCounters::bump(&alpha.counters.indexed_candidates, served);
                 } else {
                     AlphaCounters::bump(&alpha.counters.scanned_candidates, served);
-                }
-                if let Some(obs) = &self.obs {
-                    obs.with_node(alpha.rule, alpha.var, |n| {
-                        n.join_candidates += served;
-                        if used_hash {
-                            n.index_probes += 1;
-                            if hit {
-                                n.index_hits += 1;
-                            }
-                            n.indexed_candidates += served;
-                        } else if used_range {
-                            n.range_probes += 1;
-                            if hit {
-                                n.range_hits += 1;
-                            }
-                            n.indexed_candidates += served;
-                        } else {
-                            n.scanned_candidates += served;
-                        }
-                    });
                 }
             }
         }
@@ -1774,6 +1706,135 @@ impl Network {
             s.pnode_inserts += r.pnode_inserts;
         }
         s
+    }
+
+    /// Declare every [`NetworkStats`] field: the JSON `"network"` object
+    /// and the `ariel_network_*` families.
+    pub fn export(&self, m: &mut Metrics) {
+        let s = self.stats();
+        let at = Place::root().key("network");
+        let gauges = ariel_islist::metric_rows!(s;
+            rules: "Active rules.",
+            alpha_nodes: "Alpha nodes of all kinds.",
+            virtual_alpha_nodes: "Virtual alpha nodes.",
+            alpha_entries: "Entries in stored alpha memories.",
+            alpha_bytes: "Bytes in alpha memories and their join indexes.",
+            pnode_rows: "Instantiations waiting in P-nodes.",
+            pnode_bytes: "Bytes held by P-nodes.",
+            selnet_bytes: "Bytes held by the selection network.",
+            beta_bytes: "Beta-memory bytes (always 0: A-TREAT keeps none).",
+        );
+        m.table(&at, "ariel_network", Kind::Gauge, &gauges);
+        let counters = ariel_islist::metric_rows!(s;
+            tokens_processed: "Tokens processed by the match network.",
+            selnet_probes: "Selection-network probes.",
+            selnet_candidates: "Candidate alpha nodes the probes emitted.",
+            islist_stabs: "Interval-skip-list stabs behind the probes.",
+            islist_nodes_visited: "Skip-list nodes those stabs visited.",
+            alpha_tests: "Alpha-node predicate tests.",
+            alpha_passes: "Alpha-node predicate passes.",
+            join_probes: "Join probes across all rules.",
+            pnode_inserts: "Instantiations inserted into P-nodes.",
+            virtual_scans: "Join materializations of virtual alpha nodes.",
+            virtual_scanned_tuples: "Base-relation tuples those materializations read.",
+            stored_join_candidates: "Join candidates served from stored alpha memories.",
+            virtual_join_candidates: "Join candidates served by virtual materialization.",
+            index_probes: "Join-index probes.",
+            index_hits: "Join-index probe hits.",
+            indexed_candidates: "Join candidates served through an index probe or stab.",
+            scanned_candidates: "Join candidates served by a full scan.",
+            range_probes: "Interval-index stabbing probes (band joins).",
+            range_hits: "Range probes that found a candidate.",
+            beta_probes: "Beta-memory index probes (always 0: A-TREAT keeps none).",
+            beta_hits: "Beta probes that found a partial match (always 0 likewise).",
+        );
+        m.table(&at, "ariel_network", Kind::Counter, &counters);
+    }
+
+    /// The timing tier's phase histograms, each the sum of the per-node
+    /// or per-rule ones it is made of; `None` while the tier is off.
+    pub fn phases(&self) -> Option<[(&'static str, Histogram); 5]> {
+        let selnet_probe = self.selnet_probe.clone()?;
+        let [alpha_test, virtual_scan, beta_join, pnode_insert] =
+            std::array::from_fn(|_| Histogram::new());
+        for t in self
+            .alphas
+            .iter()
+            .flatten()
+            .filter_map(|a| a.timing.as_ref())
+        {
+            alpha_test.merge(&t.alpha_test);
+            virtual_scan.merge(&t.virtual_scan);
+        }
+        for t in self.rules.values().filter_map(|r| r.timing.as_ref()) {
+            beta_join.merge(&t.beta_join);
+            pnode_insert.merge(&t.pnode_insert);
+        }
+        Some([
+            ("selnet_probe", selnet_probe),
+            ("alpha_test", alpha_test),
+            ("virtual_scan", virtual_scan),
+            ("beta_join", beta_join),
+            ("pnode_insert", pnode_insert),
+        ])
+    }
+
+    /// Declare the timing tier's histograms in the JSON `"timing"`
+    /// object under `"match"`: the phases (also the
+    /// `ariel_match_phase_duration_ns` family), and JSON-only, every
+    /// node's by `(rule, var)` and every rule's. Nothing while the tier is
+    /// off.
+    pub fn export_timing(&self, m: &mut Metrics) {
+        let Some(phases) = self.phases() else {
+            return;
+        };
+        let at = Place::root().key("timing").key("match");
+        let f = m.family(
+            "ariel_match_phase_duration_ns",
+            Kind::Histogram,
+            "Wall-clock time per match phase, in nanoseconds.",
+        );
+        for (phase, h) in &phases {
+            m.put(
+                &at.key("phases").key(*phase).label("phase", *phase),
+                Some(f),
+                h,
+            );
+        }
+        let mut nodes: Vec<(&AlphaNode, &AlphaTiming)> = self
+            .alphas
+            .iter()
+            .flatten()
+            .filter_map(|a| Some((a, a.timing.as_deref()?)))
+            .collect();
+        nodes.sort_by_key(|(a, _)| (a.rule.0, a.var));
+        m.put(&at.key("nodes"), None, ariel_islist::Value::Array);
+        for (i, (a, t)) in nodes.into_iter().enumerate() {
+            let n = at.key("nodes").index(i);
+            m.put(&n.key("rule"), None, a.rule.0);
+            m.put(&n.key("var"), None, a.var);
+            m.put(&n.key("alpha_test"), None, &t.alpha_test);
+            m.put(&n.key("virtual_scan"), None, &t.virtual_scan);
+        }
+        m.put(&at.key("rules"), None, ariel_islist::Value::Array);
+        let rules = self
+            .rules
+            .iter()
+            .filter_map(|(id, r)| Some((id, r.timing.as_deref()?)));
+        for (i, (id, t)) in rules.enumerate() {
+            let r = at.key("rules").index(i);
+            m.put(&r.key("rule"), None, *id);
+            m.put(&r.key("beta_join"), None, &t.beta_join);
+            m.put(&r.key("pnode_insert"), None, &t.pnode_insert);
+        }
+    }
+
+    /// A rule's α-nodes in variable order and its timing: what `explain
+    /// analyze` reads before and after a run.
+    pub fn rule_activity(&self, id: RuleId) -> Option<(Vec<&AlphaNode>, Option<&RuleTiming>)> {
+        let rule = self.rules.get(&id.0)?;
+        let nodes = rule.vars.iter().map(|v| self.alpha(v.alpha)).collect();
+        Some((nodes, rule.timing.as_deref()))
     }
 
     /// The α-node kinds of a rule's variables, in variable order (tests and

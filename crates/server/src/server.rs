@@ -70,6 +70,7 @@ use crate::protocol::{
     ErrorCode, Opcode, ResultBody, Table, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 use crate::telemetry::{opcode_label, LogLevel, Logger, Telemetry};
+use ariel::islist::{metric_rows, Kind, Metrics, Place};
 use ariel::query::{parse_command, parse_script, CmdOutput, Command};
 use ariel::storage::Value;
 use ariel::{Ariel, Durability};
@@ -160,26 +161,41 @@ pub struct ServerStats {
 }
 
 impl ServerStats {
-    /// Render the server half of the `metrics` frame.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"sessions\":{},\"commands\":{},\"queries\":{},\"engine_errors\":{},\
-             \"protocol_errors\":{},\"batches\":{},\"batched_requests\":{},\
-             \"max_batch\":{},\"batch_hist\":[{}]}}",
-            self.sessions,
-            self.commands,
-            self.queries,
-            self.engine_errors,
-            self.protocol_errors,
-            self.batches,
-            self.batched_requests,
+    /// Declare the JSON `"server"` object and its `ariel_server_*`
+    /// families; `batch_hist` is an array in JSON and the
+    /// `ariel_server_batch_groups_total{size=…}` family in Prometheus.
+    pub fn export(&self, m: &mut Metrics) {
+        let at = Place::root().key("server");
+        let totals = metric_rows!(self;
+            sessions: "Sessions accepted over the server's lifetime.",
+            commands: "Command frames answered.",
+            queries: "Query frames answered.",
+            engine_errors: "Engine-level errors returned (session kept).",
+            protocol_errors: "Protocol violations (connection closed).",
+            batches: "Combined transitions executed (groups, including size-1 groups).",
+            batched_requests: "Requests that rode in a group of 2 or more.",
+        );
+        m.table(&at, "ariel_server", Kind::Counter, &totals);
+        m.gauge(
+            &at.key("max_batch"),
+            "ariel_server_max_batch_entries",
+            "Largest group executed, in entries.",
             self.max_batch,
-            self.batch_hist
-                .iter()
-                .map(u64::to_string)
-                .collect::<Vec<_>>()
-                .join(",")
-        )
+        );
+        let f = m.family(
+            "ariel_server_batch_groups_total",
+            Kind::Counter,
+            "Executed groups by size bucket (entries per group).",
+        );
+        m.put(&at.key("batch_hist"), None, ariel::islist::Value::Array);
+        let sizes = ["1", "2", "3-4", "5-8", "9-16", "17+"];
+        for (i, (size, n)) in sizes.iter().zip(self.batch_hist).enumerate() {
+            m.put(
+                &at.key("batch_hist").index(i).label("size", *size),
+                Some(f),
+                n,
+            );
+        }
     }
 }
 
@@ -754,28 +770,18 @@ fn serve_session(stream: &mut TcpStream, session: u32, shared: &Arc<Shared>) -> 
                     }
                     Opcode::Metrics => {
                         shared.telemetry.count(Opcode::Metrics, session);
-                        let Some(engine_json) = shared.lock_engine().map(|guard| {
-                            guard
-                                .as_ref()
-                                .expect("engine present while sessions run")
-                                .metrics_json()
-                        }) else {
+                        let mut m = Metrics::new();
+                        if !scrape(shared, &mut m) {
                             let _ = send_error(stream, &refused());
                             return true;
-                        };
-                        let json = format!(
-                            "{{\"server\":{},\"telemetry\":{},\"engine\":{}}}",
-                            shared.stats().to_json(),
-                            shared.telemetry.to_json(),
-                            engine_json
-                        );
-                        if !send(stream, Opcode::Metrics, json.as_bytes()) {
+                        }
+                        if !send(stream, Opcode::Metrics, m.to_json().as_bytes()) {
                             return true;
                         }
                     }
                     Opcode::MetricsProm => {
                         shared.telemetry.count(Opcode::MetricsProm, session);
-                        let text = render_prometheus_all(shared);
+                        let text = scrape_prometheus(shared);
                         if !send(stream, Opcode::MetricsProm, text.as_bytes()) {
                             return true;
                         }
@@ -860,7 +866,7 @@ fn serve_http_metrics(stream: &mut TcpStream, session: u32, shared: &Shared) {
         "http_metrics",
         format_args!("session={session}"),
     );
-    let body = render_prometheus_all(shared);
+    let body = scrape_prometheus(shared);
     let response = format!(
         "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n\
          Content-Length: {}\r\nConnection: close\r\n\r\n{}",
@@ -870,92 +876,25 @@ fn serve_http_metrics(stream: &mut TcpStream, session: u32, shared: &Shared) {
     let _ = stream.write_all(response.as_bytes());
 }
 
-/// The full Prometheus exposition: server request counters, batch-size
-/// distribution, telemetry families, then the engine's own families.
-fn render_prometheus_all(shared: &Shared) -> String {
-    use ariel::obs::{write_prom_family, write_prom_metric, write_prom_sample};
-    let mut out = String::new();
-    let stats = shared.stats();
-    write_prom_metric(
-        &mut out,
-        "ariel_server_sessions_total",
-        "counter",
-        "Sessions accepted over the server's lifetime.",
-        stats.sessions,
-    );
-    write_prom_metric(
-        &mut out,
-        "ariel_server_commands_total",
-        "counter",
-        "Command frames answered.",
-        stats.commands,
-    );
-    write_prom_metric(
-        &mut out,
-        "ariel_server_queries_total",
-        "counter",
-        "Query frames answered.",
-        stats.queries,
-    );
-    write_prom_metric(
-        &mut out,
-        "ariel_server_engine_errors_total",
-        "counter",
-        "Engine-level errors returned (session kept).",
-        stats.engine_errors,
-    );
-    write_prom_metric(
-        &mut out,
-        "ariel_server_protocol_errors_total",
-        "counter",
-        "Protocol violations (connection closed).",
-        stats.protocol_errors,
-    );
-    write_prom_metric(
-        &mut out,
-        "ariel_server_batches_total",
-        "counter",
-        "Combined transitions executed (groups, including size-1 groups).",
-        stats.batches,
-    );
-    write_prom_metric(
-        &mut out,
-        "ariel_server_batched_requests_total",
-        "counter",
-        "Requests that rode in a group of 2 or more.",
-        stats.batched_requests,
-    );
-    write_prom_metric(
-        &mut out,
-        "ariel_server_max_batch_entries",
-        "gauge",
-        "Largest group executed, in entries.",
-        stats.max_batch,
-    );
-    write_prom_family(
-        &mut out,
-        "ariel_server_batch_groups_total",
-        "counter",
-        "Executed groups by size bucket (entries per group).",
-    );
-    for (label, count) in ["1", "2", "3-4", "5-8", "9-16", "17+"]
-        .iter()
-        .zip(stats.batch_hist.iter())
-    {
-        write_prom_sample(
-            &mut out,
-            "ariel_server_batch_groups_total",
-            &format!("size=\"{label}\""),
-            *count,
-        );
-    }
-    shared.telemetry.render_prometheus(&mut out);
-    // a poisoned engine is not read: its families are simply absent
-    if let Some(guard) = shared.lock_engine() {
-        let engine = guard.as_ref().expect("engine present while sessions run");
-        out.push_str(&engine.metrics_prometheus());
-    }
-    out
+/// Scrape the server, its telemetry and, under `"engine"`, the engine
+/// into `m`. Returns whether the engine was read: a poisoned one is not.
+fn scrape(shared: &Shared, m: &mut Metrics) -> bool {
+    shared.stats().export(m);
+    shared.telemetry.export(m);
+    let Some(guard) = shared.lock_engine() else {
+        return false;
+    };
+    let engine = guard.as_ref().expect("engine present while sessions run");
+    m.nest("engine", |m| engine.export(m));
+    true
+}
+
+/// The Prometheus exposition of [`scrape`]; a poisoned engine's families
+/// are simply absent.
+fn scrape_prometheus(shared: &Shared) -> String {
+    let mut m = Metrics::new();
+    scrape(shared, &mut m);
+    m.to_prometheus()
 }
 
 fn parse_request(opcode: Opcode, src: &str) -> Result<Vec<Command>, String> {

@@ -12,15 +12,15 @@
 //!   lock, no allocation;
 //! * per-session stats live in a small number of mutex *shards* keyed by
 //!   `session_id % N`, so concurrent sessions rarely contend;
-//! * the slow-command log takes one short mutex only for commands that
-//!   beat the current threshold;
+//! * the slow-command log takes its mutex only for a command that will be
+//!   kept: an atomic admission floor turns the rest away;
 //! * with telemetry disabled ([`Telemetry::start`] returns `None`) the
 //!   request path performs no clock reads and no recording at all, and a
 //!   [`Logger`] at [`LogLevel::Off`] allocates nothing — the
 //!   `bench_gate obs` CI gate holds the telemetry-on overhead under 10%.
 
 use crate::protocol::Opcode;
-use ariel::islist::{Counter, Histogram};
+use ariel::islist::{Counter, Histogram, Kind, Metrics, Place, Value};
 use std::fmt;
 use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,23 +38,6 @@ fn unix_ms() -> u64 {
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_millis() as u64)
         .unwrap_or(0)
-}
-
-/// Escape a string into the body of a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 // ----- logging ---------------------------------------------------------------
@@ -201,6 +184,12 @@ pub const SLOW_TEXT_CAP: usize = 128;
 pub struct SlowLog {
     threshold_ns: u64,
     capacity: usize,
+    /// The shortest duration that can enter: `threshold_ns` until the log
+    /// is full, then one more than its fastest entry. Stored under the
+    /// entries lock and read without it, so a command that cannot enter
+    /// never takes the lock; one admitted on a stale floor is re-checked
+    /// under the lock.
+    floor: AtomicU64,
     entries: Mutex<Vec<SlowEntry>>,
 }
 
@@ -211,6 +200,7 @@ impl SlowLog {
         SlowLog {
             threshold_ns,
             capacity,
+            floor: AtomicU64::new(threshold_ns),
             entries: Mutex::new(Vec::new()),
         }
     }
@@ -222,7 +212,7 @@ impl SlowLog {
 
     /// Offer one timed command. Returns `true` if it was kept.
     pub fn record(&self, session: u32, opcode: Opcode, dur_ns: u64, text: &str) -> bool {
-        if dur_ns < self.threshold_ns || self.capacity == 0 {
+        if self.capacity == 0 || dur_ns < self.floor.load(Ordering::Relaxed) {
             return false;
         }
         let mut entries = lock(&self.entries);
@@ -249,6 +239,11 @@ impl SlowLog {
             wall_ms: unix_ms(),
             text,
         });
+        if entries.len() >= self.capacity {
+            let fastest = entries.iter().map(|e| e.dur_ns).min().expect("full");
+            let floor = fastest.saturating_add(1).max(self.threshold_ns);
+            self.floor.store(floor, Ordering::Relaxed);
+        }
         true
     }
 
@@ -259,30 +254,11 @@ impl SlowLog {
         out
     }
 
-    /// Forget everything.
+    /// Forget everything, and admit from `threshold_ns` again.
     pub fn clear(&self) {
-        lock(&self.entries).clear();
-    }
-
-    /// Render the log as a JSON array, slowest first (the `"slowlog"`
-    /// section of the metrics frame; schema in `docs/OBSERVABILITY.md`).
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("[");
-        for (i, e) in self.entries().iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"session\":{},\"opcode\":\"{}\",\"dur_ns\":{},\"wall_ms\":{},\"text\":\"{}\"}}",
-                e.session,
-                opcode_label(e.opcode),
-                e.dur_ns,
-                e.wall_ms,
-                json_escape(&e.text),
-            ));
-        }
-        s.push(']');
-        s
+        let mut entries = lock(&self.entries);
+        entries.clear();
+        self.floor.store(self.threshold_ns, Ordering::Relaxed);
     }
 }
 
@@ -420,145 +396,109 @@ impl Telemetry {
         self.sessions.iter().map(|s| lock(s).len() as u64).sum()
     }
 
-    /// Render the `"telemetry"` section of the metrics frame: per-opcode
-    /// counters and latency histograms, per-session request figures,
-    /// queue gauges, and the slow log.
-    pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"enabled\":{},\"queue_depth\":{},\"queue_high_water\":{},\"opcodes\":{{",
+    /// Declare the JSON `"telemetry"` object and the telemetry
+    /// `ariel_server_*` families: the queue and slow-log gauges,
+    /// per-opcode counts and latency, per-session figures, and the slow
+    /// log's entries (log records, JSON-only), slowest first.
+    pub fn export(&self, m: &mut Metrics) {
+        let at = Place::root().key("telemetry");
+        let slow = self.slow.entries();
+        m.gauge(
+            &at.key("enabled"),
+            "ariel_server_telemetry_enabled",
+            "1 when request telemetry is recorded.",
             self.enabled,
-            self.queue_depth(),
-            self.queue_high_water(),
         );
-        let mut first = true;
-        for (b, stat) in self.per_opcode.iter().enumerate() {
-            if stat.count.get() == 0 {
-                continue;
-            }
-            let Some(op) = Opcode::from_u8(b as u8) else {
-                continue;
-            };
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            s.push_str(&format!(
-                "\"{}\":{{\"count\":{},\"latency_ns\":{}}}",
-                opcode_label(op),
-                stat.count.get(),
-                stat.latency_ns.to_json(),
-            ));
-        }
-        s.push_str("},\"sessions\":{");
-        let mut first = true;
-        for shard in &self.sessions {
-            for (id, stat) in lock(shard).iter() {
-                if !first {
-                    s.push(',');
-                }
-                first = false;
-                s.push_str(&format!(
-                    "\"{id}\":{{\"requests\":{},\"mean_ns\":{},\"p99_ns\":{}}}",
-                    stat.requests,
-                    stat.latency_ns.mean(),
-                    stat.latency_ns.approx_quantile(99),
-                ));
-            }
-        }
-        s.push_str("},\"slowlog\":");
-        s.push_str(&self.slow.to_json());
-        s.push('}');
-        s
-    }
-
-    /// Append the `ariel_server_*` Prometheus families for this store:
-    /// per-opcode request counters and latency histograms, per-session
-    /// request counters, and the queue gauges.
-    pub fn render_prometheus(&self, out: &mut String) {
-        use ariel::obs::{
-            write_prom_family, write_prom_histogram, write_prom_metric, write_prom_sample,
-        };
-        write_prom_metric(
-            out,
-            "ariel_server_queue_depth",
-            "gauge",
-            "Entries the most recent drain found pending.",
-            self.queue_depth(),
-        );
-        write_prom_metric(
-            out,
-            "ariel_server_queue_high_water",
-            "gauge",
-            "The most entries any one drain found pending.",
-            self.queue_high_water(),
-        );
-        write_prom_metric(
-            out,
-            "ariel_server_sessions_observed",
-            "gauge",
-            "Sessions with recorded request activity.",
-            self.sessions_observed(),
-        );
-        write_prom_metric(
-            out,
-            "ariel_server_slow_commands",
-            "gauge",
-            "Entries currently held by the slow-command log.",
-            self.slow.entries().len() as u64,
-        );
-        write_prom_family(
-            out,
+        let gauges = [
+            (
+                "queue_depth",
+                "Entries the most recent drain found pending.",
+                self.queue_depth(),
+            ),
+            (
+                "queue_high_water",
+                "The most entries any one drain found pending.",
+                self.queue_high_water(),
+            ),
+            (
+                "sessions_observed",
+                "Sessions with recorded request activity.",
+                self.sessions_observed(),
+            ),
+            (
+                "slow_commands",
+                "Entries currently held by the slow-command log.",
+                slow.len() as u64,
+            ),
+        ];
+        m.table(&at, "ariel_server", Kind::Gauge, &gauges);
+        let count = m.family(
             "ariel_server_requests_total",
-            "counter",
+            Kind::Counter,
             "Frames handled, by opcode.",
         );
-        for (b, stat) in self.per_opcode.iter().enumerate() {
-            if stat.count.get() == 0 {
-                continue;
-            }
-            if let Some(op) = Opcode::from_u8(b as u8) {
-                write_prom_sample(
-                    out,
-                    "ariel_server_requests_total",
-                    &format!("opcode=\"{}\"", opcode_label(op)),
-                    stat.count.get(),
-                );
-            }
-        }
-        write_prom_family(
-            out,
+        let latency = m.family(
             "ariel_server_request_duration_ns",
-            "histogram",
+            Kind::Histogram,
             "Request latency (frame read to reply on the wire) by opcode, in nanoseconds.",
         );
+        m.put(&at.key("opcodes"), None, Value::Object);
         for (b, stat) in self.per_opcode.iter().enumerate() {
-            if stat.latency_ns.count() == 0 {
+            let Some(op) = Opcode::from_u8(b as u8).filter(|_| stat.count.get() > 0) else {
                 continue;
-            }
-            if let Some(op) = Opcode::from_u8(b as u8) {
-                write_prom_histogram(
-                    out,
-                    "ariel_server_request_duration_ns",
-                    &format!("opcode=\"{}\"", opcode_label(op)),
-                    &stat.latency_ns,
+            };
+            let o = at
+                .key("opcodes")
+                .key(opcode_label(op))
+                .label("opcode", opcode_label(op));
+            m.put(&o.key("count"), Some(count), stat.count.get());
+            // an opcode that is counted but never timed has no series
+            let timed = stat.latency_ns.count() > 0;
+            m.put(
+                &o.key("latency_ns"),
+                timed.then_some(latency),
+                &stat.latency_ns,
+            );
+        }
+        let requests = m.family(
+            "ariel_server_session_requests_total",
+            Kind::Counter,
+            "Requests handled per session.",
+        );
+        let mean = m.family(
+            "ariel_server_session_mean_ns",
+            Kind::Gauge,
+            "Mean request latency per session, in nanoseconds.",
+        );
+        let p99 = m.family(
+            "ariel_server_session_p99_ns",
+            Kind::Gauge,
+            "Bucket-resolution p99 request latency per session, in nanoseconds.",
+        );
+        m.put(&at.key("sessions"), None, Value::Object);
+        for shard in &self.sessions {
+            for (id, stat) in lock(shard).iter() {
+                let s = at
+                    .key("sessions")
+                    .key(id.to_string())
+                    .label("session", id.to_string());
+                m.put(&s.key("requests"), Some(requests), stat.requests);
+                m.put(&s.key("mean_ns"), Some(mean), stat.latency_ns.mean());
+                m.put(
+                    &s.key("p99_ns"),
+                    Some(p99),
+                    stat.latency_ns.approx_quantile(99),
                 );
             }
         }
-        write_prom_family(
-            out,
-            "ariel_server_session_requests_total",
-            "counter",
-            "Requests handled per session.",
-        );
-        for shard in &self.sessions {
-            for (id, stat) in lock(shard).iter() {
-                write_prom_sample(
-                    out,
-                    "ariel_server_session_requests_total",
-                    &format!("session=\"{id}\""),
-                    stat.requests,
-                );
-            }
+        m.put(&at.key("slowlog"), None, Value::Array);
+        for (i, e) in slow.iter().enumerate() {
+            let s = at.key("slowlog").index(i);
+            m.put(&s.key("session"), None, u64::from(e.session));
+            m.put(&s.key("opcode"), None, opcode_label(e.opcode));
+            m.put(&s.key("dur_ns"), None, e.dur_ns);
+            m.put(&s.key("wall_ms"), None, e.wall_ms);
+            m.put(&s.key("text"), None, e.text.as_str());
         }
     }
 }
@@ -613,18 +553,28 @@ mod tests {
         assert!(!log.record(9, Opcode::Query, 300, "tie"));
         log.clear();
         assert!(log.entries().is_empty());
+        // clear() lowers the admission floor back to the threshold
+        assert!(log.record(9, Opcode::Query, 150, "fast again"));
+        assert!(!log.record(9, Opcode::Query, 50, "still below threshold"));
+    }
+
+    fn scrape(t: &Telemetry) -> Metrics {
+        let mut m = Metrics::new();
+        t.export(&mut m);
+        m
     }
 
     #[test]
     fn slow_log_truncates_text_and_escapes_json() {
-        let log = SlowLog::new(2, 0);
+        let t = Telemetry::new(true, 2, 0);
         let long = "x".repeat(500);
-        log.record(1, Opcode::Command, 10, &long);
-        log.record(2, Opcode::Query, 20, "say \"hi\"\n");
-        let entries = log.entries();
+        t.slow.record(1, Opcode::Command, 10, &long);
+        t.slow.record(2, Opcode::Query, 20, "say \"hi\"\n");
+        let entries = t.slow.entries();
         assert_eq!(entries[1].text.len(), SLOW_TEXT_CAP);
-        let json = log.to_json();
-        assert!(json.starts_with('[') && json.ends_with(']'), "{json}");
+        let json = scrape(&t).to_json();
+        assert!(json.contains("\"slowlog\":[{\"session\":2,"), "{json}");
+        assert!(json.ends_with("}]}}"), "{json}");
         assert!(json.contains("\\\"hi\\\"\\n"), "{json}");
         assert!(json.contains("\"opcode\":\"query\""), "{json}");
     }
@@ -638,7 +588,7 @@ mod tests {
         assert_eq!(t.queue_depth(), 0);
         assert_eq!(t.sessions_observed(), 0);
         assert_eq!(t.observe(Opcode::Command, 1, None, "append"), 0);
-        let json = t.to_json();
+        let json = scrape(&t).to_json();
         assert!(json.contains("\"enabled\":false"), "{json}");
         assert!(json.contains("\"opcodes\":{}"), "{json}");
     }
@@ -658,14 +608,13 @@ mod tests {
         t.queue_drained(1);
         assert_eq!(t.queue_depth(), 1);
         assert_eq!(t.queue_high_water(), 2);
-        let json = t.to_json();
+        let json = scrape(&t).to_json();
         assert!(json.contains("\"command\":{\"count\":2"), "{json}");
         assert!(json.contains("\"query\":{\"count\":1"), "{json}");
         assert!(json.contains("\"metrics\":{\"count\":1"), "{json}");
         assert!(json.contains("\"3\":{\"requests\":3"), "{json}");
         assert!(json.contains("\"slowlog\":["), "{json}");
-        let mut prom = String::new();
-        t.render_prometheus(&mut prom);
+        let prom = scrape(&t).to_prometheus();
         assert!(
             prom.contains("ariel_server_requests_total{opcode=\"command\"} 2"),
             "{prom}"

@@ -126,29 +126,50 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// fsync cadence follows the [`Durability`] policy; dropping the writer
 /// syncs any unsynced batch best-effort.
 ///
-/// Every fsync this writer issues is counted and timed
-/// ([`WalWriter::fsyncs`], [`WalWriter::fsync_ns`]) — the durability
-/// telemetry the engine folds into `Ariel::metrics_json` and the
-/// Prometheus exposition.
+/// What the writer has done is kept in one [`WalStats`]
+/// ([`WalWriter::stats`]) — the durability telemetry the engine exports.
 #[derive(Debug)]
 pub struct WalWriter {
     file: std::fs::File,
     path: PathBuf,
     durability: Durability,
-    records: u64,
-    bytes: u64,
+    stats: WalStats,
     unsynced: u32,
     /// Inside a [`WalWriter::begin_group`] scope: commit-mode appends
     /// count as unsynced instead of fsyncing one by one.
     in_group: bool,
-    fsyncs: u64,
-    fsync_ns: ariel_islist::Histogram,
+}
+
+/// What log writers have done: records and bytes appended, fsyncs issued
+/// and their latency. One writer keeps its own; the engine folds the
+/// writers it detaches into one.
+#[derive(Debug, Clone, Default)]
+pub struct WalStats {
+    /// Records appended.
+    pub records: u64,
+    /// Bytes appended, framing included.
+    pub bytes: u64,
+    /// Fsyncs issued (commit-mode appends, batch boundaries and explicit
+    /// [`WalWriter::sync`] calls).
+    pub fsyncs: u64,
+    /// Wall-clock latency of those fsyncs, in nanoseconds.
+    pub fsync_ns: ariel_islist::Histogram,
+}
+
+impl WalStats {
+    /// Add `other`'s figures to these.
+    pub fn merge(&mut self, other: &WalStats) {
+        self.records += other.records;
+        self.bytes += other.bytes;
+        self.fsyncs += other.fsyncs;
+        self.fsync_ns.merge(&other.fsync_ns);
+    }
 }
 
 impl WalWriter {
     /// Open a log for appending, creating it if absent. Existing records
     /// are preserved (recovery re-attaches after replaying them);
-    /// [`WalWriter::records`] counts appends by *this* writer only.
+    /// [`WalWriter::stats`] counts what *this* writer does only.
     pub fn open(path: impl Into<PathBuf>, durability: Durability) -> io::Result<WalWriter> {
         let path = path.into();
         let file = std::fs::OpenOptions::new()
@@ -159,12 +180,9 @@ impl WalWriter {
             file,
             path,
             durability,
-            records: 0,
-            bytes: 0,
+            stats: WalStats::default(),
             unsynced: 0,
             in_group: false,
-            fsyncs: 0,
-            fsync_ns: ariel_islist::Histogram::default(),
         })
     }
 
@@ -191,8 +209,8 @@ impl WalWriter {
     fn timed_sync(&mut self) -> io::Result<()> {
         let t0 = std::time::Instant::now();
         let out = self.file.sync_data();
-        self.fsyncs += 1;
-        self.fsync_ns.record(t0.elapsed().as_nanos() as u64);
+        self.stats.fsyncs += 1;
+        self.stats.fsync_ns.record(t0.elapsed().as_nanos() as u64);
         out
     }
 
@@ -213,8 +231,8 @@ impl WalWriter {
         buf.extend_from_slice(&crc32(payload).to_be_bytes());
         buf.extend_from_slice(payload);
         self.file.write_all(&buf)?;
-        self.records += 1;
-        self.bytes += buf.len() as u64;
+        self.stats.records += 1;
+        self.stats.bytes += buf.len() as u64;
         match self.durability {
             Durability::Off => {}
             Durability::Commit if self.in_group => self.unsynced += 1,
@@ -235,14 +253,9 @@ impl WalWriter {
         self.timed_sync()
     }
 
-    /// Records appended by this writer.
-    pub fn records(&self) -> u64 {
-        self.records
-    }
-
-    /// Bytes appended by this writer (framing included).
-    pub fn bytes(&self) -> u64 {
-        self.bytes
+    /// What this writer has appended and synced.
+    pub fn stats(&self) -> &WalStats {
+        &self.stats
     }
 
     /// The log file path.
@@ -253,17 +266,6 @@ impl WalWriter {
     /// The fsync policy.
     pub fn durability(&self) -> Durability {
         self.durability
-    }
-
-    /// fsyncs issued by this writer (commit-mode appends, batch-boundary
-    /// and explicit [`WalWriter::sync`] calls).
-    pub fn fsyncs(&self) -> u64 {
-        self.fsyncs
-    }
-
-    /// Latency histogram of those fsyncs, in nanoseconds.
-    pub fn fsync_ns(&self) -> &ariel_islist::Histogram {
-        &self.fsync_ns
     }
 }
 
@@ -620,8 +622,8 @@ mod tests {
             for p in &payloads {
                 w.append(p).unwrap();
             }
-            assert_eq!(w.records(), 3);
-            assert_eq!(w.bytes(), (8 * 3 + 5 + 1000) as u64);
+            assert_eq!(w.stats().records, 3);
+            assert_eq!(w.stats().bytes, (8 * 3 + 5 + 1000) as u64);
         }
         let scan = read_log(&path).unwrap();
         assert_eq!(scan.records, payloads);
@@ -719,7 +721,7 @@ mod tests {
         let mut w = WalWriter::open(&path, Durability::Off).unwrap();
         let huge = vec![0u8; MAX_RECORD_LEN as usize + 1];
         assert!(w.append(&huge).is_err());
-        assert_eq!(w.records(), 0);
+        assert_eq!(w.stats().records, 0);
         drop(w);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -731,23 +733,27 @@ mod tests {
         let path = dir.join("wal.log");
         let mut w = WalWriter::open(&path, Durability::Commit).unwrap();
         w.append(b"alone").unwrap();
-        assert_eq!(w.fsyncs(), 1, "outside a group: one fsync per record");
+        assert_eq!(w.stats().fsyncs, 1, "outside a group: one fsync per record");
 
         w.begin_group();
         for p in [b"a", b"b", b"c"] {
             w.append(p).unwrap();
         }
-        assert_eq!(w.fsyncs(), 1, "deferred inside the group");
+        assert_eq!(w.stats().fsyncs, 1, "deferred inside the group");
         w.end_group().unwrap();
-        assert_eq!((w.records(), w.fsyncs()), (4, 2), "one fsync for three");
+        assert_eq!(
+            (w.stats().records, w.stats().fsyncs),
+            (4, 2),
+            "one fsync for three"
+        );
         w.end_group().unwrap();
-        assert_eq!(w.fsyncs(), 2, "idempotent");
+        assert_eq!(w.stats().fsyncs, 2, "idempotent");
 
         w.begin_group();
         w.end_group().unwrap();
-        assert_eq!(w.fsyncs(), 2, "an empty group issues no fsync");
+        assert_eq!(w.stats().fsyncs, 2, "an empty group issues no fsync");
         w.append(b"after").unwrap();
-        assert_eq!(w.fsyncs(), 3, "per-record again after the group");
+        assert_eq!(w.stats().fsyncs, 3, "per-record again after the group");
         drop(w);
         assert_eq!(read_log(&path).unwrap().records.len(), 5);
         std::fs::remove_dir_all(&dir).unwrap();
