@@ -1,5 +1,9 @@
 //! Conflict resolution (Fig. 1): select one rule to fire from the set of
 //! eligible rules.
+//!
+//! The engine presents the candidates straight off the network's conflict
+//! set, each borrowed from its per-rule record: picking the next firing
+//! allocates nothing and clones nothing but the winner's name.
 
 use ariel_network::RuleId;
 use std::sync::Arc;
@@ -17,13 +21,13 @@ pub enum ConflictStrategy {
 }
 
 /// One eligible rule instantiation set presented to conflict resolution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Eligible {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Eligible<'a> {
     /// Network identifier of the rule.
     pub id: RuleId,
-    /// Rule name (final tie-break), shared with the engine's per-rule
+    /// Rule name (final tie-break), borrowed from the engine's per-rule
     /// record.
-    pub name: Arc<str>,
+    pub name: &'a Arc<str>,
     /// Rule priority (higher fires first).
     pub priority: f64,
     /// Recency: tick of the last transition that added an instantiation to
@@ -32,8 +36,11 @@ pub struct Eligible {
 }
 
 /// Pick the next rule to fire, or `None` when the agenda is empty.
-pub fn select(strategy: ConflictStrategy, eligible: &[Eligible]) -> Option<&Eligible> {
-    eligible.iter().max_by(|a, b| {
+pub fn select<'a>(
+    strategy: ConflictStrategy,
+    eligible: impl IntoIterator<Item = Eligible<'a>>,
+) -> Option<Eligible<'a>> {
+    eligible.into_iter().max_by(|a, b| {
         let prio = a.priority.total_cmp(&b.priority);
         if prio != std::cmp::Ordering::Equal {
             return prio;
@@ -48,7 +55,7 @@ pub fn select(strategy: ConflictStrategy, eligible: &[Eligible]) -> Option<&Elig
             ConflictStrategy::PriorityName => {}
         }
         // name ascending → max_by wants "greater wins", so reverse
-        b.name.cmp(&a.name)
+        b.name.cmp(a.name)
     })
 }
 
@@ -56,67 +63,61 @@ pub fn select(strategy: ConflictStrategy, eligible: &[Eligible]) -> Option<&Elig
 mod tests {
     use super::*;
 
-    fn e(id: u64, name: &str, priority: f64, last: u64) -> Eligible {
-        Eligible {
-            id: RuleId(id),
-            name: name.into(),
-            priority,
-            last_matched: last,
-        }
+    /// Candidates `(id, name, priority, last_matched)`, presented the way
+    /// the engine presents its records: by reference.
+    fn select_from(strategy: ConflictStrategy, rules: &[(u64, &str, f64, u64)]) -> Option<u64> {
+        let names: Vec<Arc<str>> = rules.iter().map(|r| r.1.into()).collect();
+        let eligible = rules.iter().zip(&names).map(|(r, name)| Eligible {
+            id: RuleId(r.0),
+            name,
+            priority: r.2,
+            last_matched: r.3,
+        });
+        select(strategy, eligible).map(|e| e.id.0)
     }
 
     #[test]
     fn empty_agenda() {
-        assert!(select(ConflictStrategy::default(), &[]).is_none());
+        assert!(select_from(ConflictStrategy::default(), &[]).is_none());
     }
 
     #[test]
     fn highest_priority_wins() {
-        let rules = vec![e(1, "a", 1.0, 5), e(2, "b", 10.0, 0), e(3, "c", -3.0, 9)];
-        assert_eq!(
-            select(ConflictStrategy::default(), &rules).unwrap().id,
-            RuleId(2)
-        );
+        let rules = [(1, "a", 1.0, 5), (2, "b", 10.0, 0), (3, "c", -3.0, 9)];
+        assert_eq!(select_from(ConflictStrategy::default(), &rules), Some(2));
     }
 
     #[test]
     fn recency_breaks_priority_ties() {
-        let rules = vec![e(1, "a", 1.0, 3), e(2, "b", 1.0, 7)];
+        let rules = [(1, "a", 1.0, 3), (2, "b", 1.0, 7)];
         assert_eq!(
-            select(ConflictStrategy::PriorityRecency, &rules)
-                .unwrap()
-                .id,
-            RuleId(2)
+            select_from(ConflictStrategy::PriorityRecency, &rules),
+            Some(2)
         );
     }
 
     #[test]
     fn name_breaks_remaining_ties() {
-        let rules = vec![e(1, "zeta", 1.0, 7), e(2, "alpha", 1.0, 7)];
+        let rules = [(1, "zeta", 1.0, 7), (2, "alpha", 1.0, 7)];
         assert_eq!(
-            select(ConflictStrategy::PriorityRecency, &rules)
-                .unwrap()
-                .name
-                .as_ref(),
+            select_from(ConflictStrategy::PriorityRecency, &rules),
+            Some(2),
             "alpha"
         );
-        let rules = vec![e(1, "zeta", 1.0, 3), e(2, "alpha", 1.0, 7)];
+        let rules = [(1, "zeta", 1.0, 3), (2, "alpha", 1.0, 7)];
         assert_eq!(
-            select(ConflictStrategy::PriorityName, &rules)
-                .unwrap()
-                .name
-                .as_ref(),
-            "alpha",
+            select_from(ConflictStrategy::PriorityName, &rules),
+            Some(2),
             "PriorityName ignores recency"
         );
+        // the order of presentation does not matter
+        let rules = [(2, "alpha", 1.0, 7), (1, "zeta", 1.0, 3)];
+        assert_eq!(select_from(ConflictStrategy::PriorityName, &rules), Some(2));
     }
 
     #[test]
     fn negative_priorities() {
-        let rules = vec![e(1, "a", -1.0, 0), e(2, "b", -2.0, 0)];
-        assert_eq!(
-            select(ConflictStrategy::default(), &rules).unwrap().id,
-            RuleId(1)
-        );
+        let rules = [(1, "a", -1.0, 0), (2, "b", -2.0, 0)];
+        assert_eq!(select_from(ConflictStrategy::default(), &rules), Some(1));
     }
 }

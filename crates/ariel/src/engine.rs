@@ -1,7 +1,7 @@
 //! The Ariel engine: command dispatch, transitions, and the recognize-act
 //! cycle (Fig. 1).
 
-use crate::action::ActionPlanner;
+use crate::action::{self, PrepareCounts, Prepared};
 use crate::agenda::{self, ConflictStrategy, Eligible};
 use crate::catalog::RuleCatalog;
 use crate::delta::DeltaTracker;
@@ -32,9 +32,6 @@ pub struct EngineOptions {
     pub conflict: ConflictStrategy,
     /// Upper bound on rule firings per recognize-act cycle (runaway guard).
     pub max_firings: usize,
-    /// `false` = always-reoptimize rule-action plans (§5.3, the paper's
-    /// choice); `true` = cache plans at first firing.
-    pub cache_action_plans: bool,
     /// Enable the gated timing tier (per-phase histograms) from the start.
     /// The always-on counters are collected regardless; this flag only
     /// controls wall-clock timing capture. See `docs/OBSERVABILITY.md`.
@@ -57,7 +54,6 @@ impl Default for EngineOptions {
             virtual_policy: VirtualPolicy::AllStored,
             conflict: ConflictStrategy::default(),
             max_firings: 10_000,
-            cache_action_plans: false,
             observability: false,
             tracing: false,
             durability: Durability::Off,
@@ -74,6 +70,14 @@ pub struct EngineStats {
     pub tokens: u64,
     /// Rule firings.
     pub firings: u64,
+    /// Rule-action commands resolved and planned with nothing prepared to
+    /// reuse (a rule's first firing, or after a failed derivation). Like
+    /// the next field, not snapshotted: it counts since engine start or
+    /// recovery.
+    pub action_prepares: u64,
+    /// Prepared rule-action commands re-resolved and re-planned because
+    /// something they were derived from changed (see [`crate::action`]).
+    pub action_replans: u64,
 }
 
 /// Per-memory byte breakdown of the live match state (see
@@ -129,7 +133,13 @@ pub(crate) struct ActiveRule {
     pub(crate) name: Arc<str>,
     priority: f64,
     /// The query-modified action.
-    action: Arc<[Command]>,
+    action: Box<[Command]>,
+    /// One slot per action command: resolved and planned at the first
+    /// firing, reused while its stamp holds (see [`crate::action`]).
+    prepared: Box<[Option<Prepared>]>,
+    /// How often this rule's action commands were derived since its
+    /// activation.
+    pub(crate) prepare_counts: PrepareCounts,
     /// Recency for conflict resolution: tick of the last transition that
     /// added an instantiation to the rule's P-node (0 = never).
     pub(crate) last_matched: u64,
@@ -157,7 +167,6 @@ pub struct Ariel {
     pub(crate) catalog: Catalog,
     pub(crate) rules: RuleCatalog,
     pub(crate) network: Network,
-    planner: ActionPlanner,
     pub(crate) options: EngineOptions,
     /// One record per active rule, keyed by rule id.
     pub(crate) active: FxHashMap<u64, ActiveRule>,
@@ -168,7 +177,7 @@ pub struct Ariel {
     /// Action executions per rule id (the `ariel_rule_firings_total`
     /// Prometheus family). Unlike [`EngineStats::firings`] this is not
     /// snapshotted: it counts since engine start or recovery.
-    pub(crate) firings_by_rule: HashMap<u64, u64>,
+    pub(crate) firings_by_rule: FxHashMap<u64, u64>,
     /// Pending asynchronous notifications (§8 future work: alert monitors,
     /// stock tickers). Consumers drain with [`Ariel::drain_notifications`].
     notifications: std::collections::VecDeque<Notification>,
@@ -207,13 +216,12 @@ impl Ariel {
             catalog: Catalog::new(),
             rules: RuleCatalog::new(),
             network: Network::new(),
-            planner: ActionPlanner::new(options.cache_action_plans),
             options,
             active: FxHashMap::default(),
             cond_rels: HashMap::new(),
             tick: 0,
             stats: EngineStats::default(),
-            firings_by_rule: HashMap::new(),
+            firings_by_rule: FxHashMap::default(),
             notifications: std::collections::VecDeque::new(),
             match_batch: None,
             trace_limit: DEFAULT_TRACE_CAPACITY,
@@ -378,7 +386,7 @@ impl Ariel {
         )?;
         let shared: HashSet<String> = resolved.spec.vars.iter().map(|v| v.name.clone()).collect();
         let rels: HashSet<String> = resolved.spec.vars.iter().map(|v| v.rel.clone()).collect();
-        let modified = modify_action(&def.action, &shared);
+        let modified: Box<[Command]> = modify_action(&def.action, &shared).into();
         self.network
             .add_rule(id, &resolved, &self.options.virtual_policy, &self.catalog)?;
         if let Err(e) = self.network.prime(id, &self.catalog) {
@@ -390,7 +398,9 @@ impl Ariel {
             ActiveRule {
                 name: name.into(),
                 priority,
-                action: modified.into(),
+                prepared: modified.iter().map(|_| None).collect(),
+                action: modified,
+                prepare_counts: PrepareCounts::default(),
                 last_matched: 0,
                 action_exec: self.observing().then(Box::default),
             },
@@ -402,8 +412,8 @@ impl Ariel {
         Ok(())
     }
 
-    /// Deactivate an active rule: tear down its network structures. The
-    /// definition stays installed.
+    /// Deactivate an active rule: tear down its network structures and
+    /// drop its prepared action. The definition stays installed.
     pub fn deactivate_rule(&mut self, name: &str) -> ArielResult<()> {
         let rule = self.rules.require(name)?;
         if !rule.is_active() {
@@ -411,7 +421,6 @@ impl Ariel {
         }
         let id = rule.id;
         self.network.remove_rule(id);
-        self.planner.invalidate(id.0);
         self.active.remove(&id.0);
         self.cond_rels.remove(&id.0);
         self.rules.get_mut(name).expect("installed").state = RuleState::Installed;
@@ -564,33 +573,38 @@ impl Ariel {
 
     fn recognize_act_inner(&mut self) -> ArielResult<()> {
         let mut firings = 0usize;
+        // one Δ-set tracker for the cycle, reset per firing: each action is
+        // its own transition
+        let mut delta = DeltaTracker::new();
         loop {
             // match: the discrimination network maintained the P-nodes and
             // the conflict set; the transition that just ran (or the
             // `match_tokens` calls since the last cycle) stamps recency
             self.stamp_gained();
-            let eligible: Vec<Eligible> = self
+            // conflict resolution, straight off the conflict set
+            let mut eligible = 0u64;
+            let active = &self.active;
+            let candidates = self
                 .network
-                .rules_with_matches()
-                .into_iter()
+                .conflict_set()
                 .filter_map(|id| {
-                    let rule = self.active.get(&id.0)?;
+                    let rule = active.get(&id.0)?;
                     Some(Eligible {
                         id,
-                        name: Arc::clone(&rule.name),
+                        name: &rule.name,
                         priority: rule.priority,
                         last_matched: rule.last_matched,
                     })
                 })
-                .collect();
-            // conflict resolution
-            let Some(chosen) = agenda::select(self.options.conflict, &eligible).cloned() else {
+                .inspect(|_| eligible += 1);
+            let Some(chosen) = agenda::select(self.options.conflict, candidates) else {
                 return Ok(());
             };
+            let (id, name) = (chosen.id, Arc::clone(chosen.name));
             if let Some(tr) = self.network.trace() {
                 tr.record(TraceEventKind::AgendaSchedule {
-                    rule: chosen.id.0,
-                    eligible: eligible.len() as u64,
+                    rule: id.0,
+                    eligible,
                 });
             }
             // act
@@ -601,31 +615,36 @@ impl Ariel {
             }
             firings += 1;
             self.stats.firings += 1;
-            *self.firings_by_rule.entry(chosen.id.0).or_insert(0) += 1;
-            let pnode = self.network.drain_pnode(chosen.id).expect("active rule");
+            *self.firings_by_rule.entry(id.0).or_insert(0) += 1;
+            let pnode = self.network.drain_pnode(id).expect("active rule");
             let drained = pnode.len() as u64;
-            let action = Arc::clone(&self.active[&chosen.id.0].action);
-            let action_start = self.observing().then(std::time::Instant::now);
-            let outcome = self
-                .planner
-                .execute_action(chosen.id.0, &action, &pnode, &mut self.catalog)
-                .map_err(|e| ArielError::RuleAction {
-                    rule: chosen.name.to_string(),
-                    source: Box::new(e.into()),
-                })?;
+            let rule = self.active.get_mut(&id.0).expect("active rule");
+            let before = rule.prepare_counts;
+            let action_start = rule.action_exec.is_some().then(std::time::Instant::now);
+            let outcome = action::execute_action(
+                &rule.action,
+                &mut rule.prepared,
+                &pnode,
+                &mut self.catalog,
+                &mut rule.prepare_counts,
+            );
             let action_ns = action_start.map(|t0| t0.elapsed().as_nanos() as u64);
-            if let Some(ns) = action_ns {
-                let rule = self.active.get(&chosen.id.0);
-                if let Some(h) = rule.and_then(|r| r.action_exec.as_deref()) {
-                    h.record(ns);
-                }
+            if let (Some(h), Some(ns)) = (rule.action_exec.as_deref(), action_ns) {
+                h.record(ns);
             }
+            let counts = rule.prepare_counts;
+            self.stats.action_prepares += counts.prepares - before.prepares;
+            self.stats.action_replans += counts.replans - before.replans;
+            let outcome = outcome.map_err(|e| ArielError::RuleAction {
+                rule: name.to_string(),
+                source: Box::new(e.into()),
+            })?;
             // the firing's provenance (depth, cascade parent) comes from
             // the rule's most recent instantiation, recorded in the network
             let firing_ctx = self
                 .network
                 .trace()
-                .map(|tr| tr.record_firing(chosen.id.0, drained, action_ns));
+                .map(|tr| tr.record_firing(id.0, drained, action_ns));
             self.notifications
                 .extend(outcome.notifications.iter().cloned());
             // the action is itself a transition
@@ -635,12 +654,12 @@ impl Ariel {
                 tr.begin_transition(self.tick, fdepth + 1, Some(fseq));
                 tr.record(TraceEventKind::TransitionBegin {
                     source: TraceSource::RuleAction {
-                        rule: chosen.id.0,
+                        rule: id.0,
                         firing: fseq,
                     },
                 });
             }
-            let mut delta = DeltaTracker::new();
+            delta.reset();
             let tokens = delta.tokens_for_all(&outcome.changes);
             self.stats.tokens += tokens.len() as u64;
             let batch_start = self.observing().then(std::time::Instant::now);
@@ -794,28 +813,35 @@ impl Ariel {
     }
 
     /// Produce the plans for every command of an active rule's
-    /// (query-modified) action, bound against its current P-node — what the
-    /// always-reoptimize strategy would run at the next firing (Fig. 8).
+    /// (query-modified) action, bound against its current P-node: what the
+    /// next firing runs (Fig. 8). While a command's prepared plan holds,
+    /// that plan is shown, marked `prepared`; otherwise the plan is derived
+    /// fresh, marked `fresh`, as the next firing would derive it.
     pub fn explain_rule_action(&self, name: &str) -> ArielResult<String> {
         let rule = self.rules.require(name)?;
         if !rule.is_active() {
             return Err(ArielError::NotActive(name.to_string()));
         }
-        let action = &self.active[&rule.id.0].action;
+        let active = &self.active[&rule.id.0];
         let pnode = self.network.pnode(rule.id).expect("active rule");
         let mut out = String::new();
-        for (i, cmd) in action.iter().enumerate() {
-            out.push_str(&format!("-- action command {}: {}\n", i + 1, cmd));
-            match cmd {
-                Command::Halt => out.push_str("(halt)\n"),
-                _ => {
-                    let rcmd = Resolver::with_pnode(&self.catalog, pnode).resolve_command(cmd)?;
-                    match ariel_query::plan_command(&rcmd, &self.catalog, Some(pnode))? {
-                        Some(plan) => out.push_str(&plan.to_string()),
-                        None => out.push_str("(no tuple variables)\n"),
-                    }
-                }
+        for (i, (cmd, prepared)) in active.action.iter().zip(&active.prepared[..]).enumerate() {
+            if let Command::Halt = cmd {
+                out.push_str(&format!("-- action command {}: {}\n(halt)\n", i + 1, cmd));
+                continue;
             }
+            let current = prepared
+                .as_ref()
+                .and_then(|p| p.current(&self.catalog, pnode));
+            let (how, plan) = match current {
+                Some(plan) => ("prepared", plan.map(ToString::to_string)),
+                None => (
+                    "fresh",
+                    action::fresh_plan(cmd, pnode, &self.catalog)?.map(|p| p.to_string()),
+                ),
+            };
+            out.push_str(&format!("-- action command {} ({how}): {}\n", i + 1, cmd));
+            out.push_str(plan.as_deref().unwrap_or("(no tuple variables)\n"));
         }
         Ok(out)
     }
@@ -1022,14 +1048,17 @@ mod tests {
         let opts = EngineOptions::default();
         assert!(matches!(opts.virtual_policy, VirtualPolicy::AllStored));
         assert_eq!(opts.max_firings, 10_000);
-        assert!(!opts.cache_action_plans);
         assert!(!opts.tracing, "tracing is off by default");
         assert_eq!(opts.durability, Durability::Off, "no logging by default");
         let db = Ariel::new();
         assert!(db.wal_dir().is_none(), "no durability dir until checkpoint");
         assert_eq!(db.wal_records(), 0);
         assert!(db.catalog().intern_strings());
-        assert!(!db.options().cache_action_plans);
+        assert_eq!(
+            db.stats().action_prepares,
+            0,
+            "nothing prepared before a firing"
+        );
         assert!(!db.tracing(), "no recorder allocated by default");
         assert_eq!(db.trace_limit(), DEFAULT_TRACE_CAPACITY);
     }

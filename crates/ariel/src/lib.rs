@@ -47,7 +47,7 @@ pub mod persist;
 pub mod rule;
 mod trace;
 
-pub use action::{ActionOutcome, ActionPlanner};
+pub use action::ActionOutcome;
 pub use agenda::ConflictStrategy;
 pub use catalog::RuleCatalog;
 pub use delta::DeltaTracker;

@@ -54,6 +54,8 @@ impl Ariel {
             transitions: "Committed state transitions (recognize-act cycles triggered by DML).",
             tokens: "Net-effect delta tokens pushed through the discrimination network.",
             firings: "Rule-action executions.",
+            action_prepares: "Rule-action commands resolved and planned with nothing prepared to reuse.",
+            action_replans: "Prepared rule-action commands re-planned because something they were derived from changed.",
         );
         m.table(&root.key("engine"), "ariel_engine", Kind::Counter, &engine);
         self.network.export(m);
@@ -86,6 +88,11 @@ impl Ariel {
             m.put(&at.key("firings"), Some(firings), fired);
             m.put(&at.key("pnode_rows"), Some(pnode_rows), s.pnode_rows);
             m.put(&at.key("tokens_in"), Some(tokens_in), s.tokens_in);
+            if let Some(active) = self.active.get(&rule.id.0) {
+                let p = active.prepare_counts;
+                m.put(&at.key("action_prepares"), None, p.prepares);
+                m.put(&at.key("action_replans"), None, p.replans);
+            }
             let counts = metric_rows!(s;
                 alpha_entries, alpha_bytes, pnode_bytes, alpha_tests, alpha_passes,
                 join_probes, pnode_inserts, virtual_scans, virtual_scanned_tuples,

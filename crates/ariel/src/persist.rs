@@ -288,10 +288,12 @@ impl Ariel {
         let mut report = RecoveryReport::default();
         let mut db = Ariel::with_options(options);
         let tick = dec.u64()?;
+        // prepared actions are not snapshotted, nor are their counters
         let stats = EngineStats {
             transitions: dec.u64()?,
             tokens: dec.u64()?,
             firings: dec.u64()?,
+            ..EngineStats::default()
         };
         report.relations = wal::decode_into_catalog(&mut dec, &mut db.catalog)?;
         let n_rules = dec.u32()? as usize;

@@ -11,7 +11,7 @@
 //! bench_gate                            # the joins gate on its default paths
 //! bench_gate fresh.json baseline.json   # the joins gate on explicit paths
 //! bench_gate mem [fresh [baseline]]     # one gate
-//! bench_gate joins mem obs serve wal    # several gates on their default paths
+//! bench_gate joins mem obs serve wal plan   # several gates on their default paths
 //! bench_gate <gate…> --bless            # accept the fresh files as baselines
 //! bench_gate links [root]               # relative links in README.md and docs/*.md
 //! ```
@@ -151,6 +151,20 @@ const GATES: &[Gate] = &[
             "commit: wal_records > 0 — the hooks went dead",
             "commit: wal_records == batch.wal_records — the sync policy must not change what is logged",
             "commit: wal_bytes == batch.wal_bytes — the sync policy must not change what is logged",
+        ],
+    },
+    Gate {
+        name: "plan",
+        fresh: "BENCH_plan.json",
+        baseline: "BENCH_plan_baseline.json",
+        keys: &["workload"],
+        // how often the action is derived is deterministic: a stamp that
+        // lapses too often (or never) moves these
+        exact: &["prepares", "replans"],
+        bounds: &[],
+        rules: &[
+            "prepares == 1 — an action is prepared once, at its first firing",
+            "growing: replans >= 1 — a plan built for 50 dept rows must be re-planned as dept grows 100×",
         ],
     },
 ];
@@ -1025,6 +1039,33 @@ mod tests {
         let v = check(g, &drifted, &base);
         assert!(has(&v, "requests changed 1600 -> 1590"), "{v:?}");
         assert!(has(&v, "commands changed 1280 -> 1270"), "{v:?}");
+    }
+
+    fn plan(workload: &str, prepares: u64, replans: u64) -> Row {
+        Row::new()
+            .key("workload", workload)
+            .time("total_ms", 50.0)
+            .count("prepares", prepares)
+            .count("replans", replans)
+    }
+
+    #[test]
+    fn plan_gate_holds_derivation_counts() {
+        let g = gate("plan");
+        let base = vec![plan("steady", 1, 0), plan("growing", 1, 7)];
+        assert!(check(g, &base, &base).is_empty());
+        // a stamp that never lapses leaves the grown plan stale
+        let stale = vec![plan("steady", 1, 0), plan("growing", 1, 0)];
+        let v = check(g, &stale, &[]);
+        assert!(has(&v, "growing: replans >= 1 does not hold"), "{v:?}");
+        // one that lapses on every firing re-plans the steady action
+        let eager = vec![plan("steady", 1, 2049), plan("growing", 1, 7)];
+        let v = check(g, &eager, &base);
+        assert!(has(&v, "steady: replans changed 0 -> 2049"), "{v:?}");
+        // preparing at every firing is the always-reoptimize path again
+        let fresh = vec![plan("steady", 2050, 0), plan("growing", 1, 7)];
+        let v = check(g, &fresh, &[]);
+        assert!(has(&v, "prepares == 1 does not hold"), "{v:?}");
     }
 
     #[test]

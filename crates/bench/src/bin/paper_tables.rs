@@ -88,8 +88,10 @@ const TABLES: &[Table] = &[
     },
     Table {
         name: "plan",
-        title: "PLAN: always-reoptimize vs cached action plans — 2000 firings",
-        json: None,
+        title: "PLAN: prepared rule actions — 2000 firings of a P-node ⋈ dept action\n\
+                (steady: dept stays at 50 rows; growing: dept grows to 5 000 rows, \
+                so the prepared plan lapses and is re-planned)",
+        json: Some("BENCH_plan.json"),
         run: |_| measure::plan_table(2000),
     },
     Table {

@@ -3,8 +3,8 @@
 //! The A-TREAT network owns one [`ConflictSet`] and calls
 //! [`ConflictSet::sync`] at every site that changes a P-node's rows (push,
 //! retract, drain, clear, wholesale replace, rule removal), so the engine's
-//! recognize-act cycle reads the eligible rules in `O(matched)` instead of
-//! scanning every installed rule. The set is ordered by rule id, which
+//! recognize-act cycle walks the eligible rules in `O(matched)`, without
+//! collecting them, instead of scanning every installed rule. The set is ordered by rule id, which
 //! keeps the choice among otherwise equal rules deterministic.
 //!
 //! It also carries the per-batch `gained` list: rules that received at
@@ -54,8 +54,8 @@ impl ConflictSet {
     }
 
     /// Rules with a non-empty P-node, ascending by id.
-    pub(crate) fn rules(&self) -> Vec<RuleId> {
-        self.nonempty.iter().map(|id| RuleId(*id)).collect()
+    pub(crate) fn iter(&self) -> impl Iterator<Item = RuleId> + '_ {
+        self.nonempty.iter().map(|id| RuleId(*id))
     }
 
     /// Hand `f` the rules that gained an instantiation since the last

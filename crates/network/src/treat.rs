@@ -1615,10 +1615,15 @@ impl Network {
         }
     }
 
-    /// Rules whose P-node is non-empty, ascending by id — read off the
-    /// maintained conflict set, `O(matched)`.
+    /// Rules whose P-node is non-empty, ascending by id — walked off the
+    /// maintained conflict set, `O(matched)`, allocating nothing.
+    pub fn conflict_set(&self) -> impl Iterator<Item = RuleId> + '_ {
+        self.conflict.iter()
+    }
+
+    /// [`Network::conflict_set`], collected.
     pub fn rules_with_matches(&self) -> Vec<RuleId> {
-        self.conflict.rules()
+        self.conflict_set().collect()
     }
 
     /// Hand `f` every rule that gained an instantiation since the last

@@ -306,8 +306,9 @@ fn as_ref_bound(b: &std::ops::Bound<Value>) -> std::ops::Bound<&Value> {
 }
 
 /// Produce the qualification plan for a resolved command, or `None` for
-/// commands with no tuple variables. Exposed so rule-action plans can be
-/// cached and replayed (the pre-planning strategies of §5.3).
+/// commands with no tuple variables. Exposed so the rule engine can plan a
+/// rule action once and replay the plan while it holds (the pre-planning
+/// of §5.3).
 pub fn plan_command(
     rcmd: &RCommand,
     catalog: &Catalog,
@@ -327,7 +328,7 @@ pub fn plan_command(
 /// Run the qualification of a resolved command with a pre-built plan,
 /// returning the qualifying rows. Commands with no tuple variables yield a
 /// single empty row (filtered by a constant qualification if present).
-fn qualifying_rows(
+pub fn qualifying_rows(
     rcmd: &RCommand,
     plan: Option<&Plan>,
     catalog: &Catalog,
@@ -351,7 +352,8 @@ fn qualifying_rows(
 }
 
 /// Execute a resolved DML command against the catalog, planning its
-/// qualification first (the paper's *always-reoptimize* path).
+/// qualification first. Rule actions run their prepared plans through
+/// [`execute_with_plan`] instead.
 ///
 /// `pnode` supplies bindings for P-node variables (rule-action context).
 /// The catalog is mutably borrowed only because `retrieve into` creates its
@@ -366,8 +368,8 @@ pub fn execute(
 }
 
 /// Execute a resolved DML command with a previously-built qualification
-/// plan (`None` for variable-free commands) — the replay half of a plan
-/// cache.
+/// plan (`None` for variable-free commands) — how a prepared rule action
+/// runs.
 pub fn execute_with_plan(
     rcmd: &RCommand,
     plan: Option<&Plan>,

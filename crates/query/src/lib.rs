@@ -28,7 +28,8 @@ pub use ast::{
 pub use binding::{BoundVar, Pnode, PnodeCol, Row};
 pub use error::{QueryError, QueryResult};
 pub use exec::{
-    execute, execute_with_plan, plan_command, run_plan, Change, CmdOutput, ExecCtx, Notification,
+    execute, execute_with_plan, plan_command, qualifying_rows, run_plan, Change, CmdOutput,
+    ExecCtx, Notification,
 };
 pub use expr::{eval, eval_pred, Env, PatchedEnv, SingleEnv};
 pub use modify::modify_action;

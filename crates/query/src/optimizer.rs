@@ -24,9 +24,10 @@ const SEL_OTHER: f64 = 0.5;
 const SORT_MERGE_THRESHOLD: f64 = 64.0;
 
 /// The query optimizer. Holds the catalog (for relation sizes and index
-/// availability — consulted fresh on every call, which is what makes the
-/// paper's *always-reoptimize* strategy pay off) and the P-node when
-/// planning rule-action commands.
+/// availability, consulted fresh on every call) and the P-node when
+/// planning rule-action commands. A rule action is planned once and
+/// re-planned only when the indexes or sizes it read have moved; the
+/// engine's `action` module keeps that stamp.
 pub struct Optimizer<'a> {
     catalog: &'a Catalog,
     pnode: Option<&'a Pnode>,

@@ -38,6 +38,12 @@ impl RelRef {
     pub fn borrow_mut(&self) -> RwLockWriteGuard<'_, Relation> {
         self.0.write().unwrap_or_else(|e| e.into_inner())
     }
+
+    /// True iff both handles alias the same relation (not merely one of
+    /// the same name: a destroyed and re-created relation is another).
+    pub fn same(&self, other: &RelRef) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
 }
 
 /// Named collection of relations.
@@ -45,6 +51,9 @@ impl RelRef {
 pub struct Catalog {
     relations: BTreeMap<String, RelRef>,
     intern_strings: bool,
+    /// Bumped by every change to the name → relation map and by every
+    /// interning toggle (see [`Catalog::version`]).
+    version: u64,
 }
 
 impl Default for Catalog {
@@ -52,6 +61,7 @@ impl Default for Catalog {
         Catalog {
             relations: BTreeMap::new(),
             intern_strings: true,
+            version: 0,
         }
     }
 }
@@ -68,6 +78,9 @@ impl Catalog {
     /// Existing tuples keep their representation; equality semantics are
     /// unchanged either way.
     pub fn set_intern_strings(&mut self, on: bool) {
+        if on != self.intern_strings {
+            self.version += 1;
+        }
         self.intern_strings = on;
         for rel in self.relations.values() {
             rel.borrow_mut().set_intern_strings(on);
@@ -79,6 +92,15 @@ impl Catalog {
         self.intern_strings
     }
 
+    /// Catalog version: it changes whenever a relation is created,
+    /// destroyed or restored, or string interning is toggled, and at no
+    /// other time. Anything derived from names and schemas (a resolved
+    /// command, a plan) holds while the version is unchanged; a relation's
+    /// own access paths carry [`Relation::version`].
+    pub fn version(&self) -> u64 {
+        self.version
+    }
+
     /// Create a relation. Errors if the name is taken.
     pub fn create(&mut self, name: &str, schema: SchemaRef) -> StorageResult<RelRef> {
         if self.relations.contains_key(name) {
@@ -88,6 +110,7 @@ impl Catalog {
         relation.set_intern_strings(self.intern_strings);
         let rel = RelRef::new(relation);
         self.relations.insert(name.to_string(), rel.clone());
+        self.version += 1;
         Ok(rel)
     }
 
@@ -104,6 +127,7 @@ impl Catalog {
         relation.set_intern_strings(self.intern_strings);
         let rel = RelRef::new(relation);
         self.relations.insert(name, rel.clone());
+        self.version += 1;
         Ok(rel)
     }
 
@@ -111,8 +135,9 @@ impl Catalog {
     pub fn destroy(&mut self, name: &str) -> StorageResult<()> {
         self.relations
             .remove(name)
-            .map(|_| ())
-            .ok_or_else(|| StorageError::NoSuchRelation(name.to_string()))
+            .ok_or_else(|| StorageError::NoSuchRelation(name.to_string()))?;
+        self.version += 1;
+        Ok(())
     }
 
     /// Look up a relation by name.
@@ -240,6 +265,28 @@ mod tests {
         assert!(!c.require("after").unwrap().borrow().intern_strings());
         c.set_intern_strings(true);
         assert!(c.require("after").unwrap().borrow().intern_strings());
+    }
+
+    #[test]
+    fn version_moves_with_names_and_interning_only() {
+        let mut c = Catalog::new();
+        let v0 = c.version();
+        let emp = c.create("emp", schema()).unwrap();
+        let v1 = c.version();
+        assert!(v1 > v0, "create");
+        emp.borrow_mut().insert(vec![1i64.into()]).unwrap();
+        assert!(c.create("emp", schema()).is_err());
+        assert!(c.destroy("nope").is_err());
+        c.set_intern_strings(true);
+        assert_eq!(c.version(), v1, "data, failed DDL and no-op toggles");
+        c.set_intern_strings(false);
+        assert!(c.version() > v1, "interning toggled");
+        let v2 = c.version();
+        c.destroy("emp").unwrap();
+        assert!(c.version() > v2, "destroy");
+        let again = c.create("emp", schema()).unwrap();
+        assert!(!again.same(&emp), "a re-created relation is another");
+        assert!(again.same(&c.get("emp").unwrap()));
     }
 
     #[test]

@@ -24,6 +24,9 @@ pub struct Relation {
     next_tid: u64,
     indexes: Vec<Index>,
     intern_strings: bool,
+    /// Bumped by every change to the access paths (see
+    /// [`Relation::version`]).
+    version: u64,
 }
 
 impl Relation {
@@ -39,6 +42,7 @@ impl Relation {
             next_tid: 0,
             indexes: Vec::new(),
             intern_strings: true,
+            version: 0,
         }
     }
 
@@ -74,6 +78,13 @@ impl Relation {
     /// Schema handle.
     pub fn schema(&self) -> &SchemaRef {
         &self.schema
+    }
+
+    /// Access-path version: it changes whenever an index is created, and
+    /// not on data changes. A plan that chose its access paths holds while
+    /// the version is unchanged.
+    pub fn version(&self) -> u64 {
+        self.version
     }
 
     /// Number of live tuples.
@@ -175,6 +186,7 @@ impl Relation {
             ix.insert(t.get(pos).clone(), tid);
         }
         self.indexes.push(ix);
+        self.version += 1;
         Ok(())
     }
 
@@ -313,6 +325,7 @@ impl Relation {
             next_tid,
             indexes,
             intern_strings,
+            version: 0,
         })
     }
 
@@ -430,11 +443,15 @@ mod tests {
     #[test]
     fn duplicate_index_rejected() {
         let mut r = emp();
+        assert_eq!(r.version(), 0);
         r.create_index("dno", IndexKind::Hash).unwrap();
+        assert_eq!(r.version(), 1, "a new access path");
         assert!(matches!(
             r.create_index("dno", IndexKind::BTree),
             Err(StorageError::IndexExists { .. })
         ));
+        r.insert(vec!["x".into(), 1.0.into(), 1i64.into()]).unwrap();
+        assert_eq!(r.version(), 1, "failed index creation and data");
     }
 
     #[test]

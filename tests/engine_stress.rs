@@ -146,7 +146,6 @@ fn stress_threshold() {
 #[test]
 fn stress_with_plan_cache() {
     let mut db = Ariel::with_options(EngineOptions {
-        cache_action_plans: true,
         max_firings: 200,
         ..Default::default()
     });
@@ -155,15 +154,23 @@ fn stress_with_plan_cache() {
     db.execute("define rule r on append a then append to log(x = a.x)")
         .unwrap();
     let mut rng = Rng(0xDEED);
+    let mut reactivations = 0;
     for _ in 0..200 {
         db.execute(&format!("append a (x = {}, y = 0)", rng.below(100)))
             .unwrap();
         if rng.below(10) == 0 {
-            // deactivate/reactivate invalidates the plan cache
+            // deactivate/reactivate drops the prepared action
             db.execute("deactivate rule r").unwrap();
             db.execute("activate rule r").unwrap();
+            reactivations += 1;
         }
     }
     let logged = db.query("retrieve (log.all)").unwrap().rows.len();
     assert_eq!(logged, 200);
+    // one preparation per activation that fired, never a re-plan: the
+    // action reads only the P-node
+    let s = db.stats();
+    assert!(s.action_prepares <= 1 + reactivations, "{s:?}");
+    assert!(s.action_prepares > 1, "{s:?}");
+    assert_eq!(s.action_replans, 0, "{s:?}");
 }

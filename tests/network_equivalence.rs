@@ -147,30 +147,55 @@ fn virtual_policies_produce_identical_states() {
     }
 }
 
+/// Prepared rule actions give the answers of the paper's always-reoptimize
+/// strategy. The reference engine deactivates and re-activates the rule
+/// before every command, which drops the prepared action, so each of its
+/// firings resolves and plans from scratch; the other keeps the action
+/// prepared while `dept` grows under it and gains an index.
 #[test]
 fn plan_caching_matches_always_reoptimize() {
-    for cache in [false, true] {
-        let mut db = Ariel::with_options(EngineOptions {
-            cache_action_plans: cache,
-            ..Default::default()
-        });
+    let mut audits = Vec::new();
+    for reoptimize in [true, false] {
+        let mut db = Ariel::new();
         db.execute(CHURN_SCHEMA).unwrap();
         db.execute(
-            "define rule r if emp.sal > 100 and emp.dno = dept.dno \
-             then append to audit(id = emp.id, kind = 1)",
+            "define rule r on append emp if emp.sal > 100 \
+             then append to audit(id = emp.id, kind = dept.floor) where dept.dno = emp.dno",
         )
         .unwrap();
         db.execute("append dept (dno = 1, floor = 1)").unwrap();
-        for i in 0..20 {
-            db.execute(&format!("append emp (id = {i}, sal = 200, dno = 1)"))
+        for i in 0..60 {
+            if i == 30 {
+                db.execute("define index on dept (dno) using hash").unwrap();
+            }
+            if reoptimize {
+                db.execute("deactivate rule r").unwrap();
+                db.execute("activate rule r").unwrap();
+            }
+            db.execute(&format!("append dept (dno = {}, floor = {i})", i % 4))
                 .unwrap();
+            db.execute(&format!(
+                "append emp (id = {i}, sal = {}, dno = {})",
+                50 + i * 5,
+                i % 3
+            ))
+            .unwrap();
         }
-        assert_eq!(
-            db.query("retrieve (audit.all)").unwrap().rows.len(),
-            20,
-            "cache={cache}"
-        );
+        let (fired, prepares, replans) = {
+            let s = db.stats();
+            (s.firings, s.action_prepares, s.action_replans)
+        };
+        assert_eq!(fired, 49, "reoptimize={reoptimize}");
+        if reoptimize {
+            assert_eq!((prepares, replans), (49, 0), "every firing derived afresh");
+        } else {
+            assert_eq!(prepares, 1, "prepared once");
+            assert!(replans >= 2, "dept grew 5× and gained an index: {replans}");
+        }
+        audits.push(sorted(db.query("retrieve (audit.all)").unwrap().rows));
     }
+    assert!(audits[0].len() > 49, "the action joins several dept rows");
+    assert_eq!(audits[0], audits[1]);
 }
 
 const COMPOSITE_BAND_SCHEMA: &str = "create emp (id = int, sal = float, dno = int, jno = int); \

@@ -321,3 +321,101 @@ fn recency_is_stamped_when_a_fired_rule_is_rematched_in_the_same_cycle() {
     );
     assert_eq!(db.stats().firings, 3);
 }
+
+/// Prepared rule actions follow DDL between firings: each scripted step
+/// changes something the action was derived from, and the next firing —
+/// and `explain rule`, which shows what that firing runs — sees it, with
+/// the errors a fresh derivation gives.
+#[test]
+fn prepared_actions_follow_ddl_between_firings() {
+    let mut db = Ariel::new();
+    db.execute(
+        "create emp (id = int, dno = int); create dept (dno = int, name = string); \
+         create audit (id = int, dept = string)",
+    )
+    .unwrap();
+    for i in 0..20 {
+        db.execute(&format!(r#"append dept (dno = {i}, name = "d{i}")"#))
+            .unwrap();
+    }
+    db.execute(
+        "define rule log on append emp \
+         then append to audit (id = emp.id, dept = dept.name) where dept.dno = emp.dno",
+    )
+    .unwrap();
+    let derived = |db: &Ariel| (db.stats().action_prepares, db.stats().action_replans);
+    let explain = |db: &Ariel| db.explain_rule_action("log").unwrap();
+    let plan = explain(&db);
+    assert!(plan.contains("(fresh)"), "nothing prepared yet: {plan}");
+    db.execute("append emp (id = 1, dno = 1)").unwrap();
+    assert_eq!(derived(&db), (1, 0));
+    let plan = explain(&db);
+    assert!(plan.contains("(prepared)"), "{plan}");
+    assert!(plan.contains("NestedLoopJoin"), "{plan}");
+
+    // an index on the relation the action joins: explain shows the index
+    // path the next firing derives, and the firing re-plans onto it
+    db.execute("define index on dept (dno) using hash").unwrap();
+    let plan = explain(&db);
+    assert!(plan.contains("(fresh)"), "{plan}");
+    assert!(plan.contains("IndexedLoopJoin"), "{plan}");
+    db.execute("append emp (id = 2, dno = 2)").unwrap();
+    assert_eq!(derived(&db), (1, 1));
+    let plan = explain(&db);
+    assert!(plan.contains("(prepared)"), "{plan}");
+    assert!(plan.contains("IndexedLoopJoin"), "{plan}");
+
+    // an interning toggle: resolved constants may be symbols
+    db.catalog_mut().set_intern_strings(false);
+    db.execute("append emp (id = 3, dno = 3)").unwrap();
+    assert_eq!(derived(&db), (1, 2));
+    db.catalog_mut().set_intern_strings(true);
+
+    // deactivation drops the prepared action; the next activation's first
+    // firing prepares it again
+    db.execute("deactivate rule log").unwrap();
+    db.execute("activate rule log").unwrap();
+    assert!(explain(&db).contains("(fresh)"));
+    db.execute("append emp (id = 4, dno = 4)").unwrap();
+    assert_eq!(derived(&db), (2, 2));
+    assert_eq!(db.query("retrieve (audit.all)").unwrap().rows.len(), 4);
+
+    // the target destroyed and re-created with another arity: the firing
+    // fails as a fresh resolution does, and keeps nothing prepared
+    db.execute("destroy audit").unwrap();
+    db.execute("create audit (id = int)").unwrap();
+    let err = db.execute("append emp (id = 5, dno = 5)").unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "while executing action of rule `log`: semantic error: relation `audit` has no attribute `dept`"
+    );
+    assert!(
+        db.explain_rule_action("log").is_err(),
+        "explain derives afresh, and fails alike"
+    );
+    db.execute("destroy audit").unwrap();
+    db.execute("create audit (id = int, dept = string)")
+        .unwrap();
+    db.execute("append emp (id = 6, dno = 6)").unwrap();
+    assert_eq!(derived(&db), (3, 2));
+    assert_eq!(
+        db.query("retrieve (audit.dept)").unwrap().rows,
+        vec![vec![Value::from("d6")]]
+    );
+
+    // `retrieve into` in an action: the first firing creates the
+    // destination, so the second fails as a fresh derivation does
+    db.execute("define rule snap on append dept then retrieve into snapshot (n = dept.name)")
+        .unwrap();
+    db.execute(r#"append dept (dno = 100, name = "x")"#)
+        .unwrap();
+    assert_eq!(db.query("retrieve (snapshot.n)").unwrap().rows.len(), 1);
+    let err = db
+        .execute(r#"append dept (dno = 101, name = "y")"#)
+        .unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "while executing action of rule `snap`: storage error: relation already exists: snapshot"
+    );
+    assert_eq!(derived(&db), (4, 3), "snap was prepared, then re-planned");
+}
