@@ -33,7 +33,7 @@ use ariel_query::{
     execute_with_plan, plan_command, qualifying_rows, Change, Command, Notification, Plan, Pnode,
     QueryError, QueryResult, RCommand, Resolver, VarSource,
 };
-use ariel_storage::{Catalog, RelRef};
+use ariel_storage::{Catalog, RelId};
 
 /// Outcome of running one rule action.
 #[derive(Debug, Default)]
@@ -84,8 +84,9 @@ struct Stamp {
 struct Dep {
     name: String,
     /// The relation the name denoted (`None`: absent, as a `retrieve into`
-    /// destination is before its first run).
-    rel: Option<RelRef>,
+    /// destination is before its first run). A re-created relation has
+    /// another generation, so another id.
+    id: Option<RelId>,
     /// Its [`ariel_storage::Relation::version`] then.
     version: u64,
     /// Its size at planning time, when the plan scans it.
@@ -102,8 +103,8 @@ impl Stamp {
         let spec = rcmd.spec();
         let mut deps: Vec<Dep> = Vec::new();
         let mut name = |name: &str, scanned: bool| {
-            let rel = catalog.get(name);
-            let (version, rows) = rel.as_ref().map_or((0, None), |r| {
+            let id = catalog.id(name);
+            let (version, rows) = id.and_then(|id| catalog.rel(id)).map_or((0, None), |r| {
                 let r = r.borrow();
                 (r.version(), scanned.then(|| r.len()))
             });
@@ -111,7 +112,7 @@ impl Stamp {
                 Some(d) => d.rows = d.rows.or(rows),
                 None => deps.push(Dep {
                     name: name.to_string(),
-                    rel,
+                    id,
                     version,
                     rows,
                 }),
@@ -148,19 +149,17 @@ impl Stamp {
             if catalog.intern_strings() != self.intern_strings {
                 return false;
             }
-            let renamed = self
-                .deps
-                .iter()
-                .any(|d| match (&d.rel, catalog.get(&d.name)) {
-                    (Some(then), Some(now)) => !then.same(&now),
-                    (then, now) => then.is_some() != now.is_some(),
-                });
-            if renamed {
+            // a name now denotes another relation (another generation
+            // of the slot, or none), or one where there was none
+            if self.deps.iter().any(|d| catalog.id(&d.name) != d.id) {
                 return false;
             }
         }
         let moved = self.deps.iter().any(|d| {
-            d.rel.as_ref().is_some_and(|rel| {
+            d.id.is_some_and(|id| {
+                let Some(rel) = catalog.rel(id) else {
+                    return true;
+                };
                 let rel = rel.borrow();
                 rel.version() != d.version || d.rows.is_some_and(|n| !within(rel.len(), n))
             })

@@ -22,23 +22,31 @@
 
 use ariel_network::{EventSpecifier, Token};
 use ariel_query::Change;
-use ariel_storage::Tuple;
-use std::collections::HashMap;
+use ariel_storage::{FxHashMap, FxHashSet, RelId, Tuple};
 
 #[derive(Debug, Default)]
 struct RelDelta {
+    /// Generation of the relation these sets describe.
+    gen: u32,
     /// `I`: tuples inserted during this transition.
-    inserted: HashMap<u64, ()>,
+    inserted: FxHashSet<u64>,
     /// `M`: pre-existing tuples modified this transition → their value at
     /// the start of the transition and the union of replaced attribute
     /// positions so far.
-    modified: HashMap<u64, (Tuple, Vec<usize>)>,
+    modified: FxHashMap<u64, (Tuple, Vec<usize>)>,
 }
 
-/// Per-transition Δ-set tracker.
+impl RelDelta {
+    fn clear(&mut self) {
+        self.inserted.clear();
+        self.modified.clear();
+    }
+}
+
+/// Per-transition Δ-set tracker, one `[I, M]` pair per relation slot.
 #[derive(Debug, Default)]
 pub struct DeltaTracker {
-    rels: HashMap<String, RelDelta>,
+    rels: Vec<RelDelta>,
 }
 
 impl DeltaTracker {
@@ -47,24 +55,48 @@ impl DeltaTracker {
         DeltaTracker::default()
     }
 
-    /// Reset for the next transition.
+    /// Reset for the next transition, keeping the sets' capacity.
     pub fn reset(&mut self) {
-        self.rels.clear();
+        self.rels.iter_mut().for_each(RelDelta::clear);
+    }
+
+    /// The Δ-sets of `rel`, emptied if they described an earlier
+    /// generation of its slot.
+    fn rel(&mut self, rel: RelId) -> &mut RelDelta {
+        if self.rels.len() <= rel.slot() {
+            self.rels.resize_with(rel.slot() + 1, RelDelta::default);
+        }
+        let d = &mut self.rels[rel.slot()];
+        if d.gen != rel.gen() {
+            d.clear();
+            d.gen = rel.gen();
+        }
+        d
     }
 
     /// Translate one physical change into its token sequence, updating the
     /// Δ-sets.
     pub fn tokens_for(&mut self, change: &Change) -> Vec<Token> {
+        let mut out = Vec::with_capacity(2);
+        self.push_tokens(change, &mut out);
+        out
+    }
+
+    /// Translate a batch of changes, concatenating the token sequences.
+    pub fn tokens_for_all(&mut self, changes: &[Change]) -> Vec<Token> {
+        let mut out = Vec::with_capacity(changes.len());
+        for c in changes {
+            self.push_tokens(c, &mut out);
+        }
+        out
+    }
+
+    /// [`Self::tokens_for`], appended to `out`.
+    fn push_tokens(&mut self, change: &Change, out: &mut Vec<Token>) {
         match change {
             Change::Inserted { rel, tid, new } => {
-                let d = self.rels.entry(rel.clone()).or_default();
-                d.inserted.insert(tid.0, ());
-                vec![Token::plus(
-                    rel.clone(),
-                    *tid,
-                    new.clone(),
-                    EventSpecifier::Append,
-                )]
+                self.rel(*rel).inserted.insert(tid.0);
+                out.push(Token::plus(*rel, *tid, new.clone(), EventSpecifier::Append));
             }
             Change::Updated {
                 rel,
@@ -73,96 +105,73 @@ impl DeltaTracker {
                 new,
                 attrs,
             } => {
-                let d = self.rels.entry(rel.clone()).or_default();
-                if d.inserted.contains_key(&tid.0) {
+                let rel = *rel;
+                let d = self.rel(rel);
+                if d.inserted.contains(&tid.0) {
                     // case 1: a modify of a tuple inserted this transition
                     // nets to an insertion of the new value
-                    vec![
-                        Token::minus(rel.clone(), *tid, old.clone(), EventSpecifier::Append),
-                        Token::plus(rel.clone(), *tid, new.clone(), EventSpecifier::Append),
-                    ]
+                    out.push(Token::minus(rel, *tid, old.clone(), EventSpecifier::Append));
+                    out.push(Token::plus(rel, *tid, new.clone(), EventSpecifier::Append));
                 } else if let Some((orig, seen_attrs)) = d.modified.get_mut(&tid.0) {
                     // case 3, subsequent modify: replace the standing pair
-                    let orig = orig.clone();
                     for a in attrs {
                         if !seen_attrs.contains(a) {
                             seen_attrs.push(*a);
                         }
                     }
-                    let all_attrs = seen_attrs.clone();
-                    vec![
-                        Token::delta_minus(
-                            rel.clone(),
-                            *tid,
-                            old.clone(),
-                            orig.clone(),
-                            EventSpecifier::Replace(all_attrs.clone()),
-                        ),
-                        Token::delta_plus(
-                            rel.clone(),
-                            *tid,
-                            new.clone(),
-                            orig,
-                            EventSpecifier::Replace(all_attrs),
-                        ),
-                    ]
+                    out.push(Token::delta_minus(
+                        rel,
+                        *tid,
+                        old.clone(),
+                        orig.clone(),
+                        EventSpecifier::Replace(seen_attrs.clone()),
+                    ));
+                    out.push(Token::delta_plus(
+                        rel,
+                        *tid,
+                        new.clone(),
+                        orig.clone(),
+                        EventSpecifier::Replace(seen_attrs.clone()),
+                    ));
                 } else {
                     // case 3, first modify of a pre-existing tuple: the
                     // bare − (no event specifier) removes the old value
                     // from pattern memories, then Δ⁺ asserts the pair
                     d.modified.insert(tid.0, (old.clone(), attrs.clone()));
-                    vec![
-                        Token::bare_minus(rel.clone(), *tid, old.clone()),
-                        Token::delta_plus(
-                            rel.clone(),
-                            *tid,
-                            new.clone(),
-                            old.clone(),
-                            EventSpecifier::Replace(attrs.clone()),
-                        ),
-                    ]
+                    out.push(Token::bare_minus(rel, *tid, old.clone()));
+                    out.push(Token::delta_plus(
+                        rel,
+                        *tid,
+                        new.clone(),
+                        old.clone(),
+                        EventSpecifier::Replace(attrs.clone()),
+                    ));
                 }
             }
             Change::Deleted { rel, tid, old } => {
-                let d = self.rels.entry(rel.clone()).or_default();
-                if d.inserted.remove(&tid.0).is_some() {
+                let rel = *rel;
+                let d = self.rel(rel);
+                if d.inserted.remove(&tid.0) {
                     // case 2: net effect nothing; the insert⁻ undoes the
                     // insertion and no delete event fires
-                    vec![Token::minus(
-                        rel.clone(),
-                        *tid,
-                        old.clone(),
-                        EventSpecifier::Append,
-                    )]
+                    out.push(Token::minus(rel, *tid, old.clone(), EventSpecifier::Append));
                 } else if let Some((orig, attrs)) = d.modified.remove(&tid.0) {
                     // case 4 after modifications: Δ⁻ removes the standing
                     // pair, then delete⁻ matches on-delete conditions
-                    vec![
-                        Token::delta_minus(
-                            rel.clone(),
-                            *tid,
-                            old.clone(),
-                            orig,
-                            EventSpecifier::Replace(attrs),
-                        ),
-                        Token::minus(rel.clone(), *tid, old.clone(), EventSpecifier::Delete),
-                    ]
-                } else {
-                    // case 4 with zero modifications
-                    vec![Token::minus(
-                        rel.clone(),
+                    out.push(Token::delta_minus(
+                        rel,
                         *tid,
                         old.clone(),
-                        EventSpecifier::Delete,
-                    )]
+                        orig,
+                        EventSpecifier::Replace(attrs),
+                    ));
+                    out.push(Token::minus(rel, *tid, old.clone(), EventSpecifier::Delete));
+                } else {
+                    // case 4 with zero modifications
+                    out.push(Token::minus(rel, *tid, old.clone(), EventSpecifier::Delete));
                 }
             }
         }
-    }
-
-    /// Translate a batch of changes, concatenating the token sequences.
-    pub fn tokens_for_all(&mut self, changes: &[Change]) -> Vec<Token> {
-        changes.iter().flat_map(|c| self.tokens_for(c)).collect()
     }
 }
 
@@ -172,13 +181,16 @@ mod tests {
     use ariel_network::TokenKind;
     use ariel_storage::{Tid, Value};
 
+    const R: RelId = RelId::new(0, 0);
+    const S: RelId = RelId::new(1, 0);
+
     fn tup(v: i64) -> Tuple {
         Tuple::new(vec![Value::Int(v)])
     }
 
     fn ins(tid: u64, v: i64) -> Change {
         Change::Inserted {
-            rel: "r".into(),
+            rel: R,
             tid: Tid(tid),
             new: tup(v),
         }
@@ -186,7 +198,7 @@ mod tests {
 
     fn upd(tid: u64, old: i64, new: i64) -> Change {
         Change::Updated {
-            rel: "r".into(),
+            rel: R,
             tid: Tid(tid),
             old: tup(old),
             new: tup(new),
@@ -196,7 +208,7 @@ mod tests {
 
     fn del(tid: u64, old: i64) -> Change {
         Change::Deleted {
-            rel: "r".into(),
+            rel: R,
             tid: Tid(tid),
             old: tup(old),
         }
@@ -296,14 +308,14 @@ mod tests {
     fn replace_attrs_accumulate_across_transition() {
         let mut d = DeltaTracker::new();
         let c1 = Change::Updated {
-            rel: "r".into(),
+            rel: R,
             tid: Tid(1),
             old: tup(1),
             new: tup(2),
             attrs: vec![0],
         };
         let c2 = Change::Updated {
-            rel: "r".into(),
+            rel: R,
             tid: Tid(1),
             old: tup(2),
             new: tup(3),
@@ -333,12 +345,27 @@ mod tests {
         let mut d = DeltaTracker::new();
         d.tokens_for(&ins(1, 10));
         let other = Change::Deleted {
-            rel: "s".into(),
+            rel: S,
             tid: Tid(1),
             old: tup(5),
         };
         let t = d.tokens_for(&other);
         // same tid in a different relation is not "inserted this transition"
+        assert_eq!(t[0].event, Some(EventSpecifier::Delete));
+    }
+
+    #[test]
+    fn a_new_generation_of_a_slot_starts_with_empty_sets() {
+        let mut d = DeltaTracker::new();
+        d.tokens_for(&ins(1, 10));
+        let again = RelId::new(R.slot() as u32, R.gen() + 1);
+        let t = d.tokens_for(&Change::Deleted {
+            rel: again,
+            tid: Tid(1),
+            old: tup(10),
+        });
+        assert_eq!(t[0].rel, again);
+        // TID 1 was inserted into the destroyed relation, not this one
         assert_eq!(t[0].event, Some(EventSpecifier::Delete));
     }
 
@@ -387,6 +414,8 @@ mod proptests {
         Modify,
         Delete,
     }
+
+    const R: RelId = RelId::new(0, 0);
 
     fn history() -> impl Strategy<Value = (bool, Vec<TupleOp>)> {
         (
@@ -472,7 +501,7 @@ mod proptests {
                     value += 1;
                     effect = NetEffect::Insert;
                     Change::Inserted {
-                        rel: "r".into(),
+                        rel: R,
                         tid: Tid(1),
                         new: tup(value),
                     }
@@ -484,7 +513,7 @@ mod proptests {
                         effect = NetEffect::Modify;
                     }
                     Change::Updated {
-                        rel: "r".into(),
+                        rel: R,
                         tid: Tid(1),
                         old: tup(old),
                         new: tup(value),
@@ -500,7 +529,7 @@ mod proptests {
                         NetEffect::Delete
                     };
                     Change::Deleted {
-                        rel: "r".into(),
+                        rel: R,
                         tid: Tid(1),
                         old: tup(value),
                     }

@@ -20,7 +20,7 @@ use crate::store::StoreSlot;
 use crate::token::{EventSpecifier, TokenKind};
 use ariel_islist::{Counter, Histogram, Interval, IntervalId, IntervalSkipList};
 use ariel_query::{eval_pred, SingleEnv};
-use ariel_storage::{FxHashMap, Tid, Tuple, Value};
+use ariel_storage::{FxHashMap, RelId, Tid, Tuple, Value};
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Bound;
@@ -36,7 +36,7 @@ impl fmt::Display for RuleId {
 }
 
 /// Identifier of an α-memory node (network-arena index).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AlphaId(pub usize);
 
 /// The seven α-memory kinds of §4.3.3.
@@ -381,10 +381,12 @@ struct RangeIndex {
 pub struct AlphaNode {
     /// Owning rule.
     pub rule: RuleId,
+    /// The owning rule's slot in its network (TREAT's dense rule vector).
+    pub(crate) rule_slot: usize,
     /// Variable index within the rule condition.
     pub var: usize,
     /// Relation this node watches.
-    pub rel: String,
+    pub rel: RelId,
     /// Node kind.
     pub kind: AlphaKind,
     /// The single-variable selection predicate (variable remapped to 0).
@@ -417,13 +419,14 @@ impl AlphaNode {
     pub fn new(
         rule: RuleId,
         var: usize,
-        rel: String,
+        rel: RelId,
         kind: AlphaKind,
         pred: SelectionPredicate,
         event: Option<EventReq>,
     ) -> Self {
         AlphaNode {
             rule,
+            rule_slot: 0,
             var,
             rel,
             kind,
@@ -776,7 +779,14 @@ mod tests {
     }
 
     fn node(kind: AlphaKind, event: Option<EventReq>) -> AlphaNode {
-        AlphaNode::new(RuleId(1), 0, "emp".into(), kind, band_pred(10, 20), event)
+        AlphaNode::new(
+            RuleId(1),
+            0,
+            RelId::new(0, 0),
+            kind,
+            band_pred(10, 20),
+            event,
+        )
     }
 
     #[test]

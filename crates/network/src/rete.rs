@@ -50,15 +50,15 @@ use crate::pred::SelectionPredicate;
 use crate::selnet::SelectionNetwork;
 use crate::token::Token;
 use crate::treat::{
-    pending_done, pending_of, selectivity_virtualize, NetworkStats, Pending, RuleStats,
-    RuleTopology, VirtualPolicy,
+    compile_rels, live_rel, selectivity_virtualize, NetworkStats, Pending, RuleStats, RuleTopology,
+    VirtualPolicy,
 };
 use ariel_islist::{IntervalId, IntervalSkipList};
 use ariel_query::{
     eval, eval_pred, BoundVar, Pnode, PnodeCol, QueryError, QueryResult, RExpr, ResolvedCondition,
     Row,
 };
-use ariel_storage::{Catalog, FxBuildHasher, Tid, Value};
+use ariel_storage::{Catalog, FxBuildHasher, RelId, Tid, Value};
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -336,7 +336,7 @@ impl ReteNetwork {
         &self,
         var: usize,
         pred: &SelectionPredicate,
-        rel: &str,
+        rel: RelId,
         catalog: &Catalog,
         composite: &[CompositeSpec],
     ) -> bool {
@@ -391,6 +391,7 @@ impl ReteNetwork {
                 "rule {id} already in network"
             )));
         }
+        let rels = compile_rels(cond, catalog, &self.selnet)?;
         let nvars = cond.spec.vars.len();
         let conjuncts: Vec<RExpr> = cond
             .spec
@@ -418,12 +419,12 @@ impl ReteNetwork {
         let mut cols = Vec::with_capacity(nvars);
         for (v, binding) in cond.spec.vars.iter().enumerate() {
             let pred = SelectionPredicate::decompose(std::mem::take(&mut selections[v]));
-            let kind = if self.virtualize(v, &pred, &binding.rel, catalog, &plan.composite[v]) {
+            let kind = if self.virtualize(v, &pred, rels[v], catalog, &plan.composite[v]) {
                 AlphaKind::Virtual
             } else {
                 AlphaKind::Stored
             };
-            let mut node = AlphaNode::new(id, v, binding.rel.clone(), kind, pred, None);
+            let mut node = AlphaNode::new(id, v, rels[v], kind, pred, None);
             if indexed && kind.stores_entries() {
                 node.set_join_indexes(plan.composite[v].iter().map(|s| s.attrs.clone()).collect());
                 node.set_range_indexes(plan.bands[v].iter().map(|s| s.shape.clone()).collect());
@@ -434,7 +435,7 @@ impl ReteNetwork {
                 node.pred.anchor.clone()
             };
             let aid = self.alloc_alpha(node);
-            self.selnet.subscribe(aid, &binding.rel, anchor);
+            self.selnet.subscribe(aid, rels[v], anchor);
             alphas.push(aid);
             cols.push(PnodeCol {
                 var: binding.name.clone(),
@@ -522,8 +523,7 @@ impl ReteNetwork {
         let alpha = self.alpha(aid);
         match alpha.kind {
             AlphaKind::Virtual => {
-                let rel_ref = catalog.require(&alpha.rel)?;
-                let rel_b = rel_ref.borrow();
+                let rel_b = live_rel(catalog, alpha.rel)?.borrow();
                 Ok(rel_b
                     .scan()
                     .filter(|(tid, _)| visible(*tid))
@@ -553,8 +553,7 @@ impl ReteNetwork {
             if !self.alpha(*aid).kind.stores_entries() {
                 continue;
             }
-            let rel = self.alpha(*aid).rel.clone();
-            let rel_ref = catalog.require(&rel)?;
+            let rel_ref = live_rel(catalog, self.alpha(*aid).rel)?;
             let entries: Vec<(Tid, AlphaEntry)> = {
                 let a = self.alpha(*aid);
                 rel_ref
@@ -747,10 +746,14 @@ impl ReteNetwork {
     /// tuples whose positive tokens are still pending.
     pub fn process_batch(&mut self, tokens: &[Token], catalog: &Catalog) -> QueryResult<()> {
         self.tokens_processed += tokens.len() as u64;
-        let mut pending = pending_of(tokens);
+        let mut pending = Pending::default();
+        pending.fill(tokens, catalog);
         for t in tokens {
+            if catalog.rel(t.rel).is_none() {
+                continue; // a token of a destroyed relation
+            }
             if t.kind.is_positive() {
-                pending_done(&mut pending, t);
+                pending.done(t);
                 self.process_positive(t, catalog, &pending)?;
             } else {
                 self.process_negative(t);
@@ -777,7 +780,7 @@ impl ReteNetwork {
         pending: &Pending,
     ) -> QueryResult<()> {
         // one selection-network stab per token, whatever its polarity
-        let candidates = self.selnet.candidates(&token.rel, &token.tuple);
+        let candidates = self.selnet.candidates(token.rel, &token.tuple);
         let mut matched: Vec<AlphaId> = candidates
             .into_iter()
             .filter(|aid| {
@@ -990,8 +993,8 @@ impl ReteNetwork {
                         self.probe_extend(rule, level, alpha, comp, band, left, &mut next)?;
                     }
                 } else {
-                    let pend = pending.get(&alpha.rel);
-                    let rel = alpha.rel.clone();
+                    let pend = pending.of(alpha.rel);
+                    let rel = alpha.rel;
                     let visible = move |tid: Tid| -> bool {
                         if pend.is_some_and(|p| p.contains_key(&tid.0)) {
                             return false;
@@ -1038,7 +1041,7 @@ impl ReteNetwork {
     /// variable `v` only via `v`'s α-node), and unanchored nodes are always
     /// candidates.
     fn process_negative(&mut self, token: &Token) {
-        for aid in self.selnet.candidates(&token.rel, &token.tuple) {
+        for aid in self.selnet.candidates(token.rel, &token.tuple) {
             let (rule_id, var) = {
                 let a = self.alphas[aid.0].as_mut().unwrap();
                 a.remove(token.tid);
@@ -1252,20 +1255,20 @@ mod tests {
             .insert(vals.iter().map(|&v| Value::Int(v)).collect::<Vec<Value>>())
             .unwrap();
         let t = r.borrow().get(tid).cloned().unwrap();
-        Token::plus(rel, tid, t, EventSpecifier::Append)
+        Token::plus(c.id(rel).unwrap(), tid, t, EventSpecifier::Append)
     }
 
     fn ins_vals(c: &Catalog, rel: &str, vals: Vec<Value>) -> Token {
         let r = c.get(rel).unwrap();
         let tid = r.borrow_mut().insert(vals).unwrap();
         let t = r.borrow().get(tid).cloned().unwrap();
-        Token::plus(rel, tid, t, EventSpecifier::Append)
+        Token::plus(c.id(rel).unwrap(), tid, t, EventSpecifier::Append)
     }
 
     fn del(c: &Catalog, token: &Token) -> Token {
-        let r = c.get(&token.rel).unwrap();
+        let r = c.rel(token.rel).unwrap();
         let old = r.borrow_mut().delete(token.tid).unwrap();
-        Token::minus(token.rel.clone(), token.tid, old, EventSpecifier::Delete)
+        Token::minus(token.rel, token.tid, old, EventSpecifier::Delete)
     }
 
     fn nested() -> ReteNetwork {
@@ -1691,13 +1694,13 @@ mod virtual_tests {
             .insert(vals.iter().map(|&v| Value::Int(v)).collect::<Vec<Value>>())
             .unwrap();
         let t = r.borrow().get(tid).cloned().unwrap();
-        Token::plus(rel, tid, t, EventSpecifier::Append)
+        Token::plus(c.id(rel).unwrap(), tid, t, EventSpecifier::Append)
     }
 
     fn del(c: &Catalog, token: &Token) -> Token {
-        let r = c.get(&token.rel).unwrap();
+        let r = c.rel(token.rel).unwrap();
         let old = r.borrow_mut().delete(token.tid).unwrap();
-        Token::minus(token.rel.clone(), token.tid, old, EventSpecifier::Delete)
+        Token::minus(token.rel, token.tid, old, EventSpecifier::Delete)
     }
 
     /// Rete with virtual α-memories must match classic Rete exactly, while

@@ -32,24 +32,25 @@
 
 use crate::alpha::{AlphaEntry, AlphaNode, JoinIndex};
 use crate::key::SmallKey;
-use ariel_storage::{FxHashMap, Tid, Tuple};
+use ariel_storage::{FxHashMap, RelId, Tid, Tuple};
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
-/// Handle of one relation's shared tuples and indexes in a [`Store`].
+/// Handle of one relation's shared tuples and indexes in a [`Store`]: the
+/// relation's catalog slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct StoreSlot(usize);
 
 /// The shared tuples and join indexes of every relation with a stored
-/// memory that joins on an indexed key.
+/// memory that joins on an indexed key, indexed by relation slot.
 #[derive(Debug, Default)]
 pub(crate) struct Store {
-    slots: HashMap<String, StoreSlot>,
     rels: Vec<RelStore>,
 }
 
 #[derive(Debug, Default)]
 struct RelStore {
+    /// Generation of the relation the slot's memories hold tuples of.
+    gen: u32,
     /// TID → the tuple every holder holds, and how many memories hold it.
     held: FxHashMap<u64, Held>,
     indexes: Vec<SharedIndex>,
@@ -84,15 +85,21 @@ fn same_value(a: &Tuple, b: &Tuple) -> bool {
 }
 
 impl Store {
-    /// The slot of `rel`, created on first use.
-    pub(crate) fn slot(&mut self, rel: &str) -> StoreSlot {
-        if let Some(slot) = self.slots.get(rel) {
-            return *slot;
+    /// The slot of `rel`, created on first use. A slot left empty by an
+    /// earlier generation of the relation passes to the new one.
+    pub(crate) fn slot(&mut self, rel: RelId) -> StoreSlot {
+        if self.rels.len() <= rel.slot() {
+            self.rels.resize_with(rel.slot() + 1, RelStore::default);
         }
-        let slot = StoreSlot(self.rels.len());
-        self.rels.push(RelStore::default());
-        self.slots.insert(rel.to_string(), slot);
-        slot
+        let store = &mut self.rels[rel.slot()];
+        if store.gen != rel.gen() {
+            debug_assert!(
+                store.held.is_empty() && store.indexes.is_empty(),
+                "relation {rel} stored while an earlier generation still is"
+            );
+            store.gen = rel.gen();
+        }
+        StoreSlot(rel.slot())
     }
 
     /// A memory joins on `attrs`: share the index, building and
@@ -310,12 +317,12 @@ mod tests {
         let mut a = AlphaNode::new(
             RuleId(rule),
             0,
-            "emp".into(),
+            RelId::new(0, 0),
             AlphaKind::Stored,
             SelectionPredicate::always_true(),
             None,
         );
-        let slot = store.slot("emp");
+        let slot = store.slot(RelId::new(0, 0));
         for attrs in attr_sets {
             store.register(slot, attrs);
         }

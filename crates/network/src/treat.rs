@@ -61,8 +61,10 @@ use ariel_query::{
     eval_pred, BoundVar, EventKind, Optimizer, PatchedEnv, Pnode, PnodeCol, QueryError,
     QueryResult, QuerySpec, RExpr, ResolvedCondition, Row,
 };
-use ariel_storage::{Catalog, FxHashMap, FxHashSet, SchemaRef, Tid, Tuple, Value};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use ariel_storage::{
+    Catalog, FxHashMap, FxHashSet, RelId, RelRef, SchemaRef, StorageError, Tid, Tuple, Value,
+};
+use std::collections::HashSet;
 use std::time::Instant;
 
 /// Policy deciding which eligible α-memories become virtual (§4.2 closes
@@ -89,9 +91,13 @@ struct RuleVar {
     alpha: AlphaId,
 }
 
+/// Join bitmasks give a rule at most this many tuple variables.
+const MAX_RULE_VARS: usize = 64;
+
 /// A compiled rule: its α-nodes, join conjuncts, and P-node.
 #[derive(Debug)]
 struct RuleNode {
+    id: RuleId,
     vars: Vec<RuleVar>,
     /// Multi-variable conjuncts of the condition (original var indices).
     join_conjuncts: Vec<RExpr>,
@@ -293,7 +299,8 @@ pub struct NetworkStats {
 /// // a matching insert token lands in the rule's P-node
 /// let tid = emp.borrow_mut().insert(vec![500i64.into()]).unwrap();
 /// let tuple = emp.borrow().get(tid).cloned().unwrap();
-/// net.process_token(&Token::plus("emp", tid, tuple, EventSpecifier::Append), &catalog)
+/// let emp_id = catalog.id("emp").unwrap();
+/// net.process_token(&Token::plus(emp_id, tid, tuple, EventSpecifier::Append), &catalog)
 ///     .unwrap();
 /// assert_eq!(net.pnode(RuleId(1)).unwrap().len(), 1);
 /// ```
@@ -304,7 +311,14 @@ pub struct Network {
     selnet: SelectionNetwork,
     /// Stored memories' shared tuples and join indexes, per relation.
     store: Store,
-    rules: BTreeMap<u64, RuleNode>,
+    /// Compiled rules by dense slot (a node's `rule_slot`); freed slots
+    /// are reused.
+    rules: Vec<Option<RuleNode>>,
+    free_rules: Vec<usize>,
+    /// Rule id → slot, for callers that name a rule by id.
+    rule_slots: FxHashMap<u64, usize>,
+    /// The batch pending set, kept between batches for its capacity.
+    pending: Pending,
     /// Rules with a non-empty P-node, and those that gained a match since
     /// the engine last asked (see [`crate::conflict`]).
     conflict: ConflictSet,
@@ -312,7 +326,7 @@ pub struct Network {
     /// [`Self::flush_transition_state`] has to visit. Both stay empty for
     /// pattern-only rule sets.
     dynamic_alphas: Vec<AlphaId>,
-    dynamic_rules: Vec<RuleId>,
+    dynamic_rules: Vec<usize>,
     /// Always-on counter: tokens pushed through [`Self::process_batch`].
     tokens_processed: u64,
     /// Whether β-joins may probe indexes — α-memory hash join indexes on
@@ -342,13 +356,13 @@ pub struct Network {
 /// the raw match share.
 pub(crate) fn selectivity_virtualize(
     pred: &SelectionPredicate,
-    rel: &str,
+    rel: RelId,
     threshold: f64,
     catalog: &Catalog,
     composite: &[CompositeSpec],
     join_indexing: bool,
 ) -> bool {
-    let Some(rel_ref) = catalog.get(rel) else {
+    let Some(rel_ref) = catalog.rel(rel) else {
         return false;
     };
     let rel_b = rel_ref.borrow();
@@ -359,7 +373,7 @@ pub(crate) fn selectivity_virtualize(
     let probe = AlphaNode::new(
         RuleId(u64::MAX),
         0,
-        rel.to_string(),
+        rel,
         AlphaKind::Stored,
         pred.clone(),
         None,
@@ -407,34 +421,59 @@ pub(crate) fn selectivity_virtualize(
     min_bucket as f64 / n as f64 > threshold
 }
 
-/// The batch pending set: per relation, tid → positive tokens of that
-/// tuple still unprocessed in the current batch. A tuple in here is hidden
-/// from virtual-node scans (see the module docs).
-pub(crate) type Pending = HashMap<String, FxHashMap<u64, u32>>;
-
-/// The pending set of a fresh batch.
-pub(crate) fn pending_of(tokens: &[Token]) -> Pending {
-    let mut pending = Pending::new();
-    for t in tokens.iter().filter(|t| t.kind.is_positive()) {
-        if !pending.contains_key(&t.rel) {
-            pending.insert(t.rel.clone(), FxHashMap::default());
-        }
-        let tids = pending.get_mut(&t.rel).expect("just ensured");
-        *tids.entry(t.tid.0).or_insert(0) += 1;
-    }
-    pending
+/// The relation `rel` denotes, or the error a destroyed one gives (its
+/// slot has moved to a later generation).
+pub(crate) fn live_rel(catalog: &Catalog, rel: RelId) -> QueryResult<&RelRef> {
+    catalog
+        .rel(rel)
+        .ok_or_else(|| StorageError::NoSuchRelation(rel.to_string()).into())
 }
 
-/// Positive token `t` is about to be processed: one fewer pending for its
-/// tuple, which becomes visible once none remain.
-pub(crate) fn pending_done(pending: &mut Pending, t: &Token) {
-    if let Some(tids) = pending.get_mut(&t.rel) {
-        if let Some(n) = tids.get_mut(&t.tid.0) {
-            *n -= 1;
-            if *n == 0 {
-                tids.remove(&t.tid.0);
+/// The batch pending set: per relation slot, tid → positive tokens of
+/// that tuple still unprocessed in the current batch. A tuple in here is
+/// hidden from virtual-node scans (see the module docs). The maps are
+/// emptied, not dropped, between batches.
+#[derive(Debug, Default)]
+pub(crate) struct Pending {
+    by_slot: Vec<FxHashMap<u64, u32>>,
+}
+
+impl Pending {
+    /// The pending set of a fresh batch (live tokens only).
+    pub(crate) fn fill(&mut self, tokens: &[Token], catalog: &Catalog) {
+        for t in tokens.iter().filter(|t| t.kind.is_positive()) {
+            if catalog.rel(t.rel).is_none() {
+                continue;
+            }
+            if self.by_slot.len() <= t.rel.slot() {
+                self.by_slot
+                    .resize_with(t.rel.slot() + 1, FxHashMap::default);
+            }
+            *self.by_slot[t.rel.slot()].entry(t.tid.0).or_insert(0) += 1;
+        }
+    }
+
+    /// Positive token `t` is about to be processed: one fewer pending for
+    /// its tuple, which becomes visible once none remain.
+    pub(crate) fn done(&mut self, t: &Token) {
+        if let Some(tids) = self.by_slot.get_mut(t.rel.slot()) {
+            if let Some(n) = tids.get_mut(&t.tid.0) {
+                *n -= 1;
+                if *n == 0 {
+                    tids.remove(&t.tid.0);
+                }
             }
         }
+    }
+
+    /// The pending tuples of `rel`, if any were ever filed.
+    pub(crate) fn of(&self, rel: RelId) -> Option<&FxHashMap<u64, u32>> {
+        self.by_slot.get(rel.slot()).filter(|p| !p.is_empty())
+    }
+
+    /// Empty every map, keeping its capacity for the next batch.
+    pub(crate) fn clear(&mut self) {
+        self.by_slot.iter_mut().for_each(FxHashMap::clear);
     }
 }
 
@@ -446,10 +485,12 @@ pub(crate) fn pending_done(pending: &mut Pending, t: &Token) {
 /// exactly what the tokens processed so far have put there.
 struct Join<'a> {
     rule: &'a RuleNode,
-    order: &'a [usize],
+    /// `(estimate, variable)` in join order.
+    order: &'a [(usize, usize)],
     catalog: &'a Catalog,
     token: &'a Token,
-    processed: &'a FxHashSet<usize>,
+    /// ProcessedMemories, ascending.
+    processed: &'a [AlphaId],
     pending: &'a Pending,
 }
 
@@ -460,7 +501,10 @@ impl Default for Network {
             free: Vec::new(),
             selnet: SelectionNetwork::default(),
             store: Store::default(),
-            rules: BTreeMap::new(),
+            rules: Vec::new(),
+            free_rules: Vec::new(),
+            rule_slots: FxHashMap::default(),
+            pending: Pending::default(),
             conflict: ConflictSet::default(),
             dynamic_alphas: Vec::new(),
             dynamic_rules: Vec::new(),
@@ -513,7 +557,7 @@ impl Network {
         for a in self.alphas.iter_mut().flatten() {
             a.timing = on.then(Box::default);
         }
-        for r in self.rules.values_mut() {
+        for r in self.rules.iter_mut().flatten() {
             r.timing = on.then(Box::default);
         }
     }
@@ -568,7 +612,12 @@ impl Network {
 
     /// Number of compiled rules.
     pub fn rule_count(&self) -> usize {
-        self.rules.len()
+        self.rule_slots.len()
+    }
+
+    fn rule(&self, id: RuleId) -> Option<&RuleNode> {
+        let slot = *self.rule_slots.get(&id.0)?;
+        self.rules[slot].as_ref()
     }
 
     /// Compile a resolved rule condition into network structures
@@ -580,12 +629,22 @@ impl Network {
         policy: &VirtualPolicy,
         catalog: &Catalog,
     ) -> QueryResult<()> {
-        if self.rules.contains_key(&id.0) {
+        if self.rule_slots.contains_key(&id.0) {
             return Err(QueryError::Semantic(format!(
                 "rule {id} already in network"
             )));
         }
         let nvars = cond.spec.vars.len();
+        if nvars > MAX_RULE_VARS {
+            return Err(QueryError::Semantic(format!(
+                "a rule condition has at most {MAX_RULE_VARS} tuple variables"
+            )));
+        }
+        let rels = compile_rels(cond, catalog, &self.selnet)?;
+        let rule_slot = self.free_rules.pop().unwrap_or_else(|| {
+            self.rules.push(None);
+            self.rules.len() - 1
+        });
         let single = nvars == 1;
         // split the qualification into per-variable selections and joins
         let conjuncts: Vec<RExpr> = cond
@@ -628,7 +687,7 @@ impl Network {
                     if self.should_virtualize(
                         v,
                         &pred,
-                        &binding.rel,
+                        rels[v],
                         policy,
                         catalog,
                         &plan.composite[v],
@@ -648,7 +707,8 @@ impl Network {
                 None
             };
             let has_prev = is_trans || matches!(event, Some(EventReq::Replace(_)));
-            let mut node = AlphaNode::new(id, v, binding.rel.clone(), kind, pred, event);
+            let mut node = AlphaNode::new(id, v, rels[v], kind, pred, event);
+            node.rule_slot = rule_slot;
             node.timing = self.observing().then(Box::default);
             if self.join_indexing && kind.stores_entries() {
                 // register one hash index per composite access path and one
@@ -657,7 +717,7 @@ impl Network {
                 // relation's hash indexes; a dynamic one keeps its own
                 if kind == AlphaKind::Stored {
                     if !plan.composite[v].is_empty() {
-                        let slot = self.store.slot(&binding.rel);
+                        let slot = self.store.slot(rels[v]);
                         for spec in &plan.composite[v] {
                             self.store.register(slot, &spec.attrs);
                         }
@@ -688,7 +748,7 @@ impl Network {
             } else {
                 node.pred.anchor.clone()
             };
-            self.selnet.subscribe(alpha_id, &binding.rel, anchor);
+            self.selnet.subscribe(alpha_id, rels[v], anchor);
             if kind.is_dynamic() {
                 dynamic = true;
                 if kind.stores_entries() {
@@ -705,23 +765,22 @@ impl Network {
         }
         let pattern_only = cond.on_var.is_none() && cond.trans_vars.is_empty();
         if dynamic {
-            self.dynamic_rules.push(id);
+            self.dynamic_rules.push(rule_slot);
         }
-        self.rules.insert(
-            id.0,
-            RuleNode {
-                vars,
-                join_conjuncts,
-                plan,
-                pnode: Pnode::new(cols),
-                spec: cond.spec.clone(),
-                pattern_only,
-                tokens_in: 0,
-                join_probes: 0,
-                pnode_inserts: 0,
-                timing: self.observing().then(Box::default),
-            },
-        );
+        self.rule_slots.insert(id.0, rule_slot);
+        self.rules[rule_slot] = Some(RuleNode {
+            id,
+            vars,
+            join_conjuncts,
+            plan,
+            pnode: Pnode::new(cols),
+            spec: cond.spec.clone(),
+            pattern_only,
+            tokens_in: 0,
+            join_probes: 0,
+            pnode_inserts: 0,
+            timing: self.observing().then(Box::default),
+        });
         Ok(())
     }
 
@@ -729,7 +788,7 @@ impl Network {
         &self,
         var: usize,
         pred: &SelectionPredicate,
-        rel: &str,
+        rel: RelId,
         policy: &VirtualPolicy,
         catalog: &Catalog,
         composite: &[CompositeSpec],
@@ -764,9 +823,11 @@ impl Network {
 
     /// Remove a rule and its α-nodes.
     pub fn remove_rule(&mut self, id: RuleId) {
-        let Some(rule) = self.rules.remove(&id.0) else {
+        let Some(slot) = self.rule_slots.remove(&id.0) else {
             return;
         };
+        let rule = self.rules[slot].take().expect("live rule");
+        self.free_rules.push(slot);
         for (v, var) in rule.vars.iter().enumerate() {
             self.selnet.unsubscribe(var.alpha);
             let mut alpha = self.alphas[var.alpha.0].take().expect("live alpha");
@@ -782,7 +843,7 @@ impl Network {
             self.free.push(var.alpha.0);
             self.dynamic_alphas.retain(|a| *a != var.alpha);
         }
-        self.dynamic_rules.retain(|r| *r != id);
+        self.dynamic_rules.retain(|r| *r != slot);
         self.conflict.remove(id);
     }
 
@@ -792,20 +853,19 @@ impl Network {
     /// event/transition rules start empty by definition).
     pub fn prime(&mut self, id: RuleId, catalog: &Catalog) -> QueryResult<()> {
         let rule = self
-            .rules
-            .get(&id.0)
+            .rule(id)
             .ok_or_else(|| QueryError::Semantic(format!("unknown rule {id}")))?;
         // stored α-memories: one single-variable query each
         let alpha_ids: Vec<AlphaId> = rule.vars.iter().map(|v| v.alpha).collect();
         for aid in alpha_ids {
             let (rel, is_stored) = {
                 let a = self.alpha(aid);
-                (a.rel.clone(), a.kind == AlphaKind::Stored)
+                (a.rel, a.kind == AlphaKind::Stored)
             };
             if !is_stored {
                 continue;
             }
-            let rel_ref = catalog.require(&rel)?;
+            let rel_ref = live_rel(catalog, rel)?;
             let entries: Vec<(Tid, AlphaEntry)> = {
                 let a = self.alpha(aid);
                 rel_ref
@@ -830,7 +890,7 @@ impl Network {
             }
         }
         // P-node: one query equivalent to the whole condition
-        let rule = self.rules.get(&id.0).unwrap();
+        let rule = self.rule(id).expect("checked above");
         if rule.pattern_only {
             let spec = rule.spec.clone();
             let plan = Optimizer::new(catalog).plan(&spec)?;
@@ -840,7 +900,9 @@ impl Network {
                 nvars: spec.vars.len(),
             };
             let rows = ariel_query::run_plan(&plan, &ctx)?;
-            let rule = self.rules.get_mut(&id.0).unwrap();
+            let rule = self.rules[self.rule_slots[&id.0]]
+                .as_mut()
+                .expect("checked above");
             for row in rows {
                 let bindings: Vec<BoundVar> = row
                     .slots
@@ -861,10 +923,13 @@ impl Network {
     /// pending set then reproduces the paper's processing order).
     pub fn process_batch(&mut self, tokens: &[Token], catalog: &Catalog) -> QueryResult<()> {
         self.tokens_processed += tokens.len() as u64;
-        let mut pending = pending_of(tokens);
+        let mut pending = std::mem::take(&mut self.pending);
+        pending.fill(tokens, catalog);
         let result = self.process_tokens(tokens, catalog, &mut pending);
+        pending.clear();
+        self.pending = pending;
         self.conflict
-            .debug_check(self.rules.iter().map(|(id, r)| (*id, &r.pnode)));
+            .debug_check(self.rules.iter().flatten().map(|r| (r.id.0, &r.pnode)));
         self.store.debug_check(self.alphas.iter().flatten());
         result
     }
@@ -876,16 +941,19 @@ impl Network {
         pending: &mut Pending,
     ) -> QueryResult<()> {
         for t in tokens {
+            let Some(name) = catalog.name(t.rel) else {
+                continue; // a token of a destroyed relation
+            };
             if let Some(tr) = &self.trace {
                 tr.record(TraceEventKind::TokenEmitted {
                     kind: t.kind.to_string(),
-                    rel: t.rel.clone(),
+                    rel: name.to_string(),
                     tid: t.tid.0,
-                    desc: t.to_string(),
+                    desc: t.describe(name),
                 });
             }
             if t.kind.is_positive() {
-                pending_done(pending, t);
+                pending.done(t);
                 self.process_positive(t, catalog, pending)?;
             } else {
                 self.process_negative(t, catalog, pending)?;
@@ -903,17 +971,17 @@ impl Network {
     /// whose anchor admits it, plus every unanchored node on the relation.
     /// One probe per token, whatever its polarity. The buffer comes from
     /// the arena; hand it back with `arena::give_candidates`.
-    fn stab(&self, token: &Token) -> Vec<AlphaId> {
+    fn stab(&self, token: &Token, catalog: &Catalog) -> Vec<AlphaId> {
         let probe_start = self.selnet_probe.as_ref().map(|_| Instant::now());
         let mut candidates = arena::take_candidates();
         self.selnet
-            .candidates_into(&token.rel, &token.tuple, &mut candidates);
+            .candidates_into(token.rel, &token.tuple, &mut candidates);
         if let (Some(h), Some(t0)) = (&self.selnet_probe, probe_start) {
             h.record(t0.elapsed().as_nanos() as u64);
         }
         if let Some(tr) = &self.trace {
             tr.record(TraceEventKind::SelnetProbe {
-                rel: token.rel.clone(),
+                rel: catalog.name(token.rel).unwrap_or_default().to_string(),
                 candidates: candidates.len() as u64,
             });
         }
@@ -926,27 +994,26 @@ impl Network {
         catalog: &Catalog,
         pending: &Pending,
     ) -> QueryResult<()> {
-        let mut matched = self.stab(token);
+        let mut matched = self.stab(token, catalog);
         matched.retain(|aid| {
             self.alpha_test(*aid, token, |a| {
                 a.admits_positive(token.kind, token.event.as_ref())
                     && a.pred_matches(&token.tuple, token.old.as_ref())
             })
         });
-        matched.sort_by_key(|a| a.0);
+        matched.sort_unstable();
         matched.dedup();
-        let mut processed: FxHashSet<usize> = FxHashSet::default();
-        for &aid in &matched {
-            processed.insert(aid.0);
+        // ProcessedMemories after the i-th node: `matched[..=i]`
+        for i in 0..matched.len() {
             self.insert_and_propagate(
-                aid,
+                matched[i],
                 BoundVar {
                     tid: Some(token.tid),
                     tuple: token.tuple.clone(),
                     prev: token.old.clone(),
                 },
                 token,
-                &processed,
+                &matched[..=i],
                 catalog,
                 pending,
             )?;
@@ -962,13 +1029,13 @@ impl Network {
         aid: AlphaId,
         seed: BoundVar,
         token: &Token,
-        processed: &FxHashSet<usize>,
+        processed: &[AlphaId],
         catalog: &Catalog,
         pending: &Pending,
     ) -> QueryResult<()> {
-        let (rule_id, var, kind) = {
+        let (rule_id, rule_slot, var, kind) = {
             let a = self.alpha(aid);
-            (a.rule, a.var, a.kind)
+            (a.rule, a.rule_slot, a.var, a.kind)
         };
         let observing = self.observing();
         if kind.stores_entries() {
@@ -983,17 +1050,14 @@ impl Network {
                 },
             );
         }
-        self.rules
-            .get_mut(&rule_id.0)
-            .expect("rule exists")
-            .tokens_in += 1;
+        self.rules[rule_slot].as_mut().expect("live rule").tokens_in += 1;
         if kind.is_simple() {
             // single-variable rule: matching data goes straight to the P-node
             let start = observing.then(Instant::now);
             if let Some(tr) = &self.trace {
                 tr.record_instantiation(rule_id.0, vec![seed.tid.map(|t| t.0)]);
             }
-            let rule = self.rules.get_mut(&rule_id.0).expect("rule exists");
+            let rule = self.rules[rule_slot].as_mut().expect("live rule");
             rule.pnode.push(vec![seed]);
             rule.pnode_inserts += 1;
             self.conflict.pushed(rule_id, &rule.pnode);
@@ -1005,13 +1069,23 @@ impl Network {
         // multi-variable: TREAT join against the other variables' memories
         let join_start = observing.then(Instant::now);
         let mut results = {
-            let rule = &self.rules[&rule_id.0];
-            // join the (estimated) smallest memories first
-            let mut order: Vec<usize> = (0..rule.vars.len()).filter(|v| *v != var).collect();
-            order.sort_by_key(|v| self.candidate_estimate(rule, *v, catalog));
+            let rule = self.rules[rule_slot].as_ref().expect("live rule");
+            // join the (estimated) smallest memories first: a stable
+            // insertion sort on the stack
+            let mut order = [(0usize, 0usize); MAX_RULE_VARS];
+            let mut n = 0;
+            for v in (0..rule.vars.len()).filter(|v| *v != var) {
+                order[n] = (self.candidate_estimate(rule, v, catalog), v);
+                let mut j = n;
+                while j > 0 && order[j - 1].0 > order[j].0 {
+                    order.swap(j - 1, j);
+                    j -= 1;
+                }
+                n += 1;
+            }
             let join = Join {
                 rule,
-                order: &order,
+                order: &order[..n],
                 catalog,
                 token,
                 processed,
@@ -1030,7 +1104,7 @@ impl Network {
                 tr.record_instantiation(rule_id.0, r.iter().map(|b| b.tid.map(|t| t.0)).collect());
             }
         }
-        let rule = self.rules.get_mut(&rule_id.0).expect("rule exists");
+        let rule = self.rules[rule_slot].as_mut().expect("live rule");
         rule.join_probes += 1;
         rule.pnode_inserts += produced;
         for r in results.drain(..) {
@@ -1241,7 +1315,7 @@ impl Network {
             );
             return Ok(());
         }
-        let var = join.order[depth];
+        let var = join.order[depth].1;
         let vbit = 1u64 << var;
         let now_bound = bound | vbit;
         let alpha_idx = rule.vars[var].alpha.0;
@@ -1258,12 +1332,11 @@ impl Network {
                 // index instead of scanning. (Base relations only keep
                 // single-attribute indexes, so virtual nodes stay on the
                 // single-key probe path.)
-                let rel_ref = join.catalog.require(&alpha.rel)?;
-                let rel_b = rel_ref.borrow();
-                let pend = join.pending.get(&alpha.rel);
+                let rel_b = live_rel(join.catalog, alpha.rel)?.borrow();
+                let pend = join.pending.of(alpha.rel);
                 // the in-flight token's own tuple is visible only once this
                 // node is in ProcessedMemories
-                let own_ok = join.processed.contains(&alpha_idx);
+                let own_ok = join.processed.binary_search(&AlphaId(alpha_idx)).is_ok();
                 let visible = |tid: Tid| {
                     !pend.is_some_and(|p| p.contains_key(&tid.0))
                         && (alpha.rel != join.token.rel || tid != join.token.tid || own_ok)
@@ -1276,16 +1349,15 @@ impl Network {
                 let scanned = match probe {
                     Some((skip, attr, key)) => {
                         AlphaCounters::bump(&alpha.counters.index_probes, 1);
-                        let hits = if key.is_null() {
-                            Vec::new() // a Null key joins nothing
-                        } else {
-                            rel_b.probe_eq(attr, &key).unwrap_or_default()
-                        };
-                        if !hits.is_empty() {
-                            AlphaCounters::bump(&alpha.counters.index_hits, 1);
-                        }
-                        let scanned = hits.len() as u64;
+                        // a Null key joins nothing; the bucket is borrowed
+                        let hits = (!key.is_null())
+                            .then(|| rel_b.probe_eq(attr, &key))
+                            .flatten()
+                            .into_iter()
+                            .flatten();
+                        let mut scanned = 0u64;
                         for (tid, t) in hits {
+                            scanned += 1;
                             if !visible(tid) || !alpha.pred_matches(t, None) {
                                 continue;
                             }
@@ -1303,6 +1375,9 @@ impl Network {
                                 row.slots[var] = Some(BoundVar::plain(tid, t.clone()));
                                 self.extend_depth(join, depth + 1, now_bound, row, results)?;
                             }
+                        }
+                        if scanned > 0 {
+                            AlphaCounters::bump(&alpha.counters.index_hits, 1);
                         }
                         scanned
                     }
@@ -1458,7 +1533,7 @@ impl Network {
         let alpha = self.alpha(rule.vars[var].alpha);
         match alpha.kind {
             AlphaKind::Virtual => {
-                let Some(rel_ref) = catalog.get(&alpha.rel) else {
+                let Some(rel_ref) = catalog.rel(alpha.rel) else {
                     return 0;
                 };
                 let rel_b = rel_ref.borrow();
@@ -1521,16 +1596,16 @@ impl Network {
         catalog: &Catalog,
         pending: &Pending,
     ) -> QueryResult<()> {
-        let mut candidates = self.stab(token);
+        let mut candidates = self.stab(token, catalog);
         for &aid in &candidates {
-            let (rule_id, var) = {
+            let (rule_slot, var) = {
                 let a = self.alphas[aid.0].as_mut().expect("live alpha");
                 self.store.remove(a, token.tid);
-                (a.rule, a.var)
+                (a.rule_slot, a.var)
             };
-            let rule = self.rules.get_mut(&rule_id.0).expect("rule exists");
+            let rule = self.rules[rule_slot].as_mut().expect("live rule");
             if rule.pnode.retract(var, token.tid) > 0 {
-                self.conflict.sync(rule_id, &rule.pnode);
+                self.conflict.sync(rule.id, &rule.pnode);
             }
         }
         // ON DELETE conditions: the dying tuple *matches* them (§4.3.1,
@@ -1545,19 +1620,17 @@ impl Network {
                         && a.pred_matches(&token.tuple, None)
                 })
             });
-            candidates.sort_by_key(|a| a.0);
-            let mut processed = FxHashSet::default();
-            for &aid in &candidates {
-                processed.insert(aid.0);
+            candidates.sort_unstable();
+            for i in 0..candidates.len() {
                 self.insert_and_propagate(
-                    aid,
+                    candidates[i],
                     BoundVar {
                         tid: None,
                         tuple: token.tuple.clone(),
                         prev: None,
                     },
                     token,
-                    &processed,
+                    &candidates[..=i],
                     catalog,
                     pending,
                 )?;
@@ -1578,22 +1651,24 @@ impl Network {
                 a.flush();
             }
         }
-        for id in &self.dynamic_rules {
-            let rule = self.rules.get_mut(&id.0).expect("rule exists");
+        for &slot in &self.dynamic_rules {
+            let rule = self.rules[slot].as_mut().expect("live rule");
             rule.pnode.clear();
-            self.conflict.sync(*id, &rule.pnode);
+            self.conflict.sync(rule.id, &rule.pnode);
         }
     }
 
     /// The P-node of a rule.
     pub fn pnode(&self, id: RuleId) -> Option<&Pnode> {
-        self.rules.get(&id.0).map(|r| &r.pnode)
+        self.rule(id).map(|r| &r.pnode)
     }
 
     /// Drain a rule's P-node (consumed instantiations at rule firing) into
     /// a P-node of the same columns. `None` for unknown rules.
     pub fn drain_pnode(&mut self, id: RuleId) -> Option<Pnode> {
-        let rule = self.rules.get_mut(&id.0)?;
+        let rule = self.rules[*self.rule_slots.get(&id.0)?]
+            .as_mut()
+            .expect("live rule");
         let drained = rule.pnode.take();
         self.conflict.sync(id, &rule.pnode);
         Some(drained)
@@ -1605,7 +1680,8 @@ impl Network {
     /// recovered engine overwrites the primed rows with the snapshotted
     /// ones). No-op for unknown rules.
     pub fn set_pnode_rows(&mut self, id: RuleId, rows: Vec<Vec<BoundVar>>) {
-        if let Some(r) = self.rules.get_mut(&id.0) {
+        if let Some(&slot) = self.rule_slots.get(&id.0) {
+            let r = self.rules[slot].as_mut().expect("live rule");
             r.pnode.clear();
             for row in rows {
                 r.pnode.push(row);
@@ -1634,7 +1710,7 @@ impl Network {
 
     /// Memory statistics for one rule.
     pub fn rule_stats(&self, id: RuleId) -> Option<RuleStats> {
-        let rule = self.rules.get(&id.0)?;
+        let rule = self.rule(id)?;
         let mut s = RuleStats {
             pnode_rows: rule.pnode.len(),
             pnode_bytes: rule.pnode.heap_size(),
@@ -1671,7 +1747,7 @@ impl Network {
         let (selnet_probes, selnet_candidates) = self.selnet.probe_counts();
         let stab = self.selnet.stab_stats();
         let mut s = NetworkStats {
-            rules: self.rules.len(),
+            rules: self.rule_count(),
             selnet_bytes: self.selnet.approx_size_bytes(),
             tokens_processed: self.tokens_processed,
             selnet_probes,
@@ -1704,7 +1780,7 @@ impl Network {
                 s.stored_join_candidates += a.counters.join_candidates.get();
             }
         }
-        for r in self.rules.values() {
+        for r in self.rules.iter().flatten() {
             s.pnode_rows += r.pnode.len();
             s.pnode_bytes += r.pnode.heap_size();
             s.join_probes += r.join_probes;
@@ -1771,7 +1847,12 @@ impl Network {
             alpha_test.merge(&t.alpha_test);
             virtual_scan.merge(&t.virtual_scan);
         }
-        for t in self.rules.values().filter_map(|r| r.timing.as_ref()) {
+        for t in self
+            .rules
+            .iter()
+            .flatten()
+            .filter_map(|r| r.timing.as_ref())
+        {
             beta_join.merge(&t.beta_join);
             pnode_insert.merge(&t.pnode_insert);
         }
@@ -1822,13 +1903,16 @@ impl Network {
             m.put(&n.key("virtual_scan"), None, &t.virtual_scan);
         }
         m.put(&at.key("rules"), None, ariel_islist::Value::Array);
-        let rules = self
+        let mut rules: Vec<(u64, &RuleTiming)> = self
             .rules
             .iter()
-            .filter_map(|(id, r)| Some((id, r.timing.as_deref()?)));
-        for (i, (id, t)) in rules.enumerate() {
+            .flatten()
+            .filter_map(|r| Some((r.id.0, r.timing.as_deref()?)))
+            .collect();
+        rules.sort_by_key(|(id, _)| *id);
+        for (i, (id, t)) in rules.into_iter().enumerate() {
             let r = at.key("rules").index(i);
-            m.put(&r.key("rule"), None, *id);
+            m.put(&r.key("rule"), None, id);
             m.put(&r.key("beta_join"), None, &t.beta_join);
             m.put(&r.key("pnode_insert"), None, &t.pnode_insert);
         }
@@ -1837,7 +1921,7 @@ impl Network {
     /// A rule's α-nodes in variable order and its timing: what `explain
     /// analyze` reads before and after a run.
     pub fn rule_activity(&self, id: RuleId) -> Option<(Vec<&AlphaNode>, Option<&RuleTiming>)> {
-        let rule = self.rules.get(&id.0)?;
+        let rule = self.rule(id)?;
         let nodes = rule.vars.iter().map(|v| self.alpha(v.alpha)).collect();
         Some((nodes, rule.timing.as_deref()))
     }
@@ -1845,7 +1929,7 @@ impl Network {
     /// The α-node kinds of a rule's variables, in variable order (tests and
     /// the VIRT ablation use this to confirm policy decisions).
     pub fn alpha_kinds(&self, id: RuleId) -> Option<Vec<AlphaKind>> {
-        let rule = self.rules.get(&id.0)?;
+        let rule = self.rule(id)?;
         Some(rule.vars.iter().map(|v| self.alpha(v.alpha).kind).collect())
     }
 
@@ -1853,7 +1937,7 @@ impl Network {
     /// relation, α-node kind)` in variable order — plus the number of
     /// multi-variable join conjuncts. Drives `explain analyze` rendering.
     pub fn rule_topology(&self, id: RuleId) -> Option<RuleTopology> {
-        let rule = self.rules.get(&id.0)?;
+        let rule = self.rule(id)?;
         let vars = rule
             .vars
             .iter()
@@ -1868,6 +1952,33 @@ impl Network {
 /// the rule's multi-variable join conjunct count (see
 /// [`Network::rule_topology`]).
 pub type RuleTopology = (Vec<(String, String, AlphaKind)>, usize);
+
+/// The id of every variable's relation, once per rule at compile time —
+/// the only name lookups a rule costs the network. Errors if a relation
+/// is gone, or its slot is still subscribed under an earlier generation.
+pub(crate) fn compile_rels(
+    cond: &ResolvedCondition,
+    catalog: &Catalog,
+    selnet: &SelectionNetwork,
+) -> QueryResult<Vec<RelId>> {
+    cond.spec
+        .vars
+        .iter()
+        .map(|binding| {
+            let rel = catalog.id(&binding.rel).ok_or_else(|| {
+                QueryError::from(StorageError::NoSuchRelation(binding.rel.clone()))
+            })?;
+            if !selnet.accepts(rel) {
+                return Err(QueryError::Semantic(format!(
+                    "relation `{}` was re-created while rules compiled against it \
+                     are still in the network",
+                    binding.rel
+                )));
+            }
+            Ok(rel)
+        })
+        .collect()
+}
 
 fn resolve_event(kind: &EventKind, schema: &SchemaRef) -> EventReq {
     match kind {
@@ -1888,6 +1999,11 @@ mod tests {
     use super::*;
     use ariel_query::{parse_expr, EventSpec, FromItem, Resolver};
     use ariel_storage::{AttrType, Schema, Tuple, Value};
+
+    /// `emp` and `dept` in every catalog these tests build: created
+    /// first and second.
+    const EMP: RelId = RelId::new(0, 0);
+    const DEPT: RelId = RelId::new(1, 0);
 
     fn paper_catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -1955,7 +2071,7 @@ mod tests {
     }
 
     fn append_token(tid: Tid, t: Tuple) -> Token {
-        Token::plus("emp", tid, t, EventSpecifier::Append)
+        Token::plus(EMP, tid, t, EventSpecifier::Append)
     }
 
     #[test]
@@ -1981,7 +2097,7 @@ mod tests {
         net.process_token(&append_token(tid2, t2), &cat).unwrap();
         assert_eq!(net.pnode(RuleId(1)).unwrap().len(), 2);
         // deletion retracts
-        net.process_token(&Token::minus("emp", tid, t, EventSpecifier::Delete), &cat)
+        net.process_token(&Token::minus(EMP, tid, t, EventSpecifier::Delete), &cat)
             .unwrap();
         assert_eq!(net.pnode(RuleId(1)).unwrap().len(), 1);
     }
@@ -2201,13 +2317,7 @@ mod tests {
         // a replace Δ token does not trigger an on-append rule
         let (tid2, t2) = insert_emp(&cat, "upd", 1.0, 1, 7);
         net.process_token(
-            &Token::delta_plus(
-                "emp",
-                tid2,
-                t2.clone(),
-                t2,
-                EventSpecifier::Replace(vec![2]),
-            ),
+            &Token::delta_plus(EMP, tid2, t2.clone(), t2, EventSpecifier::Replace(vec![2])),
             &cat,
         )
         .unwrap();
@@ -2248,7 +2358,7 @@ mod tests {
         );
         // delete it (engine removes from relation first, then sends token)
         cat.get("emp").unwrap().borrow_mut().delete(tid).unwrap();
-        net.process_token(&Token::minus("emp", tid, t, EventSpecifier::Delete), &cat)
+        net.process_token(&Token::minus(EMP, tid, t, EventSpecifier::Delete), &cat)
             .unwrap();
         let p = net.pnode(RuleId(1)).unwrap();
         assert_eq!(p.len(), 1);
@@ -2274,7 +2384,7 @@ mod tests {
         let new = Tuple::new(emp_row("e", 120_000.0, 1, 1));
         net.process_token(
             &Token::delta_plus(
-                "emp",
+                EMP,
                 tid,
                 new.clone(),
                 old.clone(),
@@ -2294,7 +2404,7 @@ mod tests {
         // raise of 5%: no match
         let new2 = Tuple::new(emp_row("e", 105_000.0, 1, 1));
         net.process_token(
-            &Token::delta_plus("emp", tid, new2, old, EventSpecifier::Replace(vec![2])),
+            &Token::delta_plus(EMP, tid, new2, old, EventSpecifier::Replace(vec![2])),
             &cat,
         )
         .unwrap();
@@ -2312,7 +2422,7 @@ mod tests {
         let new = Tuple::new(emp_row("e", 200.0, 1, 1));
         net.process_token(
             &Token::delta_plus(
-                "emp",
+                EMP,
                 tid,
                 new.clone(),
                 old.clone(),
@@ -2324,20 +2434,14 @@ mod tests {
         assert_eq!(net.pnode(RuleId(1)).unwrap().len(), 1);
         // second modification within the transition: Δ− then Δ+
         net.process_token(
-            &Token::delta_minus(
-                "emp",
-                tid,
-                new,
-                old.clone(),
-                EventSpecifier::Replace(vec![2]),
-            ),
+            &Token::delta_minus(EMP, tid, new, old.clone(), EventSpecifier::Replace(vec![2])),
             &cat,
         )
         .unwrap();
         assert_eq!(net.pnode(RuleId(1)).unwrap().len(), 0);
         let new2 = Tuple::new(emp_row("e", 102.0, 1, 1));
         net.process_token(
-            &Token::delta_plus("emp", tid, new2, old, EventSpecifier::Replace(vec![2])),
+            &Token::delta_plus(EMP, tid, new2, old, EventSpecifier::Replace(vec![2])),
             &cat,
         )
         .unwrap();
@@ -2367,13 +2471,7 @@ mod tests {
         // replace touching sal (attr 2) only: no trigger
         let new = Tuple::new(emp_row("e", 200.0, 1, 1));
         net.process_token(
-            &Token::delta_plus(
-                "emp",
-                tid,
-                new,
-                old.clone(),
-                EventSpecifier::Replace(vec![2]),
-            ),
+            &Token::delta_plus(EMP, tid, new, old.clone(), EventSpecifier::Replace(vec![2])),
             &cat,
         )
         .unwrap();
@@ -2381,7 +2479,7 @@ mod tests {
         // replace touching jno (attr 4): trigger
         let new = Tuple::new(emp_row("e", 100.0, 1, 9));
         net.process_token(
-            &Token::delta_plus("emp", tid, new, old, EventSpecifier::Replace(vec![4])),
+            &Token::delta_plus(EMP, tid, new, old, EventSpecifier::Replace(vec![4])),
             &cat,
         )
         .unwrap();
@@ -2549,7 +2647,7 @@ mod tests {
             .unwrap();
         assert_eq!(net.pnode(RuleId(1)).unwrap().len(), 1);
         // bare − (first modification): pattern match retracted, no delete fire
-        net.process_token(&Token::bare_minus("emp", tid, t), &cat)
+        net.process_token(&Token::bare_minus(EMP, tid, t), &cat)
             .unwrap();
         assert_eq!(net.pnode(RuleId(1)).unwrap().len(), 0);
         assert_eq!(net.pnode(RuleId(2)).unwrap().len(), 0, "no delete event");
@@ -2719,7 +2817,10 @@ mod tests {
         };
         let mut net = Network::new();
         add(&mut net, 2, &by_jno);
-        let slot = net.alpha(net.rules[&2].vars[0].alpha).store_slot.unwrap();
+        let slot = net
+            .alpha(net.rule(RuleId(2)).unwrap().vars[0].alpha)
+            .store_slot
+            .unwrap();
         let held = |net: &Network| net.store.held(slot);
         assert_eq!(held(&net), 4);
         assert!(!net.store.has_index(slot, &dno));
@@ -2750,7 +2851,7 @@ mod tests {
             .insert(vec![1i64.into(), "Annex".into()])
             .unwrap();
         let t = dept.borrow().get(tid).cloned().unwrap();
-        let token = Token::plus("dept", tid, t, EventSpecifier::Append);
+        let token = Token::plus(DEPT, tid, t, EventSpecifier::Append);
         net.process_token(&token, &cat).unwrap();
         fresh.process_token(&token, &cat).unwrap();
         assert_eq!(pnode_set(&net, RuleId(1)), pnode_set(&fresh, RuleId(1)));

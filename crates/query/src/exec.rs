@@ -13,7 +13,7 @@ use crate::expr::{eval, eval_pred};
 use crate::optimizer::Optimizer;
 use crate::plan::{IndexKey, Plan};
 use crate::semantic::{infer_type, RCommand};
-use ariel_storage::{AttrType, Catalog, Schema, Tid, Tuple, Value};
+use ariel_storage::{AttrType, Catalog, RelId, Schema, Tid, Tuple, Value};
 use std::collections::HashSet;
 
 /// One physical change applied to a relation.
@@ -21,8 +21,8 @@ use std::collections::HashSet;
 pub enum Change {
     /// A tuple was inserted.
     Inserted {
-        /// Relation name.
-        rel: String,
+        /// The relation (render its name through `Catalog::name`).
+        rel: RelId,
         /// New tuple's TID.
         tid: Tid,
         /// Inserted value.
@@ -30,8 +30,8 @@ pub enum Change {
     },
     /// A tuple was deleted.
     Deleted {
-        /// Relation name.
-        rel: String,
+        /// The relation (render its name through `Catalog::name`).
+        rel: RelId,
         /// Deleted tuple's TID.
         tid: Tid,
         /// Value at deletion.
@@ -41,8 +41,8 @@ pub enum Change {
     /// named in the replace command's target list (the paper's
     /// `replace(target-list)` event specifier carries exactly these).
     Updated {
-        /// Relation name.
-        rel: String,
+        /// The relation (render its name through `Catalog::name`).
+        rel: RelId,
         /// Updated tuple's TID.
         tid: Tid,
         /// Value before the update.
@@ -56,11 +56,11 @@ pub enum Change {
 
 impl Change {
     /// The relation this change touched.
-    pub fn relation(&self) -> &str {
+    pub fn relation(&self) -> RelId {
         match self {
             Change::Inserted { rel, .. }
             | Change::Deleted { rel, .. }
-            | Change::Updated { rel, .. } => rel,
+            | Change::Updated { rel, .. } => *rel,
         }
     }
 }
@@ -128,29 +128,36 @@ pub fn run_plan(plan: &Plan, ctx: &ExecCtx<'_>) -> QueryResult<Vec<Row>> {
         } => {
             let rel_ref = ctx.catalog.require(rel)?;
             let rel_b = rel_ref.borrow();
-            let hits: Vec<(Tid, Tuple)> = match key {
-                IndexKey::Eq(v) => rel_b
-                    .probe_eq(*attr, v)
-                    .ok_or_else(|| QueryError::Plan(format!("no index on {rel}.#{attr}")))?
-                    .into_iter()
-                    .map(|(t, tu)| (t, tu.clone()))
-                    .collect(),
-                IndexKey::Range(lo, hi) => rel_b
-                    .probe_range(*attr, as_ref_bound(lo), as_ref_bound(hi))
-                    .ok_or_else(|| QueryError::Plan(format!("no range index on {rel}.#{attr}")))?
-                    .into_iter()
-                    .map(|(t, tu)| (t, tu.clone()))
-                    .collect(),
-            };
             let mut out = Vec::new();
-            for (tid, tuple) in hits {
+            let mut keep = |tid: Tid, tuple: &Tuple| -> QueryResult<()> {
                 let mut row = Row::unbound(ctx.nvars);
-                row.slots[*var] = Some(BoundVar::plain(tid, tuple));
+                row.slots[*var] = Some(BoundVar::plain(tid, tuple.clone()));
                 if match filter {
                     Some(f) => eval_pred(f, &row)?,
                     None => true,
                 } {
                     out.push(row);
+                }
+                Ok(())
+            };
+            match key {
+                IndexKey::Eq(v) => {
+                    let hits = rel_b
+                        .probe_eq(*attr, v)
+                        .ok_or_else(|| QueryError::Plan(format!("no index on {rel}.#{attr}")))?;
+                    for (tid, tuple) in hits {
+                        keep(tid, tuple)?;
+                    }
+                }
+                IndexKey::Range(lo, hi) => {
+                    let hits = rel_b
+                        .probe_range(*attr, as_ref_bound(lo), as_ref_bound(hi))
+                        .ok_or_else(|| {
+                            QueryError::Plan(format!("no range index on {rel}.#{attr}"))
+                        })?;
+                    for (tid, tuple) in hits {
+                        keep(tid, tuple)?;
+                    }
                 }
             }
             Ok(out)
@@ -394,31 +401,23 @@ pub fn execute_with_plan(
                 }
                 new_rows.push(vals);
             }
-            let rel = catalog.require(target)?;
+            let (id, rel) = catalog.resolve(target)?;
             for vals in new_rows {
-                let tid = rel.borrow_mut().insert(vals)?;
-                let new = rel.borrow().get(tid).cloned().expect("just inserted");
-                out.changes.push(Change::Inserted {
-                    rel: target.clone(),
-                    tid,
-                    new,
-                });
+                let mut rel = rel.borrow_mut();
+                let tid = rel.insert(vals)?;
+                let new = rel.get(tid).cloned().expect("just inserted");
+                out.changes.push(Change::Inserted { rel: id, tid, new });
             }
         }
         RCommand::Delete { var, spec } => {
-            let rel_name = &spec.vars[*var].rel;
-            let rel = catalog.require(rel_name)?;
+            let (id, rel) = catalog.resolve(&spec.vars[*var].rel)?;
             let mut seen = HashSet::new();
             for row in &rows {
                 let b = row.bound(*var).expect("target var bound");
                 let Some(tid) = b.tid else { continue };
                 if seen.insert(tid) {
                     let old = rel.borrow_mut().delete(tid)?;
-                    out.changes.push(Change::Deleted {
-                        rel: rel_name.clone(),
-                        tid,
-                        old,
-                    });
+                    out.changes.push(Change::Deleted { rel: id, tid, old });
                 }
             }
         }
@@ -453,15 +452,13 @@ pub fn execute_with_plan(
                         })
                         .collect(),
                 )?;
-                let rel = catalog.create(dest, std::sync::Arc::new(schema))?;
+                catalog.create(dest, std::sync::Arc::new(schema))?;
+                let (id, rel) = catalog.resolve(dest)?;
                 for vals in &out.rows {
-                    let tid = rel.borrow_mut().insert(vals.clone())?;
-                    let new = rel.borrow().get(tid).cloned().expect("just inserted");
-                    out.changes.push(Change::Inserted {
-                        rel: dest.clone(),
-                        tid,
-                        new,
-                    });
+                    let mut rel = rel.borrow_mut();
+                    let tid = rel.insert(vals.clone())?;
+                    let new = rel.get(tid).cloned().expect("just inserted");
+                    out.changes.push(Change::Inserted { rel: id, tid, new });
                 }
             }
         }
@@ -486,24 +483,20 @@ pub fn execute_with_plan(
             }
         }
         RCommand::DeletePrimed { pvar, spec } => {
-            let rel_name = &spec.vars[*pvar].rel;
-            let rel = catalog.require(rel_name)?;
+            let (id, rel) = catalog.resolve(&spec.vars[*pvar].rel)?;
             let mut seen = HashSet::new();
             for row in &rows {
                 let b = row.bound(*pvar).expect("pvar bound");
                 // Tuples already gone (bound by ON DELETE, or deleted by an
                 // earlier rule in the cascade) are skipped silently.
                 let Some(tid) = b.tid else { continue };
-                if rel.borrow().get(tid).is_none() {
+                let mut rel = rel.borrow_mut();
+                if rel.get(tid).is_none() {
                     continue;
                 }
                 if seen.insert(tid) {
-                    let old = rel.borrow_mut().delete(tid)?;
-                    out.changes.push(Change::Deleted {
-                        rel: rel_name.clone(),
-                        tid,
-                        old,
-                    });
+                    let old = rel.delete(tid)?;
+                    out.changes.push(Change::Deleted { rel: id, tid, old });
                 }
             }
         }
@@ -530,7 +523,7 @@ fn apply_replace(
     out: &mut CmdOutput,
     skip_dangling: bool,
 ) -> QueryResult<()> {
-    let rel = catalog.require(rel_name)?;
+    let (id, rel) = catalog.resolve(rel_name)?;
     // Evaluate all updates first (set-oriented), then apply.
     let mut updates: Vec<(Tid, Vec<Value>)> = Vec::new();
     let mut seen = HashSet::new();
@@ -551,10 +544,11 @@ fn apply_replace(
     }
     let attrs: Vec<usize> = assignments.iter().map(|(p, _)| *p).collect();
     for (tid, vals) in updates {
-        let old = rel.borrow_mut().update(tid, vals)?;
-        let new = rel.borrow().get(tid).cloned().expect("updated tuple");
+        let mut rel = rel.borrow_mut();
+        let old = rel.update(tid, vals)?;
+        let new = rel.get(tid).cloned().expect("updated tuple");
         out.changes.push(Change::Updated {
-            rel: rel_name.to_string(),
+            rel: id,
             tid,
             old,
             new,
@@ -662,7 +656,7 @@ mod tests {
             r#"append emp (name = "eve", sal = 10000, dno = 2)"#,
         );
         assert_eq!(out.changes.len(), 1);
-        assert!(matches!(&out.changes[0], Change::Inserted { rel, .. } if rel == "emp"));
+        assert_eq!(out.changes[0].relation(), cat.id("emp").unwrap());
         assert_eq!(cat.get("emp").unwrap().borrow().len(), 5);
     }
 

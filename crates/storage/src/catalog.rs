@@ -10,11 +10,17 @@
 //! action phase) while making the catalog `Send + Sync`. `RelRef::borrow`/`borrow_mut` keep the names the
 //! engine used when the handle was an `Rc<RefCell<_>>`, so call sites read
 //! identically.
+//!
+//! Relations live in a slot vector and are named inside the engine by
+//! [`RelId`] — slot plus generation — so the match path reaches a relation
+//! by indexing, never by hashing or comparing its name. The name → id map
+//! serves the edges only: the resolver, DDL, snapshots and rendering.
 
 use crate::error::{StorageError, StorageResult};
 use crate::relation::Relation;
 use crate::schema::SchemaRef;
 use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Shared, interior-mutable handle to a relation.
@@ -38,18 +44,58 @@ impl RelRef {
     pub fn borrow_mut(&self) -> RwLockWriteGuard<'_, Relation> {
         self.0.write().unwrap_or_else(|e| e.into_inner())
     }
+}
 
-    /// True iff both handles alias the same relation (not merely one of
-    /// the same name: a destroyed and re-created relation is another).
-    pub fn same(&self, other: &RelRef) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
+/// Identity of one relation for as long as it exists: its slot in the
+/// catalog and the slot's generation. Destroying a relation bumps its
+/// slot's generation, so an id held past a `destroy` never resolves again
+/// — not even to a relation later created under the same name in the same
+/// slot. Ids are assigned afresh by every catalog and never persisted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct RelId {
+    slot: u32,
+    gen: u32,
+}
+
+impl RelId {
+    /// An id from its parts; it resolves only where a [`Catalog`] handed
+    /// out the same one.
+    pub const fn new(slot: u32, gen: u32) -> Self {
+        RelId { slot, gen }
     }
+
+    /// The slot, as an index for slot-keyed vectors.
+    pub fn slot(self) -> usize {
+        self.slot as usize
+    }
+
+    /// The slot's generation when the relation was created.
+    pub fn gen(self) -> u32 {
+        self.gen
+    }
+}
+
+impl fmt::Display for RelId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "#{}.{}", self.slot, self.gen)
+    }
+}
+
+/// One catalog slot: its current generation and, while it is live, the
+/// relation and its name.
+#[derive(Debug)]
+struct Slot {
+    gen: u32,
+    live: Option<(String, RelRef)>,
 }
 
 /// Named collection of relations.
 #[derive(Debug)]
 pub struct Catalog {
-    relations: BTreeMap<String, RelRef>,
+    slots: Vec<Slot>,
+    /// Dead slots, reused last-freed first.
+    free: Vec<u32>,
+    names: BTreeMap<String, RelId>,
     intern_strings: bool,
     /// Bumped by every change to the name → relation map and by every
     /// interning toggle (see [`Catalog::version`]).
@@ -59,7 +105,9 @@ pub struct Catalog {
 impl Default for Catalog {
     fn default() -> Self {
         Catalog {
-            relations: BTreeMap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            names: BTreeMap::new(),
             intern_strings: true,
             version: 0,
         }
@@ -82,7 +130,7 @@ impl Catalog {
             self.version += 1;
         }
         self.intern_strings = on;
-        for rel in self.relations.values() {
+        for (_, rel) in self.slots.iter().filter_map(|s| s.live.as_ref()) {
             rel.borrow_mut().set_intern_strings(on);
         }
     }
@@ -103,46 +151,68 @@ impl Catalog {
 
     /// Create a relation. Errors if the name is taken.
     pub fn create(&mut self, name: &str, schema: SchemaRef) -> StorageResult<RelRef> {
-        if self.relations.contains_key(name) {
+        if self.names.contains_key(name) {
             return Err(StorageError::RelationExists(name.to_string()));
         }
         let mut relation = Relation::new(name, schema);
         relation.set_intern_strings(self.intern_strings);
-        let rel = RelRef::new(relation);
-        self.relations.insert(name.to_string(), rel.clone());
-        self.version += 1;
-        Ok(rel)
+        Ok(self.house(relation))
     }
 
     /// Insert an already-built relation under its own name (the
     /// crash-recovery path: [`crate::wal::decode_relation`] rebuilds the
-    /// relation, this re-homes it). Errors if the name is taken. The
-    /// relation's interning flag is aligned with the catalog's, matching
-    /// what [`Catalog::set_intern_strings`] would have done.
+    /// relation, this re-homes it under a fresh id). Errors if the name is
+    /// taken. The relation's interning flag is aligned with the catalog's,
+    /// matching what [`Catalog::set_intern_strings`] would have done.
     pub fn insert_restored(&mut self, mut relation: Relation) -> StorageResult<RelRef> {
-        let name = relation.name().to_string();
-        if self.relations.contains_key(&name) {
-            return Err(StorageError::RelationExists(name));
+        if self.names.contains_key(relation.name()) {
+            return Err(StorageError::RelationExists(relation.name().to_string()));
         }
         relation.set_intern_strings(self.intern_strings);
-        let rel = RelRef::new(relation);
-        self.relations.insert(name, rel.clone());
-        self.version += 1;
-        Ok(rel)
+        Ok(self.house(relation))
     }
 
-    /// Destroy a relation. Errors if it does not exist.
+    /// Give a relation whose name is free a slot: the last freed one, or
+    /// a new one.
+    fn house(&mut self, relation: Relation) -> RelRef {
+        let name = relation.name().to_string();
+        let rel = RelRef::new(relation);
+        let live = Some((name.clone(), rel.clone()));
+        let id = match self.free.pop() {
+            Some(slot) => {
+                let s = &mut self.slots[slot as usize];
+                s.live = live;
+                RelId::new(slot, s.gen)
+            }
+            None => {
+                let slot = u32::try_from(self.slots.len()).expect("fewer than 2^32 relations");
+                self.slots.push(Slot { gen: 0, live });
+                RelId::new(slot, 0)
+            }
+        };
+        self.names.insert(name, id);
+        self.version += 1;
+        rel
+    }
+
+    /// Destroy a relation. Errors if it does not exist. Its slot's
+    /// generation moves on, so its id resolves to nothing from now on.
     pub fn destroy(&mut self, name: &str) -> StorageResult<()> {
-        self.relations
+        let id = self
+            .names
             .remove(name)
             .ok_or_else(|| StorageError::NoSuchRelation(name.to_string()))?;
+        let s = &mut self.slots[id.slot()];
+        s.live = None;
+        s.gen = s.gen.wrapping_add(1);
+        self.free.push(id.slot);
         self.version += 1;
         Ok(())
     }
 
     /// Look up a relation by name.
     pub fn get(&self, name: &str) -> Option<RelRef> {
-        self.relations.get(name).cloned()
+        self.rel(self.id(name)?).cloned()
     }
 
     /// Look up a relation by name, or a typed error.
@@ -151,24 +221,58 @@ impl Catalog {
             .ok_or_else(|| StorageError::NoSuchRelation(name.to_string()))
     }
 
+    /// The id a name denotes now.
+    pub fn id(&self, name: &str) -> Option<RelId> {
+        self.names.get(name).copied()
+    }
+
+    /// The id a name denotes now, with its relation, or a typed error —
+    /// what a command resolving a relation by name needs to report its
+    /// changes by id.
+    pub fn resolve(&self, name: &str) -> StorageResult<(RelId, &RelRef)> {
+        self.id(name)
+            .and_then(|id| Some((id, self.rel(id)?)))
+            .ok_or_else(|| StorageError::NoSuchRelation(name.to_string()))
+    }
+
+    /// The relation an id denotes: one index, no name. `None` once the
+    /// relation is destroyed.
+    pub fn rel(&self, id: RelId) -> Option<&RelRef> {
+        let s = self.slots.get(id.slot())?;
+        match &s.live {
+            Some((_, rel)) if s.gen == id.gen => Some(rel),
+            _ => None,
+        }
+    }
+
+    /// The name of the relation an id denotes, for rendering; `None` once
+    /// the relation is destroyed.
+    pub fn name(&self, id: RelId) -> Option<&str> {
+        let s = self.slots.get(id.slot())?;
+        match &s.live {
+            Some((name, _)) if s.gen == id.gen => Some(name),
+            _ => None,
+        }
+    }
+
     /// True iff a relation with this name exists.
     pub fn contains(&self, name: &str) -> bool {
-        self.relations.contains_key(name)
+        self.names.contains_key(name)
     }
 
     /// Names of all relations, sorted.
     pub fn names(&self) -> Vec<String> {
-        self.relations.keys().cloned().collect()
+        self.names.keys().cloned().collect()
     }
 
     /// Number of relations.
     pub fn len(&self) -> usize {
-        self.relations.len()
+        self.names.len()
     }
 
     /// True iff no relations exist.
     pub fn is_empty(&self) -> bool {
-        self.relations.is_empty()
+        self.names.is_empty()
     }
 }
 
@@ -284,9 +388,33 @@ mod tests {
         let v2 = c.version();
         c.destroy("emp").unwrap();
         assert!(c.version() > v2, "destroy");
-        let again = c.create("emp", schema()).unwrap();
-        assert!(!again.same(&emp), "a re-created relation is another");
-        assert!(again.same(&c.get("emp").unwrap()));
+        c.create("emp", schema()).unwrap();
+        assert!(c.version() > v2, "create again");
+    }
+
+    #[test]
+    fn a_recreated_relation_takes_the_next_generation() {
+        let mut c = Catalog::new();
+        c.create("emp", schema()).unwrap();
+        c.create("dept", schema()).unwrap();
+        let old = c.id("emp").unwrap();
+        assert_eq!(c.name(old), Some("emp"));
+        c.destroy("emp").unwrap();
+        assert!(c.rel(old).is_none(), "a destroyed id resolves to nothing");
+        assert!(c.name(old).is_none());
+        c.create("emp", Schema::of(&[("y", AttrType::Str)]))
+            .unwrap();
+        let new = c.id("emp").unwrap();
+        assert_eq!(new.slot(), old.slot(), "the freed slot is reused");
+        assert_eq!(new.gen(), old.gen() + 1, "under the next generation");
+        assert!(
+            c.rel(old).is_none(),
+            "the stale id still resolves to nothing"
+        );
+        assert_eq!(c.rel(new).unwrap().borrow().schema().attr(0).name, "y");
+        let (id, rel) = c.resolve("dept").unwrap();
+        assert_eq!(rel.borrow().name(), "dept");
+        assert_eq!(c.rel(id).unwrap().borrow().name(), "dept");
     }
 
     #[test]

@@ -90,34 +90,47 @@ impl Index {
         }
     }
 
-    /// All TIDs whose indexed attribute equals `key`.
-    pub fn probe_eq(&self, key: &Value) -> Vec<Tid> {
-        match &self.repr {
-            Repr::Hash(m) => m.get(key).cloned().unwrap_or_default(),
-            Repr::BTree(m) => m.get(key).cloned().unwrap_or_default(),
-        }
+    /// All TIDs whose indexed attribute equals `key`, borrowed from the
+    /// index bucket in insertion order.
+    pub fn probe_eq(&self, key: &Value) -> &[Tid] {
+        let bucket = match &self.repr {
+            Repr::Hash(m) => m.get(key),
+            Repr::BTree(m) => m.get(key),
+        };
+        bucket.map_or(&[], Vec::as_slice)
     }
 
-    /// All TIDs whose indexed attribute falls within the given bounds.
-    /// Only supported for B-tree indexes; hash indexes return `None`.
-    pub fn probe_range(&self, lo: Bound<&Value>, hi: Bound<&Value>) -> Option<Vec<Tid>> {
+    /// All TIDs whose indexed attribute falls within the given bounds, in
+    /// key order. Only supported for B-tree indexes; hash indexes return
+    /// `None`.
+    pub fn probe_range<'a>(
+        &'a self,
+        lo: Bound<&'a Value>,
+        hi: Bound<&'a Value>,
+    ) -> Option<impl Iterator<Item = Tid> + 'a> {
         match &self.repr {
             Repr::Hash(_) => None,
             Repr::BTree(m) => {
-                // BTreeMap panics if lo > hi; normalize empty ranges.
-                if let (
-                    Bound::Included(l) | Bound::Excluded(l),
-                    Bound::Included(h) | Bound::Excluded(h),
-                ) = (lo, hi)
-                {
-                    if l > h {
-                        return Some(Vec::new());
+                // BTreeMap panics on an inverted range, and on an empty
+                // one excluded at both ends: serve those as empty
+                let empty = match (lo, hi) {
+                    (
+                        Bound::Included(l) | Bound::Excluded(l),
+                        Bound::Included(h) | Bound::Excluded(h),
+                    ) => {
+                        l > h
+                            || (l == h
+                                && matches!(lo, Bound::Excluded(_))
+                                && matches!(hi, Bound::Excluded(_)))
                     }
-                }
+                    _ => false,
+                };
+                let range = (!empty).then(|| m.range::<Value, _>((lo, hi)));
                 Some(
-                    m.range::<Value, _>((lo, hi))
-                        .flat_map(|(_, tids)| tids.iter().copied())
-                        .collect(),
+                    range
+                        .into_iter()
+                        .flatten()
+                        .flat_map(|(_, tids)| tids.iter().copied()),
                 )
             }
         }
@@ -147,7 +160,7 @@ mod tests {
     #[test]
     fn eq_probe_hash() {
         let ix = populated(IndexKind::Hash);
-        let mut tids = ix.probe_eq(&Value::Int(3));
+        let mut tids = ix.probe_eq(&Value::Int(3)).to_vec();
         tids.sort();
         assert_eq!(tids, vec![Tid(3), Tid(8)]);
         assert!(ix.probe_eq(&Value::Int(99)).is_empty());
@@ -156,7 +169,7 @@ mod tests {
     #[test]
     fn eq_probe_btree() {
         let ix = populated(IndexKind::BTree);
-        let mut tids = ix.probe_eq(&Value::Int(0));
+        let mut tids = ix.probe_eq(&Value::Int(0)).to_vec();
         tids.sort();
         assert_eq!(tids, vec![Tid(0), Tid(5)]);
     }
@@ -168,16 +181,17 @@ mod tests {
         let v3 = Value::Int(3);
         let tids = ix
             .probe_range(Bound::Included(&v1), Bound::Excluded(&v3))
-            .unwrap();
-        // keys 1 and 2, two tids each
-        assert_eq!(tids.len(), 4);
+            .unwrap()
+            .collect::<Vec<_>>();
+        // keys 1 and 2, two tids each, in key order
+        assert_eq!(tids, vec![Tid(1), Tid(6), Tid(2), Tid(7)]);
     }
 
     #[test]
     fn range_probe_unbounded() {
         let ix = populated(IndexKind::BTree);
         let tids = ix.probe_range(Bound::Unbounded, Bound::Unbounded).unwrap();
-        assert_eq!(tids.len(), 10);
+        assert_eq!(tids.count(), 10);
     }
 
     #[test]
@@ -188,7 +202,11 @@ mod tests {
         let tids = ix
             .probe_range(Bound::Included(&v3), Bound::Included(&v1))
             .unwrap();
-        assert!(tids.is_empty());
+        assert_eq!(tids.count(), 0);
+        let point = ix
+            .probe_range(Bound::Excluded(&v3), Bound::Excluded(&v3))
+            .unwrap();
+        assert_eq!(point.count(), 0, "excluded at both ends of one key");
     }
 
     #[test]
@@ -203,7 +221,7 @@ mod tests {
         let mut ix = populated(IndexKind::BTree);
         assert_eq!(ix.distinct_keys(), 5);
         ix.remove(&Value::Int(3), Tid(3));
-        assert_eq!(ix.probe_eq(&Value::Int(3)), vec![Tid(8)]);
+        assert_eq!(ix.probe_eq(&Value::Int(3)), [Tid(8)]);
         ix.remove(&Value::Int(3), Tid(8));
         assert!(ix.probe_eq(&Value::Int(3)).is_empty());
         assert_eq!(ix.distinct_keys(), 4);

@@ -196,31 +196,31 @@ impl Relation {
     }
 
     /// Equality index probe: live tuples whose `attr` equals `key`,
-    /// if an index on `attr` exists.
-    pub fn probe_eq(&self, attr: usize, key: &Value) -> Option<Vec<(Tid, &Tuple)>> {
+    /// if an index on `attr` exists. Streams off the index bucket.
+    pub fn probe_eq<'a>(
+        &'a self,
+        attr: usize,
+        key: &Value,
+    ) -> Option<impl Iterator<Item = (Tid, &'a Tuple)> + 'a> {
         let ix = self.index_on(attr)?;
         Some(
             ix.probe_eq(key)
-                .into_iter()
-                .filter_map(|tid| self.get(tid).map(|t| (tid, t)))
-                .collect(),
+                .iter()
+                .filter_map(|&tid| self.get(tid).map(|t| (tid, t))),
         )
     }
 
     /// Range index probe via a B-tree index on `attr`, if one exists.
-    pub fn probe_range(
-        &self,
+    /// Streams off the index in key order.
+    pub fn probe_range<'a>(
+        &'a self,
         attr: usize,
-        lo: Bound<&Value>,
-        hi: Bound<&Value>,
-    ) -> Option<Vec<(Tid, &Tuple)>> {
+        lo: Bound<&'a Value>,
+        hi: Bound<&'a Value>,
+    ) -> Option<impl Iterator<Item = (Tid, &'a Tuple)> + 'a> {
         let ix = self.index_on(attr)?;
         let tids = ix.probe_range(lo, hi)?;
-        Some(
-            tids.into_iter()
-                .filter_map(|tid| self.get(tid).map(|t| (tid, t)))
-                .collect(),
-        )
+        Some(tids.filter_map(|tid| self.get(tid).map(|t| (tid, t))))
     }
 
     /// Approximate heap footprint of the live tuples, in bytes.
@@ -423,12 +423,12 @@ mod tests {
         r.create_index("dno", IndexKind::Hash).unwrap();
         let t1 = r.insert(row("a", 1.0, 7)).unwrap();
         let t2 = r.insert(row("b", 2.0, 7)).unwrap();
-        assert_eq!(r.probe_eq(2, &Value::Int(7)).unwrap().len(), 2);
+        assert_eq!(r.probe_eq(2, &Value::Int(7)).unwrap().count(), 2);
         r.update(t1, row("a", 1.0, 8)).unwrap();
-        assert_eq!(r.probe_eq(2, &Value::Int(7)).unwrap().len(), 1);
+        assert_eq!(r.probe_eq(2, &Value::Int(7)).unwrap().count(), 1);
         r.delete(t2).unwrap();
-        assert!(r.probe_eq(2, &Value::Int(7)).unwrap().is_empty());
-        assert_eq!(r.probe_eq(2, &Value::Int(8)).unwrap().len(), 1);
+        assert_eq!(r.probe_eq(2, &Value::Int(7)).unwrap().count(), 0);
+        assert_eq!(r.probe_eq(2, &Value::Int(8)).unwrap().count(), 1);
     }
 
     #[test]
@@ -437,7 +437,7 @@ mod tests {
         r.insert(row("a", 1.0, 3)).unwrap();
         r.insert(row("b", 2.0, 3)).unwrap();
         r.create_index("dno", IndexKind::BTree).unwrap();
-        assert_eq!(r.probe_eq(2, &Value::Int(3)).unwrap().len(), 2);
+        assert_eq!(r.probe_eq(2, &Value::Int(3)).unwrap().count(), 2);
     }
 
     #[test]
@@ -466,7 +466,7 @@ mod tests {
         let hits = r
             .probe_range(1, Bound::Excluded(&lo), Bound::Included(&hi))
             .unwrap();
-        assert_eq!(hits.len(), 3); // 3000, 4000, 5000
+        assert_eq!(hits.count(), 3); // 3000, 4000, 5000
     }
 
     #[test]
@@ -488,7 +488,7 @@ mod tests {
         assert!(r.is_empty());
         let tid = r.insert(row("b", 2.0, 5)).unwrap();
         assert_eq!(
-            r.probe_eq(2, &Value::Int(5)).unwrap(),
+            r.probe_eq(2, &Value::Int(5)).unwrap().collect::<Vec<_>>(),
             vec![(tid, r.get(tid).unwrap())]
         );
     }
@@ -522,11 +522,13 @@ mod tests {
         let tid = r.insert(row("ada", 1.0, 1)).unwrap();
         // probe with the owned literal finds the interned entry
         assert_eq!(
-            r.probe_eq(0, &Value::from("ada")).unwrap(),
+            r.probe_eq(0, &Value::from("ada"))
+                .unwrap()
+                .collect::<Vec<_>>(),
             vec![(tid, r.get(tid).unwrap())]
         );
         assert_eq!(
-            r.probe_eq(0, &Value::interned("ada")).unwrap().len(),
+            r.probe_eq(0, &Value::interned("ada")).unwrap().count(),
             1,
             "interned probe too"
         );

@@ -799,7 +799,7 @@ mod tests {
         assert_eq!(rows, orig, "scan order and contents survive");
         assert_eq!(back.index_defs(), rel.index_defs());
         // index contents were rebuilt: probe the hash index
-        assert_eq!(back.probe_eq(2, &Value::Int(2)).unwrap().len(), 1);
+        assert_eq!(back.probe_eq(2, &Value::Int(2)).unwrap().count(), 1);
         // interned strings survive as symbols
         assert!(matches!(
             back.scan().next().unwrap().1.get(0),

@@ -69,7 +69,6 @@ proptest! {
                 let via_index: Vec<u64> = rel
                     .probe_eq(1, &Value::Int(key))
                     .unwrap()
-                    .into_iter()
                     .map(|(t, _)| t.0)
                     .collect();
                 let mut via_model: Vec<u64> = model
@@ -88,7 +87,6 @@ proptest! {
             let mut via_index: Vec<u64> = rel
                 .probe_range(0, Bound::Included(&lo), Bound::Excluded(&hi))
                 .unwrap()
-                .into_iter()
                 .map(|(t, _)| t.0)
                 .collect();
             let mut via_model: Vec<u64> = model

@@ -692,3 +692,169 @@ fn failed_transition_closes_its_trace_span() {
         .count();
     assert_eq!(begins, ends, "every TransitionBegin is closed: {events:#?}");
 }
+
+/// The first half of the generation session: a stored and a virtual
+/// memory watch `dept`, and a third rule's prepared action appends to it.
+fn generation_head(db: &mut Ariel) {
+    db.execute(
+        "create emp (name = string, dno = int); \
+         create dept (dno = int, dname = string); \
+         create log (who = string, tag = int); \
+         define rule s_stored if dept.dno = emp.dno then append to log (who = emp.name, tag = 1); \
+         define rule v_virtual if emp.dno = dept.dno then append to log (who = emp.name, tag = 2); \
+         define rule w_writer on append emp if emp.name = \"mk\" then append to dept (dno = emp.dno); \
+         append dept (dno = 1, dname = \"toys\"); \
+         append emp (name = \"a\", dno = 1); \
+         append emp (name = \"mk\", dno = 2)",
+    )
+    .unwrap();
+}
+
+/// `dept` is destroyed and created again with another schema.
+fn generation_recreate(db: &mut Ariel) {
+    db.execute(
+        "deactivate rule s_stored; deactivate rule v_virtual; \
+         destroy dept; \
+         create dept (dno = int, floor = int); \
+         activate rule s_stored; activate rule v_virtual",
+    )
+    .unwrap();
+}
+
+/// The second half: tuples of the re-created `dept`, one of them appended
+/// by the prepared action.
+fn generation_tail(db: &mut Ariel) {
+    db.execute(
+        "append emp (name = \"mk\", dno = 3); \
+         append dept (dno = 1, floor = 2)",
+    )
+    .unwrap();
+}
+
+/// A relation destroyed and created again under its name takes the next
+/// generation of its slot: tuples of the new generation match, a token of
+/// the old one reaches nothing, the prepared action that names it
+/// re-derives, and recovery equals a session that never crashed.
+#[test]
+fn recreated_relation_takes_a_new_generation() {
+    use ariel::network::{AlphaKind, EventSpecifier, NetworkStats, Token};
+    use std::collections::HashSet;
+    let options = EngineOptions {
+        // the second variable of each two-variable rule is virtual
+        virtual_policy: VirtualPolicy::ExplicitVars(HashSet::from([1])),
+        durability: Durability::Commit,
+        ..Default::default()
+    };
+    let mut db = Ariel::with_options(options.clone());
+    generation_head(&mut db);
+    let kinds = |db: &Ariel, rule: &str| {
+        let id = db.rules().require(rule).unwrap().id;
+        db.network().alpha_kinds(id).unwrap()
+    };
+    assert_eq!(
+        kinds(&db, "s_stored"),
+        [AlphaKind::Stored, AlphaKind::Virtual]
+    );
+    assert_eq!(
+        kinds(&db, "v_virtual"),
+        [AlphaKind::Stored, AlphaKind::Virtual]
+    );
+    assert_eq!(snapshot(&mut db, "log").len(), 4, "a and mk, by both rules");
+
+    // a `+` token of the old generation, kept past the destroy
+    let old_id = db.catalog().id("dept").unwrap();
+    let (tid, tuple) = {
+        let dept = db.catalog().rel(old_id).unwrap().borrow();
+        let (tid, t) = dept.scan().next().unwrap();
+        (tid, t.clone())
+    };
+    let stale = Token::plus(old_id, tid, tuple, EventSpecifier::Append);
+    generation_recreate(&mut db);
+    let new_id = db.catalog().id("dept").unwrap();
+    assert_eq!(new_id.slot(), old_id.slot(), "the slot is reused");
+    assert_eq!(new_id.gen(), old_id.gen() + 1, "under the next generation");
+    assert!(
+        db.catalog().rel(old_id).is_none(),
+        "a stale id never resolves"
+    );
+    let net_before = db.network_stats();
+    let mem_before = db.memory_stats();
+    db.match_tokens(&[stale]).unwrap();
+    let net_after = db.network_stats();
+    assert_eq!(
+        net_after,
+        NetworkStats {
+            tokens_processed: net_after.tokens_processed,
+            ..net_before
+        },
+        "a stale token reaches no selection network, memory, store or P-node"
+    );
+    // the engine's own match state (symbol and arena figures are
+    // process-wide, shared with tests running alongside)
+    let mem = db.memory_stats();
+    assert_eq!(
+        (
+            mem.alpha_entries,
+            mem.alpha_bytes,
+            mem.pnode_rows,
+            mem.selnet_bytes
+        ),
+        (
+            mem_before.alpha_entries,
+            mem_before.alpha_bytes,
+            mem_before.pnode_rows,
+            mem_before.selnet_bytes
+        )
+    );
+    for rule in ["s_stored", "v_virtual", "w_writer"] {
+        assert_eq!(db.pending_matches(rule).unwrap(), 0, "{rule}");
+    }
+
+    // the new generation matches, and the prepared action re-derives
+    let replans = db.stats().action_replans;
+    generation_tail(&mut db);
+    assert!(
+        db.stats().action_replans > replans,
+        "the action naming the re-created relation re-derives"
+    );
+    let log = snapshot(&mut db, "log");
+    let tags = |who: &str| -> Vec<i64> {
+        let mut tags: Vec<i64> = log
+            .iter()
+            .filter(|r| r[0] == Value::from(who))
+            .map(|r| r[1].as_i64().unwrap())
+            .collect();
+        tags.sort_unstable();
+        tags
+    };
+    assert_eq!(
+        tags("a"),
+        [1, 1, 2, 2],
+        "a joins dept 1 of both generations"
+    );
+    assert_eq!(tags("mk"), [1, 1, 2, 2], "mk joins dept 2, then dept 3");
+
+    // checkpoint before the destroy, crash after the tail: recovery equals
+    // the session that never crashed, and stays equal under more work
+    let dir = scratch("generations");
+    let mut crashing = Ariel::with_options(options.clone());
+    generation_head(&mut crashing);
+    crashing.checkpoint(&dir).unwrap();
+    generation_recreate(&mut crashing);
+    generation_tail(&mut crashing);
+    drop(crashing);
+    let (mut back, report) = Ariel::recover(&dir, options).unwrap();
+    assert!(
+        report.replay_errors.is_empty(),
+        "{:?}",
+        report.replay_errors
+    );
+    assert_eq!(fingerprint(&mut back), fingerprint(&mut db));
+    for engine in [&mut back, &mut db] {
+        engine
+            .execute("append emp (name = \"b\", dno = 1); append emp (name = \"mk\", dno = 4)")
+            .unwrap();
+    }
+    assert_eq!(fingerprint(&mut back), fingerprint(&mut db));
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -107,7 +107,7 @@ fn apply(cat: &Catalog, live: &mut Vec<(String, Tid)>, op: &Op) -> Option<Change
             let t = r.borrow().get(tid).cloned().unwrap();
             live.push((name.to_string(), tid));
             Some(Change::Inserted {
-                rel: name.to_string(),
+                rel: cat.id(name).unwrap(),
                 tid,
                 new: t,
             })
@@ -120,7 +120,7 @@ fn apply(cat: &Catalog, live: &mut Vec<(String, Tid)>, op: &Op) -> Option<Change
             let r = cat.get(&name).unwrap();
             let old = r.borrow_mut().delete(tid).unwrap();
             Some(Change::Deleted {
-                rel: name,
+                rel: cat.id(&name).unwrap(),
                 tid,
                 old,
             })
@@ -136,7 +136,7 @@ fn apply(cat: &Catalog, live: &mut Vec<(String, Tid)>, op: &Op) -> Option<Change
             let old = r.borrow_mut().update(tid, new_vals).unwrap();
             let new = r.borrow().get(tid).cloned().unwrap();
             Some(Change::Updated {
-                rel: name,
+                rel: cat.id(&name).unwrap(),
                 tid,
                 old,
                 new,
