@@ -104,10 +104,9 @@ impl Stamp {
         let mut deps: Vec<Dep> = Vec::new();
         let mut name = |name: &str, scanned: bool| {
             let id = catalog.id(name);
-            let (version, rows) = id.and_then(|id| catalog.rel(id)).map_or((0, None), |r| {
-                let r = r.borrow();
-                (r.version(), scanned.then(|| r.len()))
-            });
+            let (version, rows) = id
+                .and_then(|id| catalog.rel(id))
+                .map_or((0, None), |r| (r.version(), scanned.then(|| r.len())));
             match deps.iter_mut().find(|d| d.name == name) {
                 Some(d) => d.rows = d.rows.or(rows),
                 None => deps.push(Dep {
@@ -160,7 +159,6 @@ impl Stamp {
                 let Some(rel) = catalog.rel(id) else {
                     return true;
                 };
-                let rel = rel.borrow();
                 rel.version() != d.version || d.rows.is_some_and(|n| !within(rel.len(), n))
             })
         });
@@ -297,22 +295,24 @@ mod tests {
             .unwrap();
         cat.create("watch", Schema::of(&[("who", AttrType::Str)]))
             .unwrap();
-        let t1 = emp
-            .borrow_mut()
+        let t1 = cat
+            .rel_mut(emp)
+            .unwrap()
             .insert(vec!["bob".into(), 50_000.0.into()])
             .unwrap();
-        let t2 = emp
-            .borrow_mut()
+        let t2 = cat
+            .rel_mut(emp)
+            .unwrap()
             .insert(vec!["sue".into(), 60_000.0.into()])
             .unwrap();
         let mut pnode = Pnode::new(vec![PnodeCol {
             var: "emp".into(),
             rel: "emp".into(),
-            schema: emp.borrow().schema().clone(),
+            schema: cat.rel(emp).unwrap().schema().clone(),
             has_prev: false,
         }]);
         for tid in [t1, t2] {
-            let t = emp.borrow().get(tid).cloned().unwrap();
+            let t = cat.rel(emp).unwrap().get(tid).cloned().unwrap();
             pnode.push(vec![BoundVar::plain(tid, t)]);
         }
         (cat, pnode)
@@ -370,7 +370,7 @@ mod tests {
             .fire(&pnode, &mut cat)
             .unwrap();
         assert_eq!(out.changes.len(), 2, "one append per P-node row");
-        assert_eq!(cat.get("watch").unwrap().borrow().len(), 2);
+        assert_eq!(cat.get("watch").unwrap().len(), 2);
         assert!(!out.halted);
     }
 
@@ -382,10 +382,7 @@ mod tests {
             .unwrap();
         assert_eq!(out.changes.len(), 2);
         let emp = cat.get("emp").unwrap();
-        assert!(emp
-            .borrow()
-            .scan()
-            .all(|(_, t)| t.get(1) == &Value::Float(30_000.0)));
+        assert!(emp.scan().all(|(_, t)| t.get(1) == &Value::Float(30_000.0)));
     }
 
     #[test]
@@ -393,7 +390,7 @@ mod tests {
         let (mut cat, pnode) = setup();
         let out = Rule::new("delete emp").fire(&pnode, &mut cat).unwrap();
         assert_eq!(out.changes.len(), 2);
-        assert!(cat.get("emp").unwrap().borrow().is_empty());
+        assert!(cat.get("emp").unwrap().is_empty());
     }
 
     #[test]
@@ -403,11 +400,7 @@ mod tests {
             .fire(&pnode, &mut cat)
             .unwrap();
         assert!(out.halted);
-        assert_eq!(
-            cat.get("emp").unwrap().borrow().len(),
-            2,
-            "delete never ran"
-        );
+        assert_eq!(cat.get("emp").unwrap().len(), 2, "delete never ran");
     }
 
     #[test]
@@ -428,11 +421,17 @@ mod tests {
         // a bad action fails at every firing and keeps nothing prepared
         assert!(rule.fire(&pnode, &mut cat).is_err());
         assert!(rule.prepared[0].is_none());
-        cat.create("watch2", Schema::of(&[("sal", AttrType::Float)]))
+        let w2 = cat
+            .create("watch2", Schema::of(&[("sal", AttrType::Float)]))
             .unwrap();
-        let w2 = cat.get("watch2").unwrap();
-        w2.borrow_mut().insert(vec![50_000.0.into()]).unwrap();
-        w2.borrow_mut().insert(vec![70_000.0.into()]).unwrap();
+        cat.rel_mut(w2)
+            .unwrap()
+            .insert(vec![50_000.0.into()])
+            .unwrap();
+        cat.rel_mut(w2)
+            .unwrap()
+            .insert(vec![70_000.0.into()])
+            .unwrap();
         rule.fire(&pnode, &mut cat).unwrap();
         let one = PrepareCounts {
             prepares: 1,
@@ -441,18 +440,18 @@ mod tests {
         assert_eq!(rule.counts, one);
         // the second firing reuses the prepared plan; data in relations the
         // action does not scan, and DDL elsewhere, change nothing
-        cat.get("emp")
+        cat.get_mut("emp")
             .unwrap()
-            .borrow_mut()
             .insert(vec!["ann".into(), 1.0.into()])
             .unwrap();
         cat.create("elsewhere", Schema::of(&[("x", AttrType::Int)]))
             .unwrap();
         rule.fire(&pnode, &mut cat).unwrap();
         assert_eq!(rule.counts, one);
-        assert_eq!(cat.get("watch").unwrap().borrow().len(), 2);
+        assert_eq!(cat.get("watch").unwrap().len(), 2);
         // an index on the scanned relation lapses the stamp
-        w2.borrow_mut()
+        cat.rel_mut(w2)
+            .unwrap()
             .create_index("sal", IndexKind::Hash)
             .unwrap();
         rule.fire(&pnode, &mut cat).unwrap();
@@ -461,22 +460,25 @@ mod tests {
         assert!(plan.to_string().contains("IndexedLoop"), "{plan}");
         // so does the scanned relation more than doubling...
         for i in 0..3 {
-            w2.borrow_mut().insert(vec![(i as f64).into()]).unwrap();
+            cat.rel_mut(w2)
+                .unwrap()
+                .insert(vec![(i as f64).into()])
+                .unwrap();
         }
         rule.fire(&pnode, &mut cat).unwrap();
         assert_eq!(rule.counts.replans, 2);
         // ...but not growing within the band
-        w2.borrow_mut().insert(vec![9.0.into()]).unwrap();
+        cat.rel_mut(w2).unwrap().insert(vec![9.0.into()]).unwrap();
         rule.fire(&pnode, &mut cat).unwrap();
         assert_eq!(rule.counts.replans, 2);
-        assert_eq!(cat.get("watch").unwrap().borrow().len(), 5);
+        assert_eq!(cat.get("watch").unwrap().len(), 5);
         // and the target's re-creation
         cat.destroy("watch").unwrap();
         cat.create("watch", Schema::of(&[("who", AttrType::Str)]))
             .unwrap();
         rule.fire(&pnode, &mut cat).unwrap();
         assert_eq!(rule.counts.replans, 3);
-        assert_eq!(cat.get("watch").unwrap().borrow().len(), 1);
+        assert_eq!(cat.get("watch").unwrap().len(), 1);
         // and an interning toggle
         cat.set_intern_strings(false);
         rule.fire(&pnode, &mut cat).unwrap();
@@ -500,9 +502,8 @@ mod tests {
         }
         rule.fire(&big, &mut cat).unwrap();
         for _ in 0..100 {
-            cat.get("watch")
+            cat.get_mut("watch")
                 .unwrap()
-                .borrow_mut()
                 .insert(vec!["x".into()])
                 .unwrap();
         }
@@ -548,22 +549,21 @@ mod tests {
         let sum = |cat: &Catalog| -> f64 {
             cat.get("emp")
                 .unwrap()
-                .borrow()
                 .scan()
                 .map(|(_, t)| t.get(1).as_f64().unwrap())
                 .sum()
         };
         assert_eq!(sum(&cat1), sum(&cat2));
         assert_eq!(
-            cat1.get("watch").unwrap().borrow().len(),
-            cat2.get("watch").unwrap().borrow().len()
+            cat1.get("watch").unwrap().len(),
+            cat2.get("watch").unwrap().len()
         );
     }
 
     #[test]
     fn empty_pnode_action_is_noop() {
         let (mut cat, _) = setup();
-        let emp_schema = cat.get("emp").unwrap().borrow().schema().clone();
+        let emp_schema = cat.get("emp").unwrap().schema().clone();
         let empty = Pnode::new(vec![PnodeCol {
             var: "emp".into(),
             rel: "emp".into(),
@@ -572,7 +572,7 @@ mod tests {
         }]);
         let out = Rule::new("delete emp").fire(&empty, &mut cat).unwrap();
         assert!(out.changes.is_empty());
-        assert_eq!(cat.get("emp").unwrap().borrow().len(), 2);
+        assert_eq!(cat.get("emp").unwrap().len(), 2);
     }
 
     #[test]
@@ -594,19 +594,20 @@ mod tests {
             ]),
         )
         .unwrap();
-        let tid = emp
-            .borrow_mut()
+        let tid = cat
+            .rel_mut(emp)
+            .unwrap()
             .insert(vec!["bob".into(), 120_000.0.into()])
             .unwrap();
         let mut pnode = Pnode::new(vec![PnodeCol {
             var: "emp".into(),
             rel: "emp".into(),
-            schema: emp.borrow().schema().clone(),
+            schema: cat.rel(emp).unwrap().schema().clone(),
             has_prev: true,
         }]);
         pnode.push(vec![BoundVar::with_prev(
             Some(tid),
-            emp.borrow().get(tid).cloned().unwrap(),
+            cat.rel(emp).unwrap().get(tid).cloned().unwrap(),
             Tuple::new(vec!["bob".into(), Value::Float(100_000.0)]),
         )]);
         Rule::new(
@@ -615,7 +616,6 @@ mod tests {
         .fire(&pnode, &mut cat)
         .unwrap();
         let log = cat.get("salaryerror").unwrap();
-        let log = log.borrow();
         let (_, row) = log.scan().next().unwrap();
         assert_eq!(row.get(1), &Value::Float(100_000.0));
         assert_eq!(row.get(2), &Value::Float(120_000.0));

@@ -82,9 +82,9 @@ pub struct EngineStats {
 
 /// Per-memory byte breakdown of the live match state (see
 /// [`Ariel::memory_stats`]). All byte figures are the same approximations
-/// the network's `heap_size` accounting produces; symbol-table and arena
-/// figures are process-global (the table and the per-thread scratch pools
-/// are shared by every engine in the process).
+/// the network's `heap_size` accounting produces. The symbol-table figures
+/// are process-global (every engine in the process shares the table); the
+/// scratch figure is this engine's own.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoryStats {
     /// Entries across stored/dynamic α-memories.
@@ -105,12 +105,10 @@ pub struct MemoryStats {
     pub symbols: usize,
     /// Bytes held by the symbol table (payload + per-entry bookkeeping).
     pub symbol_bytes: usize,
-    /// Scratch buffers handed out by the per-thread arenas.
-    pub arena_takes: u64,
-    /// Hand-outs served by recycling rather than fresh allocation.
-    pub arena_reuses: u64,
-    /// Peak bytes retained across all arena pools ("peak scratch").
-    pub arena_high_water_bytes: u64,
+    /// Bytes this engine's match path retains in scratch buffers between
+    /// tokens (see [`Network::scratch_bytes`]). Not match state: no other
+    /// byte figure here includes it.
+    pub scratch_bytes: usize,
 }
 
 impl MemoryStats {
@@ -313,8 +311,7 @@ impl Ariel {
                 Ok(CmdOutput::default())
             }
             Command::CreateIndex { rel, attr, kind } => {
-                let rel_ref = self.catalog.require(rel)?;
-                rel_ref.borrow_mut().create_index(attr, *kind)?;
+                self.catalog.require_mut(rel)?.create_index(attr, *kind)?;
                 Ok(CmdOutput::default())
             }
             Command::DefineRule(def) => {
@@ -969,11 +966,10 @@ impl Ariel {
 
     /// Per-memory byte breakdown of the live match state (`\stats bytes`
     /// and the `BENCH_mem.json` ingredients): discrimination-network
-    /// memories, the global symbol table, and the scratch arenas.
+    /// memories, the global symbol table, and the match path's scratch.
     pub fn memory_stats(&self) -> MemoryStats {
         let n = self.network.stats();
         let interner = ariel_storage::intern::stats();
-        let arena = ariel_network::arena::stats();
         MemoryStats {
             alpha_entries: n.alpha_entries,
             alpha_bytes: n.alpha_bytes,
@@ -983,9 +979,7 @@ impl Ariel {
             selnet_bytes: n.selnet_bytes,
             symbols: interner.symbols,
             symbol_bytes: interner.bytes,
-            arena_takes: arena.takes,
-            arena_reuses: arena.reuses,
-            arena_high_water_bytes: arena.high_water_bytes,
+            scratch_bytes: self.network.scratch_bytes(),
         }
     }
 
@@ -1077,9 +1071,31 @@ mod tests {
         assert!(m.alpha_bytes > 0);
         assert!(m.symbols >= 1, "interned \"alice\" registers in the table");
         assert!(m.symbol_bytes > 0);
-        assert!(m.arena_takes >= 1, "match path drew scratch buffers");
+        assert!(m.scratch_bytes > 0, "match path drew scratch buffers");
         assert!(m.alpha_bytes_per_entry() > 0.0);
         assert_eq!(MemoryStats::default().alpha_bytes_per_entry(), 0.0);
+        // scratch is per engine: a second engine on this thread starts
+        // with none, and its matching leaves the first engine's figure be
+        let mut other = Ariel::new();
+        assert_eq!(other.memory_stats().scratch_bytes, 0);
+        other
+            .execute("create a (k = int); create b (k = int); create c (k = int)")
+            .unwrap();
+        other
+            .execute("define rule r2 if a.k = b.k and b.k = c.k then delete a")
+            .unwrap();
+        for k in 0..20 {
+            other
+                .execute(&format!("append b (k = {k}); append c (k = {k})"))
+                .unwrap();
+        }
+        other.execute("append a (k = 3)").unwrap();
+        let theirs = other.memory_stats().scratch_bytes;
+        assert!(theirs > 0);
+        assert_eq!(db.memory_stats().scratch_bytes, m.scratch_bytes);
+        db.execute("append to emp (name = \"bob\", dno = 2)")
+            .unwrap();
+        assert_eq!(other.memory_stats().scratch_bytes, theirs);
     }
 
     #[test]

@@ -191,7 +191,6 @@ fn meta_command(db: &mut Ariel, meta: &str) -> ShellAction {
             let mut text = String::new();
             for name in db.catalog().names() {
                 let rel = db.catalog().get(&name).unwrap();
-                let rel = rel.borrow();
                 let attrs: Vec<String> = rel
                     .schema()
                     .attrs()
@@ -239,7 +238,7 @@ fn meta_command(db: &mut Ariel, meta: &str) -> ShellAction {
                      \x20 pnodes   {} bytes over {} rows\n\
                      \x20 selnet   {} bytes\n\
                      symbol table: {} symbols, {} bytes\n\
-                     arenas: {} takes, {} reuses, {} bytes peak scratch\n",
+                     scratch: {} bytes\n",
                     m.alpha_bytes,
                     m.alpha_entries,
                     m.alpha_bytes_per_entry(),
@@ -248,9 +247,7 @@ fn meta_command(db: &mut Ariel, meta: &str) -> ShellAction {
                     m.selnet_bytes,
                     m.symbols,
                     m.symbol_bytes,
-                    m.arena_takes,
-                    m.arena_reuses,
-                    m.arena_high_water_bytes,
+                    m.scratch_bytes,
                 ));
             }
             let s = db.stats();
@@ -478,7 +475,7 @@ Meta commands:
   \slowlog [clear]  the slowest statements this shell has executed
   \stats            engine and network statistics
   \stats bytes      per-memory byte breakdown (alpha/pnode/selnet,
-                    symbol table, arena reuse counters)
+                    symbol table, match scratch)
   \help             this text
   \q                quit
 "#;
@@ -552,7 +549,7 @@ mod tests {
         assert!(t.contains("match state:"));
         assert!(t.contains("bytes/entry"));
         assert!(t.contains("symbol table:"));
-        assert!(t.contains("arenas:"));
+        assert!(t.contains("scratch:"));
         let ShellAction::Text(t) = dispatch(&mut db, "\\nope") else {
             panic!()
         };

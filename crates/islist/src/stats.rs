@@ -16,11 +16,12 @@
 //!   and its two writers, [`Metrics::to_json`] and
 //!   [`Metrics::to_prometheus`].
 //!
-//! The first three use *atomic* interior mutability so shared-reference
-//! code paths — `IntervalSkipList::stab` takes `&self` — can record without
-//! threading `&mut` through the search routines, and the structures that
-//! embed them stay `Send + Sync` (the engine moves between the server's
-//! session threads). All accesses are `Relaxed`; the counters are
+//! The first three use *atomic* interior mutability for two reasons.
+//! Shared-reference code paths — `IntervalSkipList::stab` takes `&self` —
+//! record without threading `&mut` through the search routines. And the
+//! server's telemetry records into the same types from concurrent
+//! sessions, so one `Sync` implementation serves both; the engine itself
+//! needs only `Send`. All accesses are `Relaxed`; the counters are
 //! statistics whose totals are sums, which are independent of the order
 //! increments land in.
 
@@ -30,9 +31,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A shared `u64` counter: a relaxed [`AtomicU64`] exposing the `Cell` API.
 ///
-/// `get`/`set` mirror `Cell<u64>` so single-threaded call sites read the
-/// same as before the match path went parallel; `add` is the one-word
-/// increment hot paths use. `Clone` snapshots the current value.
+/// `get`/`set` mirror `Cell<u64>`, so call sites read as they would over
+/// a `Cell`; `add` is the one-word increment hot paths use. `Clone`
+/// snapshots the current value.
 #[derive(Default)]
 pub struct Counter(AtomicU64);
 

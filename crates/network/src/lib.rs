@@ -12,7 +12,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod alpha;
-pub mod arena;
 mod conflict;
 pub mod key;
 mod plan;

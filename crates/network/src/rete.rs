@@ -523,7 +523,7 @@ impl ReteNetwork {
         let alpha = self.alpha(aid);
         match alpha.kind {
             AlphaKind::Virtual => {
-                let rel_b = live_rel(catalog, alpha.rel)?.borrow();
+                let rel_b = live_rel(catalog, alpha.rel)?;
                 Ok(rel_b
                     .scan()
                     .filter(|(tid, _)| visible(*tid))
@@ -557,7 +557,6 @@ impl ReteNetwork {
             let entries: Vec<(Tid, AlphaEntry)> = {
                 let a = self.alpha(*aid);
                 rel_ref
-                    .borrow()
                     .scan()
                     .filter(|(_, t)| a.pred_matches(t, None))
                     .map(|(tid, t)| {
@@ -1248,26 +1247,24 @@ mod tests {
             .unwrap()
     }
 
-    fn ins(c: &Catalog, rel: &str, vals: &[i64]) -> Token {
-        let r = c.get(rel).unwrap();
+    fn ins(c: &mut Catalog, rel: &str, vals: &[i64]) -> Token {
+        let r = c.get_mut(rel).unwrap();
         let tid = r
-            .borrow_mut()
             .insert(vals.iter().map(|&v| Value::Int(v)).collect::<Vec<Value>>())
             .unwrap();
-        let t = r.borrow().get(tid).cloned().unwrap();
+        let t = r.get(tid).cloned().unwrap();
         Token::plus(c.id(rel).unwrap(), tid, t, EventSpecifier::Append)
     }
 
-    fn ins_vals(c: &Catalog, rel: &str, vals: Vec<Value>) -> Token {
-        let r = c.get(rel).unwrap();
-        let tid = r.borrow_mut().insert(vals).unwrap();
-        let t = r.borrow().get(tid).cloned().unwrap();
+    fn ins_vals(c: &mut Catalog, rel: &str, vals: Vec<Value>) -> Token {
+        let r = c.get_mut(rel).unwrap();
+        let tid = r.insert(vals).unwrap();
+        let t = r.get(tid).cloned().unwrap();
         Token::plus(c.id(rel).unwrap(), tid, t, EventSpecifier::Append)
     }
 
-    fn del(c: &Catalog, token: &Token) -> Token {
-        let r = c.rel(token.rel).unwrap();
-        let old = r.borrow_mut().delete(token.tid).unwrap();
+    fn del(c: &mut Catalog, token: &Token) -> Token {
+        let old = c.rel_mut(token.rel).unwrap().delete(token.tid).unwrap();
         Token::minus(token.rel, token.tid, old, EventSpecifier::Delete)
     }
 
@@ -1279,18 +1276,18 @@ mod tests {
 
     #[test]
     fn rete_single_variable() {
-        let cat = catalog();
+        let mut cat = catalog();
         let mut net = ReteNetwork::new();
         net.add_rule(RuleId(1), &rcond(&cat, "emp.sal > 100", &[]), &cat)
             .unwrap();
         net.prime(RuleId(1), &cat).unwrap();
-        let t = ins(&cat, "emp", &[200, 1]);
+        let t = ins(&mut cat, "emp", &[200, 1]);
         net.process_token(&t, &cat).unwrap();
         assert_eq!(net.pnode(RuleId(1)).unwrap().len(), 1);
-        let low = ins(&cat, "emp", &[50, 1]);
+        let low = ins(&mut cat, "emp", &[50, 1]);
         net.process_token(&low, &cat).unwrap();
         assert_eq!(net.pnode(RuleId(1)).unwrap().len(), 1);
-        let d = del(&cat, &t);
+        let d = del(&mut cat, &t);
         net.process_token(&d, &cat).unwrap();
         assert_eq!(net.pnode(RuleId(1)).unwrap().len(), 0);
     }
@@ -1299,7 +1296,7 @@ mod tests {
     fn rete_matches_treat_under_random_stream() {
         // the real test: Rete (default indexed mode) and A-TREAT produce
         // identical P-node sizes for the same token stream
-        let cat = catalog();
+        let mut cat = catalog();
         let qual = "emp.sal > 10 and emp.dno = dept.dno and dept.floor < 5";
         let mut rete = ReteNetwork::new();
         rete.add_rule(RuleId(1), &rcond(&cat, qual, &[]), &cat)
@@ -1326,13 +1323,13 @@ mod tests {
             let tok = if step % 4 == 3 && !live.is_empty() {
                 let k = (rnd() as usize) % live.len();
                 let victim = live.swap_remove(k);
-                del(&cat, &victim)
+                del(&mut cat, &victim)
             } else if step % 2 == 0 {
-                let t = ins(&cat, "emp", &[rnd() % 30, rnd() % 6]);
+                let t = ins(&mut cat, "emp", &[rnd() % 30, rnd() % 6]);
                 live.push(t.clone());
                 t
             } else {
-                let t = ins(&cat, "dept", &[rnd() % 6, rnd() % 8]);
+                let t = ins(&mut cat, "dept", &[rnd() % 6, rnd() % 8]);
                 live.push(t.clone());
                 t
             };
@@ -1348,7 +1345,7 @@ mod tests {
     /// TREAT agree step by step on an equi+selection rule under churn.
     #[test]
     fn indexed_rete_matches_nested_rete_and_treat() {
-        let cats = [catalog(), catalog(), catalog()];
+        let mut cats = [catalog(), catalog(), catalog()];
         let qual = "emp.sal > 10 and emp.dno = dept.dno and dept.floor < 5";
         let mut indexed = ReteNetwork::new();
         indexed
@@ -1382,10 +1379,13 @@ mod tests {
                 let k = (rnd() as usize) % live.len();
                 let [ta, tb, tc] = live.swap_remove(k);
                 indexed
-                    .process_token(&del(&cats[0], &ta), &cats[0])
+                    .process_token(&del(&mut cats[0], &ta), &cats[0])
                     .unwrap();
-                nest.process_token(&del(&cats[1], &tb), &cats[1]).unwrap();
-                treat.process_token(&del(&cats[2], &tc), &cats[2]).unwrap();
+                nest.process_token(&del(&mut cats[1], &tb), &cats[1])
+                    .unwrap();
+                treat
+                    .process_token(&del(&mut cats[2], &tc), &cats[2])
+                    .unwrap();
             } else {
                 let (rel, vals) = if choice % 2 == 0 {
                     ("emp", [rnd() % 30, rnd() % 6])
@@ -1393,9 +1393,9 @@ mod tests {
                     ("dept", [rnd() % 6, rnd() % 8])
                 };
                 let toks = [
-                    ins(&cats[0], rel, &vals),
-                    ins(&cats[1], rel, &vals),
-                    ins(&cats[2], rel, &vals),
+                    ins(&mut cats[0], rel, &vals),
+                    ins(&mut cats[1], rel, &vals),
+                    ins(&mut cats[2], rel, &vals),
                 ];
                 indexed.process_token(&toks[0], &cats[0]).unwrap();
                 nest.process_token(&toks[1], &cats[1]).unwrap();
@@ -1420,8 +1420,8 @@ mod tests {
     fn indexed_rete_band_join_matches_nested() {
         let qual = "dept.dno < emp.sal and emp.sal <= dept.floor";
         let from = [("dept", "dept"), ("emp", "emp")];
-        let cat_a = catalog();
-        let cat_b = catalog();
+        let mut cat_a = catalog();
+        let mut cat_b = catalog();
         let mut indexed = ReteNetwork::new();
         indexed
             .add_rule(RuleId(1), &rcond(&cat_a, qual, &from), &cat_a)
@@ -1443,16 +1443,18 @@ mod tests {
             if choice % 5 == 4 && !live.is_empty() {
                 let k = (rnd() as usize) % live.len();
                 let (ta, tb) = live.swap_remove(k);
-                indexed.process_token(&del(&cat_a, &ta), &cat_a).unwrap();
-                nest.process_token(&del(&cat_b, &tb), &cat_b).unwrap();
+                indexed
+                    .process_token(&del(&mut cat_a, &ta), &cat_a)
+                    .unwrap();
+                nest.process_token(&del(&mut cat_b, &tb), &cat_b).unwrap();
             } else {
                 let (rel, vals) = if choice % 2 == 0 {
                     ("dept", [rnd() % 10, rnd() % 20])
                 } else {
                     ("emp", [rnd() % 20, rnd() % 6])
                 };
-                let ta = ins(&cat_a, rel, &vals);
-                let tb = ins(&cat_b, rel, &vals);
+                let ta = ins(&mut cat_a, rel, &vals);
+                let tb = ins(&mut cat_b, rel, &vals);
                 indexed.process_token(&ta, &cat_a).unwrap();
                 nest.process_token(&tb, &cat_b).unwrap();
                 live.push((ta, tb));
@@ -1473,8 +1475,8 @@ mod tests {
     #[test]
     fn indexed_rete_null_keys_match_nested() {
         let qual = "emp.dno = dept.dno";
-        let cat_a = catalog();
-        let cat_b = catalog();
+        let mut cat_a = catalog();
+        let mut cat_b = catalog();
         let mut indexed = ReteNetwork::new();
         indexed
             .add_rule(RuleId(1), &rcond(&cat_a, qual, &[]), &cat_a)
@@ -1495,8 +1497,8 @@ mod tests {
         ];
         let mut live = Vec::new();
         for (rel, vals) in rows {
-            let ta = ins_vals(&cat_a, rel, vals.clone());
-            let tb = ins_vals(&cat_b, rel, vals);
+            let ta = ins_vals(&mut cat_a, rel, vals.clone());
+            let tb = ins_vals(&mut cat_b, rel, vals);
             indexed.process_token(&ta, &cat_a).unwrap();
             nest.process_token(&tb, &cat_b).unwrap();
             live.push((ta, tb));
@@ -1508,8 +1510,10 @@ mod tests {
         // the one keyed emp joins the two keyed depts
         assert_eq!(indexed.pnode(RuleId(1)).unwrap().len(), 2);
         while let Some((ta, tb)) = live.pop() {
-            indexed.process_token(&del(&cat_a, &ta), &cat_a).unwrap();
-            nest.process_token(&del(&cat_b, &tb), &cat_b).unwrap();
+            indexed
+                .process_token(&del(&mut cat_a, &ta), &cat_a)
+                .unwrap();
+            nest.process_token(&del(&mut cat_b, &tb), &cat_b).unwrap();
             assert_eq!(
                 indexed.pnode(RuleId(1)).unwrap().len(),
                 nest.pnode(RuleId(1)).unwrap().len()
@@ -1529,14 +1533,14 @@ mod tests {
 
     #[test]
     fn rete_carries_beta_state() {
-        let cat = catalog();
+        let mut cat = catalog();
         let qual = "emp.sal > 0 and emp.dno = dept.dno";
         let mut net = ReteNetwork::new();
         net.add_rule(RuleId(1), &rcond(&cat, qual, &[]), &cat)
             .unwrap();
         net.prime(RuleId(1), &cat).unwrap();
         for i in 0..10 {
-            let t = ins(&cat, "emp", &[100, i]);
+            let t = ins(&mut cat, "emp", &[100, i]);
             net.process_token(&t, &cat).unwrap();
         }
         assert!(net.beta_bytes() > 0, "β-memories hold partial matches");
@@ -1546,7 +1550,7 @@ mod tests {
     #[test]
     fn rete_self_join() {
         for mode in [ReteMode::Indexed, ReteMode::Nested] {
-            let cat = catalog();
+            let mut cat = catalog();
             let mut net = ReteNetwork::new();
             net.set_mode(mode);
             net.add_rule(
@@ -1556,13 +1560,13 @@ mod tests {
             )
             .unwrap();
             net.prime(RuleId(1), &cat).unwrap();
-            let t1 = ins(&cat, "emp", &[1, 5]);
+            let t1 = ins(&mut cat, "emp", &[1, 5]);
             net.process_token(&t1, &cat).unwrap();
             assert_eq!(net.pnode(RuleId(1)).unwrap().len(), 1, "(t1,t1) {mode:?}");
-            let t2 = ins(&cat, "emp", &[2, 5]);
+            let t2 = ins(&mut cat, "emp", &[2, 5]);
             net.process_token(&t2, &cat).unwrap();
             assert_eq!(net.pnode(RuleId(1)).unwrap().len(), 4, "{mode:?}");
-            let d = del(&cat, &t1);
+            let d = del(&mut cat, &t1);
             net.process_token(&d, &cat).unwrap();
             assert_eq!(
                 net.pnode(RuleId(1)).unwrap().len(),
@@ -1593,16 +1597,16 @@ mod tests {
     /// The stats surface the engine's metrics export reads.
     #[test]
     fn rete_stats_surface() {
-        let cat = catalog();
+        let mut cat = catalog();
         let qual = "emp.sal > 10 and emp.dno = dept.dno";
         let mut net = ReteNetwork::new();
         net.add_rule(RuleId(1), &rcond(&cat, qual, &[]), &cat)
             .unwrap();
         net.prime(RuleId(1), &cat).unwrap();
         for i in 0..8 {
-            let t = ins(&cat, "emp", &[20 + i, i % 3]);
+            let t = ins(&mut cat, "emp", &[20 + i, i % 3]);
             net.process_token(&t, &cat).unwrap();
-            let d = ins(&cat, "dept", &[i % 3, i]);
+            let d = ins(&mut cat, "dept", &[i % 3, i]);
             net.process_token(&d, &cat).unwrap();
         }
         let s = net.stats();
@@ -1630,7 +1634,7 @@ mod tests {
     /// remove_rule releases α slots for reuse.
     #[test]
     fn rete_remove_rule_reuses_slots() {
-        let cat = catalog();
+        let mut cat = catalog();
         let mut net = ReteNetwork::new();
         net.add_rule(RuleId(1), &rcond(&cat, "emp.sal > 0", &[]), &cat)
             .unwrap();
@@ -1643,9 +1647,9 @@ mod tests {
         )
         .unwrap();
         net.prime(RuleId(2), &cat).unwrap();
-        let t = ins(&cat, "emp", &[20, 1]);
+        let t = ins(&mut cat, "emp", &[20, 1]);
         net.process_token(&t, &cat).unwrap();
-        let d = ins(&cat, "dept", &[1, 4]);
+        let d = ins(&mut cat, "dept", &[1, 4]);
         net.process_token(&d, &cat).unwrap();
         assert_eq!(net.pnode(RuleId(2)).unwrap().len(), 1);
     }
@@ -1687,19 +1691,17 @@ mod virtual_tests {
             .unwrap()
     }
 
-    fn ins(c: &Catalog, rel: &str, vals: &[i64]) -> Token {
-        let r = c.get(rel).unwrap();
+    fn ins(c: &mut Catalog, rel: &str, vals: &[i64]) -> Token {
+        let r = c.get_mut(rel).unwrap();
         let tid = r
-            .borrow_mut()
             .insert(vals.iter().map(|&v| Value::Int(v)).collect::<Vec<Value>>())
             .unwrap();
-        let t = r.borrow().get(tid).cloned().unwrap();
+        let t = r.get(tid).cloned().unwrap();
         Token::plus(c.id(rel).unwrap(), tid, t, EventSpecifier::Append)
     }
 
-    fn del(c: &Catalog, token: &Token) -> Token {
-        let r = c.rel(token.rel).unwrap();
-        let old = r.borrow_mut().delete(token.tid).unwrap();
+    fn del(c: &mut Catalog, token: &Token) -> Token {
+        let old = c.rel_mut(token.rel).unwrap().delete(token.tid).unwrap();
         Token::minus(token.rel, token.tid, old, EventSpecifier::Delete)
     }
 
@@ -1707,8 +1709,8 @@ mod virtual_tests {
     /// carrying no α-memory bytes.
     #[test]
     fn virtual_rete_matches_classic_rete() {
-        let cat_a = catalog();
-        let cat_b = catalog();
+        let mut cat_a = catalog();
+        let mut cat_b = catalog();
         let qual = "emp.sal > 10 and emp.dno = dept.dno and dept.floor < 5";
         let mut classic = ReteNetwork::new();
         classic
@@ -1733,16 +1735,18 @@ mod virtual_tests {
                 let k = (rnd() as usize) % live_a.len();
                 let ta = live_a.swap_remove(k);
                 let tb = live_b.swap_remove(k);
-                classic.process_token(&del(&cat_a, &ta), &cat_a).unwrap();
-                virt.process_token(&del(&cat_b, &tb), &cat_b).unwrap();
+                classic
+                    .process_token(&del(&mut cat_a, &ta), &cat_a)
+                    .unwrap();
+                virt.process_token(&del(&mut cat_b, &tb), &cat_b).unwrap();
             } else {
                 let (rel, vals) = if choice % 2 == 0 {
                     ("emp", [rnd() % 30, rnd() % 6])
                 } else {
                     ("dept", [rnd() % 6, rnd() % 8])
                 };
-                let ta = ins(&cat_a, rel, &vals);
-                let tb = ins(&cat_b, rel, &vals);
+                let ta = ins(&mut cat_a, rel, &vals);
+                let tb = ins(&mut cat_b, rel, &vals);
                 classic.process_token(&ta, &cat_a).unwrap();
                 virt.process_token(&tb, &cat_b).unwrap();
                 live_a.push(ta);
@@ -1769,7 +1773,7 @@ mod virtual_tests {
                 VirtualPolicy::ExplicitVars(HashSet::from([0])),
                 VirtualPolicy::ExplicitVars(HashSet::from([1])),
             ] {
-                let cat = catalog();
+                let mut cat = catalog();
                 let mut net = ReteNetwork::with_policy(policy.clone());
                 net.set_mode(mode);
                 net.add_rule(
@@ -1779,15 +1783,15 @@ mod virtual_tests {
                 )
                 .unwrap();
                 net.prime(RuleId(1), &cat).unwrap();
-                let t1 = ins(&cat, "emp", &[1, 5]);
-                let t2 = ins(&cat, "emp", &[2, 5]);
+                let t1 = ins(&mut cat, "emp", &[1, 5]);
+                let t2 = ins(&mut cat, "emp", &[2, 5]);
                 net.process_batch(&[t1.clone(), t2], &cat).unwrap();
                 assert_eq!(
                     net.pnode(RuleId(1)).unwrap().len(),
                     4,
                     "pairs (t1,t1),(t1,t2),(t2,t1),(t2,t2) under {policy:?} {mode:?}"
                 );
-                let d = del(&cat, &t1);
+                let d = del(&mut cat, &t1);
                 net.process_token(&d, &cat).unwrap();
                 assert_eq!(
                     net.pnode(RuleId(1)).unwrap().len(),
@@ -1801,15 +1805,13 @@ mod virtual_tests {
     /// Primed data visible through virtual nodes.
     #[test]
     fn virtual_rete_priming() {
-        let cat = catalog();
-        cat.get("emp")
+        let mut cat = catalog();
+        cat.get_mut("emp")
             .unwrap()
-            .borrow_mut()
             .insert(vec![20i64.into(), 1i64.into()])
             .unwrap();
-        cat.get("dept")
+        cat.get_mut("dept")
             .unwrap()
-            .borrow_mut()
             .insert(vec![1i64.into(), 2i64.into()])
             .unwrap();
         let mut net = ReteNetwork::with_policy(VirtualPolicy::AllVirtual);
@@ -1829,10 +1831,10 @@ mod virtual_tests {
     #[test]
     fn selectivity_threshold_matches_treat() {
         use crate::treat::Network;
-        let cat = catalog();
+        let mut cat = catalog();
         for i in 0..10 {
-            ins(&cat, "emp", &[100 + i, i % 3]);
-            ins(&cat, "dept", &[i % 3, if i < 5 { 1 } else { 9 }]);
+            ins(&mut cat, "emp", &[100 + i, i % 3]);
+            ins(&mut cat, "dept", &[i % 3, if i < 5 { 1 } else { 9 }]);
         }
         let policy = VirtualPolicy::SelectivityThreshold(0.6);
         let check = |qual: &str, from: &[(&str, &str)], expect: &[AlphaKind]| {

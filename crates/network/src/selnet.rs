@@ -143,8 +143,8 @@ impl SelectionNetwork {
     }
 
     /// [`Self::candidates`] into a caller-supplied buffer (appended, not
-    /// cleared) — the per-token routing path recycles one buffer per
-    /// transition through `crate::arena` instead of allocating per token.
+    /// cleared) — the per-token routing path reuses the network's one
+    /// candidate buffer instead of allocating per token.
     /// A tuple of another generation of `rel`'s slot routes nowhere.
     pub fn candidates_into(&self, rel: RelId, tuple: &Tuple, out: &mut Vec<AlphaId>) {
         self.probes.add(1);

@@ -13,12 +13,14 @@
 //! Design mirrors the timing tier's gating discipline: the recorder lives
 //! in the network as an `Option<TraceRecorder>` (absent by default, so
 //! tracing off costs one pointer-width branch per hook), uses interior
-//! mutability (one `Mutex` around all recorder state) because the join
+//! mutability (one `RefCell` around all recorder state) because the join
 //! paths only hold `&self`, and appends in `O(1)` to a fixed-capacity
 //! [`VecDeque`] ring — when full, the oldest record is evicted and counted
 //! in [`TraceRecorder::dropped`], so memory stays bounded no matter how
-//! long tracing runs. A single coarse lock is deliberate: the match path
-//! is sequential, so the lock is never contended.
+//! long tracing runs. The network is the recorder's one owner (the engine
+//! reaches it only through `Network::trace`), and the engine runs one
+//! transition at a time, so no lock is needed: the recorder is `Send`, and
+//! moves between threads with the engine.
 //!
 //! The engine stamps transition context (id, cascade depth, causing
 //! firing) onto the recorder via [`TraceRecorder::begin_transition`];
@@ -30,8 +32,8 @@
 //! [`TraceEventKind::TransitionBegin`] back at the firing whose action
 //! emitted its tokens.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Default ring capacity when tracing is enabled without an explicit
@@ -202,7 +204,7 @@ struct RuleCtx {
     cause: Option<u64>,
 }
 
-/// All mutable recorder state, behind the recorder's single mutex.
+/// All mutable recorder state, behind the recorder's one `RefCell`.
 #[derive(Debug)]
 struct TraceState {
     events: VecDeque<TraceRecord>,
@@ -232,7 +234,7 @@ impl TraceState {
 /// network's join paths record through shared references.
 #[derive(Debug)]
 pub struct TraceRecorder {
-    state: Mutex<TraceState>,
+    state: RefCell<TraceState>,
     epoch: Instant,
 }
 
@@ -242,7 +244,7 @@ impl TraceRecorder {
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         TraceRecorder {
-            state: Mutex::new(TraceState {
+            state: RefCell::new(TraceState {
                 events: VecDeque::with_capacity(capacity.min(1024)),
                 capacity,
                 next_seq: 0,
@@ -257,19 +259,15 @@ impl TraceRecorder {
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, TraceState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     /// Maximum number of retained events.
     pub fn capacity(&self) -> usize {
-        self.lock().capacity
+        self.state.borrow().capacity
     }
 
     /// Resize the ring, evicting oldest events if shrinking.
     pub fn set_capacity(&self, capacity: usize) {
         let capacity = capacity.max(1);
-        let mut st = self.lock();
+        let mut st = self.state.borrow_mut();
         st.capacity = capacity;
         while st.events.len() > capacity {
             st.events.pop_front();
@@ -279,23 +277,23 @@ impl TraceRecorder {
 
     /// Number of events currently retained.
     pub fn len(&self) -> usize {
-        self.lock().events.len()
+        self.state.borrow().events.len()
     }
 
     /// Whether the ring is empty.
     pub fn is_empty(&self) -> bool {
-        self.lock().events.is_empty()
+        self.state.borrow().events.is_empty()
     }
 
     /// Events evicted so far because the ring was full.
     pub fn dropped(&self) -> u64 {
-        self.lock().dropped
+        self.state.borrow().dropped
     }
 
     /// Discard all retained events (sequence numbers keep running so
     /// ordering stays global across clears).
     pub fn clear(&self) {
-        let mut st = self.lock();
+        let mut st = self.state.borrow_mut();
         st.events.clear();
         st.dropped = 0;
     }
@@ -305,7 +303,7 @@ impl TraceRecorder {
     /// started the transition (`None` for user commands). Also resets the
     /// current-token link.
     pub fn begin_transition(&self, transition: u64, depth: u32, cause: Option<u64>) {
-        let mut st = self.lock();
+        let mut st = self.state.borrow_mut();
         st.transition = transition;
         st.depth = depth;
         st.cause = cause;
@@ -314,12 +312,12 @@ impl TraceRecorder {
 
     /// Current transition id (as stamped by [`Self::begin_transition`]).
     pub fn transition(&self) -> u64 {
-        self.lock().transition
+        self.state.borrow().transition
     }
 
     /// Current cascade depth.
     pub fn depth(&self) -> u32 {
-        self.lock().depth
+        self.state.borrow().depth
     }
 
     /// Record an event with the current context. Returns its sequence
@@ -334,7 +332,7 @@ impl TraceRecorder {
     /// [`Self::record`] with a measured duration attached (used for rule
     /// firings when the timing tier is on).
     pub fn record_with_dur(&self, kind: TraceEventKind, dur_ns: Option<u64>) -> u64 {
-        let mut st = self.lock();
+        let mut st = self.state.borrow_mut();
         let seq = st.next_seq;
         st.next_seq += 1;
         match &kind {
@@ -365,7 +363,7 @@ impl TraceRecorder {
     /// triggered the join (the most recent [`TraceEventKind::TokenEmitted`]
     /// in this transition, if any).
     pub fn record_instantiation(&self, rule: u64, tids: Vec<Option<u64>>) -> u64 {
-        let token = self.lock().current_token;
+        let token = self.state.borrow().current_token;
         self.record(TraceEventKind::Instantiation { rule, tids, token })
     }
 
@@ -375,7 +373,7 @@ impl TraceRecorder {
     /// falling back to the current context. Returns `(seq, depth)` so the
     /// engine can stamp the cascade transition it starts next.
     pub fn record_firing(&self, rule: u64, instantiations: u64, dur_ns: Option<u64>) -> (u64, u32) {
-        let mut st = self.lock();
+        let mut st = self.state.borrow_mut();
         let ctx = st.rule_ctx.get(&rule).copied();
         let (depth, transition, cause) = match ctx {
             Some(c) => (c.depth, c.transition, c.cause),
@@ -401,7 +399,7 @@ impl TraceRecorder {
 
     /// Copy of the retained events, oldest first.
     pub fn snapshot(&self) -> Vec<TraceRecord> {
-        self.lock().events.iter().cloned().collect()
+        self.state.borrow().events.iter().cloned().collect()
     }
 }
 

@@ -47,7 +47,6 @@ use crate::alpha::{
     AlphaCounters, AlphaEntry, AlphaId, AlphaKind, AlphaNode, AlphaTiming, BandShape, EventReq,
     RuleId,
 };
-use crate::arena;
 use crate::conflict::ConflictSet;
 use crate::key::{KeyBuilder, SmallKey};
 use crate::plan::{BandSpec, CompositeSpec, JoinPlan};
@@ -62,7 +61,7 @@ use ariel_query::{
     QueryResult, QuerySpec, RExpr, ResolvedCondition, Row,
 };
 use ariel_storage::{
-    Catalog, FxHashMap, FxHashSet, RelId, RelRef, SchemaRef, StorageError, Tid, Tuple, Value,
+    Catalog, FxHashMap, FxHashSet, RelId, Relation, SchemaRef, StorageError, Tid, Tuple, Value,
 };
 use std::collections::HashSet;
 use std::time::Instant;
@@ -297,10 +296,10 @@ pub struct NetworkStats {
 /// net.prime(RuleId(1), &catalog).unwrap();
 ///
 /// // a matching insert token lands in the rule's P-node
-/// let tid = emp.borrow_mut().insert(vec![500i64.into()]).unwrap();
-/// let tuple = emp.borrow().get(tid).cloned().unwrap();
-/// let emp_id = catalog.id("emp").unwrap();
-/// net.process_token(&Token::plus(emp_id, tid, tuple, EventSpecifier::Append), &catalog)
+/// let rel = catalog.rel_mut(emp).unwrap();
+/// let tid = rel.insert(vec![500i64.into()]).unwrap();
+/// let tuple = rel.get(tid).cloned().unwrap();
+/// net.process_token(&Token::plus(emp, tid, tuple, EventSpecifier::Append), &catalog)
 ///     .unwrap();
 /// assert_eq!(net.pnode(RuleId(1)).unwrap().len(), 1);
 /// ```
@@ -344,6 +343,31 @@ pub struct Network {
     selnet_probe: Option<Histogram>,
     /// Gated flight recorder (None = tracing off, the default).
     trace: Option<TraceRecorder>,
+    /// The match path's reusable buffers.
+    scratch: Scratch,
+}
+
+/// The match path's scratch: one reusable buffer per shape — candidate
+/// α-memory lists from the selection network, partially-bound row slots,
+/// and join results. Each shape has at most one buffer in use at a time,
+/// so a buffer is taken with `mem::take` and put back cleared, its
+/// capacity intact: no token allocates scratch once the buffers have
+/// grown, and they travel with the network from thread to thread.
+#[derive(Debug, Default)]
+struct Scratch {
+    candidates: Vec<AlphaId>,
+    row: Row,
+    results: Vec<Vec<BoundVar>>,
+}
+
+impl Scratch {
+    /// Bytes the buffers retain (capacity × element size).
+    fn bytes(&self) -> usize {
+        fn held<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        held(&self.candidates) + held(&self.row.slots) + held(&self.results)
+    }
 }
 
 /// The [`VirtualPolicy::SelectivityThreshold`] estimate, shared by both
@@ -362,10 +386,9 @@ pub(crate) fn selectivity_virtualize(
     composite: &[CompositeSpec],
     join_indexing: bool,
 ) -> bool {
-    let Some(rel_ref) = catalog.rel(rel) else {
+    let Some(rel_b) = catalog.rel(rel) else {
         return false;
     };
-    let rel_b = rel_ref.borrow();
     let n = rel_b.len();
     if n == 0 {
         return false;
@@ -423,7 +446,7 @@ pub(crate) fn selectivity_virtualize(
 
 /// The relation `rel` denotes, or the error a destroyed one gives (its
 /// slot has moved to a later generation).
-pub(crate) fn live_rel(catalog: &Catalog, rel: RelId) -> QueryResult<&RelRef> {
+pub(crate) fn live_rel(catalog: &Catalog, rel: RelId) -> QueryResult<&Relation> {
     catalog
         .rel(rel)
         .ok_or_else(|| StorageError::NoSuchRelation(rel.to_string()).into())
@@ -513,6 +536,7 @@ impl Default for Network {
             composite_keys: true,
             selnet_probe: None,
             trace: None,
+            scratch: Scratch::default(),
         }
     }
 }
@@ -577,6 +601,12 @@ impl Network {
     /// The active flight recorder, if tracing is on.
     pub fn trace(&self) -> Option<&TraceRecorder> {
         self.trace.as_ref()
+    }
+
+    /// Bytes the match path's scratch buffers retain between tokens. Not
+    /// match state: no memory figure of [`NetworkStats`] includes it.
+    pub fn scratch_bytes(&self) -> usize {
+        self.scratch.bytes()
     }
 
     fn alpha(&self, id: AlphaId) -> &AlphaNode {
@@ -869,7 +899,6 @@ impl Network {
             let entries: Vec<(Tid, AlphaEntry)> = {
                 let a = self.alpha(aid);
                 rel_ref
-                    .borrow()
                     .scan()
                     .filter(|(_, t)| a.pred_matches(t, None))
                     .map(|(tid, t)| {
@@ -969,11 +998,11 @@ impl Network {
 
     /// Stab the selection network with the token's value: the α-nodes
     /// whose anchor admits it, plus every unanchored node on the relation.
-    /// One probe per token, whatever its polarity. The buffer comes from
-    /// the arena; hand it back with `arena::give_candidates`.
-    fn stab(&self, token: &Token, catalog: &Catalog) -> Vec<AlphaId> {
+    /// One probe per token, whatever its polarity. The buffer is the
+    /// network's candidate scratch; hand it back with `Self::give_candidates`.
+    fn stab(&mut self, token: &Token, catalog: &Catalog) -> Vec<AlphaId> {
         let probe_start = self.selnet_probe.as_ref().map(|_| Instant::now());
-        let mut candidates = arena::take_candidates();
+        let mut candidates = std::mem::take(&mut self.scratch.candidates);
         self.selnet
             .candidates_into(token.rel, &token.tuple, &mut candidates);
         if let (Some(h), Some(t0)) = (&self.selnet_probe, probe_start) {
@@ -986,6 +1015,12 @@ impl Network {
             });
         }
         candidates
+    }
+
+    /// Return the buffer [`Self::stab`] handed out, cleared.
+    fn give_candidates(&mut self, mut candidates: Vec<AlphaId>) {
+        candidates.clear();
+        self.scratch.candidates = candidates;
     }
 
     fn process_positive(
@@ -1018,7 +1053,7 @@ impl Network {
                 pending,
             )?;
         }
-        arena::give_candidates(matched);
+        self.give_candidates(matched);
         Ok(())
     }
 
@@ -1068,7 +1103,9 @@ impl Network {
         }
         // multi-variable: TREAT join against the other variables' memories
         let join_start = observing.then(Instant::now);
-        let mut results = {
+        let mut row = std::mem::take(&mut self.scratch.row);
+        let mut results = std::mem::take(&mut self.scratch.results);
+        let joined = {
             let rule = self.rules[rule_slot].as_ref().expect("live rule");
             // join the (estimated) smallest memories first: a stable
             // insertion sort on the stack
@@ -1091,12 +1128,15 @@ impl Network {
                 processed,
                 pending,
             };
-            let results = self.join_extend(&join, var, seed)?;
+            let joined = self.join_extend(&join, var, seed, &mut row, &mut results);
             if let (Some(timing), Some(t0)) = (&rule.timing, join_start) {
                 timing.beta_join.record(t0.elapsed().as_nanos() as u64);
             }
-            results
+            joined
         };
+        row.slots.clear();
+        self.scratch.row = row;
+        joined?;
         let produced = results.len() as u64;
         let insert_start = observing.then(Instant::now);
         if let Some(tr) = &self.trace {
@@ -1113,33 +1153,27 @@ impl Network {
         if produced > 0 {
             self.conflict.pushed(rule_id, &rule.pnode);
         }
-        arena::give_results(results);
+        self.scratch.results = results;
         if let (Some(timing), Some(t0)) = (&rule.timing, insert_start) {
             timing.pnode_insert.record(t0.elapsed().as_nanos() as u64);
         }
         Ok(())
     }
 
-    /// Compute all full instantiations extending `seed` at `seed_var`.
+    /// Append to `results` every full instantiation extending `seed` at
+    /// `seed_var`, built up in `row`. Both are the network's scratch and
+    /// come in empty; the caller clears `row` and drains `results`.
     fn join_extend(
         &self,
         join: &Join<'_>,
         seed_var: usize,
         seed: BoundVar,
-    ) -> QueryResult<Vec<Vec<BoundVar>>> {
-        // per-transition scratch off the arena: the slot buffer is returned
-        // below; the results buffer travels to the consumer (P-node push
-        // site), which gives it back after draining
-        let mut slots = arena::take_row_slots();
-        slots.resize(join.rule.vars.len(), None);
-        let mut row = Row { slots };
+        row: &mut Row,
+        results: &mut Vec<Vec<BoundVar>>,
+    ) -> QueryResult<()> {
+        row.slots.resize(join.rule.vars.len(), None);
         row.slots[seed_var] = Some(seed);
-        let mut results = arena::take_results();
-        let r = self.extend_depth(join, 0, 1u64 << seed_var, &mut row, &mut results);
-        row.slots.clear();
-        arena::give_row_slots(row.slots);
-        r?;
-        Ok(results)
+        self.extend_depth(join, 0, 1u64 << seed_var, row, results)
     }
 
     /// Test every join conjunct applicable at this depth against a
@@ -1332,7 +1366,7 @@ impl Network {
                 // index instead of scanning. (Base relations only keep
                 // single-attribute indexes, so virtual nodes stay on the
                 // single-key probe path.)
-                let rel_b = live_rel(join.catalog, alpha.rel)?.borrow();
+                let rel_b = live_rel(join.catalog, alpha.rel)?;
                 let pend = join.pending.of(alpha.rel);
                 // the in-flight token's own tuple is visible only once this
                 // node is in ProcessedMemories
@@ -1533,10 +1567,9 @@ impl Network {
         let alpha = self.alpha(rule.vars[var].alpha);
         match alpha.kind {
             AlphaKind::Virtual => {
-                let Some(rel_ref) = catalog.rel(alpha.rel) else {
+                let Some(rel_b) = catalog.rel(alpha.rel) else {
                     return 0;
                 };
-                let rel_b = rel_ref.borrow();
                 let n = rel_b.len();
                 if !self.join_indexing {
                     return n;
@@ -1636,7 +1669,7 @@ impl Network {
                 )?;
             }
         }
-        arena::give_candidates(candidates);
+        self.give_candidates(candidates);
         Ok(())
     }
 
@@ -2041,13 +2074,10 @@ mod tests {
         ]
     }
 
-    fn insert_emp(c: &Catalog, name: &str, sal: f64, dno: i64, jno: i64) -> (Tid, Tuple) {
-        let rel = c.get("emp").unwrap();
-        let tid = rel
-            .borrow_mut()
-            .insert(emp_row(name, sal, dno, jno))
-            .unwrap();
-        let t = rel.borrow().get(tid).cloned().unwrap();
+    fn insert_emp(c: &mut Catalog, name: &str, sal: f64, dno: i64, jno: i64) -> (Tid, Tuple) {
+        let rel = c.get_mut("emp").unwrap();
+        let tid = rel.insert(emp_row(name, sal, dno, jno)).unwrap();
+        let t = rel.get(tid).cloned().unwrap();
         (tid, t)
     }
 
@@ -2076,9 +2106,9 @@ mod tests {
 
     #[test]
     fn single_var_rule_prime_and_tokens() {
-        let cat = paper_catalog();
-        insert_emp(&cat, "Bob", 10_000.0, 1, 1);
-        insert_emp(&cat, "Al", 50_000.0, 1, 1);
+        let mut cat = paper_catalog();
+        insert_emp(&mut cat, "Bob", 10_000.0, 1, 1);
+        insert_emp(&mut cat, "Al", 50_000.0, 1, 1);
         let mut net = Network::new();
         let rc = cond(&cat, None, "emp.sal > 30000", &[]);
         net.add_rule(RuleId(1), &rc, &VirtualPolicy::AllStored, &cat)
@@ -2088,12 +2118,12 @@ mod tests {
         // Al matches at activation
         assert_eq!(net.pnode(RuleId(1)).unwrap().len(), 1);
         // new matching emp arrives
-        let (tid, t) = insert_emp(&cat, "Cy", 40_000.0, 2, 1);
+        let (tid, t) = insert_emp(&mut cat, "Cy", 40_000.0, 2, 1);
         net.process_token(&append_token(tid, t.clone()), &cat)
             .unwrap();
         assert_eq!(net.pnode(RuleId(1)).unwrap().len(), 2);
         // non-matching emp does nothing
-        let (tid2, t2) = insert_emp(&cat, "Lo", 1000.0, 2, 1);
+        let (tid2, t2) = insert_emp(&mut cat, "Lo", 1000.0, 2, 1);
         net.process_token(&append_token(tid2, t2), &cat).unwrap();
         assert_eq!(net.pnode(RuleId(1)).unwrap().len(), 2);
         // deletion retracts
@@ -2112,27 +2142,19 @@ mod tests {
         )
     }
 
-    fn populate_sales_clerk(cat: &Catalog) {
-        let dept = cat.get("dept").unwrap();
-        dept.borrow_mut()
-            .insert(vec![1i64.into(), "Sales".into()])
-            .unwrap();
-        dept.borrow_mut()
-            .insert(vec![2i64.into(), "Toy".into()])
-            .unwrap();
-        let job = cat.get("job").unwrap();
-        job.borrow_mut()
-            .insert(vec![7i64.into(), "Clerk".into()])
-            .unwrap();
-        job.borrow_mut()
-            .insert(vec![8i64.into(), "Boss".into()])
-            .unwrap();
+    fn populate_sales_clerk(cat: &mut Catalog) {
+        let dept = cat.get_mut("dept").unwrap();
+        dept.insert(vec![1i64.into(), "Sales".into()]).unwrap();
+        dept.insert(vec![2i64.into(), "Toy".into()]).unwrap();
+        let job = cat.get_mut("job").unwrap();
+        job.insert(vec![7i64.into(), "Clerk".into()]).unwrap();
+        job.insert(vec![8i64.into(), "Boss".into()]).unwrap();
     }
 
     #[test]
     fn sales_clerk_rule_stored_network() {
-        let cat = paper_catalog();
-        populate_sales_clerk(&cat);
+        let mut cat = paper_catalog();
+        populate_sales_clerk(&mut cat);
         let mut net = Network::new();
         net.add_rule(
             RuleId(1),
@@ -2148,30 +2170,58 @@ mod tests {
         net.prime(RuleId(1), &cat).unwrap();
         assert_eq!(net.pnode(RuleId(1)).unwrap().len(), 0);
         // matching emp: high salary, Sales dept, Clerk job
-        let (tid, t) = insert_emp(&cat, "Sue", 45_000.0, 1, 7);
+        let (tid, t) = insert_emp(&mut cat, "Sue", 45_000.0, 1, 7);
         net.process_token(&append_token(tid, t), &cat).unwrap();
         assert_eq!(net.pnode(RuleId(1)).unwrap().len(), 1);
         // wrong dept
-        let (tid2, t2) = insert_emp(&cat, "Tom", 45_000.0, 2, 7);
+        let (tid2, t2) = insert_emp(&mut cat, "Tom", 45_000.0, 2, 7);
         net.process_token(&append_token(tid2, t2), &cat).unwrap();
         assert_eq!(net.pnode(RuleId(1)).unwrap().len(), 1);
         // wrong job
-        let (tid3, t3) = insert_emp(&cat, "Ann", 45_000.0, 1, 8);
+        let (tid3, t3) = insert_emp(&mut cat, "Ann", 45_000.0, 1, 8);
         net.process_token(&append_token(tid3, t3), &cat).unwrap();
         assert_eq!(net.pnode(RuleId(1)).unwrap().len(), 1);
         // low salary
-        let (tid4, t4) = insert_emp(&cat, "Pat", 5_000.0, 1, 7);
+        let (tid4, t4) = insert_emp(&mut cat, "Pat", 5_000.0, 1, 7);
         net.process_token(&append_token(tid4, t4), &cat).unwrap();
         assert_eq!(net.pnode(RuleId(1)).unwrap().len(), 1);
     }
 
     #[test]
+    fn scratch_buffers_are_reused_across_tokens() {
+        let mut cat = paper_catalog();
+        populate_sales_clerk(&mut cat);
+        let mut net = Network::new();
+        assert_eq!(net.scratch_bytes(), 0, "a fresh network holds no scratch");
+        let cond = sales_clerk_cond(&cat);
+        net.add_rule(RuleId(1), &cond, &VirtualPolicy::AllStored, &cat)
+            .unwrap();
+        net.prime(RuleId(1), &cat).unwrap();
+        let (tid, t) = insert_emp(&mut cat, "Sue", 45_000.0, 1, 7);
+        net.process_token(&append_token(tid, t), &cat).unwrap();
+        let warm = net.scratch_bytes();
+        assert!(warm > 0, "the join drew candidate, row and result buffers");
+        for name in ["Ann", "Bob", "Cy"] {
+            let (tid, t) = insert_emp(&mut cat, name, 45_000.0, 1, 7);
+            net.process_token(&append_token(tid, t), &cat).unwrap();
+        }
+        assert_eq!(net.pnode(RuleId(1)).unwrap().len(), 4);
+        assert_eq!(net.scratch_bytes(), warm, "later tokens reuse the buffers");
+    }
+
+    #[test]
     fn virtual_alpha_matches_stored_results() {
         // Fig. 4: make the emp α-memory (alpha2, low selectivity) virtual.
-        let cat = paper_catalog();
-        populate_sales_clerk(&cat);
+        let mut cat = paper_catalog();
+        populate_sales_clerk(&mut cat);
         for i in 0..20 {
-            insert_emp(&cat, &format!("e{i}"), 40_000.0 + i as f64, 1 + (i % 2), 7);
+            insert_emp(
+                &mut cat,
+                &format!("e{i}"),
+                40_000.0 + i as f64,
+                1 + (i % 2),
+                7,
+            );
         }
         let build = |policy: &VirtualPolicy| {
             let mut net = Network::new();
@@ -2180,7 +2230,7 @@ mod tests {
             net.prime(RuleId(1), &cat).unwrap();
             let (tid, t) = {
                 let rel = cat.get("emp").unwrap();
-                let r = rel.borrow();
+                let r = rel;
                 let (tid, t) = r.scan().last().unwrap();
                 (tid, t.clone())
             };
@@ -2193,7 +2243,7 @@ mod tests {
         let mut virt = build(&VirtualPolicy::ExplicitVars(HashSet::from([0])));
         assert_eq!(virt.alpha_kinds(RuleId(1)).unwrap()[0], AlphaKind::Virtual);
         // both nets see the same new token
-        let (tid, t) = insert_emp(&cat, "new", 99_000.0, 1, 7);
+        let (tid, t) = insert_emp(&mut cat, "new", 99_000.0, 1, 7);
         stored
             .process_token(&append_token(tid, t.clone()), &cat)
             .unwrap();
@@ -2210,10 +2260,10 @@ mod tests {
 
     #[test]
     fn selectivity_threshold_policy() {
-        let cat = paper_catalog();
-        populate_sales_clerk(&cat);
+        let mut cat = paper_catalog();
+        populate_sales_clerk(&mut cat);
         for i in 0..10 {
-            insert_emp(&cat, &format!("e{i}"), 40_000.0, 1, 7);
+            insert_emp(&mut cat, &format!("e{i}"), 40_000.0, 1, 7);
         }
         // emp.sal > 30000 matches everything (low selectivity) → virtual;
         // dept/job predicates match half → stored at 0.6 threshold
@@ -2243,8 +2293,8 @@ mod tests {
             VirtualPolicy::ExplicitVars(HashSet::from([0])),
             VirtualPolicy::ExplicitVars(HashSet::from([1])),
         ] {
-            let cat = paper_catalog();
-            let (ytid, yt) = insert_emp(&cat, "y", 1.0, 5, 1);
+            let mut cat = paper_catalog();
+            let (ytid, yt) = insert_emp(&mut cat, "y", 1.0, 5, 1);
             let mut net = Network::new();
             net.add_rule(RuleId(1), &self_join_cond(&cat), &policy, &cat)
                 .unwrap();
@@ -2255,7 +2305,7 @@ mod tests {
             let _ = (ytid, yt);
             // new tuple t with same dno: expect exactly 3 new rows:
             // (t,t), (t,y), (y,t)
-            let (tid, t) = insert_emp(&cat, "t", 2.0, 5, 1);
+            let (tid, t) = insert_emp(&mut cat, "t", 2.0, 5, 1);
             net.process_token(&append_token(tid, t), &cat).unwrap();
             assert_eq!(
                 net.pnode(RuleId(1)).unwrap().len(),
@@ -2268,14 +2318,14 @@ mod tests {
     #[test]
     fn batch_insert_no_double_count() {
         for policy in [VirtualPolicy::AllStored, VirtualPolicy::AllVirtual] {
-            let cat = paper_catalog();
+            let mut cat = paper_catalog();
             let mut net = Network::new();
             net.add_rule(RuleId(1), &self_join_cond(&cat), &policy, &cat)
                 .unwrap();
             net.prime(RuleId(1), &cat).unwrap();
             // two tuples inserted in one command (one batch)
-            let (t1, v1) = insert_emp(&cat, "t1", 1.0, 5, 1);
-            let (t2, v2) = insert_emp(&cat, "t2", 2.0, 5, 1);
+            let (t1, v1) = insert_emp(&mut cat, "t1", 1.0, 5, 1);
+            let (t2, v2) = insert_emp(&mut cat, "t2", 2.0, 5, 1);
             net.process_batch(&[append_token(t1, v1), append_token(t2, v2)], &cat)
                 .unwrap();
             // pairs: (t1,t1), (t1,t2), (t2,t1), (t2,t2)
@@ -2289,8 +2339,8 @@ mod tests {
 
     #[test]
     fn on_append_rule_is_dynamic_and_flushed() {
-        let cat = paper_catalog();
-        populate_sales_clerk(&cat);
+        let mut cat = paper_catalog();
+        populate_sales_clerk(&mut cat);
         let mut net = Network::new();
         let rc = cond(
             &cat,
@@ -2307,15 +2357,15 @@ mod tests {
         assert!(kinds.contains(&AlphaKind::DynamicOn));
         net.prime(RuleId(1), &cat).unwrap();
         // event rules never prime from existing data
-        insert_emp(&cat, "old", 1.0, 1, 7);
+        insert_emp(&mut cat, "old", 1.0, 1, 7);
         assert_eq!(net.pnode(RuleId(1)).unwrap().len(), 0);
         // append event matches
-        let (tid, t) = insert_emp(&cat, "new", 1.0, 1, 7);
+        let (tid, t) = insert_emp(&mut cat, "new", 1.0, 1, 7);
         net.process_token(&append_token(tid, t.clone()), &cat)
             .unwrap();
         assert_eq!(net.pnode(RuleId(1)).unwrap().len(), 1);
         // a replace Δ token does not trigger an on-append rule
-        let (tid2, t2) = insert_emp(&cat, "upd", 1.0, 1, 7);
+        let (tid2, t2) = insert_emp(&mut cat, "upd", 1.0, 1, 7);
         net.process_token(
             &Token::delta_plus(EMP, tid2, t2.clone(), t2, EventSpecifier::Replace(vec![2])),
             &cat,
@@ -2333,8 +2383,8 @@ mod tests {
 
     #[test]
     fn on_delete_rule_binds_dead_tuple() {
-        let cat = paper_catalog();
-        populate_sales_clerk(&cat);
+        let mut cat = paper_catalog();
+        populate_sales_clerk(&mut cat);
         let mut net = Network::new();
         let rc = cond(
             &cat,
@@ -2348,7 +2398,7 @@ mod tests {
         net.add_rule(RuleId(1), &rc, &VirtualPolicy::AllStored, &cat)
             .unwrap();
         net.prime(RuleId(1), &cat).unwrap();
-        let (tid, t) = insert_emp(&cat, "victim", 1.0, 1, 7);
+        let (tid, t) = insert_emp(&mut cat, "victim", 1.0, 1, 7);
         net.process_token(&append_token(tid, t.clone()), &cat)
             .unwrap();
         assert_eq!(
@@ -2357,7 +2407,7 @@ mod tests {
             "append is not delete"
         );
         // delete it (engine removes from relation first, then sends token)
-        cat.get("emp").unwrap().borrow_mut().delete(tid).unwrap();
+        cat.get_mut("emp").unwrap().delete(tid).unwrap();
         net.process_token(&Token::minus(EMP, tid, t, EventSpecifier::Delete), &cat)
             .unwrap();
         let p = net.pnode(RuleId(1)).unwrap();
@@ -2369,7 +2419,7 @@ mod tests {
 
     #[test]
     fn transition_rule_raiselimit() {
-        let cat = paper_catalog();
+        let mut cat = paper_catalog();
         let mut net = Network::new();
         let rc = cond(&cat, None, "emp.sal > 1.1 * previous emp.sal", &[]);
         net.add_rule(RuleId(1), &rc, &VirtualPolicy::AllStored, &cat)
@@ -2379,7 +2429,7 @@ mod tests {
             vec![AlphaKind::SimpleTrans]
         );
         net.prime(RuleId(1), &cat).unwrap();
-        let (tid, old) = insert_emp(&cat, "e", 100_000.0, 1, 1);
+        let (tid, old) = insert_emp(&mut cat, "e", 100_000.0, 1, 1);
         // raise of 20%: Δ+ matches
         let new = Tuple::new(emp_row("e", 120_000.0, 1, 1));
         net.process_token(
@@ -2413,12 +2463,12 @@ mod tests {
 
     #[test]
     fn delta_minus_retracts_pair() {
-        let cat = paper_catalog();
+        let mut cat = paper_catalog();
         let mut net = Network::new();
         let rc = cond(&cat, None, "emp.sal > 1.1 * previous emp.sal", &[]);
         net.add_rule(RuleId(1), &rc, &VirtualPolicy::AllStored, &cat)
             .unwrap();
-        let (tid, old) = insert_emp(&cat, "e", 100.0, 1, 1);
+        let (tid, old) = insert_emp(&mut cat, "e", 100.0, 1, 1);
         let new = Tuple::new(emp_row("e", 200.0, 1, 1));
         net.process_token(
             &Token::delta_plus(
@@ -2454,7 +2504,7 @@ mod tests {
 
     #[test]
     fn replace_target_list_gating() {
-        let cat = paper_catalog();
+        let mut cat = paper_catalog();
         let mut net = Network::new();
         let rc = cond(
             &cat,
@@ -2467,7 +2517,7 @@ mod tests {
         );
         net.add_rule(RuleId(1), &rc, &VirtualPolicy::AllStored, &cat)
             .unwrap();
-        let (tid, old) = insert_emp(&cat, "e", 100.0, 1, 1);
+        let (tid, old) = insert_emp(&mut cat, "e", 100.0, 1, 1);
         // replace touching sal (attr 2) only: no trigger
         let new = Tuple::new(emp_row("e", 200.0, 1, 1));
         net.process_token(
@@ -2488,7 +2538,7 @@ mod tests {
 
     #[test]
     fn remove_rule_unsubscribes() {
-        let cat = paper_catalog();
+        let mut cat = paper_catalog();
         let mut net = Network::new();
         let rc = cond(&cat, None, "emp.sal > 30000", &[]);
         net.add_rule(RuleId(1), &rc, &VirtualPolicy::AllStored, &cat)
@@ -2497,7 +2547,7 @@ mod tests {
         net.remove_rule(RuleId(1));
         assert_eq!(net.rule_count(), 0);
         assert!(net.pnode(RuleId(1)).is_none());
-        let (tid, t) = insert_emp(&cat, "x", 99_999.0, 1, 1);
+        let (tid, t) = insert_emp(&mut cat, "x", 99_999.0, 1, 1);
         net.process_token(&append_token(tid, t), &cat).unwrap();
         assert!(net.rules_with_matches().is_empty());
         // id reusable
@@ -2524,20 +2574,18 @@ mod tests {
         // dept.dno: results must be identical (the index is §4.2's
         // constant-substitution scan choice, not a semantic change)
         let build = |with_index: bool| {
-            let cat = paper_catalog();
-            populate_sales_clerk(&cat);
+            let mut cat = paper_catalog();
+            populate_sales_clerk(&mut cat);
             // extra Sales departments sharing dno values
             for i in 0..10 {
-                cat.get("dept")
+                cat.get_mut("dept")
                     .unwrap()
-                    .borrow_mut()
                     .insert(vec![(i % 3i64).into(), "Sales".into()])
                     .unwrap();
             }
             if with_index {
-                cat.get("dept")
+                cat.get_mut("dept")
                     .unwrap()
-                    .borrow_mut()
                     .create_index("dno", ariel_storage::IndexKind::Hash)
                     .unwrap();
             }
@@ -2556,7 +2604,7 @@ mod tests {
             )
             .unwrap();
             net.prime(RuleId(1), &cat).unwrap();
-            let (tid, t) = insert_emp(&cat, "probe", 10.0, 1, 7);
+            let (tid, t) = insert_emp(&mut cat, "probe", 10.0, 1, 7);
             net.process_token(&append_token(tid, t), &cat).unwrap();
             net.pnode(RuleId(1)).unwrap().len()
         };
@@ -2568,23 +2616,23 @@ mod tests {
 
     #[test]
     fn unsatisfiable_predicate_rule_never_matches() {
-        let cat = paper_catalog();
+        let mut cat = paper_catalog();
         let mut net = Network::new();
         // contradictory band: can never match
         let rc = cond(&cat, None, "emp.sal > 100 and emp.sal < 50", &[]);
         net.add_rule(RuleId(1), &rc, &VirtualPolicy::AllStored, &cat)
             .unwrap();
         net.prime(RuleId(1), &cat).unwrap();
-        let (tid, t) = insert_emp(&cat, "x", 75.0, 1, 1);
+        let (tid, t) = insert_emp(&mut cat, "x", 75.0, 1, 1);
         net.process_token(&append_token(tid, t), &cat).unwrap();
         assert_eq!(net.pnode(RuleId(1)).unwrap().len(), 0);
     }
 
     #[test]
     fn network_stats_accounting() {
-        let cat = paper_catalog();
-        insert_emp(&cat, "a", 50_000.0, 1, 1);
-        insert_emp(&cat, "b", 60_000.0, 1, 1);
+        let mut cat = paper_catalog();
+        insert_emp(&mut cat, "a", 50_000.0, 1, 1);
+        insert_emp(&mut cat, "b", 60_000.0, 1, 1);
         let mut net = Network::new();
         let rc = cond(&cat, None, "emp.sal > 30000 and emp.dno = dept.dno", &[]);
         net.add_rule(RuleId(1), &rc, &VirtualPolicy::AllStored, &cat)
@@ -2605,8 +2653,8 @@ mod tests {
 
     #[test]
     fn flush_is_idempotent_and_scoped() {
-        let cat = paper_catalog();
-        insert_emp(&cat, "a", 50_000.0, 1, 1);
+        let mut cat = paper_catalog();
+        insert_emp(&mut cat, "a", 50_000.0, 1, 1);
         let mut net = Network::new();
         let rc = cond(&cat, None, "emp.sal > 30000", &[]);
         net.add_rule(RuleId(1), &rc, &VirtualPolicy::AllStored, &cat)
@@ -2623,7 +2671,7 @@ mod tests {
     fn bare_minus_token_cleans_pattern_memories_only() {
         // the case-3 bare − (no event specifier) must retract pattern
         // state but trigger nothing
-        let cat = paper_catalog();
+        let mut cat = paper_catalog();
         let mut net = Network::new();
         let pattern = cond(&cat, None, "emp.sal > 0", &[]);
         net.add_rule(RuleId(1), &pattern, &VirtualPolicy::AllStored, &cat)
@@ -2642,7 +2690,7 @@ mod tests {
         for id in [1, 2] {
             net.prime(RuleId(id), &cat).unwrap();
         }
-        let (tid, t) = insert_emp(&cat, "x", 10.0, 1, 1);
+        let (tid, t) = insert_emp(&mut cat, "x", 10.0, 1, 1);
         net.process_token(&append_token(tid, t.clone()), &cat)
             .unwrap();
         assert_eq!(net.pnode(RuleId(1)).unwrap().len(), 1);
@@ -2655,8 +2703,8 @@ mod tests {
 
     #[test]
     fn rules_with_matches_sorted() {
-        let cat = paper_catalog();
-        insert_emp(&cat, "x", 50_000.0, 1, 1);
+        let mut cat = paper_catalog();
+        insert_emp(&mut cat, "x", 50_000.0, 1, 1);
         let mut net = Network::new();
         for id in [3u64, 1, 2] {
             let rc = cond(&cat, None, "emp.sal > 30000", &[]);
@@ -2675,8 +2723,8 @@ mod tests {
 
     #[test]
     fn indexed_join_matches_nested_loop_and_counts_probes() {
-        let cat = paper_catalog();
-        populate_sales_clerk(&cat);
+        let mut cat = paper_catalog();
+        populate_sales_clerk(&mut cat);
         let build = |indexing: bool| {
             let mut net = Network::new();
             net.set_join_indexing(indexing);
@@ -2693,7 +2741,7 @@ mod tests {
         let mut indexed = build(true);
         let mut nested = build(false);
         for i in 0..12 {
-            let (tid, t) = insert_emp(&cat, &format!("e{i}"), 40_000.0, 1 + (i % 3), 7);
+            let (tid, t) = insert_emp(&mut cat, &format!("e{i}"), 40_000.0, 1 + (i % 3), 7);
             indexed
                 .process_token(&append_token(tid, t.clone()), &cat)
                 .unwrap();
@@ -2734,8 +2782,8 @@ mod tests {
         // SQL semantics: Null = anything is false, so an emp with a Null
         // dno joins no dept — with or without the join index (a Null probe
         // key short-circuits to the empty bucket).
-        let cat = paper_catalog();
-        populate_sales_clerk(&cat);
+        let mut cat = paper_catalog();
+        populate_sales_clerk(&mut cat);
         for indexing in [true, false] {
             let mut net = Network::new();
             net.set_join_indexing(indexing);
@@ -2743,9 +2791,8 @@ mod tests {
             net.add_rule(RuleId(1), &rc, &VirtualPolicy::AllStored, &cat)
                 .unwrap();
             net.prime(RuleId(1), &cat).unwrap();
-            let rel = cat.get("emp").unwrap();
+            let rel = cat.get_mut("emp").unwrap();
             let tid = rel
-                .borrow_mut()
                 .insert(vec![
                     "nil".into(),
                     30i64.into(),
@@ -2754,14 +2801,14 @@ mod tests {
                     7i64.into(),
                 ])
                 .unwrap();
-            let t = rel.borrow().get(tid).cloned().unwrap();
+            let t = rel.get(tid).cloned().unwrap();
             net.process_token(&append_token(tid, t), &cat).unwrap();
             assert_eq!(
                 net.pnode(RuleId(1)).unwrap().len(),
                 0,
                 "indexing={indexing}"
             );
-            rel.borrow_mut().delete(tid).unwrap();
+            cat.get_mut("emp").unwrap().delete(tid).unwrap();
         }
     }
 
@@ -2770,8 +2817,8 @@ mod tests {
         // A matched instantiation's tuples must share storage with the base
         // relation — the whole path (relation → token → α-memory → β-join →
         // P-node) moves `Arc`s, never values.
-        let cat = paper_catalog();
-        populate_sales_clerk(&cat);
+        let mut cat = paper_catalog();
+        populate_sales_clerk(&mut cat);
         let mut net = Network::new();
         net.add_rule(
             RuleId(1),
@@ -2781,14 +2828,14 @@ mod tests {
         )
         .unwrap();
         net.prime(RuleId(1), &cat).unwrap();
-        let (tid, t) = insert_emp(&cat, "Sue", 45_000.0, 1, 7);
+        let (tid, t) = insert_emp(&mut cat, "Sue", 45_000.0, 1, 7);
         net.process_token(&append_token(tid, t), &cat).unwrap();
         let pnode = net.pnode(RuleId(1)).unwrap();
         assert_eq!(pnode.len(), 1);
         let row = &pnode.rows()[0];
         for (col, bound) in pnode.cols().iter().zip(row) {
             let rel = cat.get(&col.rel).unwrap();
-            let rel_b = rel.borrow();
+            let rel_b = rel;
             let base = rel_b.get(bound.tid.unwrap()).unwrap();
             assert!(
                 bound.tuple.shares_storage(base),
@@ -2800,10 +2847,10 @@ mod tests {
 
     #[test]
     fn remove_rule_releases_and_reactivation_back_fills() {
-        let cat = paper_catalog();
-        populate_sales_clerk(&cat);
+        let mut cat = paper_catalog();
+        populate_sales_clerk(&mut cat);
         for (i, sal) in [10_000.0, 40_000.0, 50_000.0, 60_000.0].iter().enumerate() {
-            insert_emp(&cat, &format!("e{i}"), *sal, 1 + i as i64 % 2, 7);
+            insert_emp(&mut cat, &format!("e{i}"), *sal, 1 + i as i64 % 2, 7);
         }
         // rule 2's emp memory joins on jno; rule 1's, added later, on dno —
         // its index is built over tuples rule 2 already holds
@@ -2845,12 +2892,9 @@ mod tests {
         add(&mut net, 1, &by_dno);
         let mut fresh = Network::new();
         add(&mut fresh, 1, &by_dno);
-        let dept = cat.get("dept").unwrap();
-        let tid = dept
-            .borrow_mut()
-            .insert(vec![1i64.into(), "Annex".into()])
-            .unwrap();
-        let t = dept.borrow().get(tid).cloned().unwrap();
+        let dept = cat.get_mut("dept").unwrap();
+        let tid = dept.insert(vec![1i64.into(), "Annex".into()]).unwrap();
+        let t = dept.get(tid).cloned().unwrap();
         let token = Token::plus(DEPT, tid, t, EventSpecifier::Append);
         net.process_token(&token, &cat).unwrap();
         fresh.process_token(&token, &cat).unwrap();

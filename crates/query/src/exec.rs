@@ -104,8 +104,7 @@ pub struct ExecCtx<'a> {
 pub fn run_plan(plan: &Plan, ctx: &ExecCtx<'_>) -> QueryResult<Vec<Row>> {
     match plan {
         Plan::SeqScan { rel, var, filter } => {
-            let rel_ref = ctx.catalog.require(rel)?;
-            let rel_b = rel_ref.borrow();
+            let rel_b = ctx.catalog.require(rel)?;
             let mut out = Vec::new();
             for (tid, tuple) in rel_b.scan() {
                 let mut row = Row::unbound(ctx.nvars);
@@ -126,8 +125,7 @@ pub fn run_plan(plan: &Plan, ctx: &ExecCtx<'_>) -> QueryResult<Vec<Row>> {
             key,
             filter,
         } => {
-            let rel_ref = ctx.catalog.require(rel)?;
-            let rel_b = rel_ref.borrow();
+            let rel_b = ctx.catalog.require(rel)?;
             let mut out = Vec::new();
             let mut keep = |tid: Tid, tuple: &Tuple| -> QueryResult<()> {
                 let mut row = Row::unbound(ctx.nvars);
@@ -208,8 +206,7 @@ pub fn run_plan(plan: &Plan, ctx: &ExecCtx<'_>) -> QueryResult<Vec<Row>> {
             cond,
         } => {
             let lrows = run_plan(left, ctx)?;
-            let rel_ref = ctx.catalog.require(rel)?;
-            let rel_b = rel_ref.borrow();
+            let rel_b = ctx.catalog.require(rel)?;
             let mut out = Vec::new();
             for l in &lrows {
                 let key = eval(key_expr, l)?;
@@ -363,8 +360,8 @@ pub fn qualifying_rows(
 /// [`execute_with_plan`] instead.
 ///
 /// `pnode` supplies bindings for P-node variables (rule-action context).
-/// The catalog is mutably borrowed only because `retrieve into` creates its
-/// destination relation; all other mutation goes through relation handles.
+/// The qualifying rows are computed under `&Catalog` before any relation
+/// is written, so a command never observes its own updates.
 pub fn execute(
     rcmd: &RCommand,
     catalog: &mut Catalog,
@@ -401,22 +398,21 @@ pub fn execute_with_plan(
                 }
                 new_rows.push(vals);
             }
-            let (id, rel) = catalog.resolve(target)?;
+            let (id, rel) = catalog.resolve_mut(target)?;
             for vals in new_rows {
-                let mut rel = rel.borrow_mut();
                 let tid = rel.insert(vals)?;
                 let new = rel.get(tid).cloned().expect("just inserted");
                 out.changes.push(Change::Inserted { rel: id, tid, new });
             }
         }
         RCommand::Delete { var, spec } => {
-            let (id, rel) = catalog.resolve(&spec.vars[*var].rel)?;
+            let (id, rel) = catalog.resolve_mut(&spec.vars[*var].rel)?;
             let mut seen = HashSet::new();
             for row in &rows {
                 let b = row.bound(*var).expect("target var bound");
                 let Some(tid) = b.tid else { continue };
                 if seen.insert(tid) {
-                    let old = rel.borrow_mut().delete(tid)?;
+                    let old = rel.delete(tid)?;
                     out.changes.push(Change::Deleted { rel: id, tid, old });
                 }
             }
@@ -452,10 +448,9 @@ pub fn execute_with_plan(
                         })
                         .collect(),
                 )?;
-                catalog.create(dest, std::sync::Arc::new(schema))?;
-                let (id, rel) = catalog.resolve(dest)?;
+                let id = catalog.create(dest, std::sync::Arc::new(schema))?;
+                let rel = catalog.rel_mut(id).expect("just created");
                 for vals in &out.rows {
-                    let mut rel = rel.borrow_mut();
                     let tid = rel.insert(vals.clone())?;
                     let new = rel.get(tid).cloned().expect("just inserted");
                     out.changes.push(Change::Inserted { rel: id, tid, new });
@@ -483,14 +478,13 @@ pub fn execute_with_plan(
             }
         }
         RCommand::DeletePrimed { pvar, spec } => {
-            let (id, rel) = catalog.resolve(&spec.vars[*pvar].rel)?;
+            let (id, rel) = catalog.resolve_mut(&spec.vars[*pvar].rel)?;
             let mut seen = HashSet::new();
             for row in &rows {
                 let b = row.bound(*pvar).expect("pvar bound");
                 // Tuples already gone (bound by ON DELETE, or deleted by an
                 // earlier rule in the cascade) are skipped silently.
                 let Some(tid) = b.tid else { continue };
-                let mut rel = rel.borrow_mut();
                 if rel.get(tid).is_none() {
                     continue;
                 }
@@ -519,7 +513,7 @@ fn apply_replace(
     var: usize,
     assignments: &[(usize, crate::semantic::RExpr)],
     rel_name: &str,
-    catalog: &Catalog,
+    catalog: &mut Catalog,
     out: &mut CmdOutput,
     skip_dangling: bool,
 ) -> QueryResult<()> {
@@ -530,7 +524,7 @@ fn apply_replace(
     for row in rows {
         let b = row.bound(var).expect("target var bound");
         let Some(tid) = b.tid else { continue };
-        if skip_dangling && rel.borrow().get(tid).is_none() {
+        if skip_dangling && rel.get(tid).is_none() {
             continue;
         }
         if !seen.insert(tid) {
@@ -543,8 +537,8 @@ fn apply_replace(
         updates.push((tid, vals));
     }
     let attrs: Vec<usize> = assignments.iter().map(|(p, _)| *p).collect();
+    let rel = catalog.rel_mut(id).expect("resolved above");
     for (tid, vals) in updates {
-        let mut rel = rel.borrow_mut();
         let old = rel.update(tid, vals)?;
         let new = rel.get(tid).cloned().expect("updated tuple");
         out.changes.push(Change::Updated {
@@ -590,12 +584,14 @@ mod tests {
             ("carol", 70_000.0, 2),
             ("dan", 35_000.0, 3),
         ] {
-            emp.borrow_mut()
+            c.rel_mut(emp)
+                .unwrap()
                 .insert(vec![n.into(), s.into(), (d as i64).into()])
                 .unwrap();
         }
         for (d, n) in [(1, "Sales"), (2, "Toy"), (3, "Shoe")] {
-            dept.borrow_mut()
+            c.rel_mut(dept)
+                .unwrap()
                 .insert(vec![(d as i64).into(), n.into()])
                 .unwrap();
         }
@@ -636,9 +632,8 @@ mod tests {
     #[test]
     fn retrieve_join_with_index() {
         let mut cat = setup();
-        cat.get("emp")
+        cat.get_mut("emp")
             .unwrap()
-            .borrow_mut()
             .create_index("dno", IndexKind::Hash)
             .unwrap();
         let out = run(
@@ -657,7 +652,7 @@ mod tests {
         );
         assert_eq!(out.changes.len(), 1);
         assert_eq!(out.changes[0].relation(), cat.id("emp").unwrap());
-        assert_eq!(cat.get("emp").unwrap().borrow().len(), 5);
+        assert_eq!(cat.get("emp").unwrap().len(), 5);
     }
 
     #[test]
@@ -671,16 +666,16 @@ mod tests {
             "append watch (who = emp.name) where emp.dno = dept.dno and dept.name = \"Sales\"",
         );
         assert_eq!(out.changes.len(), 2);
-        assert_eq!(cat.get("watch").unwrap().borrow().len(), 2);
+        assert_eq!(cat.get("watch").unwrap().len(), 2);
     }
 
     #[test]
     fn append_missing_attrs_null() {
         let mut cat = setup();
         run(&mut cat, r#"append emp (name = "ghost")"#);
-        let emp = cat.get("emp").unwrap();
-        let emp = emp.borrow();
-        let ghost = emp
+        let ghost = cat
+            .get("emp")
+            .unwrap()
             .scan()
             .find(|(_, t)| t.get(0) == &Value::from("ghost"))
             .unwrap();
@@ -692,16 +687,15 @@ mod tests {
         let mut cat = setup();
         let out = run(&mut cat, "delete emp where emp.sal < 45000");
         assert_eq!(out.changes.len(), 2); // alice, dan
-        assert_eq!(cat.get("emp").unwrap().borrow().len(), 2);
+        assert_eq!(cat.get("emp").unwrap().len(), 2);
     }
 
     #[test]
     fn delete_join_dedupes_targets() {
         let mut cat = setup();
         // extra dept row with duplicate dno would double-match
-        cat.get("dept")
+        cat.get_mut("dept")
             .unwrap()
-            .borrow_mut()
             .insert(vec![1i64.into(), "SalesBis".into()])
             .unwrap();
         let out = run(
@@ -741,11 +735,7 @@ mod tests {
         );
         assert_eq!(out.changes.len(), 4);
         let emp = cat.get("emp").unwrap();
-        let total: f64 = emp
-            .borrow()
-            .scan()
-            .map(|(_, t)| t.get(1).as_f64().unwrap())
-            .sum();
+        let total: f64 = emp.scan().map(|(_, t)| t.get(1).as_f64().unwrap()).sum();
         assert!((total - 220_000.0).abs() < 1.0);
     }
 
@@ -758,8 +748,8 @@ mod tests {
         );
         assert_eq!(out.changes.len(), 2);
         let rich = cat.get("rich").unwrap();
-        assert_eq!(rich.borrow().len(), 2);
-        assert_eq!(rich.borrow().schema().attr(1).ty, AttrType::Float);
+        assert_eq!(rich.len(), 2);
+        assert_eq!(rich.schema().attr(1).ty, AttrType::Float);
     }
 
     #[test]
@@ -774,11 +764,10 @@ mod tests {
     fn primed_replace_through_pnode() {
         let mut cat = setup();
         let emp_rel = cat.get("emp").unwrap();
-        let emp_schema = emp_rel.borrow().schema().clone();
+        let emp_schema = emp_rel.schema().clone();
         // P-node binding bob (tid from scan)
         let (bob_tid, bob_tuple) = {
-            let r = emp_rel.borrow();
-            let (t, tu) = r
+            let (t, tu) = emp_rel
                 .scan()
                 .find(|(_, t)| t.get(0) == &Value::from("bob"))
                 .unwrap();
@@ -806,7 +795,7 @@ mod tests {
         let out = execute(&rc, &mut cat, Some(&pnode)).unwrap();
         assert_eq!(out.changes.len(), 1);
         assert_eq!(
-            emp_rel.borrow().get(bob_tid).unwrap().get(1),
+            cat.get("emp").unwrap().get(bob_tid).unwrap().get(1),
             &Value::Float(30000.0)
         );
     }
@@ -815,10 +804,9 @@ mod tests {
     fn primed_delete_skips_dangling() {
         let mut cat = setup();
         let emp_rel = cat.get("emp").unwrap();
-        let emp_schema = emp_rel.borrow().schema().clone();
+        let emp_schema = emp_rel.schema().clone();
         let (tid, tuple) = {
-            let r = emp_rel.borrow();
-            let (t, tu) = r.scan().next().unwrap();
+            let (t, tu) = emp_rel.scan().next().unwrap();
             (t, tu.clone())
         };
         let mut pnode = Pnode::new(vec![PnodeCol {
@@ -829,7 +817,7 @@ mod tests {
         }]);
         pnode.push(vec![BoundVar::plain(tid, tuple)]);
         // delete underneath the P-node
-        emp_rel.borrow_mut().delete(tid).unwrap();
+        cat.get_mut("emp").unwrap().delete(tid).unwrap();
         let cmd = crate::ast::Command::DeletePrimed {
             pvar: "emp".into(),
             from: vec![],
@@ -850,7 +838,8 @@ mod tests {
                 .create(name, Schema::of(&[("k", AttrType::Int)]))
                 .unwrap();
             for i in 0..200 {
-                r.borrow_mut()
+                cat.rel_mut(r)
+                    .unwrap()
                     .insert(vec![((i % 50) as i64).into()])
                     .unwrap();
             }

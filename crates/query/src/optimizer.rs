@@ -278,8 +278,7 @@ impl<'a> Optimizer<'a> {
     /// Build the access path for a relation variable.
     fn access_path(&self, spec: &QuerySpec, var: usize, sels: Vec<RExpr>) -> QueryResult<Plan> {
         let rel_name = spec.vars[var].rel.clone();
-        let rel = self.catalog.require(&rel_name)?;
-        let rel_ref = rel.borrow();
+        let rel_ref = self.catalog.require(&rel_name)?;
         let sargs = Self::extract_sargs(var, &sels);
 
         // Equality probe first (most selective).
@@ -382,7 +381,7 @@ impl<'a> Optimizer<'a> {
             let Some((attr, key_expr)) = Self::equi_edge(c, pick, bound) else {
                 continue;
             };
-            if rel.borrow().index_on(attr).is_none() {
+            if rel.index_on(attr).is_none() {
                 continue;
             }
             let cond = RExpr::conjoin(
@@ -445,7 +444,7 @@ impl<'a> Optimizer<'a> {
             VarSource::Relation => self
                 .catalog
                 .get(&spec.vars[var].rel)
-                .map(|r| r.borrow().len())
+                .map(|r| r.len())
                 .unwrap_or(0) as f64,
         };
         let sel: f64 = sels
@@ -464,7 +463,7 @@ impl<'a> Optimizer<'a> {
     fn plan_estimate(&self, plan: &Plan, spec: &QuerySpec) -> f64 {
         match plan {
             Plan::SeqScan { rel, filter, .. } => {
-                let n = self.catalog.get(rel).map(|r| r.borrow().len()).unwrap_or(0) as f64;
+                let n = self.catalog.get(rel).map(|r| r.len()).unwrap_or(0) as f64;
                 if filter.is_some() {
                     (n * SEL_RANGE).max(1.0)
                 } else {
@@ -472,7 +471,7 @@ impl<'a> Optimizer<'a> {
                 }
             }
             Plan::IndexScan { rel, key, .. } => {
-                let n = self.catalog.get(rel).map(|r| r.borrow().len()).unwrap_or(0) as f64;
+                let n = self.catalog.get(rel).map(|r| r.len()).unwrap_or(0) as f64;
                 match key {
                     IndexKey::Eq(_) => (n * SEL_EQ).max(1.0),
                     IndexKey::Range(..) => (n * SEL_RANGE).max(1.0),
@@ -550,7 +549,8 @@ mod tests {
             )
             .unwrap();
         for i in 0..100 {
-            emp.borrow_mut()
+            c.rel_mut(emp)
+                .unwrap()
                 .insert(vec![
                     format!("e{i}").into(),
                     ((i * 100) as f64).into(),
@@ -559,7 +559,8 @@ mod tests {
                 .unwrap();
         }
         for i in 0..10 {
-            dept.borrow_mut()
+            c.rel_mut(dept)
+                .unwrap()
                 .insert(vec![(i as i64).into(), format!("d{i}").into()])
                 .unwrap();
         }
@@ -581,10 +582,9 @@ mod tests {
 
     #[test]
     fn index_eq_scan_with_hash_index() {
-        let cat = catalog_with_data();
-        cat.get("emp")
+        let mut cat = catalog_with_data();
+        cat.get_mut("emp")
             .unwrap()
-            .borrow_mut()
             .create_index("dno", IndexKind::Hash)
             .unwrap();
         let p = plan_for(&cat, "delete emp where emp.dno = 3");
@@ -593,10 +593,9 @@ mod tests {
 
     #[test]
     fn index_range_scan_with_btree() {
-        let cat = catalog_with_data();
-        cat.get("emp")
+        let mut cat = catalog_with_data();
+        cat.get_mut("emp")
             .unwrap()
-            .borrow_mut()
             .create_index("sal", IndexKind::BTree)
             .unwrap();
         let p = plan_for(&cat, "delete emp where emp.sal > 100 and emp.sal <= 500");
@@ -615,10 +614,9 @@ mod tests {
 
     #[test]
     fn hash_index_not_used_for_range() {
-        let cat = catalog_with_data();
-        cat.get("emp")
+        let mut cat = catalog_with_data();
+        cat.get_mut("emp")
             .unwrap()
-            .borrow_mut()
             .create_index("sal", IndexKind::Hash)
             .unwrap();
         let p = plan_for(&cat, "delete emp where emp.sal > 100");
@@ -627,12 +625,11 @@ mod tests {
 
     #[test]
     fn join_prefers_indexed_loop() {
-        let cat = catalog_with_data();
+        let mut cat = catalog_with_data();
         // dept (selective eq filter) is scanned first; emp is probed
         // through its dno index.
-        cat.get("emp")
+        cat.get_mut("emp")
             .unwrap()
-            .borrow_mut()
             .create_index("dno", IndexKind::Hash)
             .unwrap();
         let p = plan_for(
@@ -669,7 +666,10 @@ mod tests {
                 .create(name, Schema::of(&[("k", AttrType::Int)]))
                 .unwrap();
             for i in 0..200 {
-                r.borrow_mut().insert(vec![(i as i64).into()]).unwrap();
+                cat.rel_mut(r)
+                    .unwrap()
+                    .insert(vec![(i as i64).into()])
+                    .unwrap();
             }
         }
         let p = plan_for(&cat, "retrieve (a.k) where a.k = b.k");
@@ -730,14 +730,15 @@ mod pnode_tests {
             )
             .unwrap();
         for i in 0..20i64 {
-            dept.borrow_mut()
+            cat.rel_mut(dept)
+                .unwrap()
                 .insert(vec![i.into(), format!("d{i}").into()])
                 .unwrap();
         }
         let mut pnode = Pnode::new(vec![PnodeCol {
             var: "emp".into(),
             rel: "emp".into(),
-            schema: emp.borrow().schema().clone(),
+            schema: cat.rel(emp).unwrap().schema().clone(),
             has_prev: false,
         }]);
         pnode.push(vec![BoundVar::plain(

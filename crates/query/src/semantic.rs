@@ -363,7 +363,7 @@ impl<'a> Resolver<'a> {
                 "unknown tuple variable `{name}` (no relation of that name)"
             ))
         })?;
-        let schema = rel_ref.borrow().schema().clone();
+        let schema = rel_ref.schema().clone();
         scope.vars.push(VarBinding {
             name: name.to_string(),
             rel: rel_name.to_string(),
@@ -485,7 +485,7 @@ impl<'a> Resolver<'a> {
                 qual,
             } => {
                 let rel = self.catalog.require(target)?;
-                let target_schema = rel.borrow().schema().clone();
+                let target_schema = rel.schema().clone();
                 let mut scope = Scope { vars: Vec::new() };
                 self.bind_from(&mut scope, from)?;
                 let qual = qual
@@ -1019,7 +1019,7 @@ mod tests {
     fn pnode_variables_resolve_in_action_context() {
         use crate::binding::{Pnode, PnodeCol};
         let cat = test_catalog();
-        let emp_schema = cat.get("emp").unwrap().borrow().schema().clone();
+        let emp_schema = cat.get("emp").unwrap().schema().clone();
         let pnode = Pnode::new(vec![PnodeCol {
             var: "emp".into(),
             rel: "emp".into(),
@@ -1047,7 +1047,7 @@ mod tests {
     fn plain_replace_of_pnode_var_rejected() {
         use crate::binding::{Pnode, PnodeCol};
         let cat = test_catalog();
-        let emp_schema = cat.get("emp").unwrap().borrow().schema().clone();
+        let emp_schema = cat.get("emp").unwrap().schema().clone();
         let pnode = Pnode::new(vec![PnodeCol {
             var: "emp".into(),
             rel: "emp".into(),

@@ -1,15 +1,15 @@
 //! The relation catalog: named relations, creation and destruction.
 //!
-//! Shared handles are [`RelRef`], a thin wrapper over
-//! `Arc<RwLock<Relation>>`: the executor reads several relations while the
-//! DML layer mutates one, the discrimination network's virtual α-memories
-//! scan base relations mid-token-propagation, and the engine — catalog
-//! included — moves between the server's session threads. The paper's
-//! prototype was single-threaded; the reader — writer lock preserves its
-//! semantics (match only ever *reads* relations; all writes happen in the
-//! action phase) while making the catalog `Send + Sync`. `RelRef::borrow`/`borrow_mut` keep the names the
-//! engine used when the handle was an `Rc<RefCell<_>>`, so call sites read
-//! identically.
+//! The catalog owns every relation outright. Readers — the executor, the
+//! optimizer, and the discrimination network's virtual α-memories, which
+//! scan base relations mid-token-propagation — take `&Relation` through
+//! `&Catalog`; writers take `&mut Relation` through `&mut Catalog`. That
+//! is the paper's split (match only ever *reads* relations; all writes
+//! happen in the set-oriented action phase), checked by the borrow checker
+//! instead of a lock: a command qualifies its rows under `&Catalog` and
+//! then applies them through one of the `_mut` accessors. The engine runs
+//! one transition at a time under the server's engine mutex, so the
+//! catalog need only be `Send`; it is `Sync` as well, as plain data.
 //!
 //! Relations live in a slot vector and are named inside the engine by
 //! [`RelId`] — slot plus generation — so the match path reaches a relation
@@ -21,30 +21,6 @@ use crate::relation::Relation;
 use crate::schema::SchemaRef;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
-
-/// Shared, interior-mutable handle to a relation.
-///
-/// Cloning is cheap (an `Arc` bump); all clones alias the same relation.
-#[derive(Debug, Clone)]
-pub struct RelRef(Arc<RwLock<Relation>>);
-
-impl RelRef {
-    fn new(rel: Relation) -> Self {
-        RelRef(Arc::new(RwLock::new(rel)))
-    }
-
-    /// Shared read access. Panics (like `RefCell::borrow` did) if the
-    /// current thread already holds the write guard.
-    pub fn borrow(&self) -> RwLockReadGuard<'_, Relation> {
-        self.0.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Exclusive write access.
-    pub fn borrow_mut(&self) -> RwLockWriteGuard<'_, Relation> {
-        self.0.write().unwrap_or_else(|e| e.into_inner())
-    }
-}
 
 /// Identity of one relation for as long as it exists: its slot in the
 /// catalog and the slot's generation. Destroying a relation bumps its
@@ -82,11 +58,11 @@ impl fmt::Display for RelId {
 }
 
 /// One catalog slot: its current generation and, while it is live, the
-/// relation and its name.
+/// relation (which carries its own name).
 #[derive(Debug)]
 struct Slot {
     gen: u32,
-    live: Option<(String, RelRef)>,
+    live: Option<Relation>,
 }
 
 /// Named collection of relations.
@@ -130,8 +106,8 @@ impl Catalog {
             self.version += 1;
         }
         self.intern_strings = on;
-        for (_, rel) in self.slots.iter().filter_map(|s| s.live.as_ref()) {
-            rel.borrow_mut().set_intern_strings(on);
+        for rel in self.slots.iter_mut().filter_map(|s| s.live.as_mut()) {
+            rel.set_intern_strings(on);
         }
     }
 
@@ -149,8 +125,8 @@ impl Catalog {
         self.version
     }
 
-    /// Create a relation. Errors if the name is taken.
-    pub fn create(&mut self, name: &str, schema: SchemaRef) -> StorageResult<RelRef> {
+    /// Create a relation and return its id. Errors if the name is taken.
+    pub fn create(&mut self, name: &str, schema: SchemaRef) -> StorageResult<RelId> {
         if self.names.contains_key(name) {
             return Err(StorageError::RelationExists(name.to_string()));
         }
@@ -164,7 +140,7 @@ impl Catalog {
     /// relation, this re-homes it under a fresh id). Errors if the name is
     /// taken. The relation's interning flag is aligned with the catalog's,
     /// matching what [`Catalog::set_intern_strings`] would have done.
-    pub fn insert_restored(&mut self, mut relation: Relation) -> StorageResult<RelRef> {
+    pub fn insert_restored(&mut self, mut relation: Relation) -> StorageResult<RelId> {
         if self.names.contains_key(relation.name()) {
             return Err(StorageError::RelationExists(relation.name().to_string()));
         }
@@ -174,25 +150,26 @@ impl Catalog {
 
     /// Give a relation whose name is free a slot: the last freed one, or
     /// a new one.
-    fn house(&mut self, relation: Relation) -> RelRef {
+    fn house(&mut self, relation: Relation) -> RelId {
         let name = relation.name().to_string();
-        let rel = RelRef::new(relation);
-        let live = Some((name.clone(), rel.clone()));
         let id = match self.free.pop() {
             Some(slot) => {
                 let s = &mut self.slots[slot as usize];
-                s.live = live;
+                s.live = Some(relation);
                 RelId::new(slot, s.gen)
             }
             None => {
                 let slot = u32::try_from(self.slots.len()).expect("fewer than 2^32 relations");
-                self.slots.push(Slot { gen: 0, live });
+                self.slots.push(Slot {
+                    gen: 0,
+                    live: Some(relation),
+                });
                 RelId::new(slot, 0)
             }
         };
         self.names.insert(name, id);
         self.version += 1;
-        rel
+        id
     }
 
     /// Destroy a relation. Errors if it does not exist. Its slot's
@@ -211,13 +188,24 @@ impl Catalog {
     }
 
     /// Look up a relation by name.
-    pub fn get(&self, name: &str) -> Option<RelRef> {
-        self.rel(self.id(name)?).cloned()
+    pub fn get(&self, name: &str) -> Option<&Relation> {
+        self.rel(self.id(name)?)
+    }
+
+    /// [`Catalog::get`] for writing.
+    pub fn get_mut(&mut self, name: &str) -> Option<&mut Relation> {
+        self.rel_mut(self.id(name)?)
     }
 
     /// Look up a relation by name, or a typed error.
-    pub fn require(&self, name: &str) -> StorageResult<RelRef> {
+    pub fn require(&self, name: &str) -> StorageResult<&Relation> {
         self.get(name)
+            .ok_or_else(|| StorageError::NoSuchRelation(name.to_string()))
+    }
+
+    /// [`Catalog::require`] for writing.
+    pub fn require_mut(&mut self, name: &str) -> StorageResult<&mut Relation> {
+        self.get_mut(name)
             .ok_or_else(|| StorageError::NoSuchRelation(name.to_string()))
     }
 
@@ -229,30 +217,38 @@ impl Catalog {
     /// The id a name denotes now, with its relation, or a typed error —
     /// what a command resolving a relation by name needs to report its
     /// changes by id.
-    pub fn resolve(&self, name: &str) -> StorageResult<(RelId, &RelRef)> {
+    pub fn resolve(&self, name: &str) -> StorageResult<(RelId, &Relation)> {
         self.id(name)
             .and_then(|id| Some((id, self.rel(id)?)))
             .ok_or_else(|| StorageError::NoSuchRelation(name.to_string()))
     }
 
+    /// [`Catalog::resolve`] for writing: how a command applies the rows it
+    /// qualified under `&Catalog`.
+    pub fn resolve_mut(&mut self, name: &str) -> StorageResult<(RelId, &mut Relation)> {
+        let id = self
+            .id(name)
+            .ok_or_else(|| StorageError::NoSuchRelation(name.to_string()))?;
+        Ok((id, self.rel_mut(id).expect("a named relation is live")))
+    }
+
     /// The relation an id denotes: one index, no name. `None` once the
     /// relation is destroyed.
-    pub fn rel(&self, id: RelId) -> Option<&RelRef> {
+    pub fn rel(&self, id: RelId) -> Option<&Relation> {
         let s = self.slots.get(id.slot())?;
-        match &s.live {
-            Some((_, rel)) if s.gen == id.gen => Some(rel),
-            _ => None,
-        }
+        s.live.as_ref().filter(|_| s.gen == id.gen)
+    }
+
+    /// [`Catalog::rel`] for writing.
+    pub fn rel_mut(&mut self, id: RelId) -> Option<&mut Relation> {
+        let s = self.slots.get_mut(id.slot())?;
+        s.live.as_mut().filter(|_| s.gen == id.gen)
     }
 
     /// The name of the relation an id denotes, for rendering; `None` once
     /// the relation is destroyed.
     pub fn name(&self, id: RelId) -> Option<&str> {
-        let s = self.slots.get(id.slot())?;
-        match &s.live {
-            Some((name, _)) if s.gen == id.gen => Some(name),
-            _ => None,
-        }
+        self.rel(id).map(Relation::name)
     }
 
     /// True iff a relation with this name exists.
@@ -277,12 +273,10 @@ impl Catalog {
 }
 
 // The engine, storage layer included, moves between the server's session
-// threads, and `Arc`-shared handles are `Send` only over `Send + Sync`
-// contents; keep that property machine-checked.
+// threads; keep the storage types' thread-safety machine-checked.
 const _: () = {
     const fn assert_sync_send<T: Sync + Send>() {}
     assert_sync_send::<Catalog>();
-    assert_sync_send::<RelRef>();
     assert_sync_send::<crate::value::Value>();
     assert_sync_send::<crate::tuple::Tuple>();
     assert_sync_send::<Relation>();
@@ -303,7 +297,7 @@ mod tests {
         c.create("emp", schema()).unwrap();
         assert!(c.contains("emp"));
         assert!(c.get("emp").is_some());
-        assert_eq!(c.require("emp").unwrap().borrow().name(), "emp");
+        assert_eq!(c.require("emp").unwrap().name(), "emp");
     }
 
     #[test]
@@ -332,25 +326,28 @@ mod tests {
     fn handles_alias_same_relation() {
         let mut c = Catalog::new();
         c.create("emp", schema()).unwrap();
-        let a = c.get("emp").unwrap();
-        let b = c.get("emp").unwrap();
-        a.borrow_mut().insert(vec![1i64.into()]).unwrap();
-        assert_eq!(b.borrow().len(), 1);
+        c.get_mut("emp").unwrap().insert(vec![1i64.into()]).unwrap();
+        let id = c.id("emp").unwrap();
+        assert_eq!(c.get("emp").unwrap().len(), 1);
+        assert_eq!(c.rel(id).unwrap().len(), 1);
+        c.rel_mut(id).unwrap().insert(vec![2i64.into()]).unwrap();
+        assert_eq!(c.require("emp").unwrap().len(), 2);
     }
 
     #[test]
     fn concurrent_reads_share_a_relation() {
         let mut c = Catalog::new();
         c.create("emp", schema()).unwrap();
-        let rel = c.get("emp").unwrap();
+        let rel = c.require_mut("emp").unwrap();
         for i in 0..100i64 {
-            rel.borrow_mut().insert(vec![i.into()]).unwrap();
+            rel.insert(vec![i.into()]).unwrap();
         }
+        let c = &c;
         std::thread::scope(|scope| {
             for _ in 0..4 {
-                scope.spawn(|| {
+                scope.spawn(move || {
                     for _ in 0..50 {
-                        assert_eq!(rel.borrow().len(), 100);
+                        assert_eq!(c.get("emp").unwrap().len(), 100);
                     }
                 });
             }
@@ -365,10 +362,10 @@ mod tests {
         c.create("before", strs.clone()).unwrap();
         c.set_intern_strings(false);
         c.create("after", strs).unwrap();
-        assert!(!c.require("before").unwrap().borrow().intern_strings());
-        assert!(!c.require("after").unwrap().borrow().intern_strings());
+        assert!(!c.require("before").unwrap().intern_strings());
+        assert!(!c.require("after").unwrap().intern_strings());
         c.set_intern_strings(true);
-        assert!(c.require("after").unwrap().borrow().intern_strings());
+        assert!(c.require("after").unwrap().intern_strings());
     }
 
     #[test]
@@ -378,7 +375,7 @@ mod tests {
         let emp = c.create("emp", schema()).unwrap();
         let v1 = c.version();
         assert!(v1 > v0, "create");
-        emp.borrow_mut().insert(vec![1i64.into()]).unwrap();
+        c.rel_mut(emp).unwrap().insert(vec![1i64.into()]).unwrap();
         assert!(c.create("emp", schema()).is_err());
         assert!(c.destroy("nope").is_err());
         c.set_intern_strings(true);
@@ -411,10 +408,13 @@ mod tests {
             c.rel(old).is_none(),
             "the stale id still resolves to nothing"
         );
-        assert_eq!(c.rel(new).unwrap().borrow().schema().attr(0).name, "y");
+        assert_eq!(c.rel(new).unwrap().schema().attr(0).name, "y");
         let (id, rel) = c.resolve("dept").unwrap();
-        assert_eq!(rel.borrow().name(), "dept");
-        assert_eq!(c.rel(id).unwrap().borrow().name(), "dept");
+        assert_eq!(rel.name(), "dept");
+        assert_eq!(c.rel(id).unwrap().name(), "dept");
+        let (mid, rel) = c.resolve_mut("dept").unwrap();
+        assert_eq!((mid, rel.name()), (id, "dept"));
+        assert!(c.rel_mut(old).is_none());
     }
 
     #[test]

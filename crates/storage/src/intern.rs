@@ -16,6 +16,7 @@
 
 use crate::fx;
 use std::collections::HashMap;
+#[allow(clippy::disallowed_types)] // the symbol table's lock, see `table`
 use std::sync::{OnceLock, RwLock};
 
 /// An interned string: a dense table id plus the cached Fx content hash.
@@ -94,6 +95,9 @@ struct Interner {
     payload: usize,
 }
 
+// The one shared table of the process: every engine's `Value::Sym`
+// resolves through it, from whichever thread holds that engine.
+#[allow(clippy::disallowed_types)]
 fn table() -> &'static RwLock<Interner> {
     static TABLE: OnceLock<RwLock<Interner>> = OnceLock::new();
     TABLE.get_or_init(|| RwLock::new(Interner::default()))

@@ -32,7 +32,7 @@ pub mod tuple;
 pub mod value;
 pub mod wal;
 
-pub use catalog::{Catalog, RelId, RelRef};
+pub use catalog::{Catalog, RelId};
 pub use error::{StorageError, StorageResult};
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use index::{Index, IndexKind};

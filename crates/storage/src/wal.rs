@@ -580,7 +580,7 @@ pub fn encode_catalog(catalog: &Catalog, buf: &mut Vec<u8>) {
     put_u32(buf, names.len() as u32);
     for name in names {
         let rel = catalog.get(&name).expect("listed relation");
-        encode_relation(&rel.borrow(), buf);
+        encode_relation(rel, buf);
     }
 }
 
@@ -916,9 +916,8 @@ mod tests {
             .create("dept", Schema::of(&[("y", AttrType::Str)]))
             .unwrap();
         catalog
-            .require("emp")
+            .require_mut("emp")
             .unwrap()
-            .borrow_mut()
             .insert(vec![7i64.into()])
             .unwrap();
         let mut buf = Vec::new();
@@ -929,7 +928,7 @@ mod tests {
             2
         );
         assert_eq!(fresh.names(), catalog.names());
-        assert_eq!(fresh.require("emp").unwrap().borrow().len(), 1);
+        assert_eq!(fresh.require("emp").unwrap().len(), 1);
         // decoding into a catalog that already has the name errors
         assert!(decode_into_catalog(&mut Dec::new(&buf), &mut fresh).is_err());
     }

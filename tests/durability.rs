@@ -764,7 +764,7 @@ fn recreated_relation_takes_a_new_generation() {
     // a `+` token of the old generation, kept past the destroy
     let old_id = db.catalog().id("dept").unwrap();
     let (tid, tuple) = {
-        let dept = db.catalog().rel(old_id).unwrap().borrow();
+        let dept = db.catalog().rel(old_id).unwrap();
         let (tid, t) = dept.scan().next().unwrap();
         (tid, t.clone())
     };
@@ -789,8 +789,8 @@ fn recreated_relation_takes_a_new_generation() {
         },
         "a stale token reaches no selection network, memory, store or P-node"
     );
-    // the engine's own match state (symbol and arena figures are
-    // process-wide, shared with tests running alongside)
+    // the engine's match state (the symbol figures are process-wide,
+    // shared with tests running alongside; scratch is not match state)
     let mem = db.memory_stats();
     assert_eq!(
         (

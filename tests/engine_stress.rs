@@ -115,7 +115,7 @@ fn stress(seed: u64, steps: usize, policy: VirtualPolicy) {
         if step % 25 == 0 {
             // invariants: queries still work, stats are sane
             let out = db.query("retrieve (a.all)").unwrap();
-            let live = db.catalog().get("a").unwrap().borrow().len();
+            let live = db.catalog().get("a").unwrap().len();
             assert_eq!(out.rows.len(), live, "query/catalog divergence at {step}");
             let n = db.network_stats();
             assert!(n.rules <= db.rules().len());

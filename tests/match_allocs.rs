@@ -7,7 +7,12 @@
 //! scratch buffer, then pushes a `+` token that enters 10 memories and one
 //! that enters 100 — neither finds a join partner — and the matching `−`
 //! tokens. Each pair must allocate the same number of times, under stored
-//! and under virtual α-memories.
+//! and under virtual α-memories. An engine moved to a fresh thread, as a
+//! server session picks it up, must allocate no more for its first token
+//! there than on the thread that warmed it.
+
+// The counter below is the one `thread_local!` the tree allows.
+#![allow(clippy::disallowed_macros)]
 
 use ariel::network::{EventSpecifier, Token, VirtualPolicy};
 use ariel::storage::Value;
@@ -17,6 +22,7 @@ use std::cell::Cell;
 
 struct Counting;
 
+// Per thread by design: each test counts only its own thread's allocations.
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
@@ -92,20 +98,18 @@ fn engine(policy: VirtualPolicy) -> Ariel {
 
 /// Insert an `emp` row with no `dept` partner and return its `+` token.
 fn plus(db: &mut Ariel, sal: i64) -> Token {
-    let (rel, emp) = db.catalog().resolve("emp").unwrap();
-    let emp = emp.clone();
+    let (rel, emp) = db.catalog_mut().resolve_mut("emp").unwrap();
     let tid = emp
-        .borrow_mut()
         .insert(vec![Value::Int(sal), Value::Int(sal), Value::Int(7)])
         .unwrap();
-    let tuple = emp.borrow().get(tid).cloned().unwrap();
+    let tuple = emp.get(tid).cloned().unwrap();
     Token::plus(rel, tid, tuple, EventSpecifier::Append)
 }
 
 /// Delete the row behind `plus` and return its `−` token.
 fn minus(db: &mut Ariel, plus: &Token) -> Token {
-    let emp = db.catalog().rel(plus.rel).unwrap().clone();
-    let old = emp.borrow_mut().delete(plus.tid).unwrap();
+    let emp = db.catalog_mut().rel_mut(plus.rel).unwrap();
+    let old = emp.delete(plus.tid).unwrap();
     Token::minus(plus.rel, plus.tid, old, EventSpecifier::Delete)
 }
 
@@ -120,13 +124,17 @@ fn round(db: &mut Ariel, sal: i64) -> (u64, u64) {
     (plus_allocs, minus_allocs)
 }
 
+/// Warm every memory, the store and the scratch buffers.
+fn warm(db: &mut Ariel) {
+    for _ in 0..3 {
+        round(db, ENTERS_ALL);
+        round(db, ENTERS_TEN);
+    }
+}
+
 fn allocations_do_not_grow_with_memories(policy: VirtualPolicy) {
     let mut db = engine(policy);
-    // warm every memory, the store and the scratch pools
-    for _ in 0..3 {
-        round(&mut db, ENTERS_ALL);
-        round(&mut db, ENTERS_TEN);
-    }
+    warm(&mut db);
     let before = db.network_stats().alpha_passes;
     let ten = round(&mut db, ENTERS_TEN);
     let passes = db.network_stats().alpha_passes - before;
@@ -153,4 +161,30 @@ fn stored_memories_allocate_per_token_not_per_memory() {
 #[test]
 fn virtual_memories_allocate_per_token_not_per_memory() {
     allocations_do_not_grow_with_memories(VirtualPolicy::AllVirtual);
+}
+
+/// A server session picks the engine up on its own thread: the scratch
+/// buffers travel with the engine, so its first token there allocates no
+/// more than the same token on the thread that warmed it.
+fn a_moved_engine_starts_warm(policy: VirtualPolicy) {
+    let mut db = engine(policy);
+    warm(&mut db);
+    let (here, _) = round(&mut db, ENTERS_ALL);
+    let (there, _) = std::thread::spawn(move || round(&mut db, ENTERS_ALL))
+        .join()
+        .unwrap();
+    assert!(
+        there <= here,
+        "first `+` token on a fresh thread: {there} allocations, {here} on the warm one"
+    );
+}
+
+#[test]
+fn stored_memories_start_warm_on_a_fresh_thread() {
+    a_moved_engine_starts_warm(VirtualPolicy::AllStored);
+}
+
+#[test]
+fn virtual_memories_start_warm_on_a_fresh_thread() {
+    a_moved_engine_starts_warm(VirtualPolicy::AllVirtual);
 }

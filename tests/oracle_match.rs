@@ -95,48 +95,37 @@ fn conditions(cat: &Catalog) -> Vec<ResolvedCondition> {
 }
 
 /// Apply one op to the catalog and return the physical change.
-fn apply(cat: &Catalog, live: &mut Vec<(String, Tid)>, op: &Op) -> Option<Change> {
+fn apply(cat: &mut Catalog, live: &mut Vec<(String, Tid)>, op: &Op) -> Option<Change> {
     match op {
         Op::Insert { rel, a, b } => {
             let name = if *rel == 0 { "r1" } else { "r2" };
-            let r = cat.get(name).unwrap();
-            let tid = r
-                .borrow_mut()
-                .insert(vec![a_value(*a), Value::Int(*b)])
-                .unwrap();
-            let t = r.borrow().get(tid).cloned().unwrap();
+            let (rel, r) = cat.resolve_mut(name).unwrap();
+            let tid = r.insert(vec![a_value(*a), Value::Int(*b)]).unwrap();
+            let t = r.get(tid).cloned().unwrap();
             live.push((name.to_string(), tid));
-            Some(Change::Inserted {
-                rel: cat.id(name).unwrap(),
-                tid,
-                new: t,
-            })
+            Some(Change::Inserted { rel, tid, new: t })
         }
         Op::Delete { pick } => {
             if live.is_empty() {
                 return None;
             }
             let (name, tid) = live.swap_remove(pick % live.len());
-            let r = cat.get(&name).unwrap();
-            let old = r.borrow_mut().delete(tid).unwrap();
-            Some(Change::Deleted {
-                rel: cat.id(&name).unwrap(),
-                tid,
-                old,
-            })
+            let (rel, r) = cat.resolve_mut(&name).unwrap();
+            let old = r.delete(tid).unwrap();
+            Some(Change::Deleted { rel, tid, old })
         }
         Op::Update { pick, a } => {
             if live.is_empty() {
                 return None;
             }
             let (name, tid) = live[pick % live.len()].clone();
-            let r = cat.get(&name).unwrap();
-            let old = r.borrow().get(tid).cloned().unwrap();
+            let (rel, r) = cat.resolve_mut(&name).unwrap();
+            let old = r.get(tid).cloned().unwrap();
             let new_vals = vec![a_value(*a), old.get(1).clone()];
-            let old = r.borrow_mut().update(tid, new_vals).unwrap();
-            let new = r.borrow().get(tid).cloned().unwrap();
+            let old = r.update(tid, new_vals).unwrap();
+            let new = r.get(tid).cloned().unwrap();
             Some(Change::Updated {
-                rel: cat.id(&name).unwrap(),
+                rel,
                 tid,
                 old,
                 new,
@@ -193,7 +182,7 @@ impl Net {
 }
 
 fn run_stream(config: Config, ops: &[Op]) -> Result<(), TestCaseError> {
-    let cat = catalog();
+    let mut cat = catalog();
     let conds = conditions(&cat);
     let mut net = Net::build(&config, &conds, &cat);
     let mut live: Vec<(String, Tid)> = Vec::new();
@@ -201,7 +190,7 @@ fn run_stream(config: Config, ops: &[Op]) -> Result<(), TestCaseError> {
     for (step, op) in ops.iter().enumerate() {
         // each op = one transition (Δ-sets reset per transition)
         delta.reset();
-        let Some(change) = apply(&cat, &mut live, op) else {
+        let Some(change) = apply(&mut cat, &mut live, op) else {
             continue;
         };
         net.process_batch(&delta.tokens_for(&change), &cat);
@@ -214,7 +203,7 @@ fn run_stream(config: Config, ops: &[Op]) -> Result<(), TestCaseError> {
 /// shape of a rule action's changes: the relations are already at their
 /// end-of-batch state while the tokens of earlier ops are processed.
 fn run_chunked(config: Config, ops: &[Op], chunk: usize) -> Result<(), TestCaseError> {
-    let cat = catalog();
+    let mut cat = catalog();
     let conds = conditions(&cat);
     let mut net = Net::build(&config, &conds, &cat);
     let mut live: Vec<(String, Tid)> = Vec::new();
@@ -223,7 +212,7 @@ fn run_chunked(config: Config, ops: &[Op], chunk: usize) -> Result<(), TestCaseE
         delta.reset();
         let mut tokens = Vec::new();
         for op in ops_chunk {
-            if let Some(change) = apply(&cat, &mut live, op) {
+            if let Some(change) = apply(&mut cat, &mut live, op) {
                 tokens.extend(delta.tokens_for(&change));
             }
         }
@@ -323,7 +312,7 @@ fn minus_routing_corner_cases_match_oracle() {
         vec![del(2)],
     ];
     for config in all_configs() {
-        let cat = catalog();
+        let mut cat = catalog();
         let conds = conditions(&cat);
         let mut net = Net::build(&config, &conds, &cat);
         let mut live: Vec<(String, Tid)> = Vec::new();
@@ -332,7 +321,7 @@ fn minus_routing_corner_cases_match_oracle() {
             delta.reset();
             let mut tokens = Vec::new();
             for op in batch {
-                let change = apply(&cat, &mut live, op).expect("scripted op applies");
+                let change = apply(&mut cat, &mut live, op).expect("scripted op applies");
                 tokens.extend(delta.tokens_for(&change));
             }
             net.process_batch(&tokens, &cat);
@@ -348,7 +337,7 @@ fn minus_routing_corner_cases_match_oracle() {
 fn delete_token_work_is_independent_of_rule_count() {
     // per backend: (probes, candidates, α-tests) one delete token added
     let measure = |n_rules: usize, config: &Config| -> (u64, u64, u64) {
-        let cat = catalog();
+        let mut cat = catalog();
         let conds: Vec<ResolvedCondition> = (0..n_rules as i64)
             .map(|i| {
                 // disjoint bands (10i, 10i + 10], each joined to r2
@@ -373,13 +362,13 @@ fn delete_token_work_is_independent_of_rule_count() {
                 b: 1,
             },
         ] {
-            let change = apply(&cat, &mut live, &op).unwrap();
+            let change = apply(&mut cat, &mut live, &op).unwrap();
             net.process_batch(&delta.tokens_for(&change), &cat);
             delta.reset();
         }
         assert_eq!(net.rules_with_matches(), vec![RuleId(5)]);
         let before = net.stats();
-        let change = apply(&cat, &mut live, &Op::Delete { pick: 1 }).unwrap();
+        let change = apply(&mut cat, &mut live, &Op::Delete { pick: 1 }).unwrap();
         net.process_batch(&delta.tokens_for(&change), &cat);
         let after = net.stats();
         assert!(net.rules_with_matches().is_empty(), "match retracted");
