@@ -54,6 +54,20 @@ impl BinOp {
         )
     }
 
+    /// Binding strength, loosest first: `or` 1, `and` 2, comparisons 3,
+    /// `+ -` 4, `* /` 5. The parser and the printer share it; a prefix
+    /// `not` takes a comparison-level operand, and unary `-` binds tighter
+    /// than any binary operator.
+    pub(crate) const fn precedence(self) -> u8 {
+        match self {
+            BinOp::Or => 1,
+            BinOp::And => 2,
+            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => 3,
+            BinOp::Add | BinOp::Sub => 4,
+            BinOp::Mul | BinOp::Div => 5,
+        }
+    }
+
     /// Mirror of a comparison: `a op b` == `b op.flip() a`.
     pub fn flip(&self) -> BinOp {
         match self {

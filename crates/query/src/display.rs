@@ -5,19 +5,8 @@
 //! inspection (`Ariel::show_rule`) and round-trip tested against the
 //! parser.
 
-use crate::ast::{BinOp, Command, EventKind, Expr, FromItem, Literal, RuleDef, Target, UnaryOp};
+use crate::ast::{Command, EventKind, Expr, FromItem, Literal, RuleDef, Target, UnaryOp};
 use std::fmt;
-
-/// Operator precedence for minimal parenthesization.
-fn prec(op: BinOp) -> u8 {
-    match op {
-        BinOp::Or => 1,
-        BinOp::And => 2,
-        BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => 3,
-        BinOp::Add | BinOp::Sub => 4,
-        BinOp::Mul | BinOp::Div => 5,
-    }
-}
 
 /// Render a string literal with the lexer's escape sequences (`\"`, `\\`,
 /// `\n`, `\t`), so rendered command texts — including those replayed from
@@ -36,16 +25,23 @@ fn fmt_str_literal(s: &str, f: &mut fmt::Formatter<'_>) -> fmt::Result {
     write!(f, "\"")
 }
 
+/// Render a float so the lexer reads back the same float: a whole number
+/// keeps a `.0`, or takes an exponent once `{x}` would print more digits
+/// than an integer literal may have.
+fn fmt_float(x: f64, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    if x.fract() != 0.0 || !x.is_finite() {
+        write!(f, "{x}")
+    } else if x.abs() < 1e15 {
+        write!(f, "{x:.1}")
+    } else {
+        write!(f, "{x:e}")
+    }
+}
+
 fn fmt_expr(e: &Expr, parent: u8, f: &mut fmt::Formatter<'_>) -> fmt::Result {
     match e {
         Expr::Literal(Literal::Int(i)) => write!(f, "{i}"),
-        Expr::Literal(Literal::Float(x)) => {
-            if x.fract() == 0.0 && x.is_finite() && x.abs() < 1e15 {
-                write!(f, "{x:.1}")
-            } else {
-                write!(f, "{x}")
-            }
-        }
+        Expr::Literal(Literal::Float(x)) => fmt_float(*x, f),
         Expr::Literal(Literal::Str(s)) => fmt_str_literal(s, f),
         Expr::Literal(Literal::Bool(b)) => write!(f, "{b}"),
         Expr::Attr {
@@ -81,7 +77,7 @@ fn fmt_expr(e: &Expr, parent: u8, f: &mut fmt::Formatter<'_>) -> fmt::Result {
             }
         },
         Expr::Binary { op, left, right } => {
-            let p = prec(*op);
+            let p = op.precedence();
             let needs_parens = p < parent;
             if needs_parens {
                 write!(f, "(")?;
@@ -272,10 +268,11 @@ impl fmt::Display for RuleDef {
             write!(f, " in {rs}")?;
         }
         if let Some(p) = self.priority {
-            if p.fract() == 0.0 {
+            if p.fract() == 0.0 && p.abs() < 1e15 {
                 write!(f, " priority {}", p as i64)?;
             } else {
-                write!(f, " priority {p}")?;
+                write!(f, " priority ")?;
+                fmt_float(p, f)?;
             }
         }
         if let Some(ev) = &self.on {

@@ -5,30 +5,36 @@
 //! `new`, `from`, `where`, `in`, `priority`, plus DDL (`create`, `destroy`,
 //! `index`, `using`). Identifiers are case-insensitive for keywords but
 //! preserved verbatim otherwise.
+//!
+//! Tokens borrow from the source: a word is a slice of it, and a string
+//! literal is too unless it has an escape to decode. Lexing a command
+//! allocates the token buffer and nothing else; the parser copies only
+//! what the AST keeps.
 
 use crate::error::{QueryError, QueryResult};
+use std::borrow::Cow;
 use std::fmt;
 
 /// A lexical token with its source byte offset.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub struct Token<'src> {
     /// Token kind.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'src>,
     /// Byte offset in the source text.
     pub pos: usize,
 }
 
 /// Token kinds.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+pub enum TokenKind<'src> {
     /// Identifier or keyword.
-    Ident(String),
+    Ident(&'src str),
     /// Integer literal.
     Int(i64),
     /// Float literal.
     Float(f64),
-    /// String literal (quotes stripped).
-    Str(String),
+    /// String literal (quotes stripped, escapes decoded).
+    Str(Cow<'src, str>),
     /// `(`
     LParen,
     /// `)`
@@ -63,7 +69,7 @@ pub enum TokenKind {
     Eof,
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TokenKind::Ident(s) => write!(f, "`{s}`"),
@@ -90,277 +96,80 @@ impl fmt::Display for TokenKind {
     }
 }
 
+fn lex_err<T>(pos: usize, msg: impl Into<String>) -> QueryResult<T> {
+    Err(QueryError::Lex {
+        pos,
+        msg: msg.into(),
+    })
+}
+
 /// Tokenize a command string.
-pub fn lex(src: &str) -> QueryResult<Vec<Token>> {
+pub fn lex(src: &str) -> QueryResult<Vec<Token<'_>>> {
     let bytes = src.as_bytes();
-    let mut out = Vec::new();
+    // spaced command text averages well over two bytes a token, so the
+    // buffer is allocated once; denser text grows it
+    let mut out = Vec::with_capacity(bytes.len() / 2 + 1);
     let mut i = 0usize;
     while i < bytes.len() {
-        let c = bytes[i] as char;
         let pos = i;
-        match c {
-            c if c.is_whitespace() => {
+        let next = bytes.get(i + 1).copied();
+        let (kind, len) = match bytes[i] {
+            c if (c as char).is_whitespace() => {
                 i += 1;
+                continue;
             }
-            '#' => {
+            b'#' => {
                 // comment to end of line
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
-                }
+                i += bytes[i..].iter().take_while(|&&b| b != b'\n').count();
+                continue;
             }
-            '(' => {
-                out.push(Token {
-                    kind: TokenKind::LParen,
-                    pos,
-                });
-                i += 1;
-            }
-            ')' => {
-                out.push(Token {
-                    kind: TokenKind::RParen,
-                    pos,
-                });
-                i += 1;
-            }
-            ',' => {
-                out.push(Token {
-                    kind: TokenKind::Comma,
-                    pos,
-                });
-                i += 1;
-            }
-            '.' => {
-                out.push(Token {
-                    kind: TokenKind::Dot,
-                    pos,
-                });
-                i += 1;
-            }
-            ';' => {
-                out.push(Token {
-                    kind: TokenKind::Semicolon,
-                    pos,
-                });
-                i += 1;
-            }
-            '=' => {
-                out.push(Token {
-                    kind: TokenKind::Eq,
-                    pos,
-                });
-                i += 1;
-            }
-            '!' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    out.push(Token {
-                        kind: TokenKind::Ne,
-                        pos,
-                    });
-                    i += 2;
-                } else {
-                    return Err(QueryError::Lex {
-                        pos,
-                        msg: "expected `=` after `!`".into(),
-                    });
-                }
-            }
-            '<' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    out.push(Token {
-                        kind: TokenKind::Le,
-                        pos,
-                    });
-                    i += 2;
-                } else if bytes.get(i + 1) == Some(&b'>') {
-                    out.push(Token {
-                        kind: TokenKind::Ne,
-                        pos,
-                    });
-                    i += 2;
-                } else {
-                    out.push(Token {
-                        kind: TokenKind::Lt,
-                        pos,
-                    });
-                    i += 1;
-                }
-            }
-            '>' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    out.push(Token {
-                        kind: TokenKind::Ge,
-                        pos,
-                    });
-                    i += 2;
-                } else {
-                    out.push(Token {
-                        kind: TokenKind::Gt,
-                        pos,
-                    });
-                    i += 1;
-                }
-            }
-            '+' => {
-                out.push(Token {
-                    kind: TokenKind::Plus,
-                    pos,
-                });
-                i += 1;
-            }
-            '-' => {
-                out.push(Token {
-                    kind: TokenKind::Minus,
-                    pos,
-                });
-                i += 1;
-            }
-            '*' => {
-                out.push(Token {
-                    kind: TokenKind::StarTok,
-                    pos,
-                });
-                i += 1;
-            }
-            '/' => {
-                out.push(Token {
-                    kind: TokenKind::Slash,
-                    pos,
-                });
-                i += 1;
-            }
-            '"' | '\'' => {
-                let quote = bytes[i];
-                i += 1;
-                // escape sequences (`\"`, `\'`, `\\`, `\n`, `\t`) are
-                // decoded here and re-encoded by the display layer, so
-                // command texts round-trip through the WAL (see
-                // `docs/DURABILITY.md`). Runs without a backslash are
-                // copied as whole slices to keep UTF-8 validation cheap.
-                let mut s = String::new();
-                let mut run = i;
-                loop {
-                    if i >= bytes.len() {
-                        return Err(QueryError::Lex {
-                            pos,
-                            msg: "unterminated string literal".into(),
-                        });
-                    }
-                    if bytes[i] == quote || bytes[i] == b'\\' {
-                        s.push_str(std::str::from_utf8(&bytes[run..i]).map_err(|_| {
-                            QueryError::Lex {
-                                pos,
-                                msg: "invalid utf-8 in string literal".into(),
-                            }
-                        })?);
-                        if bytes[i] == quote {
-                            break;
-                        }
-                        let esc_pos = i;
-                        s.push(match bytes.get(i + 1) {
-                            Some(b'\\') => '\\',
-                            Some(b'"') => '"',
-                            Some(b'\'') => '\'',
-                            Some(b'n') => '\n',
-                            Some(b't') => '\t',
-                            Some(&other) => {
-                                return Err(QueryError::Lex {
-                                    pos: esc_pos,
-                                    msg: if other.is_ascii() && !other.is_ascii_control() {
-                                        format!("unknown escape `\\{}`", other as char)
-                                    } else {
-                                        format!("unknown escape `\\x{other:02x}`")
-                                    },
-                                });
-                            }
-                            None => {
-                                return Err(QueryError::Lex {
-                                    pos,
-                                    msg: "unterminated string literal".into(),
-                                });
-                            }
-                        });
-                        i += 2;
-                        run = i;
-                    } else {
-                        i += 1;
-                    }
-                }
-                out.push(Token {
-                    kind: TokenKind::Str(s),
-                    pos,
-                });
-                i += 1; // closing quote
+            b'(' => (TokenKind::LParen, 1),
+            b')' => (TokenKind::RParen, 1),
+            b',' => (TokenKind::Comma, 1),
+            b'.' => (TokenKind::Dot, 1),
+            b';' => (TokenKind::Semicolon, 1),
+            b'=' => (TokenKind::Eq, 1),
+            b'+' => (TokenKind::Plus, 1),
+            b'-' => (TokenKind::Minus, 1),
+            b'*' => (TokenKind::StarTok, 1),
+            b'/' => (TokenKind::Slash, 1),
+            b'!' if next == Some(b'=') => (TokenKind::Ne, 2),
+            b'!' => return lex_err(pos, "expected `=` after `!`"),
+            b'<' if next == Some(b'=') => (TokenKind::Le, 2),
+            b'<' if next == Some(b'>') => (TokenKind::Ne, 2),
+            b'<' => (TokenKind::Lt, 1),
+            b'>' if next == Some(b'=') => (TokenKind::Ge, 2),
+            b'>' => (TokenKind::Gt, 1),
+            b'"' | b'\'' => {
+                let (text, end) = string_literal(src, pos)?;
+                (TokenKind::Str(text), end - pos)
             }
             c if c.is_ascii_digit() => {
-                let start = i;
-                while i < bytes.len() && (bytes[i] as char).is_ascii_digit() {
-                    i += 1;
-                }
-                let mut is_float = false;
-                // fractional part: `.` followed by a digit (so `5.attr` lexes
-                // as Int Dot Ident, not a malformed float)
-                if i + 1 < bytes.len()
-                    && bytes[i] == b'.'
-                    && (bytes[i + 1] as char).is_ascii_digit()
-                {
-                    is_float = true;
-                    i += 1;
-                    while i < bytes.len() && (bytes[i] as char).is_ascii_digit() {
-                        i += 1;
-                    }
-                }
-                // exponent
-                if i < bytes.len() && (bytes[i] == b'e' || bytes[i] == b'E') {
-                    let mut j = i + 1;
-                    if j < bytes.len() && (bytes[j] == b'+' || bytes[j] == b'-') {
-                        j += 1;
-                    }
-                    if j < bytes.len() && (bytes[j] as char).is_ascii_digit() {
-                        is_float = true;
-                        i = j;
-                        while i < bytes.len() && (bytes[i] as char).is_ascii_digit() {
-                            i += 1;
-                        }
-                    }
-                }
-                let text = std::str::from_utf8(&bytes[start..i]).unwrap();
-                let kind = if is_float {
-                    TokenKind::Float(text.parse().map_err(|_| QueryError::Lex {
-                        pos,
-                        msg: format!("bad float literal `{text}`"),
-                    })?)
-                } else {
-                    TokenKind::Int(text.parse().map_err(|_| QueryError::Lex {
-                        pos,
-                        msg: format!("bad integer literal `{text}`"),
-                    })?)
-                };
-                out.push(Token { kind, pos });
+                let (kind, end) = number(src, pos)?;
+                (kind, end - pos)
             }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let start = i;
-                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
-                    i += 1;
-                }
-                let word = std::str::from_utf8(&bytes[start..i]).unwrap().to_string();
-                out.push(Token {
-                    kind: TokenKind::Ident(word),
-                    pos,
-                });
+            c if c.is_ascii_alphabetic() || c == b'_' => {
+                let len = bytes[i..]
+                    .iter()
+                    .take_while(|b| b.is_ascii_alphanumeric() || **b == b'_')
+                    .count();
+                (TokenKind::Ident(&src[pos..pos + len]), len)
             }
             other => {
                 // non-ASCII bytes outside string literals are rejected with
                 // a structured error (never sliced mid-character)
-                return Err(QueryError::Lex {
+                return lex_err(
                     pos,
-                    msg: if other.is_ascii() {
-                        format!("unexpected character `{other}`")
+                    if other.is_ascii() {
+                        format!("unexpected character `{}`", other as char)
                     } else {
-                        format!("unexpected non-ascii byte 0x{:02x}", other as u32 as u8)
+                        format!("unexpected non-ascii byte 0x{other:02x}")
                     },
-                });
+                );
             }
-        }
+        };
+        out.push(Token { kind, pos });
+        i += len;
     }
     out.push(Token {
         kind: TokenKind::Eof,
@@ -369,11 +178,108 @@ pub fn lex(src: &str) -> QueryResult<Vec<Token>> {
     Ok(out)
 }
 
+/// The string literal whose opening quote is at `pos`, and the offset past
+/// its closing quote. Escape sequences (`\"`, `\'`, `\\`, `\n`, `\t`) are
+/// decoded here and re-encoded by the display layer, so command texts
+/// round-trip through the WAL (see `docs/DURABILITY.md`); a literal without
+/// one stays a slice of the source.
+fn string_literal(src: &str, pos: usize) -> QueryResult<(Cow<'_, str>, usize)> {
+    let bytes = src.as_bytes();
+    let quote = bytes[pos];
+    let unterminated = || lex_err(pos, "unterminated string literal");
+    // find the closing quote, checking each escape on the way
+    let (mut end, mut escaped) = (pos + 1, false);
+    loop {
+        match bytes.get(end) {
+            None => return unterminated(),
+            Some(&b) if b == quote => break,
+            Some(b'\\') => {
+                match bytes.get(end + 1) {
+                    None => return unterminated(),
+                    Some(b'\\' | b'"' | b'\'' | b'n' | b't') => {}
+                    Some(&other) => {
+                        return lex_err(
+                            end,
+                            if other.is_ascii() && !other.is_ascii_control() {
+                                format!("unknown escape `\\{}`", other as char)
+                            } else {
+                                format!("unknown escape `\\x{other:02x}`")
+                            },
+                        )
+                    }
+                }
+                escaped = true;
+                end += 2;
+            }
+            Some(_) => end += 1,
+        }
+    }
+    let body = &src[pos + 1..end];
+    if !escaped {
+        return Ok((Cow::Borrowed(body), end + 1));
+    }
+    let mut text = String::with_capacity(body.len());
+    let mut chars = body.chars();
+    while let Some(c) = chars.next() {
+        text.push(match c {
+            '\\' => match chars.next() {
+                Some('n') => '\n',
+                Some('t') => '\t',
+                // `\\`, `\"` and `\'` stand for themselves
+                escaped => escaped.unwrap_or('\\'),
+            },
+            c => c,
+        });
+    }
+    Ok((Cow::Owned(text), end + 1))
+}
+
+/// The numeric literal starting at `pos`, and the offset past it.
+fn number(src: &str, pos: usize) -> QueryResult<(TokenKind<'_>, usize)> {
+    let bytes = src.as_bytes();
+    let digits = |from: usize| {
+        from + bytes[from..]
+            .iter()
+            .take_while(|b| b.is_ascii_digit())
+            .count()
+    };
+    let is_digit = |at: usize| bytes.get(at).is_some_and(u8::is_ascii_digit);
+    let mut end = digits(pos);
+    let mut is_float = false;
+    // fractional part: `.` followed by a digit (so `5.attr` lexes as Int
+    // Dot Ident, not a malformed float)
+    if bytes.get(end) == Some(&b'.') && is_digit(end + 1) {
+        is_float = true;
+        end = digits(end + 1);
+    }
+    // exponent
+    if matches!(bytes.get(end), Some(b'e' | b'E')) {
+        let j = end + 1 + usize::from(matches!(bytes.get(end + 1), Some(b'+' | b'-')));
+        if is_digit(j) {
+            is_float = true;
+            end = digits(j);
+        }
+    }
+    let text = &src[pos..end];
+    let kind = if is_float {
+        match text.parse() {
+            Ok(x) => TokenKind::Float(x),
+            Err(_) => return lex_err(pos, format!("bad float literal `{text}`")),
+        }
+    } else {
+        match text.parse() {
+            Ok(n) => TokenKind::Int(n),
+            Err(_) => return lex_err(pos, format!("bad integer literal `{text}`")),
+        }
+    };
+    Ok((kind, end))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -422,9 +328,9 @@ mod tests {
         assert_eq!(
             kinds("emp.sal"),
             vec![
-                TokenKind::Ident("emp".into()),
+                TokenKind::Ident("emp"),
                 TokenKind::Dot,
-                TokenKind::Ident("sal".into()),
+                TokenKind::Ident("sal"),
                 TokenKind::Eof,
             ]
         );
@@ -490,11 +396,7 @@ mod tests {
     fn comments_skipped() {
         assert_eq!(
             kinds("a # comment\n b"),
-            vec![
-                TokenKind::Ident("a".into()),
-                TokenKind::Ident("b".into()),
-                TokenKind::Eof,
-            ]
+            vec![TokenKind::Ident("a"), TokenKind::Ident("b"), TokenKind::Eof,]
         );
     }
 
@@ -525,6 +427,6 @@ mod tests {
     fn rule_snippet_lexes() {
         let toks = kinds("define rule NoBobs on append emp if emp.name = \"Bob\" then delete emp");
         assert_eq!(toks.len(), 16);
-        assert_eq!(toks[0], TokenKind::Ident("define".into()));
+        assert_eq!(toks[0], TokenKind::Ident("define"));
     }
 }

@@ -5,6 +5,11 @@
 //! ordering from cardinality estimates, and the rule-action special case —
 //! when variables bind to the P-node, a single `PnodeScan` is always
 //! generated for them and placed leftmost in the join tree.
+//!
+//! Planning reads the qualification in place: conjuncts are visited where
+//! they sit in the `and` tree, and variable sets are bitmasks, so a plan
+//! costs the allocations of what it owns (its relation names and the
+//! predicates it copies) and no more.
 
 use crate::ast::BinOp;
 use crate::binding::{Pnode, Row};
@@ -13,8 +18,8 @@ use crate::expr::eval;
 use crate::plan::{IndexKey, Plan};
 use crate::semantic::{QuerySpec, RExpr, VarSource};
 use ariel_storage::{Catalog, Value};
-use std::collections::HashSet;
 use std::ops::Bound;
+use std::ptr;
 
 /// Default selectivity guesses (no histograms in 1992, none here either).
 const SEL_EQ: f64 = 0.1;
@@ -22,6 +27,93 @@ const SEL_RANGE: f64 = 0.3;
 const SEL_OTHER: f64 = 0.5;
 /// Minimum input size before a sort-merge join beats nested loops.
 const SORT_MERGE_THRESHOLD: f64 = 64.0;
+
+/// A set of variable indices, one bit each.
+type VarSet = u64;
+
+/// Tuple variables one command may bind: one bit each in a [`VarSet`].
+const MAX_VARS: usize = VarSet::BITS as usize;
+
+const fn bit(var: usize) -> VarSet {
+    1 << var
+}
+
+/// The members of `set`, ascending.
+fn members(set: VarSet) -> impl Iterator<Item = usize> {
+    (0..MAX_VARS).filter(move |&v| set & bit(v) != 0)
+}
+
+/// The variables `e` reads.
+fn vars_of(e: &RExpr) -> VarSet {
+    match e {
+        RExpr::Const(_) | RExpr::AlwaysTrue => 0,
+        RExpr::Attr { var, .. } | RExpr::Prev { var, .. } => bit(*var),
+        RExpr::Unary { expr, .. } => vars_of(expr),
+        RExpr::Binary { left, right, .. } => vars_of(left) | vars_of(right),
+    }
+}
+
+/// Visit the conjuncts of `qual` left to right, where they sit.
+fn each_conjunct<'e>(qual: Option<&'e RExpr>, f: &mut impl FnMut(&'e RExpr)) {
+    match qual {
+        Some(RExpr::Binary {
+            op: BinOp::And,
+            left,
+            right,
+        }) => {
+            each_conjunct(Some(left), f);
+            each_conjunct(Some(right), f);
+        }
+        Some(c) => f(c),
+        None => {}
+    }
+}
+
+/// The first conjunct of `qual` that `f` maps to something.
+fn find_conjunct<'e, T>(
+    qual: Option<&'e RExpr>,
+    mut f: impl FnMut(&'e RExpr) -> Option<T>,
+) -> Option<T> {
+    let mut found = None;
+    each_conjunct(qual, &mut |c| {
+        if found.is_none() {
+            found = f(c);
+        }
+    });
+    found
+}
+
+/// Append a copy of `c` to the left-deep conjunction `acc`.
+fn push_conjunct(acc: &mut Option<RExpr>, c: &RExpr) {
+    *acc = Some(match acc.take() {
+        None => c.clone(),
+        Some(a) => RExpr::Binary {
+            op: BinOp::And,
+            left: Box::new(a),
+            right: Box::new(c.clone()),
+        },
+    });
+}
+
+/// Copies of the conjuncts of `qual` that `keep` admits, conjoined in order.
+fn conjoin_where(qual: Option<&RExpr>, mut keep: impl FnMut(&RExpr) -> bool) -> Option<RExpr> {
+    let mut out = None;
+    each_conjunct(qual, &mut |c| {
+        if keep(c) {
+            push_conjunct(&mut out, c);
+        }
+    });
+    out
+}
+
+/// Whether `c` — a conjunct over several variables, or a constant one over
+/// none — enters the plan at the step that binds `bound`. It enters at the
+/// first step binding all its variables; `taken` is the bound set of the
+/// last step that pulled such conjuncts in.
+fn enters_at(c: &RExpr, bound: VarSet, taken: Option<VarSet>) -> bool {
+    let vars = vars_of(c);
+    vars.count_ones() != 1 && vars & !bound == 0 && !taken.is_some_and(|t| vars & !t == 0)
+}
 
 /// The query optimizer. Holds the catalog (for relation sizes and index
 /// availability, consulted fresh on every call) and the P-node when
@@ -59,121 +151,93 @@ impl<'a> Optimizer<'a> {
     }
 
     /// Produce a physical plan binding every variable of `spec`.
-    /// `spec.vars` must be non-empty (variable-free commands need no plan).
+    /// `spec.vars` must be non-empty (variable-free commands need no plan)
+    /// and at most 64 long.
     pub fn plan(&self, spec: &QuerySpec) -> QueryResult<Plan> {
-        if spec.vars.is_empty() {
+        let nvars = spec.vars.len();
+        if nvars == 0 {
             return Err(QueryError::Plan("no variables to bind".into()));
         }
-        let conjuncts: Vec<RExpr> = spec.qual.clone().map(|q| q.conjuncts()).unwrap_or_default();
-
-        // Partition conjuncts by the variables they touch.
-        let nvars = spec.vars.len();
-        let mut selections: Vec<Vec<RExpr>> = vec![Vec::new(); nvars];
-        let mut multi: Vec<(HashSet<usize>, RExpr)> = Vec::new();
-        for c in conjuncts {
-            let used = c.vars_used();
-            match used.len() {
-                0 => multi.push((HashSet::new(), c)), // constant predicate
-                1 => selections[used[0]].push(c),
-                _ => multi.push((used.into_iter().collect(), c)),
-            }
+        if nvars > MAX_VARS {
+            return Err(QueryError::Plan(format!(
+                "a command binds at most {MAX_VARS} tuple variables, not {nvars}"
+            )));
         }
-
+        let qual = spec.qual.as_ref();
+        let all = VarSet::MAX >> (MAX_VARS - nvars);
         // Units: the P-node variables as one unit, each relation var alone.
-        let pnode_vars: Vec<usize> = (0..nvars)
+        let pnode_vars = members(all)
             .filter(|&v| matches!(spec.vars[v].source, VarSource::Pnode { .. }))
-            .collect();
-        let rel_vars: Vec<usize> = (0..nvars)
-            .filter(|&v| matches!(spec.vars[v].source, VarSource::Relation))
-            .collect();
-
-        let mut bound: HashSet<usize> = HashSet::new();
+            .fold(0, |set, v| set | bit(v));
+        // A conjunct over one variable is a selection of it; the others
+        // enter the plan as `enters_at` says.
+        let mut taken = None;
+        let mut bound: VarSet = 0;
         let mut plan: Option<Plan> = None;
 
         // Rule-action plans always start with the PnodeScan (§5.2).
-        if !pnode_vars.is_empty() {
-            let pnode = self.pnode.ok_or_else(|| {
-                QueryError::Plan("P-node variables without a P-node context".into())
-            })?;
-            let mut binds = Vec::new();
-            for &v in &pnode_vars {
-                let VarSource::Pnode { col } = spec.vars[v].source else {
-                    unreachable!()
-                };
-                binds.push((v, col));
+        if pnode_vars != 0 {
+            if self.pnode.is_none() {
+                return Err(QueryError::Plan(
+                    "P-node variables without a P-node context".into(),
+                ));
             }
-            let filter = RExpr::conjoin(
-                pnode_vars
-                    .iter()
-                    .flat_map(|&v| selections[v].clone())
-                    .collect(),
-            );
+            let binds = members(pnode_vars)
+                .filter_map(|v| match spec.vars[v].source {
+                    VarSource::Pnode { col } => Some((v, col)),
+                    VarSource::Relation => None,
+                })
+                .collect();
+            let mut filter = None;
+            for v in members(pnode_vars) {
+                each_conjunct(qual, &mut |c| {
+                    if vars_of(c) == bit(v) {
+                        push_conjunct(&mut filter, c);
+                    }
+                });
+            }
             // also multi-var conjuncts fully inside the pnode unit
-            let _ = pnode;
-            bound.extend(&pnode_vars);
-            let extra = Self::take_applicable(&mut multi, &bound);
-            let filter = RExpr::conjoin(filter.into_iter().chain(extra).collect::<Vec<_>>());
+            each_conjunct(qual, &mut |c| {
+                if enters_at(c, pnode_vars, None) {
+                    push_conjunct(&mut filter, c);
+                }
+            });
+            bound = pnode_vars;
+            taken = Some(bound);
             plan = Some(Plan::PnodeScan { binds, filter });
         }
 
         // Remaining relation variables, greedily.
-        let mut remaining: Vec<usize> = rel_vars;
-        while !remaining.is_empty() {
-            let pick = if plan.is_none() {
-                // first unit: cheapest access path
-                *remaining
-                    .iter()
-                    .min_by(|&&a, &&b| {
-                        self.estimate(spec, &selections[a], a)
-                            .total_cmp(&self.estimate(spec, &selections[b], b))
-                    })
-                    .unwrap()
-            } else {
-                // prefer a variable connected to the bound set by an
-                // equi-join edge; otherwise cheapest (cartesian).
-                let connected: Vec<usize> = remaining
-                    .iter()
-                    .copied()
-                    .filter(|&v| {
-                        multi.iter().any(|(vars, c)| {
-                            vars.contains(&v)
-                                && vars.iter().all(|u| *u == v || bound.contains(u))
-                                && Self::equi_edge(c, v, &bound).is_some()
-                        })
-                    })
-                    .collect();
-                let pool = if connected.is_empty() {
-                    &remaining
-                } else {
-                    &connected
-                };
-                *pool
-                    .iter()
-                    .min_by(|&&a, &&b| {
-                        self.estimate(spec, &selections[a], a)
-                            .total_cmp(&self.estimate(spec, &selections[b], b))
-                    })
-                    .unwrap()
-            };
-            remaining.retain(|&v| v != pick);
-            let sels = std::mem::take(&mut selections[pick]);
+        let mut remaining = all & !pnode_vars;
+        while remaining != 0 {
+            // first unit: cheapest access path; later, prefer a variable
+            // connected to the bound set by an equi-join edge, otherwise
+            // cheapest (cartesian).
+            let connected = members(remaining)
+                .filter(|&v| plan.is_some() && Self::connected(qual, v, bound))
+                .fold(0, |set, v| set | bit(v));
+            let pool = if connected != 0 { connected } else { remaining };
+            let pick = members(pool)
+                .min_by(|&a, &b| self.estimate(spec, a).total_cmp(&self.estimate(spec, b)))
+                .expect("a non-empty pool");
+            remaining &= !bit(pick);
             plan = Some(match plan {
-                None => self.access_path(spec, pick, sels)?,
+                None => self.access_path(spec, pick)?,
                 Some(left) => {
-                    bound.insert(pick);
-                    let applicable = Self::take_applicable(&mut multi, &bound);
-                    bound.remove(&pick);
-                    self.join(spec, left, pick, sels, applicable, &bound)?
+                    let now = bound | bit(pick);
+                    let joined =
+                        self.join(spec, left, pick, bound, |c| enters_at(c, now, taken))?;
+                    taken = Some(now);
+                    joined
                 }
             });
-            bound.insert(pick);
+            bound |= bit(pick);
         }
 
         let mut plan = plan.expect("at least one variable");
         // Anything left (constant predicates, or conjuncts that only became
         // applicable now) goes in a top filter.
-        let leftovers: Vec<RExpr> = multi.into_iter().map(|(_, c)| c).collect();
-        if let Some(pred) = RExpr::conjoin(leftovers) {
+        if let Some(pred) = conjoin_where(qual, |c| enters_at(c, all, taken)) {
             plan = Plan::Filter {
                 input: Box::new(plan),
                 pred,
@@ -182,26 +246,21 @@ impl<'a> Optimizer<'a> {
         Ok(plan)
     }
 
-    /// Pull out the conjuncts whose variables are all bound.
-    fn take_applicable(
-        multi: &mut Vec<(HashSet<usize>, RExpr)>,
-        bound: &HashSet<usize>,
-    ) -> Vec<RExpr> {
-        let mut out = Vec::new();
-        multi.retain(|(vars, c)| {
-            if vars.is_subset(bound) {
-                out.push(c.clone());
-                false
-            } else {
-                true
-            }
-        });
-        out
+    /// Whether a join conjunct over `v` and the `bound` variables is an
+    /// equi-join edge from them to `v`.
+    fn connected(qual: Option<&RExpr>, v: usize, bound: VarSet) -> bool {
+        find_conjunct(qual, |c| {
+            let vars = vars_of(c);
+            let joins =
+                vars.count_ones() > 1 && vars & bit(v) != 0 && vars & !(bound | bit(v)) == 0;
+            joins.then(|| Self::equi_edge(c, v, bound))?
+        })
+        .is_some()
     }
 
     /// If `c` is `newvar.attr = <expr over bound vars>` (either side),
     /// return `(attr_of_newvar, other_side_expr)`.
-    fn equi_edge(c: &RExpr, newvar: usize, bound: &HashSet<usize>) -> Option<(usize, RExpr)> {
+    fn equi_edge(c: &RExpr, newvar: usize, bound: VarSet) -> Option<(usize, &RExpr)> {
         let RExpr::Binary {
             op: BinOp::Eq,
             left,
@@ -210,15 +269,15 @@ impl<'a> Optimizer<'a> {
         else {
             return None;
         };
-        let over_bound = |e: &RExpr| e.vars_used().iter().all(|u| bound.contains(u));
+        let over_bound = |e: &RExpr| vars_of(e) & !bound == 0;
         if let RExpr::Attr { var, attr } = **left {
             if var == newvar && over_bound(right) {
-                return Some((attr, (**right).clone()));
+                return Some((attr, right));
             }
         }
         if let RExpr::Attr { var, attr } = **right {
             if var == newvar && over_bound(left) {
-                return Some((attr, (**left).clone()));
+                return Some((attr, left));
             }
         }
         None
@@ -226,219 +285,161 @@ impl<'a> Optimizer<'a> {
 
     /// Constant-fold an expression with no variable references.
     fn fold_const(e: &RExpr) -> Option<Value> {
-        if !e.vars_used().is_empty() {
+        if vars_of(e) != 0 {
             return None;
         }
         eval(e, &Row::unbound(0)).ok()
     }
 
-    /// Extract `attr cmp const` sargs from single-variable conjuncts.
-    fn extract_sargs(var: usize, sels: &[RExpr]) -> Vec<(usize, Sarg)> {
-        let mut out = Vec::new();
-        for (i, c) in sels.iter().enumerate() {
-            let RExpr::Binary { op, left, right } = c else {
-                continue;
-            };
-            if !op.is_comparison() || *op == BinOp::Ne {
-                continue;
-            }
-            if let RExpr::Attr { var: v, attr } = **left {
-                if v == var {
-                    if let Some(val) = Self::fold_const(right) {
-                        out.push((
-                            i,
-                            Sarg {
-                                attr,
-                                op: *op,
-                                value: val,
-                            },
-                        ));
-                        continue;
-                    }
-                }
-            }
-            if let RExpr::Attr { var: v, attr } = **right {
-                if v == var {
-                    if let Some(val) = Self::fold_const(left) {
-                        out.push((
-                            i,
-                            Sarg {
-                                attr,
-                                op: op.flip(),
-                                value: val,
-                            },
-                        ));
-                    }
+    /// `c` as a sargable `var.attr cmp constant`, if it is one.
+    fn sarg(c: &RExpr, var: usize) -> Option<Sarg> {
+        let RExpr::Binary { op, left, right } = c else {
+            return None;
+        };
+        if !op.is_comparison() || *op == BinOp::Ne {
+            return None;
+        }
+        if let RExpr::Attr { var: v, attr } = **left {
+            if v == var {
+                if let Some(value) = Self::fold_const(right) {
+                    return Some(Sarg {
+                        attr,
+                        op: *op,
+                        value,
+                    });
                 }
             }
         }
-        out
-    }
-
-    /// Build the access path for a relation variable.
-    fn access_path(&self, spec: &QuerySpec, var: usize, sels: Vec<RExpr>) -> QueryResult<Plan> {
-        let rel_name = spec.vars[var].rel.clone();
-        let rel_ref = self.catalog.require(&rel_name)?;
-        let sargs = Self::extract_sargs(var, &sels);
-
-        // Equality probe first (most selective).
-        for (i, s) in &sargs {
-            if s.op != BinOp::Eq {
-                continue;
-            }
-            if rel_ref.index_on(s.attr).is_some() {
-                let filter = RExpr::conjoin(
-                    sels.iter()
-                        .enumerate()
-                        .filter(|(j, _)| j != i)
-                        .map(|(_, c)| c.clone())
-                        .collect(),
-                );
-                return Ok(Plan::IndexScan {
-                    rel: rel_name,
-                    var,
-                    attr: s.attr,
-                    key: IndexKey::Eq(s.value.clone()),
-                    filter,
+        if let RExpr::Attr { var: v, attr } = **right {
+            if v == var {
+                return Self::fold_const(left).map(|value| Sarg {
+                    attr,
+                    op: op.flip(),
+                    value,
                 });
             }
         }
-        // Range probe: merge all range sargs on one B-tree-indexed attr.
-        for (_, s) in &sargs {
-            if s.op == BinOp::Eq {
-                continue;
-            }
-            let Some(ix) = rel_ref.index_on(s.attr) else {
-                continue;
-            };
-            if !ix.supports_range() {
-                continue;
-            }
-            let mut lo: Bound<Value> = Bound::Unbounded;
-            let mut hi: Bound<Value> = Bound::Unbounded;
-            let mut used = HashSet::new();
-            for (j, s2) in &sargs {
-                if s2.attr != s.attr {
-                    continue;
-                }
-                match s2.op {
-                    BinOp::Gt => {
-                        lo = tighten_lo(lo, Bound::Excluded(s2.value.clone()));
-                        used.insert(*j);
-                    }
-                    BinOp::Ge => {
-                        lo = tighten_lo(lo, Bound::Included(s2.value.clone()));
-                        used.insert(*j);
-                    }
-                    BinOp::Lt => {
-                        hi = tighten_hi(hi, Bound::Excluded(s2.value.clone()));
-                        used.insert(*j);
-                    }
-                    BinOp::Le => {
-                        hi = tighten_hi(hi, Bound::Included(s2.value.clone()));
-                        used.insert(*j);
-                    }
-                    _ => {}
-                }
-            }
-            let filter = RExpr::conjoin(
-                sels.iter()
-                    .enumerate()
-                    .filter(|(j, _)| !used.contains(j))
-                    .map(|(_, c)| c.clone())
-                    .collect(),
-            );
+        None
+    }
+
+    /// Build the access path for a relation variable, over its selections.
+    fn access_path(&self, spec: &QuerySpec, var: usize) -> QueryResult<Plan> {
+        let qual = spec.qual.as_ref();
+        let rel_name = &spec.vars[var].rel;
+        let rel = self.catalog.require(rel_name)?;
+        let sel = |c: &RExpr| vars_of(c) == bit(var);
+        let sarg = |c: &RExpr| sel(c).then(|| Self::sarg(c, var)).flatten();
+
+        // Equality probe first (most selective).
+        let probe = find_conjunct(qual, |c| {
+            let s = sarg(c)?;
+            (s.op == BinOp::Eq && rel.index_on(s.attr).is_some()).then_some((c, s))
+        });
+        if let Some((probe, s)) = probe {
             return Ok(Plan::IndexScan {
-                rel: rel_name,
+                rel: rel_name.clone(),
                 var,
                 attr: s.attr,
+                key: IndexKey::Eq(s.value),
+                filter: conjoin_where(qual, |c| sel(c) && !ptr::eq(c, probe)),
+            });
+        }
+        // Range probe: merge all range sargs on one B-tree-indexed attr.
+        let ranged = find_conjunct(qual, |c| {
+            let s = sarg(c)?;
+            let ranges = rel.index_on(s.attr).is_some_and(|ix| ix.supports_range());
+            (s.op != BinOp::Eq && ranges).then_some(s.attr)
+        });
+        if let Some(attr) = ranged {
+            let bound_on_attr = |c: &RExpr| {
+                sarg(c).filter(|s| {
+                    s.attr == attr && matches!(s.op, BinOp::Gt | BinOp::Ge | BinOp::Lt | BinOp::Le)
+                })
+            };
+            let (mut lo, mut hi) = (Bound::Unbounded, Bound::Unbounded);
+            each_conjunct(qual, &mut |c| {
+                let Some(s) = bound_on_attr(c) else {
+                    return;
+                };
+                match s.op {
+                    BinOp::Gt => tighten_lo(&mut lo, Bound::Excluded(s.value)),
+                    BinOp::Ge => tighten_lo(&mut lo, Bound::Included(s.value)),
+                    BinOp::Lt => tighten_hi(&mut hi, Bound::Excluded(s.value)),
+                    _ => tighten_hi(&mut hi, Bound::Included(s.value)),
+                }
+            });
+            return Ok(Plan::IndexScan {
+                rel: rel_name.clone(),
+                var,
+                attr,
                 key: IndexKey::Range(lo, hi),
-                filter,
+                filter: conjoin_where(qual, |c| sel(c) && bound_on_attr(c).is_none()),
             });
         }
         Ok(Plan::SeqScan {
-            rel: rel_name,
+            rel: rel_name.clone(),
             var,
-            filter: RExpr::conjoin(sels),
+            filter: conjoin_where(qual, sel),
         })
     }
 
-    /// Join the already-planned `left` with variable `pick`.
+    /// Join the already-planned `left`, which binds `bound`, with variable
+    /// `pick`; `applicable` admits the conjuncts that enter at this step.
     fn join(
         &self,
         spec: &QuerySpec,
         left: Plan,
         pick: usize,
-        sels: Vec<RExpr>,
-        applicable: Vec<RExpr>,
-        bound: &HashSet<usize>,
+        bound: VarSet,
+        applicable: impl Fn(&RExpr) -> bool,
     ) -> QueryResult<Plan> {
-        let rel_name = spec.vars[pick].rel.clone();
-        let rel = self.catalog.require(&rel_name)?;
+        let qual = spec.qual.as_ref();
+        let rel_name = &spec.vars[pick].rel;
+        let rel = self.catalog.require(rel_name)?;
+        let edge = |c| {
+            let (attr, other) = applicable(c).then(|| Self::equi_edge(c, pick, bound))??;
+            Some((c, attr, other))
+        };
+        let all_but = |used| conjoin_where(qual, |c| applicable(c) && !ptr::eq(c, used));
 
         // Try an index nested-loop: an equi edge probing an index on pick.
-        for (i, c) in applicable.iter().enumerate() {
-            let Some((attr, key_expr)) = Self::equi_edge(c, pick, bound) else {
-                continue;
-            };
-            if rel.index_on(attr).is_none() {
-                continue;
-            }
-            let cond = RExpr::conjoin(
-                applicable
-                    .iter()
-                    .enumerate()
-                    .filter(|(j, _)| *j != i)
-                    .map(|(_, c)| c.clone())
-                    .collect(),
-            );
+        let probe = find_conjunct(qual, |c| edge(c).filter(|e| rel.index_on(e.1).is_some()));
+        if let Some((used, attr, key_expr)) = probe {
             return Ok(Plan::IndexedLoop {
                 left: Box::new(left),
-                rel: rel_name,
+                rel: rel_name.clone(),
                 var: pick,
                 attr,
-                key_expr,
-                filter: RExpr::conjoin(sels),
-                cond,
+                key_expr: key_expr.clone(),
+                filter: conjoin_where(qual, |c| vars_of(c) == bit(pick)),
+                cond: all_but(used),
             });
         }
 
         // Sort-merge when both sides are big and an equi edge exists.
         let left_est = self.plan_estimate(&left, spec);
-        let pick_est = self.estimate(spec, &sels, pick);
+        let pick_est = self.estimate(spec, pick);
         if left_est > SORT_MERGE_THRESHOLD && pick_est > SORT_MERGE_THRESHOLD {
-            for (i, c) in applicable.iter().enumerate() {
-                if let Some((attr, other)) = Self::equi_edge(c, pick, bound) {
-                    let residual = RExpr::conjoin(
-                        applicable
-                            .iter()
-                            .enumerate()
-                            .filter(|(j, _)| *j != i)
-                            .map(|(_, c)| c.clone())
-                            .collect(),
-                    );
-                    let right = self.access_path(spec, pick, sels)?;
-                    return Ok(Plan::SortMergeJoin {
-                        left: Box::new(left),
-                        right: Box::new(right),
-                        left_key: other,
-                        right_key: RExpr::Attr { var: pick, attr },
-                        residual,
-                    });
-                }
+            if let Some((used, attr, other)) = find_conjunct(qual, edge) {
+                return Ok(Plan::SortMergeJoin {
+                    left: Box::new(left),
+                    right: Box::new(self.access_path(spec, pick)?),
+                    left_key: other.clone(),
+                    right_key: RExpr::Attr { var: pick, attr },
+                    residual: all_but(used),
+                });
             }
         }
 
-        let right = self.access_path(spec, pick, sels)?;
         Ok(Plan::NestedLoop {
             left: Box::new(left),
-            right: Box::new(right),
-            cond: RExpr::conjoin(applicable),
+            right: Box::new(self.access_path(spec, pick)?),
+            cond: conjoin_where(qual, applicable),
         })
     }
 
     /// Cardinality estimate for one variable after its selections.
-    fn estimate(&self, spec: &QuerySpec, sels: &[RExpr], var: usize) -> f64 {
+    fn estimate(&self, spec: &QuerySpec, var: usize) -> f64 {
         let base = match &spec.vars[var].source {
             VarSource::Pnode { .. } => self.pnode.map(|p| p.len()).unwrap_or(0) as f64,
             VarSource::Relation => self
@@ -447,14 +448,16 @@ impl<'a> Optimizer<'a> {
                 .map(|r| r.len())
                 .unwrap_or(0) as f64,
         };
-        let sel: f64 = sels
-            .iter()
-            .map(|c| match c {
-                RExpr::Binary { op, .. } if *op == BinOp::Eq => SEL_EQ,
-                RExpr::Binary { op, .. } if op.is_comparison() => SEL_RANGE,
-                _ => SEL_OTHER,
-            })
-            .product();
+        let mut sel = 1.0;
+        each_conjunct(spec.qual.as_ref(), &mut |c| {
+            if vars_of(c) == bit(var) {
+                sel *= match c {
+                    RExpr::Binary { op, .. } if *op == BinOp::Eq => SEL_EQ,
+                    RExpr::Binary { op, .. } if op.is_comparison() => SEL_RANGE,
+                    _ => SEL_OTHER,
+                };
+            }
+        });
         (base * sel).max(1.0)
     }
 
@@ -495,31 +498,31 @@ impl<'a> Optimizer<'a> {
     }
 }
 
-fn tighten_lo(a: Bound<Value>, b: Bound<Value>) -> Bound<Value> {
-    match (&a, &b) {
-        (Bound::Unbounded, _) => b,
-        (_, Bound::Unbounded) => a,
+/// Narrow the lower bound `a` to `b` where `b` is tighter.
+fn tighten_lo(a: &mut Bound<Value>, b: Bound<Value>) {
+    let tighter = match (&*a, &b) {
+        (Bound::Unbounded, _) => true,
+        (_, Bound::Unbounded) => false,
         (Bound::Included(x) | Bound::Excluded(x), Bound::Included(y) | Bound::Excluded(y)) => {
-            if y > x || (y == x && matches!(b, Bound::Excluded(_))) {
-                b
-            } else {
-                a
-            }
+            y > x || (y == x && matches!(b, Bound::Excluded(_)))
         }
+    };
+    if tighter {
+        *a = b;
     }
 }
 
-fn tighten_hi(a: Bound<Value>, b: Bound<Value>) -> Bound<Value> {
-    match (&a, &b) {
-        (Bound::Unbounded, _) => b,
-        (_, Bound::Unbounded) => a,
+/// Narrow the upper bound `a` to `b` where `b` is tighter.
+fn tighten_hi(a: &mut Bound<Value>, b: Bound<Value>) {
+    let tighter = match (&*a, &b) {
+        (Bound::Unbounded, _) => true,
+        (_, Bound::Unbounded) => false,
         (Bound::Included(x) | Bound::Excluded(x), Bound::Included(y) | Bound::Excluded(y)) => {
-            if y < x || (y == x && matches!(b, Bound::Excluded(_))) {
-                b
-            } else {
-                a
-            }
+            y < x || (y == x && matches!(b, Bound::Excluded(_)))
         }
+    };
+    if tighter {
+        *a = b;
     }
 }
 

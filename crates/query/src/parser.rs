@@ -1,8 +1,11 @@
-//! Recursive-descent parser for the POSTQUEL subset + ARL.
+//! Recursive-descent parser for the POSTQUEL subset + ARL, with one
+//! precedence-climbing loop for expressions.
 //!
 //! Keywords are matched case-insensitively and contextually; any word can
 //! still serve as a relation / attribute / rule name where the grammar
-//! expects one.
+//! expects one. The parser reads the lexer's borrowed tokens in place and
+//! allocates only what the AST keeps: each name once, each string literal
+//! once.
 
 use crate::ast::*;
 use crate::error::{QueryError, QueryResult};
@@ -22,8 +25,7 @@ use ariel_storage::{AttrType, IndexKind};
 /// assert_eq!(cmds.len(), 2);
 /// ```
 pub fn parse_script(src: &str) -> QueryResult<Vec<Command>> {
-    let tokens = lex(src)?;
-    let mut p = Parser { tokens, at: 0 };
+    let mut p = Parser::new(src)?;
     let mut cmds = Vec::new();
     loop {
         p.skip_semicolons();
@@ -54,33 +56,73 @@ pub fn parse_command(src: &str) -> QueryResult<Command> {
 /// Parse a qualification expression in isolation (used by tests and by the
 /// rule catalog when reconstructing conditions).
 pub fn parse_expr(src: &str) -> QueryResult<Expr> {
-    let tokens = lex(src)?;
-    let mut p = Parser { tokens, at: 0 };
-    let e = p.parse_or()?;
+    let mut p = Parser::new(src)?;
+    let e = p.expr()?;
     p.expect_eof()?;
     Ok(e)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+/// Attribute type names `create` accepts.
+const TYPES: [(&str, AttrType); 14] = [
+    ("int", AttrType::Int),
+    ("i4", AttrType::Int),
+    ("integer", AttrType::Int),
+    ("float", AttrType::Float),
+    ("f8", AttrType::Float),
+    ("float8", AttrType::Float),
+    ("real", AttrType::Float),
+    ("string", AttrType::Str),
+    ("str", AttrType::Str),
+    ("text", AttrType::Str),
+    ("char", AttrType::Str),
+    ("c", AttrType::Str),
+    ("bool", AttrType::Bool),
+    ("boolean", AttrType::Bool),
+];
+
+/// Index kinds `define index … using` accepts.
+const INDEX_KINDS: [(&str, IndexKind); 2] =
+    [("btree", IndexKind::BTree), ("hash", IndexKind::Hash)];
+
+/// The entry of `table` named `word`, case-insensitively.
+fn lookup<T: Copy>(table: &[(&str, T)], word: &str) -> Option<T> {
+    table
+        .iter()
+        .find(|(name, _)| name.eq_ignore_ascii_case(word))
+        .map(|&(_, v)| v)
+}
+
+struct Parser<'src> {
+    tokens: Vec<Token<'src>>,
     at: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> &Token {
+impl<'src> Parser<'src> {
+    fn new(src: &'src str) -> QueryResult<Self> {
+        Ok(Parser {
+            tokens: lex(src)?,
+            at: 0,
+        })
+    }
+
+    fn peek(&self) -> &Token<'src> {
         &self.tokens[self.at]
+    }
+
+    /// The kind of the token `ahead` places past the current one.
+    fn kind_at(&self, ahead: usize) -> Option<&TokenKind<'src>> {
+        self.tokens.get(self.at + ahead).map(|t| &t.kind)
     }
 
     fn peek_is_eof(&self) -> bool {
         matches!(self.peek().kind, TokenKind::Eof)
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.at].clone();
+    /// Step past the current token (never past `Eof`).
+    fn bump(&mut self) {
         if self.at + 1 < self.tokens.len() {
             self.at += 1;
         }
-        t
     }
 
     fn err<T>(&self, msg: impl Into<String>) -> QueryResult<T> {
@@ -100,26 +142,22 @@ impl Parser {
         if self.peek_is_eof() {
             Ok(())
         } else {
-            Err(QueryError::Parse {
-                pos: self.peek().pos,
-                msg: format!("unexpected trailing input {}", self.peek().kind),
-            })
+            self.err(format!("unexpected trailing input {}", self.peek().kind))
         }
     }
 
     /// Is the current token the given (case-insensitive) keyword?
     fn at_kw(&self, kw: &str) -> bool {
-        matches!(&self.peek().kind, TokenKind::Ident(s) if s.eq_ignore_ascii_case(kw))
+        matches!(self.peek().kind, TokenKind::Ident(s) if s.eq_ignore_ascii_case(kw))
     }
 
     /// Consume the given keyword if present.
     fn eat_kw(&mut self, kw: &str) -> bool {
-        if self.at_kw(kw) {
+        let at = self.at_kw(kw);
+        if at {
             self.bump();
-            true
-        } else {
-            false
         }
+        at
     }
 
     fn expect_kw(&mut self, kw: &str) -> QueryResult<()> {
@@ -130,7 +168,15 @@ impl Parser {
         }
     }
 
-    fn expect_tok(&mut self, kind: TokenKind) -> QueryResult<()> {
+    fn eat_tok(&mut self, kind: TokenKind<'_>) -> bool {
+        let at = self.peek().kind == kind;
+        if at {
+            self.bump();
+        }
+        at
+    }
+
+    fn expect_tok(&mut self, kind: TokenKind<'_>) -> QueryResult<()> {
         if self.peek().kind == kind {
             self.bump();
             Ok(())
@@ -139,23 +185,33 @@ impl Parser {
         }
     }
 
-    fn eat_tok(&mut self, kind: TokenKind) -> bool {
-        if self.peek().kind == kind {
-            self.bump();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect_ident(&mut self) -> QueryResult<String> {
-        match &self.peek().kind {
+    /// The current word, consumed, still borrowed from the source.
+    fn expect_word(&mut self) -> QueryResult<&'src str> {
+        match self.peek().kind {
             TokenKind::Ident(s) => {
-                let s = s.clone();
                 self.bump();
                 Ok(s)
             }
-            other => self.err(format!("expected identifier, found {other}")),
+            ref other => self.err(format!("expected identifier, found {other}")),
+        }
+    }
+
+    /// The current word, consumed and copied into the AST.
+    fn expect_ident(&mut self) -> QueryResult<String> {
+        self.expect_word().map(str::to_owned)
+    }
+
+    /// `item (, item)*`
+    fn comma_list<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> QueryResult<T>,
+    ) -> QueryResult<Vec<T>> {
+        let mut out = Vec::new();
+        loop {
+            out.push(item(self)?);
+            if !self.eat_tok(TokenKind::Comma) {
+                return Ok(out);
+            }
         }
     }
 
@@ -171,14 +227,12 @@ impl Parser {
         if self.at_kw("define") {
             return self.parse_define();
         }
-        if self.at_kw("activate") {
-            self.bump();
+        if self.eat_kw("activate") {
             self.expect_kw("rule")?;
             let name = self.expect_ident()?;
             return Ok(Command::ActivateRule { name });
         }
-        if self.at_kw("deactivate") {
-            self.bump();
+        if self.eat_kw("deactivate") {
             self.expect_kw("rule")?;
             let name = self.expect_ident()?;
             return Ok(Command::DeactivateRule { name });
@@ -198,8 +252,7 @@ impl Parser {
         if self.at_kw("do") {
             return self.parse_block();
         }
-        if self.at_kw("halt") {
-            self.bump();
+        if self.eat_kw("halt") {
             return Ok(Command::Halt);
         }
         if self.at_kw("notify") {
@@ -212,23 +265,15 @@ impl Parser {
         self.expect_kw("create")?;
         let name = self.expect_ident()?;
         self.expect_tok(TokenKind::LParen)?;
-        let mut attrs = Vec::new();
-        loop {
-            let attr = self.expect_ident()?;
-            self.expect_tok(TokenKind::Eq)?;
-            let ty_name = self.expect_ident()?;
-            let ty = match ty_name.to_ascii_lowercase().as_str() {
-                "int" | "i4" | "integer" => AttrType::Int,
-                "float" | "f8" | "float8" | "real" => AttrType::Float,
-                "string" | "str" | "text" | "char" | "c" => AttrType::Str,
-                "bool" | "boolean" => AttrType::Bool,
-                other => return self.err(format!("unknown type `{other}`")),
-            };
-            attrs.push((attr, ty));
-            if !self.eat_tok(TokenKind::Comma) {
-                break;
+        let attrs = self.comma_list(|p| {
+            let attr = p.expect_ident()?;
+            p.expect_tok(TokenKind::Eq)?;
+            let ty = p.expect_word()?;
+            match lookup(&TYPES, ty) {
+                Some(ty) => Ok((attr, ty)),
+                None => p.err(format!("unknown type `{}`", ty.to_ascii_lowercase())),
             }
-        }
+        })?;
         self.expect_tok(TokenKind::RParen)?;
         Ok(Command::CreateRelation { name, attrs })
     }
@@ -252,11 +297,12 @@ impl Parser {
             let attr = self.expect_ident()?;
             self.expect_tok(TokenKind::RParen)?;
             let kind = if self.eat_kw("using") {
-                let k = self.expect_ident()?;
-                match k.to_ascii_lowercase().as_str() {
-                    "btree" => IndexKind::BTree,
-                    "hash" => IndexKind::Hash,
-                    other => return self.err(format!("unknown index kind `{other}`")),
+                let k = self.expect_word()?;
+                match lookup(&INDEX_KINDS, k) {
+                    Some(kind) => kind,
+                    None => {
+                        return self.err(format!("unknown index kind `{}`", k.to_ascii_lowercase()))
+                    }
                 }
             } else {
                 IndexKind::BTree
@@ -277,11 +323,12 @@ impl Parser {
         };
         let priority = if self.eat_kw("priority") {
             let neg = self.eat_tok(TokenKind::Minus);
-            let v = match self.bump().kind {
+            let v = match self.peek().kind {
                 TokenKind::Int(i) => i as f64,
                 TokenKind::Float(x) => x,
-                other => return self.err(format!("expected priority value, found {other}")),
+                ref other => return self.err(format!("expected priority value, found {other}")),
             };
+            self.bump();
             Some(if neg { -v } else { v })
         } else {
             None
@@ -292,7 +339,7 @@ impl Parser {
             None
         };
         let (condition, cond_from) = if self.eat_kw("if") {
-            let e = self.parse_or()?;
+            let e = self.expr()?;
             let from = if self.eat_kw("from") {
                 self.parse_from_items()?
             } else {
@@ -322,71 +369,46 @@ impl Parser {
     }
 
     fn parse_event_spec(&mut self) -> QueryResult<EventSpec> {
-        if self.eat_kw("append") {
-            self.eat_kw("to");
-            let relation = self.expect_ident()?;
-            return Ok(EventSpec {
-                kind: EventKind::Append,
-                relation,
-            });
-        }
-        if self.eat_kw("delete") {
-            self.eat_kw("from");
-            let relation = self.expect_ident()?;
-            return Ok(EventSpec {
-                kind: EventKind::Delete,
-                relation,
-            });
-        }
-        if self.eat_kw("replace") {
-            self.eat_kw("to");
-            let relation = self.expect_ident()?;
-            let attrs = if self.eat_tok(TokenKind::LParen) {
-                let mut list = vec![self.expect_ident()?];
-                while self.eat_tok(TokenKind::Comma) {
-                    list.push(self.expect_ident()?);
-                }
+        let (kind, filler) = if self.eat_kw("append") {
+            (EventKind::Append, "to")
+        } else if self.eat_kw("delete") {
+            (EventKind::Delete, "from")
+        } else if self.eat_kw("replace") {
+            (EventKind::Replace(None), "to")
+        } else {
+            return self.err("expected `append`, `delete` or `replace` after `on`");
+        };
+        self.eat_kw(filler);
+        let relation = self.expect_ident()?;
+        let kind = match kind {
+            EventKind::Replace(_) if self.eat_tok(TokenKind::LParen) => {
+                let attrs = self.comma_list(Self::expect_ident)?;
                 self.expect_tok(TokenKind::RParen)?;
-                Some(list)
-            } else {
-                None
-            };
-            return Ok(EventSpec {
-                kind: EventKind::Replace(attrs),
-                relation,
-            });
-        }
-        self.err("expected `append`, `delete` or `replace` after `on`")
+                EventKind::Replace(Some(attrs))
+            }
+            kind => kind,
+        };
+        Ok(EventSpec { kind, relation })
     }
 
     fn parse_assignments(&mut self) -> QueryResult<Vec<(String, Expr)>> {
         self.expect_tok(TokenKind::LParen)?;
-        let mut out = Vec::new();
-        loop {
-            let attr = self.expect_ident()?;
-            self.expect_tok(TokenKind::Eq)?;
-            let expr = self.parse_or()?;
-            out.push((attr, expr));
-            if !self.eat_tok(TokenKind::Comma) {
-                break;
-            }
-        }
+        let out = self.comma_list(|p| {
+            let attr = p.expect_ident()?;
+            p.expect_tok(TokenKind::Eq)?;
+            Ok((attr, p.expr()?))
+        })?;
         self.expect_tok(TokenKind::RParen)?;
         Ok(out)
     }
 
     fn parse_from_items(&mut self) -> QueryResult<Vec<FromItem>> {
-        let mut out = Vec::new();
-        loop {
-            let var = self.expect_ident()?;
-            self.expect_kw("in")?;
-            let rel = self.expect_ident()?;
-            out.push(FromItem { var, rel });
-            if !self.eat_tok(TokenKind::Comma) {
-                break;
-            }
-        }
-        Ok(out)
+        self.comma_list(|p| {
+            let var = p.expect_ident()?;
+            p.expect_kw("in")?;
+            let rel = p.expect_ident()?;
+            Ok(FromItem { var, rel })
+        })
     }
 
     /// Optional `from …` then optional `where …`, in either order? The
@@ -399,7 +421,7 @@ impl Parser {
             if self.eat_kw("from") {
                 from.extend(self.parse_from_items()?);
             } else if self.eat_kw("where") {
-                let e = self.parse_or()?;
+                let e = self.expr()?;
                 qual = Expr::and(qual, Some(e));
             } else {
                 break;
@@ -449,54 +471,7 @@ impl Parser {
         } else {
             None
         };
-        self.expect_tok(TokenKind::LParen)?;
-        let mut targets = Vec::new();
-        let mut anon = 0usize;
-        loop {
-            // `var.all`
-            let target = if let TokenKind::Ident(first) = self.peek().kind.clone() {
-                if matches!(
-                    self.tokens.get(self.at + 1).map(|t| &t.kind),
-                    Some(TokenKind::Dot)
-                ) && matches!(
-                    self.tokens.get(self.at + 2).map(|t| &t.kind),
-                    Some(TokenKind::Ident(a)) if a.eq_ignore_ascii_case("all")
-                ) {
-                    self.bump();
-                    self.bump();
-                    self.bump();
-                    Target::All { var: first }
-                } else if matches!(
-                    self.tokens.get(self.at + 1).map(|t| &t.kind),
-                    Some(TokenKind::Eq)
-                ) {
-                    // `name = expr`
-                    self.bump();
-                    self.bump();
-                    let expr = self.parse_or()?;
-                    Target::Expr { name: first, expr }
-                } else {
-                    let expr = self.parse_or()?;
-                    anon += 1;
-                    Target::Expr {
-                        name: format!("col{anon}"),
-                        expr,
-                    }
-                }
-            } else {
-                let expr = self.parse_or()?;
-                anon += 1;
-                Target::Expr {
-                    name: format!("col{anon}"),
-                    expr,
-                }
-            };
-            targets.push(target);
-            if !self.eat_tok(TokenKind::Comma) {
-                break;
-            }
-        }
-        self.expect_tok(TokenKind::RParen)?;
+        let targets = self.parse_targets()?;
         let (from, qual) = self.parse_from_where()?;
         Ok(Command::Retrieve {
             into,
@@ -509,58 +484,56 @@ impl Parser {
     fn parse_notify(&mut self) -> QueryResult<Command> {
         self.expect_kw("notify")?;
         let channel = self.expect_ident()?;
-        self.expect_tok(TokenKind::LParen)?;
-        let mut targets = Vec::new();
-        let mut anon = 0usize;
-        loop {
-            let target = if let TokenKind::Ident(first) = self.peek().kind.clone() {
-                if matches!(
-                    self.tokens.get(self.at + 1).map(|t| &t.kind),
-                    Some(TokenKind::Dot)
-                ) && matches!(
-                    self.tokens.get(self.at + 2).map(|t| &t.kind),
-                    Some(TokenKind::Ident(a)) if a.eq_ignore_ascii_case("all")
-                ) {
-                    self.bump();
-                    self.bump();
-                    self.bump();
-                    Target::All { var: first }
-                } else if matches!(
-                    self.tokens.get(self.at + 1).map(|t| &t.kind),
-                    Some(TokenKind::Eq)
-                ) {
-                    self.bump();
-                    self.bump();
-                    let expr = self.parse_or()?;
-                    Target::Expr { name: first, expr }
-                } else {
-                    let expr = self.parse_or()?;
-                    anon += 1;
-                    Target::Expr {
-                        name: format!("col{anon}"),
-                        expr,
-                    }
-                }
-            } else {
-                let expr = self.parse_or()?;
-                anon += 1;
-                Target::Expr {
-                    name: format!("col{anon}"),
-                    expr,
-                }
-            };
-            targets.push(target);
-            if !self.eat_tok(TokenKind::Comma) {
-                break;
-            }
-        }
-        self.expect_tok(TokenKind::RParen)?;
+        let targets = self.parse_targets()?;
         let (from, qual) = self.parse_from_where()?;
         Ok(Command::Notify {
             channel,
             targets,
             from,
             qual,
+        })
+    }
+
+    /// The parenthesized target list of `retrieve` and `notify`: each
+    /// target is `var.all`, `name = expr`, or an expression named `colN`
+    /// after the anonymous targets before it.
+    fn parse_targets(&mut self) -> QueryResult<Vec<Target>> {
+        self.expect_tok(TokenKind::LParen)?;
+        let mut anon = 0usize;
+        let targets = self.comma_list(|p| {
+            let TokenKind::Ident(first) = p.peek().kind else {
+                return p.anonymous_target(&mut anon);
+            };
+            let all = matches!(
+                (p.kind_at(1), p.kind_at(2)),
+                (Some(TokenKind::Dot), Some(TokenKind::Ident(a))) if a.eq_ignore_ascii_case("all")
+            );
+            if all {
+                p.at += 3; // `var`, `.`, `all`: none of them `Eof`
+                Ok(Target::All {
+                    var: first.to_owned(),
+                })
+            } else if p.kind_at(1) == Some(&TokenKind::Eq) {
+                p.at += 2; // `name`, `=`
+                let expr = p.expr()?;
+                Ok(Target::Expr {
+                    name: first.to_owned(),
+                    expr,
+                })
+            } else {
+                p.anonymous_target(&mut anon)
+            }
+        })?;
+        self.expect_tok(TokenKind::RParen)?;
+        Ok(targets)
+    }
+
+    fn anonymous_target(&mut self, anon: &mut usize) -> QueryResult<Target> {
+        let expr = self.expr()?;
+        *anon += 1;
+        Ok(Target::Expr {
+            name: format!("col{anon}"),
+            expr,
         })
     }
 
@@ -575,184 +548,139 @@ impl Parser {
             if self.peek_is_eof() {
                 return self.err("unterminated `do … end` block");
             }
-            let cmd = self.parse_command()?;
-            if matches!(cmd, Command::Block(_)) {
+            if self.at_kw("do") {
                 return self.err("blocks may not be nested (§2.2.1)");
             }
-            cmds.push(cmd);
+            cmds.push(self.parse_command()?);
         }
         Ok(Command::Block(cmds))
     }
 
     // ----- expressions -------------------------------------------------------
 
-    fn parse_or(&mut self) -> QueryResult<Expr> {
-        let mut left = self.parse_and()?;
-        while self.eat_kw("or") {
-            let right = self.parse_and()?;
-            left = Expr::Binary {
-                op: BinOp::Or,
-                left: Box::new(left),
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
+    fn expr(&mut self) -> QueryResult<Expr> {
+        self.climb(BinOp::Or.precedence())
     }
 
-    fn parse_and(&mut self) -> QueryResult<Expr> {
-        let mut left = self.parse_not()?;
-        while self.eat_kw("and") {
-            let right = self.parse_not()?;
-            left = Expr::Binary {
-                op: BinOp::And,
-                left: Box::new(left),
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
-    }
-
-    fn parse_not(&mut self) -> QueryResult<Expr> {
-        if self.eat_kw("not") {
-            let inner = self.parse_not()?;
-            return Ok(Expr::Unary {
-                op: UnaryOp::Not,
-                expr: Box::new(inner),
-            });
-        }
-        self.parse_cmp()
-    }
-
-    fn parse_cmp(&mut self) -> QueryResult<Expr> {
-        let left = self.parse_add()?;
-        let op = match self.peek().kind {
+    /// The binary operator at the current token, if any.
+    fn binop(&self) -> Option<BinOp> {
+        Some(match self.peek().kind {
             TokenKind::Eq => BinOp::Eq,
             TokenKind::Ne => BinOp::Ne,
             TokenKind::Lt => BinOp::Lt,
             TokenKind::Le => BinOp::Le,
             TokenKind::Gt => BinOp::Gt,
             TokenKind::Ge => BinOp::Ge,
-            _ => return Ok(left),
-        };
-        self.bump();
-        let right = self.parse_add()?;
-        Ok(Expr::Binary {
-            op,
-            left: Box::new(left),
-            right: Box::new(right),
+            TokenKind::Plus => BinOp::Add,
+            TokenKind::Minus => BinOp::Sub,
+            TokenKind::StarTok => BinOp::Mul,
+            TokenKind::Slash => BinOp::Div,
+            TokenKind::Ident(w) if w.eq_ignore_ascii_case("and") => BinOp::And,
+            TokenKind::Ident(w) if w.eq_ignore_ascii_case("or") => BinOp::Or,
+            _ => return None,
         })
     }
 
-    fn parse_add(&mut self) -> QueryResult<Expr> {
-        let mut left = self.parse_mul()?;
-        loop {
-            let op = match self.peek().kind {
-                TokenKind::Plus => BinOp::Add,
-                TokenKind::Minus => BinOp::Sub,
-                _ => break,
+    /// Precedence climbing over `or` < `and` < prefix `not` < comparison <
+    /// `+ -` < `* /` < unary `-`: an operand, then each binary operator
+    /// binding at least `min` tightly, its right operand one level tighter
+    /// (all are left-associative). A prefix `not` is read only where an
+    /// operand of `and`/`or` starts, and takes one comparison-level operand.
+    /// `ceiling` is the tightest operator that may still follow: after a
+    /// `not` or a comparison, only `and`/`or` (comparisons do not chain).
+    fn climb(&mut self, min: u8) -> QueryResult<Expr> {
+        let cmp = BinOp::Eq.precedence();
+        let (mut lhs, mut ceiling) = if min <= cmp && self.eat_kw("not") {
+            let operand = self.climb(cmp)?;
+            let not = Expr::Unary {
+                op: UnaryOp::Not,
+                expr: Box::new(operand),
             };
-            self.bump();
-            let right = self.parse_mul()?;
-            left = Expr::Binary {
-                op,
-                left: Box::new(left),
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
-    }
-
-    fn parse_mul(&mut self) -> QueryResult<Expr> {
-        let mut left = self.parse_unary()?;
-        loop {
-            let op = match self.peek().kind {
-                TokenKind::StarTok => BinOp::Mul,
-                TokenKind::Slash => BinOp::Div,
-                _ => break,
-            };
-            self.bump();
-            let right = self.parse_unary()?;
-            left = Expr::Binary {
-                op,
-                left: Box::new(left),
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
-    }
-
-    fn parse_unary(&mut self) -> QueryResult<Expr> {
-        if self.eat_tok(TokenKind::Minus) {
-            let inner = self.parse_unary()?;
-            return Ok(Expr::Unary {
+            (not, BinOp::And.precedence())
+        } else if self.eat_tok(TokenKind::Minus) {
+            let operand = self.climb(u8::MAX)?;
+            let neg = Expr::Unary {
                 op: UnaryOp::Neg,
-                expr: Box::new(inner),
-            });
+                expr: Box::new(operand),
+            };
+            (neg, u8::MAX)
+        } else {
+            (self.parse_primary()?, u8::MAX)
+        };
+        while let Some(op) = self.binop() {
+            let prec = op.precedence();
+            if prec < min || prec > ceiling {
+                break;
+            }
+            self.bump();
+            let right = self.climb(prec + 1)?;
+            lhs = Expr::Binary {
+                op,
+                left: Box::new(lhs),
+                right: Box::new(right),
+            };
+            ceiling = if op.is_comparison() {
+                BinOp::And.precedence()
+            } else {
+                prec
+            };
         }
-        self.parse_primary()
+        Ok(lhs)
     }
 
     fn parse_primary(&mut self) -> QueryResult<Expr> {
-        match self.peek().kind.clone() {
-            TokenKind::Int(i) => {
-                self.bump();
-                Ok(Expr::Literal(Literal::Int(i)))
-            }
-            TokenKind::Float(x) => {
-                self.bump();
-                Ok(Expr::Literal(Literal::Float(x)))
-            }
-            TokenKind::Str(s) => {
-                self.bump();
-                Ok(Expr::Literal(Literal::Str(s)))
-            }
+        let literal = match &mut self.tokens[self.at].kind {
+            TokenKind::Int(i) => Literal::Int(*i),
+            TokenKind::Float(x) => Literal::Float(*x),
+            // the AST takes the literal over: no copy of decoded text
+            TokenKind::Str(s) => Literal::Str(std::mem::take(s).into_owned()),
             TokenKind::LParen => {
                 self.bump();
-                let e = self.parse_or()?;
+                let e = self.expr()?;
                 self.expect_tok(TokenKind::RParen)?;
-                Ok(e)
+                return Ok(e);
             }
             TokenKind::Ident(word) => {
-                let lower = word.to_ascii_lowercase();
-                if lower == "true" || lower == "false" {
-                    self.bump();
-                    return Ok(Expr::Literal(Literal::Bool(lower == "true")));
-                }
-                if lower == "previous" {
-                    self.bump();
-                    let var = self.expect_ident()?;
-                    self.expect_tok(TokenKind::Dot)?;
-                    let attr = self.expect_ident()?;
-                    return Ok(Expr::Attr {
-                        var,
-                        attr,
-                        previous: true,
-                    });
-                }
-                if lower == "new"
-                    && matches!(
-                        self.tokens.get(self.at + 1).map(|t| &t.kind),
-                        Some(TokenKind::LParen)
-                    )
-                {
-                    self.bump();
-                    self.bump();
-                    let var = self.expect_ident()?;
-                    self.expect_tok(TokenKind::RParen)?;
-                    return Ok(Expr::New { var });
-                }
-                // var.attr
-                self.bump();
-                self.expect_tok(TokenKind::Dot)?;
-                let attr = self.expect_ident()?;
-                Ok(Expr::Attr {
-                    var: word,
-                    attr,
-                    previous: false,
-                })
+                let word = *word;
+                return self.parse_word_operand(word);
             }
-            other => self.err(format!("expected an expression, found {other}")),
+            other => {
+                let msg = format!("expected an expression, found {other}");
+                return self.err(msg);
+            }
+        };
+        self.bump();
+        Ok(Expr::Literal(literal))
+    }
+
+    /// An operand that starts with a word: `true`/`false`, `previous
+    /// var.attr`, `new(var)` or `var.attr`.
+    fn parse_word_operand(&mut self, word: &'src str) -> QueryResult<Expr> {
+        let is = |kw: &str| word.eq_ignore_ascii_case(kw);
+        if is("true") || is("false") {
+            self.bump();
+            return Ok(Expr::Literal(Literal::Bool(is("true"))));
         }
+        if is("new") && self.kind_at(1) == Some(&TokenKind::LParen) {
+            self.at += 2; // `new`, `(`
+            let var = self.expect_ident()?;
+            self.expect_tok(TokenKind::RParen)?;
+            return Ok(Expr::New { var });
+        }
+        self.bump();
+        let previous = is("previous");
+        let var = if previous {
+            self.expect_ident()?
+        } else {
+            word.to_owned()
+        };
+        self.expect_tok(TokenKind::Dot)?;
+        let attr = self.expect_ident()?;
+        Ok(Expr::Attr {
+            var,
+            attr,
+            previous,
+        })
     }
 }
 

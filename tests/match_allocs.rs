@@ -1,5 +1,7 @@
 //! Allocation guard for the match path: what a token allocates must not
-//! grow with the number of α-memories it enters.
+//! grow with the number of α-memories it enters. And for the query front
+//! end in front of it: lexing, parsing and planning a request allocate
+//! what the AST and the plan keep, not a copy per token.
 //!
 //! A counting global allocator tallies allocations per thread (the test
 //! harness runs tests on threads of their own). Each case primes an engine
@@ -15,6 +17,8 @@
 #![allow(clippy::disallowed_macros)]
 
 use ariel::network::{EventSpecifier, Token, VirtualPolicy};
+use ariel::query::lexer::lex;
+use ariel::query::{parse_command, parse_script, Optimizer, Resolver};
 use ariel::storage::Value;
 use ariel::{Ariel, EngineOptions};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -187,4 +191,64 @@ fn stored_memories_start_warm_on_a_fresh_thread() {
 #[test]
 fn virtual_memories_start_warm_on_a_fresh_thread() {
     a_moved_engine_starts_warm(VirtualPolicy::AllVirtual);
+}
+
+/// One `append` of the `match.*` workloads' request blocks.
+const APPEND: &str = "append emp (eno = 1207, sal = 3150, dno = 12, jno = 3)";
+
+/// A `do … end` block of `k` appends.
+fn block(k: usize) -> String {
+    format!("do {} end", vec![APPEND; k].join(" "))
+}
+
+#[test]
+fn lexing_allocates_once_whatever_the_token_count() {
+    for k in [1, 8, 32] {
+        let src = block(k);
+        let n = allocs(|| {
+            lex(&src).unwrap();
+        });
+        assert_eq!(n, 1, "lexing {k} appends: {n} allocations");
+    }
+}
+
+#[test]
+fn parsing_allocates_what_the_ast_keeps() {
+    // what one append's AST owns: its names and its assignment list
+    let one = parse_command(APPEND).unwrap();
+    let per_append = allocs(|| drop(one.clone()));
+    for k in [1, 8, 32] {
+        let src = block(k);
+        let n = allocs(|| {
+            parse_script(&src).unwrap();
+        });
+        // besides: the token buffer, the script's command list, and the
+        // block's command list growing by doubling
+        let bound = per_append * k as u64 + 2 + u64::from(k.ilog2()) + 1;
+        assert!(
+            n <= bound,
+            "parsing {k} appends: {n} allocations, the ASTs keep {per_append} each"
+        );
+    }
+}
+
+#[test]
+fn planning_a_keyed_delete_allocates_only_its_plan() {
+    let mut db = Ariel::new();
+    db.execute(
+        "create emp (eno = int, sal = int); \
+         define index on emp (eno) using hash; \
+         append emp (eno = 7, sal = 1)",
+    )
+    .unwrap();
+    let cmd = parse_command("delete emp where emp.eno = 7").unwrap();
+    let rcmd = Resolver::new(db.catalog()).resolve_command(&cmd).unwrap();
+    let optimizer = Optimizer::new(db.catalog());
+    let plan = optimizer.plan(rcmd.spec()).unwrap();
+    let kept = allocs(|| drop(plan.clone()));
+    let n = allocs(|| drop(optimizer.plan(rcmd.spec()).unwrap()));
+    assert!(
+        n <= kept,
+        "planning a keyed delete: {n} allocations, its plan owns {kept}"
+    );
 }
