@@ -431,46 +431,8 @@ impl Ariel {
     /// discrimination network, then run the recognize-act cycle to
     /// quiescence. Returns the commands' outputs merged into one.
     fn run_transition(&mut self, cmds: &[Command]) -> ArielResult<CmdOutput> {
-        let outputs = self.run_transition_outputs(cmds)?;
-        let mut merged = CmdOutput::default();
-        for out in outputs {
-            merged.changes.extend(out.changes);
-            merged.notifications.extend(out.notifications);
-            if !out.columns.is_empty() {
-                if merged.columns == out.columns {
-                    // several retrieves with the same shape (e.g. the same
-                    // `retrieve` repeated in a do…end block) accumulate
-                    merged.rows.extend(out.rows);
-                } else {
-                    merged.columns = out.columns;
-                    merged.rows = out.rows;
-                }
-            }
-        }
-        Ok(merged)
-    }
-
-    /// Execute several DML commands as **one transition** — one Δ-set per
-    /// command, one recognize-act cycle at the end, exactly the semantics
-    /// of a `do … end` block — but return one [`CmdOutput`] per command
-    /// instead of a merged one. This is the server front-end's
-    /// write-batching entry point: requests coalesced across client
-    /// sessions still need their own change counts and result rows acked
-    /// back to the session that issued them. Only DML (`append`,
-    /// `delete`, `replace`, `retrieve`, `notify`) is allowed, as inside a
-    /// `do…end` block.
-    pub fn execute_transition(&mut self, cmds: &[Command]) -> ArielResult<Vec<CmdOutput>> {
-        if cmds.is_empty() {
-            return Ok(Vec::new());
-        }
-        self.run_transition_outputs(cmds)
-    }
-
-    /// Shared transition body: per-command outputs, one recognize-act
-    /// cycle at the end.
-    fn run_transition_outputs(&mut self, cmds: &[Command]) -> ArielResult<Vec<CmdOutput>> {
         let mut delta = DeltaTracker::new();
-        let mut outputs = Vec::with_capacity(cmds.len());
+        let mut merged = CmdOutput::default();
         self.tick += 1;
         self.stats.transitions += 1;
         if let Some(tr) = self.network.trace() {
@@ -503,7 +465,18 @@ impl Ariel {
                 h.record(t0.elapsed().as_nanos() as u64);
             }
             self.notifications.extend(out.notifications.iter().cloned());
-            outputs.push(out);
+            merged.changes.extend(out.changes);
+            merged.notifications.extend(out.notifications);
+            if !out.columns.is_empty() {
+                if merged.columns == out.columns {
+                    // several retrieves with the same shape (e.g. the same
+                    // `retrieve` repeated in a do…end block) accumulate
+                    merged.rows.extend(out.rows);
+                } else {
+                    merged.columns = out.columns;
+                    merged.rows = out.rows;
+                }
+            }
             if let Err(e) = batch {
                 failed = Some(e.into());
                 break;
@@ -525,7 +498,7 @@ impl Ariel {
             return Err(e);
         }
         self.recognize_act()?;
-        Ok(outputs)
+        Ok(merged)
     }
 
     /// Resolve and execute one DML command (no rule processing).

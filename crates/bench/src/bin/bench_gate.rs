@@ -136,6 +136,8 @@ const GATES: &[Gate] = &[
             "protocol_errors == 0 — framing must be clean",
             "p50_us > 0 — the clock must move",
             "p99_us >= p50_us — percentiles are ordered",
+            "clients=1: batches == requests — one session's drains each carry its one request",
+            "batched_requests <= requests — a request rides one drain",
         ],
     },
     Gate {
@@ -607,13 +609,22 @@ mod tests {
             .time("p99_us", p99_us)
             .count("cmd_errors", errors[0])
             .count("protocol_errors", errors[1])
+            .count("batches", 200 * clients)
+            .count("batched_requests", 0u64)
+    }
+
+    /// `row` with `column` set to `value`.
+    fn set(row: &Row, column: &str, value: u64) -> Row {
+        let mut row = row.clone();
+        row.cells.retain(|(c, _)| c != column);
+        row.count(column, value)
     }
 
     #[test]
     fn parses_serve_rows() {
         let src = r#"[{"clients":1,"requests":200,"total_ms":50.0,"cps":4000.0,
             "p50_us":210.5,"p99_us":900.0,"cmd_errors":0,"protocol_errors":0,
-            "batches":180,"batched_requests":0,"max_batch":1}]"#;
+            "batches":200,"batched_requests":0,"max_batch":1}]"#;
         let rows = parse_rows(gate("serve"), src, "test").unwrap();
         let want = serve(1, 4000.0, 210.5, 900.0, [0, 0]);
         assert_eq!(gated(gate("serve"), &rows), gated(gate("serve"), &[want]));
@@ -674,6 +685,43 @@ mod tests {
         // a dropped client count fails
         let v = check(g, &base[..1], &base);
         assert_eq!(v, vec!["clients=4: missing from fresh results".to_string()]);
+    }
+
+    #[test]
+    fn serve_gate_holds_the_drain_counts() {
+        let g = gate("serve");
+        let base = vec![
+            serve(1, 4000.0, 200.0, 900.0, [0, 0]),
+            serve(4, 9000.0, 300.0, 2000.0, [0, 0]),
+        ];
+        // a contended run may drain fewer times than it has requests
+        let shared = vec![
+            base[0].clone(),
+            set(&set(&base[1], "batches", 700), "batched_requests", 180),
+        ];
+        assert!(check(g, &shared, &base).is_empty());
+        // one client: every request is a drain of its own
+        let merged = vec![set(&base[0], "batches", 180), base[1].clone()];
+        let v = check(g, &merged, &base);
+        assert_eq!(v.len(), 1);
+        assert!(
+            has(
+                &v,
+                "clients=1: batches == requests does not hold (180 vs 200)"
+            ),
+            "{v:?}"
+        );
+        // no request rides two drains
+        let doubled = vec![base[0].clone(), set(&base[1], "batched_requests", 801)];
+        let v = check(g, &doubled, &base);
+        assert_eq!(v.len(), 1);
+        assert!(
+            has(
+                &v,
+                "clients=4: batched_requests <= requests does not hold (801 vs 800)"
+            ),
+            "{v:?}"
+        );
     }
 
     fn join(workload: &str, indexed: bool, total_ms: f64, join_candidates: u64) -> Row {

@@ -1,8 +1,8 @@
 //! Load generator for the TCP server: N client threads hammering an
 //! in-process [`ariel_server::Server`] over loopback with a mixed
 //! append/replace/retrieve workload against an active rule, measuring
-//! per-request latency (p50/p99), commands per second, and how much
-//! cross-session write batching the server's drains achieved.
+//! per-request latency (p50/p99), commands per second, and how many
+//! requests the server's drains grouped under one group commit.
 //!
 //! `paper_tables -- serve` and `paper_tables -- obs` render these rows and
 //! write `BENCH_serve.json` / `BENCH_obs.json`, which `bench_gate` checks.
@@ -28,9 +28,8 @@ fn serve_db() -> Ariel {
 }
 
 /// The per-client request mix, chosen request-by-request: 7 appends, one
-/// replace, two retrieves per 10 requests. Appends dominate so the
-/// cross-session batcher has material to work with; the replace and the
-/// retrieves break up the append runs the way a real mixed load would.
+/// replace, two retrieves per 10 requests: a write-heavy load, with the
+/// replace and the retrieves mixed in the way a real load would.
 fn request(c: &mut Client, client: usize, i: usize) -> Result<(), ariel_server::ClientError> {
     let k = (client * COMMANDS_PER_CLIENT + i) as i64;
     match i % 10 {
@@ -107,7 +106,7 @@ impl Run {
     }
 }
 
-/// One row of the serve table: a run at a fixed client count. The batching
+/// One row of the serve table: a run at a fixed client count. The drain
 /// figures depend on how requests happened to interleave, so they are
 /// times, not counts.
 pub fn serve_row(clients: usize) -> Row {

@@ -425,7 +425,7 @@ fn serve_blocking(db: &mut Ariel, addr: &str) -> ShellAction {
     *db = engine;
     ShellAction::Text(format!(
         "server stopped: {} session(s), {} command(s), {} query(s), {} protocol error(s), \
-         {} group(s) executed (largest {})\n",
+         {} drain(s) executed (largest {})\n",
         stats.sessions,
         stats.commands,
         stats.queries,

@@ -115,7 +115,7 @@ impl Client {
     }
 
     /// Run an ARL script (any commands; an all-append script executes as
-    /// one transition and may be batched with other sessions' appends).
+    /// one transition, like a `do … end` block).
     pub fn command(&mut self, src: &str) -> Result<ResultBody, ClientError> {
         self.round_trip(Opcode::Command, src.as_bytes())
     }

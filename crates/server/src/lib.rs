@@ -3,11 +3,10 @@
 //! A TCP front-end for the Ariel active DBMS: a hand-rolled
 //! length-prefixed binary protocol (blocking I/O, no async runtime), one
 //! thread per connection that runs each of its requests to completion on
-//! the one engine, and **drain-on-acquire batching** — the session that
-//! takes the engine executes everything pending behind it, coalescing
-//! consecutive append-only requests from different sessions into a
-//! single transition and fsyncing the log once per drain (see
-//! `docs/SERVER.md`).
+//! the one engine, and **drain-on-acquire group commit** — the session
+//! that takes the engine executes everything pending behind it, each
+//! request as its own transition(s), and fsyncs the log once per drain
+//! (see `docs/SERVER.md`).
 //!
 //! ```
 //! use ariel::Ariel;

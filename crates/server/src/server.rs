@@ -1,6 +1,6 @@
 //! The server: an accept loop and one thread per connection that runs
 //! each of its requests to completion — read, parse, execute, reply —
-//! with per-transition write batching and one fsync per drain.
+//! with one fsync per drain.
 //!
 //! ## Threading model
 //!
@@ -11,9 +11,10 @@
 //!     read + parse ─> push Entry on the pending list ─> lock the engine
 //!         reply slot already filled (another session drained it)?
 //!             yes ─> unlock
-//!             no  ─> take the WHOLE pending list, execute it in arrival
-//!                    order inside one `Ariel::group_commit` scope (one
-//!                    fsync), fill every entry's reply slot, unlock
+//!             no  ─> take the WHOLE pending list, execute it entry by
+//!                    entry in arrival order inside one
+//!                    `Ariel::group_commit` scope (one fsync), fill every
+//!                    entry's reply slot, unlock
 //!     encode own reply ─> write it ─> read the next frame
 //! ```
 //!
@@ -39,20 +40,17 @@
 //! clone it keeps beside the session's thread handle, which ends each
 //! blocked read. A session that is mid-request still writes its reply.
 //!
-//! ## Write batching
+//! ## One request, its own transitions
 //!
-//! An entry whose commands are all plain `append`s is *batchable*. Within
-//! a drain, consecutive batchable entries — up to
-//! [`ServerOptions::serve_batch`] commands — form one group and run
-//! through [`Ariel::execute_transition`] as one transition: one Δ-set,
-//! one recognize-act cycle, and one token batch per command. Every other
-//! entry is a group of its own. Each session is acked with its own change counts. Two
-//! semantic consequences, both documented in `docs/SERVER.md`: a batched
-//! group forms a single logical-event transition (concurrent clients'
-//! appends may merge net effects), and a notification raised by a batched
-//! transition is delivered to every session in the group. If a grouped
-//! transition fails, the group is re-run entry by entry so one session's
-//! bad command cannot poison another session's good one.
+//! A drain executes its entries one at a time, each through
+//! [`Ariel::execute_command`] exactly as the REPL would run the same
+//! script: no two sessions' requests ever share a transition. A frame made
+//! only of plain `append`s is parsed into one `do … end` block, so it runs
+//! as one transition (one Δ-set per command, one recognize-act cycle) and
+//! logs one WAL record; any other frame runs command by command and stops
+//! at the first error. Each entry's notifications are drained when it
+//! finishes: a successful reply carries them, and a failed request's are
+//! dropped with it, never delivered to the next session.
 //!
 //! ## Group commit and fail-stop
 //!
@@ -71,7 +69,7 @@ use crate::protocol::{
 };
 use crate::telemetry::{opcode_label, LogLevel, Logger, Telemetry};
 use ariel::islist::{metric_rows, Kind, Metrics, Place};
-use ariel::query::{parse_command, parse_script, CmdOutput, Command};
+use ariel::query::{parse_command, parse_script, Command};
 use ariel::storage::Value;
 use ariel::{Ariel, Durability};
 use std::io::{Read, Write};
@@ -101,10 +99,6 @@ const MAX_LIVE_SESSIONS: usize = 1024;
 /// [`ariel::EngineOptions`]).
 #[derive(Debug, Clone)]
 pub struct ServerOptions {
-    /// Upper bound, in commands, on the consecutive append-only requests
-    /// one drain coalesces into a single transition (see the module
-    /// docs; default 64). `1` disables cross-request coalescing.
-    pub serve_batch: usize,
     /// Record per-opcode/per-session latency telemetry and the slow log
     /// (default `true`; off means no clock reads on the request path).
     pub telemetry: bool,
@@ -122,7 +116,6 @@ pub struct ServerOptions {
 impl Default for ServerOptions {
     fn default() -> ServerOptions {
         ServerOptions {
-            serve_batch: 64,
             telemetry: true,
             slow_capacity: 32,
             slow_threshold_ns: 0,
@@ -132,8 +125,8 @@ impl Default for ServerOptions {
     }
 }
 
-/// Buckets of the batch-size histogram: group sizes (in *entries*) of
-/// 1, 2, 3–4, 5–8, 9–16 and 17+.
+/// Buckets of the drain-size histogram: drains of 1, 2, 3–4, 5–8, 9–16
+/// and 17+ requests.
 pub const BATCH_BUCKETS: usize = 6;
 
 /// Counters the server accumulates while running; snapshot via
@@ -150,13 +143,15 @@ pub struct ServerStats {
     pub engine_errors: u64,
     /// Protocol violations (connection closed).
     pub protocol_errors: u64,
-    /// Combined transitions executed (groups, including size-1 groups).
+    /// Drains executed: engine holds that found requests pending, each
+    /// one group-commit scope.
     pub batches: u64,
-    /// Requests that rode in a group of ≥ 2 (cross-session coalescing).
+    /// Requests that shared a drain, and so its fsync, with another
+    /// session's request.
     pub batched_requests: u64,
-    /// Largest group executed, in entries.
+    /// Largest drain, in requests.
     pub max_batch: u64,
-    /// Histogram over group sizes; see [`BATCH_BUCKETS`].
+    /// Histogram over drain sizes; see [`BATCH_BUCKETS`].
     pub batch_hist: [u64; BATCH_BUCKETS],
 }
 
@@ -172,20 +167,20 @@ impl ServerStats {
             queries: "Query frames answered.",
             engine_errors: "Engine-level errors returned (session kept).",
             protocol_errors: "Protocol violations (connection closed).",
-            batches: "Combined transitions executed (groups, including size-1 groups).",
-            batched_requests: "Requests that rode in a group of 2 or more.",
+            batches: "Drains executed (one group-commit scope each).",
+            batched_requests: "Requests that shared a drain with another session's request.",
         );
         m.table(&at, "ariel_server", Kind::Counter, &totals);
         m.gauge(
             &at.key("max_batch"),
             "ariel_server_max_batch_entries",
-            "Largest group executed, in entries.",
+            "Largest drain, in requests.",
             self.max_batch,
         );
         let f = m.family(
             "ariel_server_batch_groups_total",
             Kind::Counter,
-            "Executed groups by size bucket (entries per group).",
+            "Drains by size bucket (requests per drain).",
         );
         m.put(&at.key("batch_hist"), None, ariel::islist::Value::Array);
         let sizes = ["1", "2", "3-4", "5-8", "9-16", "17+"];
@@ -199,7 +194,7 @@ impl ServerStats {
     }
 }
 
-/// Histogram bucket for a group of `n` entries.
+/// Histogram bucket for a drain of `n` requests.
 fn bucket(n: usize) -> usize {
     match n {
         0 | 1 => 0,
@@ -222,19 +217,7 @@ type Slot = Arc<Mutex<Option<Reply>>>;
 /// One parsed request on the pending list.
 struct Entry {
     cmds: Vec<Command>,
-    /// All commands are plain `append`s — eligible for group coalescing.
-    batchable: bool,
     slot: Slot,
-}
-
-impl Entry {
-    fn new(cmds: Vec<Command>, slot: &Slot) -> Entry {
-        Entry {
-            batchable: !cmds.is_empty() && cmds.iter().all(|c| matches!(c, Command::Append { .. })),
-            cmds,
-            slot: Arc::clone(slot),
-        }
-    }
 }
 
 struct Shared {
@@ -249,28 +232,39 @@ struct Shared {
     /// Where the shutdown request connects to wake the accept loop: the
     /// bound address, on loopback when bound to a wildcard address.
     wake_addr: SocketAddr,
-    serve_batch: usize,
     next_session: AtomicU32,
     sessions: AtomicU64,
     commands: AtomicU64,
     queries: AtomicU64,
     engine_errors: AtomicU64,
     protocol_errors: AtomicU64,
-    batch: Mutex<BatchStats>,
+    drains: Mutex<DrainStats>,
     telemetry: Telemetry,
     logger: Logger,
 }
 
+/// The drain counters of [`ServerStats`], updated once per drain.
 #[derive(Default)]
-struct BatchStats {
-    batches: u64,
-    batched_requests: u64,
-    max_batch: u64,
+struct DrainStats {
+    drains: u64,
+    shared_requests: u64,
+    max: u64,
     hist: [u64; BATCH_BUCKETS],
 }
 
+impl DrainStats {
+    fn record(&mut self, n: usize) {
+        self.drains += 1;
+        self.hist[bucket(n)] += 1;
+        self.max = self.max.max(n as u64);
+        if n > 1 {
+            self.shared_requests += n as u64;
+        }
+    }
+}
+
 /// Lock one of the small bookkeeping mutexes (pending list, reply slot,
-/// batch counters). Their updates are single pushes, takes and stores,
+/// drain counters). Their updates are single pushes, takes and stores,
 /// valid at every step, so a poisoned one is safe to keep using. Never
 /// the engine: see [`Shared::lock_engine`].
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -283,17 +277,17 @@ fn refused() -> (ErrorCode, String) {
 
 impl Shared {
     fn stats(&self) -> ServerStats {
-        let b = lock(&self.batch);
+        let d = lock(&self.drains);
         ServerStats {
             sessions: self.sessions.load(Ordering::Relaxed),
             commands: self.commands.load(Ordering::Relaxed),
             queries: self.queries.load(Ordering::Relaxed),
             engine_errors: self.engine_errors.load(Ordering::Relaxed),
             protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
-            batches: b.batches,
-            batched_requests: b.batched_requests,
-            max_batch: b.max_batch,
-            batch_hist: b.hist,
+            batches: d.drains,
+            batched_requests: d.shared_requests,
+            max_batch: d.max,
+            batch_hist: d.hist,
         }
     }
 
@@ -422,14 +416,13 @@ impl Server {
                 pending: Mutex::new(Vec::new()),
                 shutdown: AtomicBool::new(false),
                 wake_addr: SocketAddr::new(wake_ip, addr.port()),
-                serve_batch: options.serve_batch.max(1),
                 next_session: AtomicU32::new(1),
                 sessions: AtomicU64::new(0),
                 commands: AtomicU64::new(0),
                 queries: AtomicU64::new(0),
                 engine_errors: AtomicU64::new(0),
                 protocol_errors: AtomicU64::new(0),
-                batch: Mutex::new(BatchStats::default()),
+                drains: Mutex::new(DrainStats::default()),
                 telemetry,
                 logger,
             }),
@@ -897,9 +890,15 @@ fn scrape_prometheus(shared: &Shared) -> String {
     m.to_prometheus()
 }
 
+/// Parse a frame into the commands its entry runs. A `command` frame of
+/// several plain `append`s becomes one `do … end` block: one transition.
 fn parse_request(opcode: Opcode, src: &str) -> Result<Vec<Command>, String> {
     if opcode == Opcode::Command {
-        return parse_script(src).map_err(|e| e.to_string());
+        let cmds = parse_script(src).map_err(|e| e.to_string())?;
+        if cmds.len() > 1 && cmds.iter().all(|c| matches!(c, Command::Append { .. })) {
+            return Ok(vec![Command::Block(cmds)]);
+        }
+        return Ok(cmds);
     }
     match parse_command(src) {
         Ok(cmd @ Command::Retrieve { .. }) => Ok(vec![cmd]),
@@ -918,7 +917,10 @@ fn parse_request(opcode: Opcode, src: &str) -> Result<Vec<Command>, String> {
 /// it — drain the whole pending list. Returns this session's reply with
 /// the engine released.
 fn run_request(shared: &Shared, slot: &Slot, cmds: Vec<Command>) -> Reply {
-    lock(&shared.pending).push(Entry::new(cmds, slot));
+    lock(&shared.pending).push(Entry {
+        cmds,
+        slot: Arc::clone(slot),
+    });
     let mut guard = shared.lock_engine().ok_or_else(refused)?;
     if let Some(reply) = lock(slot).take() {
         return reply;
@@ -928,6 +930,12 @@ fn run_request(shared: &Shared, slot: &Slot, cmds: Vec<Command>) -> Reply {
     // so this session's entry is still on the list
     let entries = std::mem::take(&mut *lock(&shared.pending));
     shared.telemetry.queue_drained(entries.len() as u64);
+    lock(&shared.drains).record(entries.len());
+    shared.logger.log(
+        LogLevel::Debug,
+        "drain",
+        format_args!("entries={}", entries.len()),
+    );
     let engine = guard.as_mut().expect("engine present while sessions run");
     drain(shared, engine, &entries);
     let fsyncs = engine.options().durability == Durability::Commit && engine.wal_dir().is_some();
@@ -958,27 +966,10 @@ fn drain(shared: &Shared, engine: &mut Ariel, entries: &[Entry]) {
         return refuse_all();
     }
     let synced = engine.group_commit(|engine| {
-        let mut replies = Vec::with_capacity(entries.len());
-        let mut rest = entries;
-        while let Some(first) = rest.first() {
-            // a group: consecutive batchable entries, bounded by
-            // serve_batch *commands*; anything else goes alone
-            let mut len = 1;
-            if first.batchable {
-                let mut cmds = first.cmds.len();
-                while let Some(next) = rest.get(len) {
-                    if !next.batchable || cmds + next.cmds.len() > shared.serve_batch {
-                        break;
-                    }
-                    cmds += next.cmds.len();
-                    len += 1;
-                }
-            }
-            let (group, tail) = rest.split_at(len);
-            execute_group(shared, engine, group, &mut replies);
-            rest = tail;
-        }
-        replies
+        entries
+            .iter()
+            .map(|entry| execute_entry(engine, entry))
+            .collect::<Vec<_>>()
     });
     match synced {
         Ok(replies) => {
@@ -997,62 +988,24 @@ fn drain(shared: &Shared, engine: &mut Ariel, entries: &[Entry]) {
     }
 }
 
-/// Run one group — a single combined transition for a batch, or the
-/// entry's own commands otherwise — pushing one reply per entry.
-fn execute_group(shared: &Shared, engine: &mut Ariel, group: &[Entry], replies: &mut Vec<Reply>) {
-    {
-        let mut b = lock(&shared.batch);
-        b.batches += 1;
-        b.hist[bucket(group.len())] += 1;
-        b.max_batch = b.max_batch.max(group.len() as u64);
-        if group.len() > 1 {
-            b.batched_requests += group.len() as u64;
-        }
-    }
-    if group.len() > 1 {
-        // all batchable: one transition over the concatenated appends
-        let all: Vec<Command> = group.iter().flat_map(|e| e.cmds.iter().cloned()).collect();
-        shared.logger.log(
-            LogLevel::Debug,
-            "coalesce",
-            format_args!("entries={} commands={}", group.len(), all.len()),
-        );
-        if let Ok(outputs) = engine.execute_transition(&all) {
-            // notifications raised by the combined transition go to
-            // every session in the group (see module docs)
-            let notes = render_notes(engine.drain_notifications());
-            let mut off = 0;
-            for entry in group {
-                let mut body = merge_outputs(&outputs[off..off + entry.cmds.len()]);
-                off += entry.cmds.len();
-                body.notes.extend(notes.iter().cloned());
-                replies.push(Ok(body));
-            }
-            return;
-        }
-        // one bad append must not fail the others: re-run each entry as
-        // its own transition
-    }
-    replies.extend(group.iter().map(|entry| execute_entry(engine, entry)));
-}
-
-/// Execute a single entry: an append-only frame runs as one transition
-/// (the batcher's unit, `do…end` semantics); anything else runs command
-/// by command exactly like the REPL.
+/// Execute one entry's commands in order, like the REPL, up to the first
+/// error; the last result table wins.
 fn execute_entry(engine: &mut Ariel, entry: &Entry) -> Reply {
-    let outputs = if entry.batchable {
-        engine.execute_transition(&entry.cmds)
-    } else {
-        entry
-            .cmds
-            .iter()
-            .map(|cmd| engine.execute_command(cmd))
-            .collect()
-    };
-    match outputs {
-        Ok(outputs) => {
-            let mut body = merge_outputs(&outputs);
-            body.notes = render_notes(engine.drain_notifications());
+    let mut body = ResultBody::default();
+    let outcome: ariel::ArielResult<()> = entry.cmds.iter().try_for_each(|cmd| {
+        let out = engine.execute_command(cmd)?;
+        body.changes += out.changes.len() as u32;
+        if !out.columns.is_empty() {
+            body.table = render_table(&out.columns, &out.rows);
+        }
+        Ok(())
+    });
+    // drained whatever the outcome: an error frame has no notes, and a
+    // failed request's must not ride on the next session's reply
+    let notes = engine.drain_notifications();
+    match outcome {
+        Ok(()) => {
+            body.notes = render_notes(notes);
             Ok(body)
         }
         Err(e) => Err((ErrorCode::Engine, e.to_string())),
@@ -1084,23 +1037,6 @@ fn render_notes(notes: Vec<ariel::Notification>) -> Vec<(String, Table)> {
         .collect()
 }
 
-/// Merge per-command outputs into one reply body (changes summed, last
-/// result table wins — the REPL prints the same way).
-fn merge_outputs(outputs: &[CmdOutput]) -> ResultBody {
-    let mut body = ResultBody::default();
-    for out in outputs {
-        body.changes += out.changes.len() as u32;
-        if !out.columns.is_empty() {
-            body.table = render_table(&out.columns, &out.rows);
-        }
-        for n in &out.notifications {
-            body.notes
-                .push((n.channel.clone(), render_table(&n.columns, &n.rows)));
-        }
-    }
-    body
-}
-
 // `Ariel` must cross into the server's threads; this fails to compile if
 // a non-`Send` type sneaks back into the engine (see docs/SERVER.md).
 const _: () = {
@@ -1123,7 +1059,36 @@ mod tests {
 
     fn entry(src: &str) -> (Entry, Slot) {
         let slot = Slot::default();
-        (Entry::new(parse_script(src).unwrap(), &slot), slot)
+        let cmds = parse_request(Opcode::Command, src).unwrap();
+        let entry = Entry {
+            cmds,
+            slot: Arc::clone(&slot),
+        };
+        (entry, slot)
+    }
+
+    /// Queue `pending` as other sessions' entries, then run `own` as the
+    /// session that takes the engine. Returns every reply, in order.
+    fn drain_with(server: &Server, pending: &[&str], own: &str) -> Vec<Reply> {
+        let shared = &server.shared;
+        let mut slots = Vec::new();
+        for src in pending {
+            let (entry, slot) = entry(src);
+            lock(&shared.pending).push(entry);
+            slots.push(slot);
+        }
+        let own = run_request(
+            shared,
+            &Slot::default(),
+            parse_request(Opcode::Command, own).unwrap(),
+        );
+        assert!(lock(&shared.pending).is_empty());
+        let mut replies: Vec<Reply> = slots
+            .iter()
+            .map(|slot| lock(slot).take().expect("filled by the drain"))
+            .collect();
+        replies.push(own);
+        replies
     }
 
     /// The contended case without a race: three sessions' entries are on
@@ -1138,39 +1103,88 @@ mod tests {
         });
         db.execute("append kv (k = 1, v = 1)").unwrap();
         db.checkpoint(&dir).unwrap();
-        let before = db.wal_metrics();
+        let before = (db.wal_metrics(), db.stats().transitions);
         let server = Server::bind("127.0.0.1:0", db, ServerOptions::default()).unwrap();
-        let shared = &server.shared;
 
-        let mut slots = Vec::new();
-        for src in [
-            "append kv (k = 2, v = 2)",
-            "replace kv (v = 10) where kv.k = 1",
-            "append kv (k = 3, v = 3)",
-        ] {
-            let (entry, slot) = entry(src);
-            lock(&shared.pending).push(entry);
-            slots.push(slot);
-        }
-        let own = Slot::default();
-        let cmds = parse_script("append kv (k = 4, v = 4)\nappend kv (k = 5, v = 5)").unwrap();
-        let reply = run_request(shared, &own, cmds).unwrap();
-        assert_eq!(reply.changes, 2, "acked its own two appends");
-        for slot in &slots {
-            let reply = lock(slot).take().expect("filled by the drain").unwrap();
-            assert_eq!(reply.changes, 1);
-        }
-        assert!(lock(&shared.pending).is_empty());
+        let replies = drain_with(
+            &server,
+            &[
+                "append kv (k = 2, v = 2)",
+                "replace kv (v = 10) where kv.k = 1",
+                "append kv (k = 3, v = 3)\nappend kv (k = 4, v = 4)",
+            ],
+            "append kv (k = 5, v = 5)",
+        );
+        let changes: Vec<u32> = replies.into_iter().map(|r| r.unwrap().changes).collect();
+        assert_eq!(changes, [1, 1, 2, 1], "each session acked its own changes");
 
-        // groups: [append] [replace] [append, append+append]
-        let stats = shared.stats();
-        assert_eq!((stats.batches, stats.batched_requests), (3, 2));
-        assert_eq!(stats.max_batch, 2);
-        let engine = lock(&shared.engine).take().unwrap();
+        let stats = server.shared.stats();
+        assert_eq!((stats.batches, stats.batched_requests), (1, 4));
+        assert_eq!((stats.max_batch, stats.batch_hist[bucket(4)]), (4, 1));
+        let engine = lock(&server.shared.engine).take().unwrap();
+        assert_eq!(engine.stats().transitions - before.1, 4, "one per request");
         let after = engine.wal_metrics();
-        assert_eq!(after.records - before.records, 3, "one record per group");
-        assert_eq!(after.fsyncs - before.fsyncs, 1, "one fsync per drain");
+        assert_eq!(
+            after.records - before.0.records,
+            4,
+            "one record per request"
+        );
+        assert_eq!(after.fsyncs - before.0.fsyncs, 1, "one fsync per drain");
+        // each record is a transition (kind 2) and holds its commands: the
+        // two-append frame is one record of two
+        let scan = ariel::storage::wal::read_log(&dir.join(ariel::persist::WAL_FILE)).unwrap();
+        let shape: Vec<(u8, u32)> = scan.records[scan.records.len() - 4..]
+            .iter()
+            .map(|rec| {
+                let mut dec = ariel::storage::wal::Dec::new(rec);
+                (dec.u8().unwrap(), dec.u32().unwrap())
+            })
+            .collect();
+        assert_eq!(shape, [(2, 1), (2, 1), (2, 2), (2, 1)]);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A bad request in a drain fails alone, and the good one before it is
+    /// applied once.
+    #[test]
+    fn a_failed_request_leaves_the_drain_applied_once() {
+        let server = Server::bind(
+            "127.0.0.1:0",
+            kv_engine(EngineOptions::default()),
+            ServerOptions::default(),
+        )
+        .unwrap();
+        let replies = drain_with(
+            &server,
+            &["append kv (k = 1, v = 1)"],
+            "append kv (k = 2, nosuch = 2)",
+        );
+        assert_eq!(replies[0].as_ref().unwrap().changes, 1);
+        assert_eq!(replies[1].as_ref().unwrap_err().0, ErrorCode::Engine);
+        let mut engine = lock(&server.shared.engine).take().unwrap();
+        let rows = engine.query("retrieve (kv.all)").unwrap().rows;
+        assert_eq!(rows.len(), 1, "the good append applied once: {rows:?}");
+    }
+
+    /// Notifications raised by a request that then fails are dropped with
+    /// its error, not delivered on another session's reply.
+    #[test]
+    fn failed_request_notifications_reach_no_other_session() {
+        let mut db = kv_engine(EngineOptions::default());
+        db.execute("define rule watch if kv.v >= 100 then notify bigkv (kv.k, kv.v)")
+            .unwrap();
+        let server = Server::bind("127.0.0.1:0", db, ServerOptions::default()).unwrap();
+        let replies = drain_with(
+            &server,
+            &["append kv (k = 1, v = 500)\nreplace kv (nosuch = 1) where kv.k = 1"],
+            "append kv (k = 2, v = 1)",
+        );
+        assert_eq!(replies[0].as_ref().unwrap_err().0, ErrorCode::Engine);
+        let quiet = replies[1].as_ref().unwrap();
+        assert_eq!(quiet.changes, 1);
+        assert!(quiet.notes.is_empty(), "leaked: {:?}", quiet.notes);
+        let engine = lock(&server.shared.engine).take().unwrap();
+        assert_eq!(engine.pending_notifications(), 0);
     }
 
     #[test]

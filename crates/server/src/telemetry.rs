@@ -53,7 +53,7 @@ pub enum LogLevel {
     /// Connection lifecycle, checkpoints, recovery, shutdown, slow
     /// commands.
     Info,
-    /// Everything, including per-group batch-coalescing decisions.
+    /// Everything, including one `drain` line per engine hold.
     Debug,
 }
 

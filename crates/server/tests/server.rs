@@ -1,6 +1,6 @@
 //! End-to-end tests for the TCP server: concurrent sessions driving rule
 //! firings, session isolation, wire-level misbehaviour, a client killed
-//! mid-batch, drain batching against a serial model, and group commit.
+//! mid-batch, drains against a serial model, and group commit.
 //! (Thread accounting lives in `threads.rs`, a binary of its own.)
 
 use ariel::{Ariel, EngineOptions};
@@ -31,11 +31,8 @@ fn test_engine_with(options: EngineOptions) -> Ariel {
     db
 }
 
-fn spawn_server(serve_batch: usize) -> (SocketAddr, ServerHandle) {
-    spawn_server_with(ServerOptions {
-        serve_batch,
-        ..Default::default()
-    })
+fn spawn_server() -> (SocketAddr, ServerHandle) {
+    spawn_server_with(ServerOptions::default())
 }
 
 fn spawn_server_with(options: ServerOptions) -> (SocketAddr, ServerHandle) {
@@ -78,7 +75,7 @@ fn hold_engine(addr: SocketAddr) -> impl FnOnce() {
 
 #[test]
 fn two_concurrent_clients_end_to_end() {
-    let (addr, handle) = spawn_server(64);
+    let (addr, handle) = spawn_server();
 
     // two clients appending disjoint key ranges concurrently, some rows
     // above the rule threshold
@@ -122,7 +119,7 @@ fn two_concurrent_clients_end_to_end() {
 
 #[test]
 fn session_isolation_interleaved() {
-    let (addr, handle) = spawn_server(64);
+    let (addr, handle) = spawn_server();
     let mut a = Client::connect(addr).unwrap();
     let mut b = Client::connect(addr).unwrap();
     assert_ne!(a.session_id(), b.session_id(), "distinct session ids");
@@ -157,7 +154,7 @@ fn session_isolation_interleaved() {
 
 #[test]
 fn oversized_result_becomes_engine_error_not_desync() {
-    let (addr, handle) = spawn_server(64);
+    let (addr, handle) = spawn_server();
     let mut c = Client::connect(addr).unwrap();
     c.command("create blob (id = int, body = str)").unwrap();
 
@@ -194,7 +191,7 @@ fn oversized_result_becomes_engine_error_not_desync() {
 
 #[test]
 fn query_frame_rejects_non_retrieve() {
-    let (addr, handle) = spawn_server(64);
+    let (addr, handle) = spawn_server();
     let mut c = Client::connect(addr).unwrap();
     let err = c.query("append kv (k = 1, v = 1)").unwrap_err();
     match err {
@@ -214,7 +211,7 @@ fn query_frame_rejects_non_retrieve() {
 
 #[test]
 fn wire_level_violations_close_connection() {
-    let (addr, handle) = spawn_server(64);
+    let (addr, handle) = spawn_server();
 
     // garbage opcode after a valid hello
     {
@@ -282,7 +279,7 @@ fn wire_level_violations_close_connection() {
 
 #[test]
 fn kill_client_mid_batch_keeps_engine_consistent() {
-    let (addr, handle) = spawn_server(256);
+    let (addr, handle) = spawn_server();
 
     // one client hammers appends and is killed without reading replies;
     // frames fully received by the server must execute atomically
@@ -326,11 +323,11 @@ fn kill_client_mid_batch_keeps_engine_consistent() {
 
 #[test]
 fn cross_session_append_batching() {
-    // tiny poll quantum not needed: batching happens whenever readers
-    // deposit while an executor holds the engine; many clients + many
-    // appends makes that overwhelmingly likely, but we only assert on
-    // what is guaranteed (correct totals, well-formed stats)
-    let (addr, handle) = spawn_server(64);
+    // requests share a drain whenever sessions deposit while another
+    // holds the engine; many clients + many appends makes that likely,
+    // but we only assert on what is guaranteed (correct totals,
+    // well-formed drain stats)
+    let (addr, handle) = spawn_server();
     let mut threads = Vec::new();
     for t in 0..8i64 {
         threads.push(std::thread::spawn(move || {
@@ -349,15 +346,20 @@ fn cross_session_append_batching() {
 
     let (stats, _engine) = handle.shutdown();
     assert_eq!(stats.commands, 400);
-    let grouped: u64 = stats.batch_hist.iter().sum();
-    assert_eq!(grouped, stats.batches, "histogram covers every group");
+    let drained: u64 = stats.batch_hist.iter().sum();
+    assert_eq!(drained, stats.batches, "histogram covers every drain");
     assert!(stats.max_batch >= 1);
+    assert_eq!(
+        stats.batch_hist[0] + stats.batched_requests,
+        stats.commands + stats.queries,
+        "every answered frame rode exactly one drain: {stats:?}"
+    );
     assert_eq!(stats.protocol_errors, 0);
 }
 
 #[test]
 fn metrics_frame_reports_server_and_engine() {
-    let (addr, handle) = spawn_server(64);
+    let (addr, handle) = spawn_server();
     let mut c = Client::connect(addr).unwrap();
     c.command("append kv (k = 1, v = 100)").unwrap();
     let json = c.metrics().unwrap();
@@ -372,7 +374,7 @@ fn metrics_frame_reports_server_and_engine() {
 
 #[test]
 fn metrics_prom_frame_is_valid_exposition() {
-    let (addr, handle) = spawn_server(64);
+    let (addr, handle) = spawn_server();
     let mut c = Client::connect(addr).unwrap();
     c.command("append kv (k = 1, v = 100)").unwrap();
     c.query("retrieve (kv.all)").unwrap();
@@ -414,7 +416,7 @@ fn metrics_prom_frame_is_valid_exposition() {
 
 #[test]
 fn http_get_metrics_shim_serves_prometheus() {
-    let (addr, handle) = spawn_server(64);
+    let (addr, handle) = spawn_server();
     let mut c = Client::connect(addr).unwrap();
     c.command("append kv (k = 1, v = 100)").unwrap();
 
@@ -555,7 +557,7 @@ fn notifications_reach_the_session() {
 /// 16 sessions of mixed frames, each over its own keys so the sessions
 /// commute: every reply carries exactly its own session's change count
 /// and value, and the final contents equal a serial model of the same
-/// requests — whatever the drains coalesced.
+/// requests — however the drains grouped them.
 #[test]
 fn sixteen_mixed_sessions_match_a_serial_model() {
     const SESSIONS: i64 = 16;
@@ -576,8 +578,8 @@ fn sixteen_mixed_sessions_match_a_serial_model() {
                 let base = t as i64 * 1000;
                 for i in 0..ROUNDS {
                     let (k, k2) = (base + 2 * i, base + 2 * i + 1);
-                    // append-only frame (batchable), one row above the
-                    // rule threshold every fifth round
+                    // append-only frame (one transition), one row above
+                    // the rule threshold every fifth round
                     let v = if i % 5 == 0 { 100 + i } else { i };
                     let r = c
                         .command(&format!(
@@ -636,9 +638,14 @@ fn sixteen_mixed_sessions_match_a_serial_model() {
     let (stats, _engine) = handle.shutdown();
     assert!(
         stats.batched_requests > 0,
-        "appends deposited behind the held engine coalesce: {stats:?}"
+        "requests deposited behind the held engine share a drain: {stats:?}"
     );
     assert_eq!(stats.batch_hist.iter().sum::<u64>(), stats.batches);
+    assert_eq!(
+        stats.batch_hist[0] + stats.batched_requests,
+        stats.commands + stats.queries,
+        "every answered frame rode exactly one drain: {stats:?}"
+    );
     assert_eq!(stats.protocol_errors, 0);
     assert_eq!(stats.engine_errors, 0);
 }
@@ -646,7 +653,7 @@ fn sixteen_mixed_sessions_match_a_serial_model() {
 /// One session can never find anything but its own entry pending.
 #[test]
 fn one_session_is_one_group_per_request() {
-    let (addr, handle) = spawn_server(64);
+    let (addr, handle) = spawn_server();
     let mut c = Client::connect(addr).unwrap();
     for i in 0..30i64 {
         c.command(&format!("append kv (k = {i}, v = {i})")).unwrap();
@@ -659,9 +666,9 @@ fn one_session_is_one_group_per_request() {
     assert_eq!(stats.max_batch, 1);
 }
 
-/// Commit mode under 8 sessions: a drain's records share one fsync
-/// (`serve_batch: 1` keeps every append its own transition and record, so
-/// coalescing cannot account for it), acked work is what recovery finds.
+/// Commit mode under 8 sessions: a drain's records share one fsync (each
+/// append is its own transition and record), and acked work is what
+/// recovery finds.
 #[test]
 fn commit_mode_drains_share_an_fsync_and_recover() {
     let dir = std::env::temp_dir().join(format!("ariel-server-commit-{}", std::process::id()));
@@ -673,13 +680,7 @@ fn commit_mode_drains_share_an_fsync_and_recover() {
     let mut db = test_engine_with(options.clone());
     add_ballast(&mut db);
     db.checkpoint(&dir).unwrap();
-    let (addr, handle) = spawn_server_on(
-        db,
-        ServerOptions {
-            serve_batch: 1,
-            ..Default::default()
-        },
-    );
+    let (addr, handle) = spawn_server_on(db, ServerOptions::default());
 
     let mut clients: Vec<Client> = (0..8).map(|_| Client::connect(addr).unwrap()).collect();
     let release = hold_engine(addr);
