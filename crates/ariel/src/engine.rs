@@ -2,7 +2,7 @@
 //! cycle (Fig. 1).
 
 use crate::action::{self, PrepareCounts, Prepared};
-use crate::agenda::{self, ConflictStrategy, Eligible};
+use crate::agenda::{self, Eligible};
 use crate::catalog::RuleCatalog;
 use crate::delta::DeltaTracker;
 use crate::error::{ArielError, ArielResult};
@@ -28,8 +28,6 @@ use std::sync::Arc;
 pub struct EngineOptions {
     /// Which eligible α-memories become virtual (§4.2).
     pub virtual_policy: VirtualPolicy,
-    /// Conflict-resolution strategy.
-    pub conflict: ConflictStrategy,
     /// Upper bound on rule firings per recognize-act cycle (runaway guard).
     pub max_firings: usize,
     /// Enable the gated timing tier (per-phase histograms) from the start.
@@ -52,7 +50,6 @@ impl Default for EngineOptions {
     fn default() -> Self {
         EngineOptions {
             virtual_policy: VirtualPolicy::AllStored,
-            conflict: ConflictStrategy::default(),
             max_firings: 10_000,
             observability: false,
             tracing: false,
@@ -567,7 +564,7 @@ impl Ariel {
                     })
                 })
                 .inspect(|_| eligible += 1);
-            let Some(chosen) = agenda::select(self.options.conflict, candidates) else {
+            let Some(chosen) = agenda::select(candidates) else {
                 return Ok(());
             };
             let (id, name) = (chosen.id, Arc::clone(chosen.name));

@@ -48,7 +48,6 @@ pub mod rule;
 mod trace;
 
 pub use action::ActionOutcome;
-pub use agenda::ConflictStrategy;
 pub use catalog::RuleCatalog;
 pub use delta::DeltaTracker;
 pub use engine::{Ariel, EngineOptions, EngineStats, MemoryStats};

@@ -94,7 +94,17 @@ const GATES: &[Gate] = &[
             band("join_candidates", 0.0, 1.0),
             ALPHA_BYTES,
         ],
-        rules: &[],
+        // the candidate band cannot see a nested-loop row that starts
+        // probing (its candidates fall), nor an index that stops pruning
+        // below the baseline's own margin: these hold within the run
+        rules: &[
+            "fig10-2var/indexed=false: index_probes + range_probes == 0 — a nested-loop join never probes",
+            "fig11-3var/indexed=false: index_probes + range_probes == 0 — a nested-loop join never probes",
+            "fig12-band/indexed=false: index_probes + range_probes == 0 — a nested-loop join never probes",
+            "fig13-composite/indexed=false: index_probes + range_probes == 0 — a nested-loop join never probes",
+            "fig13-composite/indexed=true: join_candidates < fig13-single/indexed=true.join_candidates — a composite key must serve fewer candidates than one attribute",
+            "fig12-band/indexed=true: range_probes > 0 — a band join must stab its interval index",
+        ],
     },
     Gate {
         name: "mem",
@@ -730,7 +740,40 @@ mod tests {
             .flag("indexed", indexed)
             .time("total_ms", total_ms)
             .count("join_candidates", join_candidates)
+            .count("index_probes", 0u64)
+            .count("range_probes", 0u64)
             .count("alpha_bytes", 1000u64)
+    }
+
+    /// The rows `paper_tables -- joins` writes, shaped to keep every
+    /// same-run rule of the joins gate, followed by `extra`.
+    fn joins_table(extra: Vec<Row>) -> Vec<Row> {
+        // (workload, indexed, join_candidates, index_probes, range_probes)
+        let mut rows: Vec<Row> = [
+            ("fig10-2var", true, 2775, 2775, 0),
+            ("fig10-2var", false, 555_000, 0, 0),
+            ("fig11-3var", true, 5550, 5550, 0),
+            ("fig11-3var", false, 971_250, 0, 0),
+            ("fig12-band", true, 79_650, 0, 10_000),
+            ("fig12-band", false, 8_000_000, 0, 0),
+            ("fig13-composite", true, 1336, 2775, 0),
+            ("fig13-single", true, 11_100, 2775, 0),
+            ("fig13-composite", false, 555_000, 0, 0),
+        ]
+        .into_iter()
+        .map(
+            |(workload, indexed, candidates, index_probes, range_probes)| {
+                let row = join(workload, indexed, 10.0, candidates);
+                set(
+                    &set(&row, "index_probes", index_probes),
+                    "range_probes",
+                    range_probes,
+                )
+            },
+        )
+        .collect();
+        rows.extend(extra);
+        rows
     }
 
     #[test]
@@ -765,34 +808,43 @@ mod tests {
     #[test]
     fn gate_passes_on_identical_and_on_noise_within_tolerance() {
         let g = gate("joins");
-        let base = vec![join("w", true, 10.0, 100), join("w", false, 50.0, 500)];
+        let base = joins_table(vec![
+            join("w", true, 10.0, 100),
+            join("w", false, 50.0, 500),
+        ]);
         assert!(check(g, &base, &base).is_empty());
         // +40% wall clock and fewer candidates: still fine
-        let fresh = vec![join("w", true, 14.0, 90), join("w", false, 70.0, 500)];
+        let fresh = joins_table(vec![join("w", true, 14.0, 90), join("w", false, 70.0, 500)]);
         assert!(check(g, &fresh, &base).is_empty());
     }
 
     #[test]
     fn gate_fails_on_injected_time_regression() {
-        let base = vec![join("w", true, 10.0, 100)];
-        let v = check(gate("joins"), &[join("w", true, 16.0, 100)], &base);
+        let base = joins_table(vec![join("w", true, 10.0, 100)]);
+        let fresh = joins_table(vec![join("w", true, 16.0, 100)]);
+        let v = check(gate("joins"), &fresh, &base);
         assert_eq!(v.len(), 1);
         assert!(has(&v, "w/indexed=true: total_ms rose 10 -> 16"), "{v:?}");
     }
 
     #[test]
     fn gate_fails_on_candidate_growth_even_unindexed() {
-        let base = vec![join("w", false, 50.0, 500)];
-        let v = check(gate("joins"), &[join("w", false, 10.0, 501)], &base);
+        let base = joins_table(vec![join("w", false, 50.0, 500)]);
+        let fresh = joins_table(vec![join("w", false, 10.0, 501)]);
+        let v = check(gate("joins"), &fresh, &base);
         assert_eq!(v.len(), 1);
         assert!(has(&v, "join_candidates rose 500 -> 501"), "{v:?}");
     }
 
     #[test]
     fn gate_fails_on_missing_workload_and_ignores_unindexed_time() {
-        let base = vec![join("gone", true, 10.0, 100), join("w", false, 50.0, 500)];
+        let base = joins_table(vec![
+            join("gone", true, 10.0, 100),
+            join("w", false, 50.0, 500),
+        ]);
         // unindexed wall clock may drift freely — only candidates matter
-        let v = check(gate("joins"), &[join("w", false, 500.0, 500)], &base);
+        let fresh = joins_table(vec![join("w", false, 500.0, 500)]);
+        let v = check(gate("joins"), &fresh, &base);
         assert_eq!(
             v,
             vec!["gone/indexed=true: missing from fresh results".to_string()]
@@ -807,19 +859,80 @@ mod tests {
             row.cells.pop();
             row.count("alpha_bytes", alpha_bytes)
         };
-        let base = vec![sized(1000)];
+        let base = joins_table(vec![sized(1000)]);
+        let fresh = |alpha_bytes| joins_table(vec![sized(alpha_bytes)]);
         // within the band either way passes
-        assert!(check(g, &[sized(1050)], &base).is_empty());
-        assert!(check(g, &[sized(950)], &base).is_empty());
+        assert!(check(g, &fresh(1050), &base).is_empty());
+        assert!(check(g, &fresh(950), &base).is_empty());
         // growth past 5% fails, and so does a saving nobody blessed
-        let v = check(g, &[sized(1051)], &base);
+        let v = check(g, &fresh(1051), &base);
         assert_eq!(v.len(), 1);
         assert!(has(&v, "alpha_bytes rose 1000 -> 1051"), "{v:?}");
-        let v = check(g, &[sized(500)], &base);
+        let v = check(g, &fresh(500), &base);
         assert!(
             has(&v, "alpha_bytes fell 1000 -> 500 (below 0.95×"),
             "{v:?}"
         );
+    }
+
+    #[test]
+    fn joins_gate_holds_its_same_run_rules() {
+        let g = gate("joins");
+        let base = joins_table(vec![]);
+        // `row` of the table with `column` set to `value`
+        let with = |row: usize, column: &str, value: u64| {
+            let mut rows = joins_table(vec![]);
+            rows[row] = set(&rows[row], column, value);
+            rows
+        };
+        // a nested-loop row that starts probing serves fewer candidates,
+        // which the candidate band lets through; the rule does not
+        let mut probing = with(1, "index_probes", 2775);
+        probing[1] = set(&probing[1], "join_candidates", 2775);
+        let v = check(g, &probing, &base);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(
+            has(
+                &v,
+                "fig10-2var/indexed=false: index_probes + range_probes == 0 does not hold (2775 vs 0)"
+            ),
+            "{v:?}"
+        );
+        for (row, column) in [
+            (3, "index_probes"),
+            (5, "range_probes"),
+            (8, "index_probes"),
+            (8, "range_probes"),
+        ] {
+            let v = check(g, &with(row, column, 1), &base);
+            assert!(
+                has(&v, "a nested-loop join never probes"),
+                "{column}: {v:?}"
+            );
+        }
+        // composite keys that prune no better than one attribute
+        let v = check(g, &with(6, "join_candidates", 11_100), &base);
+        assert!(
+            has(
+                &v,
+                "fig13-composite/indexed=true: join_candidates < \
+                 fig13-single/indexed=true.join_candidates does not hold (11100 vs 11100)"
+            ),
+            "{v:?}"
+        );
+        // a band join that stopped stabbing
+        let v = check(g, &with(4, "range_probes", 0), &base);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(
+            has(
+                &v,
+                "fig12-band/indexed=true: range_probes > 0 does not hold"
+            ),
+            "{v:?}"
+        );
+        // a row a rule names must be present
+        let v = check(g, &joins_table(vec![])[..8], &base);
+        assert!(has(&v, "fig13-composite/indexed=false: missing"), "{v:?}");
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! reproduction: the paper's **A-TREAT** network (selection-predicate
 //! index + TREAT join layer + virtual α-memories), plus a **Rete**
 //! network as the comparison baseline. Classic TREAT is A-TREAT under
-//! [`VirtualPolicy::AllStored`]; the Rete network runs either nested-loop
-//! (classic) or with the same compile-time join planning as TREAT
-//! ([`ReteMode`]).
+//! [`VirtualPolicy::AllStored`]. Both networks plan their joins the same
+//! way, under a [`JoinAccess`] fixed when the network is built:
+//! [`JoinAccess::Nested`] is the paper's plain nested-loop join (classic
+//! TREAT, classic Rete), the default [`JoinAccess::Composite`] probes hash
+//! and interval indexes instead.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -27,8 +29,9 @@ pub use alpha::{
     AlphaCounters, AlphaEntry, AlphaId, AlphaKind, AlphaNode, AlphaTiming, EventReq, RuleId,
 };
 pub use key::{KeyBuilder, SmallKey};
+pub use plan::JoinAccess;
 pub use pred::SelectionPredicate;
-pub use rete::{ReteMode, ReteNetwork};
+pub use rete::ReteNetwork;
 pub use selnet::SelectionNetwork;
 pub use token::{EventSpecifier, Token, TokenKind};
 pub use trace::{TraceEventKind, TraceRecord, TraceRecorder, TraceSource, DEFAULT_TRACE_CAPACITY};

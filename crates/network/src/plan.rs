@@ -1,17 +1,130 @@
 //! Compile-time join planning, shared by the A-TREAT network
-//! ([`crate::treat`]) and the indexed Rete network ([`crate::rete`]).
+//! ([`crate::treat`]) and the Rete network ([`crate::rete`]).
 //!
 //! Both networks face the same question at rule-compile time: which join
 //! conjuncts can an index answer, and what key does the probe need? The
 //! answer is independent of how the network stores its memories — TREAT
 //! probes α-memories from a dynamically-ordered partial row, Rete probes
 //! α-memories and β-memories along its fixed variable order — so the
-//! decomposition lives here: per-conjunct variable bitmasks, the equi-probe
-//! extraction of §4.2, and the composite/band access-path specs built from
-//! them.
+//! decomposition lives here: the split of a condition into per-variable
+//! selections and join conjuncts ([`RuleShape`]), per-conjunct variable
+//! bitmasks, the equi-probe extraction of §4.2, and the composite/band
+//! access-path specs built from them.
+//!
+//! Which access paths exist at all is the network's [`JoinAccess`], read
+//! here and nowhere else: a plan without specs leaves every join on the
+//! enumeration path, so the match code has no switch of its own.
 
 use crate::alpha::BandShape;
-use ariel_query::RExpr;
+use crate::pred::SelectionPredicate;
+use crate::selnet::SelectionNetwork;
+use ariel_query::{QueryError, QueryResult, RExpr, ResolvedCondition};
+use ariel_storage::{Catalog, RelId, StorageError};
+
+/// The access paths a network's joins may take, fixed when the network is
+/// built. Every choice produces the same matches; only the work per token
+/// differs (the JOINS and NET tables compare them).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum JoinAccess {
+    /// The paper's plain nested-loop join (§4.2): no access path, so
+    /// every join enumerates its memory (or scans its base relation).
+    Nested,
+    /// One single-attribute hash path per equi-conjunct — probe, then
+    /// retest the other conjuncts — plus band stabs.
+    Single,
+    /// Equi-conjuncts sharing a bound-variable set fuse into one
+    /// composite key, plus band stabs. The default.
+    #[default]
+    Composite,
+}
+
+/// Join bitmasks give a rule at most this many tuple variables.
+pub(crate) const MAX_RULE_VARS: usize = 64;
+
+/// A rule condition split for a network, the step both networks' `add_rule`
+/// begin with: each variable's relation and selection predicate, the
+/// multi-variable conjuncts, and the join plan over them.
+#[derive(Debug)]
+pub(crate) struct RuleShape {
+    /// Each variable's relation.
+    pub(crate) rels: Vec<RelId>,
+    /// Each variable's single-variable conjuncts, remapped to variable 0.
+    pub(crate) preds: Vec<SelectionPredicate>,
+    /// The multi-variable conjuncts, in condition order; `plan` indexes
+    /// into this list.
+    pub(crate) join_conjuncts: Vec<RExpr>,
+    /// The join plan over `join_conjuncts`.
+    pub(crate) plan: JoinPlan,
+}
+
+impl RuleShape {
+    /// Split `cond` and plan its joins under `access`. Errors on a
+    /// condition of more than [`MAX_RULE_VARS`] variables and on a
+    /// relation that is gone or re-created (see [`compile_rels`]).
+    pub(crate) fn compile(
+        cond: &ResolvedCondition,
+        catalog: &Catalog,
+        selnet: &SelectionNetwork,
+        access: JoinAccess,
+    ) -> QueryResult<RuleShape> {
+        let nvars = cond.spec.vars.len();
+        if nvars > MAX_RULE_VARS {
+            return Err(QueryError::Semantic(format!(
+                "a rule condition has at most {MAX_RULE_VARS} tuple variables"
+            )));
+        }
+        let rels = compile_rels(cond, catalog, selnet)?;
+        let mut selections: Vec<Vec<RExpr>> = vec![Vec::new(); nvars];
+        let mut join_conjuncts = Vec::new();
+        let conjuncts = cond.spec.qual.clone().map(|q| q.conjuncts());
+        for c in conjuncts.unwrap_or_default() {
+            let used = c.vars_used();
+            if used.len() == 1 {
+                // remap to variable 0 for single-tuple evaluation
+                selections[used[0]].push(c.remap_vars(&|_| 0));
+            } else {
+                join_conjuncts.push(c);
+            }
+        }
+        let plan = JoinPlan::compile(&join_conjuncts, nvars, access);
+        Ok(RuleShape {
+            rels,
+            preds: selections
+                .into_iter()
+                .map(SelectionPredicate::decompose)
+                .collect(),
+            join_conjuncts,
+            plan,
+        })
+    }
+}
+
+/// The id of every variable's relation, once per rule at compile time —
+/// the only name lookups a rule costs the network. Errors if a relation
+/// is gone, or its slot is still subscribed under an earlier generation.
+fn compile_rels(
+    cond: &ResolvedCondition,
+    catalog: &Catalog,
+    selnet: &SelectionNetwork,
+) -> QueryResult<Vec<RelId>> {
+    cond.spec
+        .vars
+        .iter()
+        .map(|binding| {
+            let rel = catalog.id(&binding.rel).ok_or_else(|| {
+                QueryError::from(StorageError::NoSuchRelation(binding.rel.clone()))
+            })?;
+            if !selnet.accepts(rel) {
+                return Err(QueryError::Semantic(format!(
+                    "relation `{}` was re-created while rules compiled against it \
+                     are still in the network",
+                    binding.rel
+                )));
+            }
+            Ok(rel)
+        })
+        .collect()
+}
 
 /// One composite equi-probe access path for a variable: once every
 /// variable in `others_mask` is bound, the equi-conjuncts listed in
@@ -53,8 +166,8 @@ pub(crate) struct BandSpec {
 #[derive(Debug)]
 pub(crate) struct JoinPlan {
     /// Bitmask of the variables each join conjunct references, parallel to
-    /// the rule's join-conjunct list. Rules are capped at 64 tuple
-    /// variables.
+    /// the rule's join-conjunct list. Rules are capped at
+    /// [`MAX_RULE_VARS`] tuple variables.
     pub(crate) conjunct_vars: Vec<u64>,
     /// `equi[var][i]` is `Some((attr, key_expr))` when join conjunct `i` is
     /// an equi-conjunct `var.attr = <expr over other variables>` — the key
@@ -70,24 +183,41 @@ pub(crate) struct JoinPlan {
 }
 
 impl JoinPlan {
-    /// Compile the plan for a rule's multi-variable conjuncts. `composite`
-    /// mirrors the network's composite-key switch: off, every equi-conjunct
-    /// becomes its own single-attribute access path.
-    pub(crate) fn compile(join_conjuncts: &[RExpr], nvars: usize, composite: bool) -> JoinPlan {
-        debug_assert!(nvars <= 64, "join-plan bitmasks cap rules at 64 variables");
+    /// Compile the plan for a rule's multi-variable conjuncts under
+    /// `access`: [`JoinAccess::Nested`] plans no access path at all (no
+    /// equi probe, no composite or band spec), [`JoinAccess::Single`] gives
+    /// every equi-conjunct its own single-attribute path.
+    pub(crate) fn compile(join_conjuncts: &[RExpr], nvars: usize, access: JoinAccess) -> JoinPlan {
+        debug_assert!(
+            nvars <= MAX_RULE_VARS,
+            "join-plan bitmasks cap rule variables"
+        );
+        let indexed = access != JoinAccess::Nested;
         let conjunct_vars: Vec<u64> = join_conjuncts
             .iter()
             .map(|c| c.vars_used().iter().fold(0u64, |m, v| m | (1 << v)))
             .collect();
         let equi: Vec<Vec<Option<(usize, RExpr)>>> = (0..nvars)
-            .map(|v| join_conjuncts.iter().map(|c| equi_probe(c, v)).collect())
+            .map(|v| {
+                join_conjuncts
+                    .iter()
+                    .map(|c| if indexed { equi_probe(c, v) } else { None })
+                    .collect()
+            })
             .collect();
+        let composite = access == JoinAccess::Composite;
         JoinPlan {
             composite: (0..nvars)
                 .map(|v| compile_composite_specs(&equi[v], &conjunct_vars, v, composite))
                 .collect(),
             bands: (0..nvars)
-                .map(|v| compile_band_specs(join_conjuncts, &conjunct_vars, v))
+                .map(|v| {
+                    if indexed {
+                        compile_band_specs(join_conjuncts, &conjunct_vars, v)
+                    } else {
+                        Vec::new()
+                    }
+                })
                 .collect(),
             conjunct_vars,
             equi,
@@ -131,9 +261,9 @@ pub(crate) fn equi_probe(c: &RExpr, var: usize) -> Option<(usize, RExpr)> {
 /// widest single group. The final union covers every group: once
 /// everything is bound, one probe answers every equi-conjunct at once.
 /// Enumeration stays linear in the number of groups (prefix-closed, not
-/// the exponential power set). With `composite` off, every conjunct
-/// compiles to its own single-attribute spec — the probe-then-retest
-/// behaviour the joins bench ablates against.
+/// the exponential power set). With `composite` off ([`JoinAccess::Single`]),
+/// every conjunct compiles to its own single-attribute spec — the
+/// probe-then-retest behaviour the joins bench ablates against.
 pub(crate) fn compile_composite_specs(
     equi_v: &[Option<(usize, RExpr)>],
     conjunct_vars: &[u64],
@@ -330,7 +460,7 @@ mod tests {
             eq_conjunct(3, 1, 1),
             eq_conjunct(3, 2, 2),
         ];
-        let plan = JoinPlan::compile(&conjuncts, 4, true);
+        let plan = JoinPlan::compile(&conjuncts, 4, JoinAccess::Composite);
         let specs = &plan.composite[3];
         // 3 per-group specs + 2 cumulative unions ({v0,v1}, {v0,v1,v2})
         assert_eq!(specs.len(), 5);
@@ -357,7 +487,7 @@ mod tests {
     fn single_group_stays_minimal() {
         // both conjuncts read var 0 only → one group, no unions
         let conjuncts = [eq_conjunct(1, 0, 0), eq_conjunct(1, 1, 0)];
-        let plan = JoinPlan::compile(&conjuncts, 2, true);
+        let plan = JoinPlan::compile(&conjuncts, 2, JoinAccess::Composite);
         assert_eq!(plan.composite[1].len(), 1);
         assert_eq!(plan.composite[1][0].attrs, [0, 1]);
     }
@@ -376,11 +506,54 @@ mod tests {
             left: Box::new(RExpr::Attr { var: 1, attr: 0 }),
             right: Box::new(RExpr::Attr { var: 0, attr: 1 }),
         };
-        let plan = JoinPlan::compile(&[lower, upper], 2, true);
+        let plan = JoinPlan::compile(&[lower, upper], 2, JoinAccess::Composite);
         let bands = &plan.bands[0];
         assert_eq!(bands.len(), 1);
         assert_eq!(bands[0].others_mask, 0b10);
         let s = &bands[0].shape;
         assert!((s.lo_attr, s.lo_strict, s.hi_attr, s.hi_strict) == (0, true, 1, false));
+    }
+
+    #[test]
+    fn access_decides_which_paths_the_plan_holds() {
+        // var 2 keyed on vars 0 and 1, plus a band of var 0 around var 1:
+        //   v2.a0 = v0.x,  v2.a1 = v1.x,  v0.a0 < v1.a0 <= v0.a1
+        let band = |op, left, right| RExpr::Binary {
+            op,
+            left: Box::new(left),
+            right: Box::new(right),
+        };
+        let conjuncts = [
+            eq_conjunct(2, 0, 0),
+            eq_conjunct(2, 1, 1),
+            band(
+                ariel_query::BinOp::Lt,
+                RExpr::Attr { var: 0, attr: 0 },
+                RExpr::Attr { var: 1, attr: 0 },
+            ),
+            band(
+                ariel_query::BinOp::Le,
+                RExpr::Attr { var: 1, attr: 0 },
+                RExpr::Attr { var: 0, attr: 1 },
+            ),
+        ];
+        let nested = JoinPlan::compile(&conjuncts, 3, JoinAccess::Nested);
+        assert!(nested.equi.iter().flatten().all(Option::is_none));
+        assert!(nested.composite.iter().all(Vec::is_empty));
+        assert!(nested.bands.iter().all(Vec::is_empty));
+        assert_eq!(nested.conjunct_vars, [0b101, 0b110, 0b011, 0b011]);
+
+        let single = JoinPlan::compile(&conjuncts, 3, JoinAccess::Single);
+        assert_eq!(single.composite[2].len(), 2);
+        assert!(single
+            .composite
+            .iter()
+            .flatten()
+            .all(|s| s.attrs.len() == 1));
+        assert_eq!(single.bands[0].len(), 1, "Single still stabs bands");
+
+        let composite = JoinPlan::compile(&conjuncts, 3, JoinAccess::Composite);
+        assert!(composite.composite[2].iter().any(|s| s.attrs == [0, 1]));
+        assert_eq!(composite.bands[0].len(), 1);
     }
 }

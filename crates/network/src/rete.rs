@@ -1,4 +1,4 @@
-//! Rete network (Forgy 1982) — the comparison baseline, in two flavours.
+//! Rete network (Forgy 1982) — the comparison baseline.
 //!
 //! Rete differs from TREAT by materializing **β-memories**: one per join
 //! level, holding the partial matches of the first `i` tuple variables.
@@ -7,23 +7,20 @@
 //! β-memory state itself — the storage the paper's virtual-memory argument
 //! (§4.2, §8: "virtual α- *and β-* memory nodes") is about.
 //!
-//! The network runs in one of two [`ReteMode`]s:
+//! Joins follow the same compile-time plan the TREAT network uses (the
+//! `plan` module), under the network's [`JoinAccess`]: stored α-memories
+//! register the plan's hash and band interval indexes, and each β-memory
+//! keeps one index over its partials — a hash index keyed on the *next*
+//! level's equi attributes, or a band interval index — so a right
+//! activation probes one bucket instead of enumerating every partial, and
+//! the cascade probes the next α-memory instead of enumerating it. Under
+//! [`JoinAccess::Nested`] the plan has no access path, so no memory is
+//! indexed and every join enumerates: the classic formulation, the
+//! paper's plain nested-loop join cost model.
 //!
-//! * [`ReteMode::Nested`] — the classic formulation: right activations
-//!   enumerate the left β-memory in full, and the cascade down the β chain
-//!   enumerates the next α-memory in full. This is the paper's plain
-//!   nested-loop join cost model.
-//! * [`ReteMode::Indexed`] (default) — the same compile-time join planning
-//!   the TREAT network uses (the `plan` module): stored α-memories register
-//!   TREAT's composite hash and band interval indexes, and each β-memory
-//!   additionally keeps a composite hash index (or a band interval index)
-//!   over its partials, keyed on the join attributes of the *next* level —
-//!   so a right activation probes one bucket instead of enumerating every
-//!   partial, and the cascade probes the next α-memory instead of
-//!   enumerating it.
-//!
-//! Both modes produce identical P-nodes; only the work per token differs.
-//! The `paper_tables -- net` bench compares them against TREAT head-on.
+//! Every access choice produces identical P-nodes; only the work per
+//! token differs. The `paper_tables -- net` bench compares them against
+//! TREAT head-on.
 //!
 //! The engine never runs this network. It is the comparison behind the
 //! NET table and an oracle leg of `tests/network_equivalence.rs` and
@@ -45,12 +42,11 @@
 
 use crate::alpha::{AlphaCounters, AlphaEntry, AlphaId, AlphaKind, AlphaNode, BandShape, RuleId};
 use crate::key::{KeyBuilder, SmallKey};
-use crate::plan::{BandSpec, CompositeSpec, JoinPlan};
-use crate::pred::SelectionPredicate;
+use crate::plan::{BandSpec, CompositeSpec, JoinAccess, JoinPlan, RuleShape};
 use crate::selnet::SelectionNetwork;
 use crate::token::Token;
 use crate::treat::{
-    compile_rels, live_rel, selectivity_virtualize, NetworkStats, Pending, RuleStats, RuleTopology,
+    alloc_alpha, live_rel, primed_entries, NetworkStats, Pending, RuleStats, RuleTopology,
     VirtualPolicy,
 };
 use ariel_islist::{IntervalId, IntervalSkipList};
@@ -58,23 +54,9 @@ use ariel_query::{
     eval, eval_pred, BoundVar, Pnode, PnodeCol, QueryError, QueryResult, RExpr, ResolvedCondition,
     Row,
 };
-use ariel_storage::{Catalog, FxBuildHasher, RelId, Tid, Value};
+use ariel_storage::{Catalog, FxBuildHasher, Tid, Value};
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap, HashSet};
-
-/// How the Rete network runs its β-joins. Selected per network via
-/// [`ReteNetwork::set_mode`] and snapshotted into each rule at compile
-/// time, so the two modes can be compared on identical token streams.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReteMode {
-    /// Classic nested-loop Rete: right activations enumerate the left
-    /// β-memory, cascades enumerate the next α-memory.
-    Nested,
-    /// Join-planned Rete: β-memories keep hash/interval indexes keyed for
-    /// the next level, stored α-memories keep TREAT's join indexes, and
-    /// activations probe instead of enumerate.
-    Indexed,
-}
 
 /// A partial match over the first `level + 1` variables.
 type Partial = Vec<BoundVar>;
@@ -116,9 +98,9 @@ struct BetaBandIndex {
 }
 
 /// One β-memory level: the partial matches over variables `0..=level`,
-/// plus (indexed mode) at most one index keyed for the next level's right
-/// activations. Partials carry a stable sequence number so index buckets
-/// can reference them across removals.
+/// plus at most one index keyed for the next level's right activations.
+/// Partials carry a stable sequence number so index buckets can reference
+/// them across removals.
 #[derive(Debug, Default)]
 struct BetaMemory {
     partials: BTreeMap<u64, Partial>,
@@ -128,7 +110,7 @@ struct BetaMemory {
     /// Partials whose equi key evaluation *errored* (not merely produced
     /// Null): unreachable through the buckets, so every probe also
     /// enumerates them with the full conjunct test — per-pair evaluation
-    /// errors then surface exactly as nested mode would surface them.
+    /// errors then surface exactly as an unindexed memory surfaces them.
     unindexed: Vec<u64>,
     /// Right-activation probes answered by this memory's index (`Cell`
     /// because probing holds `&self`).
@@ -264,8 +246,6 @@ struct ReteRule {
     /// variable is `i`, testable once vars `0..=i` are bound.
     level_conjuncts: Vec<Vec<usize>>,
     plan: JoinPlan,
-    /// Network mode at compile time ([`ReteMode::Indexed`] = true).
-    indexed: bool,
     /// `betas[i]`: partial matches over vars `0..=i`; the last level feeds
     /// the P-node.
     betas: Vec<BetaMemory>,
@@ -278,6 +258,21 @@ struct ReteRule {
     pnode_inserts: u64,
 }
 
+impl ReteRule {
+    /// `(beta_bytes, beta_probes, beta_hits)` over the rule's β-memories.
+    fn beta_totals(&self) -> (usize, u64, u64) {
+        self.betas
+            .iter()
+            .fold((0, 0, 0), |(bytes, probes, hits), b| {
+                (
+                    bytes + b.heap_size(),
+                    probes + b.probes.get(),
+                    hits + b.hits.get(),
+                )
+            })
+    }
+}
+
 /// A Rete network over pattern-based rule conditions.
 #[derive(Debug)]
 pub struct ReteNetwork {
@@ -286,7 +281,8 @@ pub struct ReteNetwork {
     free: Vec<usize>,
     rules: BTreeMap<u64, ReteRule>,
     policy: VirtualPolicy,
-    mode: ReteMode,
+    /// The access paths every rule's plan may hold, fixed at construction.
+    access: JoinAccess,
     tokens_processed: u64,
 }
 
@@ -297,79 +293,30 @@ impl Default for ReteNetwork {
 }
 
 impl ReteNetwork {
-    /// New empty network with every α-memory stored and β-joins indexed.
+    /// New empty network with every α-memory stored and every join access
+    /// path planned ([`JoinAccess::Composite`]).
     pub fn new() -> Self {
-        Self::with_policy(VirtualPolicy::AllStored)
+        Self::with_policy(VirtualPolicy::AllStored, JoinAccess::default())
     }
 
     /// New empty network whose eligible α-memories follow `policy` — §1's
-    /// "could also be used in the Rete algorithm".
-    pub fn with_policy(policy: VirtualPolicy) -> Self {
+    /// "could also be used in the Rete algorithm" — and whose joins take
+    /// the access paths `access` plans ([`JoinAccess::Nested`] is classic
+    /// nested-loop Rete).
+    pub fn with_policy(policy: VirtualPolicy, access: JoinAccess) -> Self {
         ReteNetwork {
             selnet: SelectionNetwork::new(),
             alphas: Vec::new(),
             free: Vec::new(),
             rules: BTreeMap::new(),
             policy,
-            mode: ReteMode::Indexed,
+            access,
             tokens_processed: 0,
         }
     }
 
-    /// Select the join mode. Affects rules compiled *after* the call (the
-    /// mode is snapshotted per rule, like the TREAT network's indexing
-    /// switches).
-    pub fn set_mode(&mut self, mode: ReteMode) {
-        self.mode = mode;
-    }
-
-    /// The current join mode.
-    pub fn mode(&self) -> ReteMode {
-        self.mode
-    }
-
     fn alpha(&self, id: AlphaId) -> &AlphaNode {
         self.alphas[id.0].as_ref().expect("live alpha")
-    }
-
-    fn virtualize(
-        &self,
-        var: usize,
-        pred: &SelectionPredicate,
-        rel: RelId,
-        catalog: &Catalog,
-        composite: &[CompositeSpec],
-    ) -> bool {
-        match &self.policy {
-            VirtualPolicy::AllStored => false,
-            VirtualPolicy::AllVirtual => true,
-            VirtualPolicy::ExplicitVars(set) => set.contains(&var),
-            // same estimate as TREAT (`add_rule` threads the catalog
-            // through for exactly this): match share vs the threshold,
-            // refined to expected bucket size when indexed mode would
-            // register an equi access path on this memory
-            VirtualPolicy::SelectivityThreshold(threshold) => selectivity_virtualize(
-                pred,
-                rel,
-                *threshold,
-                catalog,
-                composite,
-                self.mode == ReteMode::Indexed,
-            ),
-        }
-    }
-
-    fn alloc_alpha(&mut self, node: AlphaNode) -> AlphaId {
-        match self.free.pop() {
-            Some(i) => {
-                self.alphas[i] = Some(node);
-                AlphaId(i)
-            }
-            None => {
-                self.alphas.push(Some(node));
-                AlphaId(self.alphas.len() - 1)
-            }
-        }
     }
 
     /// Compile a pattern-based rule condition. The catalog feeds the
@@ -391,41 +338,31 @@ impl ReteNetwork {
                 "rule {id} already in network"
             )));
         }
-        let rels = compile_rels(cond, catalog, &self.selnet)?;
-        let nvars = cond.spec.vars.len();
-        let conjuncts: Vec<RExpr> = cond
-            .spec
-            .qual
-            .clone()
-            .map(|q| q.conjuncts())
-            .unwrap_or_default();
-        let mut selections: Vec<Vec<RExpr>> = vec![Vec::new(); nvars];
-        let mut join_conjuncts: Vec<RExpr> = Vec::new();
+        let RuleShape {
+            rels,
+            preds,
+            join_conjuncts,
+            plan,
+        } = RuleShape::compile(cond, catalog, &self.selnet, self.access)?;
+        let nvars = rels.len();
+        // a conjunct is testable once the highest variable it reads is bound
         let mut level_conjuncts: Vec<Vec<usize>> = vec![Vec::new(); nvars];
-        for c in conjuncts {
-            let used = c.vars_used();
-            if used.len() == 1 {
-                selections[used[0]].push(c.remap_vars(&|_| 0));
-            } else {
-                // testable once the highest variable it references is bound
-                let lvl = *used.iter().max().unwrap();
-                level_conjuncts[lvl].push(join_conjuncts.len());
-                join_conjuncts.push(c);
-            }
+        for (i, mask) in plan.conjunct_vars.iter().enumerate() {
+            level_conjuncts[mask.checked_ilog2().unwrap_or(0) as usize].push(i);
         }
-        let plan = JoinPlan::compile(&join_conjuncts, nvars, true);
-        let indexed = self.mode == ReteMode::Indexed;
         let mut alphas = Vec::with_capacity(nvars);
         let mut cols = Vec::with_capacity(nvars);
-        for (v, binding) in cond.spec.vars.iter().enumerate() {
-            let pred = SelectionPredicate::decompose(std::mem::take(&mut selections[v]));
-            let kind = if self.virtualize(v, &pred, rels[v], catalog, &plan.composite[v]) {
+        for ((v, binding), pred) in cond.spec.vars.iter().enumerate().zip(preds) {
+            let kind = if self
+                .policy
+                .virtualizes(v, &pred, rels[v], catalog, &plan.composite[v])
+            {
                 AlphaKind::Virtual
             } else {
                 AlphaKind::Stored
             };
             let mut node = AlphaNode::new(id, v, rels[v], kind, pred, None);
-            if indexed && kind.stores_entries() {
+            if kind.stores_entries() {
                 node.set_join_indexes(plan.composite[v].iter().map(|s| s.attrs.clone()).collect());
                 node.set_range_indexes(plan.bands[v].iter().map(|s| s.shape.clone()).collect());
             }
@@ -434,7 +371,7 @@ impl ReteNetwork {
             } else {
                 node.pred.anchor.clone()
             };
-            let aid = self.alloc_alpha(node);
+            let aid = alloc_alpha(&mut self.alphas, &mut self.free, node);
             self.selnet.subscribe(aid, rels[v], anchor);
             alphas.push(aid);
             cols.push(PnodeCol {
@@ -445,10 +382,8 @@ impl ReteNetwork {
             });
         }
         let mut betas: Vec<BetaMemory> = (0..nvars).map(|_| BetaMemory::default()).collect();
-        if indexed && nvars > 1 {
-            for (lvl, beta) in betas.iter_mut().enumerate().take(nvars - 1) {
-                Self::configure_beta_index(beta, &plan, lvl);
-            }
+        for (lvl, beta) in betas.iter_mut().enumerate().take(nvars.saturating_sub(1)) {
+            Self::configure_beta_index(beta, &plan, lvl);
         }
         self.rules.insert(
             id.0,
@@ -457,7 +392,6 @@ impl ReteNetwork {
                 join_conjuncts,
                 level_conjuncts,
                 plan,
-                indexed,
                 betas,
                 pnode: Pnode::new(cols),
                 tokens_in: 0,
@@ -512,8 +446,8 @@ impl ReteNetwork {
     /// virtual nodes; stored entries need no filter — the batch loop only
     /// inserts a token into an α-memory when its turn comes.
     ///
-    /// This is the *enumeration* path: nested mode always takes it, and
-    /// indexed mode falls back to it when no registered index applies.
+    /// This is the *enumeration* path: a join takes it when no registered
+    /// index applies (always, under [`JoinAccess::Nested`]).
     fn candidates(
         &self,
         aid: AlphaId,
@@ -550,27 +484,11 @@ impl ReteNetwork {
             .ok_or_else(|| QueryError::Semantic(format!("unknown rule {id}")))?;
         let alpha_ids = rule.alphas.clone();
         for aid in &alpha_ids {
-            if !self.alpha(*aid).kind.stores_entries() {
+            let a = self.alpha(*aid);
+            if !a.kind.stores_entries() {
                 continue;
             }
-            let rel_ref = live_rel(catalog, self.alpha(*aid).rel)?;
-            let entries: Vec<(Tid, AlphaEntry)> = {
-                let a = self.alpha(*aid);
-                rel_ref
-                    .scan()
-                    .filter(|(_, t)| a.pred_matches(t, None))
-                    .map(|(tid, t)| {
-                        (
-                            tid,
-                            AlphaEntry {
-                                tid: Some(tid),
-                                tuple: t.clone(),
-                                prev: None,
-                            },
-                        )
-                    })
-                    .collect()
-            };
+            let entries = primed_entries(a, catalog)?;
             let a = self.alphas[aid.0].as_mut().unwrap();
             for (tid, e) in entries {
                 a.insert(tid, e);
@@ -639,8 +557,8 @@ impl ReteNetwork {
     }
 
     /// Right activation at level `var > 0`: join the seed against the left
-    /// β-memory. Indexed mode probes the memory's equi or band index;
-    /// nested mode (and indexed fallbacks) enumerate every partial.
+    /// β-memory — a probe of the memory's equi or band index, or, with
+    /// neither, an enumeration of every partial.
     fn right_activate(
         &self,
         rule: &ReteRule,
@@ -649,80 +567,78 @@ impl ReteNetwork {
     ) -> QueryResult<Vec<Partial>> {
         let beta = &rule.betas[var - 1];
         let mut out = Vec::new();
-        if rule.indexed {
-            if let Some(ix) = &beta.equi {
-                beta.probes.set(beta.probes.get() + 1);
-                // probe key packed straight off the token's attributes —
-                // no allocation, no string clones; a Null component joins
-                // nothing, so the buckets serve nothing
-                let mut key = Some(KeyBuilder::new(ix.probe_attrs.len()));
-                for &attr in &ix.probe_attrs {
-                    let v = seed.tuple.get(attr);
-                    if v.is_null() {
-                        key = None;
-                        break;
-                    }
-                    if let Some(k) = &mut key {
-                        k.push(v);
+        if let Some(ix) = &beta.equi {
+            beta.probes.set(beta.probes.get() + 1);
+            // probe key packed straight off the token's attributes —
+            // no allocation, no string clones; a Null component joins
+            // nothing, so the buckets serve nothing
+            let mut key = Some(KeyBuilder::new(ix.probe_attrs.len()));
+            for &attr in &ix.probe_attrs {
+                let v = seed.tuple.get(attr);
+                if v.is_null() {
+                    key = None;
+                    break;
+                }
+                if let Some(k) = &mut key {
+                    k.push(v);
+                }
+            }
+            let key = key.map(KeyBuilder::finish);
+            let mut served = 0u64;
+            if let Some(bucket) = key.as_ref().and_then(|k| ix.buckets.get(k)) {
+                for seq in bucket {
+                    let left = &beta.partials[seq];
+                    served += 1;
+                    if self.join_passes(rule, var, left, seed, &ix.conjuncts)? {
+                        let mut p = left.clone();
+                        p.push(seed.clone());
+                        out.push(p);
                     }
                 }
-                let key = key.map(KeyBuilder::finish);
+            }
+            for seq in &beta.unindexed {
+                let left = &beta.partials[seq];
+                if self.join_passes(rule, var, left, seed, &[])? {
+                    let mut p = left.clone();
+                    p.push(seed.clone());
+                    out.push(p);
+                }
+            }
+            if served > 0 {
+                beta.hits.set(beta.hits.get() + 1);
+            }
+            return Ok(out);
+        }
+        if let Some(bx) = &beta.band {
+            let mut row = Row::unbound(rule.alphas.len());
+            row.slots[var] = Some(seed.clone());
+            // a key evaluation error falls through to enumeration, so
+            // the per-pair error (if any partial exists) surfaces
+            // exactly as an unindexed join would surface it
+            if let Ok(key) = eval(&bx.key_expr, &row) {
+                beta.probes.set(beta.probes.get() + 1);
                 let mut served = 0u64;
-                if let Some(bucket) = key.as_ref().and_then(|k| ix.buckets.get(k)) {
-                    for seq in bucket {
-                        let left = &beta.partials[seq];
+                if !key.is_null() {
+                    let mut seqs = Vec::new();
+                    bx.islist.stab_with(&key, |id| {
+                        if let Some(&s) = bx.by_interval.get(&id) {
+                            seqs.push(s);
+                        }
+                    });
+                    for seq in seqs {
+                        let left = &beta.partials[&seq];
                         served += 1;
-                        if self.join_passes(rule, var, left, seed, &ix.conjuncts)? {
+                        if self.join_passes(rule, var, left, seed, &bx.conjuncts)? {
                             let mut p = left.clone();
                             p.push(seed.clone());
                             out.push(p);
                         }
                     }
                 }
-                for seq in &beta.unindexed {
-                    let left = &beta.partials[seq];
-                    if self.join_passes(rule, var, left, seed, &[])? {
-                        let mut p = left.clone();
-                        p.push(seed.clone());
-                        out.push(p);
-                    }
-                }
                 if served > 0 {
                     beta.hits.set(beta.hits.get() + 1);
                 }
                 return Ok(out);
-            }
-            if let Some(bx) = &beta.band {
-                let mut row = Row::unbound(rule.alphas.len());
-                row.slots[var] = Some(seed.clone());
-                // a key evaluation error falls through to enumeration, so
-                // the per-pair error (if any partial exists) surfaces
-                // exactly as nested mode would surface it
-                if let Ok(key) = eval(&bx.key_expr, &row) {
-                    beta.probes.set(beta.probes.get() + 1);
-                    let mut served = 0u64;
-                    if !key.is_null() {
-                        let mut seqs = Vec::new();
-                        bx.islist.stab_with(&key, |id| {
-                            if let Some(&s) = bx.by_interval.get(&id) {
-                                seqs.push(s);
-                            }
-                        });
-                        for seq in seqs {
-                            let left = &beta.partials[&seq];
-                            served += 1;
-                            if self.join_passes(rule, var, left, seed, &bx.conjuncts)? {
-                                let mut p = left.clone();
-                                p.push(seed.clone());
-                                out.push(p);
-                            }
-                        }
-                    }
-                    if served > 0 {
-                        beta.hits.set(beta.hits.get() + 1);
-                    }
-                    return Ok(out);
-                }
             }
         }
         for left in beta.partials.values() {
@@ -841,10 +757,10 @@ impl ReteNetwork {
     }
 
     /// Extend `left` at `level` by probing the stored α-memory's composite
-    /// or band index (indexed mode's cascade path). The probe answers its
+    /// or band index (the cascade's probe path). The probe answers its
     /// own conjuncts; the rest retest. A key evaluation error falls back
-    /// to full enumeration so per-pair errors surface as nested mode
-    /// would.
+    /// to full enumeration so per-pair errors surface as an unindexed
+    /// join would surface them.
     #[allow(clippy::too_many_arguments)]
     fn probe_extend(
         &self,
@@ -945,9 +861,8 @@ impl ReteNetwork {
     ///
     /// The access path per level is decided once, before the left loop —
     /// it depends only on which variables are bound (all of `0..level`),
-    /// never on the left row's values — so nested mode keeps the hoisted
-    /// single enumeration of the old implementation, and indexed mode
-    /// probes per left row.
+    /// never on the left row's values — so an unindexed level keeps one
+    /// hoisted enumeration, and an indexed one probes per left row.
     #[allow(clippy::too_many_arguments)]
     fn insert_partials(
         &mut self,
@@ -971,15 +886,12 @@ impl ReteNetwork {
                 let aid = rule.alphas[level];
                 let alpha = self.alpha(aid);
                 let bound: u64 = (1u64 << level) - 1;
-                let probing = rule.indexed && alpha.kind.stores_entries();
-                let comp = if probing {
-                    rule.plan.composite[level]
-                        .iter()
-                        .find(|s| s.others_mask & !bound == 0 && alpha.has_join_index(&s.attrs))
-                } else {
-                    None
-                };
-                let band = if probing && comp.is_none() {
+                // only stored memories carry indexes: a virtual one (or a
+                // nested plan) finds no spec here and enumerates
+                let comp = rule.plan.composite[level]
+                    .iter()
+                    .find(|s| s.others_mask & !bound == 0 && alpha.has_join_index(&s.attrs));
+                let band = if comp.is_none() {
                     rule.plan.bands[level]
                         .iter()
                         .find(|s| s.others_mask & !bound == 0 && alpha.has_range_index(&s.shape))
@@ -1085,40 +997,19 @@ impl ReteNetwork {
     /// [`crate::Network::rule_stats`], plus the β fields only Rete fills).
     pub fn rule_stats(&self, id: RuleId) -> Option<RuleStats> {
         let rule = self.rules.get(&id.0)?;
-        let mut s = RuleStats {
+        let alphas = NetworkStats::of_alphas(rule.alphas.iter().map(|a| self.alpha(*a)));
+        let (beta_bytes, beta_probes, beta_hits) = rule.beta_totals();
+        Some(RuleStats {
             pnode_rows: rule.pnode.len(),
             pnode_bytes: rule.pnode.heap_size(),
             tokens_in: rule.tokens_in,
             join_probes: rule.join_probes,
             pnode_inserts: rule.pnode_inserts,
-            ..Default::default()
-        };
-        for aid in &rule.alphas {
-            let a = self.alpha(*aid);
-            s.alpha_entries += a.len();
-            s.alpha_bytes += a.heap_size();
-            s.alpha_tests += a.counters.tests.get();
-            s.alpha_passes += a.counters.passes.get();
-            s.virtual_scans += a.counters.virtual_scans.get();
-            s.virtual_scanned_tuples += a.counters.scanned_tuples.get();
-            s.index_probes += a.counters.index_probes.get();
-            s.index_hits += a.counters.index_hits.get();
-            s.indexed_candidates += a.counters.indexed_candidates.get();
-            s.scanned_candidates += a.counters.scanned_candidates.get();
-            s.range_probes += a.counters.range_probes.get();
-            s.range_hits += a.counters.range_hits.get();
-            if a.kind == AlphaKind::Virtual {
-                s.virtual_join_candidates += a.counters.join_candidates.get();
-            } else {
-                s.stored_join_candidates += a.counters.join_candidates.get();
-            }
-        }
-        for b in &rule.betas {
-            s.beta_bytes += b.heap_size();
-            s.beta_probes += b.probes.get();
-            s.beta_hits += b.hits.get();
-        }
-        Some(s)
+            beta_bytes,
+            beta_probes,
+            beta_hits,
+            ..alphas.rule_alphas()
+        })
     }
 
     /// Aggregate statistics across the network (same surface as
@@ -1134,41 +1025,17 @@ impl ReteNetwork {
             selnet_candidates,
             islist_stabs: stab.stabs.get(),
             islist_nodes_visited: stab.nodes_visited.get(),
-            ..Default::default()
+            ..NetworkStats::of_alphas(self.alphas.iter().flatten())
         };
-        for a in self.alphas.iter().flatten() {
-            s.alpha_nodes += 1;
-            if a.kind == AlphaKind::Virtual {
-                s.virtual_alpha_nodes += 1;
-            }
-            s.alpha_entries += a.len();
-            s.alpha_bytes += a.heap_size();
-            s.alpha_tests += a.counters.tests.get();
-            s.alpha_passes += a.counters.passes.get();
-            s.virtual_scans += a.counters.virtual_scans.get();
-            s.virtual_scanned_tuples += a.counters.scanned_tuples.get();
-            s.index_probes += a.counters.index_probes.get();
-            s.index_hits += a.counters.index_hits.get();
-            s.indexed_candidates += a.counters.indexed_candidates.get();
-            s.scanned_candidates += a.counters.scanned_candidates.get();
-            s.range_probes += a.counters.range_probes.get();
-            s.range_hits += a.counters.range_hits.get();
-            if a.kind == AlphaKind::Virtual {
-                s.virtual_join_candidates += a.counters.join_candidates.get();
-            } else {
-                s.stored_join_candidates += a.counters.join_candidates.get();
-            }
-        }
         for r in self.rules.values() {
             s.pnode_rows += r.pnode.len();
             s.pnode_bytes += r.pnode.heap_size();
             s.join_probes += r.join_probes;
             s.pnode_inserts += r.pnode_inserts;
-            for b in &r.betas {
-                s.beta_bytes += b.heap_size();
-                s.beta_probes += b.probes.get();
-                s.beta_hits += b.hits.get();
-            }
+            let (bytes, probes, hits) = r.beta_totals();
+            s.beta_bytes += bytes;
+            s.beta_probes += probes;
+            s.beta_hits += hits;
         }
         s
     }
@@ -1197,11 +1064,7 @@ impl ReteNetwork {
     /// Rete-specific storage cost). The last β level duplicates the P-node
     /// by construction.
     pub fn beta_bytes(&self) -> usize {
-        self.rules
-            .values()
-            .flat_map(|r| r.betas.iter())
-            .map(BetaMemory::heap_size)
-            .sum()
+        self.rules.values().map(|r| r.beta_totals().0).sum()
     }
 
     /// Total bytes held in α-memories, entries and indexes both.
@@ -1269,9 +1132,7 @@ mod tests {
     }
 
     fn nested() -> ReteNetwork {
-        let mut n = ReteNetwork::new();
-        n.set_mode(ReteMode::Nested);
-        n
+        ReteNetwork::with_policy(VirtualPolicy::AllStored, JoinAccess::Nested)
     }
 
     #[test]
@@ -1549,10 +1410,9 @@ mod tests {
 
     #[test]
     fn rete_self_join() {
-        for mode in [ReteMode::Indexed, ReteMode::Nested] {
+        for mode in [JoinAccess::Composite, JoinAccess::Nested] {
             let mut cat = catalog();
-            let mut net = ReteNetwork::new();
-            net.set_mode(mode);
+            let mut net = ReteNetwork::with_policy(VirtualPolicy::AllStored, mode);
             net.add_rule(
                 RuleId(1),
                 &rcond(&cat, "a.dno = b.dno", &[("a", "emp"), ("b", "emp")]),
@@ -1592,6 +1452,30 @@ mod tests {
             .unwrap();
         let mut net = ReteNetwork::new();
         assert!(net.add_rule(RuleId(1), &rc, &cat).is_err());
+    }
+
+    /// Join bitmasks cap a rule at 64 tuple variables: both networks
+    /// refuse a 65-variable condition with an error instead of panicking
+    /// (or, in a release build, wrapping the masks).
+    #[test]
+    fn both_networks_reject_more_than_64_variables() {
+        use crate::treat::Network;
+        let cat = catalog();
+        let names: Vec<String> = (0..65).map(|i| format!("e{i}")).collect();
+        let from: Vec<(&str, &str)> = names.iter().map(|n| (n.as_str(), "emp")).collect();
+        let qual = (1..65)
+            .map(|i| format!("e{}.sal = e{i}.sal", i - 1))
+            .collect::<Vec<_>>()
+            .join(" and ");
+        let rc = rcond(&cat, &qual, &from);
+        assert_eq!(rc.spec.vars.len(), 65);
+        let treat = Network::new().add_rule(RuleId(1), &rc, &VirtualPolicy::AllStored, &cat);
+        assert!(treat.is_err(), "TREAT refuses 65 variables");
+        for access in [JoinAccess::Composite, JoinAccess::Nested] {
+            let mut rete = ReteNetwork::with_policy(VirtualPolicy::AllStored, access);
+            assert!(rete.add_rule(RuleId(1), &rc, &cat).is_err(), "{access:?}");
+            assert!(rete.pnode(RuleId(1)).is_none(), "nothing compiled");
+        }
     }
 
     /// The stats surface the engine's metrics export reads.
@@ -1717,7 +1601,7 @@ mod virtual_tests {
             .add_rule(RuleId(1), &rcond(&cat_a, qual, &[]), &cat_a)
             .unwrap();
         classic.prime(RuleId(1), &cat_a).unwrap();
-        let mut virt = ReteNetwork::with_policy(VirtualPolicy::AllVirtual);
+        let mut virt = ReteNetwork::with_policy(VirtualPolicy::AllVirtual, JoinAccess::Composite);
         virt.add_rule(RuleId(1), &rcond(&cat_b, qual, &[]), &cat_b)
             .unwrap();
         virt.prime(RuleId(1), &cat_b).unwrap();
@@ -1766,7 +1650,7 @@ mod virtual_tests {
     /// (the §1 claim, batch form), in both join modes.
     #[test]
     fn virtual_rete_self_join_batch() {
-        for mode in [ReteMode::Indexed, ReteMode::Nested] {
+        for mode in [JoinAccess::Composite, JoinAccess::Nested] {
             for policy in [
                 VirtualPolicy::AllStored,
                 VirtualPolicy::AllVirtual,
@@ -1774,8 +1658,7 @@ mod virtual_tests {
                 VirtualPolicy::ExplicitVars(HashSet::from([1])),
             ] {
                 let mut cat = catalog();
-                let mut net = ReteNetwork::with_policy(policy.clone());
-                net.set_mode(mode);
+                let mut net = ReteNetwork::with_policy(policy.clone(), mode);
                 net.add_rule(
                     RuleId(1),
                     &rcond(&cat, "a.dno = b.dno", &[("a", "emp"), ("b", "emp")]),
@@ -1814,7 +1697,7 @@ mod virtual_tests {
             .unwrap()
             .insert(vec![1i64.into(), 2i64.into()])
             .unwrap();
-        let mut net = ReteNetwork::with_policy(VirtualPolicy::AllVirtual);
+        let mut net = ReteNetwork::with_policy(VirtualPolicy::AllVirtual, JoinAccess::Composite);
         net.add_rule(
             RuleId(1),
             &rcond(&cat, "emp.sal > 10 and emp.dno = dept.dno", &[]),
@@ -1838,7 +1721,7 @@ mod virtual_tests {
         }
         let policy = VirtualPolicy::SelectivityThreshold(0.6);
         let check = |qual: &str, from: &[(&str, &str)], expect: &[AlphaKind]| {
-            let mut rete = ReteNetwork::with_policy(policy.clone());
+            let mut rete = ReteNetwork::with_policy(policy.clone(), JoinAccess::Composite);
             rete.add_rule(RuleId(1), &rcond(&cat, qual, from), &cat)
                 .unwrap();
             let mut treat = Network::new();

@@ -49,7 +49,7 @@ use crate::alpha::{
 };
 use crate::conflict::ConflictSet;
 use crate::key::{KeyBuilder, SmallKey};
-use crate::plan::{BandSpec, CompositeSpec, JoinPlan};
+use crate::plan::{BandSpec, CompositeSpec, JoinAccess, JoinPlan, RuleShape, MAX_RULE_VARS};
 use crate::pred::SelectionPredicate;
 use crate::selnet::SelectionNetwork;
 use crate::store::Store;
@@ -89,9 +89,6 @@ pub enum VirtualPolicy {
 struct RuleVar {
     alpha: AlphaId,
 }
-
-/// Join bitmasks give a rule at most this many tuple variables.
-const MAX_RULE_VARS: usize = 64;
 
 /// A compiled rule: its α-nodes, join conjuncts, and P-node.
 #[derive(Debug)]
@@ -274,6 +271,60 @@ pub struct NetworkStats {
     pub beta_hits: u64,
 }
 
+impl NetworkStats {
+    /// The α half of the statistics, summed over `alphas`: node counts,
+    /// entries, bytes and every always-on α counter. Both networks build
+    /// both of their stats surfaces on it.
+    pub(crate) fn of_alphas<'a>(alphas: impl IntoIterator<Item = &'a AlphaNode>) -> NetworkStats {
+        let mut s = NetworkStats::default();
+        for a in alphas {
+            let c = &a.counters;
+            s.alpha_nodes += 1;
+            s.alpha_entries += a.len();
+            s.alpha_bytes += a.heap_size();
+            s.alpha_tests += c.tests.get();
+            s.alpha_passes += c.passes.get();
+            s.virtual_scans += c.virtual_scans.get();
+            s.virtual_scanned_tuples += c.scanned_tuples.get();
+            s.index_probes += c.index_probes.get();
+            s.index_hits += c.index_hits.get();
+            s.indexed_candidates += c.indexed_candidates.get();
+            s.scanned_candidates += c.scanned_candidates.get();
+            s.range_probes += c.range_probes.get();
+            s.range_hits += c.range_hits.get();
+            if a.kind == AlphaKind::Virtual {
+                s.virtual_alpha_nodes += 1;
+                s.virtual_join_candidates += c.join_candidates.get();
+            } else {
+                s.stored_join_candidates += c.join_candidates.get();
+            }
+        }
+        s
+    }
+
+    /// The α fields of one rule's [`RuleStats`], from
+    /// [`Self::of_alphas`] over that rule's nodes.
+    pub(crate) fn rule_alphas(&self) -> RuleStats {
+        RuleStats {
+            alpha_entries: self.alpha_entries,
+            alpha_bytes: self.alpha_bytes,
+            alpha_tests: self.alpha_tests,
+            alpha_passes: self.alpha_passes,
+            virtual_scans: self.virtual_scans,
+            virtual_scanned_tuples: self.virtual_scanned_tuples,
+            stored_join_candidates: self.stored_join_candidates,
+            virtual_join_candidates: self.virtual_join_candidates,
+            index_probes: self.index_probes,
+            index_hits: self.index_hits,
+            indexed_candidates: self.indexed_candidates,
+            scanned_candidates: self.scanned_candidates,
+            range_probes: self.range_probes,
+            range_hits: self.range_hits,
+            ..RuleStats::default()
+        }
+    }
+}
+
 /// The A-TREAT network: selection layer, α-memories, and P-nodes for every
 /// activated rule.
 ///
@@ -303,7 +354,7 @@ pub struct NetworkStats {
 ///     .unwrap();
 /// assert_eq!(net.pnode(RuleId(1)).unwrap().len(), 1);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Network {
     alphas: Vec<Option<AlphaNode>>,
     free: Vec<usize>,
@@ -328,16 +379,8 @@ pub struct Network {
     dynamic_rules: Vec<usize>,
     /// Always-on counter: tokens pushed through [`Self::process_batch`].
     tokens_processed: u64,
-    /// Whether β-joins may probe indexes — α-memory hash join indexes on
-    /// stored/dynamic nodes and base-relation indexes on virtual nodes.
-    /// On by default; the equivalence oracle and the `joins` bench turn it
-    /// off to get the paper's plain nested-loop join.
-    join_indexing: bool,
-    /// Whether equi-conjuncts sharing a bound-variable set are fused into
-    /// composite (multi-attribute) keys. Off = one single-attribute access
-    /// path per conjunct, probe-then-retest. Only meaningful while
-    /// `join_indexing` is on; the joins bench ablates it.
-    composite_keys: bool,
+    /// The access paths every rule's plan may hold, fixed at construction.
+    access: JoinAccess,
     /// Selection-network probe timing; `Some` exactly while the timing
     /// tier is on, when every node and rule carries its own histograms.
     selnet_probe: Option<Histogram>,
@@ -370,21 +413,42 @@ impl Scratch {
     }
 }
 
-/// The [`VirtualPolicy::SelectivityThreshold`] estimate, shared by both
-/// networks (TREAT calls it from `should_virtualize`; the Rete
-/// network threads the catalog through `add_rule` to reach it, so the
-/// threshold policy picks the same memories on both sides). Virtual iff
-/// the predicate currently matches more than `threshold` of its relation
-/// — refined, when join indexing is on and an equi access path exists, to
+impl VirtualPolicy {
+    /// Whether variable `var`'s eligible α-memory — selection `pred` over
+    /// `rel`, equi access paths `composite` — is virtual under this
+    /// policy. Both networks decide with it (the Rete network threads the
+    /// catalog through `add_rule` for the threshold estimate), so a policy
+    /// picks the same memories on both sides.
+    pub(crate) fn virtualizes(
+        &self,
+        var: usize,
+        pred: &SelectionPredicate,
+        rel: RelId,
+        catalog: &Catalog,
+        composite: &[CompositeSpec],
+    ) -> bool {
+        match self {
+            VirtualPolicy::AllStored => false,
+            VirtualPolicy::AllVirtual => true,
+            VirtualPolicy::ExplicitVars(set) => set.contains(&var),
+            VirtualPolicy::SelectivityThreshold(threshold) => {
+                selectivity_virtualize(pred, rel, *threshold, catalog, composite)
+            }
+        }
+    }
+}
+
+/// The [`VirtualPolicy::SelectivityThreshold`] estimate. Virtual iff the
+/// predicate currently matches more than `threshold` of its relation —
+/// refined, when the plan gives the memory an equi access path, to
 /// compare the *expected bucket size* a join index would serve instead of
 /// the raw match share.
-pub(crate) fn selectivity_virtualize(
+fn selectivity_virtualize(
     pred: &SelectionPredicate,
     rel: RelId,
     threshold: f64,
     catalog: &Catalog,
     composite: &[CompositeSpec],
-    join_indexing: bool,
 ) -> bool {
     let Some(rel_b) = catalog.rel(rel) else {
         return false;
@@ -413,7 +477,7 @@ pub(crate) fn selectivity_virtualize(
     // the whole memory — compare the *expected bucket size* to the
     // threshold instead of the raw match share. No usable equi index →
     // virtual, as before.
-    if !join_indexing || composite.is_empty() {
+    if composite.is_empty() {
         return true;
     }
     let min_bucket = composite
@@ -450,6 +514,45 @@ pub(crate) fn live_rel(catalog: &Catalog, rel: RelId) -> QueryResult<&Relation> 
     catalog
         .rel(rel)
         .ok_or_else(|| StorageError::NoSuchRelation(rel.to_string()).into())
+}
+
+/// Put `node` in a free slot of a network's α-node table (`alphas`, with
+/// its free list `free`), or in a new one.
+pub(crate) fn alloc_alpha(
+    alphas: &mut Vec<Option<AlphaNode>>,
+    free: &mut Vec<usize>,
+    node: AlphaNode,
+) -> AlphaId {
+    match free.pop() {
+        Some(i) => {
+            alphas[i] = Some(node);
+            AlphaId(i)
+        }
+        None => {
+            alphas.push(Some(node));
+            AlphaId(alphas.len() - 1)
+        }
+    }
+}
+
+/// What priming puts in stored α-memory `a`: every tuple of its relation
+/// that its predicate admits (one single-variable query).
+pub(crate) fn primed_entries(
+    a: &AlphaNode,
+    catalog: &Catalog,
+) -> QueryResult<Vec<(Tid, AlphaEntry)>> {
+    Ok(live_rel(catalog, a.rel)?
+        .scan()
+        .filter(|(_, t)| a.pred_matches(t, None))
+        .map(|(tid, t)| {
+            let entry = AlphaEntry {
+                tid: Some(tid),
+                tuple: t.clone(),
+                prev: None,
+            };
+            (tid, entry)
+        })
+        .collect())
 }
 
 /// The batch pending set: per relation slot, tid → positive tokens of
@@ -517,60 +620,20 @@ struct Join<'a> {
     pending: &'a Pending,
 }
 
-impl Default for Network {
-    fn default() -> Self {
-        Network {
-            alphas: Vec::new(),
-            free: Vec::new(),
-            selnet: SelectionNetwork::default(),
-            store: Store::default(),
-            rules: Vec::new(),
-            free_rules: Vec::new(),
-            rule_slots: FxHashMap::default(),
-            pending: Pending::default(),
-            conflict: ConflictSet::default(),
-            dynamic_alphas: Vec::new(),
-            dynamic_rules: Vec::new(),
-            tokens_processed: 0,
-            join_indexing: true,
-            composite_keys: true,
-            selnet_probe: None,
-            trace: None,
-            scratch: Scratch::default(),
-        }
-    }
-}
-
 impl Network {
-    /// New empty network.
+    /// New empty network whose joins take every access path
+    /// ([`JoinAccess::Composite`]).
     pub fn new() -> Self {
         Network::default()
     }
 
-    /// Enable or disable join indexing (on by default). Affects rules
-    /// compiled *after* the call: with indexing off, α-memories register
-    /// no join indexes and β-joins fall back to pure nested-loop
-    /// enumeration.
-    pub fn set_join_indexing(&mut self, on: bool) {
-        self.join_indexing = on;
-    }
-
-    /// Whether join indexing is enabled.
-    pub fn join_indexing(&self) -> bool {
-        self.join_indexing
-    }
-
-    /// Enable or disable composite join keys (on by default). Like
-    /// [`Self::set_join_indexing`], this affects rules compiled *after*
-    /// the call: with composite keys off, every equi-conjunct compiles to
-    /// its own single-attribute access path (PR 2's probe-then-retest).
-    pub fn set_composite_keys(&mut self, on: bool) {
-        self.composite_keys = on;
-    }
-
-    /// Whether composite join keys are enabled.
-    pub fn composite_keys(&self) -> bool {
-        self.composite_keys
+    /// New empty network whose rules plan their joins under `access`:
+    /// [`JoinAccess::Nested`] is the paper's plain nested-loop TREAT.
+    pub fn with_access(access: JoinAccess) -> Self {
+        Network {
+            access,
+            ..Network::default()
+        }
     }
 
     /// Enable or disable the gated timing tier. Enabling gives the
@@ -664,49 +727,26 @@ impl Network {
                 "rule {id} already in network"
             )));
         }
-        let nvars = cond.spec.vars.len();
-        if nvars > MAX_RULE_VARS {
-            return Err(QueryError::Semantic(format!(
-                "a rule condition has at most {MAX_RULE_VARS} tuple variables"
-            )));
-        }
-        let rels = compile_rels(cond, catalog, &self.selnet)?;
+        // selections, join conjuncts and the join plan (`crate::plan`,
+        // shared with the Rete network)
+        let RuleShape {
+            rels,
+            preds,
+            join_conjuncts,
+            plan,
+        } = RuleShape::compile(cond, catalog, &self.selnet, self.access)?;
+        let nvars = rels.len();
         let rule_slot = self.free_rules.pop().unwrap_or_else(|| {
             self.rules.push(None);
             self.rules.len() - 1
         });
         let single = nvars == 1;
-        // split the qualification into per-variable selections and joins
-        let conjuncts: Vec<RExpr> = cond
-            .spec
-            .qual
-            .clone()
-            .map(|q| q.conjuncts())
-            .unwrap_or_default();
-        let mut selections: Vec<Vec<RExpr>> = vec![Vec::new(); nvars];
-        let mut join_conjuncts = Vec::new();
-        for c in conjuncts {
-            let used = c.vars_used();
-            if used.len() == 1 {
-                // remap to variable 0 for single-tuple evaluation
-                selections[used[0]].push(c.remap_vars(&|_| 0));
-            } else {
-                join_conjuncts.push(c);
-            }
-        }
-        // compile-time join plan (shared with the indexed Rete network —
-        // see `crate::plan`): per-conjunct variable bitmasks, the
-        // equi-probe decomposition of every (variable, conjunct) pair, and
-        // the composite/band access paths built from them
-        let plan = JoinPlan::compile(&join_conjuncts, nvars, self.composite_keys);
-
         let mut vars = Vec::with_capacity(nvars);
         let mut cols = Vec::with_capacity(nvars);
         let mut dynamic = false;
-        for (v, binding) in cond.spec.vars.iter().enumerate() {
+        for ((v, binding), pred) in cond.spec.vars.iter().enumerate().zip(preds) {
             let is_on = cond.on_var == Some(v);
             let is_trans = cond.trans_vars.contains(&v);
-            let pred = SelectionPredicate::decompose(std::mem::take(&mut selections[v]));
             let kind = match (single, is_on, is_trans) {
                 (true, true, _) => AlphaKind::SimpleOn,
                 (true, false, true) => AlphaKind::SimpleTrans,
@@ -714,14 +754,7 @@ impl Network {
                 (false, true, _) => AlphaKind::DynamicOn,
                 (false, false, true) => AlphaKind::DynamicTrans,
                 (false, false, false) => {
-                    if self.should_virtualize(
-                        v,
-                        &pred,
-                        rels[v],
-                        policy,
-                        catalog,
-                        &plan.composite[v],
-                    ) {
+                    if policy.virtualizes(v, &pred, rels[v], catalog, &plan.composite[v]) {
                         AlphaKind::Virtual
                     } else {
                         AlphaKind::Stored
@@ -740,11 +773,12 @@ impl Network {
             let mut node = AlphaNode::new(id, v, rels[v], kind, pred, event);
             node.rule_slot = rule_slot;
             node.timing = self.observing().then(Box::default);
-            if self.join_indexing && kind.stores_entries() {
+            if kind.stores_entries() {
                 // register one hash index per composite access path and one
                 // interval index per band shape, so β-joins can probe (or
-                // stab) instead of enumerating. A stored memory shares its
-                // relation's hash indexes; a dynamic one keeps its own
+                // stab) instead of enumerating (a nested plan has neither).
+                // A stored memory shares its relation's hash indexes; a
+                // dynamic one keeps its own
                 if kind == AlphaKind::Stored {
                     if !plan.composite[v].is_empty() {
                         let slot = self.store.slot(rels[v]);
@@ -770,7 +804,7 @@ impl Network {
                 kind != AlphaKind::Stored || !node.has_join_indexes(),
                 "stored memories index through the shared store"
             );
-            let alpha_id = self.alloc_alpha(node);
+            let alpha_id = alloc_alpha(&mut self.alphas, &mut self.free, node);
             // anchor goes into the selection network unless unsatisfiable
             let node = self.alpha(alpha_id);
             let anchor = if node.pred.unsatisfiable {
@@ -814,43 +848,6 @@ impl Network {
         Ok(())
     }
 
-    fn should_virtualize(
-        &self,
-        var: usize,
-        pred: &SelectionPredicate,
-        rel: RelId,
-        policy: &VirtualPolicy,
-        catalog: &Catalog,
-        composite: &[CompositeSpec],
-    ) -> bool {
-        match policy {
-            VirtualPolicy::AllStored => false,
-            VirtualPolicy::AllVirtual => true,
-            VirtualPolicy::ExplicitVars(set) => set.contains(&var),
-            VirtualPolicy::SelectivityThreshold(threshold) => selectivity_virtualize(
-                pred,
-                rel,
-                *threshold,
-                catalog,
-                composite,
-                self.join_indexing,
-            ),
-        }
-    }
-
-    fn alloc_alpha(&mut self, node: AlphaNode) -> AlphaId {
-        match self.free.pop() {
-            Some(i) => {
-                self.alphas[i] = Some(node);
-                AlphaId(i)
-            }
-            None => {
-                self.alphas.push(Some(node));
-                AlphaId(self.alphas.len() - 1)
-            }
-        }
-    }
-
     /// Remove a rule and its α-nodes.
     pub fn remove_rule(&mut self, id: RuleId) {
         let Some(slot) = self.rule_slots.remove(&id.0) else {
@@ -888,31 +885,11 @@ impl Network {
         // stored α-memories: one single-variable query each
         let alpha_ids: Vec<AlphaId> = rule.vars.iter().map(|v| v.alpha).collect();
         for aid in alpha_ids {
-            let (rel, is_stored) = {
-                let a = self.alpha(aid);
-                (a.rel, a.kind == AlphaKind::Stored)
-            };
-            if !is_stored {
+            let a = self.alpha(aid);
+            if a.kind != AlphaKind::Stored {
                 continue;
             }
-            let rel_ref = live_rel(catalog, rel)?;
-            let entries: Vec<(Tid, AlphaEntry)> = {
-                let a = self.alpha(aid);
-                rel_ref
-                    .scan()
-                    .filter(|(_, t)| a.pred_matches(t, None))
-                    .map(|(tid, t)| {
-                        (
-                            tid,
-                            AlphaEntry {
-                                tid: Some(tid),
-                                tuple: t.clone(),
-                                prev: None,
-                            },
-                        )
-                    })
-                    .collect()
-            };
+            let entries = primed_entries(a, catalog)?;
             let a = self.alphas[aid.0].as_mut().expect("live alpha");
             for (tid, e) in entries {
                 self.store.insert(a, tid, e);
@@ -1224,9 +1201,6 @@ impl Network {
         row: &Row,
         has_index: &dyn Fn(usize) -> bool,
     ) -> Option<(usize, usize, Value)> {
-        if !self.join_indexing {
-            return None;
-        }
         rule.plan.equi[var]
             .iter()
             .enumerate()
@@ -1257,9 +1231,6 @@ impl Network {
         row: &Row,
         alpha: &AlphaNode,
     ) -> Option<(&'r CompositeSpec, SmallKey)> {
-        if !self.join_indexing {
-            return None;
-        }
         rule.plan.composite[var].iter().find_map(|spec| {
             if spec.others_mask & !bound != 0 || !self.has_join_index(alpha, &spec.attrs) {
                 return None;
@@ -1308,9 +1279,6 @@ impl Network {
         row: &Row,
         alpha: &AlphaNode,
     ) -> Option<(&'r BandSpec, Value)> {
-        if !self.join_indexing {
-            return None;
-        }
         rule.plan.bands[var].iter().find_map(|spec| {
             if spec.others_mask & !bound != 0 || !alpha.has_range_index(&spec.shape) {
                 return None;
@@ -1571,9 +1539,6 @@ impl Network {
                     return 0;
                 };
                 let n = rel_b.len();
-                if !self.join_indexing {
-                    return n;
-                }
                 rule.plan.equi[var]
                     .iter()
                     .flatten()
@@ -1585,8 +1550,8 @@ impl Network {
                     .unwrap_or(n)
             }
             _ => {
-                // an unindexed memory (or join_indexing off) has no
-                // registered indexes and falls through to its full size
+                // an unindexed memory (a nested plan registers none)
+                // falls through to its full size
                 let estimate = match alpha.store_slot {
                     Some(slot) => rule.plan.composite[var]
                         .iter()
@@ -1744,41 +1709,22 @@ impl Network {
     /// Memory statistics for one rule.
     pub fn rule_stats(&self, id: RuleId) -> Option<RuleStats> {
         let rule = self.rule(id)?;
-        let mut s = RuleStats {
+        let alphas = NetworkStats::of_alphas(rule.vars.iter().map(|v| self.alpha(v.alpha)));
+        Some(RuleStats {
             pnode_rows: rule.pnode.len(),
             pnode_bytes: rule.pnode.heap_size(),
             tokens_in: rule.tokens_in,
             join_probes: rule.join_probes,
             pnode_inserts: rule.pnode_inserts,
-            ..Default::default()
-        };
-        for v in &rule.vars {
-            let a = self.alpha(v.alpha);
-            s.alpha_entries += a.len();
-            s.alpha_bytes += a.heap_size();
-            s.alpha_tests += a.counters.tests.get();
-            s.alpha_passes += a.counters.passes.get();
-            s.virtual_scans += a.counters.virtual_scans.get();
-            s.virtual_scanned_tuples += a.counters.scanned_tuples.get();
-            s.index_probes += a.counters.index_probes.get();
-            s.index_hits += a.counters.index_hits.get();
-            s.indexed_candidates += a.counters.indexed_candidates.get();
-            s.scanned_candidates += a.counters.scanned_candidates.get();
-            s.range_probes += a.counters.range_probes.get();
-            s.range_hits += a.counters.range_hits.get();
-            if a.kind == AlphaKind::Virtual {
-                s.virtual_join_candidates += a.counters.join_candidates.get();
-            } else {
-                s.stored_join_candidates += a.counters.join_candidates.get();
-            }
-        }
-        Some(s)
+            ..alphas.rule_alphas()
+        })
     }
 
     /// Aggregate statistics across the network.
     pub fn stats(&self) -> NetworkStats {
         let (selnet_probes, selnet_candidates) = self.selnet.probe_counts();
         let stab = self.selnet.stab_stats();
+        let alphas = NetworkStats::of_alphas(self.alphas.iter().flatten());
         let mut s = NetworkStats {
             rules: self.rule_count(),
             selnet_bytes: self.selnet.approx_size_bytes(),
@@ -1787,32 +1733,10 @@ impl Network {
             selnet_candidates,
             islist_stabs: stab.stabs.get(),
             islist_nodes_visited: stab.nodes_visited.get(),
-            alpha_bytes: self.store.bytes(),
-            ..Default::default()
+            // the shared per-relation indexes, counted once
+            alpha_bytes: self.store.bytes() + alphas.alpha_bytes,
+            ..alphas
         };
-        for a in self.alphas.iter().flatten() {
-            s.alpha_nodes += 1;
-            if a.kind == AlphaKind::Virtual {
-                s.virtual_alpha_nodes += 1;
-            }
-            s.alpha_entries += a.len();
-            s.alpha_bytes += a.heap_size();
-            s.alpha_tests += a.counters.tests.get();
-            s.alpha_passes += a.counters.passes.get();
-            s.virtual_scans += a.counters.virtual_scans.get();
-            s.virtual_scanned_tuples += a.counters.scanned_tuples.get();
-            s.index_probes += a.counters.index_probes.get();
-            s.index_hits += a.counters.index_hits.get();
-            s.indexed_candidates += a.counters.indexed_candidates.get();
-            s.scanned_candidates += a.counters.scanned_candidates.get();
-            s.range_probes += a.counters.range_probes.get();
-            s.range_hits += a.counters.range_hits.get();
-            if a.kind == AlphaKind::Virtual {
-                s.virtual_join_candidates += a.counters.join_candidates.get();
-            } else {
-                s.stored_join_candidates += a.counters.join_candidates.get();
-            }
-        }
         for r in self.rules.iter().flatten() {
             s.pnode_rows += r.pnode.len();
             s.pnode_bytes += r.pnode.heap_size();
@@ -1985,33 +1909,6 @@ impl Network {
 /// the rule's multi-variable join conjunct count (see
 /// [`Network::rule_topology`]).
 pub type RuleTopology = (Vec<(String, String, AlphaKind)>, usize);
-
-/// The id of every variable's relation, once per rule at compile time —
-/// the only name lookups a rule costs the network. Errors if a relation
-/// is gone, or its slot is still subscribed under an earlier generation.
-pub(crate) fn compile_rels(
-    cond: &ResolvedCondition,
-    catalog: &Catalog,
-    selnet: &SelectionNetwork,
-) -> QueryResult<Vec<RelId>> {
-    cond.spec
-        .vars
-        .iter()
-        .map(|binding| {
-            let rel = catalog.id(&binding.rel).ok_or_else(|| {
-                QueryError::from(StorageError::NoSuchRelation(binding.rel.clone()))
-            })?;
-            if !selnet.accepts(rel) {
-                return Err(QueryError::Semantic(format!(
-                    "relation `{}` was re-created while rules compiled against it \
-                     are still in the network",
-                    binding.rel
-                )));
-            }
-            Ok(rel)
-        })
-        .collect()
-}
 
 fn resolve_event(kind: &EventKind, schema: &SchemaRef) -> EventReq {
     match kind {
@@ -2725,9 +2622,8 @@ mod tests {
     fn indexed_join_matches_nested_loop_and_counts_probes() {
         let mut cat = paper_catalog();
         populate_sales_clerk(&mut cat);
-        let build = |indexing: bool| {
-            let mut net = Network::new();
-            net.set_join_indexing(indexing);
+        let build = |access: JoinAccess| {
+            let mut net = Network::with_access(access);
             net.add_rule(
                 RuleId(1),
                 &sales_clerk_cond(&cat),
@@ -2738,8 +2634,8 @@ mod tests {
             net.prime(RuleId(1), &cat).unwrap();
             net
         };
-        let mut indexed = build(true);
-        let mut nested = build(false);
+        let mut indexed = build(JoinAccess::Composite);
+        let mut nested = build(JoinAccess::Nested);
         for i in 0..12 {
             let (tid, t) = insert_emp(&mut cat, &format!("e{i}"), 40_000.0, 1 + (i % 3), 7);
             indexed
@@ -2759,7 +2655,7 @@ mod tests {
         assert!(si.index_probes > 0);
         assert!(si.index_hits > 0);
         assert!(si.indexed_candidates > 0);
-        assert_eq!(sn.index_probes, 0, "indexing off never probes");
+        assert_eq!(sn.index_probes, 0, "a nested plan never probes");
         assert_eq!(sn.indexed_candidates, 0);
         assert!(
             si.stored_join_candidates < sn.stored_join_candidates,
@@ -2784,9 +2680,8 @@ mod tests {
         // key short-circuits to the empty bucket).
         let mut cat = paper_catalog();
         populate_sales_clerk(&mut cat);
-        for indexing in [true, false] {
-            let mut net = Network::new();
-            net.set_join_indexing(indexing);
+        for access in [JoinAccess::Composite, JoinAccess::Nested] {
+            let mut net = Network::with_access(access);
             let rc = cond(&cat, None, "emp.sal > 30000 and emp.dno = dept.dno", &[]);
             net.add_rule(RuleId(1), &rc, &VirtualPolicy::AllStored, &cat)
                 .unwrap();
@@ -2803,11 +2698,7 @@ mod tests {
                 .unwrap();
             let t = rel.get(tid).cloned().unwrap();
             net.process_token(&append_token(tid, t), &cat).unwrap();
-            assert_eq!(
-                net.pnode(RuleId(1)).unwrap().len(),
-                0,
-                "indexing={indexing}"
-            );
+            assert_eq!(net.pnode(RuleId(1)).unwrap().len(), 0, "{access:?}");
             cat.get_mut("emp").unwrap().delete(tid).unwrap();
         }
     }

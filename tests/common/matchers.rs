@@ -1,27 +1,20 @@
 //! The matchers the oracle suites drive side by side — the A-TREAT
-//! network under a virtual policy and the Rete comparison network in a
-//! join mode — plus the canonical form of a P-node and the from-scratch
-//! evaluation it is compared with.
+//! network and the Rete comparison network, each under a virtual policy
+//! and a join access — plus the canonical form of a P-node and the
+//! from-scratch evaluation it is compared with.
 
-use ariel::network::{Network, NetworkStats, ReteMode, ReteNetwork, RuleId, Token, VirtualPolicy};
+use ariel::network::{
+    JoinAccess, Network, NetworkStats, ReteNetwork, RuleId, Token, VirtualPolicy,
+};
 use ariel::query::{run_plan, ExecCtx, Optimizer, Pnode, ResolvedCondition};
 use ariel::storage::Catalog;
 
-/// Which matcher a stream runs against.
+/// Which matcher a stream runs against, and how its joins reach their
+/// memories.
 #[derive(Debug, Clone)]
 pub enum Config {
-    Treat(VirtualPolicy),
-    /// TREAT with its join access paths ablated: `indexing` off joins by
-    /// nested loops, `composite` off probes one attribute of a
-    /// multi-conjunct equi-join and re-tests the rest. Only
-    /// `network_equivalence.rs` ablates them.
-    #[allow(dead_code)]
-    TreatJoins {
-        policy: VirtualPolicy,
-        indexing: bool,
-        composite: bool,
-    },
-    Rete(VirtualPolicy, ReteMode),
+    Treat(VirtualPolicy, JoinAccess),
+    Rete(VirtualPolicy, JoinAccess),
 }
 
 pub enum Net {
@@ -33,26 +26,17 @@ impl Net {
     /// Compile and prime `conds` as rules `0..` on the configured matcher.
     pub fn build(config: &Config, conds: &[ResolvedCondition], cat: &Catalog) -> Net {
         let id = |i: usize| RuleId(i as u64);
-        let treat = |policy: &VirtualPolicy, indexing: bool, composite: bool| {
-            let mut n = Network::new();
-            n.set_join_indexing(indexing);
-            n.set_composite_keys(composite);
-            for (i, c) in conds.iter().enumerate() {
-                n.add_rule(id(i), c, policy, cat).unwrap();
-                n.prime(id(i), cat).unwrap();
-            }
-            Net::Treat(Box::new(n))
-        };
         match config {
-            Config::Treat(policy) => treat(policy, true, true),
-            Config::TreatJoins {
-                policy,
-                indexing,
-                composite,
-            } => treat(policy, *indexing, *composite),
-            Config::Rete(policy, mode) => {
-                let mut n = ReteNetwork::with_policy(policy.clone());
-                n.set_mode(*mode);
+            Config::Treat(policy, access) => {
+                let mut n = Network::with_access(*access);
+                for (i, c) in conds.iter().enumerate() {
+                    n.add_rule(id(i), c, policy, cat).unwrap();
+                    n.prime(id(i), cat).unwrap();
+                }
+                Net::Treat(Box::new(n))
+            }
+            Config::Rete(policy, access) => {
+                let mut n = ReteNetwork::with_policy(policy.clone(), *access);
                 for (i, c) in conds.iter().enumerate() {
                     n.add_rule(id(i), c, cat).unwrap();
                     n.prime(id(i), cat).unwrap();

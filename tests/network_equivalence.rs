@@ -5,10 +5,10 @@
 //! Two levels. Engine-level tests run a randomized command stream against
 //! engines configured differently and compare final database states. The
 //! network-level tests feed the same streams, transition by transition,
-//! to the A-TREAT `Network` under several virtual policies and join access
-//! paths and to the `ReteNetwork` comparison baseline in both join modes,
-//! and check every P-node against a from-scratch evaluation of its
-//! condition after every transition. Rete, nested-loop joins,
+//! to the A-TREAT `Network` and the `ReteNetwork` comparison baseline,
+//! each under several virtual policies and join accesses, and check
+//! every P-node against a from-scratch evaluation of its condition after
+//! every transition. Rete, nested-loop joins,
 //! single-attribute join keys and the legacy string layout are ablations
 //! of the network and the catalog, not engine options, so their legs live
 //! at that level.
@@ -16,7 +16,7 @@
 #[path = "common/matchers.rs"]
 mod matchers;
 
-use ariel::network::{ReteMode, RuleId, VirtualPolicy};
+use ariel::network::{JoinAccess, RuleId, VirtualPolicy};
 use ariel::query::{parse_command, Command, ResolvedCondition, Resolver};
 use ariel::storage::{AttrDef, Catalog, Schema, Value};
 use ariel::{Ariel, DeltaTracker, EngineOptions};
@@ -378,15 +378,12 @@ impl Networks {
         }
     }
 
-    /// With join indexing on, every join candidate comes from a probe or a
-    /// scan; with it off, nothing is probed.
+    /// Every join candidate comes from a probe or a scan; under a nested
+    /// plan nothing is probed.
     fn assert_join_paths(&self) {
         for (config, net) in &self.nets {
             let s = net.stats();
-            if let Config::TreatJoins {
-                indexing: false, ..
-            } = config
-            {
+            if let Config::Treat(_, JoinAccess::Nested) = config {
                 assert_eq!(
                     s.index_probes + s.range_probes,
                     0,
@@ -402,32 +399,32 @@ impl Networks {
         }
     }
 
-    /// TREAT holds no β state; both Rete modes do, and only the indexed
-    /// one probes it.
+    /// TREAT holds no β state; Rete does under every access, and probes
+    /// it unless its plan is nested.
     fn assert_beta_work(&self) {
         for (config, net) in &self.nets {
             let s = net.stats();
             match config {
-                Config::Treat(_) | Config::TreatJoins { .. } => {
+                Config::Treat(..) => {
                     assert_eq!(s.beta_bytes, 0, "TREAT materializes no β state");
                     assert_eq!(s.beta_probes, 0);
                 }
-                Config::Rete(_, ReteMode::Indexed) => {
+                Config::Rete(_, JoinAccess::Nested) => {
+                    assert!(s.beta_bytes > 0, "Rete holds β state ({config:?})");
+                    assert_eq!(s.beta_probes, 0, "nested Rete never probes");
+                }
+                Config::Rete(..) => {
                     assert!(s.beta_bytes > 0, "Rete holds β state ({config:?})");
                     assert!(s.beta_probes > 0, "indexed Rete probes β ({config:?})");
                     assert!(s.beta_hits <= s.beta_probes);
-                }
-                Config::Rete(_, ReteMode::Nested) => {
-                    assert!(s.beta_bytes > 0, "Rete holds β state ({config:?})");
-                    assert_eq!(s.beta_probes, 0, "nested Rete never probes");
                 }
             }
         }
     }
 }
 
-/// TREAT under every policy, and Rete in both join modes under each
-/// policy Rete honours.
+/// TREAT under every policy, and Rete with composite and nested joins
+/// under each policy Rete honours.
 fn every_matcher() -> Vec<Config> {
     let mut configs = Vec::new();
     for policy in [
@@ -436,9 +433,9 @@ fn every_matcher() -> Vec<Config> {
         VirtualPolicy::SelectivityThreshold(0.3),
         VirtualPolicy::SelectivityThreshold(0.8),
     ] {
-        configs.push(Config::Treat(policy.clone()));
-        configs.push(Config::Rete(policy.clone(), ReteMode::Indexed));
-        configs.push(Config::Rete(policy, ReteMode::Nested));
+        configs.push(Config::Treat(policy.clone(), JoinAccess::Composite));
+        configs.push(Config::Rete(policy.clone(), JoinAccess::Composite));
+        configs.push(Config::Rete(policy, JoinAccess::Nested));
     }
     configs
 }
@@ -472,12 +469,8 @@ fn join_indexing_produces_identical_states() {
         VirtualPolicy::AllVirtual,
         VirtualPolicy::SelectivityThreshold(0.3),
     ] {
-        for indexing in [true, false] {
-            configs.push(Config::TreatJoins {
-                policy: policy.clone(),
-                indexing,
-                composite: true,
-            });
+        for access in [JoinAccess::Composite, JoinAccess::Nested] {
+            configs.push(Config::Treat(policy.clone(), access));
         }
     }
     let mut nets = Networks::new(CHURN_SCHEMA, &CHURN_PATTERN_RULES, &configs, true);
@@ -487,10 +480,10 @@ fn join_indexing_produces_identical_states() {
 }
 
 /// Composite-key and band-join oracle: hash-composite and interval-index
-/// access paths are pure optimizations, so under every (policy, indexing,
-/// composite-keys) configuration the TREAT network holds exactly the
-/// recomputed matches — including null join keys and mixed Int/Float key
-/// components.
+/// access paths are pure optimizations, so under every (policy, join
+/// access) configuration the TREAT network — and Rete probing
+/// single-attribute keys — holds exactly the recomputed matches, including
+/// null join keys and mixed Int/Float key components.
 #[test]
 fn composite_and_band_joins_produce_identical_states() {
     let mut configs = Vec::new();
@@ -500,24 +493,23 @@ fn composite_and_band_joins_produce_identical_states() {
         VirtualPolicy::SelectivityThreshold(0.3),
         VirtualPolicy::SelectivityThreshold(0.8),
     ] {
-        for (indexing, composite) in [(false, true), (true, true), (true, false)] {
-            configs.push(Config::TreatJoins {
-                policy: policy.clone(),
-                indexing,
-                composite,
-            });
+        for access in [
+            JoinAccess::Nested,
+            JoinAccess::Composite,
+            JoinAccess::Single,
+        ] {
+            configs.push(Config::Treat(policy.clone(), access));
         }
     }
+    configs.push(Config::Rete(VirtualPolicy::AllStored, JoinAccess::Single));
     let mut nets = Networks::new(COMPOSITE_BAND_SCHEMA, &COMPOSITE_BAND_RULES, &configs, true);
     nets.run_all(&composite_band_stream(0xBA5EBA11, 140));
     nets.assert_every_rule_matched();
     nets.assert_join_paths();
+    nets.assert_beta_work();
     for (config, net) in &nets.nets {
-        if let Config::TreatJoins {
-            policy: VirtualPolicy::AllStored,
-            indexing: true,
-            ..
-        } = config
+        if let Config::Treat(VirtualPolicy::AllStored, JoinAccess::Composite | JoinAccess::Single) =
+            config
         {
             let s = net.stats();
             assert!(
@@ -593,17 +585,17 @@ fn string_stream(seed: u64, steps: usize) -> Vec<String> {
 }
 
 /// Interning oracle: symbol interning is a pure representation change.
-/// A-TREAT and both Rete modes hold exactly the recomputed matches under
+/// A-TREAT and Rete with composite and nested joins hold exactly the recomputed matches under
 /// either catalog layout — and the same TIDs, since both catalogs see the
 /// same commands.
 #[test]
 fn interning_on_and_off_produce_identical_states() {
     let stream = string_stream(0x1D10_7BEE, 150);
     let configs = [
-        Config::Treat(VirtualPolicy::AllStored),
-        Config::Treat(VirtualPolicy::AllVirtual),
-        Config::Rete(VirtualPolicy::AllStored, ReteMode::Indexed),
-        Config::Rete(VirtualPolicy::AllStored, ReteMode::Nested),
+        Config::Treat(VirtualPolicy::AllStored, JoinAccess::Composite),
+        Config::Treat(VirtualPolicy::AllVirtual, JoinAccess::Composite),
+        Config::Rete(VirtualPolicy::AllStored, JoinAccess::Composite),
+        Config::Rete(VirtualPolicy::AllStored, JoinAccess::Nested),
     ];
     let layouts = [true, false].map(|intern| {
         let mut nets = Networks::new(STRING_SCHEMA, &STRING_RULES, &configs, intern);
@@ -724,7 +716,7 @@ const MINUS_ROUTING_STEPS: [(&str, &[(i64, i64)]); 10] = [
 /// with the value they carry. On the engine — the pattern rules plus an
 /// ON DELETE rule and a `previous` condition on the same relation — every
 /// block adds exactly the audit rows worked out by hand. At network level
-/// the pattern rules run the same blocks on A-TREAT and both Rete modes,
+/// the pattern rules run the same blocks on A-TREAT and Rete with composite and nested joins,
 /// whose P-nodes must equal the recomputed matches after every block.
 #[test]
 fn minus_routing_scenarios_have_exact_outcomes() {
@@ -760,12 +752,12 @@ fn minus_routing_scenarios_have_exact_outcomes() {
     }
 
     let configs = [
-        Config::Treat(VirtualPolicy::AllStored),
-        Config::Treat(VirtualPolicy::AllVirtual),
-        Config::Rete(VirtualPolicy::AllStored, ReteMode::Indexed),
-        Config::Rete(VirtualPolicy::AllStored, ReteMode::Nested),
-        Config::Rete(VirtualPolicy::AllVirtual, ReteMode::Indexed),
-        Config::Rete(VirtualPolicy::AllVirtual, ReteMode::Nested),
+        Config::Treat(VirtualPolicy::AllStored, JoinAccess::Composite),
+        Config::Treat(VirtualPolicy::AllVirtual, JoinAccess::Composite),
+        Config::Rete(VirtualPolicy::AllStored, JoinAccess::Composite),
+        Config::Rete(VirtualPolicy::AllStored, JoinAccess::Nested),
+        Config::Rete(VirtualPolicy::AllVirtual, JoinAccess::Composite),
+        Config::Rete(VirtualPolicy::AllVirtual, JoinAccess::Nested),
     ];
     let mut nets = Networks::new(
         MINUS_ROUTING_SCHEMA,
@@ -785,7 +777,7 @@ fn minus_routing_scenarios_have_exact_outcomes() {
 /// memories at once; the script then moves join keys, and touches one
 /// tuple several times inside a block, while the P-nodes — never drained,
 /// no rule fires here — are compared after every block: stored TREAT vs
-/// all-virtual A-TREAT vs both Rete modes vs a from-scratch evaluation.
+/// all-virtual A-TREAT vs composite and nested Rete vs a from-scratch evaluation.
 #[test]
 fn shared_join_indexes_scripted_blocks_match_across_backends() {
     let rules = [
@@ -800,10 +792,10 @@ fn shared_join_indexes_scripted_blocks_match_across_backends() {
          and x.dno = y.dno from x in emp, y in emp then halt",
     ];
     let configs = [
-        Config::Treat(VirtualPolicy::AllStored),
-        Config::Treat(VirtualPolicy::AllVirtual),
-        Config::Rete(VirtualPolicy::AllStored, ReteMode::Indexed),
-        Config::Rete(VirtualPolicy::AllStored, ReteMode::Nested),
+        Config::Treat(VirtualPolicy::AllStored, JoinAccess::Composite),
+        Config::Treat(VirtualPolicy::AllVirtual, JoinAccess::Composite),
+        Config::Rete(VirtualPolicy::AllStored, JoinAccess::Composite),
+        Config::Rete(VirtualPolicy::AllStored, JoinAccess::Nested),
     ];
     let mut nets = Networks::new(
         "create emp (id = int, sal = int, dno = int, jno = int); \

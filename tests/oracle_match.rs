@@ -2,7 +2,7 @@
 //! after ANY sequence of inserts, deletes and updates, a pattern rule's
 //! P-node must hold exactly the rows a from-scratch evaluation of its
 //! condition produces (incremental match ≡ recompute). Checked for every
-//! virtual-memory policy and for both Rete join modes.
+//! virtual-memory policy and for Rete with composite and nested joins.
 //!
 //! `−` tokens are routed by stabbing the selection network with the value
 //! they carry, so the rule set and the streams lean on what that routing
@@ -15,7 +15,7 @@
 #[path = "common/matchers.rs"]
 mod matchers;
 
-use ariel::network::{ReteMode, RuleId, VirtualPolicy};
+use ariel::network::{JoinAccess, RuleId, VirtualPolicy};
 use ariel::query::Change;
 use ariel::query::{parse_expr, ResolvedCondition, Resolver};
 use ariel::storage::{AttrType, Catalog, Schema, Tid, Value};
@@ -136,14 +136,14 @@ fn apply(cat: &mut Catalog, live: &mut Vec<(String, Tid)>, op: &Op) -> Option<Ch
 }
 
 /// The A-TREAT network under both memory extremes, and the Rete
-/// comparison network in both join modes.
+/// comparison network with composite and nested joins.
 fn all_configs() -> Vec<Config> {
     vec![
-        Config::Treat(VirtualPolicy::AllStored),
-        Config::Treat(VirtualPolicy::AllVirtual),
-        Config::Rete(VirtualPolicy::AllStored, ReteMode::Indexed),
-        Config::Rete(VirtualPolicy::AllStored, ReteMode::Nested),
-        Config::Rete(VirtualPolicy::AllVirtual, ReteMode::Indexed),
+        Config::Treat(VirtualPolicy::AllStored, JoinAccess::Composite),
+        Config::Treat(VirtualPolicy::AllVirtual, JoinAccess::Composite),
+        Config::Rete(VirtualPolicy::AllStored, JoinAccess::Composite),
+        Config::Rete(VirtualPolicy::AllStored, JoinAccess::Nested),
+        Config::Rete(VirtualPolicy::AllVirtual, JoinAccess::Composite),
     ]
 }
 
@@ -227,32 +227,32 @@ proptest! {
 
     #[test]
     fn treat_all_stored_matches_oracle(ops in proptest::collection::vec(op_strategy(), 1..40)) {
-        run_stream(Config::Treat(VirtualPolicy::AllStored), &ops)?;
+        run_stream(Config::Treat(VirtualPolicy::AllStored, JoinAccess::Composite), &ops)?;
     }
 
     #[test]
     fn treat_all_virtual_matches_oracle(ops in proptest::collection::vec(op_strategy(), 1..40)) {
-        run_stream(Config::Treat(VirtualPolicy::AllVirtual), &ops)?;
+        run_stream(Config::Treat(VirtualPolicy::AllVirtual, JoinAccess::Composite), &ops)?;
     }
 
     #[test]
     fn treat_threshold_matches_oracle(ops in proptest::collection::vec(op_strategy(), 1..40)) {
-        run_stream(Config::Treat(VirtualPolicy::SelectivityThreshold(0.4)), &ops)?;
+        run_stream(Config::Treat(VirtualPolicy::SelectivityThreshold(0.4), JoinAccess::Composite), &ops)?;
     }
 
     #[test]
     fn rete_matches_oracle(ops in proptest::collection::vec(op_strategy(), 1..40)) {
-        run_stream(Config::Rete(VirtualPolicy::AllStored, ReteMode::Indexed), &ops)?;
+        run_stream(Config::Rete(VirtualPolicy::AllStored, JoinAccess::Composite), &ops)?;
     }
 
     #[test]
     fn rete_nested_matches_oracle(ops in proptest::collection::vec(op_strategy(), 1..40)) {
-        run_stream(Config::Rete(VirtualPolicy::AllStored, ReteMode::Nested), &ops)?;
+        run_stream(Config::Rete(VirtualPolicy::AllStored, JoinAccess::Nested), &ops)?;
     }
 
     #[test]
     fn rete_all_virtual_matches_oracle(ops in proptest::collection::vec(op_strategy(), 1..40)) {
-        run_stream(Config::Rete(VirtualPolicy::AllVirtual, ReteMode::Indexed), &ops)?;
+        run_stream(Config::Rete(VirtualPolicy::AllVirtual, JoinAccess::Composite), &ops)?;
     }
 }
 
@@ -380,9 +380,9 @@ fn delete_token_work_is_independent_of_rule_count() {
         )
     };
     for config in [
-        Config::Treat(VirtualPolicy::AllStored),
-        Config::Rete(VirtualPolicy::AllStored, ReteMode::Indexed),
-        Config::Rete(VirtualPolicy::AllStored, ReteMode::Nested),
+        Config::Treat(VirtualPolicy::AllStored, JoinAccess::Composite),
+        Config::Rete(VirtualPolicy::AllStored, JoinAccess::Composite),
+        Config::Rete(VirtualPolicy::AllStored, JoinAccess::Nested),
     ] {
         let small = measure(200, &config);
         let large = measure(1600, &config);
