@@ -67,7 +67,8 @@ struct Gate {
     /// on the row with that label (which must be present) or on every
     /// row, `left op right` must hold, where `op` is one of `== <= >= < >`
     /// and a side is a number, a column, `a + b` of two columns, or
-    /// `row.column` of another row.
+    /// `row.column` of another row — optionally scaled, `side * k` for a
+    /// number `k`.
     rules: &'static [&'static str],
 }
 
@@ -104,6 +105,11 @@ const GATES: &[Gate] = &[
             "fig13-composite/indexed=false: index_probes + range_probes == 0 — a nested-loop join never probes",
             "fig13-composite/indexed=true: join_candidates < fig13-single/indexed=true.join_candidates — a composite key must serve fewer candidates than one attribute",
             "fig12-band/indexed=true: range_probes > 0 — a band join must stab its interval index",
+            // same-run time ratios: host drift moves both rows alike
+            "fig10-2var/indexed=true: total_ms * 4 < fig10-2var/indexed=false.total_ms — an index must beat the nested loop 4× in the same run",
+            "fig11-3var/indexed=true: total_ms * 4 < fig11-3var/indexed=false.total_ms — an index must beat the nested loop 4× in the same run",
+            "fig12-band/indexed=true: total_ms * 4 < fig12-band/indexed=false.total_ms — an index must beat the nested loop 4× in the same run",
+            "fig13-composite/indexed=true: total_ms * 4 < fig13-composite/indexed=false.total_ms — an index must beat the nested loop 4× in the same run",
         ],
     },
     Gate {
@@ -221,9 +227,20 @@ impl<'a> Rule<'a> {
     }
 }
 
+/// A scaled rule side `side * k` split into `side` and `k`.
+fn scaled(side: &str) -> Option<(&str, f64)> {
+    let (side, k) = side.split_once(" * ")?;
+    let k = k
+        .parse()
+        .unwrap_or_else(|_| panic!("rule side `{side} * {k}` scales by no number"));
+    Some((side, k))
+}
+
 /// The columns a rule side reads.
 fn side_columns(side: &str) -> Vec<&str> {
-    if side.parse::<f64>().is_ok() {
+    if let Some((side, _)) = scaled(side) {
+        side_columns(side)
+    } else if side.parse::<f64>().is_ok() {
         vec![]
     } else if let Some((a, b)) = side.split_once(" + ") {
         vec![a, b]
@@ -265,7 +282,9 @@ impl Gate {
     /// A rule side's value on `row`.
     fn side(&self, side: &str, row: &Row, fresh: &[Row]) -> Result<f64, String> {
         let num = |r: &Row, c: &str| r.num(c).unwrap_or(f64::NAN);
-        if let Ok(x) = side.parse() {
+        if let Some((side, k)) = scaled(side) {
+            Ok(self.side(side, row, fresh)? * k)
+        } else if let Ok(x) = side.parse() {
             Ok(x)
         } else if let Some((a, b)) = side.split_once(" + ") {
             Ok(num(row, a) + num(row, b))
@@ -763,7 +782,9 @@ mod tests {
         .into_iter()
         .map(
             |(workload, indexed, candidates, index_probes, range_probes)| {
-                let row = join(workload, indexed, 10.0, candidates);
+                // an index wins 10× on time, as the table measures it
+                let total_ms = if indexed { 10.0 } else { 100.0 };
+                let row = join(workload, indexed, total_ms, candidates);
                 set(
                     &set(&row, "index_probes", index_probes),
                     "range_probes",
@@ -933,6 +954,45 @@ mod tests {
         // a row a rule names must be present
         let v = check(g, &joins_table(vec![])[..8], &base);
         assert!(has(&v, "fig13-composite/indexed=false: missing"), "{v:?}");
+    }
+
+    #[test]
+    fn joins_gate_holds_same_run_time_ratios() {
+        let g = gate("joins");
+        let base = joins_table(vec![]);
+        // `row` with its wall clock set to `ms`
+        let timed = |row: &Row, ms: f64| {
+            let mut row = row.clone();
+            row.cells.retain(|(c, _)| c != "total_ms");
+            row.time("total_ms", ms)
+        };
+        // each indexed row of the table by index, and its nested twin
+        for (indexed, nested, workload) in [
+            (0, 1, "fig10-2var"),
+            (2, 3, "fig11-3var"),
+            (4, 5, "fig12-band"),
+            (6, 8, "fig13-composite"),
+        ] {
+            // the nested loop only 3× slower in the same run: the index
+            // stopped paying, though the indexed row stays within its
+            // 1.5× band (nested rows carry none)
+            let mut fresh = joins_table(vec![]);
+            fresh[indexed] = timed(&base[indexed], 12.0);
+            fresh[nested] = timed(&base[nested], 36.0);
+            let v = check(g, &fresh, &base);
+            let want = format!(
+                "{workload}/indexed=true: total_ms * 4 < {workload}/indexed=false.total_ms \
+                 does not hold (48 vs 36)"
+            );
+            assert!(has(&v, &want), "{workload}: {v:?}");
+            assert_eq!(v.len(), 1, "{workload}: {v:?}");
+        }
+        // a whole host slowing 1.4× keeps every ratio
+        let slow: Vec<Row> = base
+            .iter()
+            .map(|row| timed(row, row.num("total_ms").unwrap() * 1.4))
+            .collect();
+        assert!(check(g, &slow, &base).is_empty());
     }
 
     #[test]

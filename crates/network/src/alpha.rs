@@ -20,7 +20,7 @@ use crate::store::StoreSlot;
 use crate::token::{EventSpecifier, TokenKind};
 use ariel_islist::{Counter, Histogram, Interval, IntervalId, IntervalSkipList};
 use ariel_query::{eval_pred, SingleEnv};
-use ariel_storage::{FxHashMap, RelId, Tid, Tuple, Value};
+use ariel_storage::{FxHashMap, FxHashSet, RelId, Tid, Tuple, Value};
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Bound;
@@ -129,7 +129,8 @@ impl EventReq {
     }
 }
 
-/// One entry in a stored/dynamic α-memory.
+/// One entry in a dynamic α-memory or a Rete α-memory. A TREAT stored
+/// memory keeps no entries, only TIDs (see [`crate::store`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AlphaEntry {
     /// TID of the bound tuple; `None` for tuples bound by ON DELETE (the
@@ -397,25 +398,41 @@ pub struct AlphaNode {
     pub counters: AlphaCounters,
     /// Timing histograms, while the timing tier is on.
     pub timing: Option<Box<AlphaTiming>>,
-    /// The per-relation store holding this memory's tuples and equi-join
-    /// indexes, when the memory shares them (TREAT stored memories with
-    /// registered join keys; see [`crate::store`]). `None`: any join index
-    /// is node-local.
-    pub(crate) store_slot: Option<StoreSlot>,
-    entries: FxHashMap<u64, AlphaEntry>,
-    /// Node-local hash join indexes over `entries`, one per registered
+    contents: Contents,
+    /// Node-local hash join indexes over the entries, one per registered
     /// equi-join attribute set. Maintained incrementally by
     /// [`Self::insert`], [`Self::remove`] and [`Self::flush`]. Keys with a
     /// Null component are never indexed — `sql_eq` says `Null` joins
     /// nothing, so such an entry can only be reached by a probing conjunct
-    /// that is false anyway. Always empty on a memory with a `store_slot`.
+    /// that is false anyway. Always empty on a memory that holds TIDs: its
+    /// relation's store keeps the hash indexes.
     join_indexes: Vec<JoinIndex>,
-    /// Interval indexes over `entries`, one per registered band shape.
+    /// Interval indexes over the held tuples, one per registered band
+    /// shape, each filing a tuple under its TID.
     range_indexes: Vec<RangeIndex>,
 }
 
+/// What a memory holds. Which one is fixed when the network builds the
+/// node, by its kind: TREAT's stored memories hold TIDs, every other
+/// memory that stores anything holds entries.
+#[derive(Debug)]
+enum Contents {
+    /// Entries carrying their own tuple handle and `prev` value: dynamic
+    /// memories (an ON DELETE memory holds dead tuples, a transition
+    /// memory Δ pairs — values no relation has) and Rete's α-memories.
+    Entries(FxHashMap<u64, AlphaEntry>),
+    /// TIDs only: a TREAT stored memory. Its relation's
+    /// [`crate::store`] slot keeps each held tuple once, however many
+    /// memories hold it.
+    Tids {
+        slot: StoreSlot,
+        tids: FxHashSet<u64>,
+    },
+}
+
 impl AlphaNode {
-    /// Create a node; `entries` starts empty.
+    /// Create a node holding entries, none yet (TREAT makes a stored
+    /// memory hold TIDs instead, with `share`).
     pub fn new(
         rule: RuleId,
         var: usize,
@@ -434,10 +451,42 @@ impl AlphaNode {
             event,
             counters: AlphaCounters::default(),
             timing: None,
-            store_slot: None,
-            entries: FxHashMap::default(),
+            contents: Contents::Entries(FxHashMap::default()),
             join_indexes: Vec::new(),
             range_indexes: Vec::new(),
+        }
+    }
+
+    /// Make this memory hold TIDs over its relation's store slot instead
+    /// of entries. Called at rule-compile time, before anything is held.
+    pub(crate) fn share(&mut self, slot: StoreSlot) {
+        debug_assert!(self.is_empty(), "share a memory before priming");
+        self.contents = Contents::Tids {
+            slot,
+            tids: FxHashSet::default(),
+        };
+    }
+
+    /// The store slot keeping this memory's tuples; `None` for a memory
+    /// that holds entries.
+    pub(crate) fn store_slot(&self) -> Option<StoreSlot> {
+        match &self.contents {
+            Contents::Tids { slot, .. } => Some(*slot),
+            Contents::Entries(_) => None,
+        }
+    }
+
+    fn own(&self) -> &FxHashMap<u64, AlphaEntry> {
+        match &self.contents {
+            Contents::Entries(entries) => entries,
+            Contents::Tids { .. } => unreachable!("a TID memory's tuples live in its store"),
+        }
+    }
+
+    fn own_mut(&mut self) -> &mut FxHashMap<u64, AlphaEntry> {
+        match &mut self.contents {
+            Contents::Entries(entries) => entries,
+            Contents::Tids { .. } => unreachable!("a TID memory's tuples live in its store"),
         }
     }
 
@@ -446,7 +495,8 @@ impl AlphaNode {
     /// (the network extracts the sets from the rule's equi-join conjuncts).
     /// Duplicate sets collapse to one index.
     pub fn set_join_indexes(&mut self, attr_sets: Vec<Vec<usize>>) {
-        debug_assert!(self.entries.is_empty(), "register indexes before priming");
+        debug_assert!(self.is_empty(), "register indexes before priming");
+        debug_assert!(self.store_slot().is_none(), "a TID memory's store indexes");
         let mut seen: Vec<Vec<usize>> = Vec::new();
         self.join_indexes = attr_sets
             .into_iter()
@@ -464,7 +514,7 @@ impl AlphaNode {
     /// Register the band shapes this memory should interval-index. Same
     /// compile-time discipline as [`Self::set_join_indexes`].
     pub fn set_range_indexes(&mut self, shapes: Vec<BandShape>) {
-        debug_assert!(self.entries.is_empty(), "register indexes before priming");
+        debug_assert!(self.is_empty(), "register indexes before priming");
         let mut seen: Vec<BandShape> = Vec::new();
         self.range_indexes = shapes
             .into_iter()
@@ -521,26 +571,47 @@ impl AlphaNode {
         attrs: &[usize],
         key: &SmallKey,
     ) -> Option<impl Iterator<Item = &AlphaEntry> + '_> {
-        let keys = self.join_bucket(attrs, key)?;
-        Some(keys.iter().map(move |k| {
-            self.entries
-                .get(k)
-                .expect("join index references a live entry")
-        }))
+        let keys = self.join_index(attrs)?.bucket(key);
+        let entries = self.own();
+        Some(
+            keys.iter()
+                .map(move |k| entries.get(k).expect("join index references a live entry")),
+        )
     }
 
-    /// The entry-map keys the node-local join index on `attrs` lists under
-    /// `key` (empty for a key with a Null component); `None` without such
-    /// an index. Resolve them with [`Self::entry`].
-    pub(crate) fn join_bucket(&self, attrs: &[usize], key: &SmallKey) -> Option<&[u64]> {
-        let ji = self.join_indexes.iter().find(|ji| ji.attrs == attrs)?;
-        Some(ji.bucket(key))
+    /// The node-local join index on exactly `attrs`, if registered. Its
+    /// buckets list entry-map keys; resolve them with [`Self::entry`].
+    pub(crate) fn join_index(&self, attrs: &[usize]) -> Option<&JoinIndex> {
+        self.join_indexes.iter().find(|ji| ji.attrs == attrs)
     }
 
-    /// The entry stored under map key `key`, if any.
+    /// The entry stored under map key `key`, if any (entry memories only).
     #[inline]
     pub(crate) fn entry(&self, key: u64) -> Option<&AlphaEntry> {
-        self.entries.get(&key)
+        self.own().get(&key)
+    }
+
+    /// Stab the interval index of band shape `shape` with `key`, handing
+    /// `hit` the map key (the TID, for a TID memory) of every held tuple
+    /// whose `(lo_attr .. hi_attr)` span contains it. `None` when no such
+    /// index exists; a `Null` key stabs nothing (comparison with Null is
+    /// false on both sides of the band).
+    fn stab(&self, shape: &BandShape, key: &Value, mut hit: impl FnMut(u64)) -> Option<()> {
+        let ri = self.range_indexes.iter().find(|ri| &ri.shape == shape)?;
+        if !key.is_null() {
+            ri.islist.stab_with(key, |id| {
+                hit(*ri.by_interval.get(&id).expect("stab hit a live interval"));
+            });
+        }
+        Some(())
+    }
+
+    /// The map keys a stab of the band index `shape` with `key` hits (see
+    /// [`Self::stab`]): TIDs for a TID memory, whose tuples its store keeps.
+    pub(crate) fn range_keys(&self, shape: &BandShape, key: &Value) -> Option<Vec<u64>> {
+        let mut out = Vec::new();
+        self.stab(shape, key, |k| out.push(k))?;
+        Some(out)
     }
 
     /// Probe the interval index of band shape `shape`: entries whose
@@ -548,19 +619,15 @@ impl AlphaNode {
     /// index exists; a `Null` key stabs nothing (comparison with Null is
     /// false on both sides of the band).
     pub fn probe_range_index(&self, shape: &BandShape, key: &Value) -> Option<Vec<&AlphaEntry>> {
-        let ri = self.range_indexes.iter().find(|ri| &ri.shape == shape)?;
-        if key.is_null() {
-            return Some(Vec::new());
-        }
+        let entries = self.own();
         let mut out = Vec::new();
-        ri.islist.stab_with(key, |id| {
-            let k = ri.by_interval.get(&id).expect("stab hit a live interval");
+        self.stab(shape, key, |k| {
             out.push(
-                self.entries
-                    .get(k)
+                entries
+                    .get(&k)
                     .expect("range index references a live entry"),
             );
-        });
+        })?;
         Some(out)
     }
 
@@ -588,16 +655,12 @@ impl AlphaNode {
             .min()
     }
 
-    fn index_entry(
-        join_indexes: &mut [JoinIndex],
-        range_indexes: &mut [RangeIndex],
-        key: u64,
-        tuple: &Tuple,
-    ) {
-        for ji in join_indexes {
+    /// File `tuple` under map key `key` in every node-local index.
+    fn index(&mut self, key: u64, tuple: &Tuple) {
+        for ji in &mut self.join_indexes {
             ji.add(key, tuple);
         }
-        for ri in range_indexes {
+        for ri in &mut self.range_indexes {
             if let Some(iv) = ri.shape.interval_of(tuple) {
                 let id = ri.islist.insert(iv);
                 ri.by_entry.insert(key, id);
@@ -606,10 +669,16 @@ impl AlphaNode {
         }
     }
 
-    fn unindex_entry(&mut self, key: u64, tuple: &Tuple) {
+    /// Undo [`Self::index`] for the tuple filed under `key`.
+    fn unindex(&mut self, key: u64, tuple: &Tuple) {
         for ji in &mut self.join_indexes {
             ji.remove(key, tuple);
         }
+        self.unrange(key);
+    }
+
+    /// Drop the intervals filed under `key` from the band indexes.
+    fn unrange(&mut self, key: u64) {
         for ri in &mut self.range_indexes {
             if let Some(id) = ri.by_entry.remove(&key) {
                 ri.by_interval.remove(&id);
@@ -652,60 +721,98 @@ impl AlphaNode {
         }
     }
 
-    /// Insert an entry (keyed by the token's TID). Re-inserting under the
-    /// same key (a Δ+ token for a tuple already in memory) replaces the
-    /// entry and rebuckets it in the node-local indexes. A memory with a
-    /// `store_slot` is written through `Store::insert` instead, which keeps
-    /// the shared store in step.
+    /// Insert an entry (keyed by the token's TID) into an entry memory.
+    /// Re-inserting under the same key (a Δ+ token for a tuple already in
+    /// memory) replaces the entry and rebuckets it in the node-local
+    /// indexes. A TID memory is written through `Store::insert` instead.
     pub fn insert(&mut self, key: Tid, entry: AlphaEntry) {
         debug_assert!(self.kind.stores_entries());
         AlphaCounters::bump(&self.counters.inserted, 1);
         if self.join_indexes.is_empty() && self.range_indexes.is_empty() {
-            self.entries.insert(key.0, entry);
+            self.own_mut().insert(key.0, entry);
             return;
         }
-        if let Some(old) = self.entries.remove(&key.0) {
-            self.unindex_entry(key.0, &old.tuple);
+        if let Some(old) = self.own_mut().remove(&key.0) {
+            self.unindex(key.0, &old.tuple);
         }
-        Self::index_entry(
-            &mut self.join_indexes,
-            &mut self.range_indexes,
-            key.0,
-            &entry.tuple,
-        );
-        self.entries.insert(key.0, entry);
+        self.index(key.0, &entry.tuple);
+        self.own_mut().insert(key.0, entry);
     }
 
-    /// Remove the entry keyed by `tid`; returns it if present. Idempotent.
+    /// Remove the entry keyed by `tid` from an entry memory; returns it if
+    /// present. Idempotent.
     pub fn remove(&mut self, tid: Tid) -> Option<AlphaEntry> {
-        let entry = self.entries.remove(&tid.0)?;
-        self.unindex_entry(tid.0, &entry.tuple);
+        let entry = self.own_mut().remove(&tid.0)?;
+        self.unindex(tid.0, &entry.tuple);
         Some(entry)
     }
 
-    /// Whether an entry for `tid` exists.
+    /// Hold `tid`, whose value is `tuple`, in a TID memory, filing the
+    /// tuple in the band indexes. Returns whether the memory already held
+    /// it (a Δ+ re-insert: the old interval is dropped first). Only
+    /// `Store::insert` calls this, keeping the store in step.
+    pub(crate) fn hold(&mut self, tid: Tid, tuple: &Tuple) -> bool {
+        AlphaCounters::bump(&self.counters.inserted, 1);
+        let Contents::Tids { tids, .. } = &mut self.contents else {
+            unreachable!("an entry memory holds no bare TIDs")
+        };
+        let again = !tids.insert(tid.0);
+        if !self.range_indexes.is_empty() {
+            if again {
+                self.unrange(tid.0);
+            }
+            // no join index to file it in: the store keeps those
+            self.index(tid.0, tuple);
+        }
+        again
+    }
+
+    /// Stop holding `tid` in a TID memory; returns whether it was held.
+    /// Only `Store::remove` calls this, keeping the store in step.
+    pub(crate) fn unhold(&mut self, tid: Tid) -> bool {
+        let Contents::Tids { tids, .. } = &mut self.contents else {
+            unreachable!("an entry memory holds no bare TIDs")
+        };
+        if !tids.remove(&tid.0) {
+            return false;
+        }
+        self.unrange(tid.0);
+        true
+    }
+
+    /// Whether the memory holds `tid`.
     pub fn contains(&self, tid: Tid) -> bool {
-        self.entries.contains_key(&tid.0)
+        match &self.contents {
+            Contents::Entries(entries) => entries.contains_key(&tid.0),
+            Contents::Tids { tids, .. } => tids.contains(&tid.0),
+        }
     }
 
-    /// Iterate stored entries.
+    /// Iterate an entry memory's entries (a TID memory has none: its
+    /// tuples are in its store).
     pub fn entries(&self) -> impl Iterator<Item = &AlphaEntry> {
-        self.entries.values()
+        self.own().values()
     }
 
-    /// Iterate stored entries with their map keys (invariant checks).
-    pub(crate) fn keyed_entries(&self) -> impl Iterator<Item = (u64, &AlphaEntry)> {
-        self.entries.iter().map(|(k, e)| (*k, e))
+    /// The TIDs a TID memory holds.
+    pub(crate) fn tids(&self) -> impl Iterator<Item = u64> + '_ {
+        match &self.contents {
+            Contents::Tids { tids, .. } => tids.iter().copied(),
+            Contents::Entries(_) => unreachable!("an entry memory holds no bare TIDs"),
+        }
     }
 
-    /// Number of stored entries.
+    /// Number of held entries or TIDs.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        match &self.contents {
+            Contents::Entries(entries) => entries.len(),
+            Contents::Tids { tids, .. } => tids.len(),
+        }
     }
 
-    /// True iff the node stores no entries.
+    /// True iff the node holds nothing.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// Drop all entries (transition flush for dynamic nodes). Join-index
@@ -714,8 +821,7 @@ impl AlphaNode {
     /// indexing across transitions. The skip list has no bulk-clear, so the
     /// flush recreates it.
     pub fn flush(&mut self) {
-        debug_assert!(self.store_slot.is_none(), "only dynamic memories flush");
-        self.entries.clear();
+        self.own_mut().clear();
         for ji in &mut self.join_indexes {
             ji.clear();
         }
@@ -744,16 +850,18 @@ impl AlphaNode {
         hash + range
     }
 
-    /// Approximate heap footprint of the stored entries plus the node-local
-    /// index structures over them, in bytes. This is the quantity virtual
-    /// α-memories reduce to (near) zero — a virtual node stores neither
-    /// entries nor indexes.
+    /// Approximate heap footprint of what the memory holds plus its
+    /// node-local index structures, in bytes: an entry memory is charged
+    /// each entry with its tuple, a TID memory each membership its key —
+    /// its tuples are charged once per relation, in the store. This is the
+    /// quantity virtual α-memories reduce to (near) zero — a virtual node
+    /// stores neither entries nor indexes.
     pub fn heap_size(&self) -> usize {
-        self.entries
-            .values()
-            .map(AlphaEntry::heap_size)
-            .sum::<usize>()
-            + self.index_bytes()
+        let held = match &self.contents {
+            Contents::Entries(entries) => entries.values().map(AlphaEntry::heap_size).sum(),
+            Contents::Tids { tids, .. } => tids.len() * std::mem::size_of::<u64>(),
+        };
+        held + self.index_bytes()
     }
 }
 

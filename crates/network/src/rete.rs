@@ -46,8 +46,7 @@ use crate::plan::{BandSpec, CompositeSpec, JoinAccess, JoinPlan, RuleShape};
 use crate::selnet::SelectionNetwork;
 use crate::token::Token;
 use crate::treat::{
-    alloc_alpha, live_rel, primed_entries, NetworkStats, Pending, RuleStats, RuleTopology,
-    VirtualPolicy,
+    alloc_alpha, live_rel, NetworkStats, Pending, RuleStats, RuleTopology, VirtualPolicy,
 };
 use ariel_islist::{IntervalId, IntervalSkipList};
 use ariel_query::{
@@ -484,14 +483,19 @@ impl ReteNetwork {
             .ok_or_else(|| QueryError::Semantic(format!("unknown rule {id}")))?;
         let alpha_ids = rule.alphas.clone();
         for aid in &alpha_ids {
-            let a = self.alpha(*aid);
+            let a = self.alphas[aid.0].as_mut().unwrap();
             if !a.kind.stores_entries() {
                 continue;
             }
-            let entries = primed_entries(a, catalog)?;
-            let a = self.alphas[aid.0].as_mut().unwrap();
-            for (tid, e) in entries {
-                a.insert(tid, e);
+            for (tid, t) in live_rel(catalog, a.rel)?.scan() {
+                if a.pred_matches(t, None) {
+                    let entry = AlphaEntry {
+                        tid: Some(tid),
+                        tuple: t.clone(),
+                        prev: None,
+                    };
+                    a.insert(tid, entry);
+                }
             }
         }
         // β levels bottom-up: enumeration is the right tool here (every

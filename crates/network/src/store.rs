@@ -1,36 +1,45 @@
-//! The per-relation store behind TREAT's stored α-memories.
+//! The per-relation store behind TREAT's stored α-memories: who holds
+//! what.
 //!
 //! TREAT keeps one stored α-memory per rule variable (§4.2), and a tuple
 //! lands in every memory whose selection it passes — ten band memories for
-//! one `emp` append on the repo benchmark. When each of those memories kept
-//! its own equi-join indexes, one token paid for ten copies of every index
-//! update. The [`Store`] holds each relation's stored tuples **once**:
-//! TID → (holder count, tuple), plus one hash index per attribute set any
-//! stored memory on the relation joins on. A memory keeps its TID-keyed
-//! entries — membership and the value it holds — and probes by taking the
-//! shared bucket's TIDs and keeping those it holds itself. Rete matchers
-//! such as rsete have the same shape: working memory holds each WME once
-//! and α-memories refer to it by id.
+//! one `emp` append on the repo benchmark. The paper's stored memories
+//! each keep a copy of every tuple they admit; that space is why A-TREAT
+//! has virtual memories at all. Here the roles split three ways:
 //!
-//! **One value per TID.** A shared index files a TID under one key, so
-//! every memory holding the TID must hold the same value. For stored
-//! memories that holds by construction: `ariel::delta` emits a TID's `−`
-//! before its `+`, the `−` carries the value every holder took from the
-//! previous `+` (or from priming, which runs between batches), and the
-//! selection-network stab sends that `−` to every memory holding the TID
-//! (the argument at `Network::process_negative`). So a holder is emptied
-//! before any holder takes the new value. Dynamic memories (`DynamicOn` /
-//! `DynamicTrans`) do not satisfy it — a bare `−` leaves an ON-append
-//! memory holding a value the relation no longer has, an ON DELETE memory
-//! holds dead tuples, a transition memory holds Δ pairs — so they keep
-//! node-local indexes and never enter the store. Rete's α-memories and
-//! every band (interval) index stay node-local too.
+//! * the **relation** (`ariel_storage`) owns the tuple;
+//! * the **[`Store`]** keeps, per relation, each tuple some stored memory
+//!   holds **once** — TID → (holder count, tuple handle) — plus one hash
+//!   index per attribute set any stored memory on the relation joins on,
+//!   each tuple filed once however many memories hold it;
+//! * a **stored memory** holds only the TIDs it admitted, plus its band
+//!   (interval) indexes, which file a TID per interval.
+//!
+//! A probe takes the shared bucket's TIDs, keeps those the memory holds
+//! and reads each tuple from the store. Rete matchers such as rsete have
+//! the same shape: working memory holds each WME once and α-memories refer
+//! to it by id. `alpha_bytes` follows the split: a held tuple is charged
+//! once, in [`Store::bytes`], and each membership its key.
+//!
+//! **One value per TID.** The store keeps one value per TID, so every
+//! memory holding the TID must hold the same value. For stored memories
+//! that holds by construction: `ariel::delta` emits a TID's `−` before its
+//! `+`, the `−` carries the value every holder took from the previous `+`
+//! (or from priming, which runs between batches), and the selection-network
+//! stab sends that `−` to every memory holding the TID (the argument at
+//! `Network::process_negative`). So a holder is emptied before any holder
+//! takes the new value. Dynamic memories (`DynamicOn` / `DynamicTrans`) do
+//! not satisfy it — a bare `−` leaves an ON-append memory holding a value
+//! the relation no longer has, an ON DELETE memory holds dead tuples, a
+//! transition memory holds Δ pairs — so they keep their own entries and
+//! node-local indexes and never enter the store. Rete's α-memories keep
+//! entries too.
 //!
 //! Every write goes through [`Store::insert`] / [`Store::remove`], and
 //! [`Store::debug_check`] re-derives the holder counts and every bucket
 //! from the memories after each batch in debug builds.
 
-use crate::alpha::{AlphaEntry, AlphaNode, JoinIndex};
+use crate::alpha::{AlphaNode, JoinIndex};
 use crate::key::SmallKey;
 use ariel_storage::{FxHashMap, RelId, Tid, Tuple};
 use std::collections::hash_map::Entry;
@@ -40,8 +49,14 @@ use std::collections::hash_map::Entry;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct StoreSlot(usize);
 
-/// The shared tuples and join indexes of every relation with a stored
-/// memory that joins on an indexed key, indexed by relation slot.
+/// Handle of one shared hash index within its relation's slot, stable
+/// while any memory uses the index: a probe reaches its bucket without
+/// searching the slot's indexes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct IndexId(usize);
+
+/// The held tuples and shared join indexes of every relation with a
+/// stored memory, indexed by relation slot.
 #[derive(Debug, Default)]
 pub(crate) struct Store {
     rels: Vec<RelStore>,
@@ -53,7 +68,9 @@ struct RelStore {
     gen: u32,
     /// TID → the tuple every holder holds, and how many memories hold it.
     held: FxHashMap<u64, Held>,
-    indexes: Vec<SharedIndex>,
+    /// By [`IndexId`]; `None` is a freed handle, reused by the next
+    /// registration.
+    indexes: Vec<Option<SharedIndex>>,
 }
 
 #[derive(Debug)]
@@ -67,15 +84,6 @@ struct SharedIndex {
     index: JoinIndex,
     /// Registrations of this attribute set by live memories.
     users: u32,
-}
-
-impl RelStore {
-    fn index(&self, attrs: &[usize]) -> Option<&JoinIndex> {
-        self.indexes
-            .iter()
-            .find(|ix| ix.index.attrs == attrs)
-            .map(|ix| &ix.index)
-    }
 }
 
 /// Whether two tuples hold the same value (shared storage short-cuts the
@@ -94,9 +102,10 @@ impl Store {
         let store = &mut self.rels[rel.slot()];
         if store.gen != rel.gen() {
             debug_assert!(
-                store.held.is_empty() && store.indexes.is_empty(),
+                store.held.is_empty() && store.indexes.iter().all(Option::is_none),
                 "relation {rel} stored while an earlier generation still is"
             );
+            store.indexes.clear();
             store.gen = rel.gen();
         }
         StoreSlot(rel.slot())
@@ -104,11 +113,12 @@ impl Store {
 
     /// A memory joins on `attrs`: share the index, building and
     /// back-filling it from the tuples already held if it is new.
-    pub(crate) fn register(&mut self, slot: StoreSlot, attrs: &[usize]) {
+    pub(crate) fn register(&mut self, slot: StoreSlot, attrs: &[usize]) -> IndexId {
         let rel = &mut self.rels[slot.0];
-        if let Some(ix) = rel.indexes.iter_mut().find(|ix| ix.index.attrs == attrs) {
-            ix.users += 1;
-            return;
+        let same = |ix: &Option<SharedIndex>| ix.as_ref().is_some_and(|ix| ix.index.attrs == attrs);
+        if let Some(id) = rel.indexes.iter().position(same) {
+            rel.indexes[id].as_mut().expect("a live index").users += 1;
+            return IndexId(id);
         }
         let mut index = JoinIndex::new(attrs.to_vec());
         let mut tids: Vec<&u64> = rel.held.keys().collect();
@@ -116,44 +126,67 @@ impl Store {
         for tid in tids {
             index.add(*tid, &rel.held[tid].tuple);
         }
-        rel.indexes.push(SharedIndex { index, users: 1 });
+        let shared = Some(SharedIndex { index, users: 1 });
+        match rel.indexes.iter().position(Option::is_none) {
+            Some(id) => {
+                rel.indexes[id] = shared;
+                IndexId(id)
+            }
+            None => {
+                rel.indexes.push(shared);
+                IndexId(rel.indexes.len() - 1)
+            }
+        }
     }
 
     /// Undo one [`Self::register`]; the index goes with its last user.
-    pub(crate) fn unregister(&mut self, slot: StoreSlot, attrs: &[usize]) {
-        let indexes = &mut self.rels[slot.0].indexes;
-        let Some(pos) = indexes.iter().position(|ix| ix.index.attrs == attrs) else {
-            debug_assert!(false, "unregistering an index nobody registered");
-            return;
-        };
-        indexes[pos].users -= 1;
-        if indexes[pos].users == 0 {
-            indexes.swap_remove(pos);
+    pub(crate) fn unregister(&mut self, slot: StoreSlot, id: IndexId) {
+        let ix = &mut self.rels[slot.0].indexes[id.0];
+        let shared = ix.as_mut().expect("unregistering a registered index");
+        shared.users -= 1;
+        if shared.users == 0 {
+            *ix = None;
         }
     }
 
-    /// Insert `entry` under `tid` into a stored or dynamic memory — the one
-    /// write path for memories, so a memory with a store slot always
-    /// acquires the TID it now holds.
-    pub(crate) fn insert(&mut self, alpha: &mut AlphaNode, tid: Tid, entry: AlphaEntry) {
-        if let Some(slot) = alpha.store_slot {
-            // a re-insert swaps the value this holder holds
-            if alpha.contains(tid) {
-                self.release(slot, tid.0);
-            }
-            self.acquire(slot, tid.0, &entry.tuple);
-        }
-        alpha.insert(tid, entry);
-    }
-
-    /// Remove `tid` from a memory, releasing it in the store when the
-    /// memory shares it. Idempotent, like [`AlphaNode::remove`].
-    pub(crate) fn remove(&mut self, alpha: &mut AlphaNode, tid: Tid) -> Option<AlphaEntry> {
-        let entry = alpha.remove(tid)?;
-        if let Some(slot) = alpha.store_slot {
+    /// Hold `tid`, whose value is `tuple`, in the TID memory `alpha` — the
+    /// one write path for TID memories, so the store always acquires what
+    /// a memory holds.
+    pub(crate) fn insert(&mut self, alpha: &mut AlphaNode, tid: Tid, tuple: &Tuple) {
+        let slot = alpha.store_slot().expect("a TID memory");
+        // a re-insert swaps the value this holder holds
+        if alpha.hold(tid, tuple) {
             self.release(slot, tid.0);
         }
-        Some(entry)
+        self.acquire(slot, tid.0, tuple);
+    }
+
+    /// Remove `tid` from a memory of either kind, releasing it in the
+    /// store for a TID memory. Returns whether the memory held it.
+    /// Idempotent, like [`AlphaNode::remove`].
+    pub(crate) fn remove(&mut self, alpha: &mut AlphaNode, tid: Tid) -> bool {
+        let Some(slot) = alpha.store_slot() else {
+            return alpha.remove(tid).is_some();
+        };
+        let held = alpha.unhold(tid);
+        if held {
+            self.release(slot, tid.0);
+        }
+        held
+    }
+
+    /// Release every TID `alpha` holds and its index registrations `ids`:
+    /// the memory is being dropped with its rule.
+    pub(crate) fn forget(&mut self, alpha: &AlphaNode, ids: &[IndexId]) {
+        let Some(slot) = alpha.store_slot() else {
+            return;
+        };
+        for tid in alpha.tids() {
+            self.release(slot, tid);
+        }
+        for &id in ids {
+            self.unregister(slot, id);
+        }
     }
 
     fn acquire(&mut self, slot: StoreSlot, tid: u64, tuple: &Tuple) {
@@ -168,7 +201,7 @@ impl Store {
                 held.get_mut().holders += 1;
             }
             Entry::Vacant(vacant) => {
-                for ix in &mut rel.indexes {
+                for ix in rel.indexes.iter_mut().flatten() {
                     ix.index.add(tid, tuple);
                 }
                 vacant.insert(Held {
@@ -190,9 +223,15 @@ impl Store {
             return;
         }
         let Held { tuple, .. } = held.remove();
-        for ix in &mut rel.indexes {
+        for ix in rel.indexes.iter_mut().flatten() {
             ix.index.remove(tid, &tuple);
         }
+    }
+
+    /// The tuple the relation holds under `tid`, if some memory holds it.
+    #[inline]
+    pub(crate) fn tuple(&self, slot: StoreSlot, tid: u64) -> Option<&Tuple> {
+        self.rels[slot.0].held.get(&tid).map(|h| &h.tuple)
     }
 
     /// Tuples the relation holds for its memories.
@@ -201,76 +240,85 @@ impl Store {
         self.rels[slot.0].held.len()
     }
 
+    /// How many memories hold `tid` (0 when none does).
+    #[cfg(test)]
+    pub(crate) fn holders(&self, slot: StoreSlot, tid: Tid) -> u32 {
+        self.rels[slot.0].held.get(&tid.0).map_or(0, |h| h.holders)
+    }
+
     /// Whether the relation shares an index on exactly `attrs`.
+    #[cfg(test)]
     pub(crate) fn has_index(&self, slot: StoreSlot, attrs: &[usize]) -> bool {
-        self.rels[slot.0].index(attrs).is_some()
+        self.rels[slot.0]
+            .indexes
+            .iter()
+            .flatten()
+            .any(|ix| ix.index.attrs == attrs)
     }
 
-    /// The TIDs the shared index on `attrs` files under `key` — across
-    /// every memory on the relation, so callers keep the ones their memory
-    /// holds. `None` without such an index.
-    pub(crate) fn bucket(
-        &self,
-        slot: StoreSlot,
-        attrs: &[usize],
-        key: &SmallKey,
-    ) -> Option<&[u64]> {
-        Some(self.rels[slot.0].index(attrs)?.bucket(key))
+    /// The shared index `id` — across every memory on the relation, so a
+    /// caller probing it keeps the TIDs its memory holds.
+    #[inline]
+    pub(crate) fn index(&self, slot: StoreSlot, id: IndexId) -> &JoinIndex {
+        &self.rels[slot.0].indexes[id.0]
+            .as_ref()
+            .expect("a registered index")
+            .index
     }
 
-    /// Expected candidates a probe on `attrs` serves a memory of `len`
-    /// entries: the shared index's average bucket, scaled by the share of
-    /// the relation's held tuples the memory holds. For a memory that holds
+    /// Expected candidates a probe of index `id` serves a memory of `len`
+    /// TIDs: the shared index's average bucket, scaled by the share of the
+    /// relation's held tuples the memory holds. For a memory that holds
     /// every held tuple this is exactly the node-local estimate.
-    pub(crate) fn expected_bucket(
-        &self,
-        slot: StoreSlot,
-        attrs: &[usize],
-        len: usize,
-    ) -> Option<usize> {
-        let rel = &self.rels[slot.0];
-        let (distinct, indexed) = rel.index(attrs)?.shape();
+    pub(crate) fn expected_bucket(&self, slot: StoreSlot, id: IndexId, len: usize) -> usize {
+        let (distinct, indexed) = self.index(slot, id).shape();
         if distinct == 0 {
-            return Some(0);
+            return 0;
         }
-        Some((len * indexed).div_ceil(rel.held.len() * distinct))
+        (len * indexed).div_ceil(self.rels[slot.0].held.len() * distinct)
     }
 
-    /// Approximate heap footprint: one held-map slot per tuple (the tuple
-    /// storage itself is shared with the memories, which charge it) plus
-    /// every shared index.
+    /// Approximate heap footprint: each held tuple once — its held-map
+    /// slot and its storage, which the relation shares and no memory
+    /// charges again — plus every shared index.
     pub(crate) fn bytes(&self) -> usize {
-        let held = std::mem::size_of::<u64>() + std::mem::size_of::<Held>();
+        let slot = std::mem::size_of::<u64>() + std::mem::size_of::<Held>();
         self.rels
             .iter()
             .map(|rel| {
-                rel.held.len() * held + rel.indexes.iter().map(|ix| ix.index.bytes()).sum::<usize>()
+                let held: usize = rel.held.values().map(|h| slot + h.tuple.heap_size()).sum();
+                let indexes: usize = rel
+                    .indexes
+                    .iter()
+                    .flatten()
+                    .map(|ix| ix.index.bytes())
+                    .sum();
+                held + indexes
             })
             .sum()
     }
 
     /// Debug check, after every batch: per relation, each TID's holder
-    /// count equals the number of memories holding it, each holder's entry
-    /// equals the held tuple, and each index lists exactly the held TIDs
-    /// under their keys.
+    /// count equals the number of TID memories holding it, each held tuple
+    /// passes the selection of every memory holding it, and each index
+    /// lists exactly the held TIDs under their keys.
     pub(crate) fn debug_check<'a>(&self, memories: impl Iterator<Item = &'a AlphaNode>) {
         if !cfg!(debug_assertions) {
             return;
         }
         let mut holders: Vec<FxHashMap<u64, u32>> = vec![FxHashMap::default(); self.rels.len()];
         for a in memories {
-            let Some(slot) = a.store_slot else { continue };
-            assert!(!a.has_join_indexes(), "a shared memory indexes locally");
-            for (tid, e) in a.keyed_entries() {
+            let Some(slot) = a.store_slot() else { continue };
+            assert!(!a.has_join_indexes(), "a TID memory indexes locally");
+            for tid in a.tids() {
                 let held = self.rels[slot.0]
                     .held
                     .get(&tid)
                     .unwrap_or_else(|| panic!("{}: TID {tid} held but not in the store", a.rel));
                 assert!(
-                    same_value(&held.tuple, &e.tuple),
-                    "{}: TID {tid} is {} in a memory, {} in the store",
+                    a.pred_matches(&held.tuple, None),
+                    "{}: TID {tid} is {}, which its memory's selection rejects",
                     a.rel,
-                    e.tuple,
                     held.tuple
                 );
                 *holders[slot.0].entry(tid).or_default() += 1;
@@ -282,7 +330,7 @@ impl Store {
                 let counted = counted.get(tid).copied().unwrap_or(0);
                 assert_eq!(h.holders, counted, "holder count of TID {tid}");
             }
-            for ix in &rel.indexes {
+            for ix in rel.indexes.iter().flatten() {
                 let mut want: FxHashMap<SmallKey, Vec<u64>> = FxHashMap::default();
                 for (tid, h) in &rel.held {
                     if let Some(key) = ix.index.key_of(&h.tuple) {
@@ -312,8 +360,9 @@ mod tests {
     use crate::pred::SelectionPredicate;
     use ariel_storage::Value;
 
-    /// A stored `emp` memory of rule `rule` that joins on `attr_sets`.
-    fn memory(store: &mut Store, rule: u64, attr_sets: &[&[usize]]) -> AlphaNode {
+    /// A stored `emp` memory of rule `rule` that joins on `attr_sets`, and
+    /// the handles of its indexes.
+    fn memory(store: &mut Store, rule: u64, attr_sets: &[&[usize]]) -> (AlphaNode, Vec<IndexId>) {
         let mut a = AlphaNode::new(
             RuleId(rule),
             0,
@@ -323,49 +372,43 @@ mod tests {
             None,
         );
         let slot = store.slot(RelId::new(0, 0));
-        for attrs in attr_sets {
-            store.register(slot, attrs);
-        }
-        a.store_slot = Some(slot);
-        a
+        let ids = attr_sets
+            .iter()
+            .map(|attrs| store.register(slot, attrs))
+            .collect();
+        a.share(slot);
+        (a, ids)
     }
 
-    fn entry(tid: u64, values: Vec<Value>) -> AlphaEntry {
-        AlphaEntry {
-            tid: Some(Tid(tid)),
-            tuple: Tuple::new(values),
-            prev: None,
-        }
+    fn pair(a: i64, b: i64) -> Tuple {
+        Tuple::new(vec![Value::Int(a), Value::Int(b)])
     }
 
-    fn pair(a: i64, b: i64) -> Vec<Value> {
-        vec![Value::Int(a), Value::Int(b)]
-    }
-
-    /// What a probe of `a` on `attrs` serves: the shared bucket's TIDs
+    /// What a probe of `a` on index `id` serves: the shared bucket's TIDs
     /// that `a` holds, ascending.
-    fn probe(store: &Store, a: &AlphaNode, attrs: &[usize], key: &[Value]) -> Vec<u64> {
+    fn probe(store: &Store, a: &AlphaNode, id: IndexId, key: &[Value]) -> Vec<u64> {
         let mut kb = KeyBuilder::new(key.len());
         for v in key {
             kb.push(v);
         }
         let bucket = store
-            .bucket(a.store_slot.unwrap(), attrs, &kb.finish())
-            .expect("registered index");
+            .index(a.store_slot().unwrap(), id)
+            .bucket(&kb.finish());
         let mut tids: Vec<u64> = bucket
             .iter()
             .copied()
-            .filter(|t| a.entry(*t).is_some())
+            .filter(|t| a.contains(Tid(*t)))
             .collect();
         tids.sort_unstable();
         tids
     }
 
-    /// Index entries per registered attribute set, in registration order.
+    /// Index entries per live index handle, in handle order.
     fn index_entries(store: &Store) -> Vec<usize> {
         store.rels[0]
             .indexes
             .iter()
+            .flatten()
             .map(|ix| ix.index.shape().1)
             .collect()
     }
@@ -373,18 +416,21 @@ mod tests {
     #[test]
     fn a_delete_through_one_memory_keeps_the_tuple_indexed_for_the_other() {
         let mut store = Store::default();
-        let mut a = memory(&mut store, 1, &[&[0]]);
-        let mut b = memory(&mut store, 2, &[&[0]]);
-        store.insert(&mut a, Tid(7), entry(7, pair(5, 1)));
-        store.insert(&mut b, Tid(7), entry(7, pair(5, 1)));
-        store.insert(&mut b, Tid(8), entry(8, pair(5, 2)));
+        let (mut a, ix) = memory(&mut store, 1, &[&[0]]);
+        let (mut b, _) = memory(&mut store, 2, &[&[0]]);
+        store.insert(&mut a, Tid(7), &pair(5, 1));
+        store.insert(&mut b, Tid(7), &pair(5, 1));
+        store.insert(&mut b, Tid(8), &pair(5, 2));
         assert_eq!(index_entries(&store), [2], "TID 7 filed once, not twice");
         store.debug_check([&a, &b].into_iter());
 
-        assert!(store.remove(&mut a, Tid(7)).is_some());
-        assert!(store.remove(&mut a, Tid(7)).is_none(), "idempotent");
-        assert_eq!(probe(&store, &a, &[0], &[Value::Int(5)]), Vec::<u64>::new());
-        assert_eq!(probe(&store, &b, &[0], &[Value::Int(5)]), [7, 8]);
+        assert!(store.remove(&mut a, Tid(7)));
+        assert!(!store.remove(&mut a, Tid(7)), "idempotent");
+        assert_eq!(
+            probe(&store, &a, ix[0], &[Value::Int(5)]),
+            Vec::<u64>::new()
+        );
+        assert_eq!(probe(&store, &b, ix[0], &[Value::Int(5)]), [7, 8]);
         store.debug_check([&a, &b].into_iter());
 
         store.remove(&mut b, Tid(7));
@@ -397,32 +443,70 @@ mod tests {
     #[test]
     fn a_reinsert_moves_the_tuple_to_its_new_key() {
         let mut store = Store::default();
-        let mut a = memory(&mut store, 1, &[&[0]]);
-        store.insert(&mut a, Tid(1), entry(1, pair(5, 1)));
-        store.insert(&mut a, Tid(1), entry(1, pair(6, 1)));
-        assert_eq!(probe(&store, &a, &[0], &[Value::Int(5)]), Vec::<u64>::new());
-        assert_eq!(probe(&store, &a, &[0], &[Value::Int(6)]), [1]);
+        let (mut a, ix) = memory(&mut store, 1, &[&[0]]);
+        store.insert(&mut a, Tid(1), &pair(5, 1));
+        store.insert(&mut a, Tid(1), &pair(6, 1));
+        assert_eq!(
+            probe(&store, &a, ix[0], &[Value::Int(5)]),
+            Vec::<u64>::new()
+        );
+        assert_eq!(probe(&store, &a, ix[0], &[Value::Int(6)]), [1]);
+        assert_eq!(store.tuple(a.store_slot().unwrap(), 1), Some(&pair(6, 1)));
         store.debug_check([&a].into_iter());
+    }
+
+    #[test]
+    fn the_store_keeps_the_tuple_and_memories_its_tid() {
+        let mut store = Store::default();
+        let (mut a, _) = memory(&mut store, 1, &[]);
+        let (mut b, _) = memory(&mut store, 2, &[]);
+        let t = pair(3, 4);
+        store.insert(&mut a, Tid(9), &t);
+        store.insert(&mut b, Tid(9), &t);
+        let slot = a.store_slot().unwrap();
+        assert_eq!(store.holders(slot, Tid(9)), 2);
+        assert!(store.tuple(slot, 9).unwrap().shares_storage(&t));
+        // one tuple charged once; each membership only its key
+        let one = store.bytes();
+        let (mut c, _) = memory(&mut store, 3, &[]);
+        store.insert(&mut c, Tid(9), &t);
+        assert_eq!(
+            store.bytes(),
+            one,
+            "a third holder adds nothing to the store"
+        );
+        assert_eq!(c.heap_size(), std::mem::size_of::<u64>());
+        store.forget(&c, &[]);
+        assert_eq!(store.holders(slot, Tid(9)), 2);
+        store.debug_check([&a, &b].into_iter());
     }
 
     #[test]
     fn null_keys_are_never_indexed() {
         let mut store = Store::default();
-        let mut a = memory(&mut store, 1, &[&[0], &[0, 1]]);
-        store.insert(&mut a, Tid(1), entry(1, vec![Value::Null, Value::Int(3)]));
-        store.insert(&mut a, Tid(2), entry(2, vec![Value::Int(4), Value::Null]));
+        let (mut a, ix) = memory(&mut store, 1, &[&[0], &[0, 1]]);
+        store.insert(
+            &mut a,
+            Tid(1),
+            &Tuple::new(vec![Value::Null, Value::Int(3)]),
+        );
+        store.insert(
+            &mut a,
+            Tid(2),
+            &Tuple::new(vec![Value::Int(4), Value::Null]),
+        );
         assert_eq!(index_entries(&store), [1, 0]);
-        assert_eq!(probe(&store, &a, &[0], &[Value::Null]), Vec::<u64>::new());
-        assert_eq!(probe(&store, &a, &[0], &[Value::Int(4)]), [2]);
+        assert_eq!(probe(&store, &a, ix[0], &[Value::Null]), Vec::<u64>::new());
+        assert_eq!(probe(&store, &a, ix[0], &[Value::Int(4)]), [2]);
         assert_eq!(
-            probe(&store, &a, &[0, 1], &[Value::Int(4), Value::Null]),
+            probe(&store, &a, ix[1], &[Value::Int(4), Value::Null]),
             Vec::<u64>::new()
         );
-        let slot = a.store_slot.unwrap();
+        let slot = a.store_slot().unwrap();
         // only Null keys on (0, 1): a probe serves nothing
-        assert_eq!(store.expected_bucket(slot, &[0, 1], a.len()), Some(0));
+        assert_eq!(store.expected_bucket(slot, ix[1], a.len()), 0);
         // the estimate counts indexed tuples only: 1 of 2 held, 1 key
-        assert_eq!(store.expected_bucket(slot, &[0], a.len()), Some(1));
+        assert_eq!(store.expected_bucket(slot, ix[0], a.len()), 1);
         store.debug_check([&a].into_iter());
         store.remove(&mut a, Tid(1)); // must not panic on unindexed tuples
         store.remove(&mut a, Tid(2));
@@ -434,17 +518,17 @@ mod tests {
     fn int_and_float_keys_probe_alike() {
         // the shared index keys exactly like `join_index_numeric_cross_type_probe`
         let mut store = Store::default();
-        let mut a = memory(&mut store, 1, &[&[0]]);
-        store.insert(&mut a, Tid(1), entry(1, pair(15, 0)));
+        let (mut a, ix) = memory(&mut store, 1, &[&[0]]);
+        store.insert(&mut a, Tid(1), &pair(15, 0));
         store.insert(
             &mut a,
             Tid(2),
-            entry(2, vec![Value::Float(7.0), Value::Int(0)]),
+            &Tuple::new(vec![Value::Float(7.0), Value::Int(0)]),
         );
-        assert_eq!(probe(&store, &a, &[0], &[Value::Float(15.0)]), [1]);
-        assert_eq!(probe(&store, &a, &[0], &[Value::Int(7)]), [2]);
+        assert_eq!(probe(&store, &a, ix[0], &[Value::Float(15.0)]), [1]);
+        assert_eq!(probe(&store, &a, ix[0], &[Value::Int(7)]), [2]);
         assert_eq!(
-            probe(&store, &a, &[0], &[Value::Float(7.5)]),
+            probe(&store, &a, ix[0], &[Value::Float(7.5)]),
             Vec::<u64>::new()
         );
     }
@@ -452,28 +536,28 @@ mod tests {
     #[test]
     fn a_late_index_back_fills_and_leaves_with_its_last_user() {
         let mut store = Store::default();
-        let mut a = memory(&mut store, 1, &[&[0]]);
+        let (mut a, a_ix) = memory(&mut store, 1, &[&[0]]);
         for tid in 0..6 {
-            store.insert(
-                &mut a,
-                Tid(tid),
-                entry(tid, pair(tid as i64 % 2, tid as i64 % 3)),
-            );
+            store.insert(&mut a, Tid(tid), &pair(tid as i64 % 2, tid as i64 % 3));
         }
         // a second memory joins on attribute 1: its index is built from
         // the tuples already held
-        let mut b = memory(&mut store, 2, &[&[1]]);
-        let slot = b.store_slot.unwrap();
+        let (mut b, b_ix) = memory(&mut store, 2, &[&[1]]);
+        let slot = b.store_slot().unwrap();
         assert_eq!(index_entries(&store), [6, 6]);
-        store.insert(&mut b, Tid(4), entry(4, pair(0, 1)));
-        assert_eq!(probe(&store, &b, &[1], &[Value::Int(1)]), [4]);
-        assert_eq!(probe(&store, &a, &[1], &[Value::Int(1)]), [1, 4]);
+        store.insert(&mut b, Tid(4), &pair(0, 1));
+        assert_eq!(probe(&store, &b, b_ix[0], &[Value::Int(1)]), [4]);
+        assert_eq!(probe(&store, &a, b_ix[0], &[Value::Int(1)]), [1, 4]);
         store.debug_check([&a, &b].into_iter());
         store.remove(&mut b, Tid(4));
-        store.unregister(slot, &[1]);
+        store.forget(&b, &b_ix);
         assert!(!store.has_index(slot, &[1]), "the last user took it along");
         assert!(store.has_index(slot, &[0]));
-        store.debug_check([&a, &b].into_iter());
+        // the freed handle passes to the next index registered
+        let (_, c_ix) = memory(&mut store, 3, &[&[0, 1]]);
+        assert_eq!(c_ix, b_ix);
+        assert_ne!(c_ix[0], a_ix[0]);
+        store.debug_check([&a].into_iter());
     }
 
     #[test]
@@ -481,11 +565,11 @@ mod tests {
         let build = |memories: u64| {
             let mut store = Store::default();
             let mut held: Vec<AlphaNode> = (0..memories)
-                .map(|r| memory(&mut store, r, &[&[0], &[0, 1]]))
+                .map(|r| memory(&mut store, r, &[&[0], &[0, 1]]).0)
                 .collect();
             for a in &mut held {
                 for tid in 0..50 {
-                    store.insert(a, Tid(tid), entry(tid, pair(tid as i64 % 5, tid as i64)));
+                    store.insert(a, Tid(tid), &pair(tid as i64 % 5, tid as i64));
                 }
             }
             store.debug_check(held.iter());

@@ -34,14 +34,15 @@
 //! This reproduces TREAT's self-join counting exactly: a token joins to
 //! itself once per virtual/stored node pair, never twice.
 //!
-//! ### Stored memories share their relation's tuples and join indexes
+//! ### Stored memories hold TIDs; their relation's store holds the tuples
 //!
-//! A stored α-memory keeps its TID-keyed entries, but its equi-join hash
-//! indexes live in the network's per-relation `crate::store`: one index
-//! per attribute set, over the relation's stored tuples, each tuple filed
-//! once however many memories hold it. A probe takes the shared bucket's
-//! TIDs and keeps those the memory holds. Dynamic memories and every band
-//! (interval) index stay node-local; `crate::store` says why.
+//! A stored α-memory is a set of TIDs (plus its band indexes). The tuples
+//! and the equi-join hash indexes live in the network's per-relation
+//! `crate::store`: each held tuple once, and one index per attribute set,
+//! each tuple filed once however many memories hold it. A probe takes the
+//! shared bucket's TIDs, keeps those the memory holds and reads each tuple
+//! from the store. Dynamic memories keep entries and node-local indexes;
+//! `crate::store` says why.
 
 use crate::alpha::{
     AlphaCounters, AlphaEntry, AlphaId, AlphaKind, AlphaNode, AlphaTiming, BandShape, EventReq,
@@ -52,7 +53,7 @@ use crate::key::{KeyBuilder, SmallKey};
 use crate::plan::{BandSpec, CompositeSpec, JoinAccess, JoinPlan, RuleShape, MAX_RULE_VARS};
 use crate::pred::SelectionPredicate;
 use crate::selnet::SelectionNetwork;
-use crate::store::Store;
+use crate::store::{IndexId, Store, StoreSlot};
 use crate::token::{EventSpecifier, Token, TokenKind};
 use crate::trace::{TraceEventKind, TraceRecorder};
 use ariel_islist::{Histogram, Kind, Metrics, Place};
@@ -88,6 +89,10 @@ pub enum VirtualPolicy {
 #[derive(Debug)]
 struct RuleVar {
     alpha: AlphaId,
+    /// A stored memory's shared indexes in its store slot, one per
+    /// composite access path of the plan, in the plan's order; empty for
+    /// every other kind.
+    indexes: Vec<IndexId>,
 }
 
 /// A compiled rule: its α-nodes, join conjuncts, and P-node.
@@ -535,26 +540,6 @@ pub(crate) fn alloc_alpha(
     }
 }
 
-/// What priming puts in stored α-memory `a`: every tuple of its relation
-/// that its predicate admits (one single-variable query).
-pub(crate) fn primed_entries(
-    a: &AlphaNode,
-    catalog: &Catalog,
-) -> QueryResult<Vec<(Tid, AlphaEntry)>> {
-    Ok(live_rel(catalog, a.rel)?
-        .scan()
-        .filter(|(_, t)| a.pred_matches(t, None))
-        .map(|(tid, t)| {
-            let entry = AlphaEntry {
-                tid: Some(tid),
-                tuple: t.clone(),
-                prev: None,
-            };
-            (tid, entry)
-        })
-        .collect())
-}
-
 /// The batch pending set: per relation slot, tid → positive tokens of
 /// that tuple still unprocessed in the current batch. A tuple in here is
 /// hidden from virtual-node scans (see the module docs). The maps are
@@ -600,6 +585,25 @@ impl Pending {
     /// Empty every map, keeping its capacity for the next batch.
     pub(crate) fn clear(&mut self) {
         self.by_slot.iter_mut().for_each(FxHashMap::clear);
+    }
+}
+
+/// One join candidate, borrowed from the memory or store that holds it.
+#[derive(Clone, Copy)]
+struct Candidate<'a> {
+    tid: Option<Tid>,
+    tuple: &'a Tuple,
+    /// Start-of-transition value: only a dynamic memory's entries have one.
+    prev: Option<&'a Tuple>,
+}
+
+impl<'a> Candidate<'a> {
+    fn of(e: &'a AlphaEntry) -> Candidate<'a> {
+        Candidate {
+            tid: e.tid,
+            tuple: &e.tuple,
+            prev: e.prev.as_ref(),
+        }
     }
 }
 
@@ -773,20 +777,21 @@ impl Network {
             let mut node = AlphaNode::new(id, v, rels[v], kind, pred, event);
             node.rule_slot = rule_slot;
             node.timing = self.observing().then(Box::default);
+            let mut indexes = Vec::new();
             if kind.stores_entries() {
                 // register one hash index per composite access path and one
                 // interval index per band shape, so β-joins can probe (or
                 // stab) instead of enumerating (a nested plan has neither).
-                // A stored memory shares its relation's hash indexes; a
-                // dynamic one keeps its own
+                // A stored memory holds TIDs over its relation's store slot
+                // and shares the slot's hash indexes; a dynamic one keeps
+                // entries and its own indexes
                 if kind == AlphaKind::Stored {
-                    if !plan.composite[v].is_empty() {
-                        let slot = self.store.slot(rels[v]);
-                        for spec in &plan.composite[v] {
-                            self.store.register(slot, &spec.attrs);
-                        }
-                        node.store_slot = Some(slot);
-                    }
+                    let slot = self.store.slot(rels[v]);
+                    indexes = plan.composite[v]
+                        .iter()
+                        .map(|spec| self.store.register(slot, &spec.attrs))
+                        .collect();
+                    node.share(slot);
                 } else {
                     let attr_sets: Vec<Vec<usize>> =
                         plan.composite[v].iter().map(|s| s.attrs.clone()).collect();
@@ -819,7 +824,10 @@ impl Network {
                     self.dynamic_alphas.push(alpha_id);
                 }
             }
-            vars.push(RuleVar { alpha: alpha_id });
+            vars.push(RuleVar {
+                alpha: alpha_id,
+                indexes,
+            });
             cols.push(PnodeCol {
                 var: binding.name.clone(),
                 rel: binding.rel.clone(),
@@ -855,18 +863,10 @@ impl Network {
         };
         let rule = self.rules[slot].take().expect("live rule");
         self.free_rules.push(slot);
-        for (v, var) in rule.vars.iter().enumerate() {
+        for var in &rule.vars {
             self.selnet.unsubscribe(var.alpha);
-            let mut alpha = self.alphas[var.alpha.0].take().expect("live alpha");
-            if let Some(slot) = alpha.store_slot {
-                let tids: Vec<u64> = alpha.keyed_entries().map(|(tid, _)| tid).collect();
-                for tid in tids {
-                    self.store.remove(&mut alpha, Tid(tid));
-                }
-                for spec in &rule.plan.composite[v] {
-                    self.store.unregister(slot, &spec.attrs);
-                }
-            }
+            let alpha = self.alphas[var.alpha.0].take().expect("live alpha");
+            self.store.forget(&alpha, &var.indexes);
             self.free.push(var.alpha.0);
             self.dynamic_alphas.retain(|a| *a != var.alpha);
         }
@@ -885,14 +885,14 @@ impl Network {
         // stored α-memories: one single-variable query each
         let alpha_ids: Vec<AlphaId> = rule.vars.iter().map(|v| v.alpha).collect();
         for aid in alpha_ids {
-            let a = self.alpha(aid);
+            let a = self.alphas[aid.0].as_mut().expect("live alpha");
             if a.kind != AlphaKind::Stored {
                 continue;
             }
-            let entries = primed_entries(a, catalog)?;
-            let a = self.alphas[aid.0].as_mut().expect("live alpha");
-            for (tid, e) in entries {
-                self.store.insert(a, tid, e);
+            for (tid, t) in live_rel(catalog, a.rel)?.scan() {
+                if a.pred_matches(t, None) {
+                    self.store.insert(a, tid, t);
+                }
             }
         }
         // P-node: one query equivalent to the whole condition
@@ -1050,17 +1050,19 @@ impl Network {
             (a.rule, a.rule_slot, a.var, a.kind)
         };
         let observing = self.observing();
-        if kind.stores_entries() {
-            let a = self.alphas[aid.0].as_mut().expect("live alpha");
-            self.store.insert(
-                a,
+        let a = self.alphas[aid.0].as_mut().expect("live alpha");
+        match kind {
+            // the store keeps the tuple; the memory takes its TID
+            AlphaKind::Stored => self.store.insert(a, token.tid, &seed.tuple),
+            AlphaKind::DynamicOn | AlphaKind::DynamicTrans => a.insert(
                 token.tid,
                 AlphaEntry {
                     tid: seed.tid,
                     tuple: seed.tuple.clone(),
                     prev: seed.prev.clone(),
                 },
-            );
+            ),
+            _ => {}
         }
         self.rules[rule_slot].as_mut().expect("live rule").tokens_in += 1;
         if kind.is_simple() {
@@ -1220,52 +1222,88 @@ impl Network {
 
     /// The composite access path usable at this depth, if any: the first
     /// (widest) spec whose key variables are all bound and whose attribute
-    /// tuple the α-memory indexes. Returns the spec and the evaluated
-    /// composite key, packed flat — the common all-scalar/interned-string
-    /// key allocates nothing per probe.
-    fn find_composite_probe<'r>(
-        &self,
-        rule: &'r RuleNode,
+    /// tuple the α-memory indexes. Returns the spec and the bucket its
+    /// evaluated key selects — one index lookup: a stored memory reaches
+    /// its relation's shared index by handle. The bucket lists map keys: a
+    /// shared bucket every memory's TIDs on the relation (the caller keeps
+    /// the ones `alpha` holds), a node-local one `alpha`'s entries. The key
+    /// is packed flat — the common all-scalar/interned-string key
+    /// allocates nothing per probe.
+    fn find_composite_probe<'s>(
+        &'s self,
+        rule: &'s RuleNode,
         var: usize,
         bound: u64,
         row: &Row,
-        alpha: &AlphaNode,
-    ) -> Option<(&'r CompositeSpec, SmallKey)> {
-        rule.plan.composite[var].iter().find_map(|spec| {
-            if spec.others_mask & !bound != 0 || !self.has_join_index(alpha, &spec.attrs) {
-                return None;
-            }
-            let mut kb = KeyBuilder::new(spec.key_exprs.len());
-            for e in &spec.key_exprs {
-                kb.push(&ariel_query::eval(e, row).ok()?);
-            }
-            Some((spec, kb.finish()))
-        })
-    }
-
-    /// Whether `alpha` can be probed on `attrs` — through its relation's
-    /// shared index for a stored memory, its own for a dynamic one.
-    fn has_join_index(&self, alpha: &AlphaNode, attrs: &[usize]) -> bool {
-        match alpha.store_slot {
-            Some(slot) => self.store.has_index(slot, attrs),
-            None => alpha.has_join_index(attrs),
-        }
-    }
-
-    /// The entry-map keys a probe of `alpha` on `attrs` visits: the shared
-    /// bucket (every memory's TIDs on the relation — callers keep the ones
-    /// `alpha` holds) or the node-local one.
-    fn join_bucket<'s>(
-        &'s self,
         alpha: &'s AlphaNode,
-        attrs: &[usize],
-        key: &SmallKey,
-    ) -> &'s [u64] {
-        match alpha.store_slot {
-            Some(slot) => self.store.bucket(slot, attrs, key),
-            None => alpha.join_bucket(attrs, key),
+    ) -> Option<(&'s CompositeSpec, &'s [u64])> {
+        rule.plan.composite[var]
+            .iter()
+            .enumerate()
+            .find_map(|(i, spec)| {
+                if spec.others_mask & !bound != 0 {
+                    return None;
+                }
+                let index = match alpha.store_slot() {
+                    Some(slot) => self.store.index(slot, rule.vars[var].indexes[i]),
+                    None => alpha.join_index(&spec.attrs)?,
+                };
+                let mut kb = KeyBuilder::new(spec.key_exprs.len());
+                for e in &spec.key_exprs {
+                    kb.push(&ariel_query::eval(e, row).ok()?);
+                }
+                Some((spec, index.bucket(&kb.finish())))
+            })
+    }
+
+    /// The candidate `alpha` holds under map key `key`, if it holds one: a
+    /// stored memory's TID with the tuple its store keeps, or a dynamic
+    /// memory's entry.
+    #[inline]
+    fn candidate<'s>(&'s self, alpha: &'s AlphaNode, key: u64) -> Option<Candidate<'s>> {
+        match alpha.store_slot() {
+            Some(slot) => alpha.contains(Tid(key)).then(|| self.stored(slot, key)),
+            None => alpha.entry(key).map(Candidate::of),
         }
-        .expect("probe found a registered index")
+    }
+
+    /// The candidate a stored memory on `slot` holds under `tid`: the
+    /// tuple its store keeps, and no `prev` (a stored column has none).
+    #[inline]
+    fn stored(&self, slot: StoreSlot, tid: u64) -> Candidate<'_> {
+        Candidate {
+            tid: Some(Tid(tid)),
+            tuple: self.store.tuple(slot, tid).expect("a held TID is stored"),
+            prev: None,
+        }
+    }
+
+    /// Test `cand` against this depth's join conjuncts (but `skip`) and,
+    /// if it passes, bind it at `var` and extend the row below it.
+    #[allow(clippy::too_many_arguments)]
+    fn descend(
+        &self,
+        join: &Join<'_>,
+        depth: usize,
+        now_bound: u64,
+        var: usize,
+        cand: Candidate<'_>,
+        skip: &[usize],
+        row: &mut Row,
+        results: &mut Vec<Vec<BoundVar>>,
+    ) -> QueryResult<()> {
+        let vbit = 1u64 << var;
+        if Self::conjuncts_pass(
+            join.rule, vbit, now_bound, row, var, cand.tuple, cand.prev, skip,
+        )? {
+            row.slots[var] = Some(BoundVar {
+                tid: cand.tid,
+                tuple: cand.tuple.clone(),
+                prev: cand.prev.cloned(),
+            });
+            self.extend_depth(join, depth + 1, now_bound, row, results)?;
+        }
+        Ok(())
     }
 
     /// The band access path usable at this depth, if any: the first spec
@@ -1426,31 +1464,26 @@ impl Network {
                 // stab answers an inequality pair; failing both, enumerate
                 let mut served = 0u64;
                 let mut indexed = true;
-                if let Some((spec, key)) = self.find_composite_probe(rule, var, bound, row, alpha) {
+                if let Some((spec, bucket)) =
+                    self.find_composite_probe(rule, var, bound, row, alpha)
+                {
                     AlphaCounters::bump(&alpha.counters.index_probes, 1);
-                    for &k in self.join_bucket(alpha, &spec.attrs, &key) {
+                    for &k in bucket {
                         // a shared bucket lists TIDs other memories hold
-                        let Some(e) = alpha.entry(k) else {
+                        let Some(cand) = self.candidate(alpha, k) else {
                             continue;
                         };
                         served += 1;
-                        if Self::conjuncts_pass(
-                            rule,
-                            vbit,
+                        self.descend(
+                            join,
+                            depth,
                             now_bound,
-                            row,
                             var,
-                            &e.tuple,
-                            e.prev.as_ref(),
+                            cand,
                             &spec.conjuncts,
-                        )? {
-                            row.slots[var] = Some(BoundVar {
-                                tid: e.tid,
-                                tuple: e.tuple.clone(),
-                                prev: e.prev.clone(),
-                            });
-                            self.extend_depth(join, depth + 1, now_bound, row, results)?;
-                        }
+                            row,
+                            results,
+                        )?;
                     }
                     if served > 0 {
                         AlphaCounters::bump(&alpha.counters.index_hits, 1);
@@ -1459,51 +1492,45 @@ impl Network {
                 {
                     AlphaCounters::bump(&alpha.counters.range_probes, 1);
                     let hits = alpha
-                        .probe_range_index(&spec.shape, &key)
+                        .range_keys(&spec.shape, &key)
                         .expect("probe found a registered index");
                     if !hits.is_empty() {
                         AlphaCounters::bump(&alpha.counters.range_hits, 1);
                     }
-                    for e in hits {
+                    for k in hits {
+                        // a band index files only the keys its memory holds
+                        let cand = match alpha.store_slot() {
+                            Some(slot) => self.stored(slot, k),
+                            None => Candidate::of(alpha.entry(k).expect("a held key")),
+                        };
                         served += 1;
-                        if Self::conjuncts_pass(
-                            rule,
-                            vbit,
+                        self.descend(
+                            join,
+                            depth,
                             now_bound,
-                            row,
                             var,
-                            &e.tuple,
-                            e.prev.as_ref(),
+                            cand,
                             &spec.conjuncts,
-                        )? {
-                            row.slots[var] = Some(BoundVar {
-                                tid: e.tid,
-                                tuple: e.tuple.clone(),
-                                prev: e.prev.clone(),
-                            });
-                            self.extend_depth(join, depth + 1, now_bound, row, results)?;
-                        }
+                            row,
+                            results,
+                        )?;
                     }
                 } else {
                     indexed = false;
-                    for e in alpha.entries() {
-                        served += 1;
-                        if Self::conjuncts_pass(
-                            rule,
-                            vbit,
-                            now_bound,
-                            row,
-                            var,
-                            &e.tuple,
-                            e.prev.as_ref(),
-                            &[],
-                        )? {
-                            row.slots[var] = Some(BoundVar {
-                                tid: e.tid,
-                                tuple: e.tuple.clone(),
-                                prev: e.prev.clone(),
-                            });
-                            self.extend_depth(join, depth + 1, now_bound, row, results)?;
+                    match alpha.store_slot() {
+                        Some(slot) => {
+                            for k in alpha.tids() {
+                                let cand = self.stored(slot, k);
+                                served += 1;
+                                self.descend(join, depth, now_bound, var, cand, &[], row, results)?;
+                            }
+                        }
+                        None => {
+                            for e in alpha.entries() {
+                                served += 1;
+                                let cand = Candidate::of(e);
+                                self.descend(join, depth, now_bound, var, cand, &[], row, results)?;
+                            }
                         }
                     }
                 }
@@ -1552,10 +1579,11 @@ impl Network {
             _ => {
                 // an unindexed memory (a nested plan registers none)
                 // falls through to its full size
-                let estimate = match alpha.store_slot {
-                    Some(slot) => rule.plan.composite[var]
+                let estimate = match alpha.store_slot() {
+                    Some(slot) => rule.vars[var]
+                        .indexes
                         .iter()
-                        .filter_map(|s| self.store.expected_bucket(slot, &s.attrs, alpha.len()))
+                        .map(|&ix| self.store.expected_bucket(slot, ix, alpha.len()))
                         .min(),
                     None => alpha.min_expected_bucket_size(),
                 };
@@ -2757,7 +2785,7 @@ mod tests {
         add(&mut net, 2, &by_jno);
         let slot = net
             .alpha(net.rule(RuleId(2)).unwrap().vars[0].alpha)
-            .store_slot
+            .store_slot()
             .unwrap();
         let held = |net: &Network| net.store.held(slot);
         assert_eq!(held(&net), 4);
@@ -2795,6 +2823,114 @@ mod tests {
             3 + 1,
             "primed + joined"
         );
+    }
+
+    /// Rule `i` of [`twelve_rules_share_dept_through_one_store_slot`]:
+    /// its `dept` memory admits `dno > i % 3`.
+    fn sharing_rule(cat: &Catalog, i: u64) -> ResolvedCondition {
+        cond(
+            cat,
+            None,
+            &format!(
+                "emp.sal > {i} and emp.dno = dept.dno and dept.dno > {}",
+                i % 3
+            ),
+            &[],
+        )
+    }
+
+    #[test]
+    fn twelve_rules_share_dept_through_one_store_slot() {
+        for policy in [
+            VirtualPolicy::AllStored,
+            // emp virtual, dept stored: only dept enters the store
+            VirtualPolicy::ExplicitVars(HashSet::from([0])),
+        ] {
+            let mut cat = paper_catalog();
+            let depts: Vec<Tid> = (1..=4i64)
+                .map(|dno| {
+                    let dept = cat.get_mut("dept").unwrap();
+                    dept.insert(vec![dno.into(), "Sales".into()]).unwrap()
+                })
+                .collect();
+            let mut net = Network::new();
+            for i in 0..12 {
+                net.add_rule(RuleId(i), &sharing_rule(&cat, i), &policy, &cat)
+                    .unwrap();
+                net.prime(RuleId(i), &cat).unwrap();
+            }
+            let check = |net: &Network| net.store.debug_check(net.alphas.iter().flatten());
+            check(&net);
+            let slot = net
+                .alpha(net.rule(RuleId(0)).unwrap().vars[1].alpha)
+                .store_slot()
+                .expect("dept is stored under both policies");
+            // dept dno d is held by the rules with i % 3 < d
+            let holders = |net: &Network| -> Vec<u32> {
+                depts.iter().map(|&t| net.store.holders(slot, t)).collect()
+            };
+            assert_eq!(holders(&net), [4, 8, 12, 12], "{policy:?}");
+            assert_eq!(net.store.held(slot), 4, "each dept kept once");
+
+            // an emp of dept 3 matches every rule
+            let (tid, t) = insert_emp(&mut cat, "a", 100.0, 3, 1);
+            net.process_token(&append_token(tid, t), &cat).unwrap();
+            assert_eq!(net.rules_with_matches().len(), 12, "{policy:?}");
+
+            // deactivating rule 0 releases its four depts; the other 11
+            // keep matching
+            net.remove_rule(RuleId(0));
+            check(&net);
+            assert_eq!(holders(&net), [3, 7, 11, 11], "{policy:?}");
+            let (tid, t) = insert_emp(&mut cat, "b", 100.0, 3, 1);
+            net.process_token(&append_token(tid, t), &cat).unwrap();
+            for i in 1..12 {
+                assert_eq!(
+                    net.pnode(RuleId(i)).unwrap().len(),
+                    2,
+                    "rule {i}, {policy:?}"
+                );
+            }
+
+            // replace dept 2's dno with 4: its `−` and Δ+ move the TID to
+            // its new key, and the memories that reject dno 2 now hold it
+            let moved = depts[1];
+            let new = vec![4i64.into(), "Sales".into()];
+            let old = cat.get_mut("dept").unwrap().update(moved, new).unwrap();
+            let now = cat.get("dept").unwrap().get(moved).cloned().unwrap();
+            let replace = EventSpecifier::Replace(vec![0]);
+            net.process_batch(
+                &[
+                    Token::bare_minus(DEPT, moved, old.clone()),
+                    Token::delta_plus(DEPT, moved, now, old, replace),
+                ],
+                &cat,
+            )
+            .unwrap();
+            check(&net);
+            assert_eq!(holders(&net), [3, 11, 11, 11], "{policy:?}");
+            // an emp of dept 2 finds nothing under the old key; one of
+            // dept 4 joins both TIDs filed under 4
+            let (tid, t) = insert_emp(&mut cat, "c", 100.0, 2, 1);
+            net.process_token(&append_token(tid, t), &cat).unwrap();
+            let (tid, t) = insert_emp(&mut cat, "d", 100.0, 4, 1);
+            net.process_token(&append_token(tid, t), &cat).unwrap();
+            for i in 1..12 {
+                let rows = net.pnode(RuleId(i)).unwrap().rows();
+                let dept_of = |emp: &str| -> Vec<Tid> {
+                    let mut tids: Vec<Tid> = rows
+                        .iter()
+                        .filter(|r| r[0].tuple.get(0) == &Value::from(emp))
+                        .map(|r| r[1].tid.unwrap())
+                        .collect();
+                    tids.sort();
+                    tids
+                };
+                assert!(dept_of("c").is_empty(), "rule {i}, {policy:?}");
+                assert_eq!(dept_of("d"), [moved, depts[3]], "rule {i}, {policy:?}");
+            }
+            check(&net);
+        }
     }
 
     /// Sorted debug renderings of a rule's P-node rows — the

@@ -12,6 +12,9 @@
 //! and under virtual α-memories. An engine moved to a fresh thread, as a
 //! server session picks it up, must allocate no more for its first token
 //! there than on the thread that warmed it.
+//!
+//! The same allocator keeps a live-byte count, which guards what a stored
+//! α-memory keeps per tuple it holds: its TID, not a copy of the entry.
 
 // The counter below is the one `thread_local!` the tree allows.
 #![allow(clippy::disallowed_macros)]
@@ -26,36 +29,45 @@ use std::cell::Cell;
 
 struct Counting;
 
-// Per thread by design: each test counts only its own thread's allocations.
+// Per thread by design: each test counts only its own thread's allocations
+// and the bytes they leave live (freed on the same thread).
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
-fn bump() {
+/// One allocation of `bytes` (a `realloc` counts as one, of its growth).
+fn bump(bytes: i64) {
     // `try_with`: the allocator runs during thread teardown too
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    live(bytes);
+}
+
+fn live(bytes: i64) {
+    let _ = LIVE.try_with(|n| n.set(n.get() + bytes));
 }
 
 // SAFETY: every method forwards to `System` with the caller's arguments
 // unchanged, so `System`'s guarantees are the caller's; the thread-local
-// counter is a `const`-initialised `Cell` that never allocates.
+// counters are `const`-initialised `Cell`s that never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -68,6 +80,13 @@ fn allocs(f: impl FnOnce()) -> u64 {
     let before = ALLOCS.with(Cell::get);
     f();
     ALLOCS.with(Cell::get) - before
+}
+
+/// Heap bytes `f` leaves live on this thread.
+fn live_growth(f: impl FnOnce()) -> i64 {
+    let before = LIVE.with(Cell::get);
+    f();
+    LIVE.with(Cell::get) - before
 }
 
 /// Rule `i` admits `emp.sal` in `(0, 10 + i]`: a salary of 5 enters all
@@ -250,5 +269,154 @@ fn planning_a_keyed_delete_allocates_only_its_plan() {
     assert!(
         n <= kept,
         "planning a keyed delete: {n} allocations, its plan owns {kept}"
+    );
+}
+
+/// Live heap the match state gains while `tokens` `+` tokens of salary
+/// `sal` (no `dept` partner) run through a warmed stored engine, sampled
+/// after every batch of eight: `(tokens so far, bytes so far)`, and the
+/// engine.
+fn stored_growth(sal: i64, tokens: usize) -> (Vec<(usize, i64)>, Ariel) {
+    let mut db = engine(VirtualPolicy::AllStored);
+    warm(&mut db);
+    let mut grown = 0;
+    let mut samples = Vec::new();
+    for n in (8..=tokens).step_by(8) {
+        let batch: Vec<Token> = (0..8).map(|_| plus(&mut db, sal)).collect();
+        grown += live_growth(|| db.match_tokens(&batch).unwrap());
+        samples.push((n, grown));
+    }
+    assert_eq!(db.memory_stats().pnode_rows, 0, "no join partner");
+    (samples, db)
+}
+
+/// A stored memory keeps a TID per tuple it holds; the tuple itself is
+/// kept once, by its relation's store. So a `+` token entering 100 stored
+/// memories grows the live heap by at most 16 B more per memory than one
+/// entering 10: one hash-set slot. The slot count doubles when a set
+/// fills, so a member costs between 1× and 2× its slot (about 10 and 21 B)
+/// over one doubling; the bound is on the mean over a whole doubling
+/// (225..=448 members, the set at 512 slots), and no sample may exceed
+/// the 2× slack. An entry holding its own tuple handle and `prev` costs
+/// 57 B a slot, 64–130 B a member.
+///
+/// And what the store keeps is the relation's tuple: a `dept` token that
+/// probes the memories binds, in every P-node row, the very storage the
+/// `emp` relation holds.
+#[test]
+fn a_stored_membership_costs_a_tid_of_live_heap() {
+    const TOKENS: usize = 448;
+    let (ten, _) = stored_growth(ENTERS_TEN, TOKENS);
+    let (hundred, mut db) = stored_growth(ENTERS_ALL, TOKENS);
+    let per_member: Vec<f64> = ten
+        .iter()
+        .zip(&hundred)
+        .filter(|((n, _), _)| *n > TOKENS / 2)
+        .map(|((n, ten), (_, hundred))| (hundred - ten) as f64 / (90 * n) as f64)
+        .collect();
+    let mean = per_member.iter().sum::<f64>() / per_member.len() as f64;
+    let worst = per_member.iter().copied().fold(0.0, f64::max);
+    assert!(
+        mean <= 16.0,
+        "a stored membership holds {mean:.1} live bytes on average over one doubling"
+    );
+    assert!(
+        worst <= 24.0,
+        "a stored membership holds {worst:.1} live bytes just after its set doubled"
+    );
+
+    let (dept, rel) = db.catalog_mut().resolve_mut("dept").unwrap();
+    let tid = rel.insert(vec![Value::Int(7), Value::Int(2)]).unwrap();
+    let tuple = rel.get(tid).cloned().unwrap();
+    db.match_tokens(&[Token::plus(dept, tid, tuple, EventSpecifier::Append)])
+        .unwrap();
+    let net = db.network();
+    let rules: Vec<_> = net.conflict_set().collect();
+    assert_eq!(rules.len(), RULES as usize, "every emp joins the new dept");
+    for rule in rules {
+        let pnode = net.pnode(rule).unwrap();
+        assert_eq!(pnode.len(), TOKENS);
+        for row in pnode.rows() {
+            for (col, bound) in pnode.cols().iter().zip(row) {
+                let rel = db.catalog().get(&col.rel).unwrap();
+                let base = rel.get(bound.tid.unwrap()).unwrap();
+                assert!(bound.tuple.shares_storage(base), "{} was copied", col.var);
+            }
+        }
+    }
+}
+
+/// Live heap a `match.join_churn`-shaped rule set takes when activated
+/// over its data: 2 000 `emp`, 50 `dept` and 20 `job` rows, 200
+/// three-variable rules whose `emp` bands overlap ten deep. Activation
+/// primes every stored memory.
+fn join_churn_activation(policy: VirtualPolicy) -> (i64, usize) {
+    let mut db = Ariel::with_options(EngineOptions {
+        virtual_policy: policy,
+        ..Default::default()
+    });
+    db.execute(
+        "create emp (eno = int, sal = int, dno = int, jno = int); \
+         create dept (dno = int, floor = int); \
+         create job (jno = int, grade = int); \
+         create log (eno = int); \
+         define index on emp (dno) using hash; \
+         define index on emp (jno) using hash; \
+         define index on dept (dno) using hash; \
+         define index on job (jno) using hash",
+    )
+    .unwrap();
+    let mut load = String::from("do");
+    for i in 0..2_000i64 {
+        let sal = 1_001 + i * 7_919 % 19_000;
+        load.push_str(&format!(
+            " append emp (eno = {i}, sal = {sal}, dno = {}, jno = {})",
+            i % 50,
+            i % 20
+        ));
+    }
+    for d in 0..50i64 {
+        load.push_str(&format!(" append dept (dno = {d}, floor = {})", d % 16));
+    }
+    for j in 0..20i64 {
+        load.push_str(&format!(" append job (jno = {j}, grade = {})", j * 7 % 16));
+    }
+    load.push_str(" end");
+    db.execute(&load).unwrap();
+    let grown = live_growth(|| {
+        for i in 0..200i64 {
+            let lo = i * 100;
+            db.execute(&format!(
+                "define rule band{i} if {lo} < emp.sal and emp.sal <= {} \
+                 and emp.dno = dept.dno and dept.floor = {} \
+                 and emp.jno = job.jno and job.grade = {} \
+                 then append to log (eno = emp.eno)",
+                lo + 1_000,
+                i % 16,
+                i * 5 % 16
+            ))
+            .unwrap();
+        }
+    });
+    (grown, db.network_stats().alpha_entries)
+}
+
+/// The real-memory side of the store's accounting: activating a
+/// `match.join_churn`-shaped rule set over its data with stored memories
+/// takes at most 32 B of live heap per membership more than with virtual
+/// ones (about 21 000 memberships). A TID per membership, each held tuple
+/// once in its relation's store and the shared indexes come to about
+/// 23 B; an entry per membership holding its own tuple handle came to
+/// about 84 B.
+#[test]
+fn join_churn_memories_hold_about_a_tid_per_membership() {
+    let (stored, memberships) = join_churn_activation(VirtualPolicy::AllStored);
+    let (virtual_, none) = join_churn_activation(VirtualPolicy::AllVirtual);
+    assert_eq!(none, 0, "virtual memories hold nothing");
+    assert!(memberships > 20_000, "{memberships} memberships");
+    let per_member = (stored - virtual_) as f64 / memberships as f64;
+    assert!(
+        per_member <= 32.0,
+        "stored memories take {per_member:.1} live bytes per membership"
     );
 }
