@@ -52,8 +52,16 @@ pub const WAL_FILE: &str = "wal.log";
 
 const SNAPSHOT_MAGIC: &[u8; 4] = b"ARSN";
 /// v2 dropped the per-rule "previous P-node size" map: recency is stamped
-/// from the network's gained list, so no size survives a transition.
-const SNAPSHOT_VERSION: u32 = 2;
+/// from the network's gained list, so no size survives a transition. v3
+/// keeps each heap slot's generation instead of a relation's TID counter
+/// (a TID is a slot and a generation); v2 is still read.
+const SNAPSHOT_VERSION: u32 = 3;
+/// The previous layout, read with its TIDs carried over to (slot, 0).
+const SNAPSHOT_V2: u32 = 2;
+
+/// What a v2 P-node TID whose tuple was gone becomes: the last
+/// generation of the last slot, which no relation reaches.
+const DANGLING: Tid = Tid::new(u32::MAX, u32::MAX);
 
 // WAL record kinds (first payload byte).
 const REC_CMD: u8 = 1;
@@ -269,7 +277,7 @@ impl Ariel {
             return Err(ArielError::Persist("not an Ariel snapshot".into()));
         }
         let version = dec.u32()?;
-        if version != SNAPSHOT_VERSION {
+        if version != SNAPSHOT_VERSION && version != SNAPSHOT_V2 {
             return Err(ArielError::Persist(format!(
                 "unsupported snapshot version {version}"
             )));
@@ -295,7 +303,17 @@ impl Ariel {
             firings: dec.u64()?,
             ..EngineStats::default()
         };
-        report.relations = wal::decode_into_catalog(&mut dec, &mut db.catalog)?;
+        // a v2 image named tuples by a counter: its relations restore each
+        // slot at generation 0, and `v2_tids` carries the P-node rows'
+        // TIDs over the same way
+        let v2_tids = if version == SNAPSHOT_V2 {
+            let tids = wal::decode_v2_into_catalog(&mut dec, &mut db.catalog)?;
+            report.relations = tids.len();
+            Some(tids)
+        } else {
+            report.relations = wal::decode_into_catalog(&mut dec, &mut db.catalog)?;
+            None
+        };
         let n_rules = dec.u32()? as usize;
         let mut active_names = Vec::new();
         for _ in 0..n_rules {
@@ -339,6 +357,25 @@ impl Ariel {
                     row.push(get_bound_var(&mut dec)?);
                 }
                 rows.push(row);
+            }
+            if let Some(v2_tids) = &v2_tids {
+                let rels: Vec<String> = db
+                    .network
+                    .pnode(id)
+                    .map(|p| p.cols().iter().map(|c| c.rel.clone()).collect())
+                    .unwrap_or_default();
+                for row in &mut rows {
+                    for (b, rel) in row.iter_mut().zip(&rels) {
+                        // a TID whose tuple was gone at the checkpoint
+                        // stays dangling: it resolves to no tuple
+                        b.tid = b.tid.map(|old| {
+                            v2_tids
+                                .get(rel)
+                                .and_then(|tids| tids.get(&old.0).copied())
+                                .unwrap_or(DANGLING)
+                        });
+                    }
+                }
             }
             db.network.set_pnode_rows(id, rows);
         }

@@ -11,7 +11,7 @@
 //! bench_gate                            # the joins gate on its default paths
 //! bench_gate fresh.json baseline.json   # the joins gate on explicit paths
 //! bench_gate mem [fresh [baseline]]     # one gate
-//! bench_gate joins mem obs serve wal plan   # several gates on their default paths
+//! bench_gate joins mem obs serve wal plan isl   # several gates on their default paths
 //! bench_gate <gate…> --bless            # accept the fresh files as baselines
 //! bench_gate links [root]               # relative links in README.md and docs/*.md
 //! ```
@@ -183,6 +183,21 @@ const GATES: &[Gate] = &[
         rules: &[
             "prepares == 1 — an action is prepared once, at its first firing",
             "growing: replans >= 1 — a plan built for 50 dept rows must be re-planned as dept grows 100×",
+        ],
+    },
+    Gate {
+        name: "isl",
+        fresh: "BENCH_isl.json",
+        baseline: "BENCH_isl_baseline.json",
+        keys: &["intervals"],
+        exact: &[],
+        // no time band against another session: §4.1's claim is a ratio
+        // within one run, which host drift moves alike on both sides
+        bounds: &[],
+        rules: &[
+            "islist_us <= tree_us * 1.5 — the skip list must stab about as fast as the interval tree (§4.1)",
+            "islist_hits == tree_hits — the skip list and the tree must find the same intervals",
+            "islist_hits == naive_hits — the skip list and the linear scan must find the same intervals",
         ],
     },
 ];
@@ -993,6 +1008,75 @@ mod tests {
             .map(|row| timed(row, row.num("total_ms").unwrap() * 1.4))
             .collect();
         assert!(check(g, &slow, &base).is_empty());
+    }
+
+    fn isl(intervals: u64, islist_us: f64, tree_us: f64, hits: [u64; 3]) -> Row {
+        Row::new()
+            .count("intervals", intervals)
+            .time("islist_us", islist_us)
+            .time("tree_us", tree_us)
+            .time("naive_us", tree_us * intervals as f64 / 100.0)
+            .count("islist_hits", hits[0])
+            .count("tree_hits", hits[1])
+            .count("naive_hits", hits[2])
+    }
+
+    fn isl_table() -> Vec<Row> {
+        vec![
+            isl(100, 0.40, 0.55, [50; 3]),
+            isl(1_000, 0.50, 0.70, [50; 3]),
+            isl(100_000, 0.70, 1.20, [50; 3]),
+        ]
+    }
+
+    #[test]
+    fn isl_gate_holds_same_run_rules_only() {
+        let g = gate("isl");
+        let base = isl_table();
+        assert!(check(g, &base, &base).is_empty());
+        // the skip list 1.6× the tree in the same run: §4.1 no longer holds
+        let mut fresh = isl_table();
+        fresh[1] = isl(1_000, 1.12, 0.70, [50; 3]);
+        let v = check(g, &fresh, &base);
+        assert!(
+            has(
+                &v,
+                "intervals=1000: islist_us <= tree_us * 1.5 does not hold"
+            ),
+            "{v:?}"
+        );
+        assert_eq!(v.len(), 1, "{v:?}");
+        // a structure that misses or repeats a hit
+        for (hits, rule) in [
+            ([50, 49, 50], "islist_hits == tree_hits"),
+            ([50, 51, 50], "islist_hits == tree_hits"),
+            ([50, 50, 48], "islist_hits == naive_hits"),
+        ] {
+            let mut fresh = isl_table();
+            fresh[2] = isl(100_000, 0.70, 1.20, hits);
+            let v = check(g, &fresh, &base);
+            assert!(has(&v, &format!("intervals=100000: {rule}")), "{v:?}");
+            assert_eq!(v.len(), 1, "{v:?}");
+        }
+        // a whole host slowing 1.4× passes: no time is held against the
+        // baseline's session
+        let slow: Vec<Row> = base
+            .iter()
+            .map(|r| {
+                let t = |c| r.num(c).unwrap() * 1.4;
+                let h = |c| r.num(c).unwrap() as u64;
+                isl(
+                    h("intervals"),
+                    t("islist_us"),
+                    t("tree_us"),
+                    [h("islist_hits"), h("tree_hits"), h("naive_hits")],
+                )
+            })
+            .collect();
+        assert!(check(g, &slow, &base).is_empty());
+        // a row the baseline has must be measured
+        let v = check(g, &base[..2], &base);
+        assert!(has(&v, "intervals=100000: missing"), "{v:?}");
     }
 
     #[test]

@@ -76,7 +76,7 @@ const TABLES: &[Table] = &[
     Table {
         name: "isl",
         title: "ISL: stabbing queries — skip list vs interval tree vs naive",
-        json: None,
+        json: Some("BENCH_isl.json"),
         run: |_| measure::islist_table(&[100, 1_000, 10_000, 100_000], 200),
     },
     Table {

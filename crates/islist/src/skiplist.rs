@@ -472,11 +472,10 @@ impl<T: Ord + Clone> IntervalSkipList<T> {
     /// Stabbing query: ids of every stored interval containing `x`.
     /// Expected time O(log n + k) where k is the number of hits.
     pub fn stab(&self, x: &T) -> Vec<IntervalId> {
-        let mut out: HashSet<IntervalId> = HashSet::new();
-        self.stab_with(x, |id| {
-            out.insert(id);
-        });
-        out.into_iter().collect()
+        // `stab_with` never repeats a hit, so no set is needed
+        let mut out = Vec::new();
+        self.stab_with(x, |id| out.push(id));
+        out
     }
 
     /// Stabbing query invoking `f` for each hit. Hits are not repeated.
@@ -845,5 +844,43 @@ mod tests {
         let id = l.insert(Interval::closed("apple".to_string(), "mango".to_string()).unwrap());
         assert_eq!(l.stab(&"banana".to_string()), vec![id]);
         assert!(l.stab(&"zebra".to_string()).is_empty());
+    }
+
+    #[test]
+    fn stab_equals_the_naive_hits_on_random_intervals() {
+        use crate::naive::NaiveIntervalSet;
+        let mut rng = LevelRng(0x9E37_79B9_7F4A_7C15);
+        let mut pick = |n: u32| (rng.next_u32() % n) as i64;
+        let mut list = IntervalSkipList::with_seed(7);
+        let mut naive = NaiveIntervalSet::new();
+        let mut ids = Vec::new();
+        for round in 0..400 {
+            let lo = pick(200);
+            let hi = lo + pick(60);
+            let bound = |v: i64, open: bool| {
+                if open {
+                    Bound::Excluded(v)
+                } else {
+                    Bound::Included(v)
+                }
+            };
+            if let Some(iv) = Interval::new(bound(lo, pick(2) == 0), bound(hi, pick(2) == 0)) {
+                let id = list.insert(iv.clone());
+                assert_eq!(naive.insert(iv), id, "both number intervals alike");
+                ids.push(id);
+            }
+            if round % 5 == 4 && !ids.is_empty() {
+                let id = ids.swap_remove(pick(ids.len() as u32) as usize);
+                assert_eq!(list.remove(id), naive.remove(id));
+            }
+            for x in [pick(270) - 5, lo, hi] {
+                let hits = list.stab(&x);
+                let mut seen = sorted(hits.clone());
+                seen.dedup();
+                assert_eq!(seen.len(), hits.len(), "stab repeated a hit at {x}");
+                assert_eq!(seen, sorted(naive.stab(&x)), "stab at {x}");
+            }
+        }
+        list.check_invariants().unwrap();
     }
 }

@@ -816,25 +816,37 @@ impl ReteNetwork {
             if let Ok(key) = eval(&spec.key_expr, &row) {
                 used = true;
                 AlphaCounters::bump(&alpha.counters.range_probes, 1);
-                let hits = alpha
-                    .probe_range_index(&spec.shape, &key)
+                // the hits stream off the skip list; the first error
+                // stops the joins
+                let mut joined = Ok(());
+                let mut hits = 0u64;
+                alpha
+                    .probe_range_index(&spec.shape, &key, |e| {
+                        hits += 1;
+                        if joined.is_err() {
+                            return;
+                        }
+                        let cand = BoundVar {
+                            tid: e.tid,
+                            tuple: e.tuple.clone(),
+                            prev: e.prev.clone(),
+                        };
+                        joined = self
+                            .join_passes(rule, level, left, &cand, &spec.conjuncts)
+                            .map(|pass| {
+                                if pass {
+                                    let mut p = left.to_vec();
+                                    p.push(cand);
+                                    out.push(p);
+                                }
+                            });
+                    })
                     .expect("probe found a registered index");
-                if !hits.is_empty() {
+                joined?;
+                if hits > 0 {
                     AlphaCounters::bump(&alpha.counters.range_hits, 1);
                 }
-                for e in hits {
-                    served += 1;
-                    let cand = BoundVar {
-                        tid: e.tid,
-                        tuple: e.tuple.clone(),
-                        prev: e.prev.clone(),
-                    };
-                    if self.join_passes(rule, level, left, &cand, &spec.conjuncts)? {
-                        let mut p = left.to_vec();
-                        p.push(cand);
-                        out.push(p);
-                    }
-                }
+                served += hits;
             }
         }
         if !used {

@@ -831,6 +831,64 @@ mod tests {
     }
 
     #[test]
+    fn primed_commands_skip_a_tid_whose_slot_was_reused() {
+        let mut cat = setup();
+        let emp_rel = cat.get("emp").unwrap();
+        let emp_schema = emp_rel.schema().clone();
+        let (tid, tuple) = {
+            let (t, tu) = emp_rel.scan().next().unwrap();
+            (t, tu.clone())
+        };
+        let mut pnode = Pnode::new(vec![PnodeCol {
+            var: "emp".into(),
+            rel: "emp".into(),
+            schema: emp_schema,
+            has_prev: false,
+        }]);
+        pnode.push(vec![BoundVar::plain(tid, tuple)]);
+        // delete underneath the P-node, and a new tuple takes the slot
+        let emp = cat.get_mut("emp").unwrap();
+        emp.delete(tid).unwrap();
+        let row = vec!["erin".into(), 10_000.0.into(), 9i64.into()];
+        let reused = emp.insert(row).unwrap();
+        assert_eq!(reused.slot(), tid.slot(), "the slot is reused");
+        assert_ne!(reused, tid);
+        let replace = crate::ast::Command::ReplacePrimed {
+            pvar: "emp".into(),
+            assignments: vec![(
+                "sal".into(),
+                crate::ast::Expr::Literal(crate::ast::Literal::Int(1)),
+            )],
+            from: vec![],
+            qual: None,
+        };
+        let delete = crate::ast::Command::DeletePrimed {
+            pvar: "emp".into(),
+            from: vec![],
+            qual: None,
+        };
+        for cmd in [replace, delete] {
+            let rc = Resolver::with_pnode(&cat, &pnode)
+                .resolve_command(&cmd)
+                .unwrap();
+            let out = execute(&rc, &mut cat, Some(&pnode)).unwrap();
+            assert!(
+                out.changes.is_empty(),
+                "{} reached the new tuple",
+                cmd.kind_name()
+            );
+        }
+        let emp = cat.get("emp").unwrap();
+        assert_eq!(emp.get(tid), None);
+        assert_eq!(
+            emp.get(reused).unwrap().values(),
+            &[Value::from("erin"), Value::Float(10_000.0), Value::Int(9)],
+            "the new tuple is untouched"
+        );
+        assert_eq!(emp.len(), 4);
+    }
+
+    #[test]
     fn sort_merge_join_correctness() {
         let mut cat = Catalog::new();
         for name in ["a", "b"] {

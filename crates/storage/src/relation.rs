@@ -1,27 +1,45 @@
 //! Heap relations: slotted tuple storage with stable TIDs and maintained
 //! secondary indexes.
+//!
+//! A TID names its tuple's slot and the slot's generation (see [`Tid`]):
+//! reading, deleting or updating by TID indexes the slot vector and checks
+//! the generation, with no map from TID to slot.
 
 use crate::error::{StorageError, StorageResult};
 use crate::index::{Index, IndexKind};
 use crate::schema::SchemaRef;
 use crate::tuple::{Tid, Tuple};
 use crate::value::Value;
-use std::collections::HashMap;
 use std::ops::Bound;
+
+/// One heap slot: its generation and, while it is live, its tuple. The
+/// tuple's TID is `Tid::new(slot, gen)`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Slot {
+    /// The slot's generation: bumped each time the slot is reused.
+    pub gen: u32,
+    /// The live tuple, `None` for a hole.
+    pub tuple: Option<Tuple>,
+}
+
+/// A slot at this generation is retired when its tuple is deleted: its
+/// next generation would wrap, so it never goes on the free list.
+const LAST_GEN: u32 = u32::MAX;
 
 /// An in-memory relation.
 ///
 /// Storage is a slotted vector: deleted slots go on a free list and are
-/// reused, but TIDs are never reused, so a TID held in a P-node or an
-/// α-memory either resolves to the same logical tuple or to nothing.
+/// reused under the next generation, so a (slot, generation) never
+/// repeats and a TID held in a P-node or an α-memory either resolves to
+/// the same logical tuple or to nothing.
 #[derive(Debug)]
 pub struct Relation {
     name: String,
     schema: SchemaRef,
-    slots: Vec<Option<(Tid, Tuple)>>,
+    slots: Vec<Slot>,
     free: Vec<usize>,
-    tid_to_slot: HashMap<u64, usize>,
-    next_tid: u64,
+    /// Live tuples.
+    live: usize,
     indexes: Vec<Index>,
     intern_strings: bool,
     /// Bumped by every change to the access paths (see
@@ -38,8 +56,7 @@ impl Relation {
             schema,
             slots: Vec::new(),
             free: Vec::new(),
-            tid_to_slot: HashMap::new(),
-            next_tid: 0,
+            live: 0,
             indexes: Vec::new(),
             intern_strings: true,
             version: 0,
@@ -89,12 +106,12 @@ impl Relation {
 
     /// Number of live tuples.
     pub fn len(&self) -> usize {
-        self.tid_to_slot.len()
+        self.live
     }
 
     /// True iff the relation holds no tuples.
     pub fn is_empty(&self) -> bool {
-        self.tid_to_slot.is_empty()
+        self.live == 0
     }
 
     /// Insert a row, returning the new tuple's TID.
@@ -103,19 +120,27 @@ impl Relation {
         let mut row = self.schema.check_row(row)?;
         self.intern_row(&mut row);
         let tuple = Tuple::new(row);
-        let tid = Tid(self.next_tid);
-        self.next_tid += 1;
-        let slot = match self.free.pop() {
+        let tid = match self.free.pop() {
             Some(s) => {
-                self.slots[s] = Some((tid, tuple.clone()));
-                s
+                let slot = &mut self.slots[s];
+                slot.gen += 1;
+                slot.tuple = Some(tuple.clone());
+                Tid::new(s as u32, slot.gen)
             }
             None => {
-                self.slots.push(Some((tid, tuple.clone())));
-                self.slots.len() - 1
+                // slot `u32::MAX` is never handed out, so no TID names it
+                let s = u32::try_from(self.slots.len())
+                    .ok()
+                    .filter(|&s| s != u32::MAX)
+                    .expect("fewer than 2^32 - 1 slots");
+                self.slots.push(Slot {
+                    gen: 0,
+                    tuple: Some(tuple.clone()),
+                });
+                Tid::new(s, 0)
             }
         };
-        self.tid_to_slot.insert(tid.0, slot);
+        self.live += 1;
         for ix in &mut self.indexes {
             ix.insert(tuple.get(ix.attr()).clone(), tid);
         }
@@ -123,19 +148,32 @@ impl Relation {
     }
 
     /// Fetch a live tuple by TID.
+    #[inline]
     pub fn get(&self, tid: Tid) -> Option<&Tuple> {
-        let slot = *self.tid_to_slot.get(&tid.0)?;
-        self.slots[slot].as_ref().map(|(_, t)| t)
+        let slot = self.slots.get(tid.slot())?;
+        if slot.gen != tid.gen() {
+            return None;
+        }
+        slot.tuple.as_ref()
     }
 
-    /// Delete a tuple by TID, returning the removed tuple.
+    /// The slot `tid` names, if its tuple is live.
+    fn live_slot(&mut self, tid: Tid) -> StorageResult<&mut Slot> {
+        self.slots
+            .get_mut(tid.slot())
+            .filter(|s| s.gen == tid.gen() && s.tuple.is_some())
+            .ok_or(StorageError::DanglingTid(tid.0))
+    }
+
+    /// Delete a tuple by TID, returning the removed tuple. The slot goes
+    /// on the free list unless its generation is the last one.
     pub fn delete(&mut self, tid: Tid) -> StorageResult<Tuple> {
-        let slot = self
-            .tid_to_slot
-            .remove(&tid.0)
-            .ok_or(StorageError::DanglingTid(tid.0))?;
-        let (_, tuple) = self.slots[slot].take().expect("live slot");
-        self.free.push(slot);
+        let slot = self.live_slot(tid)?;
+        let tuple = slot.tuple.take().expect("live slot");
+        if slot.gen != LAST_GEN {
+            self.free.push(tid.slot());
+        }
+        self.live -= 1;
         for ix in &mut self.indexes {
             ix.remove(tuple.get(ix.attr()), tid);
         }
@@ -147,17 +185,13 @@ impl Relation {
     pub fn update(&mut self, tid: Tid, row: Vec<Value>) -> StorageResult<Tuple> {
         let mut row = self.schema.check_row(row)?;
         self.intern_row(&mut row);
-        let slot = *self
-            .tid_to_slot
-            .get(&tid.0)
-            .ok_or(StorageError::DanglingTid(tid.0))?;
         let new_tuple = Tuple::new(row);
-        let (_, old) = self.slots[slot].take().expect("live slot");
+        let slot = self.live_slot(tid)?;
+        let old = slot.tuple.replace(new_tuple.clone()).expect("live slot");
         for ix in &mut self.indexes {
             ix.remove(old.get(ix.attr()), tid);
             ix.insert(new_tuple.get(ix.attr()).clone(), tid);
         }
-        self.slots[slot] = Some((tid, new_tuple));
         Ok(old)
     }
 
@@ -165,7 +199,8 @@ impl Relation {
     pub fn scan(&self) -> impl Iterator<Item = (Tid, &Tuple)> + '_ {
         self.slots
             .iter()
-            .filter_map(|s| s.as_ref().map(|(tid, t)| (*tid, t)))
+            .enumerate()
+            .filter_map(|(i, s)| s.tuple.as_ref().map(|t| (Tid::new(i as u32, s.gen), t)))
     }
 
     /// Create a secondary index on `attr`. Backfills existing tuples.
@@ -178,11 +213,7 @@ impl Relation {
             });
         }
         let mut ix = Index::new(pos, kind);
-        for (tid, t) in self
-            .slots
-            .iter()
-            .filter_map(|s| s.as_ref().map(|(tid, t)| (*tid, t)))
-        {
+        for (tid, t) in self.scan() {
             ix.insert(t.get(pos).clone(), tid);
         }
         self.indexes.push(ix);
@@ -230,10 +261,11 @@ impl Relation {
 
     // ----- snapshot / restore (crash recovery; see `crate::wal`) ---------
 
-    /// Raw slot vector, holes included — the exact physical layout a
-    /// snapshot must preserve so scan order and free-slot reuse are
-    /// identical after recovery.
-    pub fn snapshot_slots(&self) -> &[Option<(Tid, Tuple)>] {
+    /// Raw slot vector, holes and their generations included — the exact
+    /// physical layout a snapshot must preserve so scan order, free-slot
+    /// reuse and the TID of every later insert are identical after
+    /// recovery.
+    pub fn snapshot_slots(&self) -> &[Slot] {
         &self.slots
     }
 
@@ -241,12 +273,6 @@ impl Relation {
     /// first by the next insert).
     pub fn free_slots(&self) -> &[usize] {
         &self.free
-    }
-
-    /// The TID the next insert will allocate. Never decreases; snapshots
-    /// must carry it so recovered engines keep allocating fresh TIDs.
-    pub fn next_tid(&self) -> u64 {
-        self.next_tid
     }
 
     /// Secondary index definitions as (attribute position, kind) pairs —
@@ -260,90 +286,93 @@ impl Relation {
     }
 
     /// Rebuild a relation from snapshot parts, byte-for-byte equivalent to
-    /// the one snapshotted: the slot vector (holes included), the free
-    /// list, and the TID counter are taken as-is, so scan order, slot
-    /// reuse and TID allocation continue exactly as they would have; the
-    /// TID map and secondary indexes are derived from the slots. Errors
-    /// if the parts are inconsistent (duplicate or out-of-range TIDs,
-    /// free entries pointing at live slots, index positions outside the
-    /// schema).
+    /// the one snapshotted: the slot vector (holes and generations
+    /// included) and the free list are taken as-is, so scan order, slot
+    /// reuse and the TIDs of later inserts continue exactly as they would
+    /// have; the live count and secondary indexes are derived from the
+    /// slots. Errors if the parts are inconsistent (more slots than a TID
+    /// can name, free entries that are live, retired or repeated, index
+    /// positions outside the schema).
     pub fn restore(
         name: impl Into<String>,
         schema: SchemaRef,
-        slots: Vec<Option<(Tid, Tuple)>>,
+        slots: Vec<Slot>,
         free: Vec<usize>,
-        next_tid: u64,
         index_defs: &[(usize, IndexKind)],
         intern_strings: bool,
     ) -> StorageResult<Relation> {
         let name = name.into();
         let corrupt = |msg: String| StorageError::Persist(format!("relation `{name}`: {msg}"));
-        let mut tid_to_slot = HashMap::with_capacity(slots.len());
+        if slots.len() >= u32::MAX as usize {
+            return Err(corrupt(format!("{} slots", slots.len())));
+        }
+        let mut live = 0;
         for (i, slot) in slots.iter().enumerate() {
-            if let Some((tid, tuple)) = slot {
-                if tid.0 >= next_tid {
-                    return Err(corrupt(format!(
-                        "live tid {} not below next_tid {next_tid}",
-                        tid.0
-                    )));
-                }
+            if let Some(tuple) = &slot.tuple {
                 if tuple.values().len() != schema.attrs().len() {
                     return Err(corrupt(format!(
                         "tuple {} has {} values for a {}-attribute schema",
-                        tid.0,
+                        Tid::new(i as u32, slot.gen),
                         tuple.values().len(),
                         schema.attrs().len()
                     )));
                 }
-                if tid_to_slot.insert(tid.0, i).is_some() {
-                    return Err(corrupt(format!("duplicate tid {}", tid.0)));
+                live += 1;
+            }
+        }
+        let mut listed = vec![false; slots.len()];
+        for &s in &free {
+            match slots.get(s) {
+                Some(slot) if slot.tuple.is_none() && slot.gen != LAST_GEN && !listed[s] => {
+                    listed[s] = true;
+                }
+                _ => {
+                    return Err(corrupt(format!(
+                        "free-list entry {s} is not a reusable hole"
+                    )))
                 }
             }
         }
-        for &s in &free {
-            if slots.get(s).map_or(true, |slot| slot.is_some()) {
-                return Err(corrupt(format!("free-list entry {s} is not a hole")));
-            }
+        if let Some((pos, _)) = index_defs
+            .iter()
+            .find(|(pos, _)| *pos >= schema.attrs().len())
+        {
+            return Err(corrupt(format!("index position {pos} outside the schema")));
         }
-        let mut indexes = Vec::with_capacity(index_defs.len());
-        for &(pos, kind) in index_defs {
-            if pos >= schema.attrs().len() {
-                return Err(corrupt(format!("index position {pos} outside the schema")));
-            }
-            let mut ix = Index::new(pos, kind);
-            for (tid, t) in slots.iter().filter_map(Option::as_ref) {
-                ix.insert(t.get(pos).clone(), *tid);
-            }
-            indexes.push(ix);
-        }
-        Ok(Relation {
+        let mut relation = Relation {
             name,
             schema,
             slots,
             free,
-            tid_to_slot,
-            next_tid,
-            indexes,
+            live,
+            indexes: Vec::with_capacity(index_defs.len()),
             intern_strings,
             version: 0,
-        })
+        };
+        for &(pos, kind) in index_defs {
+            let mut ix = Index::new(pos, kind);
+            for (tid, t) in relation.scan() {
+                ix.insert(t.get(pos).clone(), tid);
+            }
+            relation.indexes.push(ix);
+        }
+        Ok(relation)
     }
 
-    /// Remove every tuple (used by `destroy`/reset paths). TIDs are not
-    /// reused afterwards.
+    /// Remove every tuple (used by `destroy`/reset paths). Each slot keeps
+    /// its generation, so no TID handed out before resolves again.
     pub fn clear(&mut self) {
-        self.slots.clear();
-        self.free.clear();
-        self.tid_to_slot.clear();
-        let kinds: Vec<(usize, IndexKind)> = self
-            .indexes
-            .iter()
-            .map(|ix| (ix.attr(), ix.kind()))
+        for slot in &mut self.slots {
+            slot.tuple = None;
+        }
+        self.free = (0..self.slots.len())
+            .rev()
+            .filter(|&s| self.slots[s].gen != LAST_GEN)
             .collect();
-        self.indexes = kinds
-            .into_iter()
-            .map(|(attr, kind)| Index::new(attr, kind))
-            .collect();
+        self.live = 0;
+        for ix in &mut self.indexes {
+            *ix = Index::new(ix.attr(), ix.kind());
+        }
     }
 }
 
@@ -387,6 +416,58 @@ mod tests {
         assert_eq!(r.len(), 1);
         // slot was reused: underlying vector did not grow
         assert_eq!(r.slots.len(), 1);
+        assert_eq!((t2.slot(), t2.gen()), (t1.slot(), t1.gen() + 1));
+    }
+
+    #[test]
+    fn a_stale_tid_of_a_reused_slot_resolves_to_nothing() {
+        let mut r = emp();
+        r.create_index("dno", IndexKind::Hash).unwrap();
+        let old = r.insert(row("a", 1.0, 1)).unwrap();
+        r.delete(old).unwrap();
+        let new = r.insert(row("b", 2.0, 1)).unwrap();
+        assert_eq!(new.slot(), old.slot(), "the slot is reused");
+        assert_eq!(r.get(old), None);
+        assert_eq!(r.delete(old), Err(StorageError::DanglingTid(old.0)));
+        assert_eq!(
+            r.update(old, row("c", 3.0, 1)),
+            Err(StorageError::DanglingTid(old.0))
+        );
+        // the tuple that took the slot is untouched
+        assert_eq!(r.get(new).unwrap().get(0), &Value::from("b"));
+        assert_eq!(r.len(), 1);
+        assert_eq!(
+            r.probe_eq(2, &Value::Int(1)).unwrap().collect::<Vec<_>>(),
+            vec![(new, r.get(new).unwrap())]
+        );
+        // a TID past the slot vector is dangling too
+        assert_eq!(r.get(Tid::new(7, 0)), None);
+    }
+
+    #[test]
+    fn a_slot_at_its_last_generation_is_retired() {
+        let t = |name: &str| Tuple::new(vec![name.into(), 1.0.into(), 1i64.into()]);
+        let slots = vec![
+            Slot {
+                gen: LAST_GEN,
+                tuple: Some(t("a")),
+            },
+            Slot {
+                gen: 3,
+                tuple: None,
+            },
+        ];
+        let mut r =
+            Relation::restore("emp", emp().schema().clone(), slots, vec![1], &[], true).unwrap();
+        let last = Tid::new(0, LAST_GEN);
+        assert!(r.get(last).is_some());
+        r.delete(last).unwrap();
+        assert_eq!(r.free_slots(), [1], "slot 0 never goes on the free list");
+        assert_eq!(r.insert(row("b", 1.0, 1)).unwrap(), Tid::new(1, 4));
+        assert_eq!(r.insert(row("c", 1.0, 1)).unwrap(), Tid::new(2, 0));
+        assert_eq!(r.get(last), None);
+        r.clear();
+        assert_eq!(r.free_slots(), [2, 1], "clear keeps slot 0 retired");
     }
 
     #[test]
@@ -396,6 +477,9 @@ mod tests {
             r.delete(Tid(42)),
             Err(StorageError::DanglingTid(42))
         ));
+        let tid = r.insert(row("a", 1.0, 1)).unwrap();
+        r.delete(tid).unwrap();
+        assert!(matches!(r.delete(tid), Err(StorageError::DanglingTid(_))));
     }
 
     #[test]

@@ -9,16 +9,42 @@ use crate::value::Value;
 use std::fmt;
 use std::sync::Arc;
 
-/// Stable identifier of a tuple within one relation.
+/// Stable identifier of a tuple within one relation: the tuple's heap
+/// slot and the slot's generation, packed as `gen << 32 | slot`.
 ///
-/// TIDs are unique per relation for the lifetime of the [`crate::Relation`]
-/// (slots are reused but identifiers are not).
+/// A relation reuses a freed slot under the next generation, so a
+/// (slot, generation) never repeats for the lifetime of the
+/// [`crate::Relation`]: a TID held past its tuple's delete resolves to
+/// nothing, never to the tuple that took the slot. Reading a tuple by TID
+/// is an index into the slot vector plus a generation check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Tid(pub u64);
 
+impl Tid {
+    /// The TID of generation `gen` of slot `slot`.
+    pub const fn new(slot: u32, gen: u32) -> Tid {
+        Tid((gen as u64) << 32 | slot as u64)
+    }
+
+    /// The heap slot.
+    #[inline]
+    pub const fn slot(self) -> usize {
+        self.0 as u32 as usize
+    }
+
+    /// The slot's generation when the tuple was inserted.
+    #[inline]
+    pub const fn gen(self) -> u32 {
+        (self.0 >> 32) as u32
+    }
+}
+
 impl fmt::Display for Tid {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "t{}", self.0)
+        match self.gen() {
+            0 => write!(f, "t{}", self.slot()),
+            gen => write!(f, "t{}.{gen}", self.slot()),
+        }
     }
 }
 

@@ -485,7 +485,7 @@ fn old_snapshot_version_is_refused() {
     let path = dir.join("snapshot.bin");
     let mut image = std::fs::read(&path).unwrap();
     assert_eq!(&image[..4], b"ARSN");
-    assert_eq!(image[4..8], 2u32.to_be_bytes(), "current format is v2");
+    assert_eq!(image[4..8], 3u32.to_be_bytes(), "current format is v3");
     image[4..8].copy_from_slice(&1u32.to_be_bytes());
     std::fs::write(&path, &image).unwrap();
     let err = Ariel::recover(&dir, EngineOptions::default()).unwrap_err();
@@ -493,6 +493,212 @@ fn old_snapshot_version_is_refused() {
         err.to_string().contains("unsupported snapshot version 1"),
         "{err}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The scenario behind `tests/fixtures/snapshot_v2/`, whose snapshot the
+/// previous format (v2, a TID counter per relation) wrote: deletes and
+/// re-inserts make its TIDs differ from heap slots, and at the checkpoint
+/// `purge` (a primed `delete'`) and `cool` (a primed `replace'`) had
+/// P-node rows binding those TIDs.
+const V2_HEAD: &str = "\
+create emp (id = int, sal = float, dno = int)
+create dept (dno = int, floor = int)
+create audit (id = int, kind = int)
+append dept (dno = 1, floor = 1)
+append dept (dno = 2, floor = 5)
+append dept (dno = 3, floor = 6)
+append emp (id = 1, sal = 1000, dno = 1)
+append emp (id = 2, sal = 4000, dno = 2)
+append emp (id = 3, sal = 5000, dno = 3)
+append emp (id = 4, sal = 200, dno = 2)
+delete emp where emp.id = 1
+append emp (id = 5, sal = 6000, dno = 2)
+delete emp where emp.id = 4
+append emp (id = 6, sal = 7000, dno = 1)
+append emp (id = 7, sal = 300, dno = 3)
+delete dept where dept.dno = 1
+append dept (dno = 4, floor = 7)
+define rule watch if emp.sal > 4500 and emp.dno = dept.dno then append to audit (id = emp.id, kind = 1)
+append emp (id = 8, sal = 9000, dno = 4)
+delete emp where emp.id = 2";
+const V2_PENDING: [&str; 2] = [
+    "define rule purge if emp.sal > 3000 and emp.dno = dept.dno and dept.floor > 4 then delete emp",
+    "define rule cool if dept.floor > 5 then replace dept (floor = 0)",
+];
+/// The commands the fixture's WAL holds after the checkpoint.
+const V2_TAIL: &str = "\
+append audit (id = 0, kind = 9)
+append emp (id = 9, sal = 3500, dno = 2)
+delete emp where emp.id = 6
+append emp (id = 10, sal = 100, dno = 3)";
+
+/// The v2 fixture, copied into a scratch directory (recovery writes to
+/// its directory); `with_wal: false` leaves the log empty.
+fn v2_fixture(name: &str, with_wal: bool) -> PathBuf {
+    let src = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/snapshot_v2");
+    let dir = scratch(name);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::copy(src.join("snapshot.bin"), dir.join("snapshot.bin")).unwrap();
+    let wal = if with_wal {
+        std::fs::read(src.join("wal.log")).unwrap()
+    } else {
+        Vec::new()
+    };
+    std::fs::write(dir.join("wal.log"), wal).unwrap();
+    dir
+}
+
+fn ints(rows: &[&[i64]]) -> Rows {
+    rows.iter()
+        .map(|r| r.iter().map(|&v| Value::Int(v)).collect())
+        .collect()
+}
+
+fn emps(rows: &[(i64, f64, i64)]) -> Rows {
+    rows.iter()
+        .map(|&(id, sal, dno)| vec![Value::Int(id), Value::Float(sal), Value::Int(dno)])
+        .collect()
+}
+
+/// A snapshot in the previous format still recovers, to what the engine
+/// that wrote it recovered: every slot restores at generation 0, and the
+/// P-node rows' TIDs are carried over through the same table, so the
+/// pending `delete'` and `replace'` reach the tuples they bound. The
+/// expected values are what the previous format's engine printed for
+/// the same two recoveries.
+#[test]
+fn a_v2_snapshot_recovers_to_what_its_writer_recovered() {
+    let head = || {
+        let mut db = Ariel::new();
+        for cmd in V2_HEAD.lines() {
+            db.execute(cmd).unwrap();
+        }
+        for src in V2_PENDING {
+            db.install_rule_src(src).unwrap();
+        }
+        for name in ["purge", "cool"] {
+            db.activate_rule(name).unwrap();
+        }
+        db
+    };
+    // what the previous format's engine printed, observed in this order
+    // (a retrieve shows the state its own transition's firings follow)
+    let observe = |db: &mut Ariel| {
+        let pending = ["watch", "purge", "cool"].map(|r| db.pending_matches(r).unwrap());
+        let mem = db.memory_stats();
+        let rows = ["emp", "dept", "audit"].map(|rel| snapshot(db, rel));
+        (pending, mem.alpha_entries, mem.pnode_rows, rows)
+    };
+
+    // the snapshot alone: the P-node rows wait, then fire on the first
+    // retrieve
+    let dir = v2_fixture("v2-snapshot", false);
+    let (mut back, report) = Ariel::recover(&dir, EngineOptions::default()).unwrap();
+    assert_eq!((report.relations, report.rules, report.replayed), (3, 3, 0));
+    let seen = observe(&mut back);
+    assert_eq!((seen.0, seen.1, seen.2), ([0, 3, 2], 14, 5));
+    assert_eq!(
+        seen.3,
+        [
+            emps(&[
+                (3, 5000.0, 3),
+                (5, 6000.0, 2),
+                (6, 7000.0, 1),
+                (7, 300.0, 3),
+                (8, 9000.0, 4)
+            ]),
+            ints(&[&[2, 5], &[3, 0], &[4, 0]]),
+            ints(&[&[3, 1], &[3, 1], &[5, 1], &[8, 1], &[8, 1]]),
+        ]
+    );
+    assert_eq!(back.memory_stats().alpha_entries, 10);
+    let mut twin = head();
+    assert_eq!(observe(&mut twin), seen);
+    assert_eq!(fingerprint(&mut back), fingerprint(&mut twin));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // with the WAL tail: `purge` deletes emp 5 through its v2 TID (4, in
+    // slot 0) while replaying; a TID read as a slot would delete emp 7
+    let dir = v2_fixture("v2-wal", true);
+    let (mut back, report) = Ariel::recover(&dir, EngineOptions::default()).unwrap();
+    assert_eq!(report.replayed, 4);
+    assert!(
+        report.replay_errors.is_empty(),
+        "{:?}",
+        report.replay_errors
+    );
+    let seen = observe(&mut back);
+    assert_eq!((seen.0, seen.1, seen.2), ([0, 0, 0], 8, 0));
+    assert_eq!(
+        seen.3,
+        [
+            emps(&[
+                (10, 100.0, 3),
+                (3, 5000.0, 3),
+                (7, 300.0, 3),
+                (8, 9000.0, 4)
+            ]),
+            ints(&[&[2, 5], &[3, 0], &[4, 0]]),
+            ints(&[&[0, 9], &[3, 1], &[3, 1], &[5, 1], &[8, 1], &[8, 1]]),
+        ]
+    );
+    let mut twin = head();
+    for cmd in V2_TAIL.lines() {
+        twin.execute(cmd).unwrap();
+    }
+    assert_eq!(observe(&mut twin), seen);
+    // and both go on alike
+    for db in [&mut back, &mut twin] {
+        db.execute("append emp (id = 11, sal = 8000, dno = 2)")
+            .unwrap();
+    }
+    assert_eq!(fingerprint(&mut back), fingerprint(&mut twin));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A v3 checkpoint keeps each slot's generation: after slot reuse, a
+/// recovered engine's relations scan in the same order under the same
+/// TIDs, keep the same free slots, and hand the next insert the same TID.
+#[test]
+fn a_v3_snapshot_keeps_slot_generations() {
+    let dir = scratch("v3-generations");
+    let mut db = Ariel::new();
+    db.execute("create emp (id = int, sal = int)").unwrap();
+    for id in 0..6 {
+        db.execute(&format!("append emp (id = {id}, sal = {id})"))
+            .unwrap();
+    }
+    for (gone, again) in [(1, 10), (4, 11), (10, 12), (2, 13)] {
+        db.execute(&format!("delete emp where emp.id = {gone}"))
+            .unwrap();
+        db.execute(&format!("append emp (id = {again}, sal = 0)"))
+            .unwrap();
+    }
+    db.execute("delete emp where emp.id = 3").unwrap();
+    db.checkpoint(&dir).unwrap();
+    let (mut back, _) = Ariel::recover(&dir, EngineOptions::default()).unwrap();
+    let layout = |db: &Ariel| {
+        let rel = db.catalog().get("emp").unwrap();
+        let tids: Vec<_> = rel.scan().map(|(tid, t)| (tid, t.clone())).collect();
+        (
+            tids,
+            rel.free_slots().to_vec(),
+            rel.snapshot_slots().to_vec(),
+        )
+    };
+    let before = layout(&db);
+    assert!(
+        before.0.iter().any(|(tid, _)| tid.gen() == 2),
+        "a slot reused twice: {:?}",
+        before.0
+    );
+    assert_eq!(layout(&back), before);
+    let next = |db: &mut Ariel| {
+        let rel = db.catalog_mut().require_mut("emp").unwrap();
+        rel.insert(vec![Value::Int(99), Value::Int(0)]).unwrap()
+    };
+    assert_eq!(next(&mut back), next(&mut db));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

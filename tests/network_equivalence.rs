@@ -147,6 +147,67 @@ fn virtual_policies_produce_identical_states() {
     }
 }
 
+/// One `do … end` block deletes an `emp` tuple that pending P-node rows
+/// bind and appends one that takes its heap slot: the rows binding the old
+/// TID are retracted, the new tuple matches under its own TID, and every
+/// virtual policy ends in the same state.
+#[test]
+fn a_block_reusing_a_bound_slot_matches_across_policies() {
+    let mut reference: Option<(Rows, Rows)> = None;
+    for policy in [
+        VirtualPolicy::AllStored,
+        VirtualPolicy::AllVirtual,
+        VirtualPolicy::SelectivityThreshold(0.5),
+    ] {
+        let mut db = Ariel::with_options(EngineOptions {
+            virtual_policy: policy.clone(),
+            ..Default::default()
+        });
+        db.execute(CHURN_SCHEMA).unwrap();
+        db.execute(
+            "do append dept (dno = 1, floor = 1) \
+             append emp (id = 0, sal = 2000, dno = 1) \
+             append emp (id = 1, sal = 3000, dno = 1) \
+             append emp (id = 2, sal = 4000, dno = 1) end",
+        )
+        .unwrap();
+        db.install_rule_src(
+            "define rule paid if emp.sal > 1000 and emp.dno = dept.dno \
+             then append to audit(id = emp.id, kind = 5)",
+        )
+        .unwrap();
+        db.activate_rule("paid").unwrap();
+        assert_eq!(db.pending_matches("paid").unwrap(), 3, "{policy:?}");
+        let slot_of = |db: &Ariel, id: i64| {
+            let emp = db.catalog().get("emp").unwrap();
+            emp.scan()
+                .find(|(_, t)| t.get(0) == &Value::Int(id))
+                .map(|(tid, _)| tid)
+                .unwrap()
+        };
+        let old = slot_of(&db, 1);
+        db.execute(
+            "do delete emp where emp.id = 1 \
+             append emp (id = 7, sal = 5000, dno = 1) end",
+        )
+        .unwrap();
+        let new = slot_of(&db, 7);
+        assert_eq!((new.slot(), new.gen()), (old.slot(), old.gen() + 1));
+        let audit = snapshot(&mut db, "audit");
+        let ids: Vec<&Value> = audit.iter().map(|r| &r[0]).collect();
+        assert_eq!(
+            ids,
+            [&Value::Int(0), &Value::Int(2), &Value::Int(7)],
+            "the deleted tuple's row fired under {policy:?}"
+        );
+        let state = (snapshot(&mut db, "emp"), audit);
+        match &reference {
+            None => reference = Some(state),
+            Some(want) => assert_eq!(&state, want, "diverged under {policy:?}"),
+        }
+    }
+}
+
 /// Prepared rule actions give the answers of the paper's always-reoptimize
 /// strategy. The reference engine deactivates and re-activates the rule
 /// before every command, which drops the prepared action, so each of its

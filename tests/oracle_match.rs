@@ -330,6 +330,56 @@ fn minus_routing_corner_cases_match_oracle() {
     }
 }
 
+/// A delete and an append into the slot it frees, in one batch (the
+/// tokens of one `do … end` block), while P-node rows bind the deleted
+/// tuple's TID: the new tuple takes the slot under the next generation,
+/// the rows binding the old TID are retracted and no others. Also an
+/// append, its delete and an append reusing its slot in one batch, and a
+/// reused `r2` slot that rows join through. The store's debug check runs
+/// after every batch (debug builds), the recompute oracle after every
+/// batch, on every backend.
+#[test]
+fn a_slot_reused_within_one_batch_matches_oracle() {
+    let ins = |a, b| Op::Insert { rel: 0, a, b };
+    let dept = |b| Op::Insert { rel: 1, a: b, b: 2 };
+    let del = |pick| Op::Delete { pick };
+    let batches: Vec<Vec<Op>> = vec![
+        vec![dept(1), dept(2)],
+        vec![ins(4, 1), ins(12, 1), ins(13, 2)],
+        // r1 slot 0, bound by rows of several rules, is freed and reused
+        vec![del(2), ins(14, 1)],
+        // i d i: the second append reuses the first one's slot
+        vec![ins(5, 2), del(5), ins(6, 1)],
+        // the r2 tuple rows join through is replaced in its own slot
+        vec![del(0), dept(1)],
+    ];
+    for config in all_configs() {
+        let mut cat = catalog();
+        let conds = conditions(&cat);
+        let mut net = Net::build(&config, &conds, &cat);
+        let mut live: Vec<(String, Tid)> = Vec::new();
+        let mut delta = DeltaTracker::new();
+        for (t, batch) in batches.iter().enumerate() {
+            delta.reset();
+            let mut tokens = Vec::new();
+            for op in batch {
+                let change = apply(&mut cat, &mut live, op).expect("scripted op applies");
+                tokens.extend(delta.tokens_for(&change));
+            }
+            net.process_batch(&tokens, &cat);
+            net.check(&conds, &cat, &(t, batch, &config)).unwrap();
+        }
+        let tids = |rel: &str| -> Vec<Tid> {
+            let mut tids: Vec<Tid> = cat.get(rel).unwrap().scan().map(|(t, _)| t).collect();
+            tids.sort();
+            tids
+        };
+        let (r1_0, r1_3) = (Tid::new(0, 1), Tid::new(3, 1));
+        assert_eq!(tids("r1"), [Tid(1), Tid(2), r1_0, r1_3], "{config:?}");
+        assert_eq!(tids("r2"), [Tid(1), Tid::new(0, 1)], "{config:?}");
+    }
+}
+
 /// The scaling claim for `−` tokens, as counts: one delete costs one
 /// selection-network probe and reaches only the α-nodes whose band holds
 /// the dying value — the same number against 200 rules as against 1 600.
