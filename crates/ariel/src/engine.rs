@@ -1124,6 +1124,52 @@ mod tests {
         assert_eq!(db.network_stats().rules, 1);
     }
 
+    /// Activation primes over the existing tuples: a condition that
+    /// cannot be evaluated on one of them fails the activation with the
+    /// error evaluating it as a query gives, under either memory policy —
+    /// whether the α residual of a one-variable rule, of a join rule's
+    /// variable or a join conjunct fails — and leaves no network state.
+    #[test]
+    fn activation_over_a_tuple_the_condition_cannot_evaluate_fails_with_its_error() {
+        let conditions = [
+            "t.x > 0 and 10 / t.y > 1",
+            "t.x > 0 and 10 / t.y > 1 and t.x = u.x",
+            "t.x = u.x and 10 / (t.y + u.y) > 1",
+            "u.x = t.x and t.x >= 1 and 10 / t.y > 1",
+        ];
+        for policy in [VirtualPolicy::AllStored, VirtualPolicy::AllVirtual] {
+            for cond in conditions {
+                let mut db = Ariel::with_options(EngineOptions {
+                    virtual_policy: policy.clone(),
+                    ..Default::default()
+                });
+                db.execute(
+                    "create t (x = int, y = int); create u (x = int, y = int); \
+                     create log (x = int); \
+                     append t (x = 1, y = 2); append t (x = 1, y = 0); \
+                     append u (x = 1, y = 0)",
+                )
+                .unwrap();
+                let want = db
+                    .query(&format!("retrieve (t.x) where {cond}"))
+                    .unwrap_err()
+                    .to_string();
+                assert!(want.contains("division by zero"), "{want}");
+                db.install_rule_src(&format!(
+                    "define rule r if {cond} then append to log (x = t.x)"
+                ))
+                .unwrap();
+                let got = db.activate_rule("r").unwrap_err().to_string();
+                assert_eq!(got, want, "{cond} under {policy:?}");
+                assert_eq!(db.network_stats().rules, 0, "{cond}: rolled back");
+                // without the tuple it cannot evaluate, the rule activates
+                db.execute("delete t where t.y = 0").unwrap();
+                db.activate_rule("r").unwrap();
+                assert_eq!(db.pending_matches("r").unwrap(), 1, "{cond}");
+            }
+        }
+    }
+
     #[test]
     fn pending_matches_reports_pnode_size() {
         let mut db = Ariel::new();

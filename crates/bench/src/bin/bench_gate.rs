@@ -11,7 +11,7 @@
 //! bench_gate                            # the joins gate on its default paths
 //! bench_gate fresh.json baseline.json   # the joins gate on explicit paths
 //! bench_gate mem [fresh [baseline]]     # one gate
-//! bench_gate joins mem obs serve wal plan isl   # several gates on their default paths
+//! bench_gate joins mem obs serve wal plan isl fig   # several gates on their default paths
 //! bench_gate <gate…> --bless            # accept the fresh files as baselines
 //! bench_gate links [root]               # relative links in README.md and docs/*.md
 //! ```
@@ -198,6 +198,27 @@ const GATES: &[Gate] = &[
             "islist_us <= tree_us * 1.5 — the skip list must stab about as fast as the interval tree (§4.1)",
             "islist_hits == tree_hits — the skip list and the tree must find the same intervals",
             "islist_hits == naive_hits — the skip list and the linear scan must find the same intervals",
+        ],
+    },
+    Gate {
+        name: "fig",
+        fresh: "BENCH_fig.json",
+        baseline: "BENCH_fig_baseline.json",
+        keys: &["fig", "rules"],
+        exact: &[],
+        // §6's claims are about growth with the rule count, within one
+        // run: host drift moves both rows of a ratio alike
+        bounds: &[],
+        rules: &[
+            "fig9/rules=200: token_test_us <= fig9/rules=25.token_test_us * 1.5 — a token's test time must not grow with the rule count (§6, Fig. 9)",
+            "fig9/rules=200: install_ms <= fig9/rules=25.install_ms * 16 — installing 8× the rules may cost at most twice linear",
+            "fig9/rules=200: activate_ms <= fig9/rules=25.activate_ms * 16 — activating 8× the rules may cost at most twice linear",
+            "fig10/rules=200: token_test_us <= fig10/rules=25.token_test_us * 1.5 — a token's test time must not grow with the rule count (§6, Fig. 10)",
+            "fig10/rules=200: install_ms <= fig10/rules=25.install_ms * 16 — installing 8× the rules may cost at most twice linear",
+            "fig10/rules=200: activate_ms <= fig10/rules=25.activate_ms * 16 — activating 8× the rules may cost at most twice linear",
+            "fig11/rules=200: token_test_us <= fig11/rules=25.token_test_us * 1.5 — a token's test time must not grow with the rule count (§6, Fig. 11)",
+            "fig11/rules=200: install_ms <= fig11/rules=25.install_ms * 16 — installing 8× the rules may cost at most twice linear",
+            "fig11/rules=200: activate_ms <= fig11/rules=25.activate_ms * 16 — activating 8× the rules may cost at most twice linear",
         ],
     },
 ];
@@ -631,6 +652,7 @@ fn run_gates(args: &[String], bless: bool) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ariel_bench::table::Spread;
 
     fn gate(name: &str) -> &'static Gate {
         GATES.iter().find(|g| g.name == name).unwrap()
@@ -1077,6 +1099,81 @@ mod tests {
         // a row the baseline has must be measured
         let v = check(g, &base[..2], &base);
         assert!(has(&v, "intervals=100000: missing"), "{v:?}");
+    }
+
+    fn fig(fig: &str, rules: u64, token_test_us: f64, install_ms: f64, activate_ms: f64) -> Row {
+        Row::new()
+            .key("fig", fig)
+            .count("rules", rules)
+            .time("install_ms", install_ms)
+            .time("activate_ms", activate_ms)
+            .time("token_test_us", token_test_us)
+    }
+
+    /// Figures 9–11 at 25, 100 and 200 rules: flat token tests, linear
+    /// installation and activation.
+    fn fig_table() -> Vec<Row> {
+        let mut rows = Vec::new();
+        for (f, token_us) in [("fig9", 1.0), ("fig10", 5.5), ("fig11", 8.0)] {
+            for n in [25u64, 100, 200] {
+                let k = n as f64 / 25.0;
+                rows.push(fig(f, n, token_us, 0.06 * k, 0.25 * k));
+            }
+        }
+        rows
+    }
+
+    #[test]
+    fn fig_gate_holds_same_run_rules_only() {
+        let g = gate("fig");
+        let base = fig_table();
+        assert!(check(g, &base, &base).is_empty());
+        // each rule breaks alone: its figure's 200-rule cell grown past
+        // the bound over the 25-rule one, every other cell as it was
+        for f in ["fig9", "fig10", "fig11"] {
+            for (col, factor) in [
+                ("token_test_us", 1.6),
+                ("install_ms", 17.0 / 8.0),
+                ("activate_ms", 17.0 / 8.0),
+            ] {
+                let fresh: Vec<Row> = base
+                    .iter()
+                    .map(|r| {
+                        if g.label(r) != format!("{f}/rules=200") {
+                            return r.clone();
+                        }
+                        let mut r = r.clone();
+                        for (name, cell) in &mut r.cells {
+                            if name == col {
+                                *cell = Cell::Time(Spread::of(cell.num().unwrap() * factor));
+                            }
+                        }
+                        r
+                    })
+                    .collect();
+                let v = check(g, &fresh, &base);
+                assert!(
+                    has(&v, &format!("{f}/rules=200: {col} <= ")),
+                    "{f} {col}: {v:?}"
+                );
+                assert_eq!(v.len(), 1, "{v:?}");
+            }
+        }
+        // a whole host slowing 1.4× passes: only same-run ratios are held
+        let slow: Vec<Row> = base
+            .iter()
+            .map(|r| {
+                let t = |c| r.num(c).unwrap() * 1.4;
+                let label = g.label(r);
+                let f = label.split('/').next().unwrap();
+                let n = r.num("rules").unwrap() as u64;
+                fig(f, n, t("token_test_us"), t("install_ms"), t("activate_ms"))
+            })
+            .collect();
+        assert!(check(g, &slow, &base).is_empty());
+        // a row the rules read must be measured
+        let v = check(g, &base[1..], &base);
+        assert!(has(&v, "fig9/rules=25: missing"), "{v:?}");
     }
 
     #[test]

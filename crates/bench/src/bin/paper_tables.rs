@@ -12,14 +12,21 @@
 
 use ariel_bench::table::{self, Row};
 use ariel_bench::{measure, serve};
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 /// Rule counts of Figures 9–11.
 const PAPER_NS: [usize; 5] = [25, 50, 100, 150, 200];
 
+/// Tokens a Figure 9–11 cell's token test averages over: a cell spans a
+/// few milliseconds, so one burst of host noise cannot carry it past the
+/// same-run bound `bench_gate fig` holds it to.
+const FIG_TOKENS: usize = 1000;
+
 /// One experiment: its name on the command line, its heading, the
-/// `BENCH_*.json` file it writes (if any), and one run of it (given the
-/// repetition index).
+/// `BENCH_*.json` file it writes (if any; tables naming one file share
+/// it, each adding its rows), and one run of it (given the repetition
+/// index).
 struct Table {
     name: &'static str,
     title: &'static str,
@@ -39,20 +46,20 @@ const TABLES: &[Table] = &[
     Table {
         name: "fig9",
         title: "Figure 9: 1-tuple-variable rules",
-        json: None,
-        run: |_| measure::fig_table(1, &PAPER_NS, 200),
+        json: Some("BENCH_fig.json"),
+        run: |_| measure::fig_table(1, &PAPER_NS, FIG_TOKENS),
     },
     Table {
         name: "fig10",
         title: "Figure 10: 2-tuple-variable rules",
-        json: None,
-        run: |_| measure::fig_table(2, &PAPER_NS, 200),
+        json: Some("BENCH_fig.json"),
+        run: |_| measure::fig_table(2, &PAPER_NS, FIG_TOKENS),
     },
     Table {
         name: "fig11",
         title: "Figure 11: 3-tuple-variable rules",
-        json: None,
-        run: |_| measure::fig_table(3, &PAPER_NS, 200),
+        json: Some("BENCH_fig.json"),
+        run: |_| measure::fig_table(3, &PAPER_NS, FIG_TOKENS),
     },
     Table {
         name: "act",
@@ -146,6 +153,8 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let all = args.is_empty() || args.iter().any(|a| a == "all");
     let mut ok = true;
+    // rows written so far to each file, for tables that share one
+    let mut written: BTreeMap<&str, Vec<Row>> = BTreeMap::new();
     for t in TABLES
         .iter()
         .filter(|t| all || args.iter().any(|a| a == t.name))
@@ -164,7 +173,9 @@ fn main() -> ExitCode {
         };
         print!("{}", table::render(&rows));
         if let Some(path) = t.json {
-            let json = table::to_json(&rows);
+            let file = written.entry(path).or_default();
+            file.extend(rows);
+            let json = table::to_json(file);
             match std::fs::write(path, &json) {
                 Ok(()) => println!("wrote {path} ({} bytes)", json.len()),
                 Err(e) => {

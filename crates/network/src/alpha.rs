@@ -19,7 +19,6 @@ use crate::pred::SelectionPredicate;
 use crate::store::StoreSlot;
 use crate::token::{EventSpecifier, TokenKind};
 use ariel_islist::{Counter, Histogram, Interval, IntervalId, IntervalSkipList};
-use ariel_query::{eval_pred, SingleEnv};
 use ariel_storage::{FxHashMap, RelId, Tid, Tuple, Value};
 use std::fmt;
 use std::ops::Bound;
@@ -129,7 +128,7 @@ impl EventReq {
 }
 
 /// One entry in a dynamic α-memory or a Rete α-memory. A TREAT stored
-/// memory keeps no entries, only TIDs (see [`crate::store`]).
+/// memory keeps no entries, only TIDs (see `crate::store`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AlphaEntry {
     /// TID of the bound tuple; `None` for tuples bound by ON DELETE (the
@@ -774,22 +773,11 @@ impl AlphaNode {
     }
 
     /// Does the node's selection predicate match a (tuple, prev) pair?
-    /// Anchor and residual are both checked; evaluation errors (e.g. a
-    /// `previous` reference with no previous value available) mean "no
-    /// match".
+    /// Anchor and residual are both checked ([`SelectionPredicate::matches`]);
+    /// evaluation errors (e.g. a `previous` reference with no previous
+    /// value available) mean "no match".
     pub fn pred_matches(&self, tuple: &Tuple, prev: Option<&Tuple>) -> bool {
-        if self.pred.unsatisfiable {
-            return false;
-        }
-        if let Some((attr, iv)) = &self.pred.anchor {
-            if !iv.contains(tuple.get(*attr)) {
-                return false;
-            }
-        }
-        match &self.pred.residual {
-            None => true,
-            Some(r) => eval_pred(r, &SingleEnv { tuple, prev }).unwrap_or(false),
-        }
+        self.pred.matches(tuple, prev).unwrap_or(false)
     }
 
     /// Whether this node can accept a positive token of the given kind

@@ -7,8 +7,8 @@
 //! and a **residual** evaluated only on tokens whose anchor matched.
 
 use ariel_islist::Interval;
-use ariel_query::{eval, BinOp, QueryResult, RExpr, Row};
-use ariel_storage::Value;
+use ariel_query::{eval, eval_pred, BinOp, QueryResult, RExpr, Row, SingleEnv};
+use ariel_storage::{Relation, Tid, Tuple, Value};
 use std::ops::Bound;
 
 /// Decomposed single-variable selection predicate (variable remapped to 0).
@@ -103,6 +103,74 @@ impl SelectionPredicate {
                 unsatisfiable: true,
             },
         }
+    }
+
+    /// Whether `(tuple, prev)` satisfies the predicate: the anchor, then
+    /// the residual. A null never passes an anchor, as it never reaches
+    /// one in the selection network. An error evaluating the residual is
+    /// the caller's: the token path reads it as "no match", activation
+    /// fails with it.
+    pub fn matches(&self, tuple: &Tuple, prev: Option<&Tuple>) -> QueryResult<bool> {
+        if self.unsatisfiable {
+            return Ok(false);
+        }
+        if let Some((attr, iv)) = &self.anchor {
+            let v = tuple.get(*attr);
+            if v.is_null() || !iv.contains(v) {
+                return Ok(false);
+            }
+        }
+        match &self.residual {
+            None => Ok(true),
+            Some(r) => eval_pred(r, &SingleEnv { tuple, prev }),
+        }
+    }
+
+    /// Hand `f` each tuple of `rel` that satisfies the predicate (with no
+    /// previous value): the one enumeration of "the tuples of a relation
+    /// passing an α predicate". When `rel` indexes the anchor attribute
+    /// the index is probed — for the anchor's one value, or for its range
+    /// on a B-tree — and otherwise every tuple is tested. The first error,
+    /// the predicate's or `f`'s, stops the enumeration.
+    pub fn each_match(
+        &self,
+        rel: &Relation,
+        f: impl FnMut(Tid, &Tuple) -> QueryResult<()>,
+    ) -> QueryResult<()> {
+        if self.unsatisfiable {
+            return Ok(());
+        }
+        if let Some((attr, iv)) = &self.anchor {
+            if let Some(ix) = rel.index_on(*attr) {
+                if let (Bound::Included(lo), Bound::Included(hi)) = (iv.lo(), iv.hi()) {
+                    if lo == hi {
+                        let hits = rel.probe_eq(*attr, lo).expect("an index on the attribute");
+                        return self.each_of(hits, f);
+                    }
+                }
+                if ix.supports_range() {
+                    let hits = rel
+                        .probe_range(*attr, iv.lo().as_ref(), iv.hi().as_ref())
+                        .expect("a B-tree on the attribute");
+                    return self.each_of(hits, f);
+                }
+            }
+        }
+        self.each_of(rel.scan(), f)
+    }
+
+    /// [`Self::each_match`] over the candidates `hits`.
+    fn each_of<'r>(
+        &self,
+        hits: impl Iterator<Item = (Tid, &'r Tuple)>,
+        mut f: impl FnMut(Tid, &Tuple) -> QueryResult<()>,
+    ) -> QueryResult<()> {
+        for (tid, t) in hits {
+            if self.matches(t, None)? {
+                f(tid, t)?;
+            }
+        }
+        Ok(())
     }
 
     /// The full predicate as one expression (anchor re-expressed), mainly
@@ -339,5 +407,71 @@ mod tests {
         let p = SelectionPredicate::decompose(vec![]);
         assert!(p.anchor.is_none() && p.residual.is_none() && !p.unsatisfiable);
         assert!(p.full_expr().is_none());
+    }
+
+    /// `each_match` finds exactly the tuples a test of every tuple finds,
+    /// whether it probes a hash index, probes a B-tree or scans, with a
+    /// null in the anchor attribute passing no anchor; and an error
+    /// evaluating the residual stops it.
+    #[test]
+    fn each_match_equals_testing_every_tuple() {
+        use ariel_storage::{AttrType, IndexKind, Schema};
+        let preds = || {
+            let c = |op, v: i64| bin(op, attr(0), lit(v));
+            vec![
+                vec![c(BinOp::Eq, 7)],
+                vec![c(BinOp::Gt, 3), c(BinOp::Le, 9)],
+                vec![c(BinOp::Lt, 5)],
+                vec![c(BinOp::Ge, 12)],
+                vec![c(BinOp::Eq, 7), bin(BinOp::Gt, attr(1), lit(100i64))],
+                vec![c(BinOp::Gt, 5), c(BinOp::Lt, 3)],
+                vec![bin(BinOp::Ne, attr(0), lit(4i64))],
+            ]
+        };
+        for kind in [None, Some(IndexKind::Hash), Some(IndexKind::BTree)] {
+            let schema = Schema::of(&[("a", AttrType::Int), ("b", AttrType::Int)]);
+            let mut rel = Relation::new("r", schema);
+            if let Some(kind) = kind {
+                rel.create_index("a", kind).unwrap();
+            }
+            for i in 0..200i64 {
+                let a = if i % 9 == 0 {
+                    Value::Null
+                } else {
+                    Value::Int(i % 20)
+                };
+                rel.insert(vec![a, Value::Int(i)]).unwrap();
+            }
+            for conjuncts in preds() {
+                let p = SelectionPredicate::decompose(conjuncts);
+                let mut got = Vec::new();
+                p.each_match(&rel, |tid, _| {
+                    got.push(tid);
+                    Ok(())
+                })
+                .unwrap();
+                got.sort();
+                let want: Vec<Tid> = rel
+                    .scan()
+                    .filter(|(_, t)| p.matches(t, None).unwrap())
+                    .map(|(tid, _)| tid)
+                    .collect();
+                assert_eq!(got, want, "{p:?} over {kind:?}");
+                assert!(want
+                    .iter()
+                    .all(|tid| p.anchor.is_none() || !rel.get(*tid).unwrap().get(0).is_null()));
+            }
+            // 10 / (b - 3) fails on the row with b = 3, which passes the
+            // anchor
+            let p = SelectionPredicate::decompose(vec![
+                bin(BinOp::Lt, attr(0), lit(5i64)),
+                bin(
+                    BinOp::Gt,
+                    bin(BinOp::Div, lit(10i64), bin(BinOp::Sub, attr(1), lit(3i64))),
+                    lit(0i64),
+                ),
+            ]);
+            assert!(p.each_match(&rel, |_, _| Ok(())).is_err(), "{kind:?}");
+        }
     }
 }

@@ -59,8 +59,8 @@ use crate::token::{EventSpecifier, Token, TokenKind};
 use crate::trace::{TraceEventKind, TraceRecorder};
 use ariel_islist::{Histogram, Kind, Metrics, Place};
 use ariel_query::{
-    eval_pred, BoundVar, EventKind, Optimizer, PatchedEnv, Pnode, PnodeCol, QueryError,
-    QueryResult, QuerySpec, RExpr, ResolvedCondition, Row,
+    eval_pred, BoundVar, EventKind, PatchedEnv, Pnode, PnodeCol, QueryError, QueryResult, RExpr,
+    ResolvedCondition, Row,
 };
 use ariel_storage::{
     Catalog, FxHashMap, FxHashSet, RelId, Relation, SchemaRef, StorageError, Tid, Tuple, Value,
@@ -106,8 +106,6 @@ struct RuleNode {
     /// Cached per-rule join plan over `join_conjuncts`.
     plan: JoinPlan,
     pnode: Pnode,
-    /// Original resolved condition spec, used for activation priming.
-    spec: QuerySpec,
     /// No event or transition components: P-node can be primed from data.
     pattern_only: bool,
     /// Always-on counter: tokens that entered this rule (passed an α-test).
@@ -610,18 +608,20 @@ impl<'a> Candidate<'a> {
 
 /// What one β-join reads besides its partial row: the rule and its join
 /// order, and the visibility state of the token being processed — the
-/// token itself, the α-nodes it has entered so far (`processed`, the
-/// paper's ProcessedMemories) and the batch pending set. Only virtual
-/// nodes consult the visibility state: a stored or dynamic memory holds
-/// exactly what the tokens processed so far have put there.
+/// token itself, the α-nodes it has entered so far (the paper's
+/// ProcessedMemories) and the batch pending set. Only virtual nodes
+/// consult the visibility state: a stored or dynamic memory holds exactly
+/// what the tokens processed so far have put there.
 struct Join<'a> {
     rule: &'a RuleNode,
     /// `(estimate, variable)` in join order.
     order: &'a [(usize, usize)],
     catalog: &'a Catalog,
-    token: &'a Token,
-    /// ProcessedMemories, ascending.
-    processed: &'a [AlphaId],
+    /// The token and its ProcessedMemories (ascending); `None` while
+    /// priming, when no token is in flight and a virtual node's α test
+    /// that cannot be evaluated fails the join instead of rejecting the
+    /// tuple.
+    token: Option<(&'a Token, &'a [AlphaId])>,
     pending: &'a Pending,
 }
 
@@ -847,7 +847,6 @@ impl Network {
             join_conjuncts,
             plan,
             pnode: Pnode::new(cols),
-            spec: cond.spec.clone(),
             pattern_only,
             tokens_in: 0,
             join_probes: 0,
@@ -875,54 +874,94 @@ impl Network {
         self.conflict.remove(id);
     }
 
-    /// Prime a freshly-added rule (the paper's *activation*, §6): fill each
-    /// stored α-memory with one single-variable query, and load the P-node
-    /// with a query equivalent to the full condition (pattern-only rules —
-    /// event/transition rules start empty by definition).
+    /// Prime a freshly-added rule (the paper's *activation*, §6) over the
+    /// relations' current tuples with the network's own tests. Each stored
+    /// memory takes the tuples [`SelectionPredicate::each_match`] finds. A
+    /// pattern rule's P-node (event and transition rules start empty) is,
+    /// for one variable, that enumeration; for a join, each tuple of the
+    /// variable with the smallest `candidate_estimate` extended
+    /// through the token path's join, every tuple visible. A predicate or
+    /// conjunct that cannot be evaluated on an existing tuple fails the
+    /// activation with its error. Priming records no trace events; its
+    /// joins count in the memories' join counters like a token's.
     pub fn prime(&mut self, id: RuleId, catalog: &Catalog) -> QueryResult<()> {
-        let rule = self
-            .rule(id)
+        let slot = *self
+            .rule_slots
+            .get(&id.0)
             .ok_or_else(|| QueryError::Semantic(format!("unknown rule {id}")))?;
-        // stored α-memories: one single-variable query each
-        let alpha_ids: Vec<AlphaId> = rule.vars.iter().map(|v| v.alpha).collect();
-        for aid in alpha_ids {
-            let a = self.alphas[aid.0].as_mut().expect("live alpha");
+        let trace = self.trace.take();
+        let primed = self.prime_rule(slot, catalog);
+        self.trace = trace;
+        let rows = primed?;
+        let rule = self.rules[slot].as_mut().expect("live rule");
+        for row in rows {
+            rule.pnode.push(row);
+        }
+        if !rule.pnode.is_empty() {
+            self.conflict.pushed(id, &rule.pnode);
+        }
+        Ok(())
+    }
+
+    /// [`Self::prime`]'s work: fill the rule's stored memories and return
+    /// the instantiations its P-node starts with.
+    fn prime_rule(&mut self, slot: usize, catalog: &Catalog) -> QueryResult<Vec<Vec<BoundVar>>> {
+        let rule = self.rules[slot].as_ref().expect("live rule");
+        for v in &rule.vars {
+            let a = self.alphas[v.alpha.0].as_mut().expect("live alpha");
             if a.kind != AlphaKind::Stored {
                 continue;
             }
-            for (tid, t) in live_rel(catalog, a.rel)?.scan() {
-                if a.pred_matches(t, None) {
-                    self.store.insert(a, tid, t);
+            let pred = a.pred.clone();
+            pred.each_match(live_rel(catalog, a.rel)?, |tid, t| {
+                self.store.insert(a, tid, t);
+                Ok(())
+            })?;
+        }
+        let mut rows = Vec::new();
+        if !rule.pattern_only {
+            return Ok(rows);
+        }
+        let seed = (0..rule.vars.len())
+            .min_by_key(|&v| self.candidate_estimate(rule, v, catalog))
+            .expect("a rule has variables");
+        let a = self.alpha(rule.vars[seed].alpha);
+        let rel = live_rel(catalog, a.rel)?;
+        if rule.vars.len() == 1 {
+            a.pred.each_match(rel, |tid, t| {
+                rows.push(vec![BoundVar::plain(tid, t.clone())]);
+                Ok(())
+            })?;
+            return Ok(rows);
+        }
+        let (order, n) = self.join_order(rule, seed, catalog);
+        let pending = Pending::default();
+        let join = Join {
+            rule,
+            order: &order[..n],
+            catalog,
+            token: None,
+            pending: &pending,
+        };
+        let mut row = Row::default();
+        let mut extend = |tid: Tid, t: &Tuple| {
+            self.join_extend(
+                &join,
+                seed,
+                BoundVar::plain(tid, t.clone()),
+                &mut row,
+                &mut rows,
+            )
+        };
+        match a.store_slot() {
+            Some(store) => {
+                for (tid, t) in self.store.held_in(store, a.slots()) {
+                    extend(tid, t)?;
                 }
             }
+            None => a.pred.each_match(rel, extend)?,
         }
-        // P-node: one query equivalent to the whole condition
-        let rule = self.rule(id).expect("checked above");
-        if rule.pattern_only {
-            let spec = rule.spec.clone();
-            let plan = Optimizer::new(catalog).plan(&spec)?;
-            let ctx = ariel_query::ExecCtx {
-                catalog,
-                pnode: None,
-                nvars: spec.vars.len(),
-            };
-            let rows = ariel_query::run_plan(&plan, &ctx)?;
-            let rule = self.rules[self.rule_slots[&id.0]]
-                .as_mut()
-                .expect("checked above");
-            for row in rows {
-                let bindings: Vec<BoundVar> = row
-                    .slots
-                    .into_iter()
-                    .map(|s| s.expect("full condition binds every var"))
-                    .collect();
-                rule.pnode.push(bindings);
-            }
-            if !rule.pnode.is_empty() {
-                self.conflict.pushed(id, &rule.pnode);
-            }
-        }
-        Ok(())
+        Ok(rows)
     }
 
     /// Process one transition's worth of tokens. Changes must already be
@@ -1087,25 +1126,12 @@ impl Network {
         let mut results = std::mem::take(&mut self.scratch.results);
         let joined = {
             let rule = self.rules[rule_slot].as_ref().expect("live rule");
-            // join the (estimated) smallest memories first: a stable
-            // insertion sort on the stack
-            let mut order = [(0usize, 0usize); MAX_RULE_VARS];
-            let mut n = 0;
-            for v in (0..rule.vars.len()).filter(|v| *v != var) {
-                order[n] = (self.candidate_estimate(rule, v, catalog), v);
-                let mut j = n;
-                while j > 0 && order[j - 1].0 > order[j].0 {
-                    order.swap(j - 1, j);
-                    j -= 1;
-                }
-                n += 1;
-            }
+            let (order, n) = self.join_order(rule, var, catalog);
             let join = Join {
                 rule,
                 order: &order[..n],
                 catalog,
-                token,
-                processed,
+                token: Some((token, processed)),
                 pending,
             };
             let joined = self.join_extend(&join, var, seed, &mut row, &mut results);
@@ -1138,6 +1164,30 @@ impl Network {
             timing.pnode_insert.record(t0.elapsed().as_nanos() as u64);
         }
         Ok(())
+    }
+
+    /// The join order of a token entering `rule` at `var`: the other
+    /// variables, the (estimated) smallest memory first — a stable
+    /// insertion sort on the stack. Returns the `(estimate, variable)`
+    /// array and how many of its entries are used.
+    fn join_order(
+        &self,
+        rule: &RuleNode,
+        var: usize,
+        catalog: &Catalog,
+    ) -> ([(usize, usize); MAX_RULE_VARS], usize) {
+        let mut order = [(0usize, 0usize); MAX_RULE_VARS];
+        let mut n = 0;
+        for v in (0..rule.vars.len()).filter(|v| *v != var) {
+            order[n] = (self.candidate_estimate(rule, v, catalog), v);
+            let mut j = n;
+            while j > 0 && order[j - 1].0 > order[j].0 {
+                order.swap(j - 1, j);
+                j -= 1;
+            }
+            n += 1;
+        }
+        (order, n)
     }
 
     /// Append to `results` every full instantiation extending `seed` at
@@ -1385,10 +1435,21 @@ impl Network {
                 let pend = join.pending.of(alpha.rel);
                 // the in-flight token's own tuple is visible only once this
                 // node is in ProcessedMemories
-                let own_ok = join.processed.binary_search(&AlphaId(alpha_idx)).is_ok();
-                let visible = |tid: Tid| {
-                    !pend.is_some_and(|p| p.contains_key(&tid.0))
-                        && (alpha.rel != join.token.rel || tid != join.token.tid || own_ok)
+                let hidden = join.token.and_then(|(t, processed)| {
+                    let own_ok = processed.binary_search(&AlphaId(alpha_idx)).is_ok();
+                    (t.rel == alpha.rel && !own_ok).then_some(t.tid)
+                });
+                let visible =
+                    |tid: Tid| !pend.is_some_and(|p| p.contains_key(&tid.0)) && Some(tid) != hidden;
+                // a token's α test reads an error as "no match"; priming's
+                // fails the activation with it
+                let priming = join.token.is_none();
+                let passes = |t: &Tuple| {
+                    if priming {
+                        alpha.pred.matches(t, None)
+                    } else {
+                        Ok(alpha.pred_matches(t, None))
+                    }
                 };
                 let probe = self.find_equi_probe(rule, var, vbit, now_bound, row, &|attr| {
                     rel_b.index_on(attr).is_some()
@@ -1407,7 +1468,7 @@ impl Network {
                         let mut scanned = 0u64;
                         for (tid, t) in hits {
                             scanned += 1;
-                            if !visible(tid) || !alpha.pred_matches(t, None) {
+                            if !visible(tid) || !passes(t)? {
                                 continue;
                             }
                             served += 1;
@@ -1432,7 +1493,7 @@ impl Network {
                     }
                     None => {
                         for (tid, t) in rel_b.scan() {
-                            if !visible(tid) || !alpha.pred_matches(t, None) {
+                            if !visible(tid) || !passes(t)? {
                                 continue;
                             }
                             served += 1;
@@ -1964,10 +2025,11 @@ impl Network {
     pub fn rule_topology(&self, id: RuleId) -> Option<RuleTopology> {
         let rule = self.rule(id)?;
         let vars = rule
-            .vars
+            .pnode
+            .cols()
             .iter()
-            .zip(rule.spec.vars.iter())
-            .map(|(v, sv)| (sv.name.clone(), sv.rel.clone(), self.alpha(v.alpha).kind))
+            .zip(&rule.vars)
+            .map(|(col, v)| (col.var.clone(), col.rel.clone(), self.alpha(v.alpha).kind))
             .collect();
         Some((vars, rule.join_conjuncts.len()))
     }

@@ -9,10 +9,10 @@
 
 use crate::binding::{BoundVar, Pnode, Row};
 use crate::error::{QueryError, QueryResult};
-use crate::expr::{eval, eval_pred};
+use crate::expr::{eval, eval_pred, PatchedEnv};
 use crate::optimizer::Optimizer;
 use crate::plan::{IndexKey, Plan};
-use crate::semantic::{infer_type, RCommand};
+use crate::semantic::{infer_type, RCommand, RExpr};
 use ariel_storage::{AttrType, Catalog, RelId, Schema, Tid, Tuple, Value};
 use std::collections::HashSet;
 
@@ -105,15 +105,11 @@ pub fn run_plan(plan: &Plan, ctx: &ExecCtx<'_>) -> QueryResult<Vec<Row>> {
     match plan {
         Plan::SeqScan { rel, var, filter } => {
             let rel_b = ctx.catalog.require(rel)?;
+            let empty = Row::unbound(ctx.nvars);
             let mut out = Vec::new();
             for (tid, tuple) in rel_b.scan() {
-                let mut row = Row::unbound(ctx.nvars);
-                row.slots[*var] = Some(BoundVar::plain(tid, tuple.clone()));
-                if match filter {
-                    Some(f) => eval_pred(f, &row)?,
-                    None => true,
-                } {
-                    out.push(row);
+                if admits(filter.as_ref(), &empty, *var, tuple)? {
+                    out.push(bind(&empty, *var, tid, tuple));
                 }
             }
             Ok(out)
@@ -126,15 +122,11 @@ pub fn run_plan(plan: &Plan, ctx: &ExecCtx<'_>) -> QueryResult<Vec<Row>> {
             filter,
         } => {
             let rel_b = ctx.catalog.require(rel)?;
+            let empty = Row::unbound(ctx.nvars);
             let mut out = Vec::new();
             let mut keep = |tid: Tid, tuple: &Tuple| -> QueryResult<()> {
-                let mut row = Row::unbound(ctx.nvars);
-                row.slots[*var] = Some(BoundVar::plain(tid, tuple.clone()));
-                if match filter {
-                    Some(f) => eval_pred(f, &row)?,
-                    None => true,
-                } {
-                    out.push(row);
+                if admits(filter.as_ref(), &empty, *var, tuple)? {
+                    out.push(bind(&empty, *var, tid, tuple));
                 }
                 Ok(())
             };
@@ -153,7 +145,9 @@ pub fn run_plan(plan: &Plan, ctx: &ExecCtx<'_>) -> QueryResult<Vec<Row>> {
                         .ok_or_else(|| {
                             QueryError::Plan(format!("no range index on {rel}.#{attr}"))
                         })?;
-                    for (tid, tuple) in hits {
+                    // a null key sorts below every value, so a range open
+                    // below reaches it, but it passes no comparison
+                    for (tid, tuple) in hits.filter(|(_, t)| !t.get(*attr).is_null()) {
                         keep(tid, tuple)?;
                     }
                 }
@@ -217,19 +211,11 @@ pub fn run_plan(plan: &Plan, ctx: &ExecCtx<'_>) -> QueryResult<Vec<Row>> {
                     .probe_eq(*attr, &key)
                     .ok_or_else(|| QueryError::Plan(format!("no index on {rel}.#{attr}")))?;
                 for (tid, tuple) in hits {
-                    let mut row = l.clone();
-                    row.slots[*var] = Some(BoundVar::plain(tid, tuple.clone()));
-                    if let Some(f) = filter {
-                        if !eval_pred(f, &row)? {
-                            continue;
-                        }
+                    if admits(filter.as_ref(), l, *var, tuple)?
+                        && admits(cond.as_ref(), l, *var, tuple)?
+                    {
+                        out.push(bind(l, *var, tid, tuple));
                     }
-                    if let Some(c) = cond {
-                        if !eval_pred(c, &row)? {
-                            continue;
-                        }
-                    }
-                    out.push(row);
                 }
             }
             Ok(out)
@@ -299,6 +285,31 @@ pub fn run_plan(plan: &Plan, ctx: &ExecCtx<'_>) -> QueryResult<Vec<Row>> {
             Ok(out)
         }
     }
+}
+
+/// Whether `pred` (none: true) holds with `tuple` bound at `var` over
+/// `base`, tested on the borrowed tuple: a scan builds a row only for a
+/// tuple that passes.
+fn admits(pred: Option<&RExpr>, base: &Row, var: usize, tuple: &Tuple) -> QueryResult<bool> {
+    match pred {
+        None => Ok(true),
+        Some(p) => eval_pred(
+            p,
+            &PatchedEnv {
+                base,
+                var,
+                tuple,
+                prev: None,
+            },
+        ),
+    }
+}
+
+/// `base` with `tid`/`tuple` bound at `var`.
+fn bind(base: &Row, var: usize, tid: Tid, tuple: &Tuple) -> Row {
+    let mut row = base.clone();
+    row.slots[var] = Some(BoundVar::plain(tid, tuple.clone()));
+    row
 }
 
 fn as_ref_bound(b: &std::ops::Bound<Value>) -> std::ops::Bound<&Value> {

@@ -11,6 +11,7 @@ use crate::binding::Row;
 use crate::error::{QueryError, QueryResult};
 use crate::semantic::RExpr;
 use ariel_storage::{Tuple, Value};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 
 /// How an expression reads variable bindings during evaluation.
@@ -138,21 +139,48 @@ pub fn eval(e: &RExpr, env: &dyn Env) -> QueryResult<Value> {
             let r = eval(right, env)?;
             match op {
                 BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => arith(*op, l, r),
-                BinOp::Eq => Ok(Value::Bool(l.sql_eq(&r))),
-                BinOp::Ne => Ok(Value::Bool(!l.is_null() && !r.is_null() && !l.sql_eq(&r))),
-                BinOp::Lt => cmp(l, r, |o| o == Ordering::Less),
-                BinOp::Le => cmp(l, r, |o| o != Ordering::Greater),
-                BinOp::Gt => cmp(l, r, |o| o == Ordering::Greater),
-                BinOp::Ge => cmp(l, r, |o| o != Ordering::Less),
                 BinOp::And | BinOp::Or => unreachable!("handled above"),
+                _ => Ok(Value::Bool(compare(*op, &l, &r))),
             }
         }
     }
 }
 
 /// Evaluate a predicate: `Null` and non-boolean falsy values are false.
+///
+/// Equal to `truthy(eval(e))`, errors included, without building the
+/// values it only compares: `and`/`or`/`not` work on `bool`s, and a
+/// comparison reads a constant, attribute or `previous` operand in place
+/// instead of cloning it (a string is then never copied to be compared).
 pub fn eval_pred(e: &RExpr, env: &dyn Env) -> QueryResult<bool> {
-    Ok(truthy(&eval(e, env)?))
+    match e {
+        RExpr::Binary { op, left, right } => match op {
+            BinOp::And => Ok(eval_pred(left, env)? && eval_pred(right, env)?),
+            BinOp::Or => Ok(eval_pred(left, env)? || eval_pred(right, env)?),
+            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => Ok(truthy(&eval(e, env)?)),
+            _ => {
+                let l = operand(left, env)?;
+                let r = operand(right, env)?;
+                Ok(compare(*op, &l, &r))
+            }
+        },
+        RExpr::Unary {
+            op: UnaryOp::Not,
+            expr,
+        } => Ok(!eval_pred(expr, env)?),
+        _ => Ok(truthy(&eval(e, env)?)),
+    }
+}
+
+/// A comparison operand: borrowed where the expression names a value
+/// (a constant, an attribute, a `previous` attribute), computed otherwise.
+fn operand<'a>(e: &'a RExpr, env: &'a dyn Env) -> QueryResult<Cow<'a, Value>> {
+    Ok(match e {
+        RExpr::Const(v) => Cow::Borrowed(v),
+        RExpr::Attr { var, attr } => Cow::Borrowed(env.current(*var)?.get(*attr)),
+        RExpr::Prev { var, attr } => Cow::Borrowed(env.previous(*var)?.get(*attr)),
+        _ => Cow::Owned(eval(e, env)?),
+    })
 }
 
 /// Predicate truthiness: only `Bool(true)` is true.
@@ -160,11 +188,21 @@ fn truthy(v: &Value) -> bool {
     matches!(v, Value::Bool(true))
 }
 
-fn cmp(l: Value, r: Value, f: impl Fn(Ordering) -> bool) -> QueryResult<Value> {
+/// One of the six comparisons: false when either side is `Null`.
+fn compare(op: BinOp, l: &Value, r: &Value) -> bool {
     if l.is_null() || r.is_null() {
-        return Ok(Value::Bool(false));
+        return false;
     }
-    Ok(Value::Bool(f(l.total_cmp(&r))))
+    let o = l.total_cmp(r);
+    match op {
+        BinOp::Eq => o == Ordering::Equal,
+        BinOp::Ne => o != Ordering::Equal,
+        BinOp::Lt => o == Ordering::Less,
+        BinOp::Le => o != Ordering::Greater,
+        BinOp::Gt => o == Ordering::Greater,
+        BinOp::Ge => o != Ordering::Less,
+        _ => unreachable!("{op:?} is not a comparison"),
+    }
 }
 
 fn arith(op: BinOp, l: Value, r: Value) -> QueryResult<Value> {
@@ -371,6 +409,102 @@ mod tests {
             expr: Box::new(lit("s")),
         };
         assert!(eval(&e, &row).is_err());
+    }
+
+    /// `eval_pred` against `truthy(eval(..))` over a table of
+    /// predicates: the same answer, and the same error when either fails.
+    #[test]
+    fn eval_pred_equals_truthy_eval() {
+        let mut sym = Value::from("toys");
+        sym.intern_in_place();
+        // attributes: 0 Int 10, 1 Float 10.0, 2 Null, 3 Str "toys",
+        // 4 Sym "toys", 5 Int 0, 6 Bool true; previous: Int 9 everywhere
+        let row = env_one(
+            vec![
+                Value::Int(10),
+                Value::Float(10.0),
+                Value::Null,
+                Value::from("toys"),
+                sym,
+                Value::Int(0),
+                Value::Bool(true),
+            ],
+            Some(vec![Value::Int(9); 7]),
+        );
+        let prev = |a| RExpr::Prev { var: 0, attr: a };
+        let not = |e| RExpr::Unary {
+            op: UnaryOp::Not,
+            expr: Box::new(e),
+        };
+        let neg = |e| RExpr::Unary {
+            op: UnaryOp::Neg,
+            expr: Box::new(e),
+        };
+        let div0 = || bin(BinOp::Div, attr(0), attr(5));
+        let cmps = [
+            BinOp::Eq,
+            BinOp::Ne,
+            BinOp::Lt,
+            BinOp::Le,
+            BinOp::Gt,
+            BinOp::Ge,
+        ];
+        let operands = || {
+            vec![
+                attr(0),
+                attr(1),
+                attr(2),
+                attr(3),
+                attr(4),
+                lit(10i64),
+                lit(9.5),
+                lit(Value::Null),
+                lit("toys"),
+                lit("zoo"),
+                prev(0),
+                bin(BinOp::Add, attr(0), lit(1.5)),
+                bin(BinOp::Mul, attr(2), lit(3i64)),
+                neg(attr(0)),
+                div0(),
+                bin(BinOp::Div, attr(1), attr(5)),
+                bin(BinOp::Sub, attr(3), lit(1i64)),
+            ]
+        };
+        let mut table = Vec::new();
+        for op in cmps {
+            for l in operands() {
+                for r in operands() {
+                    table.push(bin(op, l.clone(), r));
+                }
+            }
+        }
+        for e in operands() {
+            table.push(e.clone());
+            table.push(not(e));
+        }
+        let t = || bin(BinOp::Eq, attr(3), attr(4));
+        let f = || bin(BinOp::Lt, attr(0), prev(0));
+        let err = || bin(BinOp::Gt, div0(), lit(1i64));
+        for (a, b) in [(t(), f()), (f(), err()), (t(), err()), (err(), t())] {
+            for op in [BinOp::And, BinOp::Or] {
+                table.push(bin(op, a.clone(), b.clone()));
+                table.push(not(bin(op, b.clone(), a.clone())));
+                table.push(bin(
+                    op,
+                    bin(BinOp::Or, a.clone(), f()),
+                    bin(op, t(), b.clone()),
+                ));
+            }
+        }
+        table.push(attr(6));
+        table.push(not(attr(6)));
+        table.push(RExpr::AlwaysTrue);
+        table.push(bin(BinOp::And, attr(6), lit(1i64)));
+        assert!(table.len() > 1_000);
+        for e in &table {
+            let want = eval(e, &row).map(|v| truthy(&v));
+            assert_eq!(eval_pred(e, &row), want, "{e:?}");
+        }
     }
 
     #[test]

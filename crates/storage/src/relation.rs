@@ -254,9 +254,18 @@ impl Relation {
         Some(tids.filter_map(|tid| self.get(tid).map(|t| (tid, t))))
     }
 
-    /// Approximate heap footprint of the live tuples, in bytes.
+    /// Approximate heap footprint in bytes: the slot vector and the free
+    /// list at their capacities — holes included, so a relation that grew
+    /// and shrank keeps paying for its high-water mark — plus the values
+    /// of the live tuples (each tuple's handle lives in its slot).
     pub fn heap_size(&self) -> usize {
-        self.scan().map(|(_, t)| t.heap_size()).sum()
+        let values: usize = self
+            .scan()
+            .map(|(_, t)| t.heap_size() - std::mem::size_of::<Tuple>())
+            .sum();
+        self.slots.capacity() * std::mem::size_of::<Slot>()
+            + self.free.capacity() * std::mem::size_of::<usize>()
+            + values
     }
 
     // ----- snapshot / restore (crash recovery; see `crate::wal`) ---------
@@ -626,5 +635,32 @@ mod tests {
         let one = r.heap_size();
         r.insert(row("b", 2.0, 2)).unwrap();
         assert!(r.heap_size() > one);
+    }
+
+    /// A relation that grew to 200 000 slots and shrank to 100 live rows
+    /// still holds its slot vector and its free list: its size counts
+    /// them, not just the 100 tuples.
+    #[test]
+    fn heap_size_counts_the_slots_a_relation_keeps() {
+        let mut r = emp();
+        let tids: Vec<Tid> = (0..200_000)
+            .map(|i| r.insert(row("e", i as f64, 1)).unwrap())
+            .collect();
+        for &tid in &tids[100..] {
+            r.delete(tid).unwrap();
+        }
+        assert_eq!(r.len(), 100);
+        let slots = 200_000 * std::mem::size_of::<Slot>();
+        let free = (200_000 - 100) * std::mem::size_of::<usize>();
+        assert!(
+            r.heap_size() >= slots + free,
+            "{} B for {slots} B of slots and {free} B of free list",
+            r.heap_size()
+        );
+        let mut fresh = emp();
+        for i in 0..100 {
+            fresh.insert(row("e", i as f64, 1)).unwrap();
+        }
+        assert!(fresh.heap_size() * 100 < r.heap_size());
     }
 }

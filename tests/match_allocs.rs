@@ -342,6 +342,36 @@ fn planning_a_keyed_delete_allocates_only_its_plan() {
     );
 }
 
+/// Allocations of one `retrieve` whose qualification rejects every row
+/// of an `emp` holding `rows` rows (after one warm-up run).
+fn rejecting_retrieve(rows: i64) -> u64 {
+    let mut db = Ariel::new();
+    db.execute("create emp (eno = int, sal = int)").unwrap();
+    let mut load = String::from("do");
+    for i in 0..rows {
+        load.push_str(&format!(" append emp (eno = {i}, sal = {i})"));
+    }
+    load.push_str(" end");
+    db.execute(&load).unwrap();
+    let query = "retrieve (emp.eno) where emp.sal < 0";
+    assert!(db.query(query).unwrap().rows.is_empty());
+    allocs(|| {
+        db.query(query).unwrap();
+    })
+}
+
+/// A scan tests its qualification on the borrowed tuple and builds a row
+/// only for a tuple that passes, so a `retrieve` that rejects every row
+/// allocates as often over 1 000 rows as over 10 — not once per row.
+#[test]
+fn a_rejected_row_allocates_nothing() {
+    let (ten, thousand) = (rejecting_retrieve(10), rejecting_retrieve(1_000));
+    assert_eq!(
+        ten, thousand,
+        "rejecting 10 rows: {ten} allocations, 1 000 rows: {thousand}"
+    );
+}
+
 /// Live heap the match state gains while `tokens` `+` tokens of salary
 /// `sal` (no `dept` partner) run through a warmed stored engine, sampled
 /// after every batch of eight: `(tokens so far, bytes so far)`, and the

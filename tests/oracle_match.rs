@@ -66,20 +66,24 @@ fn catalog() -> Catalog {
     c
 }
 
+/// The pattern condition `qual` over the `from` variables (none: the
+/// relations it names).
+fn condition(cat: &Catalog, qual: &str, from: &[(&str, &str)]) -> ResolvedCondition {
+    let e = parse_expr(qual).unwrap();
+    let from: Vec<ariel::query::FromItem> = from
+        .iter()
+        .map(|(v, r)| ariel::query::FromItem {
+            var: v.to_string(),
+            rel: r.to_string(),
+        })
+        .collect();
+    Resolver::new(cat)
+        .resolve_condition(None, Some(&e), &from)
+        .unwrap()
+}
+
 fn conditions(cat: &Catalog) -> Vec<ResolvedCondition> {
-    let make = |qual: &str, from: &[(&str, &str)]| {
-        let e = parse_expr(qual).unwrap();
-        let from: Vec<ariel::query::FromItem> = from
-            .iter()
-            .map(|(v, r)| ariel::query::FromItem {
-                var: v.to_string(),
-                rel: r.to_string(),
-            })
-            .collect();
-        Resolver::new(cat)
-            .resolve_condition(None, Some(&e), &from)
-            .unwrap()
-    };
+    let make = |qual: &str, from: &[(&str, &str)]| condition(cat, qual, from);
     vec![
         make("r1.a > 10", &[]),
         make("r1.a > 3 and r1.b = r2.b and r2.c < 4", &[]),
@@ -443,4 +447,176 @@ fn delete_token_work_is_independent_of_rule_count() {
             "only the band holding 55 is reached ({config:?})"
         );
     }
+}
+
+/// [`conditions`] plus bands open below on the attribute that holds
+/// nulls: a null sorts below every value, but never passes an anchor.
+fn priming_conditions(cat: &Catalog) -> Vec<ResolvedCondition> {
+    let mut conds = conditions(cat);
+    conds.push(condition(cat, "r1.a < 8 and r1.b = r2.b", &[]));
+    conds.push(condition(cat, "r1.a <= 6", &[]));
+    conds.push(condition(
+        cat,
+        "x.a < 9 and x.b = y.b",
+        &[("x", "r1"), ("y", "r1")],
+    ));
+    conds
+}
+
+/// Apply `prefix` to the catalog, then delete each `churn` pick and
+/// append its row — appends that reuse the freed slots under their next
+/// generation. Then build and prime the network over that data: every
+/// P-node must equal recompute, and again after `suffix` streams through.
+fn run_primed(
+    config: Config,
+    prefix: &[Op],
+    churn: &[(usize, i64, i64)],
+    suffix: &[Op],
+) -> Result<(), TestCaseError> {
+    let mut cat = catalog();
+    let conds = priming_conditions(&cat);
+    let mut live: Vec<(String, Tid)> = Vec::new();
+    for op in prefix {
+        apply(&mut cat, &mut live, op);
+    }
+    for &(pick, _, _) in churn {
+        apply(&mut cat, &mut live, &Op::Delete { pick });
+    }
+    for &(_, a, b) in churn {
+        apply(&mut cat, &mut live, &Op::Insert { rel: 0, a, b });
+    }
+    let mut net = Net::build(&config, &conds, &cat);
+    net.check(&conds, &cat, &("primed", &config))?;
+    let mut delta = DeltaTracker::new();
+    for (step, op) in suffix.iter().enumerate() {
+        delta.reset();
+        let Some(change) = apply(&mut cat, &mut live, op) else {
+            continue;
+        };
+        net.process_batch(&delta.tokens_for(&change), &cat);
+        net.check(&conds, &cat, &(step, op, &config))?;
+    }
+    Ok(())
+}
+
+// Activation over existing data: every backend primes to what recompute
+// finds, over relations whose slots were freed and reused, and keeps
+// agreeing while tokens stream afterwards.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn priming_over_existing_data_matches_oracle(
+        prefix in proptest::collection::vec(op_strategy(), 0..60),
+        churn in proptest::collection::vec((0usize..64, 0i64..20, 0i64..6), 0..8),
+        suffix in proptest::collection::vec(op_strategy(), 0..20),
+    ) {
+        for config in all_configs() {
+            run_primed(config, &prefix, &churn, &suffix)?;
+        }
+    }
+}
+
+/// A `match.join_churn`-shaped catalog: `emp` bands joined to `dept` on
+/// `dno` and to `job` on `jno`, with the hash indexes that workload
+/// defines, after a round of deletes and appends that reuses slots.
+fn join_churn_catalog() -> Catalog {
+    let mut cat = Catalog::new();
+    let int = AttrType::Int;
+    for (rel, attrs) in [
+        (
+            "emp",
+            &[("eno", int), ("sal", int), ("dno", int), ("jno", int)][..],
+        ),
+        ("dept", &[("dno", int), ("floor", int)]),
+        ("job", &[("jno", int), ("grade", int)]),
+    ] {
+        cat.create(rel, Schema::of(attrs)).unwrap();
+    }
+    for (rel, attr) in [
+        ("emp", "dno"),
+        ("emp", "jno"),
+        ("dept", "dno"),
+        ("job", "jno"),
+    ] {
+        cat.get_mut(rel)
+            .unwrap()
+            .create_index(attr, ariel::storage::IndexKind::Hash)
+            .unwrap();
+    }
+    let emp_row = |i: i64| {
+        vec![
+            Value::Int(i),
+            Value::Int(1_001 + i * 7_919 % 19_000),
+            Value::Int(i % 25),
+            Value::Int(i % 12),
+        ]
+    };
+    let emp = cat.get_mut("emp").unwrap();
+    let tids: Vec<Tid> = (0..600).map(|i| emp.insert(emp_row(i)).unwrap()).collect();
+    for tid in tids.iter().step_by(3) {
+        emp.delete(*tid).unwrap();
+    }
+    for i in 600..700 {
+        emp.insert(emp_row(i)).unwrap();
+    }
+    let dept = cat.get_mut("dept").unwrap();
+    for d in 0..25i64 {
+        dept.insert(vec![Value::Int(d), Value::Int(d % 4)]).unwrap();
+    }
+    let job = cat.get_mut("job").unwrap();
+    for j in 0..12i64 {
+        job.insert(vec![Value::Int(j), Value::Int(j * 5 % 4)])
+            .unwrap();
+    }
+    cat
+}
+
+/// The activation the optimizer used to prime with, kept as the oracle:
+/// on the `match.join_churn` rule shape, under every virtual policy and
+/// join access, the primed P-node holds exactly the rows a plan of the
+/// whole condition finds.
+#[test]
+fn primed_join_churn_pnodes_equal_the_planned_condition() {
+    let cat = join_churn_catalog();
+    let conds: Vec<ResolvedCondition> = (0..40i64)
+        .map(|i| {
+            let lo = 1_000 + i * 450;
+            let qual = format!(
+                "{lo} < emp.sal and emp.sal <= {} and emp.dno = dept.dno \
+                 and dept.floor = {} and emp.jno = job.jno and job.grade = {}",
+                lo + 4_500,
+                i % 4,
+                i * 3 % 4
+            );
+            condition(&cat, &qual, &[])
+        })
+        .collect();
+    let policies = [
+        VirtualPolicy::AllStored,
+        VirtualPolicy::AllVirtual,
+        VirtualPolicy::SelectivityThreshold(0.3),
+        VirtualPolicy::ExplicitVars([0].into()),
+        VirtualPolicy::ExplicitVars([1, 2].into()),
+    ];
+    let mut matched = 0;
+    for policy in policies {
+        for access in [
+            JoinAccess::Composite,
+            JoinAccess::Single,
+            JoinAccess::Nested,
+        ] {
+            let config = Config::Treat(policy.clone(), access);
+            let net = Net::build(&config, &conds, &cat);
+            for (i, cond) in conds.iter().enumerate() {
+                let want = recompute(&cat, cond);
+                assert_eq!(pnode_tids(net.pnode(i)), want, "rule {i} under {config:?}");
+                matched += want.len();
+            }
+        }
+    }
+    assert!(
+        matched > 1_000,
+        "{matched} instantiations: the oracle sees data"
+    );
 }

@@ -241,3 +241,20 @@ fn explain_rule_action_reproduces_figure8_shape() {
     db.execute("deactivate rule cap").unwrap();
     assert!(db.explain_rule_action("cap").is_err());
 }
+
+/// A null passes no comparison, with or without an index: a B-tree range
+/// open below (`emp.sal < …`) reaches the null keys, which sort first,
+/// and must not return them.
+#[test]
+fn a_range_index_scan_returns_no_null() {
+    let mut db = sample_db();
+    db.execute(r#"append emp (name = "nosal", dno = 1)"#)
+        .unwrap();
+    let query = "retrieve (emp.name) where emp.sal < 50000";
+    let scanned = db.query(query).unwrap().rows;
+    db.execute("define index on emp (sal) using btree").unwrap();
+    let mut probed = db.query(query).unwrap().rows;
+    probed.sort_by(|a, b| a[0].total_cmp(&b[0]));
+    assert_eq!(probed, scanned);
+    assert_eq!(probed.len(), 2, "alice and dan: {probed:?}");
+}
