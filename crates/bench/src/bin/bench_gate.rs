@@ -11,7 +11,7 @@
 //! bench_gate                            # the joins gate on its default paths
 //! bench_gate fresh.json baseline.json   # the joins gate on explicit paths
 //! bench_gate mem [fresh [baseline]]     # one gate
-//! bench_gate joins mem obs serve wal plan isl fig   # several gates on their default paths
+//! bench_gate joins mem obs serve wal plan isl fig virt   # several gates on their default paths
 //! bench_gate <gate…> --bless            # accept the fresh files as baselines
 //! bench_gate links [root]               # relative links in README.md and docs/*.md
 //! ```
@@ -122,7 +122,10 @@ const GATES: &[Gate] = &[
             ALPHA_BYTES,
             band("total_ms", 0.0, SLOWER).only("config", "interned"),
         ],
-        rules: &["interned: alpha_bytes < legacy.alpha_bytes — interning must shrink the α-memories"],
+        rules: &[
+            "interned: rel_bytes < legacy.rel_bytes — interning must shrink the relations' tuples",
+            "interned: alpha_bytes == legacy.alpha_bytes — a stored memory holds slots, not tuple bytes",
+        ],
     },
     Gate {
         name: "obs",
@@ -219,6 +222,30 @@ const GATES: &[Gate] = &[
             "fig11/rules=200: token_test_us <= fig11/rules=25.token_test_us * 1.5 — a token's test time must not grow with the rule count (§6, Fig. 11)",
             "fig11/rules=200: install_ms <= fig11/rules=25.install_ms * 16 — installing 8× the rules may cost at most twice linear",
             "fig11/rules=200: activate_ms <= fig11/rules=25.activate_ms * 16 — activating 8× the rules may cost at most twice linear",
+        ],
+    },
+    Gate {
+        name: "virt",
+        fresh: "BENCH_virt.json",
+        baseline: "BENCH_virt_baseline.json",
+        keys: &["emp_rows", "config"],
+        exact: &[],
+        // §4.2's dial is a trade within one run: space against join time,
+        // which host drift moves alike on both sides
+        bounds: &[],
+        rules: &[
+            "emp_rows=1000/virtual: alpha_bytes == 0 — a virtual memory stores nothing (§4.2)",
+            "emp_rows=1000/virtual+index: alpha_bytes == 0 — a virtual memory stores nothing (§4.2)",
+            "emp_rows=1000/stored: token_join_us < emp_rows=1000/virtual.token_join_us — a stored memory must join faster than a scan of its relation, in the same run",
+            "emp_rows=1000/stored: alpha_bytes <= emp_rows * 64 — a stored membership costs its bit and index entry, not a copy of the tuple",
+            "emp_rows=10000/virtual: alpha_bytes == 0 — a virtual memory stores nothing (§4.2)",
+            "emp_rows=10000/virtual+index: alpha_bytes == 0 — a virtual memory stores nothing (§4.2)",
+            "emp_rows=10000/stored: token_join_us < emp_rows=10000/virtual.token_join_us — a stored memory must join faster than a scan of its relation, in the same run",
+            "emp_rows=10000/stored: alpha_bytes <= emp_rows * 64 — a stored membership costs its bit and index entry, not a copy of the tuple",
+            "emp_rows=50000/virtual: alpha_bytes == 0 — a virtual memory stores nothing (§4.2)",
+            "emp_rows=50000/virtual+index: alpha_bytes == 0 — a virtual memory stores nothing (§4.2)",
+            "emp_rows=50000/stored: token_join_us < emp_rows=50000/virtual.token_join_us — a stored memory must join faster than a scan of its relation, in the same run",
+            "emp_rows=50000/stored: alpha_bytes <= emp_rows * 64 — a stored membership costs its bit and index entry, not a copy of the tuple",
         ],
     },
 ];
@@ -1101,6 +1128,84 @@ mod tests {
         assert!(has(&v, "intervals=100000: missing"), "{v:?}");
     }
 
+    fn virt(emp_rows: u64, config: &str, alpha_bytes: u64, token_join_us: f64) -> Row {
+        Row::new()
+            .count("emp_rows", emp_rows)
+            .key("config", config)
+            .count("alpha_bytes", alpha_bytes)
+            .time("token_join_us", token_join_us)
+    }
+
+    /// The VIRT table at three sizes: stored memories joining through an
+    /// index in a few µs at about 9 B a row, virtual ones scanning.
+    fn virt_table() -> Vec<Row> {
+        let mut rows = Vec::new();
+        for n in [1_000u64, 10_000, 50_000] {
+            let scan = n as f64 / 100.0;
+            rows.push(virt(n, "stored", 9 * n, 3.0));
+            rows.push(virt(n, "virtual", 0, scan));
+            rows.push(virt(n, "virtual+index", 0, 2.0));
+            rows.push(virt(n, "threshold(0.5)", 9 * n, 3.0));
+        }
+        rows
+    }
+
+    #[test]
+    fn virt_gate_holds_same_run_rules_only() {
+        let g = gate("virt");
+        let base = virt_table();
+        assert!(check(g, &base, &base).is_empty());
+        assert!(check(g, &base, &[]).is_empty(), "blessing from scratch");
+        // each rule breaks on its own
+        for (i, row, rule) in [
+            (
+                1,
+                virt(1_000, "virtual", 8, 10.0),
+                "emp_rows=1000/virtual: alpha_bytes == 0",
+            ),
+            (
+                6,
+                virt(10_000, "virtual+index", 8, 2.0),
+                "emp_rows=10000/virtual+index: alpha_bytes == 0",
+            ),
+            (
+                8,
+                virt(50_000, "stored", 450_000, 600.0),
+                "emp_rows=50000/stored: token_join_us < emp_rows=50000/virtual.token_join_us",
+            ),
+            (
+                8,
+                virt(50_000, "stored", 9_017_808, 3.0),
+                "emp_rows=50000/stored: alpha_bytes <= emp_rows * 64",
+            ),
+        ] {
+            let mut fresh = virt_table();
+            fresh[i] = row;
+            let v = check(g, &fresh, &base);
+            assert!(has(&v, &format!("{rule} does not hold")), "{v:?}");
+            assert_eq!(v.len(), 1, "{v:?}");
+        }
+        // a whole host slowing 1.4× passes: no time is held against the
+        // baseline's session
+        let slow: Vec<Row> = base
+            .iter()
+            .map(|r| {
+                let label = r.label(&["config"]);
+                let h = |c| r.num(c).unwrap() as u64;
+                virt(
+                    h("emp_rows"),
+                    &label,
+                    h("alpha_bytes"),
+                    r.num("token_join_us").unwrap() * 1.4,
+                )
+            })
+            .collect();
+        assert!(check(g, &slow, &base).is_empty());
+        // a row the baseline has must be measured
+        let v = check(g, &base[..11], &base);
+        assert!(has(&v, "emp_rows=50000/threshold(0.5): missing"), "{v:?}");
+    }
+
     fn fig(fig: &str, rules: u64, token_test_us: f64, install_ms: f64, activate_ms: f64) -> Row {
         Row::new()
             .key("fig", fig)
@@ -1192,39 +1297,40 @@ mod tests {
         assert!(scratch.iter().all(|l| l.contains("new row")), "{scratch:?}");
     }
 
-    fn mem(config: &str, total_ms: f64, alpha_entries: u64, alpha_bytes: u64) -> Row {
+    fn mem(config: &str, total_ms: f64, alpha_bytes: u64, rel_bytes: u64) -> Row {
         Row::new()
             .key("config", config)
             .time("total_ms", total_ms)
-            .count("alpha_entries", alpha_entries)
+            .count("alpha_entries", 1200)
             .count("alpha_bytes", alpha_bytes)
+            .count("rel_bytes", rel_bytes)
     }
 
     #[test]
     fn parses_mem_snapshot_output() {
         let src = r#"[{"config":"interned","total_ms":8.1,"total_ms_min":7.9,
-            "total_ms_max":9.0,"alpha_entries":1200,"alpha_bytes":90000,
-            "symbols":225,"symbol_bytes":12000}]"#;
+            "total_ms_max":9.0,"alpha_entries":1200,"alpha_bytes":40000,
+            "rel_bytes":90000,"symbols":225,"symbol_bytes":12000}]"#;
         let rows = parse_rows(gate("mem"), src, "test").unwrap();
-        let want = mem("interned", 8.1, 1200, 90000);
+        let want = mem("interned", 8.1, 40_000, 90_000);
         assert_eq!(gated(gate("mem"), &rows), gated(gate("mem"), &[want]));
         assert!(parse_rows(gate("mem"), "[{\"config\":1}]", "test").is_err());
     }
 
     #[test]
-    fn mem_gate_passes_when_interning_shrinks_alpha() {
+    fn mem_gate_passes_when_interning_shrinks_the_relations() {
         let g = gate("mem");
         let fresh = vec![
-            mem("interned", 8.0, 1200, 90_000),
-            mem("legacy", 10.0, 1200, 150_000),
+            mem("interned", 8.0, 40_000, 90_000),
+            mem("legacy", 10.0, 40_000, 150_000),
         ];
         assert!(check(g, &fresh, &fresh).is_empty());
         // blessing from scratch passes too
         assert!(check(g, &fresh, &[]).is_empty());
-        // noise within tolerance: +4% bytes, +40% interned wall clock
+        // noise within tolerance: +4% α bytes, +40% interned wall clock
         let noisy = vec![
-            mem("interned", 11.0, 1200, 93_000),
-            mem("legacy", 25.0, 1200, 155_000),
+            mem("interned", 11.0, 41_600, 93_000),
+            mem("legacy", 25.0, 41_600, 155_000),
         ];
         assert!(check(g, &noisy, &fresh).is_empty());
     }
@@ -1232,15 +1338,26 @@ mod tests {
     #[test]
     fn mem_gate_fails_when_interning_stops_helping() {
         let fresh = vec![
-            mem("interned", 8.0, 1200, 150_000),
-            mem("legacy", 10.0, 1200, 150_000),
+            mem("interned", 8.0, 40_000, 150_000),
+            mem("legacy", 10.0, 40_000, 150_000),
+        ];
+        let v = check(gate("mem"), &fresh, &[]);
+        assert_eq!(v.len(), 1);
+        assert!(
+            has(&v, "interned: rel_bytes < legacy.rel_bytes does not hold"),
+            "{v:?}"
+        );
+        // a memory whose bytes follow the string layout holds tuple bytes
+        let fresh = vec![
+            mem("interned", 8.0, 30_000, 90_000),
+            mem("legacy", 10.0, 40_000, 150_000),
         ];
         let v = check(gate("mem"), &fresh, &[]);
         assert_eq!(v.len(), 1);
         assert!(
             has(
                 &v,
-                "interned: alpha_bytes < legacy.alpha_bytes does not hold"
+                "interned: alpha_bytes == legacy.alpha_bytes does not hold"
             ),
             "{v:?}"
         );
@@ -1250,13 +1367,18 @@ mod tests {
     fn mem_gate_fails_on_regressions_vs_baseline() {
         let g = gate("mem");
         let base = vec![
-            mem("interned", 8.0, 1200, 90_000),
-            mem("legacy", 10.0, 1200, 150_000),
+            mem("interned", 8.0, 40_000, 90_000),
+            mem("legacy", 10.0, 40_000, 150_000),
         ];
-        // bytes +10%, entries drifted, interned wall clock 2x
+        // α bytes +10%, entries drifted, interned wall clock 2x
         let fresh = vec![
-            mem("interned", 17.0, 1201, 99_001),
-            mem("legacy", 10.0, 1200, 150_000),
+            Row::new()
+                .key("config", "interned")
+                .time("total_ms", 17.0)
+                .count("alpha_entries", 1201)
+                .count("alpha_bytes", 44_001)
+                .count("rel_bytes", 90_000),
+            mem("legacy", 10.0, 44_001, 150_000),
         ];
         let v = check(g, &fresh, &base);
         assert!(has(&v, "alpha_entries changed 1200 -> 1201"), "{v:?}");

@@ -77,7 +77,7 @@ const TABLES: &[Table] = &[
         name: "virt",
         title: "VIRT: virtual α-memories — storage vs token-join time\n\
                 (SalesClerkRule over scaled emp; dept token joins into the emp memory)",
-        json: None,
+        json: Some("BENCH_virt.json"),
         run: |_| measure::virt_table(&[1_000, 10_000, 50_000], 20),
     },
     Table {

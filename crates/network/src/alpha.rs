@@ -277,6 +277,18 @@ impl JoinIndex {
         self.buckets.get(key).map_or(&[], Vec::as_slice)
     }
 
+    /// Keep only the keys `keep` accepts, dropping emptied buckets.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(u64) -> bool) {
+        let mut dropped = 0;
+        self.buckets.retain(|_, bucket| {
+            let n = bucket.len();
+            bucket.retain(|&k| keep(k));
+            dropped += n - bucket.len();
+            !bucket.is_empty()
+        });
+        self.indexed -= dropped;
+    }
+
     /// Distinct keys and keys indexed under them.
     pub(crate) fn shape(&self) -> (usize, usize) {
         (self.buckets.len(), self.indexed)
@@ -419,81 +431,148 @@ enum Contents {
     /// memories (an ON DELETE memory holds dead tuples, a transition
     /// memory Δ pairs — values no relation has) and Rete's α-memories.
     Entries(FxHashMap<u64, AlphaEntry>),
-    /// TIDs only, as the heap slots they name: a TREAT stored memory. Its
-    /// relation's [`crate::store`] slot keeps each held tuple once, with
-    /// its generation, however many memories hold it.
+    /// TIDs only, as the heap slots they name: a TREAT stored memory. The
+    /// relation keeps each member's tuple and generation by slot; the
+    /// [`crate::store`] slot keeps the shared join indexes.
     Tids { slot: StoreSlot, slots: SlotSet },
 }
 
-/// A set of heap slots: one bit per slot of the relation, up to the
-/// highest slot held, and a count. The word vector doubles as it grows,
-/// and a memory is charged the words it has allocated.
+/// A set of heap slots, kept as its nonzero 64-bit words only: word `w`
+/// (slots `64w .. 64w + 64`) is stored while it holds a member. A summary
+/// bit per word says which are stored, and each summary word carries the
+/// count of stored words before it, so a word is found in O(1). The set's
+/// bytes and its enumeration follow its members — a word per occupied
+/// run of 64 slots, plus 12 B per 4 096 slots up to the highest — not the
+/// relation's slots. Each vector doubles as it grows, and a set is
+/// charged what it has allocated.
 #[derive(Debug, Default)]
-struct SlotSet {
+pub(crate) struct SlotSet {
+    /// Bit `w % 64` of entry `w / 64`: word `w` is stored.
+    summary: Vec<u64>,
+    /// Per summary entry: the stored words before its first.
+    before: Vec<u32>,
+    /// The stored words, ascending.
     words: Vec<u64>,
     len: usize,
 }
 
+/// Make room in `v` for `need` elements: double, starting from what is
+/// needed (most sets fit in one word and one summary entry).
+fn reserve_doubling<T>(v: &mut Vec<T>, need: usize) {
+    if need > v.capacity() {
+        let cap = need.max(2 * v.capacity());
+        v.reserve_exact(cap - v.len());
+    }
+}
+
 impl SlotSet {
-    /// Add `slot`; returns whether it was already in the set.
-    fn insert(&mut self, slot: usize) -> bool {
-        let (w, bit) = (slot / 64, 1u64 << (slot % 64));
-        if w >= self.words.capacity() {
-            // double, starting from the words needed: most memories fit
-            // in one
-            let cap = (w + 1).max(2 * self.words.capacity());
-            self.words.reserve_exact(cap - self.words.len());
+    /// Where word `w` lies (or would go) in `words`, and whether it is
+    /// stored.
+    #[inline]
+    fn locate(&self, w: usize) -> (usize, bool) {
+        let (g, bit) = (w / 64, 1u64 << (w % 64));
+        match self.summary.get(g) {
+            Some(&sum) => (
+                self.before[g] as usize + (sum & (bit - 1)).count_ones() as usize,
+                sum & bit != 0,
+            ),
+            None => (self.words.len(), false),
         }
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
-        }
-        let again = self.words[w] & bit != 0;
-        if !again {
-            self.words[w] |= bit;
-            self.len += 1;
-        }
-        again
     }
 
-    /// Drop `slot`; returns whether it was in the set.
-    fn remove(&mut self, slot: usize) -> bool {
+    /// Add `slot`; returns whether it was already in the set.
+    pub(crate) fn insert(&mut self, slot: usize) -> bool {
         let (w, bit) = (slot / 64, 1u64 << (slot % 64));
-        match self.words.get_mut(w) {
-            Some(word) if *word & bit != 0 => {
-                *word &= !bit;
-                self.len -= 1;
-                true
+        let (pos, stored) = self.locate(w);
+        if stored {
+            let again = self.words[pos] & bit != 0;
+            if !again {
+                self.words[pos] |= bit;
+                self.len += 1;
             }
-            _ => false,
+            return again;
         }
+        let g = w / 64;
+        if g >= self.summary.len() {
+            reserve_doubling(&mut self.summary, g + 1);
+            reserve_doubling(&mut self.before, g + 1);
+            self.summary.resize(g + 1, 0);
+            self.before.resize(g + 1, self.words.len() as u32);
+        }
+        self.summary[g] |= 1 << (w % 64);
+        for b in &mut self.before[g + 1..] {
+            *b += 1;
+        }
+        let need = self.words.len() + 1;
+        reserve_doubling(&mut self.words, need);
+        self.words.insert(pos, bit);
+        self.len += 1;
+        false
+    }
+
+    /// Drop `slot`; returns whether it was in the set. A word left empty
+    /// is dropped with it.
+    pub(crate) fn remove(&mut self, slot: usize) -> bool {
+        let (w, bit) = (slot / 64, 1u64 << (slot % 64));
+        let (pos, stored) = self.locate(w);
+        if !stored || self.words[pos] & bit == 0 {
+            return false;
+        }
+        self.words[pos] &= !bit;
+        self.len -= 1;
+        if self.words[pos] == 0 {
+            self.words.remove(pos);
+            let g = w / 64;
+            self.summary[g] &= !(1 << (w % 64));
+            for b in &mut self.before[g + 1..] {
+                *b -= 1;
+            }
+        }
+        true
     }
 
     #[inline]
-    fn contains(&self, slot: usize) -> bool {
-        self.words
-            .get(slot / 64)
-            .is_some_and(|w| w & (1u64 << (slot % 64)) != 0)
+    pub(crate) fn contains(&self, slot: usize) -> bool {
+        let (pos, stored) = self.locate(slot / 64);
+        stored && self.words[pos] & (1u64 << (slot % 64)) != 0
+    }
+
+    /// Number of slots in the set.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
     /// The slots in ascending order.
-    fn iter(&self) -> Ones<'_> {
-        Ones {
-            words: &self.words,
+    pub(crate) fn iter(&self) -> Slots<'_> {
+        Slots {
+            index: Ones {
+                words: &self.summary,
+                base: 0,
+                word: 0,
+            },
+            words: self.words.iter(),
             base: 0,
             word: 0,
         }
     }
 
-    fn bytes(&self) -> usize {
-        self.words.capacity() * std::mem::size_of::<u64>()
+    /// Bytes the set has allocated.
+    pub(crate) fn bytes(&self) -> usize {
+        self.summary.capacity() * std::mem::size_of::<u64>()
+            + self.before.capacity() * std::mem::size_of::<u32>()
+            + self.words.capacity() * std::mem::size_of::<u64>()
     }
 }
 
 /// The set bits of a word slice, ascending.
-pub(crate) struct Ones<'a> {
+struct Ones<'a> {
     /// The words not yet loaded.
     words: &'a [u64],
-    /// Slot of bit 0 of the next word loaded.
+    /// Bit index of bit 0 of the next word loaded.
     base: usize,
     /// The loaded word's bits not yet yielded, its bit 0 at `base - 64`.
     word: u64,
@@ -513,6 +592,33 @@ impl Iterator for Ones<'_> {
         let bit = self.word.trailing_zeros() as usize;
         self.word &= self.word - 1;
         Some(self.base - 64 + bit)
+    }
+}
+
+/// The slots of a [`SlotSet`], ascending: the summary names each stored
+/// word in turn, and the word its slots.
+pub(crate) struct Slots<'a> {
+    /// Indexes of the stored words not yet loaded.
+    index: Ones<'a>,
+    words: std::slice::Iter<'a, u64>,
+    /// Slot of bit 0 of the loaded word.
+    base: usize,
+    /// The loaded word's bits not yet yielded.
+    word: u64,
+}
+
+impl Iterator for Slots<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.word == 0 {
+            self.base = self.index.next()? * 64;
+            self.word = *self.words.next().expect("a stored word per summary bit");
+        }
+        let bit = self.word.trailing_zeros() as usize;
+        self.word &= self.word - 1;
+        Some(self.base + bit)
     }
 }
 
@@ -565,14 +671,14 @@ impl AlphaNode {
     fn own(&self) -> &FxHashMap<u64, AlphaEntry> {
         match &self.contents {
             Contents::Entries(entries) => entries,
-            Contents::Tids { .. } => unreachable!("a TID memory's tuples live in its store"),
+            Contents::Tids { .. } => unreachable!("a TID memory's tuples live in its relation"),
         }
     }
 
     fn own_mut(&mut self) -> &mut FxHashMap<u64, AlphaEntry> {
         match &mut self.contents {
             Contents::Entries(entries) => entries,
-            Contents::Tids { .. } => unreachable!("a TID memory's tuples live in its store"),
+            Contents::Tids { .. } => unreachable!("a TID memory's tuples live in its relation"),
         }
     }
 
@@ -822,10 +928,9 @@ impl AlphaNode {
     }
 
     /// Hold `tid`, whose value is `tuple`, in a TID memory, filing the
-    /// tuple in the band indexes. Returns whether the memory already held
-    /// it (a Δ+ re-insert: the old interval is dropped first). Only
-    /// `Store::insert` calls this, keeping the store in step.
-    pub(crate) fn hold(&mut self, tid: Tid, tuple: &Tuple) -> bool {
+    /// tuple in the band indexes (a re-insert drops the old interval
+    /// first). Only `Store::insert` calls this, keeping the store in step.
+    pub(crate) fn hold(&mut self, tid: Tid, tuple: &Tuple) {
         AlphaCounters::bump(&self.counters.inserted, 1);
         let Contents::Tids { slots, .. } = &mut self.contents else {
             unreachable!("an entry memory holds no bare TIDs")
@@ -838,11 +943,11 @@ impl AlphaNode {
             // no join index to file it in: the store keeps those
             self.index(tid.0, tuple);
         }
-        again
     }
 
     /// Stop holding `tid` in a TID memory; returns whether it was held.
-    /// Only `Store::remove` calls this, keeping the store in step.
+    /// A `−` token's removes call this; `Store::release` then takes the
+    /// TID out of the shared indexes.
     pub(crate) fn unhold(&mut self, tid: Tid) -> bool {
         let Contents::Tids { slots, .. } = &mut self.contents else {
             unreachable!("an entry memory holds no bare TIDs")
@@ -855,8 +960,8 @@ impl AlphaNode {
     }
 
     /// Whether the memory holds `tid`. A TID memory answers for the slot
-    /// `tid` names: its store keeps the generation held there, and
-    /// `Store::remove` checks it.
+    /// `tid` names; a reader resolves the slot through the relation, which
+    /// keeps its generation.
     pub fn contains(&self, tid: Tid) -> bool {
         match &self.contents {
             Contents::Entries(entries) => entries.contains_key(&tid.0),
@@ -865,14 +970,14 @@ impl AlphaNode {
     }
 
     /// Iterate an entry memory's entries (a TID memory has none: its
-    /// tuples are in its store).
+    /// tuples are in its relation).
     pub fn entries(&self) -> impl Iterator<Item = &AlphaEntry> {
         self.own().values()
     }
 
-    /// The heap slots a TID memory holds, ascending; its store keeps the
-    /// tuple and generation held in each.
-    pub(crate) fn slots(&self) -> Ones<'_> {
+    /// The heap slots a TID memory holds, ascending; its relation keeps
+    /// the tuple and generation in each.
+    pub(crate) fn slots(&self) -> Slots<'_> {
         match &self.contents {
             Contents::Tids { slots, .. } => slots.iter(),
             Contents::Entries(_) => unreachable!("an entry memory holds no bare TIDs"),
@@ -883,7 +988,7 @@ impl AlphaNode {
     pub fn len(&self) -> usize {
         match &self.contents {
             Contents::Entries(entries) => entries.len(),
-            Contents::Tids { slots, .. } => slots.len,
+            Contents::Tids { slots, .. } => slots.len(),
         }
     }
 
@@ -929,8 +1034,8 @@ impl AlphaNode {
 
     /// Approximate heap footprint of what the memory holds plus its
     /// node-local index structures, in bytes: an entry memory is charged
-    /// each entry with its tuple, a TID memory each membership its key —
-    /// its tuples are charged once per relation, in the store. This is the
+    /// each entry with its tuple, a TID memory its slot set — its tuples
+    /// are the relation's, and no memory charges them. This is the
     /// quantity virtual α-memories reduce to (near) zero — a virtual node
     /// stores neither entries nor indexes.
     pub fn heap_size(&self) -> usize {
@@ -1381,5 +1486,49 @@ mod tests {
         assert!(AlphaKind::Simple.is_simple() && !AlphaKind::Virtual.is_simple());
         assert!(AlphaKind::SimpleTrans.is_trans() && AlphaKind::DynamicTrans.is_trans());
         assert!(AlphaKind::SimpleOn.is_on() && AlphaKind::DynamicOn.is_on());
+    }
+
+    #[test]
+    fn a_slot_set_agrees_with_an_ordered_set() {
+        // a xorshift walk over slots near and far, inserting and removing
+        let mut set = SlotSet::default();
+        let mut model = std::collections::BTreeSet::new();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..20_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let slot = match x % 3 {
+                0 => (x >> 8) as usize % 512,
+                1 => (x >> 8) as usize % 40_000,
+                _ => 1_000_000 + (x >> 8) as usize % 300,
+            };
+            if x & 0x100 == 0 {
+                assert_eq!(set.insert(slot), !model.insert(slot), "insert {slot}");
+            } else {
+                assert_eq!(set.remove(slot), model.remove(&slot), "remove {slot}");
+            }
+            assert_eq!(set.contains(slot), model.contains(&slot));
+        }
+        assert_eq!(set.len(), model.len());
+        assert!(set.iter().eq(model.iter().copied()));
+        for slot in model.iter().copied().collect::<Vec<_>>() {
+            assert!(set.remove(slot));
+        }
+        assert!(set.is_empty() && set.iter().next().is_none());
+    }
+
+    #[test]
+    fn a_slot_set_pays_for_its_members_not_its_highest_slot() {
+        // 100 slots at the top of a million: a word per 64 of them, and
+        // 12 B per 4 096 slots below
+        let mut top = SlotSet::default();
+        assert_eq!(top.bytes(), 0, "an empty set allocates nothing");
+        for s in 999_900..1_000_000 {
+            top.insert(s);
+        }
+        assert_eq!(top.iter().count(), 100);
+        assert!(top.bytes() <= 4 * 8 + 245 * 12, "{} B", top.bytes());
+        assert!(top.bytes() < 4_096);
     }
 }

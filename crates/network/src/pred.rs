@@ -172,40 +172,6 @@ impl SelectionPredicate {
         }
         Ok(())
     }
-
-    /// The full predicate as one expression (anchor re-expressed), mainly
-    /// for virtual-α base-relation filtering and for priming stored nodes.
-    pub fn full_expr(&self) -> Option<RExpr> {
-        let mut parts = Vec::new();
-        if let Some((attr, iv)) = &self.anchor {
-            let a = RExpr::Attr {
-                var: 0,
-                attr: *attr,
-            };
-            match iv.lo() {
-                Bound::Included(v) => parts.push(cmp(BinOp::Ge, a.clone(), v.clone())),
-                Bound::Excluded(v) => parts.push(cmp(BinOp::Gt, a.clone(), v.clone())),
-                Bound::Unbounded => {}
-            }
-            match iv.hi() {
-                Bound::Included(v) => parts.push(cmp(BinOp::Le, a.clone(), v.clone())),
-                Bound::Excluded(v) => parts.push(cmp(BinOp::Lt, a, v.clone())),
-                Bound::Unbounded => {}
-            }
-        }
-        if let Some(r) = &self.residual {
-            parts.push(r.clone());
-        }
-        RExpr::conjoin(parts)
-    }
-}
-
-fn cmp(op: BinOp, l: RExpr, v: Value) -> RExpr {
-    RExpr::Binary {
-        op,
-        left: Box::new(l),
-        right: Box::new(RExpr::Const(v)),
-    }
 }
 
 fn tighter_lo(a: Bound<Value>, b: Bound<Value>) -> Bound<Value> {
@@ -391,22 +357,9 @@ mod tests {
     }
 
     #[test]
-    fn full_expr_roundtrip() {
-        let conj = vec![
-            bin(BinOp::Gt, attr(1), lit(10i64)),
-            bin(BinOp::Le, attr(1), lit(20i64)),
-            bin(BinOp::Eq, attr(0), lit("a")),
-        ];
-        let p = SelectionPredicate::decompose(conj);
-        let full = p.full_expr().unwrap();
-        assert_eq!(full.conjuncts().len(), 3);
-    }
-
-    #[test]
     fn empty_predicate_always_true() {
         let p = SelectionPredicate::decompose(vec![]);
         assert!(p.anchor.is_none() && p.residual.is_none() && !p.unsatisfiable);
-        assert!(p.full_expr().is_none());
     }
 
     /// `each_match` finds exactly the tuples a test of every tuple finds,

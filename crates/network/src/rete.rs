@@ -443,7 +443,10 @@ impl ReteNetwork {
     /// scan under the node's predicate for virtual nodes (§4.2 applied to
     /// Rete). `visible` implements the pending/ProcessedMemories rules for
     /// virtual nodes; stored entries need no filter — the batch loop only
-    /// inserts a token into an α-memory when its turn comes.
+    /// inserts a token into an α-memory when its turn comes. `visible` is
+    /// `None` while priming: every tuple is visible, and an α test that
+    /// cannot be evaluated fails the activation with its error, as under
+    /// TREAT; a token's reads the error as "no match".
     ///
     /// This is the *enumeration* path: a join takes it when no registered
     /// index applies (always, under [`JoinAccess::Nested`]).
@@ -451,18 +454,23 @@ impl ReteNetwork {
         &self,
         aid: AlphaId,
         catalog: &Catalog,
-        visible: &dyn Fn(Tid) -> bool,
+        visible: Option<&dyn Fn(Tid) -> bool>,
     ) -> QueryResult<Vec<BoundVar>> {
         let alpha = self.alpha(aid);
         match alpha.kind {
             AlphaKind::Virtual => {
                 let rel_b = live_rel(catalog, alpha.rel)?;
-                Ok(rel_b
-                    .scan()
-                    .filter(|(tid, _)| visible(*tid))
-                    .filter(|(_, t)| alpha.pred_matches(t, None))
-                    .map(|(tid, t)| BoundVar::plain(tid, t.clone()))
-                    .collect())
+                let mut out = Vec::new();
+                for (tid, t) in rel_b.scan() {
+                    let pass = match visible {
+                        Some(visible) => visible(tid) && alpha.pred_matches(t, None),
+                        None => alpha.pred.matches(t, None)?,
+                    };
+                    if pass {
+                        out.push(BoundVar::plain(tid, t.clone()));
+                    }
+                }
+                Ok(out)
             }
             _ => Ok(alpha
                 .entries()
@@ -488,7 +496,7 @@ impl ReteNetwork {
                 continue;
             }
             for (tid, t) in live_rel(catalog, a.rel)?.scan() {
-                if a.pred_matches(t, None) {
+                if a.pred.matches(t, None)? {
                     let entry = AlphaEntry {
                         tid: Some(tid),
                         tuple: t.clone(),
@@ -506,7 +514,7 @@ impl ReteNetwork {
         for lvl in 0..nvars {
             let mut out = Vec::new();
             let rule = &self.rules[&id.0];
-            let cands = self.candidates(alpha_ids[lvl], catalog, &|_| true)?;
+            let cands = self.candidates(alpha_ids[lvl], catalog, None)?;
             if lvl == 0 {
                 for cand in cands {
                     out.push(vec![cand]);
@@ -928,7 +936,7 @@ impl ReteNetwork {
                         }
                         rel != token.rel || tid != token.tid || processed.contains(&aid.0)
                     };
-                    let cands = self.candidates(aid, catalog, &visible)?;
+                    let cands = self.candidates(aid, catalog, Some(&visible))?;
                     let rule = &self.rules[&rule_id.0];
                     for left in &current {
                         for cand in &cands {

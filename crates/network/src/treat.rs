@@ -34,16 +34,17 @@
 //! This reproduces TREAT's self-join counting exactly: a token joins to
 //! itself once per virtual/stored node pair, never twice.
 //!
-//! ### Stored memories hold TIDs; their relation's store holds the tuples
+//! ### Stored memories hold slots; their relation holds the tuples
 //!
 //! A stored α-memory is a bitset over its relation's heap slots (plus its
-//! band indexes); a TID names a slot and its generation. The tuples and
-//! the equi-join hash indexes live in the network's per-relation
-//! `crate::store`: each held tuple once, by slot, and one index per
-//! attribute set, each tuple filed once however many memories hold it. A
-//! probe takes the shared bucket's TIDs, keeps those whose slot the memory
-//! holds and reads each tuple from the store. Dynamic memories keep entries and node-local indexes;
-//! `crate::store` says why.
+//! band indexes); a TID names a slot and its generation. The tuple is the
+//! relation's, read by slot, and the equi-join hash indexes live in the
+//! network's per-relation `crate::store`: one per attribute set, each TID
+//! filed once however many memories hold it. A probe takes the shared
+//! bucket's TIDs, keeps those whose slot the memory holds and reads each
+//! tuple from the relation, under the pending rule above: a stored member
+//! whose tuple is pending is hidden too. Dynamic memories keep entries and
+//! node-local indexes; `crate::store` says why.
 
 use crate::alpha::{
     AlphaCounters, AlphaEntry, AlphaId, AlphaKind, AlphaNode, AlphaTiming, BandShape, EventReq,
@@ -54,7 +55,7 @@ use crate::key::{KeyBuilder, SmallKey};
 use crate::plan::{BandSpec, CompositeSpec, JoinAccess, JoinPlan, RuleShape, MAX_RULE_VARS};
 use crate::pred::SelectionPredicate;
 use crate::selnet::SelectionNetwork;
-use crate::store::{IndexId, Store, StoreSlot};
+use crate::store::{IndexId, Store};
 use crate::token::{EventSpecifier, Token, TokenKind};
 use crate::trace::{TraceEventKind, TraceRecorder};
 use ariel_islist::{Histogram, Kind, Metrics, Place};
@@ -541,7 +542,8 @@ pub(crate) fn alloc_alpha(
 
 /// The batch pending set: per relation slot, tid → positive tokens of
 /// that tuple still unprocessed in the current batch. A tuple in here is
-/// hidden from virtual-node scans (see the module docs). The maps are
+/// hidden from virtual-node scans and stored-memory reads (see the module
+/// docs). The maps are
 /// emptied, not dropped, between batches.
 #[derive(Debug, Default)]
 pub(crate) struct Pending {
@@ -606,12 +608,40 @@ impl<'a> Candidate<'a> {
     }
 }
 
+/// Where a stored memory's members are read during a join: its relation,
+/// and the relation's pending tuples in the batch.
+struct Members<'a> {
+    rel: &'a Relation,
+    pending: Option<&'a FxHashMap<u64, u32>>,
+}
+
+impl<'a> Members<'a> {
+    /// The member in heap slot `s`: the relation's tuple there with its
+    /// TID and no `prev` (a stored column has none), or nothing if the
+    /// slot is free or its tuple still has a `+` token to come in the
+    /// batch — the visibility rule of virtual scans.
+    #[inline]
+    fn at(&self, s: usize) -> Option<Candidate<'a>> {
+        let (tid, tuple) = self.rel.at(s)?;
+        if self.pending.is_some_and(|p| p.contains_key(&tid.0)) {
+            return None;
+        }
+        Some(Candidate {
+            tid: Some(tid),
+            tuple,
+            prev: None,
+        })
+    }
+}
+
 /// What one β-join reads besides its partial row: the rule and its join
 /// order, and the visibility state of the token being processed — the
 /// token itself, the α-nodes it has entered so far (the paper's
-/// ProcessedMemories) and the batch pending set. Only virtual nodes
-/// consult the visibility state: a stored or dynamic memory holds exactly
-/// what the tokens processed so far have put there.
+/// ProcessedMemories) and the batch pending set. Virtual nodes consult
+/// all of it. A stored memory holds exactly the slots the tokens
+/// processed so far have put there, but reads their tuples from the
+/// relation, so it consults the pending set; a dynamic memory holds its
+/// own entries and consults nothing.
 struct Join<'a> {
     rule: &'a RuleNode,
     /// `(estimate, variable)` in join order.
@@ -788,9 +818,10 @@ impl Network {
                 // entries and its own indexes
                 if kind == AlphaKind::Stored {
                     let slot = self.store.slot(rels[v]);
+                    let relation = catalog.rel(rels[v]).expect("a compiled rule's relation");
                     indexes = plan.composite[v]
                         .iter()
-                        .map(|spec| self.store.register(slot, &spec.attrs))
+                        .map(|spec| self.store.register(slot, &spec.attrs, relation))
                         .collect();
                     node.share(slot);
                 } else {
@@ -863,12 +894,22 @@ impl Network {
         };
         let rule = self.rules[slot].take().expect("live rule");
         self.free_rules.push(slot);
+        let mut stored = Vec::new();
         for var in &rule.vars {
             self.selnet.unsubscribe(var.alpha);
             let alpha = self.alphas[var.alpha.0].take().expect("live alpha");
-            self.store.forget(&alpha, &var.indexes);
+            if let Some(s) = alpha.store_slot() {
+                self.store.unregister(s, &var.indexes);
+                stored.push(s);
+            }
             self.free.push(var.alpha.0);
             self.dynamic_alphas.retain(|a| *a != var.alpha);
+        }
+        // each relation's union once, from the memories that remain
+        stored.sort_unstable();
+        stored.dedup();
+        for s in stored {
+            self.store.rebuild(s, self.alphas.iter().flatten());
         }
         self.dynamic_rules.retain(|r| *r != slot);
         self.conflict.remove(id);
@@ -954,8 +995,9 @@ impl Network {
             )
         };
         match a.store_slot() {
-            Some(store) => {
-                for (tid, t) in self.store.held_in(store, a.slots()) {
+            Some(_) => {
+                for s in a.slots() {
+                    let (tid, t) = rel.at(s).expect("a member's slot is live");
                     extend(tid, t)?;
                 }
             }
@@ -976,7 +1018,8 @@ impl Network {
         self.pending = pending;
         self.conflict
             .debug_check(self.rules.iter().flatten().map(|r| (r.id.0, &r.pnode)));
-        self.store.debug_check(self.alphas.iter().flatten());
+        self.store
+            .debug_check(self.alphas.iter().flatten(), catalog);
         result
     }
 
@@ -1307,31 +1350,24 @@ impl Network {
             })
     }
 
-    /// The candidate `alpha` holds under map key `key`, if it holds one: a
-    /// stored memory's TID with the tuple its store keeps, or a dynamic
-    /// memory's entry. A shared bucket lists only TIDs the store holds, so
-    /// a stored memory holding the slot holds that TID.
+    /// The candidate `alpha` holds under map key `key`, if it holds one
+    /// and it is visible: a stored memory's TID, read through `members`
+    /// (the memory's relation), or a dynamic memory's entry.
     #[inline]
-    fn candidate<'s>(&'s self, alpha: &'s AlphaNode, key: u64) -> Option<Candidate<'s>> {
-        match alpha.store_slot() {
-            Some(slot) => {
+    fn candidate<'c>(
+        alpha: &'c AlphaNode,
+        members: Option<&Members<'c>>,
+        key: u64,
+    ) -> Option<Candidate<'c>> {
+        match members {
+            Some(members) => {
                 let tid = Tid(key);
-                alpha.contains(tid).then(|| self.stored(slot, tid.slot()))
+                if !alpha.contains(tid) {
+                    return None;
+                }
+                members.at(tid.slot()).filter(|c| c.tid == Some(tid))
             }
             None => alpha.entry(key).map(Candidate::of),
-        }
-    }
-
-    /// The candidate a stored memory on `slot` holds in heap slot `s`: the
-    /// TID and tuple its store keeps there, and no `prev` (a stored column
-    /// has none).
-    #[inline]
-    fn stored(&self, slot: StoreSlot, s: usize) -> Candidate<'_> {
-        let (tid, tuple) = self.store.held_at(slot, s);
-        Candidate {
-            tid: Some(tid),
-            tuple,
-            prev: None,
         }
     }
 
@@ -1534,13 +1570,22 @@ impl Network {
                 // stab answers an inequality pair; failing both, enumerate
                 let mut served = 0u64;
                 let mut indexed = true;
+                // a stored memory's members are its relation's tuples
+                let members = match alpha.store_slot() {
+                    Some(_) => Some(Members {
+                        rel: live_rel(join.catalog, alpha.rel)?,
+                        pending: join.pending.of(alpha.rel),
+                    }),
+                    None => None,
+                };
+                let members = members.as_ref();
                 if let Some((spec, bucket)) =
                     self.find_composite_probe(rule, var, bound, row, alpha)
                 {
                     AlphaCounters::bump(&alpha.counters.index_probes, 1);
                     for &k in bucket {
                         // a shared bucket lists TIDs other memories hold
-                        let Some(cand) = self.candidate(alpha, k) else {
+                        let Some(cand) = Self::candidate(alpha, members, k) else {
                             continue;
                         };
                         served += 1;
@@ -1566,18 +1611,16 @@ impl Network {
                     // the hits stream off the skip list into the join; the
                     // first error stops it
                     let mut joined = Ok(());
-                    let store_slot = alpha.store_slot();
                     alpha
                         .stab(&spec.shape, &key, |k| {
-                            served += 1;
                             if joined.is_err() {
                                 return;
                             }
                             // a band index files only the keys its memory holds
-                            let cand = match store_slot {
-                                Some(slot) => self.stored(slot, Tid(k).slot()),
-                                None => Candidate::of(alpha.entry(k).expect("a held key")),
+                            let Some(cand) = Self::candidate(alpha, members, k) else {
+                                return;
                             };
+                            served += 1;
                             joined = self.descend(
                                 join,
                                 depth,
@@ -1598,17 +1641,17 @@ impl Network {
                     }
                 } else {
                     indexed = false;
-                    match alpha.store_slot() {
-                        Some(slot) => {
-                            for (tid, tuple) in self.store.held_in(slot, alpha.slots()) {
+                    match members {
+                        Some(members) => {
+                            for cand in alpha.slots().filter_map(|s| members.at(s)) {
                                 served += 1;
                                 self.descend(
                                     join,
                                     depth,
                                     now_bound,
                                     var,
-                                    Some(tid),
-                                    tuple,
+                                    cand.tid,
+                                    cand.tuple,
                                     None,
                                     &[],
                                     row,
@@ -1715,8 +1758,8 @@ impl Network {
     ///
     /// The same argument is why stored memories may share one index per
     /// relation: every holder of a TID is emptied by its `−` before any
-    /// holder takes the next value, so all holders hold one value
-    /// (`crate::store`).
+    /// holder takes the next value, so the TID is filed under one value and
+    /// leaves the indexes with the `−` (`crate::store`).
     fn process_negative(
         &mut self,
         token: &Token,
@@ -1727,7 +1770,11 @@ impl Network {
         for &aid in &candidates {
             let (rule_slot, var) = {
                 let a = self.alphas[aid.0].as_mut().expect("live alpha");
-                self.store.remove(a, token.tid);
+                if a.store_slot().is_some() {
+                    a.unhold(token.tid);
+                } else {
+                    a.remove(token.tid);
+                }
                 (a.rule_slot, a.var)
             };
             let rule = self.rules[rule_slot].as_mut().expect("live rule");
@@ -1735,6 +1782,8 @@ impl Network {
                 self.conflict.sync(rule.id, &rule.pnode);
             }
         }
+        // no stored memory holds the TID now: it leaves the shared indexes
+        self.store.release(token.rel, token.tid, &token.tuple);
         // ON DELETE conditions: the dying tuple *matches* them (§4.3.1,
         // case 4: "a delete− … will match any applicable on delete rule
         // conditions"). The tuple is bound with no TID — it no longer
@@ -2889,12 +2938,12 @@ mod tests {
             .alpha(net.rule(RuleId(2)).unwrap().vars[0].alpha)
             .store_slot()
             .unwrap();
-        let held = |net: &Network| net.store.held(slot);
+        let held = |net: &Network| net.store.members(slot);
         assert_eq!(held(&net), 4);
         assert!(!net.store.has_index(slot, &dno));
         add(&mut net, 1, &by_dno);
         assert!(net.store.has_index(slot, &dno));
-        net.store.debug_check(net.alphas.iter().flatten());
+        net.store.debug_check(net.alphas.iter().flatten(), &cat);
 
         // deactivate: rule 1 releases its three emps (rule 2 still holds
         // them) and takes the dno index along
@@ -2902,10 +2951,10 @@ mod tests {
         assert!(!net.store.has_index(slot, &dno));
         assert!(net.store.has_index(slot, &jno));
         assert_eq!(held(&net), 4);
-        net.store.debug_check(net.alphas.iter().flatten());
+        net.store.debug_check(net.alphas.iter().flatten(), &cat);
         net.remove_rule(RuleId(2));
         assert_eq!(held(&net), 0, "no memory holds an emp");
-        net.store.debug_check(net.alphas.iter().flatten());
+        net.store.debug_check(net.alphas.iter().flatten(), &cat);
 
         // reactivate both: the back-filled dno index serves a dept token
         // exactly as a network that never deactivated
@@ -2961,18 +3010,29 @@ mod tests {
                     .unwrap();
                 net.prime(RuleId(i), &cat).unwrap();
             }
-            let check = |net: &Network| net.store.debug_check(net.alphas.iter().flatten());
-            check(&net);
+            let check = |net: &Network, cat: &Catalog| {
+                net.store.debug_check(net.alphas.iter().flatten(), cat)
+            };
+            check(&net, &cat);
             let slot = net
                 .alpha(net.rule(RuleId(0)).unwrap().vars[1].alpha)
                 .store_slot()
                 .expect("dept is stored under both policies");
             // dept dno d is held by the rules with i % 3 < d
-            let holders = |net: &Network| -> Vec<u32> {
-                depts.iter().map(|&t| net.store.holders(slot, t)).collect()
+            let holders = |net: &Network| -> Vec<usize> {
+                let memories = || {
+                    net.alphas
+                        .iter()
+                        .flatten()
+                        .filter(|a| a.store_slot() == Some(slot))
+                };
+                depts
+                    .iter()
+                    .map(|&t| memories().filter(|a| a.contains(t)).count())
+                    .collect()
             };
             assert_eq!(holders(&net), [4, 8, 12, 12], "{policy:?}");
-            assert_eq!(net.store.held(slot), 4, "each dept kept once");
+            assert_eq!(net.store.members(slot), 4, "each dept filed once");
 
             // an emp of dept 3 matches every rule
             let (tid, t) = insert_emp(&mut cat, "a", 100.0, 3, 1);
@@ -2982,7 +3042,7 @@ mod tests {
             // deactivating rule 0 releases its four depts; the other 11
             // keep matching
             net.remove_rule(RuleId(0));
-            check(&net);
+            check(&net, &cat);
             assert_eq!(holders(&net), [3, 7, 11, 11], "{policy:?}");
             let (tid, t) = insert_emp(&mut cat, "b", 100.0, 3, 1);
             net.process_token(&append_token(tid, t), &cat).unwrap();
@@ -3009,7 +3069,7 @@ mod tests {
                 &cat,
             )
             .unwrap();
-            check(&net);
+            check(&net, &cat);
             assert_eq!(holders(&net), [3, 11, 11, 11], "{policy:?}");
             // an emp of dept 2 finds nothing under the old key; one of
             // dept 4 joins both TIDs filed under 4
@@ -3031,7 +3091,7 @@ mod tests {
                 assert!(dept_of("c").is_empty(), "rule {i}, {policy:?}");
                 assert_eq!(dept_of("d"), [moved, depts[3]], "rule {i}, {policy:?}");
             }
-            check(&net);
+            check(&net, &cat);
         }
     }
 

@@ -157,6 +157,14 @@ impl Relation {
         slot.tuple.as_ref()
     }
 
+    /// The live tuple in heap slot `slot` and its TID, whatever its
+    /// generation.
+    #[inline]
+    pub fn at(&self, slot: usize) -> Option<(Tid, &Tuple)> {
+        let s = self.slots.get(slot)?;
+        Some((Tid::new(slot as u32, s.gen), s.tuple.as_ref()?))
+    }
+
     /// The slot `tid` names, if its tuple is live.
     fn live_slot(&mut self, tid: Tid) -> StorageResult<&mut Slot> {
         self.slots

@@ -503,11 +503,12 @@ fn join_churn_activation(policy: VirtualPolicy) -> (i64, usize) {
 
 /// The real-memory side of the store's accounting: activating a
 /// `match.join_churn`-shaped rule set over its data with stored memories
-/// takes at most 16 B of live heap per membership more than with virtual
-/// ones (about 21 000 memberships). A bit per membership, each held tuple
-/// once in its relation's slot-indexed store and the shared indexes come
-/// to about 11 B; a hash set of TIDs per memory came to about 23 B, an
-/// entry per membership holding its own tuple handle to about 84 B.
+/// takes at most 9 B of live heap per membership more than with virtual
+/// ones (about 21 000 memberships): a memory's bit words and the shared
+/// indexes, each TID filed once. Keeping each held tuple a second time,
+/// in a per-slot vector beside the relation, came to about 11 B; a hash
+/// set of TIDs per memory to about 23 B, an entry per membership holding
+/// its own tuple handle to about 84 B.
 #[test]
 fn join_churn_memories_hold_about_a_tid_per_membership() {
     let (stored, memberships) = join_churn_activation(VirtualPolicy::AllStored);
@@ -516,7 +517,51 @@ fn join_churn_memories_hold_about_a_tid_per_membership() {
     assert!(memberships > 20_000, "{memberships} memberships");
     let per_member = (stored - virtual_) as f64 / memberships as f64;
     assert!(
-        per_member <= 16.0,
+        per_member <= 9.0,
         "stored memories take {per_member:.1} live bytes per membership"
     );
+}
+
+/// A selective stored memory over a large relation costs what it holds:
+/// the 100 highest heap slots of a 200 000-row `emp`, joined to `dept`,
+/// add at most 128 KB of live heap and of `alpha_bytes` when the rule is
+/// activated. A memory whose bit words, or a store whose per-slot vector,
+/// reached its highest slot paid about 9.65 MB for the same 100 members.
+#[test]
+fn a_sparse_stored_memory_costs_its_members_not_its_relation() {
+    const ROWS: i64 = 200_000;
+    let mut db = Ariel::with_options(EngineOptions {
+        virtual_policy: VirtualPolicy::AllStored,
+        ..Default::default()
+    });
+    db.execute(
+        "create emp (eno = int, sal = int, dno = int); \
+         create dept (dno = int, floor = int); \
+         create log (eno = int); \
+         append dept (dno = 1, floor = 1)",
+    )
+    .unwrap();
+    let (_, emp) = db.catalog_mut().resolve_mut("emp").unwrap();
+    for i in 0..ROWS {
+        emp.insert(vec![Value::Int(i), Value::Int(i), Value::Int(1 + i % 7)])
+            .unwrap();
+    }
+    let before = db.network_stats().alpha_bytes;
+    let grown = live_growth(|| {
+        db.execute(&format!(
+            "define rule top if emp.sal >= {} and emp.dno = dept.dno \
+             then append to log (eno = emp.eno)",
+            ROWS - 100
+        ))
+        .unwrap();
+    });
+    let stats = db.network_stats();
+    assert_eq!(
+        stats.alpha_entries,
+        100 + 1,
+        "the top 100 emps and the dept"
+    );
+    let alpha = stats.alpha_bytes - before;
+    assert!(alpha <= 128 << 10, "the memory is charged {alpha} B");
+    assert!(grown <= 128 << 10, "activation left {grown} B live");
 }

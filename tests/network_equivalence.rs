@@ -518,6 +518,57 @@ fn treat_and_rete_in_both_join_modes_match_recompute() {
     nets.assert_beta_work();
 }
 
+/// Activation runs each α test with its error: a rule whose selection
+/// cannot be evaluated on an existing tuple fails to prime, with the same
+/// error on every matcher. Rete used to read the error as "no match" and
+/// prime the rule.
+#[test]
+fn every_matcher_fails_priming_where_an_alpha_test_cannot_be_evaluated() {
+    let mut cat = Catalog::new();
+    for (name, attrs) in [("t", &["x", "y"][..]), ("u", &["x"][..])] {
+        let attrs = attrs
+            .iter()
+            .map(|a| AttrDef::new(*a, ariel::storage::AttrType::Int))
+            .collect();
+        cat.create(name, Arc::new(Schema::new(attrs).unwrap()))
+            .unwrap();
+    }
+    let row = |vals: &[i64]| vals.iter().map(|&v| Value::Int(v)).collect::<Vec<_>>();
+    cat.get_mut("t").unwrap().insert(row(&[1, 0])).unwrap();
+    cat.get_mut("u").unwrap().insert(row(&[1])).unwrap();
+    let Command::DefineRule(def) = parse_command(
+        "define rule r if t.x > 0 and 10 / t.y > 1 and t.x = u.x then append to u (x = 2)",
+    )
+    .unwrap() else {
+        panic!("a rule");
+    };
+    let cond = Resolver::new(&cat)
+        .resolve_condition(def.on.as_ref(), def.condition.as_ref(), &def.cond_from)
+        .unwrap();
+    let mut configs = every_matcher();
+    configs.push(Config::Treat(VirtualPolicy::AllStored, JoinAccess::Nested));
+    configs.push(Config::Treat(VirtualPolicy::AllVirtual, JoinAccess::Nested));
+    for config in configs {
+        let err = match &config {
+            Config::Treat(policy, access) => {
+                let mut n = ariel::network::Network::with_access(*access);
+                n.add_rule(RuleId(0), &cond, policy, &cat).unwrap();
+                n.prime(RuleId(0), &cat).unwrap_err()
+            }
+            Config::Rete(policy, access) => {
+                let mut n = ariel::network::ReteNetwork::with_policy(policy.clone(), *access);
+                n.add_rule(RuleId(0), &cond, &cat).unwrap();
+                n.prime(RuleId(0), &cat).unwrap_err()
+            }
+        };
+        assert_eq!(
+            err.to_string(),
+            "evaluation error: integer division by zero",
+            "{config:?}"
+        );
+    }
+}
+
 /// Indexed-vs-nested-loop oracle: the hash join indexes are a pure
 /// optimization, so with indexing on or off — under every virtual policy
 /// — the TREAT network holds exactly the recomputed matches after every

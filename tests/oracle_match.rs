@@ -384,6 +384,65 @@ fn a_slot_reused_within_one_batch_matches_oracle() {
     }
 }
 
+/// Stored memories read their members from the relation, which holds its
+/// end-of-batch state while the batch is matched: a tuple with a `+` still
+/// to come is hidden, and a freed or reused slot serves nothing. One batch
+/// replaces an `r1` tuple that stored memories hold, deletes it, and
+/// appends a tuple into its slot, with an `r2` replace — a token that
+/// joins into the `r1` memories on that tuple's key — before, between and
+/// after those steps. The recompute oracle and the store's debug check
+/// (debug builds) run after every batch, on every backend.
+#[test]
+fn a_held_tuple_replaced_deleted_and_reused_in_one_batch_matches_oracle() {
+    let ins = |a, b| Op::Insert { rel: 0, a, b };
+    let dept = |b| Op::Insert { rel: 1, a: b, b: 2 };
+    let upd = |pick, a| Op::Update { pick, a };
+    let del = |pick| Op::Delete { pick };
+    // live: r2 (1, 2), r2 (2, 2), then r1 (4, 1) in slot 0 and r1 (12, 1)
+    let batches: Vec<Vec<Op>> = vec![
+        vec![dept(1), dept(2)],
+        vec![ins(4, 1), ins(12, 1)],
+        vec![
+            // the r2 replace sets its join key to 1, the held tuple's key
+            upd(1, 1),
+            upd(2, 5),
+            upd(1, 1),
+            // deleting live[2] moves r1 (12, 1) into its place
+            del(2),
+            upd(1, 1),
+            // reuses slot 0 under the next generation
+            ins(6, 1),
+            upd(1, 1),
+        ],
+        vec![upd(1, 1)],
+    ];
+    for config in all_configs() {
+        let mut cat = catalog();
+        let conds = conditions(&cat);
+        let mut net = Net::build(&config, &conds, &cat);
+        let mut live: Vec<(String, Tid)> = Vec::new();
+        let mut delta = DeltaTracker::new();
+        for (t, batch) in batches.iter().enumerate() {
+            delta.reset();
+            let mut tokens = Vec::new();
+            for op in batch {
+                let change = apply(&mut cat, &mut live, op).expect("scripted op applies");
+                tokens.extend(delta.tokens_for(&change));
+            }
+            net.process_batch(&tokens, &cat);
+            net.check(&conds, &cat, &(t, batch, &config)).unwrap();
+        }
+        let r1 = cat.get("r1").unwrap();
+        assert_eq!(
+            r1.get(Tid::new(0, 1)).map(|t| t.get(0)),
+            Some(&Value::Int(6))
+        );
+        assert!(r1.get(Tid::new(0, 0)).is_none(), "{config:?}");
+        // both r1 tuples join both r2 tuples, all four on b = 1
+        assert_eq!(pnode_tids(net.pnode(5)).len(), 4, "{config:?}");
+    }
+}
+
 /// The scaling claim for `−` tokens, as counts: one delete costs one
 /// selection-network probe and reaches only the α-nodes whose band holds
 /// the dying value — the same number against 200 rules as against 1 600.
