@@ -664,6 +664,12 @@ impl Ariel {
 
     /// Push tokens through the discrimination network without running the
     /// recognize-act cycle — the paper's *token test* measurement in §6.
+    ///
+    /// The caller applies the tokens' changes to the relations first, all
+    /// of them and nothing more: a `+` carries the tuple its relation
+    /// holds, and a delete `−` follows the delete
+    /// ([`Network::process_batch`] states the contract; debug builds
+    /// check it).
     pub fn match_tokens(&mut self, tokens: &[Token]) -> ArielResult<()> {
         self.network.process_batch(tokens, &self.catalog)?;
         Ok(())

@@ -11,7 +11,7 @@
 //! bench_gate                            # the joins gate on its default paths
 //! bench_gate fresh.json baseline.json   # the joins gate on explicit paths
 //! bench_gate mem [fresh [baseline]]     # one gate
-//! bench_gate joins mem obs serve wal plan isl fig virt   # several gates on their default paths
+//! bench_gate joins mem obs serve wal plan isl fig virt scale   # several gates on their default paths
 //! bench_gate <gate…> --bless            # accept the fresh files as baselines
 //! bench_gate links [root]               # relative links in README.md and docs/*.md
 //! ```
@@ -246,6 +246,21 @@ const GATES: &[Gate] = &[
             "emp_rows=50000/virtual+index: alpha_bytes == 0 — a virtual memory stores nothing (§4.2)",
             "emp_rows=50000/stored: token_join_us < emp_rows=50000/virtual.token_join_us — a stored memory must join faster than a scan of its relation, in the same run",
             "emp_rows=50000/stored: alpha_bytes <= emp_rows * 64 — a stored membership costs its bit and index entry, not a copy of the tuple",
+        ],
+    },
+    Gate {
+        name: "scale",
+        fresh: "BENCH_scale.json",
+        baseline: "BENCH_scale_baseline.json",
+        keys: &["rules"],
+        exact: &[],
+        // §6's claim is about growth with the rule count, within one run:
+        // host drift moves both rows of a ratio alike
+        bounds: &[],
+        rules: &[
+            "rules=3200: plus_token_us <= rules=200.plus_token_us * 2 — a `+` token's cost must stay flat in the rule count (§6)",
+            "rules=3200: minus_token_us <= rules=200.minus_token_us * 2 — a `−` token's cost must stay flat in the rule count (§6)",
+            "rules=3200: naive_us >= rules=200.naive_us * 8 — testing every predicate must grow with the rule count, or the table measures nothing",
         ],
     },
 ];
@@ -1279,6 +1294,57 @@ mod tests {
         // a row the rules read must be measured
         let v = check(g, &base[1..], &base);
         assert!(has(&v, "fig9/rules=25: missing"), "{v:?}");
+    }
+
+    fn scale(rules: u64, plus_us: f64, minus_us: f64, naive_us: f64) -> Row {
+        Row::new()
+            .count("rules", rules)
+            .time("plus_token_us", plus_us)
+            .time("minus_token_us", minus_us)
+            .time("naive_us", naive_us)
+    }
+
+    /// SCALE at 200 and 3 200 rules: flat token costs, a naive matcher
+    /// 16× slower.
+    fn scale_table() -> Vec<Row> {
+        vec![scale(200, 1.5, 1.1, 8.0), scale(3200, 1.6, 1.0, 128.0)]
+    }
+
+    #[test]
+    fn scale_gate_holds_same_run_rules_only() {
+        let g = gate("scale");
+        let base = scale_table();
+        assert!(check(g, &base, &base).is_empty());
+        // each rule breaks alone: a token cost at 3 200 rules past twice
+        // the 200-rule one, or a naive matcher that stopped growing
+        for (col, value) in [
+            ("plus_token_us", 3.1),
+            ("minus_token_us", 2.3),
+            ("naive_us", 63.0),
+        ] {
+            let mut fresh = base.clone();
+            for (name, cell) in &mut fresh[1].cells {
+                if name == col {
+                    *cell = Cell::Time(Spread::of(value));
+                }
+            }
+            let v = check(g, &fresh, &base);
+            assert!(has(&v, &format!("rules=3200: {col} ")), "{col}: {v:?}");
+            assert_eq!(v.len(), 1, "{v:?}");
+        }
+        // a whole host slowing 1.4× passes: only same-run ratios are held
+        let slow: Vec<Row> = base
+            .iter()
+            .map(|r| {
+                let t = |c| r.num(c).unwrap() * 1.4;
+                let n = r.num("rules").unwrap() as u64;
+                scale(n, t("plus_token_us"), t("minus_token_us"), t("naive_us"))
+            })
+            .collect();
+        assert!(check(g, &slow, &base).is_empty());
+        // a row the rules read must be measured
+        let v = check(g, &base[1..], &base);
+        assert!(has(&v, "rules=200: missing"), "{v:?}");
     }
 
     #[test]

@@ -70,7 +70,7 @@ const TABLES: &[Table] = &[
     Table {
         name: "scale",
         title: "SCALE: cost vs rule count — selection network vs naive",
-        json: None,
+        json: Some("BENCH_scale.json"),
         run: |_| measure::scale_table(&[200, 400, 800, 1600, 3200], 300),
     },
     Table {

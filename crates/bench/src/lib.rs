@@ -118,12 +118,13 @@ pub fn delete_token_for(token: &Token) -> Token {
     )
 }
 
-/// Undo a probe insertion: retract its matches and delete the row.
+/// Undo a probe insertion: delete the row, then retract its matches (a
+/// batch is matched against the relations at its end state).
 pub fn undo_emp_token(db: &mut Ariel, token: &Token) {
-    db.match_tokens(&[delete_token_for(token)])
-        .expect("retract");
     let emp = db.catalog_mut().get_mut("emp").unwrap();
     emp.delete(token.tid).expect("cleanup");
+    db.match_tokens(&[delete_token_for(token)])
+        .expect("retract");
 }
 
 /// Insert a dept row directly into storage and return its `+` token (used
@@ -141,12 +142,12 @@ pub fn dept_plus_token(db: &mut Ariel, dno: i64, name: &str) -> Token {
     Token::plus(rel, tid, tuple, EventSpecifier::Append)
 }
 
-/// Retract and remove a probe dept row.
+/// Remove a probe dept row and retract its matches.
 pub fn undo_dept_token(db: &mut Ariel, token: &Token) {
-    db.match_tokens(&[delete_token_for(token)])
-        .expect("retract");
     let dept = db.catalog_mut().get_mut("dept").unwrap();
     dept.delete(token.tid).expect("cleanup");
+    db.match_tokens(&[delete_token_for(token)])
+        .expect("retract");
 }
 
 /// A rule-condition tester with **no** discrimination index: every rule's
@@ -602,13 +603,13 @@ pub mod measure {
                     db.match_tokens(std::slice::from_ref(&token))
                         .expect("match");
                     plus_total += t0.elapsed();
+                    let emp = db.catalog_mut().get_mut("emp").unwrap();
+                    emp.delete(token.tid).expect("cleanup");
                     let minus = delete_token_for(&token);
                     let t0 = Instant::now();
                     db.match_tokens(std::slice::from_ref(&minus))
                         .expect("retract");
                     minus_total += t0.elapsed();
-                    let emp = db.catalog_mut().get_mut("emp").unwrap();
-                    emp.delete(token.tid).expect("cleanup");
                 }
                 // fire what activation primed, so each timed append fires
                 // exactly the rules its own salary satisfies

@@ -38,7 +38,7 @@ impl fmt::Display for RuleId {
 pub struct AlphaId(pub usize);
 
 /// The seven α-memory kinds of §4.3.3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AlphaKind {
     /// Standard memory node: collection of tuples matching the predicate.
     Stored,
@@ -100,7 +100,7 @@ impl AlphaKind {
 }
 
 /// Event requirement of an ON-condition node.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum EventReq {
     /// Requires an append event.
     Append,
@@ -337,7 +337,7 @@ impl JoinIndex {
 /// probe key `x` matches exactly the entries whose conjunct pair
 /// `e.lo OP x` / `x OP' e.hi` holds. `lo_strict` means the lower conjunct
 /// was `<` (interval bound `Excluded`); likewise `hi_strict` for the upper.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BandShape {
     /// Attribute supplying the entry's lower endpoint.
     pub lo_attr: usize,
@@ -390,11 +390,11 @@ struct RangeIndex {
 /// An α-memory node.
 #[derive(Debug)]
 pub struct AlphaNode {
-    /// Owning rule.
+    /// The rule the node was built for. A Rete node has this one owner;
+    /// TREAT shares a node among rule variables and keeps the list of
+    /// them beside the node (`crate::treat`), reading that instead.
     pub rule: RuleId,
-    /// The owning rule's slot in its network (TREAT's dense rule vector).
-    pub(crate) rule_slot: usize,
-    /// Variable index within the rule condition.
+    /// Variable index within that rule's condition.
     pub var: usize,
     /// Relation this node watches.
     pub rel: RelId,
@@ -635,7 +635,6 @@ impl AlphaNode {
     ) -> Self {
         AlphaNode {
             rule,
-            rule_slot: 0,
             var,
             rel,
             kind,
@@ -724,6 +723,21 @@ impl AlphaNode {
                 by_interval: FxHashMap::default(),
             })
             .collect();
+    }
+
+    /// The node-local index specs, in registration order: each hash join
+    /// index's attribute set and each band index's shape.
+    pub(crate) fn local_specs(&self) -> (Vec<Vec<usize>>, Vec<BandShape>) {
+        (
+            self.join_indexes
+                .iter()
+                .map(|ji| ji.attrs.clone())
+                .collect(),
+            self.range_indexes
+                .iter()
+                .map(|ri| ri.shape.clone())
+                .collect(),
+        )
     }
 
     /// Whether a node-local join index on exactly the attribute tuple

@@ -9,6 +9,7 @@
 use ariel_islist::Interval;
 use ariel_query::{eval, eval_pred, BinOp, QueryResult, RExpr, Row, SingleEnv};
 use ariel_storage::{Relation, Tid, Tuple, Value};
+use std::hash::{Hash, Hasher};
 use std::ops::Bound;
 
 /// Decomposed single-variable selection predicate (variable remapped to 0).
@@ -174,6 +175,84 @@ impl SelectionPredicate {
     }
 }
 
+// Two predicates are equal when they are the same test: the same anchor
+// interval, the same residual expression tree and the same
+// satisfiability. Residual constants compare by type and bits — `Value`'s
+// own equality takes `2` for `2.0`, which `/` tells apart — while anchor
+// bounds may use it, as the interval compares values the same way. Equal
+// predicates accept exactly the same tuples, which is what lets TREAT
+// keep one α-node for every rule variable testing one (`crate::treat`).
+impl PartialEq for SelectionPredicate {
+    fn eq(&self, other: &Self) -> bool {
+        self.unsatisfiable == other.unsatisfiable
+            && self.anchor == other.anchor
+            && match (&self.residual, &other.residual) {
+                (None, None) => true,
+                (Some(a), Some(b)) => same_expr(a, b),
+                _ => false,
+            }
+    }
+}
+
+impl Eq for SelectionPredicate {}
+
+impl Hash for SelectionPredicate {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.unsatisfiable.hash(state);
+        if let Some((attr, iv)) = &self.anchor {
+            attr.hash(state);
+            iv.lo().hash(state);
+            iv.hi().hash(state);
+        }
+        if let Some(r) = &self.residual {
+            hash_expr(r, state);
+        }
+    }
+}
+
+/// Whether `a` and `b` are one expression tree, constants of one type and
+/// bit pattern.
+fn same_expr(a: &RExpr, b: &RExpr) -> bool {
+    match (a, b) {
+        (RExpr::Const(x), RExpr::Const(y)) => match (x, y) {
+            (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+            _ => std::mem::discriminant(x) == std::mem::discriminant(y) && x == y,
+        },
+        (RExpr::Unary { op, expr }, RExpr::Unary { op: o, expr: e }) => {
+            op == o && same_expr(expr, e)
+        }
+        (
+            RExpr::Binary { op, left, right },
+            RExpr::Binary {
+                op: o,
+                left: l,
+                right: r,
+            },
+        ) => op == o && same_expr(left, l) && same_expr(right, r),
+        // no constant below: the derived equality is exact
+        _ => a == b,
+    }
+}
+
+/// A hash of `e` that [`same_expr`] trees share.
+fn hash_expr<H: Hasher>(e: &RExpr, state: &mut H) {
+    std::mem::discriminant(e).hash(state);
+    match e {
+        RExpr::Const(v) => v.hash(state),
+        RExpr::Attr { var, attr } | RExpr::Prev { var, attr } => (var, attr).hash(state),
+        RExpr::AlwaysTrue => {}
+        RExpr::Unary { op, expr } => {
+            std::mem::discriminant(op).hash(state);
+            hash_expr(expr, state);
+        }
+        RExpr::Binary { op, left, right } => {
+            std::mem::discriminant(op).hash(state);
+            hash_expr(left, state);
+            hash_expr(right, state);
+        }
+    }
+}
+
 fn tighter_lo(a: Bound<Value>, b: Bound<Value>) -> Bound<Value> {
     match (&a, &b) {
         (Bound::Unbounded, _) => b,
@@ -279,6 +358,43 @@ mod tests {
         assert!(!iv.contains(&Value::Int(40_001)));
         assert!(p.residual.is_none());
         assert!(!p.unsatisfiable);
+    }
+
+    #[test]
+    fn predicates_are_equal_when_they_are_the_same_test() {
+        use std::collections::hash_map::DefaultHasher;
+        let hash = |p: &SelectionPredicate| {
+            let mut h = DefaultHasher::new();
+            p.hash(&mut h);
+            h.finish()
+        };
+        let band = |lo: RExpr, hi: RExpr| {
+            SelectionPredicate::decompose(vec![
+                bin(BinOp::Gt, attr(1), lo),
+                bin(BinOp::Le, attr(1), hi),
+            ])
+        };
+        // the anchor is one interval whatever the conjunct order
+        let a = band(lit(1i64), lit(5i64));
+        let b = SelectionPredicate::decompose(vec![
+            bin(BinOp::Le, attr(1), lit(5i64)),
+            bin(BinOp::Gt, attr(1), lit(1i64)),
+        ]);
+        assert!(a == b && hash(&a) == hash(&b));
+        // an anchor bound of 5.0 admits what 5 does
+        assert!(a == band(lit(1i64), lit(5.0)));
+        // a residual constant keeps its type: `/` tells 2 from 2.0
+        let half = |two: Value| {
+            SelectionPredicate::decompose(vec![bin(
+                BinOp::Eq,
+                bin(BinOp::Div, attr(0), lit(two)),
+                attr(2),
+            )])
+        };
+        assert!(half(Value::Int(2)) == half(Value::Int(2)));
+        assert_eq!(hash(&half(Value::Int(2))), hash(&half(Value::Int(2))));
+        assert!(half(Value::Int(2)) != half(Value::Float(2.0)));
+        assert!(a != SelectionPredicate::always_true());
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The per-relation store behind TREAT's stored α-memories: the join
 //! indexes they share.
 //!
-//! TREAT keeps one stored α-memory per rule variable (§4.2), and a tuple
+//! TREAT keeps a stored α-memory per distinct selection (§4.2; rule
+//! variables testing one selection share it, `crate::treat`), and a tuple
 //! lands in every memory whose selection it passes — ten band memories for
 //! one `emp` append on the repo benchmark. The paper's stored memories
 //! each keep a copy of every tuple they admit; that space is why A-TREAT
@@ -48,8 +49,10 @@
 //! [`Store::release`] takes it out of the union and its TID out of the
 //! buckets under the token's value; the next `+` files it anew. Whether a
 //! TID enters or leaves the indexes is decided on its union bit alone,
-//! without looking at the other memories. Dropping a rule rebuilds the
-//! union from the remaining memories, once ([`Store::rebuild`]). Dynamic
+//! without looking at the other memories. An index is registered once per
+//! rule variable that probes it, so sharers of one memory each hold a
+//! registration. Dropping a rule rebuilds the union from the remaining
+//! memories, once, when a memory went with it ([`Store::rebuild`]). Dynamic
 //! memories (`DynamicOn` / `DynamicTrans`) do not satisfy the argument — a
 //! bare `−` leaves an ON-append memory holding a value the relation no
 //! longer has, an ON DELETE memory holds dead tuples, a transition memory
@@ -286,14 +289,9 @@ impl Store {
     /// Debug check, between batches: each memory's bit names a live slot
     /// of its relation whose tuple passes the memory's selection, each
     /// union is the union of its memories, and each index lists exactly
-    /// the union's TIDs under their tuples' keys.
-    ///
-    /// One exception: a bit may name a free slot, and its TID stay filed,
-    /// while the relation runs ahead of the tokens — a caller of
-    /// `Network::process_batch` may delete a tuple before it matches the
-    /// tuple's `+`. The `−` still to come clears both, and a reader finds
-    /// nothing in a free slot meanwhile. The engine matches each command's
-    /// tokens right after the command, so it never leaves one.
+    /// the union's TIDs — the relation's current ones — under their
+    /// tuples' keys. It holds because `Network::process_batch` matches a
+    /// batch only once the relations are at its end state.
     pub(crate) fn debug_check<'a>(
         &self,
         memories: impl Iterator<Item = &'a AlphaNode>,
@@ -311,9 +309,9 @@ impl Store {
                 .unwrap_or_else(|| panic!("{}: a memory of a destroyed relation", a.rel));
             for s in a.slots() {
                 unions[slot.0].insert(s);
-                let Some((tid, tuple)) = rel.at(s) else {
-                    continue; // a `−` still to come
-                };
+                let (tid, tuple) = rel
+                    .at(s)
+                    .unwrap_or_else(|| panic!("{}: a memory holds free slot {s}", a.rel));
                 assert!(
                     a.pred_matches(tuple, None),
                     "{}: TID {tid} is {tuple}, which its memory's selection rejects",
@@ -344,18 +342,13 @@ impl Store {
                 }
                 let mut got: FxHashMap<SmallKey, Vec<u64>> = FxHashMap::default();
                 for (key, tids) in ix.index.buckets() {
-                    let live = |tid: &u64| {
-                        let s = Tid(*tid).slot();
+                    for &tid in tids {
                         assert!(
-                            store.members.contains(s),
+                            store.members.contains(Tid(tid).slot()),
                             "TID {tid} filed, slot held by none"
                         );
-                        relation.at(s).is_some()
-                    };
-                    let tids: Vec<u64> = tids.iter().copied().filter(live).collect();
-                    if !tids.is_empty() {
-                        got.insert(key.clone(), tids);
                     }
+                    got.insert(key.clone(), tids.to_vec());
                 }
                 for tids in want.values_mut().chain(got.values_mut()) {
                     tids.sort_unstable();

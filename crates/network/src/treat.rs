@@ -1,6 +1,7 @@
 //! The A-TREAT discrimination network (§4).
 //!
-//! TREAT keeps one α-memory per rule tuple-variable and **no join (β)
+//! TREAT gives every rule tuple-variable an α-memory — variables that test
+//! the same selection share one, see below — and keeps **no join (β)
 //! memories**: a positive token joins directly against the other variables'
 //! α-memories to extend the rule's P-node, and a negative token just
 //! removes its TID from α-memories and P-node rows. A-TREAT adds two things
@@ -33,6 +34,23 @@
 //!
 //! This reproduces TREAT's self-join counting exactly: a token joins to
 //! itself once per virtual/stored node pair, never twice.
+//!
+//! ### One node per distinct test
+//!
+//! Rule variables that test the same thing share one α-node: same
+//! relation, selection predicate, event requirement, kind and node-local
+//! index specs (`NodeKey`). The node has one selection-network
+//! subscription and one memory; the network lists its sharers — (rule
+//! slot, variable) pairs — beside it. A `+` token is α-tested and stored
+//! once per node, then joins for each sharer in turn, all with the same
+//! ProcessedMemories: the token's nodes in ascending id order induce one
+//! order on each rule's variables, which is all the counting argument
+//! above needs. That holds only while one rule's variables sit on
+//! distinct nodes, so two variables of one rule never share one: a shared
+//! node would be "processed" for both at once and pair the token with
+//! itself twice. A `−` token unholds once and retracts each sharer's
+//! P-node rows. Activation fills a stored node once (a later sharer finds
+//! it current) and a node goes with its last sharer.
 //!
 //! ### Stored memories hold slots; their relation holds the tuples
 //!
@@ -91,10 +109,56 @@ pub enum VirtualPolicy {
 #[derive(Debug)]
 struct RuleVar {
     alpha: AlphaId,
-    /// A stored memory's shared indexes in its store slot, one per
-    /// composite access path of the plan, in the plan's order; empty for
-    /// every other kind.
+    /// The shared indexes this variable registered in its stored memory's
+    /// store slot, one per composite access path of the plan, in the
+    /// plan's order; empty for every other kind.
     indexes: Vec<IndexId>,
+}
+
+/// One rule variable using an α-node: its rule's slot and its index in
+/// the rule's condition.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Sharer {
+    rule: usize,
+    var: usize,
+}
+
+/// What makes the α-nodes of two rule variables one node: the relation,
+/// the selection, the event requirement, the kind and the node-local
+/// index specs. A stored memory's hash indexes are its relation's
+/// (`crate::store`), registered per sharer, so they are no part of it.
+#[derive(Debug, PartialEq, Eq, Hash)]
+struct NodeKey {
+    rel: RelId,
+    pred: SelectionPredicate,
+    event: Option<EventReq>,
+    kind: AlphaKind,
+    join: Vec<Vec<usize>>,
+    bands: Vec<BandShape>,
+}
+
+impl NodeKey {
+    fn of(a: &AlphaNode) -> NodeKey {
+        let (join, bands) = a.local_specs();
+        NodeKey {
+            rel: a.rel,
+            pred: a.pred.clone(),
+            event: a.event.clone(),
+            kind: a.kind,
+            join,
+            bands,
+        }
+    }
+}
+
+/// The rule variables sharing one live α-node.
+#[derive(Debug, Default)]
+struct Shared {
+    /// In activation order; a token the node admits fans out to each.
+    sharers: Vec<Sharer>,
+    /// Activation has filled the node (a stored memory) from its
+    /// relation; a later sharer finds it full.
+    primed: bool,
 }
 
 /// A compiled rule: its α-nodes, join conjuncts, and P-node.
@@ -363,10 +427,15 @@ impl NetworkStats {
 pub struct Network {
     alphas: Vec<Option<AlphaNode>>,
     free: Vec<usize>,
+    /// By `AlphaId`: the rule variables sharing each live node.
+    shared: Vec<Shared>,
+    /// The live nodes by key. Two variables of one rule never share a
+    /// node, so one key may name several.
+    by_key: FxHashMap<NodeKey, Vec<AlphaId>>,
     selnet: SelectionNetwork,
     /// Stored memories' shared tuples and join indexes, per relation.
     store: Store,
-    /// Compiled rules by dense slot (a node's `rule_slot`); freed slots
+    /// Compiled rules by dense slot (a [`Sharer`]'s `rule`); freed slots
     /// are reused.
     rules: Vec<Option<RuleNode>>,
     free_rules: Vec<usize>,
@@ -519,6 +588,41 @@ pub(crate) fn live_rel(catalog: &Catalog, rel: RelId) -> QueryResult<&Relation> 
     catalog
         .rel(rel)
         .ok_or_else(|| StorageError::NoSuchRelation(rel.to_string()).into())
+}
+
+/// Debug check of [`Network::process_batch`]'s precondition: the last
+/// token of each TID of a live relation in `tokens` agrees with the
+/// relation. A token that disagrees must have a later one of its TID, and
+/// only then is one looked for, so the check allocates nothing.
+fn check_end_state(tokens: &[Token], catalog: &Catalog) {
+    if !cfg!(debug_assertions) {
+        return;
+    }
+    for (i, t) in tokens.iter().enumerate() {
+        let Some(rel) = catalog.rel(t.rel) else {
+            continue;
+        };
+        let agrees = if t.kind.is_positive() {
+            rel.get(t.tid) == Some(&t.tuple)
+        } else if t.kind == TokenKind::Minus && t.event == Some(EventSpecifier::Delete) {
+            rel.get(t.tid).is_none()
+        } else {
+            true
+        };
+        let superseded = || {
+            tokens[i + 1..]
+                .iter()
+                .any(|u| (u.rel, u.tid) == (t.rel, t.tid))
+        };
+        assert!(
+            agrees || superseded(),
+            "a {} token of TID {} in {} disagrees with its relation: \
+             match a batch after applying all its changes and nothing more",
+            t.kind,
+            t.tid,
+            t.rel,
+        );
+    }
 }
 
 /// Put `node` in a free slot of a network's α-node table (`alphas`, with
@@ -726,10 +830,13 @@ impl Network {
         if pass {
             AlphaCounters::bump(&a.counters.passes, 1);
             if let Some(tr) = &self.trace {
-                tr.record(TraceEventKind::AlphaPass {
-                    rule: a.rule.0,
-                    var: a.var,
-                });
+                // one pass per sharer, as if each kept its own node
+                for s in &self.shared[aid.0].sharers {
+                    tr.record(TraceEventKind::AlphaPass {
+                        rule: self.rules[s.rule].as_ref().expect("live rule").id.0,
+                        var: s.var,
+                    });
+                }
             }
         }
         if let (Some(timing), Some(t0)) = (&a.timing, start) {
@@ -806,24 +913,15 @@ impl Network {
             };
             let has_prev = is_trans || matches!(event, Some(EventReq::Replace(_)));
             let mut node = AlphaNode::new(id, v, rels[v], kind, pred, event);
-            node.rule_slot = rule_slot;
-            node.timing = self.observing().then(Box::default);
-            let mut indexes = Vec::new();
             if kind.stores_entries() {
-                // register one hash index per composite access path and one
-                // interval index per band shape, so β-joins can probe (or
-                // stab) instead of enumerating (a nested plan has neither).
-                // A stored memory holds TIDs over its relation's store slot
-                // and shares the slot's hash indexes; a dynamic one keeps
-                // entries and its own indexes
+                // one hash index per composite access path and one interval
+                // index per band shape, so β-joins can probe (or stab)
+                // instead of enumerating (a nested plan has neither). A
+                // stored memory holds TIDs over its relation's store slot,
+                // whose hash indexes each sharer registers below; a dynamic
+                // one keeps entries and its own indexes
                 if kind == AlphaKind::Stored {
-                    let slot = self.store.slot(rels[v]);
-                    let relation = catalog.rel(rels[v]).expect("a compiled rule's relation");
-                    indexes = plan.composite[v]
-                        .iter()
-                        .map(|spec| self.store.register(slot, &spec.attrs, relation))
-                        .collect();
-                    node.share(slot);
+                    node.share(self.store.slot(rels[v]));
                 } else {
                     let attr_sets: Vec<Vec<usize>> =
                         plan.composite[v].iter().map(|s| s.attrs.clone()).collect();
@@ -837,25 +935,22 @@ impl Network {
                     node.set_range_indexes(shapes);
                 }
             }
-            debug_assert!(
-                kind != AlphaKind::Stored || !node.has_join_indexes(),
-                "stored memories index through the shared store"
-            );
-            let alpha_id = alloc_alpha(&mut self.alphas, &mut self.free, node);
-            // anchor goes into the selection network unless unsatisfiable
-            let node = self.alpha(alpha_id);
-            let anchor = if node.pred.unsatisfiable {
-                None
-            } else {
-                node.pred.anchor.clone()
-            };
-            self.selnet.subscribe(alpha_id, rels[v], anchor);
-            if kind.is_dynamic() {
-                dynamic = true;
-                if kind.stores_entries() {
-                    self.dynamic_alphas.push(alpha_id);
+            let alpha_id = self.node_for(node, rule_slot);
+            self.shared[alpha_id.0].sharers.push(Sharer {
+                rule: rule_slot,
+                var: v,
+            });
+            let indexes = match self.alpha(alpha_id).store_slot() {
+                Some(slot) => {
+                    let relation = catalog.rel(rels[v]).expect("a compiled rule's relation");
+                    plan.composite[v]
+                        .iter()
+                        .map(|spec| self.store.register(slot, &spec.attrs, relation))
+                        .collect()
                 }
-            }
+                None => Vec::new(),
+            };
+            dynamic |= kind.is_dynamic();
             vars.push(RuleVar {
                 alpha: alpha_id,
                 indexes,
@@ -887,7 +982,43 @@ impl Network {
         Ok(())
     }
 
-    /// Remove a rule and its α-nodes.
+    /// The live node with `node`'s key that no variable of the rule in
+    /// slot `rule` uses yet, or `node` itself, made live: subscribed to
+    /// the selection network and, if dynamic, flushed with each
+    /// transition.
+    fn node_for(&mut self, mut node: AlphaNode, rule: usize) -> AlphaId {
+        let key = NodeKey::of(&node);
+        let free_of_rule = |id: &AlphaId| self.shared[id.0].sharers.iter().all(|s| s.rule != rule);
+        if let Some(id) = self
+            .by_key
+            .get(&key)
+            .and_then(|ids| ids.iter().copied().find(free_of_rule))
+        {
+            return id;
+        }
+        node.timing = self.observing().then(Box::default);
+        let (rel, kind) = (node.rel, node.kind);
+        // the anchor goes into the selection network unless unsatisfiable
+        let anchor = if node.pred.unsatisfiable {
+            None
+        } else {
+            node.pred.anchor.clone()
+        };
+        let id = alloc_alpha(&mut self.alphas, &mut self.free, node);
+        self.selnet.subscribe(id, rel, anchor);
+        if kind.is_dynamic() && kind.stores_entries() {
+            self.dynamic_alphas.push(id);
+        }
+        if self.shared.len() <= id.0 {
+            self.shared.resize_with(id.0 + 1, Shared::default);
+        }
+        self.by_key.entry(key).or_default().push(id);
+        id
+    }
+
+    /// Remove a rule. Each of its α-nodes goes with its last sharer: its
+    /// subscription, its memory and, for a stored one, its slots in the
+    /// store's union.
     pub fn remove_rule(&mut self, id: RuleId) {
         let Some(slot) = self.rule_slots.remove(&id.0) else {
             return;
@@ -895,15 +1026,32 @@ impl Network {
         let rule = self.rules[slot].take().expect("live rule");
         self.free_rules.push(slot);
         let mut stored = Vec::new();
-        for var in &rule.vars {
-            self.selnet.unsubscribe(var.alpha);
-            let alpha = self.alphas[var.alpha.0].take().expect("live alpha");
-            if let Some(s) = alpha.store_slot() {
+        for (v, var) in rule.vars.iter().enumerate() {
+            let aid = var.alpha;
+            if let Some(s) = self.alpha(aid).store_slot() {
                 self.store.unregister(s, &var.indexes);
+            }
+            let shared = &mut self.shared[aid.0];
+            shared
+                .sharers
+                .retain(|s| *s != Sharer { rule: slot, var: v });
+            if !shared.sharers.is_empty() {
+                continue;
+            }
+            *shared = Shared::default();
+            self.selnet.unsubscribe(aid);
+            let alpha = self.alphas[aid.0].take().expect("live alpha");
+            let key = NodeKey::of(&alpha);
+            let ids = self.by_key.get_mut(&key).expect("a live node is keyed");
+            ids.retain(|a| *a != aid);
+            if ids.is_empty() {
+                self.by_key.remove(&key);
+            }
+            if let Some(s) = alpha.store_slot() {
                 stored.push(s);
             }
-            self.free.push(var.alpha.0);
-            self.dynamic_alphas.retain(|a| *a != var.alpha);
+            self.free.push(aid.0);
+            self.dynamic_alphas.retain(|a| *a != aid);
         }
         // each relation's union once, from the memories that remain
         stored.sort_unstable();
@@ -950,7 +1098,8 @@ impl Network {
         let rule = self.rules[slot].as_ref().expect("live rule");
         for v in &rule.vars {
             let a = self.alphas[v.alpha.0].as_mut().expect("live alpha");
-            if a.kind != AlphaKind::Stored {
+            // a node an earlier sharer primed is kept up to date by tokens
+            if a.kind != AlphaKind::Stored || self.shared[v.alpha.0].primed {
                 continue;
             }
             let pred = a.pred.clone();
@@ -958,6 +1107,7 @@ impl Network {
                 self.store.insert(a, tid, t);
                 Ok(())
             })?;
+            self.shared[v.alpha.0].primed = true;
         }
         let mut rows = Vec::new();
         if !rule.pattern_only {
@@ -1006,10 +1156,20 @@ impl Network {
         Ok(rows)
     }
 
-    /// Process one transition's worth of tokens. Changes must already be
-    /// applied to the base relations (see the module docs for why the
-    /// pending set then reproduces the paper's processing order).
+    /// Process one transition's worth of tokens.
+    ///
+    /// The relations must already be at the batch's end state: every
+    /// change the tokens describe is applied, and nothing after them (see
+    /// the module docs for why the pending set then reproduces the paper's
+    /// processing order). So the last token of each TID agrees with its
+    /// relation — a `+` or `Δ+` carries the relation's tuple, a delete `−`
+    /// leaves the TID dead. Matching a `+` after its tuple was deleted
+    /// would leave a stored memory holding a free slot; matching a delete
+    /// `−` before the delete would let a virtual memory serve a tuple its
+    /// `−` already retracted. Debug builds check this on entry; tokens of
+    /// a destroyed relation are exempt (they are skipped).
     pub fn process_batch(&mut self, tokens: &[Token], catalog: &Catalog) -> QueryResult<()> {
+        check_end_state(tokens, catalog);
         self.tokens_processed += tokens.len() as u64;
         let mut pending = std::mem::take(&mut self.pending);
         pending.fill(tokens, catalog);
@@ -1117,8 +1277,8 @@ impl Network {
         Ok(())
     }
 
-    /// Insert a binding into an α-node (if it stores entries) and extend
-    /// the rule's P-node with every new full instantiation.
+    /// Insert a binding into an α-node (if it stores entries), once, and
+    /// extend each sharer's P-node with every new full instantiation.
     fn insert_and_propagate(
         &mut self,
         aid: AlphaId,
@@ -1128,14 +1288,10 @@ impl Network {
         catalog: &Catalog,
         pending: &Pending,
     ) -> QueryResult<()> {
-        let (rule_id, rule_slot, var, kind) = {
-            let a = self.alpha(aid);
-            (a.rule, a.rule_slot, a.var, a.kind)
-        };
-        let observing = self.observing();
         let a = self.alphas[aid.0].as_mut().expect("live alpha");
+        let kind = a.kind;
         match kind {
-            // the store keeps the tuple; the memory takes its TID
+            // the relation keeps the tuple; the memory takes its slot
             AlphaKind::Stored => self.store.insert(a, token.tid, &seed.tuple),
             AlphaKind::DynamicOn | AlphaKind::DynamicTrans => a.insert(
                 token.tid,
@@ -1147,14 +1303,47 @@ impl Network {
             ),
             _ => {}
         }
-        self.rules[rule_slot].as_mut().expect("live rule").tokens_in += 1;
+        let n = self.shared[aid.0].sharers.len();
+        let mut seed = Some(seed);
+        for i in 0..n {
+            let Sharer { rule, var } = self.shared[aid.0].sharers[i];
+            // the last sharer takes the binding, the others a copy
+            let seed = if i + 1 == n {
+                seed.take()
+            } else {
+                seed.clone()
+            };
+            let seed = seed.expect("a binding per sharer");
+            self.propagate(rule, var, kind, seed, token, processed, catalog, pending)?;
+        }
+        Ok(())
+    }
+
+    /// Extend the P-node of the rule in slot `rule_slot` with every full
+    /// instantiation binding `seed` at `var`, whose node (of kind `kind`)
+    /// has just admitted it.
+    #[allow(clippy::too_many_arguments)]
+    fn propagate(
+        &mut self,
+        rule_slot: usize,
+        var: usize,
+        kind: AlphaKind,
+        seed: BoundVar,
+        token: &Token,
+        processed: &[AlphaId],
+        catalog: &Catalog,
+        pending: &Pending,
+    ) -> QueryResult<()> {
+        let observing = self.observing();
+        let rule = self.rules[rule_slot].as_mut().expect("live rule");
+        let rule_id = rule.id;
+        rule.tokens_in += 1;
         if kind.is_simple() {
             // single-variable rule: matching data goes straight to the P-node
             let start = observing.then(Instant::now);
             if let Some(tr) = &self.trace {
                 tr.record_instantiation(rule_id.0, vec![seed.tid.map(|t| t.0)]);
             }
-            let rule = self.rules[rule_slot].as_mut().expect("live rule");
             rule.pnode.push(vec![seed]);
             rule.pnode_inserts += 1;
             self.conflict.pushed(rule_id, &rule.pnode);
@@ -1547,8 +1736,8 @@ impl Network {
                 AlphaCounters::bump(&alpha.counters.join_candidates, served);
                 if let Some(tr) = &self.trace {
                     tr.record(TraceEventKind::VirtualScan {
-                        rule: alpha.rule.0,
-                        var: alpha.var,
+                        rule: rule.id.0,
+                        var,
                         scanned,
                         served,
                     });
@@ -1681,8 +1870,8 @@ impl Network {
                 AlphaCounters::bump(&alpha.counters.join_candidates, served);
                 if let Some(tr) = &self.trace {
                     tr.record(TraceEventKind::BetaProbe {
-                        rule: alpha.rule.0,
-                        var: alpha.var,
+                        rule: rule.id.0,
+                        var,
                         candidates: served,
                         indexed,
                     });
@@ -1768,18 +1957,17 @@ impl Network {
     ) -> QueryResult<()> {
         let mut candidates = self.stab(token, catalog);
         for &aid in &candidates {
-            let (rule_slot, var) = {
-                let a = self.alphas[aid.0].as_mut().expect("live alpha");
-                if a.store_slot().is_some() {
-                    a.unhold(token.tid);
-                } else {
-                    a.remove(token.tid);
+            let a = self.alphas[aid.0].as_mut().expect("live alpha");
+            if a.store_slot().is_some() {
+                a.unhold(token.tid);
+            } else {
+                a.remove(token.tid);
+            }
+            for s in &self.shared[aid.0].sharers {
+                let rule = self.rules[s.rule].as_mut().expect("live rule");
+                if rule.pnode.retract(s.var, token.tid) > 0 {
+                    self.conflict.sync(rule.id, &rule.pnode);
                 }
-                (a.rule_slot, a.var)
-            };
-            let rule = self.rules[rule_slot].as_mut().expect("live rule");
-            if rule.pnode.retract(var, token.tid) > 0 {
-                self.conflict.sync(rule.id, &rule.pnode);
             }
         }
         // no stored memory holds the TID now: it leaves the shared indexes
@@ -1787,14 +1975,14 @@ impl Network {
         // ON DELETE conditions: the dying tuple *matches* them (§4.3.1,
         // case 4: "a delete− … will match any applicable on delete rule
         // conditions"). The tuple is bound with no TID — it no longer
-        // exists, so primed commands can never address it.
+        // exists, so primed commands can never address it. Only an ON
+        // node can pass, so only those are tested.
         if token.kind == TokenKind::Minus && token.event == Some(EventSpecifier::Delete) {
             candidates.retain(|aid| {
-                self.alpha_test(*aid, token, |a| {
-                    a.kind.is_on()
-                        && a.event == Some(EventReq::Delete)
-                        && a.pred_matches(&token.tuple, None)
-                })
+                self.alpha(*aid).kind.is_on()
+                    && self.alpha_test(*aid, token, |a| {
+                        a.event == Some(EventReq::Delete) && a.pred_matches(&token.tuple, None)
+                    })
             });
             candidates.sort_unstable();
             for i in 0..candidates.len() {
@@ -2022,18 +2210,23 @@ impl Network {
                 h,
             );
         }
-        let mut nodes: Vec<(&AlphaNode, &AlphaTiming)> = self
-            .alphas
-            .iter()
-            .flatten()
-            .filter_map(|a| Some((a, a.timing.as_deref()?)))
-            .collect();
-        nodes.sort_by_key(|(a, _)| (a.rule.0, a.var));
+        // a shared node under each of its sharers
+        let mut nodes: Vec<(u64, usize, &AlphaTiming)> = Vec::new();
+        for (a, shared) in self.alphas.iter().zip(&self.shared) {
+            let Some(t) = a.as_ref().and_then(|a| a.timing.as_deref()) else {
+                continue;
+            };
+            for s in &shared.sharers {
+                let rule = self.rules[s.rule].as_ref().expect("live rule");
+                nodes.push((rule.id.0, s.var, t));
+            }
+        }
+        nodes.sort_by_key(|&(rule, var, _)| (rule, var));
         m.put(&at.key("nodes"), None, ariel_islist::Value::Array);
-        for (i, (a, t)) in nodes.into_iter().enumerate() {
+        for (i, (rule, var, t)) in nodes.into_iter().enumerate() {
             let n = at.key("nodes").index(i);
-            m.put(&n.key("rule"), None, a.rule.0);
-            m.put(&n.key("var"), None, a.var);
+            m.put(&n.key("rule"), None, rule);
+            m.put(&n.key("var"), None, var);
             m.put(&n.key("alpha_test"), None, &t.alpha_test);
             m.put(&n.key("virtual_scan"), None, &t.virtual_scan);
         }
@@ -2203,9 +2396,17 @@ mod tests {
         net.process_token(&append_token(tid2, t2), &cat).unwrap();
         assert_eq!(net.pnode(RuleId(1)).unwrap().len(), 2);
         // deletion retracts
+        cat.get_mut("emp").unwrap().delete(tid).unwrap();
         net.process_token(&Token::minus(EMP, tid, t, EventSpecifier::Delete), &cat)
             .unwrap();
         assert_eq!(net.pnode(RuleId(1)).unwrap().len(), 1);
+    }
+
+    /// Replace `tid`'s row with `row` and return the new tuple.
+    fn update_emp(c: &mut Catalog, tid: Tid, row: Vec<Value>) -> Tuple {
+        let rel = c.get_mut("emp").unwrap();
+        rel.update(tid, row).unwrap();
+        rel.get(tid).cloned().unwrap()
     }
 
     fn sales_clerk_cond(cat: &Catalog) -> ResolvedCondition {
@@ -2507,7 +2708,7 @@ mod tests {
         net.prime(RuleId(1), &cat).unwrap();
         let (tid, old) = insert_emp(&mut cat, "e", 100_000.0, 1, 1);
         // raise of 20%: Δ+ matches
-        let new = Tuple::new(emp_row("e", 120_000.0, 1, 1));
+        let new = update_emp(&mut cat, tid, emp_row("e", 120_000.0, 1, 1));
         net.process_token(
             &Token::delta_plus(
                 EMP,
@@ -2528,7 +2729,7 @@ mod tests {
         );
         net.flush_transition_state();
         // raise of 5%: no match
-        let new2 = Tuple::new(emp_row("e", 105_000.0, 1, 1));
+        let new2 = update_emp(&mut cat, tid, emp_row("e", 105_000.0, 1, 1));
         net.process_token(
             &Token::delta_plus(EMP, tid, new2, old, EventSpecifier::Replace(vec![2])),
             &cat,
@@ -2545,7 +2746,7 @@ mod tests {
         net.add_rule(RuleId(1), &rc, &VirtualPolicy::AllStored, &cat)
             .unwrap();
         let (tid, old) = insert_emp(&mut cat, "e", 100.0, 1, 1);
-        let new = Tuple::new(emp_row("e", 200.0, 1, 1));
+        let new = update_emp(&mut cat, tid, emp_row("e", 200.0, 1, 1));
         net.process_token(
             &Token::delta_plus(
                 EMP,
@@ -2565,7 +2766,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(net.pnode(RuleId(1)).unwrap().len(), 0);
-        let new2 = Tuple::new(emp_row("e", 102.0, 1, 1));
+        let new2 = update_emp(&mut cat, tid, emp_row("e", 102.0, 1, 1));
         net.process_token(
             &Token::delta_plus(EMP, tid, new2, old, EventSpecifier::Replace(vec![2])),
             &cat,
@@ -2595,7 +2796,7 @@ mod tests {
             .unwrap();
         let (tid, old) = insert_emp(&mut cat, "e", 100.0, 1, 1);
         // replace touching sal (attr 2) only: no trigger
-        let new = Tuple::new(emp_row("e", 200.0, 1, 1));
+        let new = update_emp(&mut cat, tid, emp_row("e", 200.0, 1, 1));
         net.process_token(
             &Token::delta_plus(EMP, tid, new, old.clone(), EventSpecifier::Replace(vec![2])),
             &cat,
@@ -2603,7 +2804,7 @@ mod tests {
         .unwrap();
         assert_eq!(net.pnode(RuleId(1)).unwrap().len(), 0);
         // replace touching jno (attr 4): trigger
-        let new = Tuple::new(emp_row("e", 100.0, 1, 9));
+        let new = update_emp(&mut cat, tid, emp_row("e", 100.0, 1, 9));
         net.process_token(
             &Token::delta_plus(EMP, tid, new, old, EventSpecifier::Replace(vec![4])),
             &cat,
@@ -3018,17 +3219,32 @@ mod tests {
                 .alpha(net.rule(RuleId(0)).unwrap().vars[1].alpha)
                 .store_slot()
                 .expect("dept is stored under both policies");
+            // the dept memories on the store slot, with their sharers
+            let memories = |net: &Network| -> Vec<(AlphaId, usize)> {
+                net.alphas
+                    .iter()
+                    .zip(&net.shared)
+                    .enumerate()
+                    .filter(|(_, (a, _))| a.as_ref().is_some_and(|a| a.store_slot() == Some(slot)))
+                    .map(|(i, (_, shared))| (AlphaId(i), shared.sharers.len()))
+                    .collect()
+            };
+            assert_eq!(
+                memories(&net).iter().map(|m| m.1).collect::<Vec<_>>(),
+                [4, 4, 4],
+                "three selections, three memories, {policy:?}"
+            );
             // dept dno d is held by the rules with i % 3 < d
             let holders = |net: &Network| -> Vec<usize> {
-                let memories = || {
-                    net.alphas
-                        .iter()
-                        .flatten()
-                        .filter(|a| a.store_slot() == Some(slot))
-                };
                 depts
                     .iter()
-                    .map(|&t| memories().filter(|a| a.contains(t)).count())
+                    .map(|&t| {
+                        memories(net)
+                            .iter()
+                            .filter(|(id, _)| net.alpha(*id).contains(t))
+                            .map(|m| m.1)
+                            .sum()
+                    })
                     .collect()
             };
             assert_eq!(holders(&net), [4, 8, 12, 12], "{policy:?}");
@@ -3092,6 +3308,256 @@ mod tests {
                 assert_eq!(dept_of("d"), [moved, depts[3]], "rule {i}, {policy:?}");
             }
             check(&net, &cat);
+
+            // deactivate the rest one at a time: those left keep matching,
+            // and a dept memory goes with its last sharer, rule 9 + k for
+            // the memory admitting dno > k
+            for i in 1..12 {
+                net.remove_rule(RuleId(i));
+                check(&net, &cat);
+                let left: Vec<usize> = memories(&net).iter().map(|m| m.1).collect();
+                let want: Vec<usize> = (0..3)
+                    .map(|k| (k..12).step_by(3).filter(|&r| r > i).count())
+                    .filter(|&n| n > 0)
+                    .collect();
+                assert_eq!(left, want, "after rule {i}, {policy:?}");
+                let before: Vec<usize> = (i + 1..12)
+                    .map(|j| net.pnode(RuleId(j)).unwrap().len())
+                    .collect();
+                let (tid, t) = insert_emp(&mut cat, "e", 100.0, 4, 1);
+                net.process_token(&append_token(tid, t.clone()), &cat)
+                    .unwrap();
+                for (j, before) in (i + 1..12).zip(before) {
+                    assert_eq!(
+                        net.pnode(RuleId(j)).unwrap().len(),
+                        before + 2,
+                        "rule {j} after rule {i}, {policy:?}"
+                    );
+                }
+                cat.get_mut("emp").unwrap().delete(tid).unwrap();
+                net.process_token(&Token::minus(EMP, tid, t, EventSpecifier::Delete), &cat)
+                    .unwrap();
+            }
+            // the last sharer took the nodes, their intervals, their store
+            // registrations and their union bits along
+            assert_eq!((net.selnet.len(), net.stats().alpha_nodes), (0, 0));
+            assert_eq!(net.store.members(slot), 0, "{policy:?}");
+            assert!(!net.store.has_index(slot, &[0]), "{policy:?}");
+            assert!(net.by_key.is_empty());
+            check(&net, &cat);
+        }
+    }
+
+    #[test]
+    fn a_delete_token_tests_only_on_delete_nodes() {
+        let mut cat = paper_catalog();
+        let mut net = Network::new();
+        for i in 0..20u64 {
+            // every band holds the doomed salary; half the rules join dept
+            let qual = match i % 2 {
+                0 => format!("emp.sal > {i}"),
+                _ => format!("emp.sal > {i} and emp.dno = dept.dno"),
+            };
+            net.add_rule(
+                RuleId(i),
+                &cond(&cat, None, &qual, &[]),
+                &VirtualPolicy::AllStored,
+                &cat,
+            )
+            .unwrap();
+        }
+        let (tid, t) = insert_emp(&mut cat, "x", 100.0, 1, 1);
+        net.process_token(&append_token(tid, t.clone()), &cat)
+            .unwrap();
+        let delete = |net: &mut Network, cat: &mut Catalog, tid, t| {
+            cat.get_mut("emp").unwrap().delete(tid).unwrap();
+            let before = net.stats().alpha_tests;
+            net.process_token(&Token::minus(EMP, tid, t, EventSpecifier::Delete), cat)
+                .unwrap();
+            net.stats().alpha_tests - before
+        };
+        assert_eq!(
+            delete(&mut net, &mut cat, tid, t),
+            0,
+            "20 pattern nodes, no test"
+        );
+        // an ON DELETE node is the one kind a dying tuple can pass
+        let on_delete = EventSpec {
+            kind: EventKind::Delete,
+            relation: "emp".into(),
+        };
+        let rc = cond(&cat, Some(on_delete), "emp.sal > 0", &[]);
+        net.add_rule(RuleId(99), &rc, &VirtualPolicy::AllStored, &cat)
+            .unwrap();
+        let (tid, t) = insert_emp(&mut cat, "y", 100.0, 1, 1);
+        net.process_token(&append_token(tid, t.clone()), &cat)
+            .unwrap();
+        assert_eq!(delete(&mut net, &mut cat, tid, t), 1);
+        assert_eq!(net.pnode(RuleId(99)).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn rules_testing_one_selection_share_one_node() {
+        let mut cat = paper_catalog();
+        populate_sales_clerk(&mut cat);
+        let mut net = Network::new();
+        for i in 0..3u64 {
+            let qual = format!("emp.sal > {i} and emp.dno = dept.dno and dept.name = \"Sales\"");
+            net.add_rule(
+                RuleId(i),
+                &cond(&cat, None, &qual, &[]),
+                &VirtualPolicy::AllStored,
+                &cat,
+            )
+            .unwrap();
+            net.prime(RuleId(i), &cat).unwrap();
+        }
+        // three emp nodes, one dept node with three sharers
+        assert_eq!((net.stats().alpha_nodes, net.selnet.len()), (4, 4));
+        let dept = net.rule(RuleId(0)).unwrap().vars[1].alpha;
+        assert_eq!(net.shared[dept.0].sharers.len(), 3);
+        let (tid, t) = insert_emp(&mut cat, "Sue", 45_000.0, 1, 7);
+        net.process_token(&append_token(tid, t), &cat).unwrap();
+        let d = cat.get_mut("dept").unwrap();
+        let dtid = d.insert(vec![1i64.into(), "Sales".into()]).unwrap();
+        let dt = d.get(dtid).cloned().unwrap();
+        let tests = net.stats().alpha_tests;
+        net.process_token(&Token::plus(DEPT, dtid, dt, EventSpecifier::Append), &cat)
+            .unwrap();
+        assert_eq!(
+            net.stats().alpha_tests - tests,
+            1,
+            "one test for three rules"
+        );
+        assert_eq!(
+            net.alpha(dept).counters.inserted.get(),
+            2,
+            "primed, then once"
+        );
+        for i in 0..3 {
+            assert_eq!(net.pnode(RuleId(i)).unwrap().len(), 2, "rule {i}");
+        }
+
+        // two variables of one rule under one selection take two nodes,
+        // which a second such rule shares one each: the self-join pairs a
+        // token with itself once per rule
+        let pair = cond(
+            &cat,
+            None,
+            "x.jno = y.jno and x.sal > 40000 and y.sal > 40000",
+            &[("x", "emp"), ("y", "emp")],
+        );
+        for i in [10, 11] {
+            net.add_rule(RuleId(i), &pair, &VirtualPolicy::AllStored, &cat)
+                .unwrap();
+            net.prime(RuleId(i), &cat).unwrap();
+        }
+        let (x, y) = {
+            let vars = &net.rule(RuleId(10)).unwrap().vars;
+            (vars[0].alpha, vars[1].alpha)
+        };
+        assert_ne!(x, y);
+        let vars = &net.rule(RuleId(11)).unwrap().vars;
+        assert_eq!((vars[0].alpha, vars[1].alpha), (x, y));
+        assert_eq!(net.stats().alpha_nodes, 6);
+        for i in [10, 11] {
+            assert_eq!(net.pnode(RuleId(i)).unwrap().len(), 1, "Sue with herself");
+        }
+        let (tid, t) = insert_emp(&mut cat, "Al", 50_000.0, 2, 7);
+        net.process_token(&append_token(tid, t), &cat).unwrap();
+        for i in [10, 11] {
+            assert_eq!(net.pnode(RuleId(i)).unwrap().len(), 4, "2 × 2 pairs");
+        }
+    }
+
+    #[test]
+    fn a_stored_node_never_shares_with_a_virtual_one() {
+        let mut cat = paper_catalog();
+        for dno in 1..=4i64 {
+            let dept = cat.get_mut("dept").unwrap();
+            dept.insert(vec![dno.into(), "Sales".into()]).unwrap();
+        }
+        insert_emp(&mut cat, "Bo", 500.0, 2, 1);
+        let rules = [
+            cond(
+                &cat,
+                None,
+                "emp.sal > 10 and emp.dno = dept.dno and dept.dno > 0",
+                &[],
+            ),
+            // the same dept selection as variable 0
+            cond(
+                &cat,
+                None,
+                "d.dno > 0 and e.sal > 10 and d.dno = e.dno",
+                &[("d", "dept"), ("e", "emp")],
+            ),
+            // and joined by no equi-conjunct: no index would narrow it
+            cond(
+                &cat,
+                None,
+                "d.dno > 0 and e.sal > 10 and d.dno < e.dno",
+                &[("d", "dept"), ("e", "emp")],
+            ),
+        ];
+        for policy in [
+            VirtualPolicy::AllStored,
+            VirtualPolicy::AllVirtual,
+            VirtualPolicy::ExplicitVars(HashSet::from([0])),
+            VirtualPolicy::SelectivityThreshold(0.5),
+        ] {
+            let mut net = Network::new();
+            for (i, rc) in rules.iter().enumerate() {
+                net.add_rule(RuleId(i as u64), rc, &policy, &cat).unwrap();
+                net.prime(RuleId(i as u64), &cat).unwrap();
+            }
+            // two variables of different rules share a node exactly when
+            // their keys agree, so never across kinds
+            let vars: Vec<(usize, AlphaId)> = (0..3)
+                .flat_map(|i| {
+                    let rule = net.rule(RuleId(i)).unwrap();
+                    rule.vars.iter().map(move |v| (i as usize, v.alpha))
+                })
+                .collect();
+            for &(r1, a1) in &vars {
+                for &(r2, a2) in &vars {
+                    if r1 == r2 {
+                        continue;
+                    }
+                    let same = NodeKey::of(net.alpha(a1)) == NodeKey::of(net.alpha(a2));
+                    assert_eq!(a1 == a2, same, "{policy:?}");
+                }
+            }
+            let dept_kinds: Vec<AlphaKind> = [(0, 1), (1, 0), (2, 0)]
+                .iter()
+                .map(|&(r, v)| net.alpha_kinds(RuleId(r)).unwrap()[v])
+                .collect();
+            let expect = match &policy {
+                VirtualPolicy::AllStored => [AlphaKind::Stored; 3],
+                VirtualPolicy::AllVirtual => [AlphaKind::Virtual; 3],
+                VirtualPolicy::ExplicitVars(_) => {
+                    [AlphaKind::Stored, AlphaKind::Virtual, AlphaKind::Virtual]
+                }
+                // every dept row passes, but an index on dno would serve
+                // one: the equi-joined memories are stored
+                VirtualPolicy::SelectivityThreshold(_) => {
+                    [AlphaKind::Stored, AlphaKind::Stored, AlphaKind::Virtual]
+                }
+            };
+            assert_eq!(dept_kinds, expect, "{policy:?}");
+            // and each rule matches as it would alone
+            let (tid, t) = insert_emp(&mut cat, "Cy", 600.0, 3, 1);
+            net.process_token(&append_token(tid, t.clone()), &cat)
+                .unwrap();
+            let lens: Vec<usize> = (0..3)
+                .map(|i| net.pnode(RuleId(i)).unwrap().len())
+                .collect();
+            // Bo (dno 2) and Cy (dno 3): one dept each by equality, and
+            // 1 + 2 depts below their dno
+            assert_eq!(lens, [2, 2, 3], "{policy:?}");
+            cat.get_mut("emp").unwrap().delete(tid).unwrap();
+            net.process_token(&Token::minus(EMP, tid, t, EventSpecifier::Delete), &cat)
+                .unwrap();
         }
     }
 

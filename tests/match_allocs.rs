@@ -141,8 +141,8 @@ fn minus(db: &mut Ariel, plus: &Token) -> Token {
 /// a salary of `sal` passes.
 fn round(db: &mut Ariel, sal: i64) -> (u64, u64) {
     let p = plus(db, sal);
-    let m = minus(db, &p);
     let plus_allocs = allocs(|| db.match_tokens(std::slice::from_ref(&p)).unwrap());
+    let m = minus(db, &p);
     let minus_allocs = allocs(|| db.match_tokens(std::slice::from_ref(&m)).unwrap());
     assert_eq!(db.memory_stats().pnode_rows, 0, "no join partner");
     (plus_allocs, minus_allocs)

@@ -605,3 +605,61 @@ fn virtual_nodes_report_scan_work() {
     assert!(rs.virtual_join_candidates > 0, "{rs:?}");
     assert!(rs.virtual_hit_ratio() > 0.0);
 }
+
+/// Two rules whose `dept` selections agree share one α-node: each rule's
+/// statistics report it (its tests, passes and bytes), and the network's
+/// count it once.
+#[test]
+fn a_shared_node_reports_under_every_sharer_and_counts_once() {
+    let mut db = Ariel::with_options(EngineOptions {
+        observability: true,
+        ..Default::default()
+    });
+    db.execute(
+        "create emp (name = string, sal = float, dno = int); \
+         create dept (dno = int, name = string); \
+         create log (name = string)",
+    )
+    .unwrap();
+    for (rule, sal) in [("a", 1000), ("b", 2000)] {
+        db.execute(&format!(
+            "define rule {rule} if emp.sal > {sal} and emp.dno = dept.dno \
+             and dept.name = \"eng\" then append to log(name = emp.name)"
+        ))
+        .unwrap();
+    }
+    db.execute("append emp (name = \"al\", sal = 5000, dno = 1)")
+        .unwrap();
+    let ns0 = db.network_stats();
+    assert_eq!(ns0.alpha_nodes, 3, "two emp nodes and one dept node");
+    let (a0, b0) = (db.rule_stats("a").unwrap(), db.rule_stats("b").unwrap());
+
+    let out = db
+        .explain_analyze("append dept (dno = 1, name = \"eng\")")
+        .unwrap();
+    let ns1 = db.network_stats();
+    let (a1, b1) = (db.rule_stats("a").unwrap(), db.rule_stats("b").unwrap());
+    // the dept token is tested once, and each rule reports that test
+    assert_eq!(ns1.alpha_tests - ns0.alpha_tests, 1);
+    assert_eq!(a1.alpha_tests - a0.alpha_tests, 1, "{a1:?}");
+    assert_eq!(b1.alpha_tests - b0.alpha_tests, 1, "{b1:?}");
+    assert_eq!(a1.alpha_passes - a0.alpha_passes, 1);
+    assert_eq!(b1.alpha_passes - b0.alpha_passes, 1);
+    // while each rule's own work stays its own
+    assert_eq!(a1.tokens_in - a0.tokens_in, 1);
+    assert_eq!(b1.tokens_in - b0.tokens_in, 1);
+    assert_eq!(ns1.join_probes - ns0.join_probes, 2);
+    // the dept memory's member appears in both rules, once in the network
+    assert_eq!((a1.alpha_entries, b1.alpha_entries), (2, 2));
+    assert_eq!(ns1.alpha_entries, 3, "al in two emp memories, eng in one");
+    assert!(a1.alpha_bytes > 0 && b1.alpha_bytes > 0);
+    // `explain analyze` shows the node, and the token it admitted, under
+    // both rules
+    for rule in ["rule a:", "rule b:"] {
+        let section = out.split(rule).nth(1).unwrap_or_else(|| panic!("{out}"));
+        let dept = section.split("α[dept: dept]").nth(1).expect(&out);
+        let line = dept.lines().next().unwrap_or_default();
+        assert!(line.contains("in 1, out 1"), "{rule} {line:?} in {out}");
+    }
+    assert_eq!(ns1.alpha_nodes, 3);
+}

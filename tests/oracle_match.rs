@@ -679,3 +679,159 @@ fn primed_join_churn_pnodes_equal_the_planned_condition() {
         "{matched} instantiations: the oracle sees data"
     );
 }
+
+/// The constants the sharing-heavy rules draw their selections from: few
+/// enough that many rules test one selection and share its α-node.
+const POOL: [i64; 4] = [2, 6, 10, 14];
+
+/// Shapes below this are pattern rules, which every backend runs and the
+/// recompute oracle checks; the others are event and transition rules.
+const PATTERN_SHAPES: u8 = 4;
+const SHAPES: u8 = 9;
+
+/// Rule `shape` with constants `POOL[k1]` and `POOL[k2]`.
+fn sharing_rule(shape: u8, k1: usize, k2: usize) -> String {
+    let (k, k2) = (POOL[k1], POOL[k2]);
+    let cond = match shape % SHAPES {
+        0 => format!("if r1.a > {k}"),
+        1 => format!("if r1.a > {k} and r1.b = r2.b and r2.c < {k2}"),
+        // two variables on one relation under one selection
+        2 => format!("if x.a > {k} and y.a > {k} and x.b = y.b from x in r1, y in r1"),
+        3 => format!("if r1.a <= {k} and r1.b = r2.b"),
+        4 => format!("on append r1 if r1.a > {k} and r1.b = r2.b and r2.c < {k2}"),
+        5 => format!("on delete r1 if r1.a > {k} and r1.b = r2.b"),
+        6 => format!("on replace r1(a) if r1.a > {k}"),
+        7 => format!("if r1.a > previous r1.a and r1.a > {k}"),
+        _ => format!("if r1.a > previous r1.a and r1.b = r2.b and r2.c < {k2}"),
+    };
+    format!("define rule s {cond} then halt")
+}
+
+fn resolve_rule(cat: &Catalog, src: &str) -> ResolvedCondition {
+    let ariel::query::Command::DefineRule(def) = ariel::query::parse_command(src).unwrap() else {
+        panic!("not a rule: {src}");
+    };
+    Resolver::new(cat)
+        .resolve_condition(def.on.as_ref(), def.condition.as_ref(), &def.cond_from)
+        .unwrap()
+}
+
+/// Sorted renderings of a P-node's rows, values and previous values
+/// included: ON DELETE rows bind no TID.
+fn pnode_rows(p: &ariel::query::Pnode) -> Vec<String> {
+    let mut rows: Vec<String> = p.rows().iter().map(|r| format!("{r:?}")).collect();
+    rows.sort();
+    rows
+}
+
+/// Every shape once, then the drawn rules, on every backend, in blocks of
+/// `chunk` ops: pattern rules against recompute, and on the A-TREAT
+/// network, where event and transition rules share nodes with them, every
+/// event or transition rule against a network holding it alone. Both
+/// flush their transition state after each block, as the engine does at
+/// quiescence. The store's debug check runs after every batch (debug
+/// builds).
+fn run_sharing(
+    drawn: &[(u8, usize, usize)],
+    ops: &[Op],
+    chunk: usize,
+) -> Result<(), TestCaseError> {
+    let mut rules: Vec<(u8, usize, usize)> = (0..SHAPES).map(|s| (s, 0, 1)).collect();
+    rules.extend(drawn);
+    rules.sort_by_key(|r| r.0 % SHAPES >= PATTERN_SHAPES);
+    let n_pattern = rules
+        .iter()
+        .filter(|r| r.0 % SHAPES < PATTERN_SHAPES)
+        .count();
+    for config in all_configs() {
+        let mut cat = catalog();
+        let conds: Vec<ResolvedCondition> = rules
+            .iter()
+            .map(|&(s, a, b)| resolve_rule(&cat, &sharing_rule(s, a, b)))
+            .collect();
+        let id = |i: usize| RuleId(i as u64);
+        let (mut net, mut alone) = match &config {
+            Config::Treat(policy, access) => {
+                let build = |conds: &[ResolvedCondition]| {
+                    let mut n = ariel::network::Network::with_access(*access);
+                    for (i, c) in conds.iter().enumerate() {
+                        n.add_rule(id(i), c, policy, &cat).unwrap();
+                        n.prime(id(i), &cat).unwrap();
+                    }
+                    n
+                };
+                let net = build(&conds);
+                let vars: usize = conds.iter().map(|c| c.spec.vars.len()).sum();
+                prop_assert!(net.stats().alpha_nodes < vars, "rules share nodes");
+                let alone: Vec<_> = conds[n_pattern..]
+                    .iter()
+                    .map(|c| build(std::slice::from_ref(c)))
+                    .collect();
+                (Some(net), alone)
+            }
+            Config::Rete(..) => (None, Vec::new()),
+        };
+        let mut rete = match &config {
+            Config::Rete(..) => Some(Net::build(&config, &conds[..n_pattern], &cat)),
+            Config::Treat(..) => None,
+        };
+        let mut live: Vec<(String, Tid)> = Vec::new();
+        let mut delta = DeltaTracker::new();
+        for (t, block) in ops.chunks(chunk).enumerate() {
+            delta.reset();
+            let mut tokens = Vec::new();
+            for op in block {
+                if let Some(change) = apply(&mut cat, &mut live, op) {
+                    tokens.extend(delta.tokens_for(&change));
+                }
+            }
+            let at = (t, block, &config);
+            if let Some(rete) = &mut rete {
+                rete.process_batch(&tokens, &cat);
+                for (i, cond) in conds[..n_pattern].iter().enumerate() {
+                    let want = recompute(&cat, cond);
+                    prop_assert_eq!(pnode_tids(rete.pnode(i)), want, "rule {} at {:?}", i, at);
+                }
+            }
+            if let Some(net) = &mut net {
+                net.process_batch(&tokens, &cat).unwrap();
+                for (i, cond) in conds[..n_pattern].iter().enumerate() {
+                    let want = recompute(&cat, cond);
+                    let got = pnode_tids(net.pnode(id(i)).unwrap());
+                    prop_assert_eq!(got, want, "rule {} at {:?}", i, at);
+                }
+                for (j, one) in alone.iter_mut().enumerate() {
+                    one.process_batch(&tokens, &cat).unwrap();
+                    let i = n_pattern + j;
+                    prop_assert_eq!(
+                        pnode_rows(net.pnode(id(i)).unwrap()),
+                        pnode_rows(one.pnode(id(0)).unwrap()),
+                        "rule {} ({}) at {:?}",
+                        i,
+                        sharing_rule(rules[i].0, rules[i].1, rules[i].2),
+                        at
+                    );
+                    one.flush_transition_state();
+                }
+                net.flush_transition_state();
+            }
+        }
+    }
+    Ok(())
+}
+
+// Rules drawn from a few shapes and four constants share α-nodes across
+// kinds of rule: a pattern, an ON and a transition rule may hold one
+// stored `r2` memory, and a self-join keeps two nodes per rule.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn sharing_heavy_rule_sets_match_oracle(
+        drawn in proptest::collection::vec((0u8..SHAPES, 0usize..4, 0usize..4), 4..14),
+        ops in proptest::collection::vec(op_strategy(), 1..30),
+        chunk in 1usize..5,
+    ) {
+        run_sharing(&drawn, &ops, chunk)?;
+    }
+}
