@@ -1306,7 +1306,7 @@ impl Network {
         let n = self.shared[aid.0].sharers.len();
         let mut seed = Some(seed);
         for i in 0..n {
-            let Sharer { rule, var } = self.shared[aid.0].sharers[i];
+            let sharer = self.shared[aid.0].sharers[i];
             // the last sharer takes the binding, the others a copy
             let seed = if i + 1 == n {
                 seed.take()
@@ -1314,20 +1314,19 @@ impl Network {
                 seed.clone()
             };
             let seed = seed.expect("a binding per sharer");
-            self.propagate(rule, var, kind, seed, token, processed, catalog, pending)?;
+            self.propagate(sharer, seed, token, processed, catalog, pending)?;
         }
         Ok(())
     }
 
-    /// Extend the P-node of the rule in slot `rule_slot` with every full
-    /// instantiation binding `seed` at `var`, whose node (of kind `kind`)
-    /// has just admitted it.
-    #[allow(clippy::too_many_arguments)]
+    /// Extend the sharer's P-node with every full instantiation binding
+    /// `seed` at its variable, which its node has just admitted.
     fn propagate(
         &mut self,
-        rule_slot: usize,
-        var: usize,
-        kind: AlphaKind,
+        Sharer {
+            rule: rule_slot,
+            var,
+        }: Sharer,
         seed: BoundVar,
         token: &Token,
         processed: &[AlphaId],
@@ -1338,7 +1337,7 @@ impl Network {
         let rule = self.rules[rule_slot].as_mut().expect("live rule");
         let rule_id = rule.id;
         rule.tokens_in += 1;
-        if kind.is_simple() {
+        if rule.vars.len() == 1 {
             // single-variable rule: matching data goes straight to the P-node
             let start = observing.then(Instant::now);
             if let Some(tr) = &self.trace {
